@@ -211,22 +211,29 @@ class _ManifestWriter:
             self.previous = {s["name"]: s for s in old.get("stages", [])}
         self.manifest = {"config_hash": config_hash, "stages": []}
 
-    def can_skip(self, name: str, params_hash: str, input_hashes: dict, outputs: dict[str, Path]) -> bool:
+    def can_skip(
+        self, name: str, params_hash: str, input_hashes: dict, outputs: dict[str, Path]
+    ) -> dict[str, str] | None:
+        """The outputs' hashes if the previous run's record of this stage still holds."""
         prev = self.previous.get(name)
         if prev is None or prev["params_hash"] != params_hash or prev["input_hashes"] != input_hashes:
-            return False
+            return None
+        hashes = {}
         for key, path in outputs.items():
-            if not path.exists() or prev["output_hashes"].get(key) != _hash_file(path):
-                return False
-        return True
+            if not path.exists():
+                return None
+            hashes[key] = _hash_file(path)
+            if prev["output_hashes"].get(key) != hashes[key]:
+                return None
+        return hashes
 
-    def record(self, name, params_hash, input_hashes, outputs: dict[str, Path], duration_s, skipped):
+    def record(self, name, params_hash, input_hashes, output_hashes: dict[str, str], duration_s, skipped):
         self.manifest["stages"].append(
             {
                 "name": name,
                 "params_hash": params_hash,
                 "input_hashes": input_hashes,
-                "output_hashes": {k: _hash_file(p) for k, p in outputs.items()},
+                "output_hashes": output_hashes,
                 "duration_s": round(duration_s, 6),
                 "skipped": skipped,
             }
@@ -240,7 +247,8 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False) -> PipelineResult:
     """Execute prune -> sample -> train -> eval inside cfg.run_dir.
 
     Already-satisfied stages (matching hashes) are skipped unless force.
-    Any failure raises StageError naming the stage.
+    Any failure raises StageError naming the stage. Each artifact is hashed
+    once per run; a stage's output hashes are the input hashes of later stages.
     """
     run_dir = Path(cfg.run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -256,18 +264,22 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False) -> PipelineResult:
     progress_file = run_dir / "progress.jsonl"
     eval_dir = run_dir / "eval"
 
-    def stage(name, params, input_hashes, outputs, fn):
+    def stage(name, params, input_hashes, outputs, fn) -> dict[str, str]:
         params_hash = _hash_json(params)
         t0 = time.monotonic()
-        if not force and writer.can_skip(name, params_hash, input_hashes, outputs):
+        hashes = None if force else writer.can_skip(name, params_hash, input_hashes, outputs)
+        if hashes is not None:
             skipped.append(name)
-            writer.record(name, params_hash, input_hashes, outputs, 0.0, True)
-            return
+            writer.record(name, params_hash, input_hashes, hashes, 0.0, True)
+            return hashes
         try:
             fn()
         except Exception as exc:
             raise StageError(name, exc) from exc
-        writer.record(name, params_hash, input_hashes, outputs, time.monotonic() - t0, False)
+        duration = time.monotonic() - t0
+        hashes = {k: _hash_file(p) for k, p in outputs.items()}
+        writer.record(name, params_hash, input_hashes, hashes, duration, False)
+        return hashes
 
     # prune: acquire the input graph and apply the one-shot degree filter
     graph_params = {"graph": cfg.graph, "min_degree": cfg.min_degree, "seed": cfg.seed}
@@ -284,7 +296,7 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False) -> PipelineResult:
         pruned = prune_low_degree(g, cfg.min_degree)
         save_csr(pruned, pruned_file)
 
-    stage("prune", graph_params, ext_hash, {"graph.csr": graph_file, "pruned.csr": pruned_file}, do_prune)
+    pruned = stage("prune", graph_params, ext_hash, {"graph.csr": graph_file, "pruned.csr": pruned_file}, do_prune)
 
     # sample
     def do_sample():
@@ -294,10 +306,10 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False) -> PipelineResult:
     for s in range(cfg.sampler.num_shards):
         p = shard_path(records_dir, s, cfg.sampler.num_shards)
         sample_outputs[f"records/{p.name}"] = p
-    stage(
+    sampled = stage(
         "sample",
         cfg.sampler.to_dict(),
-        {"pruned.csr": _hash_file(pruned_file)},
+        {"pruned.csr": pruned["pruned.csr"]},
         sample_outputs,
         do_sample,
     )
@@ -315,10 +327,10 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False) -> PipelineResult:
             result = train_async(records_dir, tcfg, table, log_path=progress_file)
         save_checkpoint(ckpt_file, result.table, tcfg.steps, _hash_json(trainer_params).encode())
 
-    stage(
+    trained = stage(
         "train",
         trainer_params,
-        {"records/manifest.json": _hash_file(records_dir / "manifest.json")},
+        {"records/manifest.json": sampled["records/manifest.json"]},
         {"checkpoint.bin": ckpt_file},
         do_train,
     )
@@ -339,7 +351,7 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False) -> PipelineResult:
     stage(
         "eval",
         asdict(cfg.eval),
-        {"checkpoint.bin": _hash_file(ckpt_file), "pruned.csr": _hash_file(pruned_file)},
+        {"checkpoint.bin": trained["checkpoint.bin"], "pruned.csr": pruned["pruned.csr"]},
         {"eval/report.json": eval_dir / "report.json"},
         do_eval,
     )

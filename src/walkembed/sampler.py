@@ -122,8 +122,15 @@ def step_walks(g: Graph, walks: WalkBatch, cfg: SamplerConfig, stream: HashStrea
 def _combine_visits(
     seeds: np.ndarray, dests: np.ndarray, dists: np.ndarray, num_nodes: int, walk_length: int
 ) -> RecordBatch:
-    """Group visits by (seed, dest) and histogram them by distance."""
-    pair = seeds * np.int64(num_nodes) + dests
+    """Group visits by (seed, dest) and histogram them by distance.
+
+    Records come out sorted by (source, dest). Keys are packed relative to
+    the smallest seed, so a key spans seed_range * num_nodes * walk_length
+    rather than num_nodes**2 * walk_length.
+    """
+    seeds, dests, dists = (np.asarray(a, dtype=np.int64) for a in (seeds, dests, dists))
+    base = seeds.min()
+    pair = (seeds - base) * np.int64(num_nodes) + dests
     key = pair * np.int64(walk_length) + (dists - 1)
     uniq, counts = np.unique(key, return_counts=True)
     pair_keys = uniq // walk_length
@@ -132,7 +139,7 @@ def _combine_visits(
     co = np.zeros((len(rec_keys), walk_length), dtype=np.int64)
     co[rec_index, slots] = counts
     return RecordBatch(
-        source=rec_keys // num_nodes,
+        source=rec_keys // num_nodes + base,
         dest=rec_keys % num_nodes,
         co_counts=co,
     )
@@ -205,9 +212,9 @@ def run_sampling(
     shard_files, shard_counts = [], []
     for s in range(cfg.num_shards):
         mask = shard_of == s
+        # partitions cover ascending seed ranges and each is sorted, so every
+        # shard is already in (source, dest) order
         batch = RecordBatch(source[mask], dest[mask], co[mask])
-        order = np.lexsort((batch.dest, batch.source))
-        batch = RecordBatch(batch.source[order], batch.dest[order], batch.co_counts[order])
         path = shard_path(out_dir, s, cfg.num_shards)
         write_shard(path, batch)
         if write_debug_tsv:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,11 +144,10 @@ def _block_pair_edges(cfg: SbmConfig, bounds: np.ndarray, bi: int, bj: int) -> n
     return np.column_stack([lo_i + t // sj, lo_j + t % sj])
 
 
-def generate_sbm(cfg: SbmConfig, num_workers: int = 1) -> Graph:
+def generate_sbm(cfg: SbmConfig) -> Graph:
     """Sample a Graph from the block model; bitwise-reproducible per seed.
 
-    Block pairs are independent streams, so any worker count yields the
-    identical edge set.
+    Each block pair draws from its own seeded stream.
     """
     exp = expected_edges(cfg)
     if exp > cfg.max_expected_edges:
@@ -158,10 +156,6 @@ def generate_sbm(cfg: SbmConfig, num_workers: int = 1) -> Graph:
         )
     bounds = cfg.block_bounds()
     pairs = [(bi, bj) for bi in range(cfg.k) for bj in range(bi, cfg.k)]
-    if num_workers > 1:
-        with ThreadPoolExecutor(max_workers=num_workers) as pool:
-            chunks = list(pool.map(lambda p: _block_pair_edges(cfg, bounds, *p), pairs))
-    else:
-        chunks = [_block_pair_edges(cfg, bounds, bi, bj) for bi, bj in pairs]
+    chunks = [_block_pair_edges(cfg, bounds, bi, bj) for bi, bj in pairs]
     edges = np.concatenate([c for c in chunks if len(c)] or [np.empty((0, 2), dtype=np.int64)])
     return from_edges(edges, num_nodes=cfg.n)

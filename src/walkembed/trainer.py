@@ -1,9 +1,11 @@
 """Skip-gram training over co-occurrence records, sync or async.
 
-Sync mode mirrors replicated data-parallel training: logical replicas each
-build a micro-batch, gradients are averaged, and one update is applied per
-global step. The trajectory is bitwise-reproducible for a fixed seed and
-independent of physical thread count.
+Sync mode mirrors replicated data-parallel training: R logical replicas each
+build a micro-batch, and one update is applied per global step. Under mean
+reduction the average of R equal-size micro-batch gradients is the gradient
+of their concatenation, so each step takes one gradient over the R
+concatenated micro-batches. The trajectory is bitwise deterministic for a
+fixed seed.
 
 Async mode mirrors a parameter-server deployment: worker threads build
 batches from disjoint record stripes and apply sparse updates to the shared
@@ -16,7 +18,6 @@ from __future__ import annotations
 import json
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,8 +27,6 @@ from .errors import ValidationError
 from .model import (
     EmbeddingTable,
     FixedSgd,
-    LossGrads,
-    SparseGrad,
     WarmupDecaySchedule,
     init_table,
     loss_and_grad,
@@ -219,17 +218,6 @@ def _write_log(log_path: str | Path | None, entries: list[dict]) -> None:
             fh.write(json.dumps(e) + "\n")
 
 
-def _merge_grads(grads: list[SparseGrad], scale: float, dim: int, dtype) -> SparseGrad:
-    """Fixed-order sum of replica gradients, scaled; deterministic."""
-    all_ids = np.concatenate([g.ids for g in grads])
-    all_vals = np.concatenate([g.values for g in grads])
-    uids, inv = np.unique(all_ids, return_inverse=True)
-    acc = np.zeros((len(uids), dim), dtype=dtype)
-    np.add.at(acc, inv, all_vals)
-    acc *= dtype.type(scale)
-    return SparseGrad(uids, acc)
-
-
 def train_sync(
     records: RecordBatch | str | Path,
     cfg: TrainConfig,
@@ -237,9 +225,13 @@ def train_sync(
     num_nodes: int | None = None,
     log_path: str | Path | None = None,
     log_every: int = 50,
-    num_threads: int = 1,
 ) -> TrainResult:
-    """Replicated synchronous training; thread-count-invariant by reduction order."""
+    """Replicated synchronous training, bitwise deterministic for a seed.
+
+    Each step builds the R micro-batches in replica order and takes one
+    mean-reduced gradient over their concatenation, which equals the mean
+    of the R per-replica gradients.
+    """
     if cfg.mode != "sync":
         raise ValidationError("train_sync requires cfg.mode == 'sync'")
     batch_data = _as_records(records)
@@ -266,40 +258,25 @@ def train_sync(
             "steps": cfg.steps,
         }
     ]
-    pool = ThreadPoolExecutor(max_workers=num_threads) if num_threads > 1 else None
     t0 = time.monotonic()
     t_last, ex_last = t0, 0
     examples = 0
-    try:
-        for step in range(cfg.steps):
-            lr = cfg.optimizer.lr_at(step)
-            batches = [
-                build_batch(stream, cfg, neg_rng, n_nodes) for _ in range(cfg.num_replicas)
-            ]
-            if pool is not None:
-                results: list[LossGrads] = list(
-                    pool.map(lambda b: loss_and_grad(table, b, context), batches)
-                )
-            else:
-                results = [loss_and_grad(table, b, context) for b in batches]
-            scale = 1.0 / cfg.num_replicas
-            merged = _merge_grads([r.main for r in results], scale, table.dim, table.values.dtype)
-            merged.apply(table, lr)
-            if context is not None:
-                merged_ctx = _merge_grads(
-                    [r.context for r in results], scale, table.dim, table.values.dtype
-                )
-                merged_ctx.apply(context, lr)
-            examples += cfg.global_batch_examples
-            loss = float(np.mean([r.loss for r in results]))
-            if step % log_every == 0 or step == cfg.steps - 1:
-                now = time.monotonic()
-                eps = (examples - ex_last) / max(now - t_last, 1e-9)
-                t_last, ex_last = now, examples
-                log.append({"step": step, "lr": lr, "loss": loss, "examples_per_sec": eps})
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for step in range(cfg.steps):
+        lr = cfg.optimizer.lr_at(step)
+        batches = [build_batch(stream, cfg, neg_rng, n_nodes) for _ in range(cfg.num_replicas)]
+        batch = ExampleBatch(
+            *(np.concatenate([getattr(b, f) for b in batches]) for f in ("src", "dst", "weight", "positive"))
+        )
+        out = loss_and_grad(table, batch, context)
+        out.main.apply(table, lr)
+        if context is not None:
+            out.context.apply(context, lr)
+        examples += cfg.global_batch_examples
+        if step % log_every == 0 or step == cfg.steps - 1:
+            now = time.monotonic()
+            eps = (examples - ex_last) / max(now - t_last, 1e-9)
+            t_last, ex_last = now, examples
+            log.append({"step": step, "lr": lr, "loss": out.loss, "examples_per_sec": eps})
     _write_log(log_path, log)
     return TrainResult(
         table=table,

@@ -119,6 +119,29 @@ class TestRunPipeline:
         result = run_pipeline(config_from_dict(d))
         assert result.skipped == ["prune", "sample"]
 
+    def test_each_artifact_hashed_once_per_run(self, tmp_path, monkeypatch):
+        import walkembed.pipeline as pipeline_mod
+
+        run_dir = tmp_path / "run"
+        real = pipeline_mod._hash_file
+        calls = []
+
+        def counting(path):
+            calls.append(path.relative_to(run_dir).as_posix())
+            return real(path)
+
+        monkeypatch.setattr(pipeline_mod, "_hash_file", counting)
+        cfg = config_from_dict(tiny_config_dict(run_dir))
+        first = run_pipeline(cfg, force=True)
+        artifacts = sorted(k for s in first.manifest["stages"] for k in s["output_hashes"])
+        assert len(artifacts) == 7  # graph, pruned, 2 shards, records manifest, checkpoint, report
+        assert sorted(calls) == artifacts
+        calls.clear()
+        second = run_pipeline(cfg)
+        assert second.skipped == ["prune", "sample", "train", "eval"]
+        assert sorted(calls) == artifacts
+        assert second.manifest["stages"] == [dict(s, skipped=True, duration_s=0.0) for s in first.manifest["stages"]]
+
     def test_determinism_bitwise(self, tmp_path):
         a = run_pipeline(config_from_dict(tiny_config_dict(tmp_path / "a")))
         b = run_pipeline(config_from_dict(tiny_config_dict(tmp_path / "b")))

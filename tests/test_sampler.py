@@ -8,7 +8,7 @@ from conftest import build_graph
 from walkembed.errors import EmptyGraphError, ValidationError
 from walkembed.graph import from_edges
 from walkembed.rng import HashStream
-from walkembed.sampler import SamplerConfig, init_walks, run_sampling, step_walks
+from walkembed.sampler import SamplerConfig, _combine_visits, init_walks, run_sampling, step_walks
 from walkembed.shards import load_all_records, read_shard, write_shard, RecordBatch
 
 
@@ -142,6 +142,17 @@ class TestRunSampling:
             fb = tmp_path / "b" / f"records-{s:05d}-of-00003.bin"
             assert fa.read_bytes() == fb.read_bytes()
 
+    def test_shards_sorted_by_source_then_dest(self, tmp_path):
+        n = 40
+        g = build_graph([(i, (i + 1) % n) for i in range(n)] + [(i, (i + 7) % n) for i in range(0, n, 3)], n)
+        cfg = SamplerConfig(walks_per_node=8, walk_length=3, seed=5, num_shards=3)
+        run_sampling(g, cfg, tmp_path, num_workers=2, partition_nodes=6)
+        for s in range(3):
+            rec = read_shard(tmp_path / f"records-{s:05d}-of-00003.bin", 3)
+            assert len(rec) > 0
+            key = rec.source * n + rec.dest
+            assert np.all(np.diff(key) > 0)
+
     def test_sharding_partitions_by_source(self, tmp_path, triangle):
         cfg = SamplerConfig(walks_per_node=8, walk_length=2, seed=1, num_shards=4)
         out = tmp_path / "rec"
@@ -180,6 +191,13 @@ class TestRunSampling:
         _, stats, _ = sample_to_dict(g, cfg, tmp_path)
         assert stats.dead_end_terminations == 5
         assert stats.total_walks == 15
+
+
+def test_combine_visits_does_not_wrap_large_ids():
+    rec = _combine_visits([2**31 - 1], [2**31 - 2], [1], 2**31, 3)
+    assert rec.source.tolist() == [2**31 - 1]
+    assert rec.dest.tolist() == [2**31 - 2]
+    assert rec.co_counts.tolist() == [[1, 0, 0]]
 
 
 small_graphs = st.lists(

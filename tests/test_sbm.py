@@ -63,14 +63,6 @@ def test_different_seed_differs():
     assert not np.array_equal(a.targets, b.targets)
 
 
-def test_parallel_generation_matches_serial():
-    cfg = SbmConfig(n=600, k=6, p_in=0.05, p_out=0.005, seed=4)
-    serial = generate_sbm(cfg, num_workers=1)
-    parallel = generate_sbm(cfg, num_workers=4)
-    assert np.array_equal(serial.offsets, parallel.offsets)
-    assert np.array_equal(serial.targets, parallel.targets)
-
-
 def test_block_densities_converge(subtests=None):
     cfg = SbmConfig(n=2000, k=4, p_in=0.02, p_out=0.002, seed=13)
     g = generate_sbm(cfg)

@@ -325,11 +325,55 @@ class TestTrainSync:
         b = train_sync(records, self.cfg(), num_nodes=30)
         assert np.array_equal(a.table.values, b.table.values)
 
-    def test_thread_count_invariant(self):
+    def test_step_equals_mean_of_replica_gradients(self, monkeypatch):
+        import walkembed.trainer as trainer_mod
+        from walkembed.rng import derive_seed
+
         records = training_records()
-        a = train_sync(records, self.cfg(num_replicas=4), num_nodes=30, num_threads=1)
-        b = train_sync(records, self.cfg(num_replicas=4), num_nodes=30, num_threads=4)
-        assert np.array_equal(a.table.values, b.table.values)
+        cfg = self.cfg(num_replicas=3, steps=1, table_dtype="float64")
+        seen = []
+
+        def spy(table, batch, context=None):
+            out = loss_and_grad(table, batch, context)
+            seen.append(out)
+            return out
+
+        monkeypatch.setattr(trainer_mod, "loss_and_grad", spy)
+        result = train_sync(records, cfg, num_nodes=30)
+
+        # reference: one gradient per replica micro-batch, merged by a
+        # fixed-order sum of the rows scaled by 1/R
+        table = init_table(30, cfg.dim, derive_seed(cfg.seed, "init"), np.float64)
+        src, dst, w = prepare_positives(records, cfg)
+        stream = RecordStream(src, dst, w, derive_seed(cfg.seed, "stream"), cfg.shuffle_buffer)
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xB0)))
+        replicas = [loss_and_grad(table, build_batch(stream, cfg, rng, 30)) for _ in range(3)]
+        ids, inv = np.unique(np.concatenate([r.main.ids for r in replicas]), return_inverse=True)
+        merged = np.zeros((len(ids), cfg.dim))
+        np.add.at(merged, inv, np.concatenate([r.main.values for r in replicas]))
+        merged /= 3
+
+        (step,) = seen
+        assert np.array_equal(step.main.ids, ids)
+        np.testing.assert_allclose(step.main.values, merged, rtol=1e-12, atol=0)
+        assert step.loss == pytest.approx(np.mean([r.loss for r in replicas]), rel=1e-12)
+        table.values[ids] -= cfg.optimizer.lr * merged
+        np.testing.assert_allclose(result.table.values, table.values, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("replicas", [1, 2, 5])
+    def test_one_gradient_call_per_step(self, monkeypatch, replicas):
+        import walkembed.trainer as trainer_mod
+
+        sizes = []
+
+        def counting(table, batch, context=None):
+            sizes.append(len(batch))
+            return loss_and_grad(table, batch, context)
+
+        monkeypatch.setattr(trainer_mod, "loss_and_grad", counting)
+        cfg = self.cfg(num_replicas=replicas, steps=7)
+        train_sync(training_records(), cfg, num_nodes=30)
+        assert sizes == [cfg.global_batch_examples] * 7
 
     def test_untouched_rows_bitwise_stable(self):
         # no negatives, records confined to ids {0, 1}
