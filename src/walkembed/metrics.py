@@ -3,7 +3,8 @@
 All metrics operate on L2-normalized rows, so Euclidean distances live in
 [0, 2]. Edge signal-to-noise is mean non-edge distance over mean edge
 distance; distributions are summarized as nearest-rank percentiles P0..P100;
-recall@k uses k = degree(u) with exact brute-force neighbor search.
+recall@k uses k = degree(u) with an exact neighbor search: a blocked matrix
+product shortlists candidates and an exact re-rank orders them.
 """
 
 from __future__ import annotations
@@ -23,6 +24,12 @@ from .model import EmbeddingTable
 logger = logging.getLogger(__name__)
 
 SNR_CAP = 1.0e12  # reported when mean edge distance is below 1e-12
+
+_PAIR_BLOCK = 16_384  # pairs per block in pair_distances
+# Table rows per block and sampled nodes per query group in edge_recall; its
+# approximate-distance buffer holds at most their product.
+_RECALL_ROW_BLOCK = 8_192
+_RECALL_QUERY_GROUP = 128
 
 
 @dataclass
@@ -63,8 +70,19 @@ def l2_normalize(table: EmbeddingTable) -> EmbeddingTable:
 
 
 def pair_distances(table: EmbeddingTable, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    diff = table.values[u] - table.values[v]
-    return np.linalg.norm(diff, axis=1)
+    """Euclidean distance of every pair (u[i], v[i]).
+
+    Pairs are taken _PAIR_BLOCK at a time into one preallocated output, so the
+    memory beyond the output is bounded by the block size. Each row's norm is
+    computed on its own, so the result equals the unblocked
+    norm(values[u] - values[v], axis=1) bit for bit.
+    """
+    values = table.values
+    out = np.empty(len(u), dtype=values.dtype)
+    for lo in range(0, len(u), _PAIR_BLOCK):
+        hi = lo + _PAIR_BLOCK
+        out[lo:hi] = np.linalg.norm(values[u[lo:hi]] - values[v[lo:hi]], axis=1)
+    return out
 
 
 def _edge_keys(g: Graph) -> np.ndarray:
@@ -163,9 +181,17 @@ def edge_recall(
     """Per-node recall@deg(u) over a uniform node sample.
 
     For each sampled u the deg(u) nearest rows (excluding u, ties broken by
-    node id) are compared against the true neighbor set. Exact brute-force
-    search; no approximation.
+    node id) are compared against the true neighbor set. The search is exact:
+    a blocked matrix product of approximate squared distances shortlists
+    every row that can be among the deg(u) nearest, and the shortlist is
+    re-ranked by norm(values[cand] - values[u]) in (distance, id) order. The
+    product runs over _RECALL_ROW_BLOCK table rows and _RECALL_QUERY_GROUP
+    sampled nodes at a time, so its memory is bounded by the block sizes.
+    Tables with a non-finite row, or rows too long for the product to stay
+    finite, are searched by the exact scan alone.
     """
+    if num_sampled_nodes < 1:
+        raise ValidationError("recall node count must be >= 1")
     rng = rng if rng is not None else np.random.default_rng(0)
     deg = g.degrees
     if not np.any(deg > 0):
@@ -180,15 +206,87 @@ def edge_recall(
     resamples = scanned - len(chosen)
     recalls = np.empty(len(chosen), dtype=np.float64)
     values = table.values
-    for i, u in enumerate(chosen):
-        d = np.linalg.norm(values - values[u], axis=1)
-        order = np.lexsort((np.arange(g.num_nodes), d))
-        order = order[order != u]
-        k = int(deg[u])
-        top = order[:k]
-        hits = np.intersect1d(top, g.neighbors(u), assume_unique=True)
-        recalls[i] = len(hits) / k
+    n, dim = values.shape
+    sq = np.einsum("ij,ij->i", values, values)
+    max_sq = float(np.max(sq))
+    fin = np.finfo(values.dtype)
+    mu = (dim + 4) * float(fin.eps) / 2
+    gamma = mu / (1 - mu)
+    # a NaN or inf row makes max_sq non-finite, and longer rows could
+    # overflow the product
+    exhaustive = not max_sq <= float(fin.max) / 16
+    for lo in range(0, len(chosen), _RECALL_QUERY_GROUP):
+        nodes = chosen[lo : lo + _RECALL_QUERY_GROUP]
+        if exhaustive:
+            pools = (np.delete(np.arange(n), u) for u in nodes)
+        else:
+            reach = (np.sqrt(sq[nodes].astype(np.float64)) + np.sqrt(max_sq)) ** 2
+            slack = 4.0 * (2.0 * gamma * reach + 3 * dim * float(fin.smallest_subnormal))
+            pools = _shortlist(values, sq, nodes, deg[nodes], slack)
+        for i, (u, cand) in enumerate(zip(nodes, pools), start=lo):
+            d = np.linalg.norm(values[cand] - values[u], axis=1)
+            k = int(deg[u])
+            top = cand[np.lexsort((cand, d))[:k]]
+            hits = np.intersect1d(top, g.neighbors(u), assume_unique=True)
+            recalls[i] = len(hits) / k
     return RecallResult(nodes=chosen, recalls=recalls, zero_degree_resamples=resamples)
+
+
+# Why _shortlist never drops a row of the exact top k.
+#
+# Take a query row q, a table row x, the dimension D, the dtype's unit
+# roundoff u = eps/2, gamma(m) = m*u / (1 - m*u) and tiny, the dtype's
+# smallest subnormal. s(x) = |q - x|^2 in exact arithmetic. A rounded sum or
+# difference has relative error at most u; a rounded product also may lose up
+# to tiny/2 to underflow.
+#
+# Re-rank: d(x) = norm(x - q) rounds D differences, D squares, D - 1
+# additions (in any order) and one square root, so
+#     |d(x)^2 - s(x)| <= gamma(D + 4) * s(x) + D * tiny.
+# Shortlist: a(x) = (-2 q.x + |x|^2) + |q|^2, where the dot product and both
+# squared norms are each within gamma(D) times their sum of absolute terms
+# (|q.x| <= |q| |x| by Cauchy-Schwarz, in any summation order) and the two
+# additions round once each, so
+#     |a(x) - s(x)| <= gamma(D + 2) * (|q| + |x|)^2 + 2D * tiny.
+# With R^2 the largest squared row norm, for every x both errors add to at most
+#     E = 2 * gamma(D + 4) * (|q| + R)^2 + 3D * tiny.
+# Let tau be the k-th smallest a(x) over the rows x != q. The k rows that
+# reach it have d^2 <= a + E <= tau + E, so the k-th row of the exact
+# (d, id) order, and every row ranked before it, has d^2 <= tau + E. Each of
+# those rows has a <= d^2 + E <= tau + 2E: keeping every row with
+# a <= tau + slack for any slack >= 2E keeps the exact top k, ties included.
+# The slack used is 4E; the extra factor 2 covers the rounding of |q|, R and
+# the bound itself, each relatively far below gamma(D + 4). R^2 <= max/16 in
+# the dtype keeps every intermediate of a(x) finite.
+def _shortlist(
+    values: np.ndarray, sq: np.ndarray, nodes: np.ndarray, ks: np.ndarray, slack: np.ndarray
+) -> list[np.ndarray]:
+    """Ascending row ids with a(x) <= tau + slack for each query node (itself
+    excluded), from approximate squared distances taken one row block at a
+    time. The running tau only falls as blocks arrive, so pruning each pool
+    by it drops nothing the final threshold keeps."""
+    q = values[nodes]
+    q_sq = sq[nodes]
+    ids = [np.empty(0, dtype=np.int64)] * len(nodes)
+    approx = [np.empty(0, dtype=values.dtype)] * len(nodes)
+    cut = np.full(len(nodes), np.inf)
+    for lo in range(0, len(values), _RECALL_ROW_BLOCK):
+        hi = min(lo + _RECALL_ROW_BLOCK, len(values))
+        a = q @ values[lo:hi].T
+        a *= -2
+        a += sq[lo:hi]
+        a += q_sq[:, None]
+        own = np.flatnonzero((nodes >= lo) & (nodes < hi))
+        a[own, nodes[own] - lo] = np.nan  # compares false: never its own candidate
+        for j, k in enumerate(ks):
+            sel = np.flatnonzero(a[j] <= cut[j])
+            ids[j] = np.concatenate([ids[j], sel + lo])
+            approx[j] = np.concatenate([approx[j], a[j, sel]])
+            if len(approx[j]) >= k:
+                cut[j] = np.partition(approx[j], k - 1)[k - 1] + slack[j]
+                keep = approx[j] <= cut[j]
+                ids[j], approx[j] = ids[j][keep], approx[j][keep]
+    return ids
 
 
 def compute_report(

@@ -47,6 +47,29 @@ def recall_reference(g, values: np.ndarray, node: int) -> float:
     return len(top & set(int(x) for x in g.neighbors(node))) / k
 
 
+def recall_scan(g, values: np.ndarray, num_sampled_nodes: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Sampled nodes and their recall@degree, one full scan per node.
+
+    Draws nodes like metrics.edge_recall, then for each sampled u computes
+    norm(values - values[u]) over every row, sorts all rows by (distance, id)
+    and takes the deg(u) first after u itself.
+    """
+    deg = g.degrees
+    perm = rng.permutation(g.num_nodes)
+    ok = deg[perm] > 0
+    scanned = min(int(np.searchsorted(np.cumsum(ok), num_sampled_nodes) + 1), g.num_nodes)
+    chosen = perm[:scanned][ok[:scanned]]
+    recalls = np.empty(len(chosen), dtype=np.float64)
+    for i, u in enumerate(chosen):
+        d = np.linalg.norm(values - values[u], axis=1)
+        order = np.lexsort((np.arange(g.num_nodes), d))
+        order = order[order != u]
+        k = int(deg[u])
+        hits = np.intersect1d(order[:k], g.neighbors(u), assume_unique=True)
+        recalls[i] = len(hits) / k
+    return chosen, recalls
+
+
 def exhaustive_non_edge_distances(g, values: np.ndarray) -> np.ndarray:
     """Distances of every unordered non-adjacent distinct pair."""
     out = []

@@ -5,7 +5,7 @@ import pytest
 
 from walkembed.cli import main
 from walkembed.graph import load_csr, load_edge_list
-from walkembed.model import load_checkpoint
+from walkembed.model import init_table, load_checkpoint, save_checkpoint
 from walkembed.metrics import read_report
 
 
@@ -78,6 +78,13 @@ class TestPruneSampleTrainEval:
                    "--seed", 5, "--out", out) == 0
         report = read_report(out / "report.json")
         assert report.num_recall_nodes == 20
+
+    def test_eval_zero_recall_nodes_exit_1(self, tmp_path, small_graph_file):
+        ckpt = tmp_path / "emb.bin"
+        save_checkpoint(ckpt, init_table(150, 8, seed=0), 0)
+        assert run("eval", "--graph", small_graph_file, "--embedding", ckpt,
+                   "--recall-nodes", 0, "--out", tmp_path / "eval") == 1
+        assert not (tmp_path / "eval" / "report.json").exists()
 
     def test_sample_walk_length_zero_exit_1(self, tmp_path, small_graph_file):
         assert run("sample", "--graph", small_graph_file, "--out", tmp_path / "r",

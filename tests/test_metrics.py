@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import build_graph
+from walkembed import metrics
 from walkembed.errors import MetricError, ValidationError
+from walkembed.graph import from_edges
 from walkembed.metrics import (
     MetricsReport,
     SNR_CAP,
@@ -18,6 +21,7 @@ from walkembed.metrics import (
     edge_snr,
     l2_normalize,
     nearest_rank_percentiles,
+    pair_distances,
     read_report,
     sample_non_edges,
     write_report,
@@ -194,6 +198,12 @@ class TestRecall:
         b = edge_recall(g, rotated, 80, np.random.default_rng(8))
         assert np.array_equal(a.recalls, b.recalls)
 
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_fewer_than_one_node_rejected(self, count):
+        g = generate_sbm(SbmConfig(n=40, k=2, p_in=0.3, p_out=0.05, seed=1))
+        with pytest.raises(ValidationError):
+            edge_recall(g, random_unit_table(40, 4), count)
+
     def test_deterministic_given_seed(self):
         g = generate_sbm(SbmConfig(n=100, k=2, p_in=0.2, p_out=0.05, seed=1))
         t = random_unit_table(100, 8, seed=2)
@@ -201,6 +211,95 @@ class TestRecall:
         b = edge_recall(g, t, 50, np.random.default_rng(3))
         assert np.array_equal(a.nodes, b.nodes)
         assert np.array_equal(a.recalls, b.recalls)
+
+
+class TestRecallExactness:
+    """The shortlist-and-re-rank search returns exactly the per-node scan's
+    nodes and recalls, bit for bit, on tables built to stress its cut."""
+
+    N = 200
+
+    @pytest.fixture(autouse=True, params=["one block", "many blocks"])
+    def blocks(self, request, monkeypatch):
+        if request.param == "many blocks":
+            monkeypatch.setattr(metrics, "_RECALL_ROW_BLOCK", 7)
+            monkeypatch.setattr(metrics, "_RECALL_QUERY_GROUP", 3)
+
+    @pytest.fixture(params=[np.float32, np.float64])
+    def dtype(self, request):
+        return request.param
+
+    @pytest.fixture
+    def graph(self):
+        return generate_sbm(SbmConfig(n=self.N, k=4, p_in=0.2, p_out=0.02, seed=11))
+
+    def assert_matches_scan(self, g, values):
+        t = EmbeddingTable(values)
+        got = edge_recall(g, t, self.N, np.random.default_rng(5))
+        nodes, recalls = oracles.recall_scan(g, values, self.N, np.random.default_rng(5))
+        assert np.array_equal(got.nodes, nodes)
+        assert np.array_equal(got.recalls, recalls)
+
+    def test_coarse_values_with_exact_ties(self, graph, dtype):
+        rng = np.random.default_rng(0)
+        self.assert_matches_scan(graph, rng.integers(-1, 2, size=(self.N, 3)).astype(dtype))
+        unit = random_unit_table(self.N, 8, seed=1).values
+        self.assert_matches_scan(graph, (np.round(unit * 2) / 2).astype(dtype))
+
+    def test_rows_one_ulp_apart_around_kth_neighbour(self, graph, dtype):
+        # clusters of 8 rows that differ by one ulp in one coordinate: with
+        # degrees near 10, the k-th neighbour falls inside the second cluster
+        rng = np.random.default_rng(2)
+        base = random_unit_table(self.N // 8, 16, seed=3).values.astype(dtype)
+        values = base[np.arange(self.N) % len(base)]
+        col = rng.integers(0, 16, size=self.N)
+        rows = np.arange(self.N)
+        step = rng.choice([-np.inf, np.inf], size=self.N).astype(dtype)
+        nudge = rng.random(self.N) < 0.7
+        values[rows[nudge], col[nudge]] = np.nextafter(values[rows[nudge], col[nudge]], step[nudge])
+        self.assert_matches_scan(graph, values)
+
+    def test_zero_rows_in_unnormalized_table(self, graph, dtype):
+        rng = np.random.default_rng(4)
+        values = rng.standard_normal((self.N, 8)) * 10.0 ** rng.uniform(-3, 3, size=(self.N, 1))
+        values[rng.choice(self.N, size=20, replace=False)] = 0.0
+        self.assert_matches_scan(graph, values.astype(dtype))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row(self, graph, dtype, bad):
+        values = random_unit_table(self.N, 8, seed=6).values.astype(dtype)
+        values[int(graph.edge_array()[0, 0])] = bad
+        self.assert_matches_scan(graph, values)
+
+
+def test_pair_distances_blocked_equals_unblocked_bitwise():
+    rng = np.random.default_rng(0)
+    values = rng.standard_normal((300, 8)).astype(np.float32)
+    block = metrics._PAIR_BLOCK
+    for m in (0, 1, block - 1, block, block + 1):
+        u = rng.integers(0, 300, size=m)
+        v = rng.integers(0, 300, size=m)
+        got = pair_distances(EmbeddingTable(values), u, v)
+        want = np.linalg.norm(values[u] - values[v], axis=1)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def test_compute_report_memory_bounded_by_blocks():
+    # 20k nodes, ~200k edges, D = 64, float32. Under tracemalloc the blocked
+    # pair distances and recall search peaked at 16.8 MiB; gathering both
+    # endpoint arrays for every edge and one full difference array per
+    # recall node peaked at 107 MiB.
+    rng = np.random.default_rng(0)
+    g = from_edges(rng.integers(0, 20_000, size=(200_000, 2)), 20_000)
+    t = EmbeddingTable(rng.standard_normal((20_000, 64)).astype(np.float32))
+    tracemalloc.start()
+    try:
+        compute_report(g, t, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
 
 
 class TestReport:

@@ -235,6 +235,44 @@ class TestLossAndGrad:
         )
         assert np.linalg.norm(dense_c - fd_c) / np.linalg.norm(fd_c) < 1e-4
 
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_scatter_bitwise_equals_2d_add_at(self, dual):
+        # 4000 examples over 12 ids: every row receives hundreds of additions
+        rng = np.random.default_rng(8)
+        n, d, m = 12, 16, 4000
+        batch = batch_of(
+            rng.integers(0, n, m), rng.integers(0, n, m), rng.uniform(0.5, 2, m), rng.random(m) < 0.3
+        )
+        main = rng.normal(0, 0.5, (n, d)).astype(np.float32)
+        ctx = rng.normal(0, 0.5, (n, d)).astype(np.float32) if dual else None
+        out = loss_and_grad(EmbeddingTable(main), batch, EmbeddingTable(ctx) if dual else None)
+
+        # the gradient scattered row by row with the 2-D np.add.at
+        w = np.where(batch.positive, batch.weight, 1.0).astype(np.float32)
+        sign = np.where(batch.positive, 1.0, -1.0).astype(np.float32)
+        if dual:
+            u_src, iu = np.unique(batch.src, return_inverse=True)
+            u_dst, iv = np.unique(batch.dst, return_inverse=True)
+            e_src, e_dst = main[u_src][iu], ctx[u_dst][iv]
+        else:
+            uids, inv = np.unique(np.concatenate([batch.src, batch.dst]), return_inverse=True)
+            iu, iv = inv[:m], inv[m:]
+            e_src, e_dst = main[uids][iu], main[uids][iv]
+        scores = np.einsum("ij,ij->i", e_src, e_dst)
+        coef = (w * sign * (np.exp(-np.logaddexp(0.0, -sign * scores)) - 1.0) / m).astype(np.float32)
+        if dual:
+            g_src = np.zeros((len(u_src), d), dtype=np.float32)
+            g_dst = np.zeros((len(u_dst), d), dtype=np.float32)
+            np.add.at(g_src, iu, coef[:, None] * e_dst)
+            np.add.at(g_dst, iv, coef[:, None] * e_src)
+            assert np.array_equal(out.main.values, g_src)
+            assert np.array_equal(out.context.values, g_dst)
+        else:
+            acc = np.zeros((len(uids), d), dtype=np.float32)
+            np.add.at(acc, iu, coef[:, None] * e_dst)
+            np.add.at(acc, iv, coef[:, None] * e_src)
+            assert np.array_equal(out.main.values, acc)
+
     def test_grad_only_touches_batch_rows(self):
         rng = np.random.default_rng(1)
         table = EmbeddingTable(rng.normal(size=(10, 4)))
