@@ -8,22 +8,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
-
-import numpy as np
 
 from .errors import StageError, ValidationError, WalkembedError
 from .graph import load_graph, prune_low_degree, save_csr, save_edge_list
 from .metrics import compute_report, write_report
-from .model import init_table, load_checkpoint, save_checkpoint
+from .model import load_checkpoint, save_checkpoint
 from .pipeline import (
     compare_runs,
     format_comparison,
+    hash_json,
     load_pipeline_config,
     run_pipeline,
 )
-from .rng import derive_seed
 from .sampler import SamplerConfig, run_sampling
+from .shards import read_manifest
 from .sbm import SbmConfig, generate_sbm, preset_config
 from .trainer import TrainConfig, train_async, train_sync
 
@@ -54,8 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--walk-length", type=int, default=3)
     g.add_argument("--num-shards", type=int, default=1)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--workers", type=int, default=1)
-    g.add_argument("--tsv", action="store_true", help="also write debug TSV mirrors")
 
     g = sub.add_parser("train", help="train embeddings from sampled records")
     g.add_argument("--records", required=True)
@@ -121,7 +117,7 @@ def _cmd_sample(args) -> int:
         seed=args.seed,
         num_shards=args.num_shards,
     )
-    stats = run_sampling(g, cfg, args.out, num_workers=args.workers, write_debug_tsv=args.tsv)
+    stats = run_sampling(g, cfg, args.out)
     print(
         f"sampled {stats.total_walks} walks -> {stats.num_records} records "
         f"({stats.dead_end_terminations} dead ends, {stats.elapsed_s:.1f}s)"
@@ -134,12 +130,6 @@ def _cmd_train(args) -> int:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    from .pipeline import _optimizer_from_dict  # shared config parsing
-
-    if "optimizer" in raw:
-        raw["optimizer"] = _optimizer_from_dict(raw["optimizer"])
-    if raw.get("distance_weighting") is not None:
-        raw["distance_weighting"] = tuple(raw["distance_weighting"])
     for flag, key in (
         ("mode", "mode"),
         ("dim", "dim"),
@@ -150,12 +140,13 @@ def _cmd_train(args) -> int:
         val = getattr(args, flag)
         if val is not None:
             raw[key] = val
-    cfg = TrainConfig(**raw)
+    cfg = TrainConfig.from_dict(raw)
     g = load_graph(args.graph)
-    table = init_table(g.num_nodes, cfg.dim, derive_seed(cfg.seed, "init"), np.dtype(cfg.table_dtype))
+    if read_manifest(args.records)["graph_hash"] != g.content_hash():
+        raise ValidationError(f"records in {args.records} were not sampled from {args.graph}")
     train = train_sync if cfg.mode == "sync" else train_async
-    result = train(args.records, cfg, table, log_path=args.log)
-    save_checkpoint(args.out, result.table, cfg.steps)
+    result = train(args.records, cfg, num_nodes=g.num_nodes, log_path=args.log)
+    save_checkpoint(args.out, result.table, cfg.steps, hash_json(cfg.to_dict()).encode())
     last = [e for e in result.log if "loss" in e]
     loss = f"{last[-1]['loss']:.4f}" if last else "n/a"
     print(

@@ -65,31 +65,6 @@ class Graph:
         h.update(np.ascontiguousarray(self.targets, dtype=np.int64).tobytes())
         return h.hexdigest()
 
-    def validate(self) -> None:
-        """Check structural invariants; raises ValidationError on violation."""
-        if len(self.offsets) != self.num_nodes + 1:
-            raise ValidationError("offsets length != num_nodes + 1")
-        if self.offsets[0] != 0 or self.offsets[-1] != len(self.targets):
-            raise ValidationError("offsets do not span the target array")
-        if np.any(np.diff(self.offsets) < 0):
-            raise ValidationError("offsets not monotone")
-        if len(self.targets) != 2 * self.num_edges:
-            raise ValidationError("sum of degrees != 2 * num_edges")
-        if len(self.targets):
-            if self.targets.min() < 0 or self.targets.max() >= self.num_nodes:
-                raise ValidationError("neighbor id out of range")
-        for u in range(self.num_nodes):
-            ns = self.targets[self.offsets[u] : self.offsets[u + 1]]
-            if np.any(np.diff(ns) <= 0):
-                raise ValidationError(f"neighbor list of {u} not sorted/unique")
-            if np.any(ns == u):
-                raise ValidationError(f"self-loop at {u}")
-        # symmetry via edge-set reconstruction
-        u = np.repeat(np.arange(self.num_nodes, dtype=np.int64), self.degrees)
-        fwd = set(zip(u.tolist(), self.targets.tolist()))
-        if any((b, a) not in fwd for a, b in fwd):
-            raise ValidationError("adjacency not symmetric")
-
 
 def from_edges(edges: np.ndarray, num_nodes: int, external_ids: np.ndarray | None = None) -> Graph:
     """Build a Graph from an (m, 2) int array of endpoints in [0, num_nodes).

@@ -118,31 +118,34 @@ def sample_non_edges(g: Graph, count: int, rng: np.random.Generator) -> tuple[np
     return u, v
 
 
+def _distance_split(
+    g: Graph, table: EmbeddingTable, non_edge_samples: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, float, float, float]:
+    """Distances of every edge and of sampled non-edges, their two means, and
+    the SNR (capped at SNR_CAP when the edge mean is below 1e-12)."""
+    if g.num_edges == 0:
+        raise MetricError("metrics undefined on a graph with no edges")
+    edges = g.edge_array()
+    edge_d = pair_distances(table, edges[:, 0], edges[:, 1])
+    u, v = sample_non_edges(g, non_edge_samples, rng)
+    non_d = pair_distances(table, u, v)
+    mean_edge = float(np.mean(edge_d, dtype=np.float64))
+    mean_non = float(np.mean(non_d, dtype=np.float64))
+    snr = SNR_CAP if mean_edge < 1e-12 else mean_non / mean_edge
+    return edge_d, non_d, mean_edge, mean_non, snr
+
+
 def edge_snr(
     g: Graph,
     table: EmbeddingTable,
     non_edge_samples: int = 10_000,
     rng: np.random.Generator | None = None,
-    max_exact_edges: int = 100_000_000,
 ) -> float:
-    """Mean sampled non-edge distance over mean edge distance.
-
-    Expects a normalized table. The edge mean is exact up to max_exact_edges
-    edges, then a uniform subsample of that size.
-    """
-    if g.num_edges == 0:
-        raise MetricError("edge SNR undefined on a graph with no edges")
+    """Mean sampled non-edge distance over mean edge distance, over every
+    edge. Expects a normalized table."""
     rng = rng if rng is not None else np.random.default_rng(0)
-    edges = g.edge_array()
-    if len(edges) > max_exact_edges:
-        pick = rng.choice(len(edges), size=max_exact_edges, replace=False)
-        edges = edges[pick]
-    mean_edge = float(np.mean(pair_distances(table, edges[:, 0], edges[:, 1]), dtype=np.float64))
-    u, v = sample_non_edges(g, non_edge_samples, rng)
-    mean_non = float(np.mean(pair_distances(table, u, v), dtype=np.float64))
-    if mean_edge < 1e-12:
-        return SNR_CAP
-    return mean_non / mean_edge
+    *_, snr = _distance_split(g, table, non_edge_samples, rng)
+    return snr
 
 
 def nearest_rank_percentiles(values: np.ndarray) -> np.ndarray:
@@ -296,18 +299,14 @@ def compute_report(
     recall_nodes: int = 100,
     seed: int = 0,
 ) -> MetricsReport:
-    """Normalize, then compute SNR, both distance distributions, and recall."""
+    """Normalize, then compute SNR, both distance distributions, and recall.
+
+    The table must hold one row per graph node."""
+    if table.num_nodes != g.num_nodes:
+        raise ValidationError(f"embedding has {table.num_nodes} rows, graph has {g.num_nodes} nodes")
     normalized = l2_normalize(table)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xE7)))
-    if g.num_edges == 0:
-        raise MetricError("metrics undefined on a graph with no edges")
-    edges = g.edge_array()
-    edge_d = pair_distances(normalized, edges[:, 0], edges[:, 1])
-    nu, nv = sample_non_edges(g, non_edge_samples, rng)
-    non_d = pair_distances(normalized, nu, nv)
-    mean_edge = float(np.mean(edge_d, dtype=np.float64))
-    mean_non = float(np.mean(non_d, dtype=np.float64))
-    snr = SNR_CAP if mean_edge < 1e-12 else mean_non / mean_edge
+    edge_d, non_d, mean_edge, mean_non, snr = _distance_split(g, normalized, non_edge_samples, rng)
     rec = edge_recall(g, normalized, recall_nodes, rng)
     return MetricsReport(
         edge_snr=snr,

@@ -31,9 +31,6 @@ class EmbeddingTable:
     def dim(self) -> int:
         return self.values.shape[1]
 
-    def copy(self) -> "EmbeddingTable":
-        return EmbeddingTable(self.values.copy())
-
 
 def init_table(num_nodes: int, dim: int, seed: int, dtype=np.float32) -> EmbeddingTable:
     """Seeded uniform init in [-1/(2*dim), +1/(2*dim)] per entry."""

@@ -16,12 +16,10 @@ import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import metrics as metrics_mod
 from .errors import StageError, ValidationError
 from .graph import Graph, load_csr, load_edge_list, prune_low_degree, save_csr
-from .model import FixedSgd, WarmupDecaySchedule, init_table, load_checkpoint, save_checkpoint
+from .model import load_checkpoint, save_checkpoint
 from .rng import derive_seed
 from .sampler import SamplerConfig, run_sampling
 from .shards import shard_path
@@ -73,40 +71,11 @@ class PipelineConfig:
             raise ValidationError(f"unknown graph kind {kind!r}")
 
 
-def _optimizer_to_dict(opt) -> dict:
-    if isinstance(opt, FixedSgd):
-        return {"kind": "fixed_sgd", "lr": opt.lr}
-    return {
-        "kind": "warmup_decay_sgd",
-        "warmup_steps": opt.warmup_steps,
-        "peak_lr": opt.peak_lr,
-        "decay_steps": opt.decay_steps,
-        "final_lr": opt.final_lr,
-    }
-
-
-def _optimizer_from_dict(d: dict):
-    kind = d.get("kind")
-    if kind == "fixed_sgd":
-        return FixedSgd(lr=d["lr"])
-    if kind == "warmup_decay_sgd":
-        return WarmupDecaySchedule(
-            warmup_steps=d["warmup_steps"],
-            peak_lr=d["peak_lr"],
-            decay_steps=d["decay_steps"],
-            final_lr=d["final_lr"],
-        )
-    raise ValidationError(f"unknown optimizer kind {kind!r}")
-
-
 def config_to_dict(cfg: PipelineConfig) -> dict:
     sampler = cfg.sampler.to_dict()
     sampler.pop("seed")
-    trainer = asdict(cfg.trainer)
+    trainer = cfg.trainer.to_dict()
     trainer.pop("seed")
-    trainer["optimizer"] = _optimizer_to_dict(cfg.trainer.optimizer)
-    if trainer["distance_weighting"] is not None:
-        trainer["distance_weighting"] = list(trainer["distance_weighting"])
     return {
         "seed": cfg.seed,
         "run_dir": cfg.run_dir,
@@ -129,12 +98,7 @@ def config_from_dict(d: dict) -> PipelineConfig:
     seed = int(d["seed"])
     sampler_d = dict(d.get("sampler", {}))
     sampler = SamplerConfig(seed=derive_seed(seed, "sample"), **sampler_d)
-    trainer_d = dict(d.get("trainer", {}))
-    if "optimizer" in trainer_d:
-        trainer_d["optimizer"] = _optimizer_from_dict(trainer_d["optimizer"])
-    if trainer_d.get("distance_weighting") is not None:
-        trainer_d["distance_weighting"] = tuple(trainer_d["distance_weighting"])
-    trainer = TrainConfig(seed=derive_seed(seed, "train"), **trainer_d)
+    trainer = TrainConfig.from_dict(dict(d.get("trainer", {}), seed=derive_seed(seed, "train")))
     return PipelineConfig(
         seed=seed,
         run_dir=str(d["run_dir"]),
@@ -170,7 +134,7 @@ def _hash_file(path: Path) -> str:
     return h.hexdigest()
 
 
-def _hash_json(obj) -> str:
+def hash_json(obj) -> str:
     return _hash_bytes(json.dumps(obj, sort_keys=True).encode("utf-8"))
 
 
@@ -254,7 +218,7 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False) -> PipelineResult:
     run_dir.mkdir(parents=True, exist_ok=True)
     cfg_dict = config_to_dict(cfg)
     (run_dir / "config.json").write_text(json.dumps(cfg_dict, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    writer = _ManifestWriter(run_dir, _hash_json(cfg_dict))
+    writer = _ManifestWriter(run_dir, hash_json(cfg_dict))
     skipped: list[str] = []
 
     graph_file = run_dir / "graph.csr"
@@ -265,7 +229,7 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False) -> PipelineResult:
     eval_dir = run_dir / "eval"
 
     def stage(name, params, input_hashes, outputs, fn) -> dict[str, str]:
-        params_hash = _hash_json(params)
+        params_hash = hash_json(params)
         t0 = time.monotonic()
         hashes = None if force else writer.can_skip(name, params_hash, input_hashes, outputs)
         if hashes is not None:
@@ -315,17 +279,13 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False) -> PipelineResult:
     )
 
     # train
-    trainer_params = config_to_dict(cfg)["trainer"]
+    trainer_params = cfg_dict["trainer"]
 
     def do_train():
-        g = load_csr(pruned_file)
         tcfg = cfg.trainer
-        table = init_table(g.num_nodes, tcfg.dim, derive_seed(tcfg.seed, "init"), np.dtype(tcfg.table_dtype))
-        if tcfg.mode == "sync":
-            result = train_sync(records_dir, tcfg, table, log_path=progress_file)
-        else:
-            result = train_async(records_dir, tcfg, table, log_path=progress_file)
-        save_checkpoint(ckpt_file, result.table, tcfg.steps, _hash_json(trainer_params).encode())
+        train = train_sync if tcfg.mode == "sync" else train_async
+        result = train(records_dir, tcfg, num_nodes=load_csr(pruned_file).num_nodes, log_path=progress_file)
+        save_checkpoint(ckpt_file, result.table, tcfg.steps, hash_json(trainer_params).encode())
 
     trained = stage(
         "train",

@@ -8,13 +8,12 @@ per-distance count histograms, sharded by source id.
 
 Each walk draws from its own counter-based stream keyed by
 (seed, seed_node, replica, round), so output is bitwise-identical for any
-worker count or partitioning.
+partitioning.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,7 +22,7 @@ import numpy as np
 from .errors import EmptyGraphError, ValidationError
 from .graph import Graph
 from .rng import HashStream, splitmix64
-from .shards import RecordBatch, shard_path, write_manifest, write_shard, write_tsv
+from .shards import RecordBatch, shard_path, write_manifest, write_shard
 
 FORMAT_VERSION = 1
 
@@ -34,7 +33,6 @@ class SamplerConfig:
     walk_length: int = 3
     seed: int = 0
     num_shards: int = 1
-    sampling_kind: str = "uniform"
 
     def __post_init__(self):
         if self.walks_per_node < 1:
@@ -43,8 +41,6 @@ class SamplerConfig:
             raise ValidationError("walk_length must be >= 1")
         if self.num_shards < 1:
             raise ValidationError("num_shards must be >= 1")
-        if self.sampling_kind != "uniform":
-            raise ValidationError(f"unsupported sampling_kind {self.sampling_kind!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -52,7 +48,6 @@ class SamplerConfig:
             "walk_length": self.walk_length,
             "seed": self.seed,
             "num_shards": self.num_shards,
-            "sampling_kind": self.sampling_kind,
         }
 
 
@@ -178,9 +173,7 @@ def run_sampling(
     g: Graph,
     cfg: SamplerConfig,
     out_dir: str | Path,
-    num_workers: int = 1,
     partition_nodes: int = 1 << 14,
-    write_debug_tsv: bool = False,
 ) -> SamplingStats:
     """Full pipeline: seed, walk, group, combine, shard to disk.
 
@@ -195,13 +188,7 @@ def run_sampling(
     out_dir.mkdir(parents=True, exist_ok=True)
     stream = HashStream(cfg.seed)
     bounds = list(range(0, g.num_nodes, partition_nodes)) + [g.num_nodes]
-    ranges = list(zip(bounds[:-1], bounds[1:]))
-
-    if num_workers > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=num_workers) as pool:
-            parts = list(pool.map(lambda r: _sample_partition(g, cfg, stream, r), ranges))
-    else:
-        parts = [_sample_partition(g, cfg, stream, r) for r in ranges]
+    parts = [_sample_partition(g, cfg, stream, r) for r in zip(bounds[:-1], bounds[1:])]
 
     dead_ends = sum(d for _, d in parts)
     source = np.concatenate([p.source for p, _ in parts])
@@ -217,8 +204,6 @@ def run_sampling(
         batch = RecordBatch(source[mask], dest[mask], co[mask])
         path = shard_path(out_dir, s, cfg.num_shards)
         write_shard(path, batch)
-        if write_debug_tsv:
-            write_tsv(path.with_suffix(".tsv"), batch)
         shard_files.append(path.name)
         shard_counts.append(len(batch))
 

@@ -73,13 +73,6 @@ def read_shard(path: str | Path, walk_length: int) -> RecordBatch:
     )
 
 
-def write_tsv(path: str | Path, batch: RecordBatch) -> None:
-    """Debug mirror of the binary triples: source, dest, comma-joined counts."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for s, d, cc in zip(batch.source, batch.dest, batch.co_counts):
-            fh.write(f"{s}\t{d}\t{','.join(str(c) for c in cc)}\n")
-
-
 def write_manifest(out_dir: str | Path, manifest: dict) -> None:
     with (Path(out_dir) / "manifest.json").open("w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

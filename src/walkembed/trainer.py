@@ -19,7 +19,7 @@ import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +71,24 @@ class TrainConfig:
         if self.table_dtype not in ("float32", "float64"):
             raise ValidationError("table_dtype must be float32 or float64")
 
+    def to_dict(self) -> dict:
+        """JSON-ready fields; the optimizer becomes a dict with a "kind" key."""
+        d = asdict(self)
+        d["optimizer"] = _optimizer_to_dict(self.optimizer)
+        if self.distance_weighting is not None:
+            d["distance_weighting"] = list(self.distance_weighting)
+        return d
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "TrainConfig":
+        """Inverse of to_dict; absent fields take their defaults."""
+        d = dict(d)
+        if "optimizer" in d:
+            d["optimizer"] = _optimizer_from_dict(d["optimizer"])
+        if d.get("distance_weighting") is not None:
+            d["distance_weighting"] = tuple(d["distance_weighting"])
+        return cls(**d)
+
     @property
     def micro_batch_examples(self) -> int:
         return self.per_replica_batch_size * (1 + self.negatives_per_positive)
@@ -79,6 +97,32 @@ class TrainConfig:
     def global_batch_examples(self) -> int:
         replicas = self.num_replicas if self.mode == "sync" else 1
         return self.micro_batch_examples * replicas
+
+
+def _optimizer_to_dict(opt: WarmupDecaySchedule | FixedSgd) -> dict:
+    if isinstance(opt, FixedSgd):
+        return {"kind": "fixed_sgd", "lr": opt.lr}
+    return {
+        "kind": "warmup_decay_sgd",
+        "warmup_steps": opt.warmup_steps,
+        "peak_lr": opt.peak_lr,
+        "decay_steps": opt.decay_steps,
+        "final_lr": opt.final_lr,
+    }
+
+
+def _optimizer_from_dict(d: dict) -> WarmupDecaySchedule | FixedSgd:
+    kind = d.get("kind")
+    if kind == "fixed_sgd":
+        return FixedSgd(lr=d["lr"])
+    if kind == "warmup_decay_sgd":
+        return WarmupDecaySchedule(
+            warmup_steps=d["warmup_steps"],
+            peak_lr=d["peak_lr"],
+            decay_steps=d["decay_steps"],
+            final_lr=d["final_lr"],
+        )
+    raise ValidationError(f"unknown optimizer kind {kind!r}")
 
 
 @dataclass
@@ -204,11 +248,39 @@ class TrainResult:
     context_table: EmbeddingTable | None = None
 
 
-def _as_records(records: RecordBatch | str | Path) -> RecordBatch:
-    if isinstance(records, RecordBatch):
-        return records
-    batch, _ = load_all_records(records)
-    return batch
+def _setup(
+    mode: str,
+    records: RecordBatch | str | Path,
+    cfg: TrainConfig,
+    table: EmbeddingTable | None,
+    num_nodes: int | None,
+) -> tuple[EmbeddingTable, EmbeddingTable | None, tuple[np.ndarray, np.ndarray, np.ndarray], list[dict]]:
+    """Set-up shared by both modes: the table (seeded init when none is given,
+    sized by num_nodes or else by the largest record id), the optional context
+    table, the filtered positives, and a log opened by the config event."""
+    if cfg.mode != mode:
+        raise ValidationError(f"train_{mode} requires cfg.mode == {mode!r}")
+    if not isinstance(records, RecordBatch):
+        records, _ = load_all_records(records)
+    if table is None:
+        if num_nodes is None:
+            num_nodes = int(max(records.source.max(), records.dest.max())) + 1
+        table = init_table(num_nodes, cfg.dim, derive_seed(cfg.seed, "init"), np.dtype(cfg.table_dtype))
+    context = (
+        init_table(table.num_nodes, cfg.dim, derive_seed(cfg.seed, "context"), table.values.dtype)
+        if cfg.dual_table
+        else None
+    )
+    parallel = "num_replicas" if mode == "sync" else "num_workers"
+    config_event = {
+        "event": "config",
+        "mode": mode,
+        "micro_batch_examples": cfg.micro_batch_examples,
+        parallel: getattr(cfg, parallel),
+        "global_batch_examples": cfg.global_batch_examples,
+        "steps": cfg.steps,
+    }
+    return table, context, prepare_positives(records, cfg), [config_event]
 
 
 def _write_log(log_path: str | Path | None, entries: list[dict]) -> None:
@@ -233,38 +305,15 @@ def train_sync(
     mean-reduced gradient over their concatenation, which equals the mean
     of the R per-replica gradients.
     """
-    if cfg.mode != "sync":
-        raise ValidationError("train_sync requires cfg.mode == 'sync'")
-    batch_data = _as_records(records)
-    if table is None:
-        if num_nodes is None:
-            num_nodes = int(max(batch_data.source.max(), batch_data.dest.max())) + 1
-        table = init_table(num_nodes, cfg.dim, derive_seed(cfg.seed, "init"), np.dtype(cfg.table_dtype))
-    n_nodes = table.num_nodes
-    context = (
-        init_table(n_nodes, cfg.dim, derive_seed(cfg.seed, "context"), table.values.dtype)
-        if cfg.dual_table
-        else None
-    )
-    src, dst, w = prepare_positives(batch_data, cfg)
+    table, context, (src, dst, w), log = _setup("sync", records, cfg, table, num_nodes)
     stream = RecordStream(src, dst, w, derive_seed(cfg.seed, "stream"), cfg.shuffle_buffer)
     neg_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xB0)))
-    log: list[dict] = [
-        {
-            "event": "config",
-            "mode": "sync",
-            "micro_batch_examples": cfg.micro_batch_examples,
-            "num_replicas": cfg.num_replicas,
-            "global_batch_examples": cfg.global_batch_examples,
-            "steps": cfg.steps,
-        }
-    ]
     t0 = time.monotonic()
     t_last, ex_last = t0, 0
     examples = 0
     for step in range(cfg.steps):
         lr = cfg.optimizer.lr_at(step)
-        batches = [build_batch(stream, cfg, neg_rng, n_nodes) for _ in range(cfg.num_replicas)]
+        batches = [build_batch(stream, cfg, neg_rng, table.num_nodes) for _ in range(cfg.num_replicas)]
         batch = ExampleBatch(
             *(np.concatenate([getattr(b, f) for b in batches]) for f in ("src", "dst", "weight", "positive"))
         )
@@ -353,19 +402,7 @@ def train_async(
     worker stops and the failure is raised here, so a run that returns has
     applied its whole budget.
     """
-    if cfg.mode != "async":
-        raise ValidationError("train_async requires cfg.mode == 'async'")
-    batch_data = _as_records(records)
-    if table is None:
-        if num_nodes is None:
-            num_nodes = int(max(batch_data.source.max(), batch_data.dest.max())) + 1
-        table = init_table(num_nodes, cfg.dim, derive_seed(cfg.seed, "init"), np.dtype(cfg.table_dtype))
-    context = (
-        init_table(table.num_nodes, cfg.dim, derive_seed(cfg.seed, "context"), table.values.dtype)
-        if cfg.dual_table
-        else None
-    )
-    src, dst, w = prepare_positives(batch_data, cfg)
+    table, context, (src, dst, w), log = _setup("async", records, cfg, table, num_nodes)
     workers = cfg.num_workers
     # stripe records across workers; each worker shuffles its own stripe
     streams = [
@@ -379,16 +416,6 @@ def train_async(
         for wk in range(workers)
     ]
     quota = [cfg.steps // workers + (1 if wk < cfg.steps % workers else 0) for wk in range(workers)]
-    log: list[dict] = [
-        {
-            "event": "config",
-            "mode": "async",
-            "micro_batch_examples": cfg.micro_batch_examples,
-            "num_workers": workers,
-            "global_batch_examples": cfg.global_batch_examples,
-            "steps": cfg.steps,
-        }
-    ]
     t0 = time.monotonic()
     progress = {"batches": 0, "t0": t0}
     lock = threading.Lock()

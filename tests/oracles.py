@@ -98,6 +98,24 @@ def finite_difference_grad(loss_fn, values: np.ndarray, eps: float = 1e-6) -> np
     return grad
 
 
+def validate_graph(g) -> None:
+    """Assert the CSR invariants: spanning monotone offsets, in-range sorted
+    duplicate-free neighbor lists, no self-loops, symmetric adjacency."""
+    assert len(g.offsets) == g.num_nodes + 1, "offsets length != num_nodes + 1"
+    assert g.offsets[0] == 0 and g.offsets[-1] == len(g.targets), "offsets do not span the target array"
+    assert np.all(np.diff(g.offsets) >= 0), "offsets not monotone"
+    assert len(g.targets) == 2 * g.num_edges, "sum of degrees != 2 * num_edges"
+    if len(g.targets):
+        assert 0 <= g.targets.min() and g.targets.max() < g.num_nodes, "neighbor id out of range"
+    fwd = set()
+    for u in range(g.num_nodes):
+        ns = [int(v) for v in g.targets[g.offsets[u] : g.offsets[u + 1]]]
+        assert ns == sorted(set(ns)), f"neighbor list of {u} not sorted/unique"
+        assert u not in ns, f"self-loop at {u}"
+        fwd.update((u, v) for v in ns)
+    assert all((v, u) in fwd for u, v in fwd), "adjacency not symmetric"
+
+
 def binomial_bound(n: int, p: float, sigmas: float = 4.0) -> float:
     """Allowed absolute deviation of a Binomial(n, p) count from its mean."""
     return sigmas * math.sqrt(n * p * (1.0 - p))

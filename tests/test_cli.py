@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -67,10 +68,16 @@ class TestPruneSampleTrainEval:
         assert run("train", "--records", records, "--graph", pruned,
                    "--mode", "sync", "--dim", 8, "--replicas", 2, "--steps", 30,
                    "--seed", 7, "--config", tcfg, "--out", ckpt, "--log", log) == 0
-        table, step, _ = load_checkpoint(ckpt)
+        table, step, digest = load_checkpoint(ckpt)
         assert step == 30
         assert table.dim == 8
         assert log.exists()
+        # the header holds the hash of the config trained with
+        assert digest != hashlib.sha256(b"").digest()
+        assert run("train", "--records", records, "--graph", pruned,
+                   "--mode", "sync", "--dim", 8, "--replicas", 2, "--steps", 31,
+                   "--seed", 7, "--config", tcfg, "--out", tmp_path / "emb31.bin") == 0
+        assert load_checkpoint(tmp_path / "emb31.bin")[2] != digest
 
         out = tmp_path / "eval"
         assert run("eval", "--graph", pruned, "--embedding", ckpt,
@@ -85,6 +92,28 @@ class TestPruneSampleTrainEval:
         assert run("eval", "--graph", small_graph_file, "--embedding", ckpt,
                    "--recall-nodes", 0, "--out", tmp_path / "eval") == 1
         assert not (tmp_path / "eval" / "report.json").exists()
+
+    @pytest.mark.parametrize("rows", [75, 750])
+    def test_eval_row_count_mismatch_exit_1(self, tmp_path, small_graph_file, capsys, rows):
+        ckpt = tmp_path / "emb.bin"
+        save_checkpoint(ckpt, init_table(rows, 8, seed=0), 0)
+        assert run("eval", "--graph", small_graph_file, "--embedding", ckpt,
+                   "--out", tmp_path / "eval") == 1
+        assert f"{rows} rows" in capsys.readouterr().err
+        assert not (tmp_path / "eval" / "report.json").exists()
+
+    def test_train_records_from_another_graph_exit_1(self, tmp_path, small_graph_file, capsys):
+        records = tmp_path / "records"
+        assert run("sample", "--graph", small_graph_file, "--out", records,
+                   "--walks-per-node", 4, "--seed", 3) == 0
+        other = tmp_path / "other.csr"
+        assert run("sbm", "--nodes", 150, "--classes", 3, "--p-in", 0.2, "--p-out", 0.03,
+                   "--seed", 5, "--out", other) == 0
+        ckpt = tmp_path / "emb.bin"
+        assert run("train", "--records", records, "--graph", other, "--dim", 8,
+                   "--steps", 2, "--out", ckpt) == 1
+        assert "not sampled from" in capsys.readouterr().err
+        assert not ckpt.exists()
 
     def test_sample_walk_length_zero_exit_1(self, tmp_path, small_graph_file):
         assert run("sample", "--graph", small_graph_file, "--out", tmp_path / "r",

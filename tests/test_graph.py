@@ -14,6 +14,7 @@ from walkembed.graph import (
     save_edge_list,
 )
 
+import oracles
 from conftest import build_graph
 
 
@@ -145,7 +146,7 @@ class TestInvariants:
     @settings(max_examples=60, deadline=None)
     def test_constructor_invariants(self, pairs):
         g = from_edges(np.asarray(pairs), 10)
-        g.validate()
+        oracles.validate_graph(g)
 
     @given(edge_lists.filter(lambda ps: any(a != b for a, b in ps)))
     @settings(max_examples=30, deadline=None)

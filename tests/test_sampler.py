@@ -132,11 +132,11 @@ class TestRunSampling:
                         d,
                     )
 
-    def test_deterministic_across_workers_and_bytes(self, tmp_path):
+    def test_deterministic_across_partitions_and_bytes(self, tmp_path):
         g = build_graph([(i, (i + 1) % 20) for i in range(20)] + [(0, 10)], 20)
         cfg = SamplerConfig(walks_per_node=8, walk_length=3, seed=21, num_shards=3)
-        run_sampling(g, cfg, tmp_path / "a", num_workers=1, partition_nodes=7)
-        run_sampling(g, cfg, tmp_path / "b", num_workers=4, partition_nodes=3)
+        run_sampling(g, cfg, tmp_path / "a", partition_nodes=7)
+        run_sampling(g, cfg, tmp_path / "b", partition_nodes=3)
         for s in range(3):
             fa = tmp_path / "a" / f"records-{s:05d}-of-00003.bin"
             fb = tmp_path / "b" / f"records-{s:05d}-of-00003.bin"
@@ -146,7 +146,7 @@ class TestRunSampling:
         n = 40
         g = build_graph([(i, (i + 1) % n) for i in range(n)] + [(i, (i + 7) % n) for i in range(0, n, 3)], n)
         cfg = SamplerConfig(walks_per_node=8, walk_length=3, seed=5, num_shards=3)
-        run_sampling(g, cfg, tmp_path, num_workers=2, partition_nodes=6)
+        run_sampling(g, cfg, tmp_path, partition_nodes=6)
         for s in range(3):
             rec = read_shard(tmp_path / f"records-{s:05d}-of-00003.bin", 3)
             assert len(rec) > 0
@@ -174,16 +174,6 @@ class TestRunSampling:
     def test_walk_length_zero_is_config_error(self):
         with pytest.raises(ValidationError):
             SamplerConfig(walk_length=0)
-
-    def test_tsv_debug_mirror(self, tmp_path, two_node):
-        cfg = SamplerConfig(walks_per_node=2, walk_length=2, seed=1)
-        out = tmp_path / "rec"
-        run_sampling(two_node, cfg, out, write_debug_tsv=True)
-        lines = (out / "records-00000-of-00001.tsv").read_text().splitlines()
-        rec = read_shard(out / "records-00000-of-00001.bin", 2)
-        assert len(lines) == len(rec)
-        u, v, counts = lines[0].split("\t")
-        assert [int(x) for x in counts.split(",")] == rec.co_counts[0].tolist()
 
     def test_dead_end_stats_counted(self, tmp_path):
         g = build_graph([(0, 1)], 3)  # node 2 isolated

@@ -11,6 +11,8 @@ from walkembed.sbm import (
     preset_config,
 )
 
+import oracles
+
 
 def binomial_sigma(pairs_and_probs):
     return math.sqrt(sum(m * p * (1 - p) for m, p in pairs_and_probs))
@@ -82,7 +84,7 @@ def test_block_densities_converge(subtests=None):
 
 def test_generated_graph_satisfies_invariants():
     g = generate_sbm(SbmConfig(n=120, k=5, p_in=0.3, p_out=0.02, seed=2))
-    g.validate()
+    oracles.validate_graph(g)
 
 
 def test_contiguous_class_assignment():
