@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the config key check."""
+
+from dataclasses import fields
 
 
 class WalkembedError(Exception):
@@ -7,6 +9,13 @@ class WalkembedError(Exception):
 
 class ValidationError(WalkembedError):
     """Bad configuration or precondition violation; maps to CLI exit code 1."""
+
+
+def check_keys(section: str, d: dict, cls) -> None:
+    """Raise ValidationError naming any key of d that is not a field of cls."""
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValidationError(f"unknown {section} config key(s): {', '.join(map(repr, unknown))}")
 
 
 class ParseError(ValidationError):

@@ -2,7 +2,9 @@
 
 Node ids are dense 0-based ints. Ingested external ids are remapped in
 ascending order and the mapping kept so results can be reported in the
-caller's id space.
+caller's id space. Edge lists are parsed with array operations over the
+whole file, or line by line when some line is outside the subset the array
+parser reads; both parsers accept the same inputs and yield the same ids.
 """
 
 from __future__ import annotations
@@ -69,33 +71,27 @@ class Graph:
 def from_edges(edges: np.ndarray, num_nodes: int, external_ids: np.ndarray | None = None) -> Graph:
     """Build a Graph from an (m, 2) int array of endpoints in [0, num_nodes).
 
-    Symmetrizes, drops self-loops, dedups, sorts neighbor lists.
+    Symmetrizes, drops self-loops, dedups, sorts neighbor lists: one sort of
+    the keys u*n+v and v*n+u, whose order is the CSR order.
     """
     if num_nodes <= 0:
         raise EmptyGraphError("graph has no nodes")
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if len(edges):
-        if edges.min() < 0 or edges.max() >= num_nodes:
-            raise ValidationError("edge endpoint out of range")
-        keep = edges[:, 0] != edges[:, 1]
-        edges = edges[keep]
-    if len(edges):
-        lo = np.minimum(edges[:, 0], edges[:, 1])
-        hi = np.maximum(edges[:, 0], edges[:, 1])
-        key = lo * np.int64(num_nodes) + hi
-        key = np.unique(key)
-        lo, hi = key // num_nodes, key % num_nodes
-    else:
-        lo = hi = np.empty(0, dtype=np.int64)
-    num_edges = len(lo)
-    src = np.concatenate([lo, hi])
-    dst = np.concatenate([hi, lo])
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
+    if len(edges) and (edges.min() < 0 or edges.max() >= num_nodes):
+        raise ValidationError("edge endpoint out of range")
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    n = np.int64(num_nodes)
+    key = np.concatenate([edges[:, 0] * n + edges[:, 1], edges[:, 1] * n + edges[:, 0]])
+    key.sort()
+    fresh = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=fresh[1:])
+    src, dst = np.divmod(key[fresh], n)
     offsets = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.add.at(offsets, src + 1, 1)
-    offsets = np.cumsum(offsets)
-    return Graph(num_nodes, num_edges, offsets, dst, external_ids)
+    np.cumsum(np.bincount(src, minlength=num_nodes), out=offsets[1:])
+    return Graph(num_nodes, len(dst) // 2, offsets, dst, external_ids)
+
+
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 def _parse_edge_line(line: str, sep: str | None) -> tuple[int, int]:
@@ -103,21 +99,14 @@ def _parse_edge_line(line: str, sep: str | None) -> tuple[int, int]:
     parts = [p for p in parts if p]
     if len(parts) < 2:
         raise ValueError("expected at least two integer node ids")
-    return int(parts[0]), int(parts[1])  # optional weight column ignored
+    ids = int(parts[0]), int(parts[1])  # optional weight column ignored
+    if not all(_INT64_MIN <= i <= _INT64_MAX for i in ids):
+        raise ValueError("node id outside the int64 range")
+    return ids
 
 
-def load_edge_list(path: str | Path, format: str = "tsv") -> Graph:
-    """Load an undirected graph from a text edge list.
-
-    One edge per line, whitespace- (tsv) or comma- (csv) separated integer
-    ids; an optional third column is accepted and ignored; lines starting
-    with '#' are skipped. External ids are remapped to dense 0-based indices
-    in ascending order.
-    """
-    if format not in ("tsv", "csv"):
-        raise ValidationError(f"unknown edge-list format {format!r}")
-    sep = "," if format == "csv" else None
-    path = Path(path)
+def _parse_lines(path: Path, sep: str | None) -> np.ndarray:
+    """The per-line parser: the reference grammar, and the one source of ParseErrors."""
     raw: list[tuple[int, int]] = []
     with path.open("r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -128,24 +117,133 @@ def load_edge_list(path: str | Path, format: str = "tsv") -> Graph:
                 raw.append(_parse_edge_line(line, sep))
             except ValueError as exc:
                 raise ParseError(path, line_no, str(exc)) from exc
-    if not raw:
+    return np.asarray(raw, dtype=np.int64).reshape(-1, 2)
+
+
+# Outside comment lines the bulk parser reads only ids and numeric columns:
+# blanks, digits, signs, '.', 'e', 'E' and commas.
+_BLANK = np.isin(np.arange(256), [9, 32])
+_DIGIT = np.isin(np.arange(256), np.arange(48, 58))
+_NUMERIC = np.isin(np.arange(256), [9, 10, 32, *b"0123456789+-.,eE"])
+_NEWLINE, _HASH, _MINUS, _COMMA = 10, 35, 45, 44
+_MAX_DIGITS = 18  # every id of up to 18 digits fits int64
+
+
+def _skip(buf: np.ndarray, pos: np.ndarray, cls: np.ndarray) -> np.ndarray:
+    """Each position moved past the run of bytes of class cls that starts there."""
+    pos = pos.copy()
+    idx = np.flatnonzero(cls[buf[pos]])
+    while len(idx):
+        pos[idx] += 1
+        idx = idx[cls[buf[pos[idx]]]]
+    return pos
+
+
+def _parse_ids(buf: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The ids `-?[0-9]{1,18}` that start at pos, and the positions after them.
+
+    None if some token has no digits or more than _MAX_DIGITS of them.
+    """
+    neg = buf[pos] == _MINUS
+    pos = pos + neg
+    digit = buf[pos] - np.uint8(48)  # bytes below '0' wrap past 9
+    live = digit < 10
+    if not live.all():
+        return None
+    val = np.zeros(len(pos), dtype=np.int64)
+    for _ in range(_MAX_DIGITS):
+        np.multiply(val, 10, out=val, where=live)
+        np.add(val, digit, out=val, where=live)
+        pos += live
+        np.subtract(buf[pos], np.uint8(48), out=digit)
+        live &= digit < 10
+        if not live.any():
+            return np.where(neg, -val, val), pos
+    return None
+
+
+def _parse_bulk(data: bytes, sep: str | None) -> np.ndarray | None:
+    """The ids of every data line as an (m, 2) int64 array, in file order.
+
+    Reads a subset of the per-line grammar with array operations over the
+    whole file. Lines end in LF or CRLF. Blank and comment lines may be
+    indented by spaces and tabs. A tsv data line is `-?digits blanks
+    -?digits`, then a blank or the line end; a csv one is `-?digits blanks* ,
+    blanks* -?digits blanks*`, then a comma or the line end. Blanks are spaces
+    and tabs, and ids have at most 18 digits. Further columns are ignored, as
+    the per-line parser ignores them, but must be numeric (see _NUMERIC).
+    Returns None when any line is outside this subset, and for any file that
+    is not ASCII or holds a lone CR, which also ends a line when read as text.
+    """
+    data = data.replace(b"\r\n", b"\n")
+    if b"\r" in data or not data.isascii():
+        return None
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(buf == _NEWLINE)
+    first = _skip(buf, np.concatenate([[0], ends[:-1] + 1]), _BLANK)
+    lead = buf[first]
+    comment = lead == _HASH
+    if not comment[np.searchsorted(ends, np.flatnonzero(~_NUMERIC[buf]))].all():
+        return None
+    parsed = _parse_ids(buf, first[(lead != _NEWLINE) & ~comment])
+    if parsed is None:
+        return None
+    u, end = parsed
+    gap = _skip(buf, end, _BLANK)
+    if sep:
+        if not (buf[gap] == _COMMA).all():
+            return None
+        gap = _skip(buf, gap + 1, _BLANK)
+    elif not (gap > end).all():
+        return None
+    parsed = _parse_ids(buf, gap)
+    if parsed is None:
+        return None
+    v, end = parsed
+    if sep:
+        after = buf[_skip(buf, end, _BLANK)]
+        ends_field = (after == _COMMA) | (after == _NEWLINE)
+    else:
+        after = buf[end]
+        ends_field = _BLANK[after] | (after == _NEWLINE)
+    return np.column_stack([u, v]) if ends_field.all() else None
+
+
+def load_edge_list(path: str | Path, format: str = "tsv") -> Graph:
+    """Load an undirected graph from a text edge list.
+
+    One edge per line, whitespace- (tsv) or comma- (csv) separated integer
+    ids that fit int64; further columns (a weight, say) are accepted and
+    ignored; lines whose first non-blank character is '#' are skipped.
+    Invalid input raises ParseError naming the first bad line. External ids
+    are remapped to dense 0-based indices in ascending order.
+
+    The file is read once and parsed with array operations when every line
+    is in the bulk subset (see _parse_bulk); otherwise the per-line parser
+    reads it. Both accept the same inputs with the same ids, so the graph
+    does not depend on which one ran.
+    """
+    if format not in ("tsv", "csv"):
+        raise ValidationError(f"unknown edge-list format {format!r}")
+    sep = "," if format == "csv" else None
+    path = Path(path)
+    arr = _parse_bulk(path.read_bytes(), sep)
+    if arr is None:
+        arr = _parse_lines(path, sep)
+    if not len(arr):
         raise EmptyGraphError(f"{path} contains no edges")
-    arr = np.asarray(raw, dtype=np.int64)
-    ext = np.unique(arr)  # ascending ids -> deterministic remap
-    dense = np.searchsorted(ext, arr)
-    g = from_edges(dense, num_nodes=len(ext), external_ids=ext)
-    if g.num_nodes == 0:
-        raise EmptyGraphError(f"{path} produced an empty graph")
-    return g
+    ext, dense = np.unique(arr.ravel(), return_inverse=True)  # ascending ids -> deterministic remap
+    return from_edges(dense.reshape(-1, 2), num_nodes=len(ext), external_ids=ext)
 
 
 def save_edge_list(g: Graph, path: str | Path, format: str = "tsv") -> None:
     """Write one `u v` line per edge (u < v), in the dense id space."""
     sep = "," if format == "csv" else "\t"
     edges = g.edge_array()
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for u, v in edges:
-            fh.write(f"{u}{sep}{v}\n")
+    lines = map(f"{{}}{sep}{{}}\n".format, edges[:, 0].tolist(), edges[:, 1].tolist())
+    Path(path).write_text("".join(lines), encoding="utf-8")
 
 
 def prune_low_degree(g: Graph, min_degree: int = 2) -> Graph:
@@ -153,22 +251,24 @@ def prune_low_degree(g: Graph, min_degree: int = 2) -> Graph:
 
     Single pass: surviving nodes may end up below the threshold (including
     isolated) and are retained. Remaining nodes are re-indexed densely in
-    ascending order of their previous ids.
+    ascending order of their previous ids, so filtering the CSR in place keeps
+    every neighbor list sorted.
     """
     if min_degree < 0:
         raise ValidationError("min_degree must be >= 0")
     if min_degree == 0:
         return g
     keep = g.degrees >= min_degree
-    new_ids = np.cumsum(keep) - 1  # old id -> new id where kept
     if not keep.any():
         raise EmptyGraphError("pruning removed every node")
-    edges = g.edge_array()
-    if len(edges):
-        both = keep[edges[:, 0]] & keep[edges[:, 1]]
-        edges = new_ids[edges[both]]
+    new_ids = np.cumsum(keep) - 1  # old id -> new id where kept
+    owner = np.repeat(np.arange(g.num_nodes, dtype=np.int64), g.degrees)
+    both = keep[owner] & keep[g.targets]
+    targets = new_ids[g.targets[both]]
+    offsets = np.zeros(int(keep.sum()) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner[both], minlength=g.num_nodes)[keep], out=offsets[1:])
     ext = g.external_ids[keep] if g.external_ids is not None else np.flatnonzero(keep)
-    return from_edges(edges, num_nodes=int(keep.sum()), external_ids=ext)
+    return Graph(len(offsets) - 1, len(targets) // 2, offsets, targets, ext)
 
 
 def save_csr(g: Graph, path: str | Path) -> None:

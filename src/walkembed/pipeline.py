@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from . import metrics as metrics_mod
-from .errors import StageError, ValidationError
+from .errors import StageError, ValidationError, check_keys
 from .graph import Graph, load_csr, load_edge_list, prune_low_degree, save_csr
 from .model import load_checkpoint, save_checkpoint
 from .rng import derive_seed
@@ -97,7 +97,10 @@ def config_from_dict(d: dict) -> PipelineConfig:
             raise ValidationError(f"{section}.seed is derived from the global seed; remove it")
     seed = int(d["seed"])
     sampler_d = dict(d.get("sampler", {}))
+    check_keys("sampler", sampler_d, SamplerConfig)
     sampler = SamplerConfig(seed=derive_seed(seed, "sample"), **sampler_d)
+    eval_d = dict(d.get("eval", {}))
+    check_keys("eval", eval_d, EvalParams)
     trainer = TrainConfig.from_dict(dict(d.get("trainer", {}), seed=derive_seed(seed, "train")))
     return PipelineConfig(
         seed=seed,
@@ -106,7 +109,7 @@ def config_from_dict(d: dict) -> PipelineConfig:
         min_degree=int(d.get("min_degree", 2)),
         sampler=sampler,
         trainer=trainer,
-        eval=EvalParams(**d.get("eval", {})),
+        eval=EvalParams(**eval_d),
     )
 
 
@@ -191,17 +194,18 @@ class _ManifestWriter:
                 return None
         return hashes
 
-    def record(self, name, params_hash, input_hashes, output_hashes: dict[str, str], duration_s, skipped):
-        self.manifest["stages"].append(
-            {
-                "name": name,
-                "params_hash": params_hash,
-                "input_hashes": input_hashes,
-                "output_hashes": output_hashes,
-                "duration_s": round(duration_s, 6),
-                "skipped": skipped,
-            }
-        )
+    def record(self, name, params_hash, input_hashes, output_hashes: dict[str, str], duration_s, skipped, counts):
+        entry = {
+            "name": name,
+            "params_hash": params_hash,
+            "input_hashes": input_hashes,
+            "output_hashes": output_hashes,
+            "duration_s": round(duration_s, 6),
+            "skipped": skipped,
+        }
+        if counts is not None:
+            entry["counts"] = counts
+        self.manifest["stages"].append(entry)
         with self.path.open("w", encoding="utf-8") as fh:
             json.dump(self.manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -213,6 +217,8 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False) -> PipelineResult:
     Already-satisfied stages (matching hashes) are skipped unless force.
     Any failure raises StageError naming the stage. Each artifact is hashed
     once per run; a stage's output hashes are the input hashes of later stages.
+    A stage's work counts (the train stage's examples and worker failures) go
+    into its manifest entry; a skipped stage keeps the previous run's.
     """
     run_dir = Path(cfg.run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -234,15 +240,16 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False) -> PipelineResult:
         hashes = None if force else writer.can_skip(name, params_hash, input_hashes, outputs)
         if hashes is not None:
             skipped.append(name)
-            writer.record(name, params_hash, input_hashes, hashes, 0.0, True)
+            counts = writer.previous[name].get("counts")
+            writer.record(name, params_hash, input_hashes, hashes, 0.0, True, counts)
             return hashes
         try:
-            fn()
+            counts = fn()
         except Exception as exc:
             raise StageError(name, exc) from exc
         duration = time.monotonic() - t0
         hashes = {k: _hash_file(p) for k, p in outputs.items()}
-        writer.record(name, params_hash, input_hashes, hashes, duration, False)
+        writer.record(name, params_hash, input_hashes, hashes, duration, False, counts)
         return hashes
 
     # prune: acquire the input graph and apply the one-shot degree filter
@@ -286,6 +293,7 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False) -> PipelineResult:
         train = train_sync if tcfg.mode == "sync" else train_async
         result = train(records_dir, tcfg, num_nodes=load_csr(pruned_file).num_nodes, log_path=progress_file)
         save_checkpoint(ckpt_file, result.table, tcfg.steps, hash_json(trainer_params).encode())
+        return {"examples_processed": result.examples_processed, "worker_failures": result.worker_failures}
 
     trained = stage(
         "train",

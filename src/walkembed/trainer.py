@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_keys
 from .model import (
     EmbeddingTable,
     FixedSgd,
@@ -81,7 +81,8 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        """Inverse of to_dict; absent fields take their defaults."""
+        """Inverse of to_dict; absent fields take their defaults, unknown keys raise."""
+        check_keys("trainer", d, cls)
         d = dict(d)
         if "optimizer" in d:
             d["optimizer"] = _optimizer_from_dict(d["optimizer"])

@@ -1,13 +1,17 @@
 """Independent brute-force references the fast paths are checked against.
 
 Everything here is deliberately naive: explicit trajectory enumeration,
-quadratic nearest-neighbor search, exhaustive pair scans, and central finite
-differences. None of it shares code with the implementations under test.
+quadratic nearest-neighbor search, exhaustive pair scans, central finite
+differences, and a per-line edge-list parser with sort-based graph building.
+None of it shares code with the implementations under test.
 """
 
 import math
 
 import numpy as np
+
+from walkembed.errors import EmptyGraphError, ParseError
+from walkembed.graph import Graph
 
 
 def visit_probabilities(g, walk_length: int) -> np.ndarray:
@@ -127,3 +131,63 @@ def within_binomial(count: int, n: int, p: float, sigmas: float = 4.0) -> bool:
     if p >= 1.0:
         return count == n
     return abs(count - n * p) <= binomial_bound(n, p, sigmas)
+
+
+def from_edges_reference(edges, num_nodes: int, external_ids=None) -> Graph:
+    """Symmetric, deduplicated CSR by np.unique on u<v keys, a lexsort of both
+    directions and np.add.at degree counts."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    lo = np.minimum(edges[:, 0], edges[:, 1])
+    hi = np.maximum(edges[:, 0], edges[:, 1])
+    key = np.unique(lo * np.int64(num_nodes) + hi)
+    lo, hi = key // num_nodes, key % num_nodes
+    src = np.concatenate([lo, hi])
+    dst = np.concatenate([hi, lo])
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    offsets = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.add.at(offsets, src + 1, 1)
+    return Graph(num_nodes, len(key), np.cumsum(offsets), dst, external_ids)
+
+
+def load_edge_list_reference(path, format: str = "tsv") -> Graph:
+    """One int() per token, line by line, then an np.unique plus searchsorted
+    remap and from_edges_reference. Raises ParseError at the first line that is
+    not a comment, blank, or two leading int64 ids."""
+    sep = "," if format == "csv" else None
+    raw = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = [p for p in (line.split(sep) if sep else line.split()) if p]
+            try:
+                if len(parts) < 2:
+                    raise ValueError("expected at least two integer node ids")
+                ids = int(parts[0]), int(parts[1])
+                if not all(-(2**63) <= i < 2**63 for i in ids):
+                    raise ValueError("node id outside the int64 range")
+            except ValueError as exc:
+                raise ParseError(path, line_no, str(exc)) from exc
+            raw.append(ids)
+    if not raw:
+        raise EmptyGraphError(f"{path} contains no edges")
+    arr = np.asarray(raw, dtype=np.int64)
+    ext = np.unique(arr)
+    return from_edges_reference(np.searchsorted(ext, arr), len(ext), ext)
+
+
+def prune_reference(g: Graph, min_degree: int) -> Graph:
+    """Single-pass degree prune through the u<v edge array and a rebuild."""
+    deg = np.diff(g.offsets)
+    keep = deg >= min_degree
+    if not keep.any():
+        raise EmptyGraphError("pruning removed every node")
+    new_ids = np.cumsum(keep) - 1
+    u = np.repeat(np.arange(g.num_nodes, dtype=np.int64), deg)
+    edges = np.column_stack([u, g.targets])[u < g.targets]
+    edges = new_ids[edges[keep[edges[:, 0]] & keep[edges[:, 1]]]]
+    ext = g.external_ids[keep] if g.external_ids is not None else np.flatnonzero(keep)
+    return from_edges_reference(edges, int(keep.sum()), ext)

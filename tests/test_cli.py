@@ -119,6 +119,13 @@ class TestPruneSampleTrainEval:
         assert run("sample", "--graph", small_graph_file, "--out", tmp_path / "r",
                    "--walk-length", 0) == 1
 
+    def test_prune_id_outside_int64_exit_1(self, tmp_path, capsys):
+        edges = tmp_path / "g.tsv"
+        edges.write_text("0 1\n1 99999999999999999999\n")
+        assert run("prune", "--graph", edges, "--out", tmp_path / "o.csr") == 1
+        assert f"{edges}:2:" in capsys.readouterr().err
+        assert not (tmp_path / "o.csr").exists()
+
     def test_missing_graph_exit_3(self, tmp_path):
         assert run("prune", "--graph", tmp_path / "nope.csr", "--out", tmp_path / "o") == 3
 
@@ -164,6 +171,15 @@ class TestPipelineCommand:
         cfg["sampler"]["walk_length"] = 0
         path.write_text(json.dumps(cfg))
         assert run("pipeline", "--config", path) == 1
+
+    def test_unknown_config_key_exit_1(self, tmp_path, capsys):
+        path = self.config(tmp_path)
+        cfg = json.loads(path.read_text())
+        cfg["trainer"]["stepz"] = 3
+        path.write_text(json.dumps(cfg))
+        assert run("pipeline", "--config", path) == 1
+        assert "unknown trainer config key(s): 'stepz'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_malformed_json_exit_1(self, tmp_path):
         path = tmp_path / "bad.json"

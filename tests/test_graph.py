@@ -56,6 +56,23 @@ class TestLoadEdgeList:
             load_edge_list(write(tmp_path, "0 1\nbogus\n"))
         assert exc.value.line_no == 2
 
+    @pytest.mark.parametrize(
+        "text, fmt, line_no",
+        [
+            ("0 1\n1 99999999999999999999\n", "tsv", 2),
+            ("0,1\n\n-9223372036854775809,0\n", "csv", 3),
+            ("# ids\n9223372036854775808 1 0.5\n", "tsv", 2),
+        ],
+    )
+    def test_id_outside_int64_reports_number(self, tmp_path, text, fmt, line_no):
+        with pytest.raises(ParseError) as exc:
+            load_edge_list(write(tmp_path, text), format=fmt)
+        assert exc.value.line_no == line_no
+
+    def test_int64_extremes_accepted(self, tmp_path):
+        g = load_edge_list(write(tmp_path, "-9223372036854775808 9223372036854775807\n"))
+        assert g.external_ids.tolist() == [-(2**63), 2**63 - 1]
+
     def test_empty_file_rejected(self, tmp_path):
         with pytest.raises(EmptyGraphError):
             load_edge_list(write(tmp_path, "# nothing\n"))

@@ -1,0 +1,241 @@
+"""The array-based edge-list parser, from_edges and prune against the per-line,
+sort-based references in oracles.py: same graphs, same CSR bytes, or the same
+error at the same line."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from walkembed.errors import ParseError
+from walkembed.graph import (
+    _parse_bulk,
+    from_edges,
+    load_edge_list,
+    prune_low_degree,
+    save_csr,
+    save_edge_list,
+)
+
+import oracles
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except Exception as exc:  # compared by type and line number below
+        return exc
+
+
+def assert_same_graph(got, want):
+    assert (got.num_nodes, got.num_edges) == (want.num_nodes, want.num_edges)
+    assert got.offsets.dtype == want.offsets.dtype and got.targets.dtype == want.targets.dtype
+    assert np.array_equal(got.offsets, want.offsets)
+    assert np.array_equal(got.targets, want.targets)
+    if want.external_ids is None:
+        assert got.external_ids is None
+    else:
+        assert np.array_equal(got.external_ids, want.external_ids)
+
+
+def assert_same_load(path, fmt):
+    want = outcome(lambda: oracles.load_edge_list_reference(path, fmt))
+    got = outcome(lambda: load_edge_list(path, fmt))
+    if isinstance(want, Exception):
+        assert type(got) is type(want), (got, want)
+        if isinstance(want, ParseError):
+            assert got.line_no == want.line_no
+    else:
+        assert not isinstance(got, Exception), got
+        assert_same_graph(got, want)
+
+
+# ---------------------------------------------------------------- edge-list texts
+
+BLANKS = st.text(alphabet=" \t", max_size=3)
+BULK_IDS = st.one_of(st.integers(-5, 40), st.integers(-(10**18) + 1, 10**18 - 1))
+BAD_LINES = {  # "\xff" becomes a byte that is not UTF-8
+    "tsv": ["bogus", "1", "1.5 2", "0x1f 2", "--1 2", "٣ 2", "1 99999999999999999999",
+            "-9223372036854775809 0", "\xff", "1 2x", "1,2", "3-4 5"],
+    "csv": ["bogus", "1", "1.5,2", "0x1f,2", "--1,2", "٣,2", "1,99999999999999999999",
+            "-9223372036854775809,0", "\xff", "1 2", "1,2x", "1,2 3", "1,2.5", "3-4,5"],
+}
+
+
+@st.composite
+def odd_ids(draw):
+    """An in-range id in a form int() reads but the bulk parser does not."""
+    i = draw(st.integers(-(2**63), 2**63 - 1))
+    sign, digits = ("-" if i < 0 else ""), str(abs(i))
+    return draw(st.sampled_from([str(i), sign + "00" + digits, (sign or "+") + digits, sign + "1_" + digits]))
+
+
+@st.composite
+def edge_list_bytes(draw, fmt, odd: bool | None = None, bad: bool | None = None):
+    """An edge-list text; odd lines use forms only the per-line parser reads,
+    and a bad line is one it rejects.
+
+    Every text may hold indented comments and blank lines, tabs and runs of
+    spaces, weight and extra columns, negative and 18-digit ids, ASCII
+    control bytes in comments, CRLF line ends and a last line without a line
+    end. Odd texts add 19-digit ids, zero-padded, '+'-signed and '_'-grouped
+    ids, non-ASCII whitespace and comments, non-numeric columns, vertical
+    tabs and lone CR line ends.
+    """
+    odd = draw(st.booleans()) if odd is None else odd
+    bad = draw(st.booleans()) if bad is None else bad
+    gaps = [" ", "\t", "  \t "] if fmt == "tsv" else [",", " , ", ",\t"]
+    tails = ["", " 3.5", "\t-1e-3 +2", " 1,2"] if fmt == "tsv" else ["", ",3.5", " ,-1e-3, 7", ","]
+    comment_chars = st.characters(max_codepoint=127, blacklist_characters="\n\r")
+    ids, blanks, ends = BULK_IDS, BLANKS, ["\n", "\r\n"]
+    if odd:
+        ids = st.one_of(ids, odd_ids())
+        gaps += ["\u00a0", "\u2003", "\x0b"] if fmt == "tsv" else [",,", ", \u00a0"]
+        tails += [" abc", " # note"] if fmt == "tsv" else [",abc", ", # note", ",+4 x"]
+        comment_chars = st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r")
+        blanks = st.one_of(BLANKS, st.just(" \u00a0"))
+        ends += ["\r"]
+    data = st.builds(
+        lambda b, u, g, v, t, e: f"{b}{u}{g}{v}{t}{e}",
+        BLANKS, ids, st.sampled_from(gaps), ids, st.sampled_from(tails), BLANKS,
+    )
+    comment = st.builds(lambda b, t: b + "#" + t, BLANKS, st.text(comment_chars, max_size=8))
+    lines = draw(st.lists(st.one_of(data, data, data, comment, blanks), max_size=12))
+    if bad:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(BAD_LINES[fmt])))
+    text = "".join(line + draw(st.sampled_from(ends)) for line in lines)
+    if lines and draw(st.booleans()):
+        text = text.rstrip("\r\n")  # last line without its line break
+    return text.encode("utf-8").replace("\xff".encode("utf-8"), b"\xff")
+
+
+class TestLoadAgainstReference:
+    @given(st.data(), st.sampled_from(["tsv", "csv"]))
+    @settings(max_examples=400, deadline=None)
+    def test_any_text(self, tmp_path_factory, data, fmt):
+        path = tmp_path_factory.mktemp("any") / "g.txt"
+        path.write_bytes(data.draw(edge_list_bytes(fmt)))
+        assert_same_load(path, fmt)
+
+    @given(st.data(), st.sampled_from(["tsv", "csv"]))
+    @settings(max_examples=150, deadline=None)
+    def test_plain_text_is_parsed_in_bulk(self, tmp_path_factory, data, fmt):
+        text = data.draw(edge_list_bytes(fmt, odd=False, bad=False))
+        assert _parse_bulk(text, "," if fmt == "csv" else None) is not None
+        path = tmp_path_factory.mktemp("plain") / "g.txt"
+        path.write_bytes(text)
+        assert_same_load(path, fmt)
+
+    @pytest.mark.parametrize(
+        "fmt, text",
+        [
+            ("csv", b"0,1\n1 2\n"),  # spaces but no comma
+            ("tsv", b"0 1 heavy\n"),  # non-numeric extra column
+            ("csv", b"0,1,heavy\n"),
+            ("tsv", b"1_000 2\n"),
+            ("tsv", b"+3 4\n"),
+            ("tsv", "0 1\n".encode()),  # non-ASCII whitespace
+            ("tsv", b"# \xff\n0 1\n"),  # not UTF-8
+            ("tsv", b"0 1\r2 3\n"),  # a lone carriage return ends a line
+            ("tsv", b"0 1\n3-4 5\n"),  # no blank between the ids
+            ("csv", b"0,1\n1,2.5\n"),  # the second id runs into a non-id
+            ("csv", b"0,1\n1,2 3\n"),
+            ("tsv", b"0 1234567890123456789\n"),  # 19 digits
+            ("tsv", b"0 99999999999999999999\n"),  # outside int64
+        ],
+    )
+    def test_outside_the_subset_falls_back(self, tmp_path, fmt, text):
+        assert _parse_bulk(text, "," if fmt == "csv" else None) is None
+        path = tmp_path / "g.txt"
+        path.write_bytes(text)
+        assert_same_load(path, fmt)
+
+
+def benchmark_shaped_text(seed: int, nodes: int = 3_000, edges: int = 30_000) -> str:
+    """A header comment, then odd external ids in planted classes, self-loops,
+    repeated and reversed edges, and degree-1 pendants, shuffled."""
+    rng = np.random.default_rng(seed)
+    u = rng.integers(0, nodes, edges)
+    same = rng.random(edges) < 0.75
+    v = np.where(same, u // 750 * 750 + rng.integers(0, 750, edges), rng.integers(0, nodes, edges))
+    pairs = np.column_stack([u, v])
+    loops = np.repeat(rng.integers(0, nodes, 30)[:, None], 2, axis=1)
+    dup = pairs[rng.integers(0, edges, 300)][:, ::-1]
+    pend = np.column_stack([np.arange(nodes, nodes + 30), rng.integers(0, nodes, 30)])
+    pairs = np.concatenate([pairs, loops, dup, pend])[rng.permutation(edges + 360)]
+    body = "".join(f"{2 * a + 1}\t{2 * b + 1}\n" for a, b in pairs.tolist())
+    return "# source\tdestination\n" + body
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_benchmark_shaped_csr_bytes_identical(tmp_path, seed):
+    path = tmp_path / "edges.tsv"
+    path.write_text(benchmark_shaped_text(seed))
+    assert _parse_bulk(path.read_bytes(), None) is not None
+    g, want = load_edge_list(path), oracles.load_edge_list_reference(path)
+    for name, got, ref in (("graph", g, want), ("pruned", prune_low_degree(g, 2), oracles.prune_reference(want, 2))):
+        save_csr(got, tmp_path / f"{name}.new.csr")
+        save_csr(ref, tmp_path / f"{name}.ref.csr")
+        assert (tmp_path / f"{name}.new.csr").read_bytes() == (tmp_path / f"{name}.ref.csr").read_bytes()
+
+
+def test_load_memory_bounded_by_file_size(tmp_path):
+    # 150k benchmark-shaped lines (1.7 MB). Under tracemalloc the bulk parse,
+    # the np.unique remap and from_edges peaked at 10.1x the file size; the
+    # per-line reference, with its list of int tuples, peaked at 23.3x.
+    path = tmp_path / "edges.tsv"
+    path.write_text(benchmark_shaped_text(3, nodes=15_000, edges=150_000))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        load_edge_list(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * size
+
+
+# ------------------------------------------------------- from_edges and prune
+
+edge_arrays = st.integers(1, 30).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=80),
+    )
+)
+
+
+@given(edge_arrays)
+@settings(max_examples=150, deadline=None)
+def test_from_edges_matches_reference(case):
+    n, pairs = case
+    edges = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    assert_same_graph(from_edges(edges, n), oracles.from_edges_reference(edges, n))
+
+
+@given(edge_arrays, st.integers(1, 6), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_prune_matches_reference(case, min_degree, with_ids):
+    n, pairs = case
+    ext = np.arange(n, dtype=np.int64) * 3 + 7 if with_ids else None
+    g = from_edges(np.asarray(pairs, dtype=np.int64).reshape(-1, 2), n, ext)
+    want = outcome(lambda: oracles.prune_reference(g, min_degree))
+    got = outcome(lambda: prune_low_degree(g, min_degree))
+    if isinstance(want, Exception):
+        assert type(got) is type(want)
+    else:
+        assert_same_graph(got, want)
+        oracles.validate_graph(got)
+
+
+@pytest.mark.parametrize("fmt, sep", [("tsv", "\t"), ("csv", ",")])
+def test_save_edge_list_bytes_match_per_line_writes(tmp_path, fmt, sep):
+    rng = np.random.default_rng(9)
+    g = from_edges(rng.integers(0, 200, size=(1_000, 2)), 200)
+    save_edge_list(g, tmp_path / "g.txt", format=fmt)
+    want = "".join(f"{u}{sep}{v}\n" for u, v in g.edge_array())
+    assert (tmp_path / "g.txt").read_bytes() == want.encode("utf-8")
+    save_edge_list(from_edges(np.empty((0, 2)), 3), tmp_path / "empty.txt", format=fmt)
+    assert (tmp_path / "empty.txt").read_bytes() == b""

@@ -72,6 +72,13 @@ class TestConfig:
         with pytest.raises(ValidationError):
             config_from_dict({"seed": 1, "run_dir": "x", "graph": {"kind": "nope"}})
 
+    @pytest.mark.parametrize("section, key", [("trainer", "stepz"), ("sampler", "walks"), ("eval", "recal_nodes")])
+    def test_unknown_key_names_section_and_key(self, tmp_path, section, key):
+        d = tiny_config_dict(tmp_path / "r")
+        d[section][key] = 3
+        with pytest.raises(ValidationError, match=f"unknown {section} config key\\(s\\): '{key}'"):
+            config_from_dict(d)
+
     def test_walk_length_zero_rejected_before_running(self, tmp_path):
         d = tiny_config_dict(tmp_path / "r")
         d["sampler"]["walk_length"] = 0
@@ -106,6 +113,18 @@ class TestRunPipeline:
         run_pipeline(cfg)
         second = run_pipeline(cfg)
         assert second.skipped == ["prune", "sample", "train", "eval"]
+
+    def test_train_stage_records_counts(self, tmp_path):
+        cfg = config_from_dict(tiny_config_dict(tmp_path / "run"))
+        first = run_pipeline(cfg)
+        train = {s["name"]: s for s in first.manifest["stages"]}["train"]
+        want = {"examples_processed": cfg.trainer.steps * cfg.trainer.global_batch_examples, "worker_failures": 0}
+        assert train["counts"] == want
+        on_disk = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert {s["name"]: s for s in on_disk["stages"]}["train"]["counts"] == want
+        second = run_pipeline(cfg)
+        assert second.skipped == ["prune", "sample", "train", "eval"]
+        assert {s["name"]: s for s in second.manifest["stages"]}["train"]["counts"] == want
 
     def test_force_reruns(self, tmp_path):
         cfg = config_from_dict(tiny_config_dict(tmp_path / "run"))
