@@ -1,6 +1,6 @@
 """Exception types shared across the package, and the config key check."""
 
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 
 
 class WalkembedError(Exception):
@@ -11,9 +11,11 @@ class ValidationError(WalkembedError):
     """Bad configuration or precondition violation; maps to CLI exit code 1."""
 
 
-def check_keys(section: str, d: dict, cls) -> None:
-    """Raise ValidationError naming any key of d that is not a field of cls."""
-    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+def check_keys(section: str, d: dict, allowed) -> None:
+    """Raise ValidationError naming any key of d that is not allowed: a field
+    of the dataclass `allowed`, or a member of the collection `allowed`."""
+    names = {f.name for f in fields(allowed)} if is_dataclass(allowed) else set(allowed)
+    unknown = sorted(set(d) - names)
     if unknown:
         raise ValidationError(f"unknown {section} config key(s): {', '.join(map(repr, unknown))}")
 

@@ -1,9 +1,9 @@
 """Embedding table, learning-rate schedule, and the skip-gram loss.
 
-One table serves both endpoint roles by default; an optional context table
-supports the dual-table ablation. Loss is the standard logistic contrastive
-objective: positives maximize sigma(e_u . e_v) with a per-pair weight,
-uniform negatives minimize it, mean-reduced over all examples in a batch.
+One table serves both endpoint roles, as in HUGE. Loss is the standard
+logistic contrastive objective: positives maximize sigma(e_u . e_v) with a
+per-pair weight, uniform negatives minimize it, mean-reduced over all
+examples in a batch.
 """
 
 from __future__ import annotations
@@ -105,7 +105,6 @@ class SparseGrad:
 class LossGrads:
     loss: float
     main: SparseGrad
-    context: SparseGrad | None = None
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -118,7 +117,7 @@ def _check_ids(ids: np.ndarray, num_nodes: int) -> None:
         raise IndexError(f"node id {bad} out of range [0, {num_nodes})")
 
 
-def loss_and_grad(table: EmbeddingTable, batch, context: EmbeddingTable | None = None) -> LossGrads:
+def loss_and_grad(table: EmbeddingTable, batch) -> LossGrads:
     """Weighted logistic loss and sparse gradients for one example batch.
 
     batch provides src, dst, weight, positive arrays. Rows are gathered once
@@ -127,25 +126,16 @@ def loss_and_grad(table: EmbeddingTable, batch, context: EmbeddingTable | None =
     """
     src, dst = batch.src, batch.dst
     _check_ids(src, table.num_nodes)
-    _check_ids(dst, (context or table).num_nodes)
+    _check_ids(dst, table.num_nodes)
     n = len(src)
     if n == 0:
         raise ValidationError("empty batch")
     dtype = table.values.dtype
     w = np.where(batch.positive, batch.weight, 1.0).astype(dtype)
 
-    dst_table = context if context is not None else table
-    if context is None:
-        ids = np.concatenate([src, dst])
-        uids, inv = np.unique(ids, return_inverse=True)
-        rows = table.values[uids]
-        iu, iv = inv[:n], inv[n:]
-        e_src, e_dst = rows[iu], rows[iv]
-    else:
-        u_src, iu = np.unique(src, return_inverse=True)
-        u_dst, iv = np.unique(dst, return_inverse=True)
-        e_src = table.values[u_src][iu]
-        e_dst = context.values[u_dst][iv]
+    uids, inv = np.unique(np.concatenate([src, dst]), return_inverse=True)
+    rows = table.values[uids]
+    e_src, e_dst = rows[inv[:n]], rows[inv[n:]]
 
     scores = np.einsum("ij,ij->i", e_src, e_dst)
     sign = np.where(batch.positive, 1.0, -1.0).astype(dtype)
@@ -157,17 +147,9 @@ def loss_and_grad(table: EmbeddingTable, batch, context: EmbeddingTable | None =
 
     # d(loss)/d(score): positives w*(sigma-1)/n, negatives sigma/n
     coef = (w * sign * (_sigmoid(sign * scores) - 1.0) / n).astype(dtype)
-
-    if context is None:
-        acc = np.zeros_like(rows)
-        contrib = np.concatenate([coef[:, None] * e_dst, coef[:, None] * e_src])
-        _add_rows_at(acc, np.concatenate([iu, iv]), contrib)
-        return LossGrads(loss, SparseGrad(uids, acc))
-    g_src = np.zeros((len(u_src), table.dim), dtype=dtype)
-    g_dst = np.zeros((len(u_dst), dst_table.dim), dtype=dtype)
-    _add_rows_at(g_src, iu, coef[:, None] * e_dst)
-    _add_rows_at(g_dst, iv, coef[:, None] * e_src)
-    return LossGrads(loss, SparseGrad(u_src, g_src), SparseGrad(u_dst, g_dst))
+    acc = np.zeros_like(rows)
+    _add_rows_at(acc, inv, np.concatenate([coef[:, None] * e_dst, coef[:, None] * e_src]))
+    return LossGrads(loss, SparseGrad(uids, acc))
 
 
 def _add_rows_at(acc: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:

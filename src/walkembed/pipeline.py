@@ -31,6 +31,13 @@ STAGES = ("prune", "sample", "train", "eval")
 ENV_SEED = "WALKEMBED_SEED"
 ENV_RUN_DIR = "WALKEMBED_RUN_DIR"
 
+# graph kind -> (required keys, optional keys), besides "kind"
+GRAPH_KEYS = {
+    "sbm": (("nodes", "classes", "p_in", "p_out"), ()),
+    "preset": (("name",), ()),
+    "edge_list": (("path",), ("format",)),
+}
+
 
 @dataclass(frozen=True)
 class EvalParams:
@@ -57,18 +64,13 @@ class PipelineConfig:
         if self.min_degree < 0:
             raise ValidationError("min_degree must be >= 0")
         kind = self.graph.get("kind")
-        if kind == "sbm":
-            for key in ("nodes", "classes", "p_in", "p_out"):
-                if key not in self.graph:
-                    raise ValidationError(f"graph config missing {key!r}")
-        elif kind == "preset":
-            if "name" not in self.graph:
-                raise ValidationError("preset graph config missing 'name'")
-        elif kind == "edge_list":
-            if "path" not in self.graph:
-                raise ValidationError("edge_list graph config missing 'path'")
-        else:
+        if kind not in GRAPH_KEYS:
             raise ValidationError(f"unknown graph kind {kind!r}")
+        required, optional = GRAPH_KEYS[kind]
+        for key in required:
+            if key not in self.graph:
+                raise ValidationError(f"{kind} graph config missing {key!r}")
+        check_keys("graph", self.graph, ("kind", *required, *optional))
 
 
 def config_to_dict(cfg: PipelineConfig) -> dict:
@@ -88,7 +90,8 @@ def config_to_dict(cfg: PipelineConfig) -> dict:
 
 
 def config_from_dict(d: dict) -> PipelineConfig:
-    d = dict(d)
+    """Inverse of config_to_dict; unknown keys raise, at the top level and in every section."""
+    check_keys("pipeline", d, PipelineConfig)
     for key in ("seed", "run_dir", "graph"):
         if key not in d:
             raise ValidationError(f"pipeline config missing {key!r}")
@@ -292,7 +295,7 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False) -> PipelineResult:
         tcfg = cfg.trainer
         train = train_sync if tcfg.mode == "sync" else train_async
         result = train(records_dir, tcfg, num_nodes=load_csr(pruned_file).num_nodes, log_path=progress_file)
-        save_checkpoint(ckpt_file, result.table, tcfg.steps, hash_json(trainer_params).encode())
+        save_checkpoint(ckpt_file, result.table, tcfg.steps, hash_json(tcfg.to_dict()).encode())
         return {"examples_processed": result.examples_processed, "worker_failures": result.worker_failures}
 
     trained = stage(

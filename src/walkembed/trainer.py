@@ -1,14 +1,14 @@
 """Skip-gram training over co-occurrence records, sync or async.
 
-Sync mode mirrors replicated data-parallel training: R logical replicas each
-build a micro-batch, and one update is applied per global step. Under mean
-reduction the average of R equal-size micro-batch gradients is the gradient
-of their concatenation, so each step takes one gradient over the R
-concatenated micro-batches. The trajectory is bitwise deterministic for a
-fixed seed.
+Both modes run one training loop, the lane: each step builds R micro-batches
+from the lane's record stream and applies one mean-reduced gradient over
+their concatenation, which equals the mean of the R micro-batch gradients.
 
-Async mode mirrors a parameter-server deployment: worker threads build
-batches from disjoint record stripes and apply sparse updates to the shared
+Sync mode mirrors replicated data-parallel training: one lane with R =
+num_replicas on the calling thread, bitwise deterministic for a fixed seed.
+
+Async mode mirrors a parameter-server deployment: num_workers threads each
+run a lane with R = 1 over a disjoint record stripe and update the shared
 table with no locking or ordering. Lost or torn updates are within contract;
 only the W=1 case is deterministic.
 """
@@ -25,15 +25,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError, check_keys
-from .model import (
-    EmbeddingTable,
-    FixedSgd,
-    WarmupDecaySchedule,
-    init_table,
-    loss_and_grad,
-)
+from .model import EmbeddingTable, FixedSgd, WarmupDecaySchedule, init_table, loss_and_grad
 from .rng import derive_seed
 from .shards import RecordBatch, load_all_records
+
+SHUFFLE_BUFFER = 1 << 16  # records per shuffle window of a RecordStream
 
 
 @dataclass(frozen=True)
@@ -47,11 +43,7 @@ class TrainConfig:
     steps: int = 1000  # sync: global steps; async: total micro-batches
     optimizer: WarmupDecaySchedule | FixedSgd = FixedSgd(0.001)
     seed: int = 0
-    self_pair_filter: bool = True
     distance_weighting: tuple[float, ...] | None = None  # None = all ones
-    shuffle_buffer: int = 1 << 16
-    dual_table: bool = False
-    table_dtype: str = "float32"
 
     def __post_init__(self):
         if self.mode not in ("sync", "async"):
@@ -68,8 +60,6 @@ class TrainConfig:
             raise ValidationError("dim must be >= 1")
         if self.mode == "async" and not isinstance(self.optimizer, FixedSgd):
             raise ValidationError("async mode requires a fixed learning rate")
-        if self.table_dtype not in ("float32", "float64"):
-            raise ValidationError("table_dtype must be float32 or float64")
 
     def to_dict(self) -> dict:
         """JSON-ready fields; the optimizer becomes a dict with a "kind" key."""
@@ -154,9 +144,7 @@ def prepare_positives(
             f"distance_weighting has {len(weighting)} entries, records have walk_length {wl}"
         )
     weight = records.co_counts @ weighting
-    keep = weight > 0
-    if cfg.self_pair_filter:
-        keep &= records.source != records.dest
+    keep = (weight > 0) & (records.source != records.dest)
     return (
         records.source[keep],
         records.dest[keep],
@@ -168,17 +156,16 @@ class RecordStream:
     """Endless shuffled stream of positive examples.
 
     Each epoch visits every record once: positions are consumed through a
-    shuffle window of `shuffle_buffer` records (the whole epoch order is
+    shuffle window of SHUFFLE_BUFFER records (the whole epoch order is
     materialized window by window), with a fresh seeded permutation per
     epoch. Wraps around at epoch end.
     """
 
-    def __init__(self, src, dst, weight, seed: int, shuffle_buffer: int = 1 << 16):
+    def __init__(self, src, dst, weight, seed: int):
         if len(src) == 0:
             raise ValidationError("record stream is empty after filtering")
         self.src, self.dst, self.weight = src, dst, weight
         self.seed = seed
-        self.shuffle_buffer = max(1, shuffle_buffer)
         self.epochs_completed = 0
         self._order = self._epoch_order(0)
         self._pos = 0
@@ -190,11 +177,11 @@ class RecordStream:
         rng = np.random.default_rng(np.random.SeedSequence((self.seed, epoch)))
         n = len(self.src)
         order = np.arange(n, dtype=np.int64)
-        for lo in range(0, n, self.shuffle_buffer):
-            window = order[lo : lo + self.shuffle_buffer]
+        for lo in range(0, n, SHUFFLE_BUFFER):
+            window = order[lo : lo + SHUFFLE_BUFFER]
             rng.shuffle(window)
         # rotate window boundaries across epochs so records can cross windows
-        return np.roll(order, (epoch * self.shuffle_buffer) // 2)
+        return np.roll(order, (epoch * SHUFFLE_BUFFER) // 2)
 
     def take(self, count: int) -> np.ndarray:
         """Next `count` record indices, wrapping into the next epoch."""
@@ -246,19 +233,41 @@ class TrainResult:
     examples_processed: int = 0
     elapsed_s: float = 0.0
     worker_failures: int = 0
-    context_table: EmbeddingTable | None = None
+
+
+class _Progress:
+    """The progress log the lanes of one run share.
+
+    Steps are numbered from 0 in the order they complete. An entry is written
+    at step 0, every `log_every` steps and the last step; its
+    examples_per_sec covers the window since the previous entry.
+    """
+
+    def __init__(self, log: list[dict], cfg: TrainConfig, log_every: int):
+        self.log, self.cfg, self.log_every = log, cfg, log_every
+        self.lock = threading.Lock()
+        self.steps = self.steps_logged = 0
+        self.t0 = self.t_logged = time.monotonic()
+
+    def step_done(self, lr: float, loss: float) -> None:
+        with self.lock:
+            step = self.steps
+            self.steps += 1
+            if step % self.log_every and step != self.cfg.steps - 1:
+                return
+            now = time.monotonic()
+            examples = (self.steps - self.steps_logged) * self.cfg.global_batch_examples
+            eps = examples / max(now - self.t_logged, 1e-9)
+            self.steps_logged, self.t_logged = self.steps, now
+            self.log.append({"step": step, "lr": lr, "loss": loss, "examples_per_sec": eps})
 
 
 def _setup(
-    mode: str,
-    records: RecordBatch | str | Path,
-    cfg: TrainConfig,
-    table: EmbeddingTable | None,
-    num_nodes: int | None,
-) -> tuple[EmbeddingTable, EmbeddingTable | None, tuple[np.ndarray, np.ndarray, np.ndarray], list[dict]]:
-    """Set-up shared by both modes: the table (seeded init when none is given,
-    sized by num_nodes or else by the largest record id), the optional context
-    table, the filtered positives, and a log opened by the config event."""
+    mode: str, records: RecordBatch | str | Path, cfg: TrainConfig, table: EmbeddingTable | None, num_nodes: int | None
+) -> tuple[EmbeddingTable, tuple[np.ndarray, np.ndarray, np.ndarray], list[dict]]:
+    """Set-up shared by both modes: the table (seeded float32 init when none
+    is given, sized by num_nodes or else by the largest record id), the
+    filtered positives, and a log opened by the config event."""
     if cfg.mode != mode:
         raise ValidationError(f"train_{mode} requires cfg.mode == {mode!r}")
     if not isinstance(records, RecordBatch):
@@ -266,12 +275,7 @@ def _setup(
     if table is None:
         if num_nodes is None:
             num_nodes = int(max(records.source.max(), records.dest.max())) + 1
-        table = init_table(num_nodes, cfg.dim, derive_seed(cfg.seed, "init"), np.dtype(cfg.table_dtype))
-    context = (
-        init_table(table.num_nodes, cfg.dim, derive_seed(cfg.seed, "context"), table.values.dtype)
-        if cfg.dual_table
-        else None
-    )
+        table = init_table(num_nodes, cfg.dim, derive_seed(cfg.seed, "init"))
     parallel = "num_replicas" if mode == "sync" else "num_workers"
     config_event = {
         "event": "config",
@@ -281,15 +285,59 @@ def _setup(
         "global_batch_examples": cfg.global_batch_examples,
         "steps": cfg.steps,
     }
-    return table, context, prepare_positives(records, cfg), [config_event]
+    return table, prepare_positives(records, cfg), [config_event]
 
 
-def _write_log(log_path: str | Path | None, entries: list[dict]) -> None:
-    if log_path is None:
-        return
-    with Path(log_path).open("w", encoding="utf-8") as fh:
-        for e in entries:
-            fh.write(json.dumps(e) + "\n")
+def _lane(
+    table: EmbeddingTable, stream: RecordStream, neg_rng: np.random.Generator, cfg: TrainConfig,
+    steps: int, replicas: int, max_failures: int, stop: threading.Event, progress: _Progress,
+) -> tuple[int, int]:
+    """Apply `steps` steps of `replicas` micro-batches; returns (steps applied, failures).
+
+    Each step takes one mean-reduced gradient over its micro-batches,
+    concatenated in replica order. A failed step is dropped and the lane
+    goes on from the stream's next records; once more than `max_failures`
+    steps failed, the lane sets `stop`, which ends the other lanes early,
+    and raises the failure.
+    """
+    failures = done = 0
+    while done < steps and not stop.is_set():
+        lr = cfg.optimizer.lr_at(done)
+        try:
+            parts = [build_batch(stream, cfg, neg_rng, table.num_nodes) for _ in range(replicas)]
+            batch = ExampleBatch(
+                *(np.concatenate([getattr(b, f) for b in parts]) for f in ("src", "dst", "weight", "positive"))
+            )
+            out = loss_and_grad(table, batch)
+            # lanes share the table with no lock: a read-modify-write may race (by contract)
+            out.main.apply(table, lr)
+        except Exception:
+            failures += 1
+            if failures > max_failures:
+                stop.set()
+                raise
+            continue
+        done += 1
+        progress.step_done(lr, out.loss)
+    return done, failures
+
+
+def _result(
+    table: EmbeddingTable, cfg: TrainConfig, counts: list[tuple[int, int]], progress: _Progress,
+    log_path: str | Path | None,
+) -> TrainResult:
+    """Write the log and total the lanes' exact (steps applied, failures) counts."""
+    if log_path is not None:
+        with Path(log_path).open("w", encoding="utf-8") as fh:
+            for e in progress.log:
+                fh.write(json.dumps(e) + "\n")
+    return TrainResult(
+        table=table,
+        log=progress.log,
+        examples_processed=sum(done for done, _ in counts) * cfg.global_batch_examples,
+        elapsed_s=time.monotonic() - progress.t0,
+        worker_failures=sum(failures for _, failures in counts),
+    )
 
 
 def train_sync(
@@ -302,88 +350,17 @@ def train_sync(
 ) -> TrainResult:
     """Replicated synchronous training, bitwise deterministic for a seed.
 
-    Each step builds the R micro-batches in replica order and takes one
-    mean-reduced gradient over their concatenation, which equals the mean
-    of the R per-replica gradients.
+    One lane on the calling thread: each step builds the R micro-batches in
+    replica order and takes one mean-reduced gradient over their
+    concatenation, which equals the mean of the R per-replica gradients. Any
+    failure is raised at once.
     """
-    table, context, (src, dst, w), log = _setup("sync", records, cfg, table, num_nodes)
-    stream = RecordStream(src, dst, w, derive_seed(cfg.seed, "stream"), cfg.shuffle_buffer)
+    table, (src, dst, w), log = _setup("sync", records, cfg, table, num_nodes)
+    stream = RecordStream(src, dst, w, derive_seed(cfg.seed, "stream"))
     neg_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xB0)))
-    t0 = time.monotonic()
-    t_last, ex_last = t0, 0
-    examples = 0
-    for step in range(cfg.steps):
-        lr = cfg.optimizer.lr_at(step)
-        batches = [build_batch(stream, cfg, neg_rng, table.num_nodes) for _ in range(cfg.num_replicas)]
-        batch = ExampleBatch(
-            *(np.concatenate([getattr(b, f) for b in batches]) for f in ("src", "dst", "weight", "positive"))
-        )
-        out = loss_and_grad(table, batch, context)
-        out.main.apply(table, lr)
-        if context is not None:
-            out.context.apply(context, lr)
-        examples += cfg.global_batch_examples
-        if step % log_every == 0 or step == cfg.steps - 1:
-            now = time.monotonic()
-            eps = (examples - ex_last) / max(now - t_last, 1e-9)
-            t_last, ex_last = now, examples
-            log.append({"step": step, "lr": lr, "loss": out.loss, "examples_per_sec": eps})
-    _write_log(log_path, log)
-    return TrainResult(
-        table=table,
-        log=log,
-        examples_processed=examples,
-        elapsed_s=time.monotonic() - t0,
-        context_table=context,
-    )
-
-
-def _async_worker(
-    worker_id: int,
-    table: EmbeddingTable,
-    context: EmbeddingTable | None,
-    stream: RecordStream,
-    cfg: TrainConfig,
-    num_batches: int,
-    progress: dict,
-    lock: threading.Lock,
-    stop: threading.Event,
-    log: list[dict],
-    log_every: int,
-    max_failures: int,
-) -> tuple[int, int]:
-    """Apply `num_batches` micro-batches; returns (batches applied, failures).
-
-    Raises the last failure once more than `max_failures` batches failed, and
-    sets `stop` so that the other workers end early.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xA5, worker_id)))
-    lr = cfg.optimizer.lr_at(0)
-    failures = 0
-    done = 0
-    while done < num_batches and not stop.is_set():
-        try:
-            batch = build_batch(stream, cfg, rng, table.num_nodes)
-            out = loss_and_grad(table, batch, context)
-            # unsynchronized read-modify-write on the shared table (by contract)
-            out.main.apply(table, lr)
-            if context is not None and out.context is not None:
-                out.context.apply(context, lr)
-        except Exception:
-            # stream position survives; retry from the next batch
-            failures += 1
-            if failures > max_failures:
-                stop.set()
-                raise
-            continue
-        done += 1
-        with lock:
-            progress["batches"] += 1
-            total = progress["batches"]
-            if total % log_every == 0:
-                eps = total * cfg.micro_batch_examples / max(time.monotonic() - progress["t0"], 1e-9)
-                log.append({"step": total, "lr": lr, "loss": out.loss, "examples_per_sec": eps})
-    return done, failures
+    progress = _Progress(log, cfg, log_every)
+    counts = _lane(table, stream, neg_rng, cfg, cfg.steps, cfg.num_replicas, 0, threading.Event(), progress)
+    return _result(table, cfg, [counts], progress, log_path)
 
 
 def train_async(
@@ -397,47 +374,29 @@ def train_async(
 ) -> TrainResult:
     """Lock-free concurrent training on a shared table.
 
+    One lane of one micro-batch per step on each of num_workers threads.
     cfg.steps counts micro-batches across all workers, so the example budget
     is identical for any worker count. A failed micro-batch is retried from
     the next one; once a worker has more than `max_failures` failures, every
     worker stops and the failure is raised here, so a run that returns has
     applied its whole budget.
     """
-    table, context, (src, dst, w), log = _setup("async", records, cfg, table, num_nodes)
+    table, (src, dst, w), log = _setup("async", records, cfg, table, num_nodes)
     workers = cfg.num_workers
     # stripe records across workers; each worker shuffles its own stripe
     streams = [
-        RecordStream(
-            src[wk::workers],
-            dst[wk::workers],
-            w[wk::workers],
-            derive_seed(cfg.seed, f"stream-{wk}"),
-            cfg.shuffle_buffer,
-        )
+        RecordStream(src[wk::workers], dst[wk::workers], w[wk::workers], derive_seed(cfg.seed, f"stream-{wk}"))
         for wk in range(workers)
     ]
+    neg_rngs = [np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xA5, wk))) for wk in range(workers)]
     quota = [cfg.steps // workers + (1 if wk < cfg.steps % workers else 0) for wk in range(workers)]
-    t0 = time.monotonic()
-    progress = {"batches": 0, "t0": t0}
-    lock = threading.Lock()
     stop = threading.Event()
+    progress = _Progress(log, cfg, log_every)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [
-            pool.submit(
-                _async_worker,
-                wk, table, context, streams[wk], cfg, quota[wk], progress, lock, stop, log, log_every, max_failures,
-            )
+            pool.submit(_lane, table, streams[wk], neg_rngs[wk], cfg, quota[wk], 1, max_failures, stop, progress)
             for wk in range(workers)
         ]
-    # result() re-raises a worker's exception; the counts are exact because
-    # each worker counts only its own batches
-    counts = [f.result() for f in futures]
-    _write_log(log_path, log)
-    return TrainResult(
-        table=table,
-        log=log,
-        examples_processed=sum(done for done, _ in counts) * cfg.micro_batch_examples,
-        elapsed_s=time.monotonic() - t0,
-        worker_failures=sum(failures for _, failures in counts),
-        context_table=context,
-    )
+    # result() re-raises a lane's exception; the counts are exact because
+    # each lane counts only its own steps
+    return _result(table, cfg, [f.result() for f in futures], progress, log_path)

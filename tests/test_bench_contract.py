@@ -3,18 +3,27 @@
 perfbench wraps module attributes at call time (tracing.ENTRY_POINTS) and
 swaps three of walkembed.pipeline's globals to time stage boundaries
 (workloads.StageClock). Removing or rebinding one of those names breaks the
-benchmark without failing any other test.
+benchmark without failing any other test. perfbench also parses its
+workloads' trainer dicts itself, and reads train_sync's self time as its
+sync overhead.
 """
 
 import sys
+import threading
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import tracing  # noqa: E402
 import workloads  # noqa: E402
-from walkembed import pipeline  # noqa: E402
+from walkembed import pipeline, trainer  # noqa: E402
+from walkembed.model import FixedSgd  # noqa: E402
 from walkembed.pipeline import config_from_dict  # noqa: E402
+from walkembed.shards import RecordBatch  # noqa: E402
+from walkembed.trainer import TrainConfig  # noqa: E402
 
 
 def bindings() -> dict:
@@ -58,3 +67,28 @@ def test_stage_clock_marks_every_stage_and_restores_pipeline(tmp_path):
     assert set(sc.marks) == {"sample", "train_start", "train_end", "checkpoint"}
     assert sc.train_result.examples_processed == 3 * cfg.trainer.global_batch_examples
     assert all(getattr(pipeline, n) is before[n] for n in names)
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_trainer_dicts_parse_like_train_config(name):
+    w = workloads.WORKLOADS[name]
+    for seed in (0, 7):
+        want = TrainConfig.from_dict(dict(w.trainer, seed=workloads.seeds(seed)["train"]))
+        assert workloads.train_config(w, seed) == want
+
+
+def test_train_sync_steps_on_the_calling_thread(monkeypatch):
+    # the tracer's trainer.sync_reduce_s is train_sync's self time, which
+    # excludes only the child spans on train_sync's own thread
+    threads = set()
+    real = trainer.loss_and_grad
+
+    def spy(table, batch):
+        threads.add(threading.get_ident())
+        return real(table, batch)
+
+    monkeypatch.setattr(trainer, "loss_and_grad", spy)
+    records = RecordBatch(np.arange(20), (np.arange(20) + 1) % 20, np.ones((20, 2), dtype=np.int64))
+    cfg = TrainConfig(dim=4, per_replica_batch_size=4, num_replicas=2, steps=3, optimizer=FixedSgd(0.1))
+    trainer.train_sync(records, cfg, num_nodes=20)
+    assert threads == {threading.get_ident()}

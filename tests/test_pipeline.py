@@ -1,10 +1,11 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from walkembed.errors import StageError, ValidationError
-from walkembed.model import FixedSgd
+from walkembed.model import FixedSgd, load_checkpoint
 from walkembed.pipeline import (
     EvalParams,
     PipelineConfig,
@@ -12,6 +13,7 @@ from walkembed.pipeline import (
     config_from_dict,
     config_to_dict,
     format_comparison,
+    hash_json,
     load_pipeline_config,
     run_pipeline,
 )
@@ -79,6 +81,28 @@ class TestConfig:
         with pytest.raises(ValidationError, match=f"unknown {section} config key\\(s\\): '{key}'"):
             config_from_dict(d)
 
+    def test_unknown_top_level_key_named(self, tmp_path):
+        d = tiny_config_dict(tmp_path / "r")
+        d["min_degre"] = d.pop("min_degree")
+        with pytest.raises(ValidationError, match="unknown pipeline config key\\(s\\): 'min_degre'"):
+            config_from_dict(d)
+
+    def test_unknown_graph_key_named(self, tmp_path):
+        d = tiny_config_dict(tmp_path / "r")
+        d["graph"] = {"kind": "edge_list", "path": "e.csv", "fromat": "csv"}
+        with pytest.raises(ValidationError, match="unknown graph config key\\(s\\): 'fromat'"):
+            config_from_dict(d)
+        d["graph"] = {"kind": "preset", "name": "sbm-1k", "nodes": 10}
+        with pytest.raises(ValidationError, match="unknown graph config key\\(s\\): 'nodes'"):
+            config_from_dict(d)
+
+    @pytest.mark.parametrize("key", ["dual_table", "table_dtype", "shuffle_buffer", "self_pair_filter"])
+    def test_removed_trainer_keys_are_unknown(self, tmp_path, key):
+        d = tiny_config_dict(tmp_path / "r")
+        d["trainer"][key] = False
+        with pytest.raises(ValidationError, match=f"unknown trainer config key\\(s\\): '{key}'"):
+            config_from_dict(d)
+
     def test_walk_length_zero_rejected_before_running(self, tmp_path):
         d = tiny_config_dict(tmp_path / "r")
         d["sampler"]["walk_length"] = 0
@@ -125,6 +149,13 @@ class TestRunPipeline:
         second = run_pipeline(cfg)
         assert second.skipped == ["prune", "sample", "train", "eval"]
         assert {s["name"]: s for s in second.manifest["stages"]}["train"]["counts"] == want
+
+    def test_checkpoint_digest_is_trainer_config_hash(self, tmp_path):
+        cfg = config_from_dict(tiny_config_dict(tmp_path / "run"))
+        run_pipeline(cfg)
+        _, _, digest = load_checkpoint(tmp_path / "run" / "checkpoint.bin")
+        # the header holds the SHA-256 of the hex hash, seed included
+        assert digest == hashlib.sha256(hash_json(cfg.trainer.to_dict()).encode()).digest()
 
     def test_force_reruns(self, tmp_path):
         cfg = config_from_dict(tiny_config_dict(tmp_path / "run"))
@@ -218,6 +249,19 @@ class TestCompareRuns:
             lines = (tmp_path / "cmp" / f).read_text().splitlines()
             assert lines[0] == "Quantiles,run0,run1"
             assert len(lines) == 102
+
+    def test_short_async_run_has_final_loss(self, tmp_path):
+        # 24 micro-batches, fewer than the 50 between periodic progress entries
+        run_pipeline(config_from_dict(tiny_config_dict(tmp_path / "sync")))
+        d = tiny_config_dict(tmp_path / "async")
+        d["trainer"].update(mode="async", num_workers=2, steps=24)
+        del d["trainer"]["num_replicas"]
+        run_pipeline(config_from_dict(d))
+        lines = (tmp_path / "async" / "progress.jsonl").read_text().splitlines()
+        assert [e["step"] for e in map(json.loads, lines) if "loss" in e] == [0, 23]
+        rows = compare_runs([tmp_path / "sync", tmp_path / "async"])
+        assert all(r.final_loss is not None for r in rows)
+        assert " - " not in format_comparison(rows)
 
     def test_trend_column(self, tmp_path):
         dirs = self.make_runs(tmp_path, 3)

@@ -42,7 +42,7 @@ def make_records(pairs_with_counts, walk_length=3):
 
 def make_stream(records, cfg, seed=0):
     src, dst, w = prepare_positives(records, cfg)
-    return RecordStream(src, dst, w, seed, cfg.shuffle_buffer)
+    return RecordStream(src, dst, w, seed)
 
 
 class TestSchedule:
@@ -127,16 +127,9 @@ class TestBuildBatch:
         records = make_records([(0, 0, [5, 0, 0]), (0, 1, [1, 0, 0])])
         src, dst, _ = prepare_positives(records, cfg)
         assert (src.tolist(), dst.tolist()) == ([0], [1])
-        keep = prepare_positives(
-            records,
-            TrainConfig(dim=4, steps=1, self_pair_filter=False),
-        )
-        assert len(keep[0]) == 2
 
     def test_zero_weight_records_dropped(self):
-        cfg = TrainConfig(
-            dim=4, steps=1, distance_weighting=(0.0, 1.0, 1.0), self_pair_filter=False
-        )
+        cfg = TrainConfig(dim=4, steps=1, distance_weighting=(0.0, 1.0, 1.0))
         records = make_records([(0, 1, [3, 0, 0]), (1, 2, [0, 1, 0])])
         src, _, w = prepare_positives(records, cfg)
         assert src.tolist() == [1]
@@ -211,32 +204,7 @@ class TestLossAndGrad:
             rel = np.linalg.norm(dense - fd) / max(np.linalg.norm(fd), 1e-12)
             assert rel < 1e-4
 
-    def test_dual_table_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(3)
-        n, d, m = 8, 5, 6
-        batch = batch_of(
-            rng.integers(0, n, m), rng.integers(0, n, m), rng.uniform(0.5, 2, m), rng.random(m) < 0.5
-        )
-        main = rng.normal(0, 0.3, (n, d))
-        ctx = rng.normal(0, 0.3, (n, d))
-        out = loss_and_grad(EmbeddingTable(main.copy()), batch, EmbeddingTable(ctx.copy()))
-        dense = np.zeros_like(main)
-        dense[out.main.ids] = out.main.values
-        fd = oracles.finite_difference_grad(
-            lambda v: loss_and_grad(EmbeddingTable(v), batch, EmbeddingTable(ctx.copy())).loss,
-            main.copy(),
-        )
-        assert np.linalg.norm(dense - fd) / np.linalg.norm(fd) < 1e-4
-        dense_c = np.zeros_like(ctx)
-        dense_c[out.context.ids] = out.context.values
-        fd_c = oracles.finite_difference_grad(
-            lambda v: loss_and_grad(EmbeddingTable(main.copy()), batch, EmbeddingTable(v)).loss,
-            ctx.copy(),
-        )
-        assert np.linalg.norm(dense_c - fd_c) / np.linalg.norm(fd_c) < 1e-4
-
-    @pytest.mark.parametrize("dual", [False, True])
-    def test_scatter_bitwise_equals_2d_add_at(self, dual):
+    def test_scatter_bitwise_equals_2d_add_at(self):
         # 4000 examples over 12 ids: every row receives hundreds of additions
         rng = np.random.default_rng(8)
         n, d, m = 12, 16, 4000
@@ -244,34 +212,20 @@ class TestLossAndGrad:
             rng.integers(0, n, m), rng.integers(0, n, m), rng.uniform(0.5, 2, m), rng.random(m) < 0.3
         )
         main = rng.normal(0, 0.5, (n, d)).astype(np.float32)
-        ctx = rng.normal(0, 0.5, (n, d)).astype(np.float32) if dual else None
-        out = loss_and_grad(EmbeddingTable(main), batch, EmbeddingTable(ctx) if dual else None)
+        out = loss_and_grad(EmbeddingTable(main), batch)
 
         # the gradient scattered row by row with the 2-D np.add.at
         w = np.where(batch.positive, batch.weight, 1.0).astype(np.float32)
         sign = np.where(batch.positive, 1.0, -1.0).astype(np.float32)
-        if dual:
-            u_src, iu = np.unique(batch.src, return_inverse=True)
-            u_dst, iv = np.unique(batch.dst, return_inverse=True)
-            e_src, e_dst = main[u_src][iu], ctx[u_dst][iv]
-        else:
-            uids, inv = np.unique(np.concatenate([batch.src, batch.dst]), return_inverse=True)
-            iu, iv = inv[:m], inv[m:]
-            e_src, e_dst = main[uids][iu], main[uids][iv]
+        uids, inv = np.unique(np.concatenate([batch.src, batch.dst]), return_inverse=True)
+        iu, iv = inv[:m], inv[m:]
+        e_src, e_dst = main[uids][iu], main[uids][iv]
         scores = np.einsum("ij,ij->i", e_src, e_dst)
         coef = (w * sign * (np.exp(-np.logaddexp(0.0, -sign * scores)) - 1.0) / m).astype(np.float32)
-        if dual:
-            g_src = np.zeros((len(u_src), d), dtype=np.float32)
-            g_dst = np.zeros((len(u_dst), d), dtype=np.float32)
-            np.add.at(g_src, iu, coef[:, None] * e_dst)
-            np.add.at(g_dst, iv, coef[:, None] * e_src)
-            assert np.array_equal(out.main.values, g_src)
-            assert np.array_equal(out.context.values, g_dst)
-        else:
-            acc = np.zeros((len(uids), d), dtype=np.float32)
-            np.add.at(acc, iu, coef[:, None] * e_dst)
-            np.add.at(acc, iv, coef[:, None] * e_src)
-            assert np.array_equal(out.main.values, acc)
+        acc = np.zeros((len(uids), d), dtype=np.float32)
+        np.add.at(acc, iu, coef[:, None] * e_dst)
+        np.add.at(acc, iv, coef[:, None] * e_src)
+        assert np.array_equal(out.main.values, acc)
 
     def test_grad_only_touches_batch_rows(self):
         rng = np.random.default_rng(1)
@@ -332,7 +286,7 @@ class TestTrainSync:
 
         table = init_table(30, cfg.dim, derive_seed(cfg.seed, "init"), np.float32)
         src, dst, w = prepare_positives(records, cfg)
-        stream = RecordStream(src, dst, w, derive_seed(cfg.seed, "stream"), cfg.shuffle_buffer)
+        stream = RecordStream(src, dst, w, derive_seed(cfg.seed, "stream"))
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xB0)))
         for step in range(cfg.steps):
             batch = build_batch(stream, cfg, rng, 30)
@@ -368,22 +322,22 @@ class TestTrainSync:
         from walkembed.rng import derive_seed
 
         records = training_records()
-        cfg = self.cfg(num_replicas=3, steps=1, table_dtype="float64")
+        cfg = self.cfg(num_replicas=3, steps=1)
         seen = []
 
-        def spy(table, batch, context=None):
-            out = loss_and_grad(table, batch, context)
+        def spy(table, batch):
+            out = loss_and_grad(table, batch)
             seen.append(out)
             return out
 
         monkeypatch.setattr(trainer_mod, "loss_and_grad", spy)
-        result = train_sync(records, cfg, num_nodes=30)
+        table = init_table(30, cfg.dim, derive_seed(cfg.seed, "init"), np.float64)
+        result = train_sync(records, cfg, table=EmbeddingTable(table.values.copy()))
 
         # reference: one gradient per replica micro-batch, merged by a
         # fixed-order sum of the rows scaled by 1/R
-        table = init_table(30, cfg.dim, derive_seed(cfg.seed, "init"), np.float64)
         src, dst, w = prepare_positives(records, cfg)
-        stream = RecordStream(src, dst, w, derive_seed(cfg.seed, "stream"), cfg.shuffle_buffer)
+        stream = RecordStream(src, dst, w, derive_seed(cfg.seed, "stream"))
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xB0)))
         replicas = [loss_and_grad(table, build_batch(stream, cfg, rng, 30)) for _ in range(3)]
         ids, inv = np.unique(np.concatenate([r.main.ids for r in replicas]), return_inverse=True)
@@ -404,9 +358,9 @@ class TestTrainSync:
 
         sizes = []
 
-        def counting(table, batch, context=None):
+        def counting(table, batch):
             sizes.append(len(batch))
-            return loss_and_grad(table, batch, context)
+            return loss_and_grad(table, batch)
 
         monkeypatch.setattr(trainer_mod, "loss_and_grad", counting)
         cfg = self.cfg(num_replicas=replicas, steps=7)
@@ -444,11 +398,11 @@ class TestTrainSync:
         steps = [e for e in entries if "loss" in e]
         assert {"step", "lr", "loss", "examples_per_sec"} <= set(steps[0])
 
-    def test_dual_table_mode_runs(self):
-        records = training_records()
-        result = train_sync(records, self.cfg(dual_table=True), num_nodes=30)
-        assert result.context_table is not None
-        assert result.context_table.values.shape == result.table.values.shape
+    def test_progress_at_first_every_and_last_step(self):
+        result = train_sync(training_records(), self.cfg(steps=12), num_nodes=30, log_every=5)
+        entries = [e for e in result.log if "loss" in e]
+        assert [e["step"] for e in entries] == [0, 5, 10, 11]
+        assert all(e["examples_per_sec"] > 0 for e in entries)
 
 
 class TestTrainAsync:
@@ -491,6 +445,30 @@ class TestTrainAsync:
         k = max(1, len(losses) // 10)
         assert np.mean(losses[-k:]) < np.mean(losses[:k])
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_progress_at_first_and_last_step(self, workers, tmp_path):
+        # 24 micro-batches under the default log_every of 50: step 0 and the last step
+        log_path = tmp_path / "progress.jsonl"
+        result = train_async(training_records(), self.cfg(num_workers=workers), num_nodes=30, log_path=log_path)
+        entries = [json.loads(line) for line in log_path.read_text().splitlines()]
+        assert entries == result.log
+        steps = [e for e in entries if "loss" in e]
+        assert [e["step"] for e in steps] == [0, 23]
+        assert all(e["lr"] == 0.5 and e["examples_per_sec"] > 0 for e in steps)
+
+    def test_progress_steps_exact_under_thread_switches(self):
+        # more workers than cores and frequent switches: a lost update of the
+        # shared step counter would repeat or skip a step number
+        import sys
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            result = train_async(training_records(), self.cfg(num_workers=6, steps=300), num_nodes=30, log_every=1)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [e["step"] for e in result.log if "loss" in e] == list(range(300))
+
     def test_worker_failure_restarts_from_stream(self, monkeypatch):
         import walkembed.trainer as trainer_mod
 
@@ -498,11 +476,11 @@ class TestTrainAsync:
         real = trainer_mod.loss_and_grad
         calls = {"n": 0}
 
-        def flaky(table, batch, context=None):
+        def flaky(table, batch):
             calls["n"] += 1
             if calls["n"] == 3:
                 raise RuntimeError("injected fault")
-            return real(table, batch, context)
+            return real(table, batch)
 
         monkeypatch.setattr(trainer_mod, "loss_and_grad", flaky)
         result = train_async(records, self.cfg(steps=10), num_nodes=30)
@@ -512,7 +490,7 @@ class TestTrainAsync:
     def test_too_many_failures_raise(self, monkeypatch):
         import walkembed.trainer as trainer_mod
 
-        def always_fail(table, batch, context=None):
+        def always_fail(table, batch):
             raise RuntimeError("broken")
 
         monkeypatch.setattr(trainer_mod, "loss_and_grad", always_fail)
@@ -531,13 +509,13 @@ class TestTrainAsync:
         lock = threading.Lock()
         calls = {"n": 0}
 
-        def first_call_fails(table, batch, context=None):
+        def first_call_fails(table, batch):
             with lock:
                 calls["n"] += 1
                 first = calls["n"] == 1
             if first:
                 raise RuntimeError("broken worker")
-            return real(table, batch, context)
+            return real(table, batch)
 
         monkeypatch.setattr(trainer_mod, "loss_and_grad", first_call_fails)
         with pytest.raises(RuntimeError, match="broken worker"):
@@ -554,13 +532,13 @@ class TestTrainAsync:
         lock = threading.Lock()
         calls = {"n": 0}
 
-        def flaky(table, batch, context=None):
+        def flaky(table, batch):
             with lock:
                 calls["n"] += 1
                 fail = calls["n"] % 5 == 0
             if fail:
                 raise RuntimeError("injected fault")
-            return real(table, batch, context)
+            return real(table, batch)
 
         monkeypatch.setattr(trainer_mod, "loss_and_grad", flaky)
         cfg = self.cfg(num_workers=4, steps=40)
