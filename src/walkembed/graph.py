@@ -108,13 +108,16 @@ def _parse_edge_line(line: str, sep: str | None) -> tuple[int, int]:
 def _parse_lines(path: Path, sep: str | None) -> np.ndarray:
     """The per-line parser: the reference grammar, and the one source of ParseErrors."""
     raw: list[tuple[int, int]] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+    with path.open("rb") as fh:
+        # binary chunks end at LF; splitlines also ends a line at a lone CR, as text mode does
+        lines = (line for chunk in fh for line in chunk.splitlines())
+        for line_no, line in enumerate(lines, start=1):
             try:
-                raw.append(_parse_edge_line(line, sep))
+                line = line.decode("utf-8").strip()
+                if line and not line.startswith("#"):
+                    raw.append(_parse_edge_line(line, sep))
+            except UnicodeDecodeError:
+                raise ParseError(path, line_no, "not UTF-8") from None
             except ValueError as exc:
                 raise ParseError(path, line_no, str(exc)) from exc
     return np.asarray(raw, dtype=np.int64).reshape(-1, 2)

@@ -3,7 +3,9 @@
 One table serves both endpoint roles, as in HUGE. Loss is the standard
 logistic contrastive objective: positives maximize sigma(e_u . e_v) with a
 per-pair weight, uniform negatives minimize it, mean-reduced over all
-examples in a batch.
+examples in a batch. A batch groups each positive with its k negatives on
+one source row, so a step gathers that row once and sums its 1+k gradient
+contributions before the scatter: B * (2+k) scattered rows, not 2B * (1+k).
 """
 
 from __future__ import annotations
@@ -118,37 +120,41 @@ def _check_ids(ids: np.ndarray, num_nodes: int) -> None:
 
 
 def loss_and_grad(table: EmbeddingTable, batch) -> LossGrads:
-    """Weighted logistic loss and sparse gradients for one example batch.
+    """Weighted logistic loss and sparse gradients for one grouped batch.
 
-    batch provides src, dst, weight, positive arrays. Rows are gathered once
-    per unique id; the returned gradient touches only those rows. Loss is the
-    example mean, accumulated in float64.
+    batch provides src (P,), dst (P, 1+k) and weight (P,) as laid out by
+    trainer.ExampleBatch. Rows are gathered once per unique id; the returned
+    gradient touches only those rows. Loss is the mean over all P * (1+k)
+    examples, accumulated in float64.
     """
     src, dst = batch.src, batch.dst
     _check_ids(src, table.num_nodes)
     _check_ids(dst, table.num_nodes)
-    n = len(src)
+    p, width = dst.shape
+    n = p * width
     if n == 0:
         raise ValidationError("empty batch")
     dtype = table.values.dtype
-    w = np.where(batch.positive, batch.weight, 1.0).astype(dtype)
+    w = np.ones((p, width), dtype=dtype)
+    w[:, 0] = batch.weight
+    sign = np.where(np.arange(width) == 0, 1.0, -1.0).astype(dtype)
 
-    uids, inv = np.unique(np.concatenate([src, dst]), return_inverse=True)
+    uids, inv = np.unique(np.concatenate([src, dst.ravel()]), return_inverse=True)
     rows = table.values[uids]
-    e_src, e_dst = rows[inv[:n]], rows[inv[n:]]
+    e_src, e_dst = rows[inv[:p]], rows[inv[p:]].reshape(p, width, -1)
 
-    scores = np.einsum("ij,ij->i", e_src, e_dst)
-    sign = np.where(batch.positive, 1.0, -1.0).astype(dtype)
+    scores = np.einsum("pd,pwd->pw", e_src, e_dst)
     per_example = w * np.logaddexp(0.0, -sign * scores)
     loss = float(np.sum(per_example, dtype=np.float64) / n)
     if not np.isfinite(loss):
-        bad = int(src[~np.isfinite(per_example)][0]) if np.any(~np.isfinite(per_example)) else -1
-        raise NumericError(f"non-finite loss; first offending source row {bad}")
+        bad = src[~np.all(np.isfinite(per_example), axis=1)]
+        raise NumericError(f"non-finite loss; first offending source row {bad[0] if len(bad) else -1}")
 
     # d(loss)/d(score): positives w*(sigma-1)/n, negatives sigma/n
     coef = (w * sign * (_sigmoid(sign * scores) - 1.0) / n).astype(dtype)
     acc = np.zeros_like(rows)
-    _add_rows_at(acc, inv, np.concatenate([coef[:, None] * e_dst, coef[:, None] * e_src]))
+    _add_rows_at(acc, inv[:p], np.einsum("pw,pwd->pd", coef, e_dst))
+    _add_rows_at(acc, inv[p:], (coef[:, :, None] * e_src[:, None, :]).reshape(n, -1))
     return LossGrads(loss, SparseGrad(uids, acc))
 
 

@@ -118,15 +118,17 @@ def _optimizer_from_dict(d: dict) -> WarmupDecaySchedule | FixedSgd:
 
 @dataclass
 class ExampleBatch:
-    """Positives and their trailing negatives, flattened in emission order."""
+    """P positives, each grouped with its k negatives on the same source row.
 
-    src: np.ndarray
-    dst: np.ndarray
-    weight: np.ndarray
-    positive: np.ndarray
+    dst[:, 0] holds the positives, weighted by weight; dst[:, 1:] holds the
+    negatives, weight 1. len() is the example count P * (1+k)."""
+
+    src: np.ndarray  # (P,)
+    dst: np.ndarray  # (P, 1+k)
+    weight: np.ndarray  # (P,)
 
     def __len__(self) -> int:
-        return len(self.src)
+        return self.dst.size
 
 
 def prepare_positives(
@@ -202,28 +204,14 @@ class RecordStream:
 def build_batch(
     stream: RecordStream, cfg: TrainConfig, rng: np.random.Generator, num_nodes: int
 ) -> ExampleBatch:
-    """One micro-batch: B positives, each followed by its uniform negatives.
+    """One micro-batch: B positives, each grouped with its uniform negatives.
 
     Negative destinations are drawn uniformly from the whole vocabulary with
     no rejection, so a negative may coincide with a true edge.
     """
-    b = cfg.per_replica_batch_size
-    k = cfg.negatives_per_positive
-    idx = stream.take(b)
-    src_p, dst_p, w_p = stream.src[idx], stream.dst[idx], stream.weight[idx]
-    width = 1 + k
-    src = np.repeat(src_p, width)
-    dst = np.empty(b * width, dtype=np.int64)
-    weight = np.ones(b * width, dtype=np.float32)
-    positive = np.zeros(b * width, dtype=bool)
-    dst[::width] = dst_p
-    weight[::width] = w_p
-    positive[::width] = True
-    if k:
-        negs = rng.integers(0, num_nodes, size=b * k, dtype=np.int64)
-        mask = ~positive
-        dst[mask] = negs
-    return ExampleBatch(src, dst, weight, positive)
+    idx = stream.take(cfg.per_replica_batch_size)
+    negs = rng.integers(0, num_nodes, size=(len(idx), cfg.negatives_per_positive), dtype=np.int64)
+    return ExampleBatch(stream.src[idx], np.column_stack([stream.dst[idx], negs]), stream.weight[idx])
 
 
 @dataclass
@@ -263,13 +251,16 @@ class _Progress:
 
 
 def _setup(
-    mode: str, records: RecordBatch | str | Path, cfg: TrainConfig, table: EmbeddingTable | None, num_nodes: int | None
+    mode: str, records: RecordBatch | str | Path, cfg: TrainConfig, table: EmbeddingTable | None,
+    num_nodes: int | None, log_every: int,
 ) -> tuple[EmbeddingTable, tuple[np.ndarray, np.ndarray, np.ndarray], list[dict]]:
     """Set-up shared by both modes: the table (seeded float32 init when none
     is given, sized by num_nodes or else by the largest record id), the
     filtered positives, and a log opened by the config event."""
     if cfg.mode != mode:
         raise ValidationError(f"train_{mode} requires cfg.mode == {mode!r}")
+    if log_every < 1:
+        raise ValidationError(f"log_every must be >= 1, got {log_every}")
     if not isinstance(records, RecordBatch):
         records, _ = load_all_records(records)
     if table is None:
@@ -306,7 +297,7 @@ def _lane(
         try:
             parts = [build_batch(stream, cfg, neg_rng, table.num_nodes) for _ in range(replicas)]
             batch = ExampleBatch(
-                *(np.concatenate([getattr(b, f) for b in parts]) for f in ("src", "dst", "weight", "positive"))
+                *(np.concatenate([getattr(b, f) for b in parts]) for f in ("src", "dst", "weight"))
             )
             out = loss_and_grad(table, batch)
             # lanes share the table with no lock: a read-modify-write may race (by contract)
@@ -355,7 +346,7 @@ def train_sync(
     concatenation, which equals the mean of the R per-replica gradients. Any
     failure is raised at once.
     """
-    table, (src, dst, w), log = _setup("sync", records, cfg, table, num_nodes)
+    table, (src, dst, w), log = _setup("sync", records, cfg, table, num_nodes, log_every)
     stream = RecordStream(src, dst, w, derive_seed(cfg.seed, "stream"))
     neg_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xB0)))
     progress = _Progress(log, cfg, log_every)
@@ -381,7 +372,7 @@ def train_async(
     worker stops and the failure is raised here, so a run that returns has
     applied its whole budget.
     """
-    table, (src, dst, w), log = _setup("async", records, cfg, table, num_nodes)
+    table, (src, dst, w), log = _setup("async", records, cfg, table, num_nodes, log_every)
     workers = cfg.num_workers
     # stripe records across workers; each worker shuffles its own stripe
     streams = [

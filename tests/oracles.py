@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive: explicit trajectory enumeration,
 quadratic nearest-neighbor search, exhaustive pair scans, central finite
-differences, and a per-line edge-list parser with sort-based graph building.
-None of it shares code with the implementations under test.
+differences, a per-example skip-gram loss, and a per-line edge-list parser
+with sort-based graph building. None of it shares code with the
+implementations under test.
 """
 
 import math
@@ -102,6 +103,28 @@ def finite_difference_grad(loss_fn, values: np.ndarray, eps: float = 1e-6) -> np
     return grad
 
 
+def loss_and_grad_reference(values: np.ndarray, src, dst, weight, positive) -> tuple[float, np.ndarray]:
+    """Loss and dense gradient of the flat layout, one example at a time.
+
+    Example i scores values[src[i]] . values[dst[i]]; a positive (positive[i])
+    adds weight[i] * log(1 + exp(-score)), a negative log(1 + exp(score)).
+    The loss is the mean over all examples, in float64 Python scalars.
+    """
+    n = len(src)
+    grad = np.zeros(values.shape, dtype=np.float64)
+    loss = 0.0
+    for u, v, w, pos in zip(src, dst, weight, positive):
+        eu, ev = values[u].astype(np.float64), values[v].astype(np.float64)
+        score = float(eu @ ev)
+        sign, w = (1.0, float(w)) if pos else (-1.0, 1.0)
+        loss += w * math.log1p(math.exp(-sign * score))
+        # d/d(score) of w * log(1 + exp(-sign * score)) is -w * sign * sigma(-sign * score)
+        coef = -w * sign / (1.0 + math.exp(sign * score)) / n
+        grad[u] += coef * ev
+        grad[v] += coef * eu
+    return loss / n, grad
+
+
 def validate_graph(g) -> None:
     """Assert the CSR invariants: spanning monotone offsets, in-range sorted
     duplicate-free neighbor lists, no self-loops, symmetric adjacency."""
@@ -153,25 +176,30 @@ def from_edges_reference(edges, num_nodes: int, external_ids=None) -> Graph:
 
 def load_edge_list_reference(path, format: str = "tsv") -> Graph:
     """One int() per token, line by line, then an np.unique plus searchsorted
-    remap and from_edges_reference. Raises ParseError at the first line that is
-    not a comment, blank, or two leading int64 ids."""
+    remap and from_edges_reference. Lines end at LF, CRLF or a lone CR, and
+    each is decoded as UTF-8 on its own. Raises ParseError at the first line
+    that is not UTF-8, a comment, blank, or two leading int64 ids."""
     sep = "," if format == "csv" else None
     raw = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p for p in (line.split(sep) if sep else line.split()) if p]
-            try:
-                if len(parts) < 2:
-                    raise ValueError("expected at least two integer node ids")
-                ids = int(parts[0]), int(parts[1])
-                if not all(-(2**63) <= i < 2**63 for i in ids):
-                    raise ValueError("node id outside the int64 range")
-            except ValueError as exc:
-                raise ParseError(path, line_no, str(exc)) from exc
-            raw.append(ids)
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for line_no, line in enumerate(lines, start=1):
+        try:
+            line = line.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            raise ParseError(path, line_no, "not UTF-8") from None
+        if not line or line.startswith("#"):
+            continue
+        parts = [p for p in (line.split(sep) if sep else line.split()) if p]
+        try:
+            if len(parts) < 2:
+                raise ValueError("expected at least two integer node ids")
+            ids = int(parts[0]), int(parts[1])
+            if not all(-(2**63) <= i < 2**63 for i in ids):
+                raise ValueError("node id outside the int64 range")
+        except ValueError as exc:
+            raise ParseError(path, line_no, str(exc)) from exc
+        raw.append(ids)
     if not raw:
         raise EmptyGraphError(f"{path} contains no edges")
     arr = np.asarray(raw, dtype=np.int64)

@@ -159,12 +159,12 @@ def test_criterion_3_gradient_correctness():
     for _ in range(100):
         n = int(rng.integers(3, 21))
         d = int(rng.integers(2, 17))
-        m = int(rng.integers(1, 10))
+        p = int(rng.integers(1, 6))
+        k = int(rng.integers(0, 4))
         batch = ExampleBatch(
-            rng.integers(0, n, m),
-            rng.integers(0, n, m),
-            rng.uniform(0.5, 4.0, m).astype(np.float32),
-            rng.random(m) < 0.5,
+            rng.integers(0, n, p),
+            rng.integers(0, n, (p, 1 + k)),
+            rng.uniform(0.5, 4.0, p).astype(np.float32),
         )
         values = rng.normal(0.0, 0.4, (n, d))
         out = loss_and_grad(EmbeddingTable(values.copy()), batch)

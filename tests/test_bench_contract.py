@@ -92,3 +92,21 @@ def test_train_sync_steps_on_the_calling_thread(monkeypatch):
     cfg = TrainConfig(dim=4, per_replica_batch_size=4, num_replicas=2, steps=3, optimizer=FixedSgd(0.1))
     trainer.train_sync(records, cfg, num_nodes=20)
     assert threads == {threading.get_ident()}
+
+
+def test_train_sync_passes_the_global_example_count(monkeypatch):
+    # the tracer's model.loss_and_grad_examples_per_s counts len(batch), the
+    # second argument of each loss_and_grad call
+    sizes = []
+    real = trainer.loss_and_grad
+
+    def spy(table, batch):
+        sizes.append((len(batch), tracing._batch_examples((table, batch), {}, None)))
+        return real(table, batch)
+
+    monkeypatch.setattr(trainer, "loss_and_grad", spy)
+    records = RecordBatch(np.arange(20), (np.arange(20) + 1) % 20, np.ones((20, 2), dtype=np.int64))
+    cfg = TrainConfig(dim=4, per_replica_batch_size=4, negatives_per_positive=3, num_replicas=2, steps=3,
+                      optimizer=FixedSgd(0.1))
+    trainer.train_sync(records, cfg, num_nodes=20)
+    assert sizes == [(cfg.global_batch_examples,) * 2] * 3

@@ -126,6 +126,13 @@ class TestPruneSampleTrainEval:
         assert f"{edges}:2:" in capsys.readouterr().err
         assert not (tmp_path / "o.csr").exists()
 
+    def test_prune_not_utf8_exit_1(self, tmp_path, capsys):
+        edges = tmp_path / "g.tsv"
+        edges.write_bytes(b"0 1\n\xff 2\n")
+        assert run("prune", "--graph", edges, "--out", tmp_path / "o.csr") == 1
+        assert f"{edges}:2: not UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "o.csr").exists()
+
     def test_missing_graph_exit_3(self, tmp_path):
         assert run("prune", "--graph", tmp_path / "nope.csr", "--out", tmp_path / "o") == 3
 

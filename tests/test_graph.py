@@ -69,6 +69,17 @@ class TestLoadEdgeList:
             load_edge_list(write(tmp_path, text), format=fmt)
         assert exc.value.line_no == line_no
 
+    @pytest.mark.parametrize(
+        "data, line_no",
+        [(b"0 1\n\xff 2\n", 2), (b"# \xe9t\xe9\r\n0 1\n", 1), (b"0 1\r2 3\r4 \xc3\n", 3)],
+    )
+    def test_not_utf8_reports_number(self, tmp_path, data, line_no):
+        path = tmp_path / "g.tsv"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match="not UTF-8") as exc:
+            load_edge_list(path)
+        assert exc.value.line_no == line_no
+
     def test_int64_extremes_accepted(self, tmp_path):
         g = load_edge_list(write(tmp_path, "-9223372036854775808 9223372036854775807\n"))
         assert g.external_ids.tolist() == [-(2**63), 2**63 - 1]

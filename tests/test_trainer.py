@@ -81,11 +81,10 @@ class TestBuildBatch:
         stream = make_stream(records, cfg)
         batch = build_batch(stream, cfg, np.random.default_rng(0), num_nodes=10)
         assert len(batch) == 4
-        assert batch.positive.tolist() == [True, False, False, False]
-        assert batch.src.tolist() == [0, 0, 0, 0]  # negatives replicate the source
-        assert batch.dst[0] == 1
-        assert batch.weight[0] == pytest.approx(2.0)  # 2 * distance_weighting[0]
-        assert np.all(batch.weight[1:] == 1.0)
+        assert batch.src.tolist() == [0]  # one source row for the positive and its negatives
+        assert batch.dst.shape == (1, 4)
+        assert batch.dst[0, 0] == 1
+        assert batch.weight.tolist() == [pytest.approx(2.0)]  # 2 * distance_weighting[0]
 
     def test_distance_weighting_applied(self):
         cfg = TrainConfig(
@@ -107,6 +106,24 @@ class TestBuildBatch:
         stream = make_stream(records, cfg)
         batch = build_batch(stream, cfg, np.random.default_rng(1), num_nodes=3)
         assert len(batch) == 131_072
+        assert batch.src.shape == batch.weight.shape == (4096,)
+        assert batch.dst.shape == (4096, 32)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_stream_records_and_negative_draw_order(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        b, k, n = int(rng.integers(1, 40)), int(rng.integers(0, 6)), int(rng.integers(2, 50))
+        cfg = TrainConfig(dim=4, per_replica_batch_size=b, negatives_per_positive=k, steps=1)
+        records = make_records([(i, (i + 1) % n, [1 + i % 3, 0, 0]) for i in range(n)])
+        stream, twin = make_stream(records, cfg, seed), make_stream(records, cfg, seed)
+        for _ in range(3):  # across epoch boundaries for the smaller streams
+            batch = build_batch(stream, cfg, np.random.default_rng(seed), num_nodes=n)
+            idx = twin.take(b)
+            assert np.array_equal(batch.src, twin.src[idx])
+            assert np.array_equal(batch.dst[:, 0], twin.dst[idx])
+            assert np.array_equal(batch.weight, twin.weight[idx])
+            want = np.random.default_rng(seed).integers(0, n, size=b * k, dtype=np.int64)
+            assert np.array_equal(batch.dst[:, 1:].ravel(), want)
 
     def test_negatives_uniform_over_vocabulary(self):
         cfg = TrainConfig(dim=4, per_replica_batch_size=1000, negatives_per_positive=10, steps=1)
@@ -116,7 +133,7 @@ class TestBuildBatch:
         counts = np.zeros(100, dtype=np.int64)
         for _ in range(100):
             batch = build_batch(stream, cfg, rng, num_nodes=100)
-            counts += np.bincount(batch.dst[~batch.positive], minlength=100)
+            counts += np.bincount(batch.dst[:, 1:].ravel(), minlength=100)
         total = int(counts.sum())
         assert total == 1_000_000
         for c in counts:
@@ -159,96 +176,149 @@ def zero_table(n, d, dtype=np.float64):
     return EmbeddingTable(np.zeros((n, d), dtype=dtype))
 
 
-def batch_of(src, dst, weight, positive):
-    return ExampleBatch(
-        np.asarray(src, dtype=np.int64),
-        np.asarray(dst, dtype=np.int64),
-        np.asarray(weight, dtype=np.float32),
-        np.asarray(positive, dtype=bool),
+def batch_of(src, dst, weight):
+    """A grouped batch; dst has one row of 1+k ids per source."""
+    src = np.asarray(src, dtype=np.int64)
+    return ExampleBatch(src, np.asarray(dst, dtype=np.int64).reshape(len(src), -1), np.asarray(weight, dtype=np.float32))
+
+
+def random_batch(rng, n, max_p, max_k):
+    """P in [1, max_p] sources over n ids, each with 1 + k destinations, k in [0, max_k]."""
+    p, k = int(rng.integers(1, max_p + 1)), int(rng.integers(0, max_k + 1))
+    return batch_of(rng.integers(0, n, p), rng.integers(0, n, (p, 1 + k)), rng.uniform(0.5, 3.0, p))
+
+
+def concat(parts):
+    """Replica parts joined along axis 0, as a training step joins them."""
+    return ExampleBatch(*(np.concatenate([getattr(b, f) for b in parts]) for f in ("src", "dst", "weight")))
+
+
+def flat_reference(values, batch):
+    """oracles.loss_and_grad_reference on the flat layout of a grouped batch."""
+    p, width = batch.dst.shape
+    first = np.arange(width) == 0
+    return oracles.loss_and_grad_reference(
+        values,
+        np.repeat(batch.src, width),
+        batch.dst.ravel(),
+        np.where(first, batch.weight[:, None], 1.0).ravel(),
+        np.tile(first, p),
     )
+
+
+def dense_grad(out, values):
+    dense = np.zeros_like(values)
+    dense[out.main.ids] = out.main.values
+    return dense
 
 
 class TestLossAndGrad:
     def test_zero_embedding_identity(self):
-        out = loss_and_grad(zero_table(2, 4), batch_of([0], [1], [1.0], [True]))
+        out = loss_and_grad(zero_table(2, 4), batch_of([0], [1], [1.0]))
         assert out.loss == pytest.approx(np.log(2.0), rel=1e-12)
 
     def test_pos_plus_neg_mean_reduction(self):
-        out = loss_and_grad(
-            zero_table(2, 4), batch_of([0, 0], [1, 1], [1.0, 1.0], [True, False])
-        )
+        out = loss_and_grad(zero_table(2, 4), batch_of([0], [[1, 1]], [1.0]))
         assert out.loss == pytest.approx(np.log(2.0), rel=1e-12)
 
     def test_weighted_positive_scales_loss(self):
-        out = loss_and_grad(zero_table(2, 4), batch_of([0], [1], [3.0], [True]))
+        out = loss_and_grad(zero_table(2, 4), batch_of([0], [1], [3.0]))
         assert out.loss == pytest.approx(3 * np.log(2.0), rel=1e-12)
+
+    def test_len_counts_examples(self):
+        assert len(batch_of([0, 1, 2], np.zeros((3, 5)), np.ones(3))) == 15
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(17)
         for _ in range(20):
             n, d = int(rng.integers(3, 20)), int(rng.integers(2, 16))
-            m = int(rng.integers(1, 12))
-            batch = batch_of(
-                rng.integers(0, n, m),
-                rng.integers(0, n, m),
-                rng.uniform(0.5, 3.0, m),
-                rng.random(m) < 0.5,
-            )
+            batch = random_batch(rng, n, max_p=5, max_k=3)
             values = rng.normal(0, 0.3, (n, d))
             out = loss_and_grad(EmbeddingTable(values.copy()), batch)
-            dense = np.zeros_like(values)
-            dense[out.main.ids] = out.main.values
             fd = oracles.finite_difference_grad(
                 lambda v: loss_and_grad(EmbeddingTable(v), batch).loss, values.copy()
             )
-            rel = np.linalg.norm(dense - fd) / max(np.linalg.norm(fd), 1e-12)
+            rel = np.linalg.norm(dense_grad(out, values) - fd) / max(np.linalg.norm(fd), 1e-12)
             assert rel < 1e-4
 
+    @pytest.mark.parametrize("k", [0, 1, 3, 7])
+    def test_grouped_equals_flat_reference(self, k):
+        # float64 tables; sources repeat across rows (n is small) and the
+        # batch is R parts concatenated like a training step's
+        rng = np.random.default_rng(40 + k)
+        for _ in range(10):
+            n, d = int(rng.integers(2, 12)), int(rng.integers(1, 9))
+            parts = [
+                batch_of(rng.integers(0, n, p), rng.integers(0, n, (p, 1 + k)), rng.uniform(0.5, 3.0, p))
+                for p in rng.integers(1, 9, size=int(rng.integers(1, 4)))
+            ]
+            batch = concat(parts)
+            values = rng.normal(0, 0.5, (n, d))
+            out = loss_and_grad(EmbeddingTable(values), batch)
+            loss, grad = flat_reference(values, batch)
+            assert out.loss == pytest.approx(loss, rel=1e-12)
+            # rtol 1e-12 of each entry, with the summation-order floor of
+            # entries that cancel set at 1e-12 of the largest entry
+            np.testing.assert_allclose(dense_grad(out, values), grad, rtol=1e-12, atol=1e-12 * np.abs(grad).max())
+            touched = np.unique(np.concatenate([batch.src, batch.dst.ravel()]))
+            assert np.array_equal(out.main.ids, touched)
+
     def test_scatter_bitwise_equals_2d_add_at(self):
-        # 4000 examples over 12 ids: every row receives hundreds of additions
+        # 1000 sources with 1+3 destinations over 12 ids: every row receives
+        # hundreds of additions on both sides
         rng = np.random.default_rng(8)
-        n, d, m = 12, 16, 4000
-        batch = batch_of(
-            rng.integers(0, n, m), rng.integers(0, n, m), rng.uniform(0.5, 2, m), rng.random(m) < 0.3
-        )
+        n, d, p, width = 12, 16, 1000, 4
+        batch = batch_of(rng.integers(0, n, p), rng.integers(0, n, (p, width)), rng.uniform(0.5, 2, p))
         main = rng.normal(0, 0.5, (n, d)).astype(np.float32)
         out = loss_and_grad(EmbeddingTable(main), batch)
 
-        # the gradient scattered row by row with the 2-D np.add.at
-        w = np.where(batch.positive, batch.weight, 1.0).astype(np.float32)
-        sign = np.where(batch.positive, 1.0, -1.0).astype(np.float32)
-        uids, inv = np.unique(np.concatenate([batch.src, batch.dst]), return_inverse=True)
-        iu, iv = inv[:m], inv[m:]
-        e_src, e_dst = main[uids][iu], main[uids][iv]
-        scores = np.einsum("ij,ij->i", e_src, e_dst)
+        # the grouped contributions scattered row by row with the 2-D np.add.at
+        m = p * width
+        w = np.ones((p, width), dtype=np.float32)
+        w[:, 0] = batch.weight
+        sign = np.array([1.0] + [-1.0] * (width - 1), dtype=np.float32)
+        uids, inv = np.unique(np.concatenate([batch.src, batch.dst.ravel()]), return_inverse=True)
+        iu, iv = inv[:p], inv[p:]
+        e_src, e_dst = main[uids][iu], main[uids][iv].reshape(p, width, d)
+        scores = np.einsum("pd,pwd->pw", e_src, e_dst)
         coef = (w * sign * (np.exp(-np.logaddexp(0.0, -sign * scores)) - 1.0) / m).astype(np.float32)
         acc = np.zeros((len(uids), d), dtype=np.float32)
-        np.add.at(acc, iu, coef[:, None] * e_dst)
-        np.add.at(acc, iv, coef[:, None] * e_src)
+        np.add.at(acc, iu, np.einsum("pw,pwd->pd", coef, e_dst))
+        np.add.at(acc, iv, (coef[:, :, None] * e_src[:, None, :]).reshape(m, d))
         assert np.array_equal(out.main.values, acc)
 
     def test_grad_only_touches_batch_rows(self):
         rng = np.random.default_rng(1)
         table = EmbeddingTable(rng.normal(size=(10, 4)))
-        out = loss_and_grad(table, batch_of([2, 3], [3, 5], [1, 1], [True, False]))
+        out = loss_and_grad(table, batch_of([2, 3], [[3, 5], [2, 3]], [1, 1]))
         assert out.main.ids.tolist() == [2, 3, 5]
 
     def test_id_out_of_range(self):
         with pytest.raises(IndexError):
-            loss_and_grad(zero_table(2, 4), batch_of([0], [2], [1.0], [True]))
+            loss_and_grad(zero_table(2, 4), batch_of([0], [2], [1.0]))
         with pytest.raises(IndexError):
-            loss_and_grad(zero_table(2, 4), batch_of([-1], [0], [1.0], [True]))
+            loss_and_grad(zero_table(2, 4), batch_of([-1], [0], [1.0]))
+        with pytest.raises(IndexError, match="node id 7"):
+            loss_and_grad(zero_table(2, 4), batch_of([0, 1], [[1, 0], [0, 7]], [1.0, 1.0]))
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValidationError, match="empty batch"):
+            empty = np.zeros(0, dtype=np.int64)
+            loss_and_grad(zero_table(2, 4), ExampleBatch(empty, empty.reshape(0, 4), empty.astype(np.float32)))
 
     def test_non_finite_loss_names_row(self):
         table = zero_table(3, 4)
         table.values[1] = np.inf
         table.values[2] = -1.0  # score -> -inf, positive loss -> +inf
         with pytest.raises(NumericError, match="source row 1"):
-            loss_and_grad(table, batch_of([1], [2], [1.0], [True]))
+            loss_and_grad(table, batch_of([1], [2], [1.0]))
+        # a negative's loss names the source of its row
+        with pytest.raises(NumericError, match="source row 1"):
+            loss_and_grad(table, batch_of([2, 1], [[2, 2], [1, 1]], [1.0, 1.0]))
 
     def test_non_finite_gradient_blocked_at_apply(self):
         table = zero_table(3, 4)
-        grad = loss_and_grad(table, batch_of([0], [1], [1.0], [True])).main
+        grad = loss_and_grad(table, batch_of([0], [1], [1.0])).main
         grad.values[0, 0] = np.nan
         with pytest.raises(NumericError, match="row 0"):
             grad.apply(table, 0.1)
@@ -299,14 +369,9 @@ class TestTrainSync:
         # R-times-repeated batch under mean reduction
         rng = np.random.default_rng(2)
         table = EmbeddingTable(rng.normal(size=(12, 6)))
-        batch = batch_of(
-            rng.integers(0, 12, 10), rng.integers(0, 12, 10), rng.uniform(1, 2, 10), rng.random(10) < 0.5
-        )
+        batch = random_batch(rng, 12, max_p=6, max_k=3)
         single = loss_and_grad(table, batch)
-        rep = ExampleBatch(
-            np.tile(batch.src, 4), np.tile(batch.dst, 4), np.tile(batch.weight, 4), np.tile(batch.positive, 4)
-        )
-        big = loss_and_grad(table, rep)
+        big = loss_and_grad(table, concat([batch] * 4))
         assert np.array_equal(single.main.ids, big.main.ids)
         np.testing.assert_allclose(single.main.values, big.main.values, rtol=1e-12)
         assert single.loss == pytest.approx(big.loss, rel=1e-12)
@@ -398,6 +463,14 @@ class TestTrainSync:
         steps = [e for e in entries if "loss" in e]
         assert {"step", "lr", "loss", "examples_per_sec"} <= set(steps[0])
 
+    @pytest.mark.parametrize("log_every", [0, -5])
+    def test_log_every_below_one_rejected_before_any_step(self, log_every):
+        table = init_table(30, 8, seed=1)
+        before = table.values.copy()
+        with pytest.raises(ValidationError, match="log_every"):
+            train_sync(training_records(), self.cfg(), table=table, log_every=log_every)
+        assert np.array_equal(table.values, before)
+
     def test_progress_at_first_every_and_last_step(self):
         result = train_sync(training_records(), self.cfg(steps=12), num_nodes=30, log_every=5)
         entries = [e for e in result.log if "loss" in e]
@@ -455,6 +528,14 @@ class TestTrainAsync:
         steps = [e for e in entries if "loss" in e]
         assert [e["step"] for e in steps] == [0, 23]
         assert all(e["lr"] == 0.5 and e["examples_per_sec"] > 0 for e in steps)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_log_every_below_one_rejected_before_any_step(self, workers):
+        table = init_table(30, 8, seed=1)
+        before = table.values.copy()
+        with pytest.raises(ValidationError, match="log_every"):
+            train_async(training_records(), self.cfg(num_workers=workers), table=table, log_every=0)
+        assert np.array_equal(table.values, before)
 
     def test_progress_steps_exact_under_thread_switches(self):
         # more workers than cores and frequent switches: a lost update of the
