@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the config key check."""
+"""Exception types shared across the package, and the config and file checks."""
 
+import os
 from dataclasses import fields, is_dataclass
 
 
@@ -18,6 +19,14 @@ def check_keys(section: str, d: dict, allowed) -> None:
     unknown = sorted(set(d) - names)
     if unknown:
         raise ValidationError(f"unknown {section} config key(s): {', '.join(map(repr, unknown))}")
+
+
+def check_file_size(path, fh, expected: int) -> None:
+    """Raise ValidationError naming path unless the open binary file fh holds
+    exactly the expected number of bytes, as its header implies."""
+    size = os.fstat(fh.fileno()).st_size
+    if size != expected:
+        raise ValidationError(f"{path}: {size} bytes, but its header implies {expected}")
 
 
 class ParseError(ValidationError):

@@ -2,20 +2,22 @@
 
 Node ids are dense 0-based ints. Ingested external ids are remapped in
 ascending order and the mapping kept so results can be reported in the
-caller's id space. Edge lists are parsed with array operations over the
-whole file, or line by line when some line is outside the subset the array
-parser reads; both parsers accept the same inputs and yield the same ids.
+caller's id space. An edge list is parsed by one np.loadtxt call over the
+whole file; only a file that call rejects is parsed line by line, to name
+its first bad line.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyGraphError, ParseError, ValidationError
+from .errors import EmptyGraphError, ParseError, ValidationError, check_file_size
 
 _CSR_MAGIC = b"WECSR01\n"
 
@@ -91,158 +93,63 @@ def from_edges(edges: np.ndarray, num_nodes: int, external_ids: np.ndarray | Non
     return Graph(num_nodes, len(dst) // 2, offsets, dst, external_ids)
 
 
-_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+def _check_format(format: str) -> None:
+    if format not in ("tsv", "csv"):
+        raise ValidationError(f"unknown edge-list format {format!r}")
 
 
-def _parse_edge_line(line: str, sep: str | None) -> tuple[int, int]:
-    parts = line.split(sep) if sep else line.split()
-    parts = [p for p in parts if p]
-    if len(parts) < 2:
-        raise ValueError("expected at least two integer node ids")
-    ids = int(parts[0]), int(parts[1])  # optional weight column ignored
-    if not all(_INT64_MIN <= i <= _INT64_MAX for i in ids):
-        raise ValueError("node id outside the int64 range")
-    return ids
+def _read_ids(text: str, format: str) -> np.ndarray:
+    """The first two ids of every data line of text as an (m, 2) int64 array."""
+    if format == "csv":
+        text = text.replace(",", " ")
+    with warnings.catch_warnings():  # a text without data lines yields an empty array
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        # newline=None also ends a line at a lone CR, as bytes.splitlines does below
+        return np.loadtxt(io.StringIO(text, newline=None), dtype=np.int64, comments="#", usecols=(0, 1), ndmin=2)
 
 
-def _parse_lines(path: Path, sep: str | None) -> np.ndarray:
-    """The per-line parser: the reference grammar, and the one source of ParseErrors."""
-    raw: list[tuple[int, int]] = []
-    with path.open("rb") as fh:
-        # binary chunks end at LF; splitlines also ends a line at a lone CR, as text mode does
-        lines = (line for chunk in fh for line in chunk.splitlines())
-        for line_no, line in enumerate(lines, start=1):
+def _read_edge_list(path: Path, format: str) -> np.ndarray:
+    """The ids of every data line of the file, or ParseError at the first bad line.
+
+    The whole file is parsed in one call; only when that fails is each line
+    parsed on its own to find the first bad one.
+    """
+    data = path.read_bytes()
+    try:
+        return _read_ids(data.decode("utf-8"), format)
+    except ValueError:  # UnicodeDecodeError included
+        for line_no, line in enumerate(data.splitlines(), start=1):
             try:
-                line = line.decode("utf-8").strip()
-                if line and not line.startswith("#"):
-                    raw.append(_parse_edge_line(line, sep))
+                _read_ids(line.decode("utf-8"), format)
             except UnicodeDecodeError:
                 raise ParseError(path, line_no, "not UTF-8") from None
             except ValueError as exc:
-                raise ParseError(path, line_no, str(exc)) from exc
-    return np.asarray(raw, dtype=np.int64).reshape(-1, 2)
-
-
-# Outside comment lines the bulk parser reads only ids and numeric columns:
-# blanks, digits, signs, '.', 'e', 'E' and commas.
-_BLANK = np.isin(np.arange(256), [9, 32])
-_DIGIT = np.isin(np.arange(256), np.arange(48, 58))
-_NUMERIC = np.isin(np.arange(256), [9, 10, 32, *b"0123456789+-.,eE"])
-_NEWLINE, _HASH, _MINUS, _COMMA = 10, 35, 45, 44
-_MAX_DIGITS = 18  # every id of up to 18 digits fits int64
-
-
-def _skip(buf: np.ndarray, pos: np.ndarray, cls: np.ndarray) -> np.ndarray:
-    """Each position moved past the run of bytes of class cls that starts there."""
-    pos = pos.copy()
-    idx = np.flatnonzero(cls[buf[pos]])
-    while len(idx):
-        pos[idx] += 1
-        idx = idx[cls[buf[pos[idx]]]]
-    return pos
-
-
-def _parse_ids(buf: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The ids `-?[0-9]{1,18}` that start at pos, and the positions after them.
-
-    None if some token has no digits or more than _MAX_DIGITS of them.
-    """
-    neg = buf[pos] == _MINUS
-    pos = pos + neg
-    digit = buf[pos] - np.uint8(48)  # bytes below '0' wrap past 9
-    live = digit < 10
-    if not live.all():
-        return None
-    val = np.zeros(len(pos), dtype=np.int64)
-    for _ in range(_MAX_DIGITS):
-        np.multiply(val, 10, out=val, where=live)
-        np.add(val, digit, out=val, where=live)
-        pos += live
-        np.subtract(buf[pos], np.uint8(48), out=digit)
-        live &= digit < 10
-        if not live.any():
-            return np.where(neg, -val, val), pos
-    return None
-
-
-def _parse_bulk(data: bytes, sep: str | None) -> np.ndarray | None:
-    """The ids of every data line as an (m, 2) int64 array, in file order.
-
-    Reads a subset of the per-line grammar with array operations over the
-    whole file. Lines end in LF or CRLF. Blank and comment lines may be
-    indented by spaces and tabs. A tsv data line is `-?digits blanks
-    -?digits`, then a blank or the line end; a csv one is `-?digits blanks* ,
-    blanks* -?digits blanks*`, then a comma or the line end. Blanks are spaces
-    and tabs, and ids have at most 18 digits. Further columns are ignored, as
-    the per-line parser ignores them, but must be numeric (see _NUMERIC).
-    Returns None when any line is outside this subset, and for any file that
-    is not ASCII or holds a lone CR, which also ends a line when read as text.
-    """
-    data = data.replace(b"\r\n", b"\n")
-    if b"\r" in data or not data.isascii():
-        return None
-    if not data.endswith(b"\n"):
-        data += b"\n"
-    buf = np.frombuffer(data, dtype=np.uint8)
-    ends = np.flatnonzero(buf == _NEWLINE)
-    first = _skip(buf, np.concatenate([[0], ends[:-1] + 1]), _BLANK)
-    lead = buf[first]
-    comment = lead == _HASH
-    if not comment[np.searchsorted(ends, np.flatnonzero(~_NUMERIC[buf]))].all():
-        return None
-    parsed = _parse_ids(buf, first[(lead != _NEWLINE) & ~comment])
-    if parsed is None:
-        return None
-    u, end = parsed
-    gap = _skip(buf, end, _BLANK)
-    if sep:
-        if not (buf[gap] == _COMMA).all():
-            return None
-        gap = _skip(buf, gap + 1, _BLANK)
-    elif not (gap > end).all():
-        return None
-    parsed = _parse_ids(buf, gap)
-    if parsed is None:
-        return None
-    v, end = parsed
-    if sep:
-        after = buf[_skip(buf, end, _BLANK)]
-        ends_field = (after == _COMMA) | (after == _NEWLINE)
-    else:
-        after = buf[end]
-        ends_field = _BLANK[after] | (after == _NEWLINE)
-    return np.column_stack([u, v]) if ends_field.all() else None
+                raise ParseError(path, line_no, "expected two decimal node ids in the int64 range") from exc
+        raise
 
 
 def load_edge_list(path: str | Path, format: str = "tsv") -> Graph:
     """Load an undirected graph from a text edge list.
 
-    One edge per line, whitespace- (tsv) or comma- (csv) separated integer
-    ids that fit int64; further columns (a weight, say) are accepted and
-    ignored; lines whose first non-blank character is '#' are skipped.
-    Invalid input raises ParseError naming the first bad line. External ids
-    are remapped to dense 0-based indices in ascending order.
-
-    The file is read once and parsed with array operations when every line
-    is in the bulk subset (see _parse_bulk); otherwise the per-line parser
-    reads it. Both accept the same inputs with the same ids, so the graph
-    does not depend on which one ran.
+    One edge per line: two ASCII decimal ids that fit int64, optionally
+    signed, separated by blanks (tsv) or by commas and blanks (csv); further
+    columns (a weight, say) are ignored, and '#' starts a comment that runs
+    to the line end. Invalid input raises ParseError naming the first bad
+    line. External ids are remapped to dense 0-based indices in ascending
+    order.
     """
-    if format not in ("tsv", "csv"):
-        raise ValidationError(f"unknown edge-list format {format!r}")
-    sep = "," if format == "csv" else None
+    _check_format(format)
     path = Path(path)
-    arr = _parse_bulk(path.read_bytes(), sep)
-    if arr is None:
-        arr = _parse_lines(path, sep)
-    if not len(arr):
+    # ascending ids -> deterministic remap; the file's bytes, text and ids are freed before from_edges
+    ext, dense = np.unique(_read_edge_list(path, format), return_inverse=True)
+    if not len(ext):
         raise EmptyGraphError(f"{path} contains no edges")
-    ext, dense = np.unique(arr.ravel(), return_inverse=True)  # ascending ids -> deterministic remap
     return from_edges(dense.reshape(-1, 2), num_nodes=len(ext), external_ids=ext)
 
 
 def save_edge_list(g: Graph, path: str | Path, format: str = "tsv") -> None:
     """Write one `u v` line per edge (u < v), in the dense id space."""
+    _check_format(format)
     sep = "," if format == "csv" else "\t"
     edges = g.edge_array()
     lines = map(f"{{}}{sep}{{}}\n".format, edges[:, 0].tolist(), edges[:, 1].tolist())
@@ -293,17 +200,16 @@ def save_csr(g: Graph, path: str | Path) -> None:
 
 def load_csr(path: str | Path) -> Graph:
     with Path(path).open("rb") as fh:
-        magic = fh.read(len(_CSR_MAGIC))
-        if magic != _CSR_MAGIC:
+        if fh.read(len(_CSR_MAGIC)) != _CSR_MAGIC:
             raise ValidationError(f"{path} is not a CSR cache file")
-        n, m, flags = (int(x) for x in np.fromfile(fh, dtype="<u8", count=3))
+        head = np.fromfile(fh, dtype="<u8", count=3)
+        if len(head) < 3:
+            raise ValidationError(f"{path}: truncated header")
+        n, m, flags = (int(x) for x in head)
+        check_file_size(path, fh, len(_CSR_MAGIC) + 8 * (3 + n + 1 + 2 * m + (n if flags & 1 else 0)))
         offsets = np.fromfile(fh, dtype="<u8", count=n + 1).astype(np.int64)
         targets = np.fromfile(fh, dtype="<u8", count=2 * m).astype(np.int64)
-        ext = None
-        if flags & 1:
-            ext = np.fromfile(fh, dtype="<u8", count=n).astype(np.int64)
-    if len(offsets) != n + 1 or len(targets) != 2 * m:
-        raise ValidationError(f"{path} truncated")
+        ext = np.fromfile(fh, dtype="<u8", count=n).astype(np.int64) if flags & 1 else None
     return Graph(n, m, offsets, targets, ext)
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, check_file_size
 
 CKPT_MAGIC = b"WEEMB01\n"
 
@@ -184,9 +184,11 @@ def load_checkpoint(path: str | Path) -> tuple[EmbeddingTable, int, bytes]:
     with Path(path).open("rb") as fh:
         if fh.read(len(CKPT_MAGIC)) != CKPT_MAGIC:
             raise ValidationError(f"{path} is not an embedding checkpoint")
-        n, d, step = (int(x) for x in np.fromfile(fh, dtype="<u8", count=3))
+        head = np.fromfile(fh, dtype="<u8", count=3)
+        if len(head) < 3:
+            raise ValidationError(f"{path}: truncated header")
+        n, d, step = (int(x) for x in head)
+        check_file_size(path, fh, len(CKPT_MAGIC) + 24 + 32 + 4 * n * d)
         digest = fh.read(32)
         values = np.fromfile(fh, dtype="<f4", count=n * d)
-    if values.size != n * d:
-        raise ValidationError(f"{path} truncated")
     return EmbeddingTable(values.reshape(n, d).astype(np.float32)), step, digest

@@ -26,8 +26,6 @@ from .shards import shard_path
 from .sbm import SbmConfig, generate_sbm, preset_config
 from .trainer import TrainConfig, train_async, train_sync
 
-STAGES = ("prune", "sample", "train", "eval")
-
 ENV_SEED = "WALKEMBED_SEED"
 ENV_RUN_DIR = "WALKEMBED_RUN_DIR"
 

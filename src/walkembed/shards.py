@@ -88,12 +88,17 @@ def read_manifest(records_dir: str | Path) -> dict:
 
 
 def load_all_records(records_dir: str | Path) -> tuple[RecordBatch, dict]:
-    """Read every shard listed in the manifest into one RecordBatch."""
+    """Read every shard listed in the manifest into one RecordBatch, checking
+    each shard's record count against the manifest's."""
     manifest = read_manifest(records_dir)
     wl = manifest["config"]["walk_length"]
-    parts = [read_shard(Path(records_dir) / f, wl) for f in manifest["shard_files"]]
+    files = manifest["shard_files"]
+    parts = [read_shard(Path(records_dir) / f, wl) for f in files]
     if not parts:
         raise ValidationError(f"{records_dir}: manifest lists no shards")
+    for f, part, count in zip(files, parts, manifest["record_counts"], strict=True):
+        if len(part) != count:
+            raise ValidationError(f"{Path(records_dir) / f}: {len(part)} records, but the manifest lists {count}")
     return (
         RecordBatch(
             source=np.concatenate([p.source for p in parts]),

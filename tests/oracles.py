@@ -8,6 +8,7 @@ implementations under test.
 """
 
 import math
+import re
 
 import numpy as np
 
@@ -174,31 +175,34 @@ def from_edges_reference(edges, num_nodes: int, external_ids=None) -> Graph:
     return Graph(num_nodes, len(key), np.cumsum(offsets), dst, external_ids)
 
 
+_ID = re.compile(r"[+-]?[0-9]+")  # ASCII digits only
+
+
 def load_edge_list_reference(path, format: str = "tsv") -> Graph:
-    """One int() per token, line by line, then an np.unique plus searchsorted
+    """One int() per id, line by line, then an np.unique plus searchsorted
     remap and from_edges_reference. Lines end at LF, CRLF or a lone CR, and
-    each is decoded as UTF-8 on its own. Raises ParseError at the first line
-    that is not UTF-8, a comment, blank, or two leading int64 ids."""
-    sep = "," if format == "csv" else None
+    each is decoded as UTF-8 on its own. A '#' starts a comment that runs to
+    the line end, and in csv a comma counts as a blank. Raises ParseError at
+    the first line that is not UTF-8, or whose text before any comment is
+    neither blank nor two leading blank-separated ids `[+-]?[0-9]+` that fit
+    int64; further fields are ignored."""
     raw = []
     with open(path, "rb") as fh:
         lines = fh.read().splitlines()
     for line_no, line in enumerate(lines, start=1):
         try:
-            line = line.decode("utf-8").strip()
+            line = line.decode("utf-8")
         except UnicodeDecodeError:
             raise ParseError(path, line_no, "not UTF-8") from None
-        if not line or line.startswith("#"):
+        line = line.split("#", 1)[0]
+        parts = (line.replace(",", " ") if format == "csv" else line).split()
+        if not parts:
             continue
-        parts = [p for p in (line.split(sep) if sep else line.split()) if p]
-        try:
-            if len(parts) < 2:
-                raise ValueError("expected at least two integer node ids")
-            ids = int(parts[0]), int(parts[1])
-            if not all(-(2**63) <= i < 2**63 for i in ids):
-                raise ValueError("node id outside the int64 range")
-        except ValueError as exc:
-            raise ParseError(path, line_no, str(exc)) from exc
+        if len(parts) < 2 or not all(_ID.fullmatch(p) for p in parts[:2]):
+            raise ParseError(path, line_no, "expected two decimal node ids")
+        ids = int(parts[0]), int(parts[1])
+        if not all(-(2**63) <= i < 2**63 for i in ids):
+            raise ParseError(path, line_no, "node id outside the int64 range")
         raw.append(ids)
     if not raw:
         raise EmptyGraphError(f"{path} contains no edges")

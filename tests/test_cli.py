@@ -115,6 +115,19 @@ class TestPruneSampleTrainEval:
         assert "not sampled from" in capsys.readouterr().err
         assert not ckpt.exists()
 
+    def test_train_truncated_shard_exit_1(self, tmp_path, small_graph_file, capsys):
+        records = tmp_path / "records"
+        assert run("sample", "--graph", small_graph_file, "--out", records,
+                   "--walks-per-node", 4, "--num-shards", 2, "--seed", 3) == 0
+        shard = records / "records-00000-of-00002.bin"
+        record_size = len(shard.read_bytes()) // json.loads((records / "manifest.json").read_text())["record_counts"][0]
+        shard.write_bytes(shard.read_bytes()[: 10 * record_size])
+        ckpt = tmp_path / "emb.bin"
+        assert run("train", "--records", records, "--graph", small_graph_file, "--dim", 8,
+                   "--steps", 2, "--out", ckpt) == 1
+        assert f"{shard}: 10 records" in capsys.readouterr().err
+        assert not ckpt.exists()
+
     def test_sample_walk_length_zero_exit_1(self, tmp_path, small_graph_file):
         assert run("sample", "--graph", small_graph_file, "--out", tmp_path / "r",
                    "--walk-length", 0) == 1

@@ -211,6 +211,22 @@ class TestInvariants:
         with pytest.raises(ValidationError):
             load_csr(p)
 
+    @pytest.mark.parametrize("cut", ["short header", "short body", "trailing bytes"])
+    def test_csr_length_checked_against_header(self, tmp_path, cut):
+        g = from_edges(np.array([[0, 1], [1, 2]]), 3, external_ids=np.array([4, 5, 6]))
+        save_csr(g, tmp_path / "g.csr")
+        data = (tmp_path / "g.csr").read_bytes()
+        data = {"short header": data[:20], "short body": data[:-8], "trailing bytes": data + bytes(64)}[cut]
+        p = tmp_path / "cut.csr"
+        p.write_bytes(data)
+        with pytest.raises(ValidationError, match=str(p)):
+            load_csr(p)
+
+    def test_save_edge_list_unknown_format(self, tmp_path, triangle):
+        with pytest.raises(ValidationError, match="parquet"):
+            save_edge_list(triangle, tmp_path / "g.txt", format="parquet")
+        assert not (tmp_path / "g.txt").exists()
+
     def test_load_graph_sniffs_format(self, tmp_path, triangle):
         save_csr(triangle, tmp_path / "a")
         assert load_graph(tmp_path / "a").num_edges == 3

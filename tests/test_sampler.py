@@ -217,6 +217,17 @@ def test_property_conservation_and_neighbor_slot(tmp_path_factory, pairs, walk_l
     assert stats.co_count_total == int(per_source.sum())
 
 
+def test_truncated_shard_rejected(tmp_path, triangle):
+    cfg = SamplerConfig(walks_per_node=8, walk_length=2, seed=1, num_shards=2)
+    stats = run_sampling(triangle, cfg, tmp_path)
+    shard = tmp_path / "records-00000-of-00002.bin"
+    size = 20 + 8 * cfg.walk_length
+    assert stats.shard_record_counts[0] > 1
+    shard.write_bytes(shard.read_bytes()[:size])  # cut at a record boundary
+    with pytest.raises(ValidationError, match=f"{shard}: 1 records, but the manifest lists"):
+        load_all_records(tmp_path)
+
+
 def test_shard_round_trip(tmp_path):
     batch = RecordBatch(
         source=np.array([3, 5], dtype=np.int64),

@@ -650,6 +650,17 @@ class TestCheckpoint:
         with pytest.raises(ValidationError):
             load_checkpoint(p)
 
+    @pytest.mark.parametrize("cut", ["magic only", "short header", "short body", "trailing bytes"])
+    def test_length_checked_against_header(self, tmp_path, cut):
+        save_checkpoint(tmp_path / "c.bin", init_table(7, 5, seed=1), 3)
+        data = (tmp_path / "c.bin").read_bytes()
+        data = {"magic only": data[:8], "short header": data[:40], "short body": data[:-4],
+                "trailing bytes": data + bytes(64)}[cut]
+        p = tmp_path / "cut.bin"
+        p.write_bytes(data)
+        with pytest.raises(ValidationError, match=str(p)):
+            load_checkpoint(p)
+
 
 def test_init_table_range_and_seed():
     t = init_table(100, 16, seed=3)
