@@ -203,8 +203,7 @@ _COMMANDS = {
 
 def _exit_code(exc: BaseException) -> int:
     if isinstance(exc, StageError) and exc.__cause__ is not None:
-        inner = _exit_code(exc.__cause__)
-        return inner if inner != 2 else 2
+        return _exit_code(exc.__cause__)
     if isinstance(exc, (ValidationError, ValueError)):
         return 1
     if isinstance(exc, OSError):

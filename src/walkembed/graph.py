@@ -104,6 +104,8 @@ def _read_ids(text: str, format: str) -> np.ndarray:
         text = text.replace(",", " ")
     with warnings.catch_warnings():  # a text without data lines yields an empty array
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        # numpy 1.23-1.26 only warn on, and truncate, an int that parses as a float (1.5, 1e3, 2**63)
+        warnings.filterwarnings("error", category=DeprecationWarning)
         # newline=None also ends a line at a lone CR, as bytes.splitlines does below
         return np.loadtxt(io.StringIO(text, newline=None), dtype=np.int64, comments="#", usecols=(0, 1), ndmin=2)
 
@@ -117,13 +119,13 @@ def _read_edge_list(path: Path, format: str) -> np.ndarray:
     data = path.read_bytes()
     try:
         return _read_ids(data.decode("utf-8"), format)
-    except ValueError:  # UnicodeDecodeError included
+    except (ValueError, DeprecationWarning):  # UnicodeDecodeError included
         for line_no, line in enumerate(data.splitlines(), start=1):
             try:
                 _read_ids(line.decode("utf-8"), format)
             except UnicodeDecodeError:
                 raise ParseError(path, line_no, "not UTF-8") from None
-            except ValueError as exc:
+            except (ValueError, DeprecationWarning) as exc:
                 raise ParseError(path, line_no, "expected two decimal node ids in the int64 range") from exc
         raise
 

@@ -80,23 +80,29 @@ def write_manifest(out_dir: str | Path, manifest: dict) -> None:
 
 
 def read_manifest(records_dir: str | Path) -> dict:
+    """The sampler's manifest, checked for the keys its readers use."""
     p = Path(records_dir) / "manifest.json"
     if not p.exists():
         raise ValidationError(f"no manifest.json in {records_dir}")
-    with p.open("r", encoding="utf-8") as fh:
-        return json.load(fh)
+    manifest = json.loads(p.read_text(encoding="utf-8"))
+    missing = [k for k in ("config", "graph_hash", "shard_files", "record_counts") if k not in manifest]
+    if missing:
+        raise ValidationError(f"{p}: no {', '.join(missing)}")
+    files, counts = manifest["shard_files"], manifest["record_counts"]
+    if len(counts) != len(files):
+        raise ValidationError(f"{p}: {len(counts)} record_counts for {len(files)} shard_files")
+    return manifest
 
 
 def load_all_records(records_dir: str | Path) -> tuple[RecordBatch, dict]:
     """Read every shard listed in the manifest into one RecordBatch, checking
     each shard's record count against the manifest's."""
     manifest = read_manifest(records_dir)
-    wl = manifest["config"]["walk_length"]
     files = manifest["shard_files"]
-    parts = [read_shard(Path(records_dir) / f, wl) for f in files]
-    if not parts:
+    if not files:
         raise ValidationError(f"{records_dir}: manifest lists no shards")
-    for f, part, count in zip(files, parts, manifest["record_counts"], strict=True):
+    parts = [read_shard(Path(records_dir) / f, manifest["config"]["walk_length"]) for f in files]
+    for f, part, count in zip(files, parts, manifest["record_counts"]):
         if len(part) != count:
             raise ValidationError(f"{Path(records_dir) / f}: {len(part)} records, but the manifest lists {count}")
     return (

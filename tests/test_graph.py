@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,6 +70,29 @@ class TestLoadEdgeList:
         with pytest.raises(ParseError) as exc:
             load_edge_list(write(tmp_path, text), format=fmt)
         assert exc.value.line_no == line_no
+
+    @pytest.mark.parametrize("text", ["0 1\n1.5 2\n", "0 1\n1e3 2\n", "0 1\n2 3.0\n"])
+    def test_float_id_reports_number(self, tmp_path, text):
+        with pytest.raises(ParseError) as exc:
+            load_edge_list(write(tmp_path, text))
+        assert exc.value.line_no == 2
+
+    def test_int_parsed_via_float_warning_is_a_parse_error(self, tmp_path, monkeypatch):
+        real = np.loadtxt
+
+        def loadtxt(fh, dtype, **kw):  # numpy 1.23-1.26: warn, then truncate the float
+            try:
+                return real(fh, dtype=dtype, **kw)
+            except ValueError:
+                fh.seek(0)
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+                return real(fh, dtype=np.float64, **kw).astype(dtype)
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        with pytest.raises(ParseError) as exc:
+            load_edge_list(write(tmp_path, "0 1\n# ids\n1.5 2\n"))
+        assert exc.value.line_no == 3
+        assert load_edge_list(write(tmp_path, "0 1\n")).num_edges == 1
 
     @pytest.mark.parametrize(
         "data, line_no",

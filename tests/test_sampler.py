@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -226,6 +228,15 @@ def test_truncated_shard_rejected(tmp_path, triangle):
     shard.write_bytes(shard.read_bytes()[:size])  # cut at a record boundary
     with pytest.raises(ValidationError, match=f"{shard}: 1 records, but the manifest lists"):
         load_all_records(tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    for counts, msg in [(None, "no record_counts"), ([1, 1, 1], "3 record_counts for 2 shard_files")]:
+        if counts is None:
+            del manifest["record_counts"]
+        else:
+            manifest["record_counts"] = counts
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValidationError, match=f"manifest.json: {msg}"):
+            load_all_records(tmp_path)
 
 
 def test_shard_round_trip(tmp_path):
