@@ -1,7 +1,7 @@
 """Exception types shared across the package, and the config and file checks."""
 
 import os
-from dataclasses import fields, is_dataclass
+from dataclasses import MISSING, fields, is_dataclass
 
 
 class WalkembedError(Exception):
@@ -12,13 +12,31 @@ class ValidationError(WalkembedError):
     """Bad configuration or precondition violation; maps to CLI exit code 1."""
 
 
+# scalar field type -> the value types it accepts
+_SCALARS = {"bool": bool, "int": int, "float": (int, float), "str": str}
+
+
 def check_keys(section: str, d: dict, allowed) -> None:
     """Raise ValidationError naming any key of d that is not allowed: a field
-    of the dataclass `allowed`, or a member of the collection `allowed`."""
+    of the dataclass `allowed`, or a member of the collection `allowed`.
+    Against a dataclass, also name a field without a default that d lacks,
+    and a value whose type is not its bool, int, float or str field's type:
+    a bool is no int, and an int passes for a float."""
+    if not isinstance(d, dict):
+        raise ValidationError(f"{section} config must be an object, got {d!r}")
     names = {f.name for f in fields(allowed)} if is_dataclass(allowed) else set(allowed)
     unknown = sorted(set(d) - names)
     if unknown:
         raise ValidationError(f"unknown {section} config key(s): {', '.join(map(repr, unknown))}")
+    for f in fields(allowed) if is_dataclass(allowed) else ():
+        if f.name not in d:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ValidationError(f"{section} config missing {f.name!r}")
+            continue
+        type_name = getattr(f.type, "__name__", f.type)
+        accepts, value = _SCALARS.get(type_name), d[f.name]
+        if accepts and (isinstance(value, bool) != (accepts is bool) or not isinstance(value, accepts)):
+            raise ValidationError(f"{section} config key {f.name!r} must be {type_name}, got {value!r}")
 
 
 def check_file_size(path, fh, expected: int) -> None:

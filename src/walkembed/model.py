@@ -65,7 +65,7 @@ class WarmupDecaySchedule:
 
 @dataclass(frozen=True)
 class FixedSgd:
-    lr: float = 0.001
+    lr: float
 
     def __post_init__(self):
         if self.lr <= 0:

@@ -90,13 +90,10 @@ def config_to_dict(cfg: PipelineConfig) -> dict:
 def config_from_dict(d: dict) -> PipelineConfig:
     """Inverse of config_to_dict; unknown keys raise, at the top level and in every section."""
     check_keys("pipeline", d, PipelineConfig)
-    for key in ("seed", "run_dir", "graph"):
-        if key not in d:
-            raise ValidationError(f"pipeline config missing {key!r}")
     for section in ("sampler", "trainer"):
         if "seed" in d.get(section, {}):
             raise ValidationError(f"{section}.seed is derived from the global seed; remove it")
-    seed = int(d["seed"])
+    seed = d["seed"]
     sampler_d = dict(d.get("sampler", {}))
     check_keys("sampler", sampler_d, SamplerConfig)
     sampler = SamplerConfig(seed=derive_seed(seed, "sample"), **sampler_d)
@@ -105,9 +102,9 @@ def config_from_dict(d: dict) -> PipelineConfig:
     trainer = TrainConfig.from_dict(dict(d.get("trainer", {}), seed=derive_seed(seed, "train")))
     return PipelineConfig(
         seed=seed,
-        run_dir=str(d["run_dir"]),
+        run_dir=d["run_dir"],
         graph=dict(d["graph"]),
-        min_degree=int(d.get("min_degree", 2)),
+        min_degree=d.get("min_degree", 2),
         sampler=sampler,
         trainer=trainer,
         eval=EvalParams(**eval_d),

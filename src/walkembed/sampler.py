@@ -4,7 +4,9 @@ Every node seeds a fixed number of walks. Walks advance in lockstep rounds:
 each round joins walk endpoints against the adjacency, samples one uniform
 neighbor per walk, and records a (seed, endpoint, distance) visit. After the
 final round, visits are grouped by (seed, endpoint) and combined into
-per-distance count histograms, sharded by source id.
+per-distance count histograms. A record's source is the seed node of its
+walks, so its shard, a hash of the source, is fixed before any walk starts:
+sampling runs one shard at a time and writes each shard once.
 
 Each walk draws from its own counter-based stream keyed by
 (seed, seed_node, replica, round), so output is bitwise-identical for any
@@ -74,14 +76,13 @@ class SamplingStats:
     shard_record_counts: list[int] = field(default_factory=list)
 
 
-def init_walks(g: Graph, cfg: SamplerConfig, node_range: tuple[int, int] | None = None) -> WalkBatch:
-    """Seed walks_per_node walks at every node (optionally a node sub-range)."""
+def init_walks(g: Graph, cfg: SamplerConfig, nodes: np.ndarray | None = None) -> WalkBatch:
+    """Seed walks_per_node walks at each of the given nodes (default: every node)."""
     if g.num_nodes == 0:
         raise EmptyGraphError("cannot sample an empty graph")
-    lo, hi = node_range if node_range is not None else (0, g.num_nodes)
-    nodes = np.arange(lo, hi, dtype=np.int64)
+    nodes = np.arange(g.num_nodes, dtype=np.int64) if nodes is None else np.asarray(nodes, dtype=np.int64)
     seeds = np.repeat(nodes, cfg.walks_per_node)
-    replicas = np.tile(np.arange(cfg.walks_per_node, dtype=np.int64), hi - lo)
+    replicas = np.tile(np.arange(cfg.walks_per_node, dtype=np.int64), len(nodes))
     return WalkBatch(seed_node=seeds, replica=replicas, current_node=seeds.copy(), step=0)
 
 
@@ -141,32 +142,22 @@ def _combine_visits(
 
 
 def _sample_partition(
-    g: Graph, cfg: SamplerConfig, stream: HashStream, node_range: tuple[int, int]
+    g: Graph, cfg: SamplerConfig, stream: HashStream, nodes: np.ndarray
 ) -> tuple[RecordBatch, int]:
-    """Walk one seed-node range to completion; returns records + dead ends."""
-    walks = init_walks(g, cfg, node_range)
+    """Walk the given seed nodes to completion; returns records + dead ends."""
+    walks = init_walks(g, cfg, nodes)
     started = len(walks)
-    seeds_acc, dests_acc, dists_acc = [], [], []
+    visits = []
     for _ in range(cfg.walk_length):
         walks = step_walks(g, walks, cfg, stream)
-        if len(walks):
-            seeds_acc.append(walks.seed_node)
-            dests_acc.append(walks.current_node)
-            dists_acc.append(np.full(len(walks), walks.step, dtype=np.int64))
         if len(walks) == 0:
             break
+        visits.append((walks.seed_node, walks.current_node, np.full(len(walks), walks.step, dtype=np.int64)))
     dead = started - len(walks)
-    if not seeds_acc:
+    if not visits:
         empty = np.empty(0, dtype=np.int64)
         return RecordBatch(empty, empty, empty.reshape(0, cfg.walk_length)), dead
-    rec = _combine_visits(
-        np.concatenate(seeds_acc),
-        np.concatenate(dests_acc),
-        np.concatenate(dists_acc),
-        g.num_nodes,
-        cfg.walk_length,
-    )
-    return rec, dead
+    return _combine_visits(*map(np.concatenate, zip(*visits)), g.num_nodes, cfg.walk_length), dead
 
 
 def run_sampling(
@@ -177,9 +168,12 @@ def run_sampling(
 ) -> SamplingStats:
     """Full pipeline: seed, walk, group, combine, shard to disk.
 
-    Partitions own disjoint seed ranges, so their record sets are disjoint
-    and the merge is pure concatenation. Shard files plus manifest.json land
-    in out_dir.
+    A record's shard is splitmix64(source) % num_shards, and its source is
+    the seed of its walks, so each shard is sampled on its own: its seeds
+    are walked one contiguous range of partition_nodes ids at a time, in
+    ascending order, which leaves the shard in (source, dest) order, and the
+    shard is written whole. Memory holds one shard's records plus one
+    partition's visits. Shard files plus manifest.json land in out_dir.
     """
     if g.num_nodes == 0:
         raise EmptyGraphError("cannot sample an empty graph")
@@ -187,31 +181,28 @@ def run_sampling(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stream = HashStream(cfg.seed)
-    bounds = list(range(0, g.num_nodes, partition_nodes)) + [g.num_nodes]
-    parts = [_sample_partition(g, cfg, stream, r) for r in zip(bounds[:-1], bounds[1:])]
-
-    dead_ends = sum(d for _, d in parts)
-    source = np.concatenate([p.source for p, _ in parts])
-    dest = np.concatenate([p.dest for p, _ in parts])
-    co = np.concatenate([p.co_counts for p, _ in parts])
-
-    shard_of = (splitmix64(source.astype(np.uint64)) % np.uint64(cfg.num_shards)).astype(np.int64)
+    dead_ends = co_total = 0
     shard_files, shard_counts = [], []
     for s in range(cfg.num_shards):
-        mask = shard_of == s
-        # partitions cover ascending seed ranges and each is sorted, so every
-        # shard is already in (source, dest) order
-        batch = RecordBatch(source[mask], dest[mask], co[mask])
+        parts = []
+        for lo in range(0, g.num_nodes, partition_nodes):
+            ids = np.arange(lo, min(lo + partition_nodes, g.num_nodes), dtype=np.uint64)
+            rec, dead = _sample_partition(g, cfg, stream, ids[splitmix64(ids) % np.uint64(cfg.num_shards) == s])
+            parts.append(rec)
+            dead_ends += dead
+        batch = RecordBatch(*(np.concatenate([getattr(p, f) for p in parts]) for f in ("source", "dest", "co_counts")))
+        del parts  # free the partitions' records before write_shard builds the file image
         path = shard_path(out_dir, s, cfg.num_shards)
         write_shard(path, batch)
         shard_files.append(path.name)
         shard_counts.append(len(batch))
+        co_total += int(batch.co_counts.sum())
 
     stats = SamplingStats(
         total_walks=g.num_nodes * cfg.walks_per_node,
-        dead_end_terminations=int(dead_ends),
-        num_records=int(len(source)),
-        co_count_total=int(co.sum()),
+        dead_end_terminations=dead_ends,
+        num_records=sum(shard_counts),
+        co_count_total=co_total,
         elapsed_s=time.monotonic() - t0,
         shard_record_counts=shard_counts,
     )

@@ -91,29 +91,18 @@ class TrainConfig:
 
 
 def _optimizer_to_dict(opt: WarmupDecaySchedule | FixedSgd) -> dict:
-    if isinstance(opt, FixedSgd):
-        return {"kind": "fixed_sgd", "lr": opt.lr}
-    return {
-        "kind": "warmup_decay_sgd",
-        "warmup_steps": opt.warmup_steps,
-        "peak_lr": opt.peak_lr,
-        "decay_steps": opt.decay_steps,
-        "final_lr": opt.final_lr,
-    }
+    return {"kind": "fixed_sgd" if isinstance(opt, FixedSgd) else "warmup_decay_sgd", **asdict(opt)}
 
 
 def _optimizer_from_dict(d: dict) -> WarmupDecaySchedule | FixedSgd:
-    kind = d.get("kind")
-    if kind == "fixed_sgd":
-        return FixedSgd(lr=d["lr"])
-    if kind == "warmup_decay_sgd":
-        return WarmupDecaySchedule(
-            warmup_steps=d["warmup_steps"],
-            peak_lr=d["peak_lr"],
-            decay_steps=d["decay_steps"],
-            final_lr=d["final_lr"],
-        )
-    raise ValidationError(f"unknown optimizer kind {kind!r}")
+    """The optimizer named by d["kind"], with every field of its dataclass."""
+    kind = d.get("kind") if isinstance(d, dict) else None
+    if kind not in ("fixed_sgd", "warmup_decay_sgd"):
+        raise ValidationError(f"optimizer config needs a 'kind' of fixed_sgd or warmup_decay_sgd, got {d!r}")
+    cls = FixedSgd if kind == "fixed_sgd" else WarmupDecaySchedule
+    params = {k: v for k, v in d.items() if k != "kind"}
+    check_keys("optimizer", params, cls)
+    return cls(**params)
 
 
 @dataclass
@@ -254,18 +243,18 @@ def _setup(
     mode: str, records: RecordBatch | str | Path, cfg: TrainConfig, table: EmbeddingTable | None,
     num_nodes: int | None, log_every: int,
 ) -> tuple[EmbeddingTable, tuple[np.ndarray, np.ndarray, np.ndarray], list[dict]]:
-    """Set-up shared by both modes: the table (seeded float32 init when none
-    is given, sized by num_nodes or else by the largest record id), the
-    filtered positives, and a log opened by the config event."""
+    """Set-up shared by both modes: the table (seeded float32 init of
+    num_nodes rows when none is given), the filtered positives, and a log
+    opened by the config event."""
     if cfg.mode != mode:
         raise ValidationError(f"train_{mode} requires cfg.mode == {mode!r}")
     if log_every < 1:
         raise ValidationError(f"log_every must be >= 1, got {log_every}")
+    if table is None and num_nodes is None:
+        raise ValidationError(f"train_{mode} needs a table or num_nodes")
     if not isinstance(records, RecordBatch):
         records, _ = load_all_records(records)
     if table is None:
-        if num_nodes is None:
-            num_nodes = int(max(records.source.max(), records.dest.max())) + 1
         table = init_table(num_nodes, cfg.dim, derive_seed(cfg.seed, "init"))
     parallel = "num_replicas" if mode == "sync" else "num_workers"
     config_event = {

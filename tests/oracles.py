@@ -4,16 +4,21 @@ Everything here is deliberately naive: explicit trajectory enumeration,
 quadratic nearest-neighbor search, exhaustive pair scans, central finite
 differences, a per-example skip-gram loss, and a per-line edge-list parser
 with sort-based graph building. None of it shares code with the
-implementations under test.
+implementations under test, except the whole-set shard reference, which
+reuses the sampler's walks and checks only how records reach their shards.
 """
 
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 
+from walkembed import sampler
 from walkembed.errors import EmptyGraphError, ParseError
 from walkembed.graph import Graph
+from walkembed.rng import HashStream, splitmix64
+from walkembed.shards import RecordBatch, shard_path, write_manifest, write_shard
 
 
 def visit_probabilities(g, walk_length: int) -> np.ndarray:
@@ -223,3 +228,43 @@ def prune_reference(g: Graph, min_degree: int) -> Graph:
     edges = new_ids[edges[keep[edges[:, 0]] & keep[edges[:, 1]]]]
     ext = g.external_ids[keep] if g.external_ids is not None else np.flatnonzero(keep)
     return from_edges_reference(edges, int(keep.sum()), ext)
+
+
+def run_sampling_reference(g, cfg, out_dir, partition_nodes: int = 1 << 14) -> None:
+    """Shards and manifest.json by whole-set sharding: every partition of
+    partition_nodes seeds is walked and combined, all partitions' records are
+    concatenated, each record is hashed to a shard by its source, and each
+    shard is cut out of the whole set by a boolean mask."""
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    stream = HashStream(cfg.seed)
+    parts = [
+        sampler._sample_partition(g, cfg, stream, np.arange(lo, min(lo + partition_nodes, g.num_nodes)))
+        for lo in range(0, g.num_nodes, partition_nodes)
+    ]
+    source, dest, co = (np.concatenate([getattr(rec, f) for rec, _ in parts]) for f in ("source", "dest", "co_counts"))
+    shard_of = splitmix64(source.astype(np.uint64)) % np.uint64(cfg.num_shards)
+    files, counts = [], []
+    for s in range(cfg.num_shards):
+        mask = shard_of == s
+        path = shard_path(out_dir, s, cfg.num_shards)
+        write_shard(path, RecordBatch(source[mask], dest[mask], co[mask]))
+        files.append(path.name)
+        counts.append(int(mask.sum()))
+    stats = {
+        "total_walks": g.num_nodes * cfg.walks_per_node,
+        "dead_end_terminations": sum(dead for _, dead in parts),
+        "num_records": len(source),
+        "co_count_total": int(co.sum()),
+    }
+    write_manifest(
+        out_dir,
+        {
+            "format_version": sampler.FORMAT_VERSION,
+            "config": cfg.to_dict(),
+            "graph_hash": g.content_hash(),
+            "num_nodes": g.num_nodes,
+            "shard_files": files,
+            "record_counts": counts,
+            "stats": stats,
+        },
+    )

@@ -128,6 +128,15 @@ class TestPruneSampleTrainEval:
         assert f"{shard}: 10 records" in capsys.readouterr().err
         assert not ckpt.exists()
 
+    def test_train_optimizer_without_lr_exit_1(self, tmp_path, small_graph_file, capsys):
+        tcfg = tmp_path / "train.json"
+        tcfg.write_text(json.dumps({"optimizer": {"kind": "fixed_sgd"}}))
+        ckpt = tmp_path / "emb.bin"
+        assert run("train", "--records", tmp_path / "records", "--graph", small_graph_file,
+                   "--config", tcfg, "--out", ckpt) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: optimizer config missing 'lr'"]
+        assert not ckpt.exists()
+
     def test_sample_walk_length_zero_exit_1(self, tmp_path, small_graph_file):
         assert run("sample", "--graph", small_graph_file, "--out", tmp_path / "r",
                    "--walk-length", 0) == 1

@@ -81,6 +81,35 @@ class TestConfig:
         with pytest.raises(ValidationError, match=f"unknown {section} config key\\(s\\): '{key}'"):
             config_from_dict(d)
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("trainer", "steps", "10"),
+            ("trainer", "steps", 2.5),
+            ("trainer", "steps", True),
+            ("sampler", "walks_per_node", "4"),
+            ("eval", "recall_nodes", 30.0),
+            ("pipeline", "seed", "5"),
+        ],
+    )
+    def test_wrong_value_type_names_section_and_key(self, tmp_path, section, key, value):
+        d = tiny_config_dict(tmp_path / "r")
+        (d if section == "pipeline" else d[section])[key] = value
+        with pytest.raises(ValidationError, match=f"{section} config key '{key}' must be"):
+            config_from_dict(d)
+
+    def test_train_config_value_types(self):
+        with pytest.raises(ValidationError, match="trainer config key 'steps' must be int, got '10'"):
+            TrainConfig.from_dict({"steps": "10"})
+        with pytest.raises(ValidationError, match="trainer config key 'steps' must be int, got 2.5"):
+            TrainConfig.from_dict({"steps": 2.5})
+        with pytest.raises(ValidationError, match="optimizer config key 'lr' must be float, got True"):
+            TrainConfig.from_dict({"optimizer": {"kind": "fixed_sgd", "lr": True}})
+        with pytest.raises(ValidationError, match="trainer config must be an object, got \\[\\]"):
+            TrainConfig.from_dict([])
+        # an int passes for a float
+        assert TrainConfig.from_dict({"optimizer": {"kind": "fixed_sgd", "lr": 2}}).optimizer == FixedSgd(2.0)
+
     def test_unknown_top_level_key_named(self, tmp_path):
         d = tiny_config_dict(tmp_path / "r")
         d["min_degre"] = d.pop("min_degree")

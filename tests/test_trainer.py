@@ -669,3 +669,24 @@ def test_init_table_range_and_seed():
     assert np.all(np.abs(t.values) <= half)
     assert np.array_equal(t.values, init_table(100, 16, seed=3).values)
     assert not np.array_equal(t.values, init_table(100, 16, seed=4).values)
+
+
+@pytest.mark.parametrize(
+    "optimizer, message",
+    [
+        ({"kind": "fixed_sgd"}, "optimizer config missing 'lr'"),
+        ({"kind": "fixed_sgd", "lr": 1.0, "peak_lr": 5.0}, "unknown optimizer config key\\(s\\): 'peak_lr'"),
+        ("fast", "optimizer config needs a 'kind' of fixed_sgd or warmup_decay_sgd, got 'fast'"),
+    ],
+)
+def test_bad_optimizer_section_named(optimizer, message):
+    with pytest.raises(ValidationError, match=message):
+        TrainConfig.from_dict({"optimizer": optimizer})
+
+
+@pytest.mark.parametrize("mode", ["sync", "async"])
+def test_table_or_num_nodes_required(mode):
+    cfg = TrainConfig(dim=4, mode=mode, steps=1, optimizer=FixedSgd(0.1))
+    train = train_sync if mode == "sync" else train_async
+    with pytest.raises(ValidationError, match=f"train_{mode} needs a table or num_nodes"):
+        train(training_records(), cfg)
