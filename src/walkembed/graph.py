@@ -56,11 +56,6 @@ class Graph:
         keep = u < v
         return np.column_stack([u[keep], v[keep]])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        ns = self.neighbors(u)
-        i = np.searchsorted(ns, v)
-        return i < len(ns) and ns[i] == v
-
     def content_hash(self) -> str:
         h = hashlib.sha256()
         h.update(np.int64(self.num_nodes).tobytes())

@@ -55,10 +55,6 @@ class MetricsReport:
         return cls(**json.loads(text))
 
 
-def count_zero_rows(table: EmbeddingTable) -> int:
-    return int(np.sum(~np.any(table.values != 0.0, axis=1)))
-
-
 def l2_normalize(table: EmbeddingTable) -> EmbeddingTable:
     """Unit-normalize every nonzero row; zero rows pass through unchanged."""
     norms = np.linalg.norm(table.values, axis=1, keepdims=True)

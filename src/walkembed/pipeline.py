@@ -61,6 +61,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.min_degree < 0:
             raise ValidationError("min_degree must be >= 0")
+        if not isinstance(self.graph, dict):
+            raise ValidationError(f"graph config must be an object, got {self.graph!r}")
         kind = self.graph.get("kind")
         if kind not in GRAPH_KEYS:
             raise ValidationError(f"unknown graph kind {kind!r}")
@@ -90,24 +92,21 @@ def config_to_dict(cfg: PipelineConfig) -> dict:
 def config_from_dict(d: dict) -> PipelineConfig:
     """Inverse of config_to_dict; unknown keys raise, at the top level and in every section."""
     check_keys("pipeline", d, PipelineConfig)
+    sections = {"sampler": SamplerConfig, "trainer": TrainConfig, "eval": EvalParams}
+    for section, cls in sections.items():
+        check_keys(section, d.get(section, {}), cls)
     for section in ("sampler", "trainer"):
         if "seed" in d.get(section, {}):
             raise ValidationError(f"{section}.seed is derived from the global seed; remove it")
     seed = d["seed"]
-    sampler_d = dict(d.get("sampler", {}))
-    check_keys("sampler", sampler_d, SamplerConfig)
-    sampler = SamplerConfig(seed=derive_seed(seed, "sample"), **sampler_d)
-    eval_d = dict(d.get("eval", {}))
-    check_keys("eval", eval_d, EvalParams)
-    trainer = TrainConfig.from_dict(dict(d.get("trainer", {}), seed=derive_seed(seed, "train")))
     return PipelineConfig(
         seed=seed,
         run_dir=d["run_dir"],
-        graph=dict(d["graph"]),
+        graph=d["graph"],
         min_degree=d.get("min_degree", 2),
-        sampler=sampler,
-        trainer=trainer,
-        eval=EvalParams(**eval_d),
+        sampler=SamplerConfig(seed=derive_seed(seed, "sample"), **d.get("sampler", {})),
+        trainer=TrainConfig.from_dict({**d.get("trainer", {}), "seed": derive_seed(seed, "train")}),
+        eval=EvalParams(**d.get("eval", {})),
     )
 
 

@@ -53,9 +53,6 @@ class SbmConfig:
                 stacklevel=2,
             )
 
-    def class_of(self, i: np.ndarray | int) -> np.ndarray | int:
-        return i * self.k // self.n
-
     def block_bounds(self) -> np.ndarray:
         """Start index of each class; length k+1, ends with n."""
         b = np.arange(self.k + 1, dtype=np.int64)

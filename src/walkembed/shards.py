@@ -4,11 +4,18 @@ Record wire format (little-endian, packed): u64 source_id | u64
 destination_id | u32 walk_length | u64 co_counts[walk_length]. The u32 is
 the length prefix for the trailing histogram, so files are self-describing.
 A run writes a fixed walk_length throughout; readers reject mixed lengths.
+
+Readers go one shard at a time: read_shard maps a shard's columns as int64
+views of the one array it reads (every id and count is non-negative, so the
+bytes read the same as u64), and iter_shards checks each shard against the
+manifest's record count. Training filters each shard as it is read;
+load_all_records concatenates them all for callers that want one batch.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,10 +41,11 @@ class RecordBatch:
 
 
 def _record_dtype(walk_length: int) -> np.dtype:
+    # ids and counts are u64 on the wire; as <i8 they read as int64 without a copy
     return np.dtype(
         {
             "names": ["source", "dest", "length", "counts"],
-            "formats": ["<u8", "<u8", "<u4", ("<u8", (walk_length,))],
+            "formats": ["<i8", "<i8", "<u4", ("<i8", (walk_length,))],
             "offsets": [0, 8, 16, 20],
             "itemsize": 20 + 8 * walk_length,
         }
@@ -59,18 +67,14 @@ def write_shard(path: str | Path, batch: RecordBatch) -> None:
 
 
 def read_shard(path: str | Path, walk_length: int) -> RecordBatch:
+    """One shard, its columns int64 views of a single read."""
     dt = _record_dtype(walk_length)
-    raw = Path(path).read_bytes()
-    if len(raw) % dt.itemsize:
+    if Path(path).stat().st_size % dt.itemsize:
         raise ValidationError(f"{path}: size not a multiple of record size")
-    arr = np.frombuffer(raw, dtype=dt)
+    arr = np.fromfile(path, dtype=dt)
     if len(arr) and not np.all(arr["length"] == walk_length):
         raise ValidationError(f"{path}: mixed walk lengths in shard")
-    return RecordBatch(
-        source=arr["source"].astype(np.int64),
-        dest=arr["dest"].astype(np.int64),
-        co_counts=arr["counts"].astype(np.int64).reshape(-1, walk_length),
-    )
+    return RecordBatch(source=arr["source"], dest=arr["dest"], co_counts=arr["counts"])
 
 
 def write_manifest(out_dir: str | Path, manifest: dict) -> None:
@@ -89,22 +93,30 @@ def read_manifest(records_dir: str | Path) -> dict:
     if missing:
         raise ValidationError(f"{p}: no {', '.join(missing)}")
     files, counts = manifest["shard_files"], manifest["record_counts"]
+    if not isinstance(counts, list) or not all(type(c) is int and c >= 0 for c in counts):
+        raise ValidationError(f"{p}: record_counts must be a list of non-negative integers, got {counts!r}")
     if len(counts) != len(files):
         raise ValidationError(f"{p}: {len(counts)} record_counts for {len(files)} shard_files")
     return manifest
 
 
-def load_all_records(records_dir: str | Path) -> tuple[RecordBatch, dict]:
-    """Read every shard listed in the manifest into one RecordBatch, checking
-    each shard's record count against the manifest's."""
-    manifest = read_manifest(records_dir)
+def iter_shards(records_dir: str | Path, manifest: dict) -> Iterator[RecordBatch]:
+    """Each shard the manifest lists, in order, read when reached and checked
+    against the manifest's record count."""
     files = manifest["shard_files"]
     if not files:
         raise ValidationError(f"{records_dir}: manifest lists no shards")
-    parts = [read_shard(Path(records_dir) / f, manifest["config"]["walk_length"]) for f in files]
-    for f, part, count in zip(files, parts, manifest["record_counts"]):
+    for f, count in zip(files, manifest["record_counts"]):
+        part = read_shard(Path(records_dir) / f, manifest["config"]["walk_length"])
         if len(part) != count:
             raise ValidationError(f"{Path(records_dir) / f}: {len(part)} records, but the manifest lists {count}")
+        yield part
+
+
+def load_all_records(records_dir: str | Path) -> tuple[RecordBatch, dict]:
+    """Every shard listed in the manifest, concatenated into one RecordBatch."""
+    manifest = read_manifest(records_dir)
+    parts = list(iter_shards(records_dir, manifest))
     return (
         RecordBatch(
             source=np.concatenate([p.source for p in parts]),

@@ -16,6 +16,7 @@ only the W=1 case is deterministic.
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -27,7 +28,7 @@ import numpy as np
 from .errors import ValidationError, check_keys
 from .model import EmbeddingTable, FixedSgd, WarmupDecaySchedule, init_table, loss_and_grad
 from .rng import derive_seed
-from .shards import RecordBatch, load_all_records
+from .shards import RecordBatch, iter_shards, read_manifest
 
 SHUFFLE_BUFFER = 1 << 16  # records per shuffle window of a RecordStream
 
@@ -60,6 +61,16 @@ class TrainConfig:
             raise ValidationError("dim must be >= 1")
         if self.mode == "async" and not isinstance(self.optimizer, FixedSgd):
             raise ValidationError("async mode requires a fixed learning rate")
+        w = self.distance_weighting
+        if w is not None and not (
+            isinstance(w, tuple)
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x) and x >= 0 for x in w)
+            and any(x > 0 for x in w)
+        ):
+            raise ValidationError(
+                f"trainer config key 'distance_weighting' must be a list of finite non-negative numbers,"
+                f" not all 0, got {w!r}"
+            )
 
     def to_dict(self) -> dict:
         """JSON-ready fields; the optimizer becomes a dict with a "kind" key."""
@@ -76,7 +87,7 @@ class TrainConfig:
         d = dict(d)
         if "optimizer" in d:
             d["optimizer"] = _optimizer_from_dict(d["optimizer"])
-        if d.get("distance_weighting") is not None:
+        if isinstance(d.get("distance_weighting"), list):
             d["distance_weighting"] = tuple(d["distance_weighting"])
         return cls(**d)
 
@@ -120,21 +131,22 @@ class ExampleBatch:
         return self.dst.size
 
 
+def _weighting(cfg: TrainConfig, walk_length: int) -> np.ndarray:
+    """The per-distance weights, one for each of the records' walk_length steps."""
+    if cfg.distance_weighting is None:
+        return np.ones(walk_length)
+    if len(cfg.distance_weighting) != walk_length:
+        raise ValidationError(
+            f"distance_weighting has {len(cfg.distance_weighting)} entries, records have walk_length {walk_length}"
+        )
+    return np.asarray(cfg.distance_weighting, dtype=np.float64)
+
+
 def prepare_positives(
     records: RecordBatch, cfg: TrainConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Collapse histograms to per-pair weights; drop self-pairs and zero weights."""
-    wl = records.walk_length
-    weighting = (
-        np.asarray(cfg.distance_weighting, dtype=np.float64)
-        if cfg.distance_weighting is not None
-        else np.ones(wl)
-    )
-    if len(weighting) != wl:
-        raise ValidationError(
-            f"distance_weighting has {len(weighting)} entries, records have walk_length {wl}"
-        )
-    weight = records.co_counts @ weighting
+    weight = records.co_counts @ _weighting(cfg, records.walk_length)
     keep = (weight > 0) & (records.source != records.dest)
     return (
         records.source[keep],
@@ -143,13 +155,33 @@ def prepare_positives(
     )
 
 
+def _load_positives(
+    records_dir: str | Path, cfg: TrainConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """prepare_positives over one shard at a time, each shard's kept rows
+    written in place into columns sized by the manifest's record total."""
+    manifest = read_manifest(records_dir)
+    _weighting(cfg, manifest["config"]["walk_length"])  # a length mismatch raises before any read
+    total = sum(manifest["record_counts"])
+    columns = (np.empty(total, dtype=np.int64), np.empty(total, dtype=np.int64), np.empty(total, dtype=np.float32))
+    kept = 0
+    for shard in iter_shards(records_dir, manifest):
+        part = prepare_positives(shard, cfg)
+        for column, values in zip(columns, part):
+            column[kept : kept + len(values)] = values
+        kept += len(part[0])
+    return tuple(column[:kept] for column in columns)
+
+
 class RecordStream:
     """Endless shuffled stream of positive examples.
 
-    Each epoch visits every record once: positions are consumed through a
-    shuffle window of SHUFFLE_BUFFER records (the whole epoch order is
-    materialized window by window), with a fresh seeded permutation per
-    epoch. Wraps around at epoch end.
+    Each epoch visits every position once, through windows of SHUFFLE_BUFFER
+    positions. Epoch e cuts its windows on a grid that starts at
+    (e * SHUFFLE_BUFFER // 2) % SHUFFLE_BUFFER, so records share windows
+    with different neighbours in alternate epochs. Each window is shuffled
+    by the epoch's seeded generator when the stream reaches it: the stream
+    holds one window of indices, never an epoch's order.
     """
 
     def __init__(self, src, dst, weight, seed: int):
@@ -158,35 +190,41 @@ class RecordStream:
         self.src, self.dst, self.weight = src, dst, weight
         self.seed = seed
         self.epochs_completed = 0
-        self._order = self._epoch_order(0)
-        self._pos = 0
+        self._window = np.empty(0, dtype=np.int64)  # the current window's positions, shuffled
+        self._used = 0  # how many of them have been taken
+        self._end = len(src)  # epoch position where the window ends; the epoch's end starts the next
 
     def __len__(self) -> int:
         return len(self.src)
 
-    def _epoch_order(self, epoch: int) -> np.ndarray:
-        rng = np.random.default_rng(np.random.SeedSequence((self.seed, epoch)))
+    def _next_window(self) -> None:
+        """Shuffle the next window: [0, grid) first, then one SHUFFLE_BUFFER
+        from each grid line, the last cut at the epoch's end."""
         n = len(self.src)
-        order = np.arange(n, dtype=np.int64)
-        for lo in range(0, n, SHUFFLE_BUFFER):
-            window = order[lo : lo + SHUFFLE_BUFFER]
-            rng.shuffle(window)
-        # rotate window boundaries across epochs so records can cross windows
-        return np.roll(order, (epoch * SHUFFLE_BUFFER) // 2)
+        if self._end == n:
+            self._rng = np.random.default_rng(np.random.SeedSequence((self.seed, self.epochs_completed)))
+            self._end = 0
+        grid = (self.epochs_completed * SHUFFLE_BUFFER // 2) % SHUFFLE_BUFFER
+        lo = self._end
+        hi = min(grid if lo < grid else lo + SHUFFLE_BUFFER, n)
+        self._window = None  # free the old window before drawing the next
+        self._window = self._rng.permutation(hi - lo)
+        self._window += lo
+        self._used, self._end = 0, hi
 
     def take(self, count: int) -> np.ndarray:
         """Next `count` record indices, wrapping into the next epoch."""
         out = np.empty(count, dtype=np.int64)
         filled = 0
         while filled < count:
-            got = min(count - filled, len(self._order) - self._pos)
-            out[filled : filled + got] = self._order[self._pos : self._pos + got]
-            self._pos += got
+            if self._used == len(self._window):
+                self._next_window()
+            got = min(count - filled, len(self._window) - self._used)
+            out[filled : filled + got] = self._window[self._used : self._used + got]
+            self._used += got
             filled += got
-            if self._pos == len(self._order):
+            if self._used == len(self._window) and self._end == len(self.src):
                 self.epochs_completed += 1
-                self._order = self._epoch_order(self.epochs_completed)
-                self._pos = 0
         return out
 
 
@@ -244,16 +282,19 @@ def _setup(
     num_nodes: int | None, log_every: int,
 ) -> tuple[EmbeddingTable, tuple[np.ndarray, np.ndarray, np.ndarray], list[dict]]:
     """Set-up shared by both modes: the table (seeded float32 init of
-    num_nodes rows when none is given), the filtered positives, and a log
-    opened by the config event."""
+    num_nodes rows when none is given), the filtered positives (from a
+    records directory, read one shard at a time), and a log opened by the
+    config event."""
     if cfg.mode != mode:
         raise ValidationError(f"train_{mode} requires cfg.mode == {mode!r}")
     if log_every < 1:
         raise ValidationError(f"log_every must be >= 1, got {log_every}")
     if table is None and num_nodes is None:
         raise ValidationError(f"train_{mode} needs a table or num_nodes")
-    if not isinstance(records, RecordBatch):
-        records, _ = load_all_records(records)
+    if isinstance(records, RecordBatch):
+        positives = prepare_positives(records, cfg)
+    else:
+        positives = _load_positives(records, cfg)
     if table is None:
         table = init_table(num_nodes, cfg.dim, derive_seed(cfg.seed, "init"))
     parallel = "num_replicas" if mode == "sync" else "num_workers"
@@ -265,7 +306,7 @@ def _setup(
         "global_batch_examples": cfg.global_batch_examples,
         "steps": cfg.steps,
     }
-    return table, prepare_positives(records, cfg), [config_event]
+    return table, positives, [config_event]
 
 
 def _lane(

@@ -2,10 +2,11 @@
 
 Everything here is deliberately naive: explicit trajectory enumeration,
 quadratic nearest-neighbor search, exhaustive pair scans, central finite
-differences, a per-example skip-gram loss, and a per-line edge-list parser
-with sort-based graph building. None of it shares code with the
-implementations under test, except the whole-set shard reference, which
-reuses the sampler's walks and checks only how records reach their shards.
+differences, a per-example skip-gram loss, a per-line edge-list parser
+with sort-based graph building, and a whole-epoch record order. None of it
+shares code with the implementations under test, except the whole-set shard
+reference, which reuses the sampler's walks and checks only how records
+reach their shards. The small helpers at the end serve tests only.
 """
 
 import math
@@ -268,3 +269,27 @@ def run_sampling_reference(g, cfg, out_dir, partition_nodes: int = 1 << 14) -> N
             "stats": stats,
         },
     )
+
+
+def epoch_order_reference(seed: int, n: int, epoch: int, window: int) -> np.ndarray:
+    """An epoch's whole order of n record positions: arange(n) shuffled one
+    window of `window` positions at a time by the epoch's one generator,
+    then rotated by epoch * window // 2."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, epoch)))
+    order = np.arange(n, dtype=np.int64)
+    for lo in range(0, n, window):
+        rng.shuffle(order[lo : lo + window])
+    return np.roll(order, (epoch * window) // 2)
+
+
+def has_edge(g, u: int, v: int) -> bool:
+    return int(v) in g.neighbors(u).tolist()
+
+
+def count_zero_rows(table) -> int:
+    return sum(1 for row in table.values if not row.any())
+
+
+def class_of(cfg, i: int) -> int:
+    """The planted class of node i: classes are contiguous id blocks."""
+    return i * cfg.k // cfg.n

@@ -201,6 +201,15 @@ class TestPipelineCommand:
         path.write_text(json.dumps(cfg))
         assert run("pipeline", "--config", path) == 1
 
+    def test_config_section_not_an_object_exit_1(self, tmp_path, capsys):
+        path = self.config(tmp_path)
+        cfg = json.loads(path.read_text())
+        cfg["sampler"] = 5
+        path.write_text(json.dumps(cfg))
+        assert run("pipeline", "--config", path) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: sampler config must be an object, got 5"]
+        assert not (tmp_path / "run").exists()
+
     def test_unknown_config_key_exit_1(self, tmp_path, capsys):
         path = self.config(tmp_path)
         cfg = json.loads(path.read_text())

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -109,6 +110,13 @@ class TestConfig:
             TrainConfig.from_dict([])
         # an int passes for a float
         assert TrainConfig.from_dict({"optimizer": {"kind": "fixed_sgd", "lr": 2}}).optimizer == FixedSgd(2.0)
+
+    @pytest.mark.parametrize("section, value", [("sampler", 5), ("graph", 5), ("trainer", []), ("eval", "x"), ("graph", [])])
+    def test_section_not_an_object_named(self, tmp_path, section, value):
+        d = tiny_config_dict(tmp_path / "r")
+        d[section] = value
+        with pytest.raises(ValidationError, match=re.escape(f"{section} config must be an object, got {value!r}")):
+            config_from_dict(d)
 
     def test_unknown_top_level_key_named(self, tmp_path):
         d = tiny_config_dict(tmp_path / "r")

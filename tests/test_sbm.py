@@ -89,7 +89,7 @@ def test_generated_graph_satisfies_invariants():
 
 def test_contiguous_class_assignment():
     cfg = SbmConfig(n=10, k=3, p_in=1.0, p_out=1.0)
-    assert [int(cfg.class_of(i)) for i in range(10)] == [0, 0, 0, 0, 1, 1, 1, 2, 2, 2]
+    assert [oracles.class_of(cfg, i) for i in range(10)] == [0, 0, 0, 0, 1, 1, 1, 2, 2, 2]
     assert cfg.block_bounds().tolist() == [0, 4, 7, 10]
 
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import build_graph
+from walkembed import trainer
 from walkembed.errors import NumericError, ValidationError
 from walkembed.model import (
     EmbeddingTable,
@@ -17,8 +20,11 @@ from walkembed.model import (
     lr_at,
     save_checkpoint,
 )
-from walkembed.shards import RecordBatch
+from walkembed.sampler import SamplerConfig, run_sampling
+from walkembed.sbm import SbmConfig, generate_sbm
+from walkembed.shards import RecordBatch, load_all_records
 from walkembed.trainer import (
+    SHUFFLE_BUFFER,
     ExampleBatch,
     RecordStream,
     TrainConfig,
@@ -690,3 +696,138 @@ def test_table_or_num_nodes_required(mode):
     train = train_sync if mode == "sync" else train_async
     with pytest.raises(ValidationError, match=f"train_{mode} needs a table or num_nodes"):
         train(training_records(), cfg)
+
+
+@pytest.mark.parametrize(
+    "weighting", [[1, "a", 2], 5, [True, 1, 1], [float("nan"), 1, 1], [1, float("inf"), 1], [1, -1, 0], [0, 0, 0], []]
+)
+def test_distance_weighting_checked(weighting):
+    assert TrainConfig.from_dict({"distance_weighting": [0, 0.5, 2]}).distance_weighting == (0, 0.5, 2)
+    with pytest.raises(ValidationError, match="trainer config key 'distance_weighting' must be a list of finite"):
+        TrainConfig.from_dict({"distance_weighting": weighting})
+
+
+def sample_shards(out, num_shards, walks_per_node=40):
+    # 12 nodes: walks from the isolated nodes 5 and 11 end at once, and at
+    # 20 shards some shards hold no record
+    g = build_graph([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (4, 6), (6, 7), (7, 8), (8, 9), (9, 10), (10, 4)], 12)
+    run_sampling(g, SamplerConfig(walks_per_node=walks_per_node, walk_length=3, seed=13, num_shards=num_shards), out)
+    return json.loads((out / "manifest.json").read_text())
+
+
+class TestPositivesFromShards:
+    @pytest.mark.parametrize("weighting", [None, (1.0, 0.5, 0.25), (0.7, 0.3, 0.1)])
+    @pytest.mark.parametrize("num_shards", [1, 3, 8, 20])
+    def test_equal_to_whole_set(self, tmp_path, num_shards, weighting):
+        manifest = sample_shards(tmp_path, num_shards)
+        assert num_shards < 20 or 0 in manifest["record_counts"]
+        cfg = TrainConfig(dim=4, steps=1, distance_weighting=weighting)
+        got = trainer._load_positives(tmp_path, cfg)
+        want = prepare_positives(load_all_records(tmp_path)[0], cfg)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert g.tobytes() == w.tobytes()
+
+    def test_sync_training_equal_to_whole_set(self, tmp_path):
+        sample_shards(tmp_path, 3)
+        cfg = TrainConfig(dim=4, per_replica_batch_size=16, negatives_per_positive=2, num_replicas=2, steps=12,
+                          optimizer=FixedSgd(0.5), seed=4)
+        got = train_sync(tmp_path, cfg, num_nodes=12)
+        want = train_sync(load_all_records(tmp_path)[0], cfg, num_nodes=12)
+        assert got.table.values.tobytes() == want.table.values.tobytes()
+
+    def test_bad_shards_raise_through_train_sync(self, tmp_path):
+        cfg = TrainConfig(dim=4, steps=1)
+        manifest = sample_shards(tmp_path, 2)
+        shard = tmp_path / manifest["shard_files"][0]
+        data, size = shard.read_bytes(), 20 + 8 * 3
+        assert manifest["record_counts"][0] > 2
+
+        shard.write_bytes(data[: 2 * size])  # cut at a record boundary
+        with pytest.raises(ValidationError, match=f"{shard}: 2 records, but the manifest lists"):
+            train_sync(tmp_path, cfg, num_nodes=12)
+        shard.write_bytes(data[: 2 * size + 5])
+        with pytest.raises(ValidationError, match=f"{shard}: size not a multiple of record size"):
+            train_sync(tmp_path, cfg, num_nodes=12)
+        shard.write_bytes(data[:size + 16] + (4).to_bytes(4, "little") + data[size + 20 :])
+        with pytest.raises(ValidationError, match=f"{shard}: mixed walk lengths in shard"):
+            train_sync(tmp_path, cfg, num_nodes=12)
+
+        shard.write_bytes(data)
+        manifest["record_counts"][1] += 1
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValidationError, match="records, but the manifest lists"):
+            train_sync(tmp_path, cfg, num_nodes=12)
+        manifest["record_counts"][1] = -1
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValidationError, match="record_counts must be a list of non-negative integers"):
+            train_sync(tmp_path, cfg, num_nodes=12)
+
+    def test_weighting_length_checked_before_any_shard_is_read(self, tmp_path):
+        manifest = sample_shards(tmp_path, 2)
+        for f in manifest["shard_files"]:
+            (tmp_path / f).unlink()
+        cfg = TrainConfig(dim=4, steps=1, distance_weighting=(1.0, 0.5))
+        with pytest.raises(ValidationError, match="distance_weighting has 2 entries, records have walk_length 3"):
+            train_sync(tmp_path, cfg, num_nodes=12)
+
+    def test_memory_below_shard_bytes(self, tmp_path):
+        # Under tracemalloc, loading every shard, concatenating them and then
+        # filtering the whole set peaked at 1.8x the shard bytes; filtering
+        # one shard at a time into preallocated columns peaks at 0.77x.
+        g = generate_sbm(SbmConfig(n=4000, k=4, p_in=0.02, p_out=0.002, seed=1))
+        run_sampling(g, SamplerConfig(walks_per_node=16, walk_length=3, num_shards=8), tmp_path)
+        table = init_table(g.num_nodes, 4, seed=0)
+        cfg = TrainConfig(dim=4, per_replica_batch_size=8, negatives_per_positive=1, steps=1)
+        tracemalloc.start()
+        try:
+            train_sync(tmp_path, cfg, table=table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        written = sum(p.stat().st_size for p in tmp_path.glob("records-*.bin"))
+        assert peak < written
+
+
+def position_stream(n, seed=9):
+    return RecordStream(np.arange(n), np.arange(n), np.ones(n, dtype=np.float32), seed)
+
+
+class TestRecordStreamWindows:
+    @pytest.mark.parametrize("n", [1000, SHUFFLE_BUFFER, 2 * SHUFFLE_BUFFER + 123])
+    def test_epoch_zero_equals_whole_epoch_reference(self, n):
+        stream = position_stream(n)
+        parts, taken = [], 0
+        while taken < n:  # odd-sized takes that cross window edges
+            parts.append(stream.take(min(4099, n - taken)))
+            taken += len(parts[-1])
+            assert stream.epochs_completed == (taken == n)
+        assert np.array_equal(np.concatenate(parts), oracles.epoch_order_reference(9, n, 0, SHUFFLE_BUFFER))
+
+    def test_epochs_cover_every_position_once_on_a_moving_grid(self):
+        n, half = 2 * SHUFFLE_BUFFER + 123, SHUFFLE_BUFFER // 2
+        stream = position_stream(n)
+        for epoch in range(4):
+            order = stream.take(n)
+            assert stream.epochs_completed == epoch + 1
+            assert np.array_equal(np.sort(order), np.arange(n))
+            # windows sit on 0, B, 2B in even epochs and on 0, B/2, 3B/2 in odd ones
+            lo = half if epoch % 2 else SHUFFLE_BUFFER
+            edges = [0, *range(lo, n, SHUFFLE_BUFFER), n]
+            for a, b in zip(edges, edges[1:]):
+                assert np.array_equal(np.sort(order[a:b]), np.arange(a, b))
+
+    def test_memory_bounded_by_one_window(self):
+        # Whole-epoch orders and their np.roll copies peaked at 24 MB here.
+        n = 10**6
+        src, dst, w = np.arange(n), np.arange(n), np.ones(n, dtype=np.float32)
+        tracemalloc.start()
+        try:
+            stream = RecordStream(src, dst, w, seed=1)
+            for _ in range(n // 4096 + 40):  # across the epoch's end
+                stream.take(4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stream.epochs_completed == 1
+        assert peak < 1_000_000
