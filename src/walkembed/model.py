@@ -6,6 +6,11 @@ per-pair weight, uniform negatives minimize it, mean-reduced over all
 examples in a batch. A batch groups each positive with its k negatives on
 one source row, so a step gathers that row once and sums its 1+k gradient
 contributions before the scatter: B * (2+k) scattered rows, not 2B * (1+k).
+
+The scatter sums each touched row's contributions in batch order, as
+np.add.at into zeros would, but without it: one sort of (id, position) keys
+groups the rows, and the sums are taken rank by rank with plain fancy-index
+adds, which release the GIL so concurrent async workers overlap.
 """
 
 from __future__ import annotations
@@ -123,9 +128,9 @@ def loss_and_grad(table: EmbeddingTable, batch) -> LossGrads:
     """Weighted logistic loss and sparse gradients for one grouped batch.
 
     batch provides src (P,), dst (P, 1+k) and weight (P,) as laid out by
-    trainer.ExampleBatch. Rows are gathered once per unique id; the returned
-    gradient touches only those rows. Loss is the mean over all P * (1+k)
-    examples, accumulated in float64.
+    trainer.ExampleBatch. The returned gradient touches only the batch's
+    unique ids. Loss is the mean over all P * (1+k) examples, accumulated in
+    float64.
     """
     src, dst = batch.src, batch.dst
     _check_ids(src, table.num_nodes)
@@ -139,10 +144,7 @@ def loss_and_grad(table: EmbeddingTable, batch) -> LossGrads:
     w[:, 0] = batch.weight
     sign = np.where(np.arange(width) == 0, 1.0, -1.0).astype(dtype)
 
-    uids, inv = np.unique(np.concatenate([src, dst.ravel()]), return_inverse=True)
-    rows = table.values[uids]
-    e_src, e_dst = rows[inv[:p]], rows[inv[p:]].reshape(p, width, -1)
-
+    e_src, e_dst = table.values[src], table.values[dst]
     scores = np.einsum("pd,pwd->pw", e_src, e_dst)
     per_example = w * np.logaddexp(0.0, -sign * scores)
     loss = float(np.sum(per_example, dtype=np.float64) / n)
@@ -152,21 +154,40 @@ def loss_and_grad(table: EmbeddingTable, batch) -> LossGrads:
 
     # d(loss)/d(score): positives w*(sigma-1)/n, negatives sigma/n
     coef = (w * sign * (_sigmoid(sign * scores) - 1.0) / n).astype(dtype)
-    acc = np.zeros_like(rows)
-    _add_rows_at(acc, inv[:p], np.einsum("pw,pwd->pd", coef, e_dst))
-    _add_rows_at(acc, inv[p:], (coef[:, :, None] * e_src[:, None, :]).reshape(n, -1))
+    # one contribution per scattered row: the P source sums, then the P * (1+k) destinations
+    contrib = np.empty((p + n, table.dim), dtype=dtype)
+    np.einsum("pw,pwd->pd", coef, e_dst, out=contrib[:p])
+    np.multiply(coef[:, :, None], e_src[:, None, :], out=contrib[p:].reshape(p, width, -1))
+    uids, acc = _sum_rows_by_id(np.concatenate([src, dst.ravel()]), contrib, table.num_nodes)
     return LossGrads(loss, SparseGrad(uids, acc))
 
 
-def _add_rows_at(acc: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
-    """np.add.at(acc, idx, rows) through the faster 1-D ufunc.at path.
+def _sum_rows_by_id(ids: np.ndarray, contrib: np.ndarray, num_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending unique ids and, for each, the sum of its contrib rows.
 
-    Cell (idx[i], j) becomes flat index idx[i] * dim + j, and the flat indices
-    run in the order of i, so every cell receives its additions in the same
-    order as the 2-D call and the result is bitwise identical."""
-    dim = acc.shape[1]
-    flat = idx[:, None] * dim + np.arange(dim)
-    np.add.at(acc.reshape(-1), flat.reshape(-1), rows.reshape(-1))
+    Bitwise equal to np.add.at(zeros, inverse, contrib), which adds each id's
+    rows in position order. One sort of the unique keys (id << shift) |
+    position groups the rows by id in position order. The first row of each
+    id starts its sum; the r-th rows of all ids with more than r are then
+    added in one pass per rank r, whose indices are unique, so each pass is
+    a plain fancy-index add."""
+    m = len(ids)
+    shift = (m - 1).bit_length()
+    if (num_nodes - 1).bit_length() + shift > 63:
+        raise ValidationError(f"ids below {num_nodes} and {m} gradient rows do not fit in int64 sort keys")
+    keys = np.sort((ids.astype(np.int64, copy=False) << shift) | np.arange(m))
+    order = keys & ((1 << shift) - 1)
+    keys >>= shift
+    starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+    sizes = np.diff(starts, append=m)
+    acc = contrib[order[starts]]
+    acc += 0  # 0 + x, as the sum into zeros starts: -0.0 becomes +0.0
+    by_size = np.argsort(-sizes)  # the ids with more than r rows lead, for every r
+    more_than = np.searchsorted(-sizes[by_size], -np.arange(1, sizes.max()), side="left")
+    for r, count in enumerate(more_than, start=1):
+        g = by_size[:count]
+        acc[g] += contrib[order[starts[g] + r]]
+    return keys[starts], acc
 
 
 def save_checkpoint(path: str | Path, table: EmbeddingTable, step: int, config_hash: bytes = b"") -> None:

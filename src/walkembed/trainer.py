@@ -155,17 +155,27 @@ def prepare_positives(
     )
 
 
+def _check_node_ids(records: RecordBatch, num_nodes: int, where: str | Path) -> None:
+    """Raise, naming `where`, unless every source and dest is a row of the table."""
+    for ids in (records.source, records.dest):
+        if len(ids) and (ids.min() < 0 or ids.max() >= num_nodes):
+            bad = ids[(ids < 0) | (ids >= num_nodes)][0]
+            raise ValidationError(f"{where}: node id {bad} out of range [0, {num_nodes}) of the table")
+
+
 def _load_positives(
-    records_dir: str | Path, cfg: TrainConfig
+    records_dir: str | Path, cfg: TrainConfig, num_nodes: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """prepare_positives over one shard at a time, each shard's kept rows
-    written in place into columns sized by the manifest's record total."""
+    written in place into columns sized by the manifest's record total.
+    Each shard's ids are checked against the table's num_nodes rows."""
     manifest = read_manifest(records_dir)
     _weighting(cfg, manifest["config"]["walk_length"])  # a length mismatch raises before any read
     total = sum(manifest["record_counts"])
     columns = (np.empty(total, dtype=np.int64), np.empty(total, dtype=np.int64), np.empty(total, dtype=np.float32))
     kept = 0
-    for shard in iter_shards(records_dir, manifest):
+    for f, shard in zip(manifest["shard_files"], iter_shards(records_dir, manifest)):
+        _check_node_ids(shard, num_nodes, Path(records_dir) / f)
         part = prepare_positives(shard, cfg)
         for column, values in zip(columns, part):
             column[kept : kept + len(values)] = values
@@ -283,18 +293,20 @@ def _setup(
 ) -> tuple[EmbeddingTable, tuple[np.ndarray, np.ndarray, np.ndarray], list[dict]]:
     """Set-up shared by both modes: the table (seeded float32 init of
     num_nodes rows when none is given), the filtered positives (from a
-    records directory, read one shard at a time), and a log opened by the
-    config event."""
+    records directory, read one shard at a time; every record id checked
+    against the table's rows), and a log opened by the config event."""
     if cfg.mode != mode:
         raise ValidationError(f"train_{mode} requires cfg.mode == {mode!r}")
     if log_every < 1:
         raise ValidationError(f"log_every must be >= 1, got {log_every}")
     if table is None and num_nodes is None:
         raise ValidationError(f"train_{mode} needs a table or num_nodes")
+    rows = table.num_nodes if table is not None else num_nodes
     if isinstance(records, RecordBatch):
+        _check_node_ids(records, rows, "records")
         positives = prepare_positives(records, cfg)
     else:
-        positives = _load_positives(records, cfg)
+        positives = _load_positives(records, cfg, rows)
     if table is None:
         table = init_table(num_nodes, cfg.dim, derive_seed(cfg.seed, "init"))
     parallel = "num_replicas" if mode == "sync" else "num_workers"

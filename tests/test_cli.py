@@ -128,6 +128,24 @@ class TestPruneSampleTrainEval:
         assert f"{shard}: 10 records" in capsys.readouterr().err
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    def test_train_record_id_out_of_range_exit_1(self, tmp_path, small_graph_file, capsys, mode):
+        records = tmp_path / "records"
+        assert run("sample", "--graph", small_graph_file, "--out", records,
+                   "--walks-per-node", 4, "--num-shards", 2, "--seed", 3) == 0
+        shard = records / "records-00001-of-00002.bin"
+        data = bytearray(shard.read_bytes())
+        data[8:16] = (5000).to_bytes(8, "little")  # the first record's dest
+        shard.write_bytes(bytes(data))
+        ckpt = tmp_path / "emb.bin"
+        capsys.readouterr()
+        assert run("train", "--records", records, "--graph", small_graph_file, "--mode", mode,
+                   "--dim", 8, "--steps", 2, "--out", ckpt) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {shard}: node id 5000 out of range [0, 150) of the table"
+        ]
+        assert not ckpt.exists()
+
     def test_train_optimizer_without_lr_exit_1(self, tmp_path, small_graph_file, capsys):
         tcfg = tmp_path / "train.json"
         tcfg.write_text(json.dumps({"optimizer": {"kind": "fixed_sgd"}}))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import build_graph
-from walkembed import trainer
+from walkembed import model, trainer
 from walkembed.errors import NumericError, ValidationError
 from walkembed.model import (
     EmbeddingTable,
@@ -330,6 +330,67 @@ class TestLossAndGrad:
             grad.apply(table, 0.1)
 
 
+def add_at_reference(ids, contrib):
+    """The ascending unique ids and their rows summed by the 2-D np.add.at into zeros."""
+    uids, inv = np.unique(ids, return_inverse=True)
+    acc = np.zeros((len(uids), contrib.shape[1]), dtype=contrib.dtype)
+    np.add.at(acc, inv.ravel(), contrib)
+    return uids, acc
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+class TestSumRowsById:
+    def check(self, ids, contrib, num_nodes):
+        uids, acc = model._sum_rows_by_id(np.asarray(ids, dtype=np.int64), contrib, num_nodes)
+        want_ids, want = add_at_reference(ids, contrib)
+        assert np.array_equal(uids, want_ids)
+        assert acc.dtype == contrib.dtype
+        assert acc.tobytes() == want.tobytes()
+
+    def test_one_id_in_every_entry(self, dtype):
+        # m rows of one id: one rank pass per row after the first
+        rng = np.random.default_rng(1)
+        self.check(np.full(300, 4), rng.normal(size=(300, 6)).astype(dtype), 5)
+
+    def test_all_ids_distinct(self, dtype):
+        rng = np.random.default_rng(2)
+        self.check(rng.permutation(1000)[:257], rng.normal(size=(257, 6)).astype(dtype), 1000)
+
+    @pytest.mark.parametrize("p, k", [(1, 3), (1, 0), (64, 0), (200, 7)])
+    def test_batch_layouts(self, dtype, p, k):
+        # ids laid out as a step's: P sources, then P rows of 1+k destinations
+        rng = np.random.default_rng(3 + p + k)
+        ids = np.concatenate([rng.integers(0, 20, p), rng.integers(0, 20, p * (1 + k))])
+        self.check(ids, rng.normal(size=(len(ids), 5)).astype(dtype), 20)
+
+    def test_signed_zeros(self, dtype):
+        # a lone -0.0 becomes +0.0 (0 + -0.0), as it does in the sum into zeros
+        contrib = np.array([[-0.0, 0.0], [-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0]], dtype=dtype)
+        self.check([2, 0, 2, 1], contrib, 3)
+        _, acc = model._sum_rows_by_id(np.array([2, 0, 2, 1]), contrib, 3)
+        assert not np.signbit(acc).any()
+
+    def test_nan_and_inf_rows(self, dtype):
+        rng = np.random.default_rng(4)
+        contrib = rng.normal(size=(9, 3)).astype(dtype)
+        contrib[2] = np.nan
+        contrib[4] = np.inf
+        contrib[7, 0] = -np.inf  # inf + -inf in row 1's sum
+        with np.errstate(invalid="ignore"):
+            self.check([0, 1, 0, 2, 1, 2, 0, 1, 3], contrib, 4)
+
+    def test_keys_near_two_to_the_62(self, dtype):
+        big = 2**62
+        contrib = np.arange(6, dtype=dtype).reshape(3, 2)
+        # ids below 2**61 with 3 rows (2 shift bits) fit in 63 bits
+        self.check([2**61 - 1, 5, 2**61 - 1], contrib, 2**61)
+        self.check([big], contrib[:1], big + 1)  # one row: no shift
+        with pytest.raises(ValidationError, match=f"ids below {big + 1} and 2 gradient rows"):
+            model._sum_rows_by_id(np.array([big, big - 1]), contrib[:2], big + 1)
+        with pytest.raises(ValidationError, match=f"ids below {2**61 + 1} and 3 gradient rows"):
+            model._sum_rows_by_id(np.array([2**61, 5, 0]), contrib, 2**61 + 1)
+
+
 def training_records(n=30, seed=0):
     """Cycle graph style records, enough to stream from."""
     rng = np.random.default_rng(seed)
@@ -556,6 +617,25 @@ class TestTrainAsync:
             sys.setswitchinterval(interval)
         assert [e["step"] for e in result.log if "loss" in e] == list(range(300))
 
+    def test_two_workers_exact_on_a_shared_table_under_thread_switches(self):
+        # the step's scatter releases the GIL, so two workers overlap on one
+        # table; every micro-batch must still be counted and none may fail
+        import sys
+
+        table = init_table(30, 8, seed=3)
+        before = table.values.copy()
+        cfg = self.cfg(num_workers=2, steps=400)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            result = train_async(training_records(), cfg, table=table)
+        finally:
+            sys.setswitchinterval(interval)
+        assert result.table is table
+        assert result.examples_processed == 400 * cfg.micro_batch_examples
+        assert result.worker_failures == 0
+        assert np.isfinite(table.values).all() and not np.array_equal(table.values, before)
+
     def test_worker_failure_restarts_from_stream(self, monkeypatch):
         import walkembed.trainer as trainer_mod
 
@@ -722,7 +802,7 @@ class TestPositivesFromShards:
         manifest = sample_shards(tmp_path, num_shards)
         assert num_shards < 20 or 0 in manifest["record_counts"]
         cfg = TrainConfig(dim=4, steps=1, distance_weighting=weighting)
-        got = trainer._load_positives(tmp_path, cfg)
+        got = trainer._load_positives(tmp_path, cfg, 12)
         want = prepare_positives(load_all_records(tmp_path)[0], cfg)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype
@@ -762,6 +842,28 @@ class TestPositivesFromShards:
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ValidationError, match="record_counts must be a list of non-negative integers"):
             train_sync(tmp_path, cfg, num_nodes=12)
+
+    @pytest.mark.parametrize("mode, workers", [("sync", 1), ("async", 2)])
+    def test_record_id_out_of_range_raises_before_any_step(self, tmp_path, mode, workers):
+        manifest = sample_shards(tmp_path, 3)
+        shard = tmp_path / manifest["shard_files"][1]
+        data = bytearray(shard.read_bytes())
+        data[44 + 8 : 44 + 16] = (5000).to_bytes(8, "little")  # the second record's dest
+        shard.write_bytes(bytes(data))
+        cfg = TrainConfig(dim=4, mode=mode, num_workers=workers, steps=4)
+        train = train_sync if mode == "sync" else train_async
+        table = init_table(12, 4, seed=0)
+        before = table.values.copy()
+        with pytest.raises(ValidationError, match=f"{shard}: node id 5000 out of range \\[0, 12\\)"):
+            train(tmp_path, cfg, table=table)
+        assert np.array_equal(table.values, before)
+        # a RecordBatch argument is checked the same way, against num_nodes
+        records = load_all_records(tmp_path)[0]
+        with pytest.raises(ValidationError, match="records: node id 5000 out of range"):
+            train(records, cfg, num_nodes=12)
+        records.dest[records.dest == 5000] = -3
+        with pytest.raises(ValidationError, match="records: node id -3 out of range"):
+            train(records, cfg, num_nodes=12)
 
     def test_weighting_length_checked_before_any_shard_is_read(self, tmp_path):
         manifest = sample_shards(tmp_path, 2)
