@@ -9,7 +9,7 @@ import argparse
 import json
 import sys
 
-from .errors import StageError, ValidationError, WalkembedError
+from .errors import StageError, ValidationError, WalkembedError, check_object
 from .graph import load_graph, prune_low_degree, save_csr, save_edge_list
 from .metrics import compute_report, write_report
 from .model import load_checkpoint, save_checkpoint
@@ -130,6 +130,7 @@ def _cmd_train(args) -> int:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+        check_object("trainer", raw)  # before a flag writes into it
     for flag, key in (
         ("mode", "mode"),
         ("dim", "dim"),

@@ -12,6 +12,12 @@ class ValidationError(WalkembedError):
     """Bad configuration or precondition violation; maps to CLI exit code 1."""
 
 
+def check_object(section: str, d) -> None:
+    """Raise ValidationError unless a config section d is a JSON object."""
+    if not isinstance(d, dict):
+        raise ValidationError(f"{section} config must be an object, got {d!r}")
+
+
 # scalar field type -> the value types it accepts
 _SCALARS = {"bool": bool, "int": int, "float": (int, float), "str": str}
 
@@ -22,8 +28,7 @@ def check_keys(section: str, d: dict, allowed) -> None:
     Against a dataclass, also name a field without a default that d lacks,
     and a value whose type is not its bool, int, float or str field's type:
     a bool is no int, and an int passes for a float."""
-    if not isinstance(d, dict):
-        raise ValidationError(f"{section} config must be an object, got {d!r}")
+    check_object(section, d)
     names = {f.name for f in fields(allowed)} if is_dataclass(allowed) else set(allowed)
     unknown = sorted(set(d) - names)
     if unknown:

@@ -11,11 +11,19 @@ The scatter sums each touched row's contributions in batch order, as
 np.add.at into zeros would, but without it: one sort of (id, position) keys
 groups the rows, and the sums are taken rank by rank with plain fancy-index
 adds, which release the GIL so concurrent async workers overlap.
+
+Given a thread pool, a step runs on two threads: the caller takes the first
+half and the pool's thread the second, first of the batch's rows (gathers,
+scores, loss terms, contributions), then of the unique ids (the sums, then
+the update). Each value is computed by the same operations on either
+thread, and only the loss is summed over the whole batch, after both halves,
+so the loss, gradient and table are bitwise the same as on one thread.
 """
 
 from __future__ import annotations
 
 import hashlib
+from concurrent import futures
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -100,12 +108,25 @@ class SparseGrad:
     ids: np.ndarray  # unique node ids, ascending
     values: np.ndarray  # (len(ids), dim)
 
-    def apply(self, table: EmbeddingTable, lr: float) -> None:
-        # keeps the table finite after every step
-        if not np.all(np.isfinite(self.values)):
-            bad = self.ids[~np.all(np.isfinite(self.values), axis=1)][0]
-            raise NumericError(f"non-finite gradient for row {bad}")
-        table.values[self.ids] -= lr * self.values
+    def apply(self, table: EmbeddingTable, lr: float, pool: futures.Executor | None = None) -> None:
+        """table.values[ids] -= lr * values; given a pool, its thread takes the
+        second half of the ids. Both halves check their rows before either
+        writes, so a non-finite row (the smallest such id is named) leaves the
+        table as it was."""
+        ids, values = self.ids, self.values
+
+        def first_bad(lo, hi):
+            part = values[lo:hi]
+            return None if np.isfinite(part).all() else ids[lo:hi][~np.isfinite(part).all(axis=1)][0]
+
+        bad = [b for b in _halves(pool, first_bad, len(ids)) if b is not None]
+        if bad:
+            raise NumericError(f"non-finite gradient for row {bad[0]}")
+
+        def write(lo, hi):
+            table.values[ids[lo:hi]] -= lr * values[lo:hi]
+
+        _halves(pool, write, len(ids))
 
 
 @dataclass
@@ -124,13 +145,31 @@ def _check_ids(ids: np.ndarray, num_nodes: int) -> None:
         raise IndexError(f"node id {bad} out of range [0, {num_nodes})")
 
 
-def loss_and_grad(table: EmbeddingTable, batch) -> LossGrads:
+def _halves(pool: futures.Executor | None, work, n: int) -> list:
+    """work(lo, hi) over [0, n): on this thread alone without a pool; with
+    one, [0, n // 2) here while the pool's thread runs [n // 2, n). Returns
+    the results in range order. Both halves have finished when this returns
+    or raises, so nothing still writes after a failure."""
+    if pool is None:
+        return [work(0, n)]
+    mid = n // 2
+    helper = pool.submit(work, mid, n)
+    try:
+        first = work(0, mid)
+    except BaseException:
+        futures.wait([helper])
+        raise
+    return [first, helper.result()]
+
+
+def loss_and_grad(table: EmbeddingTable, batch, pool: futures.Executor | None = None) -> LossGrads:
     """Weighted logistic loss and sparse gradients for one grouped batch.
 
     batch provides src (P,), dst (P, 1+k) and weight (P,) as laid out by
     trainer.ExampleBatch. The returned gradient touches only the batch's
     unique ids. Loss is the mean over all P * (1+k) examples, accumulated in
-    float64.
+    float64. Given a pool, its thread computes half of the rows and half of
+    the sums; the result is bitwise the same.
     """
     src, dst = batch.src, batch.dst
     _check_ids(src, table.num_nodes)
@@ -139,30 +178,39 @@ def loss_and_grad(table: EmbeddingTable, batch) -> LossGrads:
     n = p * width
     if n == 0:
         raise ValidationError("empty batch")
-    dtype = table.values.dtype
-    w = np.ones((p, width), dtype=dtype)
-    w[:, 0] = batch.weight
+    values, dtype = table.values, table.values.dtype
     sign = np.where(np.arange(width) == 0, 1.0, -1.0).astype(dtype)
+    per_example = np.empty((p, width), dtype=dtype)
+    # one contribution per scattered row: the P source sums, then the P * (1+k) destinations
+    contrib = np.empty((p + n, table.dim), dtype=dtype)
+    dst_contrib = contrib[p:].reshape(p, width, -1)
 
-    e_src, e_dst = table.values[src], table.values[dst]
-    scores = np.einsum("pd,pwd->pw", e_src, e_dst)
-    per_example = w * np.logaddexp(0.0, -sign * scores)
+    def forward(lo, hi):
+        # every value of rows [lo, hi) depends on those rows alone
+        w = np.ones((hi - lo, width), dtype=dtype)
+        w[:, 0] = batch.weight[lo:hi]
+        e_src, e_dst = values[src[lo:hi]], values[dst[lo:hi]]
+        signed = sign * np.einsum("pd,pwd->pw", e_src, e_dst)
+        np.multiply(w, np.logaddexp(0.0, -signed), out=per_example[lo:hi])
+        if not np.isfinite(per_example[lo:hi]).all():
+            return  # the loss is not finite either, and the step raises below
+        # d(loss)/d(score): positives w*(sigma-1)/n, negatives sigma/n
+        coef = (w * sign * (_sigmoid(signed) - 1.0) / n).astype(dtype)
+        np.einsum("pw,pwd->pd", coef, e_dst, out=contrib[lo:hi])
+        np.multiply(coef[:, :, None], e_src[:, None, :], out=dst_contrib[lo:hi])
+
+    _halves(pool, forward, p)
     loss = float(np.sum(per_example, dtype=np.float64) / n)
     if not np.isfinite(loss):
         bad = src[~np.all(np.isfinite(per_example), axis=1)]
         raise NumericError(f"non-finite loss; first offending source row {bad[0] if len(bad) else -1}")
-
-    # d(loss)/d(score): positives w*(sigma-1)/n, negatives sigma/n
-    coef = (w * sign * (_sigmoid(sign * scores) - 1.0) / n).astype(dtype)
-    # one contribution per scattered row: the P source sums, then the P * (1+k) destinations
-    contrib = np.empty((p + n, table.dim), dtype=dtype)
-    np.einsum("pw,pwd->pd", coef, e_dst, out=contrib[:p])
-    np.multiply(coef[:, :, None], e_src[:, None, :], out=contrib[p:].reshape(p, width, -1))
-    uids, acc = _sum_rows_by_id(np.concatenate([src, dst.ravel()]), contrib, table.num_nodes)
+    uids, acc = _sum_rows_by_id(np.concatenate([src, dst.ravel()]), contrib, table.num_nodes, pool)
     return LossGrads(loss, SparseGrad(uids, acc))
 
 
-def _sum_rows_by_id(ids: np.ndarray, contrib: np.ndarray, num_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+def _sum_rows_by_id(
+    ids: np.ndarray, contrib: np.ndarray, num_nodes: int, pool: futures.Executor | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """The ascending unique ids and, for each, the sum of its contrib rows.
 
     Bitwise equal to np.add.at(zeros, inverse, contrib), which adds each id's
@@ -170,7 +218,8 @@ def _sum_rows_by_id(ids: np.ndarray, contrib: np.ndarray, num_nodes: int) -> tup
     position groups the rows by id in position order. The first row of each
     id starts its sum; the r-th rows of all ids with more than r are then
     added in one pass per rank r, whose indices are unique, so each pass is
-    a plain fancy-index add."""
+    a plain fancy-index add. Given a pool, the two halves of the unique ids
+    are summed on two threads."""
     m = len(ids)
     shift = (m - 1).bit_length()
     if (num_nodes - 1).bit_length() + shift > 63:
@@ -180,13 +229,19 @@ def _sum_rows_by_id(ids: np.ndarray, contrib: np.ndarray, num_nodes: int) -> tup
     keys >>= shift
     starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
     sizes = np.diff(starts, append=m)
-    acc = contrib[order[starts]]
-    acc += 0  # 0 + x, as the sum into zeros starts: -0.0 becomes +0.0
-    by_size = np.argsort(-sizes)  # the ids with more than r rows lead, for every r
-    more_than = np.searchsorted(-sizes[by_size], -np.arange(1, sizes.max()), side="left")
-    for r, count in enumerate(more_than, start=1):
-        g = by_size[:count]
-        acc[g] += contrib[order[starts[g] + r]]
+    acc = np.empty((len(starts), contrib.shape[1]), dtype=contrib.dtype)
+
+    def add_rows(lo, hi):
+        part, first, size = acc[lo:hi], starts[lo:hi], sizes[lo:hi]
+        np.take(contrib, order[first], axis=0, out=part, mode="clip")  # in range; "clip" skips a buffer
+        part += 0  # 0 + x, as the sum into zeros starts: -0.0 becomes +0.0
+        by_size = np.argsort(-size)  # the ids with more than r rows lead, for every r
+        more_than = np.searchsorted(-size[by_size], -np.arange(1, size.max(initial=1)), side="left")
+        for r, count in enumerate(more_than, start=1):
+            g = by_size[:count]
+            part[g] += contrib[order[first[g] + r]]
+
+    _halves(pool, add_rows, len(starts))
     return keys[starts], acc
 
 

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from . import metrics as metrics_mod
-from .errors import StageError, ValidationError, check_keys
+from .errors import StageError, ValidationError, check_keys, check_object
 from .graph import Graph, load_csr, load_edge_list, prune_low_degree, save_csr
 from .model import load_checkpoint, save_checkpoint
 from .rng import derive_seed
@@ -115,6 +115,7 @@ def load_pipeline_config(path: str | Path, env: dict | None = None) -> PipelineC
     env = os.environ if env is None else env
     with Path(path).open("r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    check_object("pipeline", raw)  # before an override writes into it
     if ENV_SEED in env:
         raw["seed"] = int(env[ENV_SEED])
     if ENV_RUN_DIR in env:

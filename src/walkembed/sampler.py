@@ -175,6 +175,8 @@ def run_sampling(
     shard is written whole. Memory holds one shard's records plus one
     partition's visits. Shard files plus manifest.json land in out_dir.
     """
+    if partition_nodes < 1:
+        raise ValidationError(f"partition_nodes must be >= 1, got {partition_nodes}")
     if g.num_nodes == 0:
         raise EmptyGraphError("cannot sample an empty graph")
     t0 = time.monotonic()

@@ -5,7 +5,9 @@ from the lane's record stream and applies one mean-reduced gradient over
 their concatenation, which equals the mean of the R micro-batch gradients.
 
 Sync mode mirrors replicated data-parallel training: one lane with R =
-num_replicas on the calling thread, bitwise deterministic for a fixed seed.
+num_replicas, bitwise deterministic for a fixed seed. Where the process may
+use more than one CPU, the calling thread and one helper thread each compute
+half of every step (see model.loss_and_grad); the output is bitwise the same.
 
 Async mode mirrors a parameter-server deployment: num_workers threads each
 run a lane with R = 1 over a disjoint record stripe and update the shared
@@ -15,8 +17,10 @@ only the W=1 case is deterministic.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -324,14 +328,16 @@ def _setup(
 def _lane(
     table: EmbeddingTable, stream: RecordStream, neg_rng: np.random.Generator, cfg: TrainConfig,
     steps: int, replicas: int, max_failures: int, stop: threading.Event, progress: _Progress,
+    pool: ThreadPoolExecutor | None,
 ) -> tuple[int, int]:
     """Apply `steps` steps of `replicas` micro-batches; returns (steps applied, failures).
 
     Each step takes one mean-reduced gradient over its micro-batches,
-    concatenated in replica order. A failed step is dropped and the lane
-    goes on from the stream's next records; once more than `max_failures`
-    steps failed, the lane sets `stop`, which ends the other lanes early,
-    and raises the failure.
+    concatenated in replica order; given a pool, its thread computes and
+    applies half of each step. A failed step is dropped and the lane goes on
+    from the stream's next records; once more than `max_failures` steps
+    failed, the lane sets `stop`, which ends the other lanes early, and
+    raises the failure.
     """
     failures = done = 0
     while done < steps and not stop.is_set():
@@ -341,9 +347,9 @@ def _lane(
             batch = ExampleBatch(
                 *(np.concatenate([getattr(b, f) for b in parts]) for f in ("src", "dst", "weight"))
             )
-            out = loss_and_grad(table, batch)
+            out = loss_and_grad(table, batch, pool)
             # lanes share the table with no lock: a read-modify-write may race (by contract)
-            out.main.apply(table, lr)
+            out.main.apply(table, lr, pool)
         except Exception:
             failures += 1
             if failures > max_failures:
@@ -383,17 +389,28 @@ def train_sync(
 ) -> TrainResult:
     """Replicated synchronous training, bitwise deterministic for a seed.
 
-    One lane on the calling thread: each step builds the R micro-batches in
-    replica order and takes one mean-reduced gradient over their
-    concatenation, which equals the mean of the R per-replica gradients. Any
-    failure is raised at once.
+    One lane: each step builds the R micro-batches in replica order and
+    takes one mean-reduced gradient over their concatenation, which equals
+    the mean of the R per-replica gradients. The calling thread runs the
+    lane; when the process may use more than one CPU, one helper thread
+    computes and applies half of each step, bitwise the same as one thread.
+    Any failure is raised at once, after the helper has finished its half.
     """
     table, (src, dst, w), log = _setup("sync", records, cfg, table, num_nodes, log_every)
     stream = RecordStream(src, dst, w, derive_seed(cfg.seed, "stream"))
     neg_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xB0)))
     progress = _Progress(log, cfg, log_every)
-    counts = _lane(table, stream, neg_rng, cfg, cfg.steps, cfg.num_replicas, 0, threading.Event(), progress)
+    # on one CPU a helper thread only adds hand-offs
+    with ThreadPoolExecutor(max_workers=1) if _usable_cpus() > 1 else contextlib.nullcontext() as pool:
+        counts = _lane(table, stream, neg_rng, cfg, cfg.steps, cfg.num_replicas, 0, threading.Event(), progress, pool)
     return _result(table, cfg, [counts], progress, log_path)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def train_async(
@@ -427,7 +444,7 @@ def train_async(
     progress = _Progress(log, cfg, log_every)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [
-            pool.submit(_lane, table, streams[wk], neg_rngs[wk], cfg, quota[wk], 1, max_failures, stop, progress)
+            pool.submit(_lane, table, streams[wk], neg_rngs[wk], cfg, quota[wk], 1, max_failures, stop, progress, None)
             for wk in range(workers)
         ]
     # result() re-raises a lane's exception; the counts are exact because

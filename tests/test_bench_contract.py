@@ -83,9 +83,9 @@ def test_train_sync_steps_on_the_calling_thread(monkeypatch):
     threads = set()
     real = trainer.loss_and_grad
 
-    def spy(table, batch):
+    def spy(table, batch, *args):
         threads.add(threading.get_ident())
-        return real(table, batch)
+        return real(table, batch, *args)
 
     monkeypatch.setattr(trainer, "loss_and_grad", spy)
     records = RecordBatch(np.arange(20), (np.arange(20) + 1) % 20, np.ones((20, 2), dtype=np.int64))
@@ -100,9 +100,9 @@ def test_train_sync_passes_the_global_example_count(monkeypatch):
     sizes = []
     real = trainer.loss_and_grad
 
-    def spy(table, batch):
+    def spy(table, batch, *args):
         sizes.append((len(batch), tracing._batch_examples((table, batch), {}, None)))
-        return real(table, batch)
+        return real(table, batch, *args)
 
     monkeypatch.setattr(trainer, "loss_and_grad", spy)
     records = RecordBatch(np.arange(20), (np.arange(20) + 1) % 20, np.ones((20, 2), dtype=np.int64))

@@ -155,6 +155,15 @@ class TestPruneSampleTrainEval:
         assert capsys.readouterr().err.splitlines() == ["error: optimizer config missing 'lr'"]
         assert not ckpt.exists()
 
+    def test_train_config_not_an_object_with_a_flag_exit_1(self, tmp_path, small_graph_file, capsys):
+        tcfg = tmp_path / "train.json"
+        tcfg.write_text("[1]")
+        ckpt = tmp_path / "emb.bin"
+        assert run("train", "--records", tmp_path / "records", "--graph", small_graph_file,
+                   "--config", tcfg, "--steps", 5, "--out", ckpt) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: trainer config must be an object, got [1]"]
+        assert not ckpt.exists()
+
     def test_sample_walk_length_zero_exit_1(self, tmp_path, small_graph_file):
         assert run("sample", "--graph", small_graph_file, "--out", tmp_path / "r",
                    "--walk-length", 0) == 1
@@ -227,6 +236,13 @@ class TestPipelineCommand:
         assert run("pipeline", "--config", path) == 1
         assert capsys.readouterr().err.splitlines() == ["error: sampler config must be an object, got 5"]
         assert not (tmp_path / "run").exists()
+
+    def test_config_not_an_object_with_an_env_override_exit_1(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "cfg.json"
+        path.write_text("[1]")
+        monkeypatch.setenv("WALKEMBED_SEED", "3")
+        assert run("pipeline", "--config", path) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: pipeline config must be an object, got [1]"]
 
     def test_unknown_config_key_exit_1(self, tmp_path, capsys):
         path = self.config(tmp_path)

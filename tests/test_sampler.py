@@ -146,6 +146,13 @@ class TestRunSampling:
             fb = tmp_path / "b" / f"records-{s:05d}-of-00003.bin"
             assert fa.read_bytes() == fb.read_bytes()
 
+    @pytest.mark.parametrize("partition_nodes", [0, -5])
+    def test_partition_nodes_below_one_rejected_before_writing(self, tmp_path, triangle, partition_nodes):
+        out = tmp_path / "rec"
+        with pytest.raises(ValidationError, match=f"partition_nodes must be >= 1, got {partition_nodes}"):
+            run_sampling(triangle, SamplerConfig(walks_per_node=2), out, partition_nodes=partition_nodes)
+        assert not out.exists()
+
     def test_shards_sorted_by_source_then_dest(self, tmp_path):
         n = 40
         g = build_graph([(i, (i + 1) % n) for i in range(n)] + [(i, (i + 7) % n) for i in range(0, n, 3)], n)

@@ -1,5 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -341,11 +348,13 @@ def add_at_reference(ids, contrib):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 class TestSumRowsById:
     def check(self, ids, contrib, num_nodes):
-        uids, acc = model._sum_rows_by_id(np.asarray(ids, dtype=np.int64), contrib, num_nodes)
         want_ids, want = add_at_reference(ids, contrib)
-        assert np.array_equal(uids, want_ids)
-        assert acc.dtype == contrib.dtype
-        assert acc.tobytes() == want.tobytes()
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            for two_halves in (None, pool):
+                uids, acc = model._sum_rows_by_id(np.asarray(ids, dtype=np.int64), contrib, num_nodes, two_halves)
+                assert np.array_equal(uids, want_ids)
+                assert acc.dtype == contrib.dtype
+                assert acc.tobytes() == want.tobytes()
 
     def test_one_id_in_every_entry(self, dtype):
         # m rows of one id: one rank pass per row after the first
@@ -457,8 +466,8 @@ class TestTrainSync:
         cfg = self.cfg(num_replicas=3, steps=1)
         seen = []
 
-        def spy(table, batch):
-            out = loss_and_grad(table, batch)
+        def spy(table, batch, *args):
+            out = loss_and_grad(table, batch, *args)
             seen.append(out)
             return out
 
@@ -490,9 +499,9 @@ class TestTrainSync:
 
         sizes = []
 
-        def counting(table, batch):
+        def counting(table, batch, *args):
             sizes.append(len(batch))
-            return loss_and_grad(table, batch)
+            return loss_and_grad(table, batch, *args)
 
         monkeypatch.setattr(trainer_mod, "loss_and_grad", counting)
         cfg = self.cfg(num_replicas=replicas, steps=7)
@@ -543,6 +552,142 @@ class TestTrainSync:
         entries = [e for e in result.log if "loss" in e]
         assert [e["step"] for e in entries] == [0, 5, 10, 11]
         assert all(e["examples_per_sec"] > 0 for e in entries)
+
+
+class TestTwoHalfStep:
+    """A step split over the caller and one pool thread is bitwise the step on one thread."""
+
+    @pytest.fixture
+    def pool(self):
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            yield pool
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "n, p, k, d",
+        [
+            (50, 300, 6, 16),  # every id repeats dozens of times
+            (30, 1, 3, 8),  # P = 1: the caller's half of the rows is empty
+            (30, 40, 0, 8),  # k = 0
+            (1, 25, 2, 8),  # every entry the same id: the caller's half of the ids is empty
+            (100_000, 512, 3, 33),  # a 100k table, an odd width
+        ],
+    )
+    def test_bitwise_equal_with_and_without_pool(self, pool, dtype, n, p, k, d):
+        rng = np.random.default_rng(n + p + k)
+        values = rng.normal(0, 0.3, (n, d)).astype(dtype)
+        batch = batch_of(rng.integers(0, n, p), rng.integers(0, n, (p, 1 + k)), rng.uniform(0.5, 3.0, p))
+        one = loss_and_grad(EmbeddingTable(values), batch)
+        two = loss_and_grad(EmbeddingTable(values), batch, pool)
+        assert one.loss == two.loss
+        assert one.main.ids.tobytes() == two.main.ids.tobytes()
+        assert one.main.values.dtype == two.main.values.dtype == dtype
+        assert one.main.values.tobytes() == two.main.values.tobytes()
+        a, b = EmbeddingTable(values.copy()), EmbeddingTable(values.copy())
+        one.main.apply(a, 0.7)
+        two.main.apply(b, 0.7, pool)
+        assert a.values.tobytes() == b.values.tobytes()
+
+    def test_non_finite_row_in_either_half_leaves_the_table(self, pool):
+        rng = np.random.default_rng(3)
+        table = EmbeddingTable(rng.normal(size=(20, 4)))
+        before = table.values.copy()
+        grad = model.SparseGrad(np.arange(0, 20, 2), rng.normal(size=(10, 4)))
+        grad.values[7, 1] = np.nan  # the pool thread's half holds rows [5, 10)
+        with pytest.raises(NumericError, match="row 14"):
+            grad.apply(table, 0.1, pool)
+        assert table.values.tobytes() == before.tobytes()
+        grad.values[2, 0] = np.inf  # both halves: the smallest id is named
+        with pytest.raises(NumericError, match="row 4"):
+            grad.apply(table, 0.1, pool)
+        assert table.values.tobytes() == before.tobytes()
+
+    def test_caller_failure_raises_after_the_helper_finishes(self, pool):
+        finished = threading.Event()
+
+        def work(lo, hi):
+            if lo == 0:
+                raise RuntimeError("caller's half")
+            time.sleep(0.2)
+            finished.set()
+
+        with pytest.raises(RuntimeError, match="caller's half"):
+            model._halves(pool, work, 10)
+        assert finished.is_set()
+
+    def test_helper_failure_raises(self, pool):
+        def work(lo, hi):
+            if lo:
+                raise RuntimeError("helper's half")
+            return hi
+
+        with pytest.raises(RuntimeError, match="helper's half"):
+            model._halves(pool, work, 10)
+        assert model._halves(None, work, 10) == [10]
+
+    def test_train_sync_bitwise_equal_on_one_cpu(self, monkeypatch):
+        cfg = TestTrainSync().cfg(steps=20)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the two threads switch as often as they can
+        try:
+            two = train_sync(training_records(), cfg, num_nodes=30)
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.setattr(trainer, "_usable_cpus", lambda: 1)
+        one = train_sync(training_records(), cfg, num_nodes=30)
+        assert one.table.values.tobytes() == two.table.values.tobytes()
+
+    def test_train_sync_joins_its_helper(self, monkeypatch):
+        real = trainer.loss_and_grad
+        before = threading.active_count()
+        during = []
+
+        def spy(table, batch, *args):
+            out = real(table, batch, *args)
+            during.append(threading.active_count())
+            if len(during) == 3 and fail:
+                raise RuntimeError("injected fault")
+            return out
+
+        monkeypatch.setattr(trainer, "loss_and_grad", spy)
+        helpers = 1 if trainer._usable_cpus() > 1 else 0
+        cfg = TestTrainSync().cfg(steps=5)
+        for fail in (False, True):
+            during.clear()
+            if fail:
+                with pytest.raises(RuntimeError, match="injected fault"):
+                    train_sync(training_records(), cfg, num_nodes=30)
+            else:
+                train_sync(training_records(), cfg, num_nodes=30)
+            assert during == [before + helpers] * len(during)
+            assert threading.active_count() == before
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs a CPU affinity mask")
+    def test_one_cpu_starts_no_thread(self):
+        script = """
+import os, threading
+import numpy as np
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from walkembed import trainer
+from walkembed.model import FixedSgd
+from walkembed.shards import RecordBatch
+seen = []
+real = trainer.loss_and_grad
+def spy(table, batch, *args):
+    seen.append((threading.active_count(), args))
+    return real(table, batch, *args)
+trainer.loss_and_grad = spy
+records = RecordBatch(np.arange(20), (np.arange(20) + 1) % 20, np.ones((20, 2), dtype=np.int64))
+cfg = trainer.TrainConfig(dim=4, per_replica_batch_size=4, num_replicas=2, steps=3, optimizer=FixedSgd(0.1))
+trainer.train_sync(records, cfg, num_nodes=20)
+print(seen)
+"""
+        src = str(Path(trainer.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True, timeout=300
+        )
+        assert out.stdout.strip() == repr([(1, (None,))] * 3)
 
 
 class TestTrainAsync:
@@ -643,11 +788,11 @@ class TestTrainAsync:
         real = trainer_mod.loss_and_grad
         calls = {"n": 0}
 
-        def flaky(table, batch):
+        def flaky(table, batch, *args):
             calls["n"] += 1
             if calls["n"] == 3:
                 raise RuntimeError("injected fault")
-            return real(table, batch)
+            return real(table, batch, *args)
 
         monkeypatch.setattr(trainer_mod, "loss_and_grad", flaky)
         result = train_async(records, self.cfg(steps=10), num_nodes=30)
@@ -657,7 +802,7 @@ class TestTrainAsync:
     def test_too_many_failures_raise(self, monkeypatch):
         import walkembed.trainer as trainer_mod
 
-        def always_fail(table, batch):
+        def always_fail(table, batch, *args):
             raise RuntimeError("broken")
 
         monkeypatch.setattr(trainer_mod, "loss_and_grad", always_fail)
@@ -676,13 +821,13 @@ class TestTrainAsync:
         lock = threading.Lock()
         calls = {"n": 0}
 
-        def first_call_fails(table, batch):
+        def first_call_fails(table, batch, *args):
             with lock:
                 calls["n"] += 1
                 first = calls["n"] == 1
             if first:
                 raise RuntimeError("broken worker")
-            return real(table, batch)
+            return real(table, batch, *args)
 
         monkeypatch.setattr(trainer_mod, "loss_and_grad", first_call_fails)
         with pytest.raises(RuntimeError, match="broken worker"):
@@ -699,13 +844,13 @@ class TestTrainAsync:
         lock = threading.Lock()
         calls = {"n": 0}
 
-        def flaky(table, batch):
+        def flaky(table, batch, *args):
             with lock:
                 calls["n"] += 1
                 fail = calls["n"] % 5 == 0
             if fail:
                 raise RuntimeError("injected fault")
-            return real(table, batch)
+            return real(table, batch, *args)
 
         monkeypatch.setattr(trainer_mod, "loss_and_grad", flaky)
         cfg = self.cfg(num_workers=4, steps=40)
