@@ -60,8 +60,8 @@ class Graph:
         h = hashlib.sha256()
         h.update(np.int64(self.num_nodes).tobytes())
         h.update(np.int64(self.num_edges).tobytes())
-        h.update(np.ascontiguousarray(self.offsets, dtype=np.int64).tobytes())
-        h.update(np.ascontiguousarray(self.targets, dtype=np.int64).tobytes())
+        h.update(np.ascontiguousarray(self.offsets, dtype=np.int64))  # hashed in place, not copied
+        h.update(np.ascontiguousarray(self.targets, dtype=np.int64))
         return h.hexdigest()
 
 

@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .cores import halves
 from .errors import NumericError, ValidationError, check_file_size
 
 CKPT_MAGIC = b"WEEMB01\n"
@@ -119,14 +120,14 @@ class SparseGrad:
             part = values[lo:hi]
             return None if np.isfinite(part).all() else ids[lo:hi][~np.isfinite(part).all(axis=1)][0]
 
-        bad = [b for b in _halves(pool, first_bad, len(ids)) if b is not None]
+        bad = [b for b in halves(pool, first_bad, len(ids)) if b is not None]
         if bad:
             raise NumericError(f"non-finite gradient for row {bad[0]}")
 
         def write(lo, hi):
             table.values[ids[lo:hi]] -= lr * values[lo:hi]
 
-        _halves(pool, write, len(ids))
+        halves(pool, write, len(ids))
 
 
 @dataclass
@@ -143,23 +144,6 @@ def _check_ids(ids: np.ndarray, num_nodes: int) -> None:
     if len(ids) and (ids.min() < 0 or ids.max() >= num_nodes):
         bad = ids[(ids < 0) | (ids >= num_nodes)][0]
         raise IndexError(f"node id {bad} out of range [0, {num_nodes})")
-
-
-def _halves(pool: futures.Executor | None, work, n: int) -> list:
-    """work(lo, hi) over [0, n): on this thread alone without a pool; with
-    one, [0, n // 2) here while the pool's thread runs [n // 2, n). Returns
-    the results in range order. Both halves have finished when this returns
-    or raises, so nothing still writes after a failure."""
-    if pool is None:
-        return [work(0, n)]
-    mid = n // 2
-    helper = pool.submit(work, mid, n)
-    try:
-        first = work(0, mid)
-    except BaseException:
-        futures.wait([helper])
-        raise
-    return [first, helper.result()]
 
 
 def loss_and_grad(table: EmbeddingTable, batch, pool: futures.Executor | None = None) -> LossGrads:
@@ -199,7 +183,7 @@ def loss_and_grad(table: EmbeddingTable, batch, pool: futures.Executor | None = 
         np.einsum("pw,pwd->pd", coef, e_dst, out=contrib[lo:hi])
         np.multiply(coef[:, :, None], e_src[:, None, :], out=dst_contrib[lo:hi])
 
-    _halves(pool, forward, p)
+    halves(pool, forward, p)
     loss = float(np.sum(per_example, dtype=np.float64) / n)
     if not np.isfinite(loss):
         bad = src[~np.all(np.isfinite(per_example), axis=1)]
@@ -241,7 +225,7 @@ def _sum_rows_by_id(
             g = by_size[:count]
             part[g] += contrib[order[first[g] + r]]
 
-    _halves(pool, add_rows, len(starts))
+    halves(pool, add_rows, len(starts))
     return keys[starts], acc
 
 

@@ -16,6 +16,7 @@ import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
+from . import cores
 from . import metrics as metrics_mod
 from .errors import StageError, ValidationError, check_keys, check_object
 from .graph import Graph, load_csr, load_edge_list, prune_low_degree, save_csr
@@ -135,6 +136,14 @@ def _hash_file(path: Path) -> str:
     return h.hexdigest()
 
 
+def _hash_files(paths: dict[str, Path]) -> dict[str, str]:
+    """_hash_file of each path, by key; the files are shared between this
+    thread and, where the process may use two CPUs, one helper thread
+    (hashlib releases the GIL while it hashes a large chunk)."""
+    with cores.helper_pool() as pool:
+        return dict(zip(paths, cores.share(pool, _hash_file, paths.values())))
+
+
 def hash_json(obj) -> str:
     return _hash_bytes(json.dumps(obj, sort_keys=True).encode("utf-8"))
 
@@ -183,14 +192,10 @@ class _ManifestWriter:
         prev = self.previous.get(name)
         if prev is None or prev["params_hash"] != params_hash or prev["input_hashes"] != input_hashes:
             return None
-        hashes = {}
-        for key, path in outputs.items():
-            if not path.exists():
-                return None
-            hashes[key] = _hash_file(path)
-            if prev["output_hashes"].get(key) != hashes[key]:
-                return None
-        return hashes
+        if not all(path.exists() for path in outputs.values()):
+            return None
+        hashes = _hash_files(outputs)
+        return hashes if all(prev["output_hashes"].get(k) == h for k, h in hashes.items()) else None
 
     def record(self, name, params_hash, input_hashes, output_hashes: dict[str, str], duration_s, skipped, counts):
         entry = {
@@ -215,8 +220,10 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False) -> PipelineResult:
     Already-satisfied stages (matching hashes) are skipped unless force.
     Any failure raises StageError naming the stage. Each artifact is hashed
     once per run; a stage's output hashes are the input hashes of later stages.
-    A stage's work counts (the train stage's examples and worker failures) go
-    into its manifest entry; a skipped stage keeps the previous run's.
+    A stage's outputs are hashed on two threads where the process may use
+    two CPUs. A stage's work counts (the sample stage's walks, records and
+    dead ends, the train stage's examples and worker failures) go into its
+    manifest entry; a skipped stage keeps the previous run's.
     """
     run_dir = Path(cfg.run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -246,7 +253,7 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False) -> PipelineResult:
         except Exception as exc:
             raise StageError(name, exc) from exc
         duration = time.monotonic() - t0
-        hashes = {k: _hash_file(p) for k, p in outputs.items()}
+        hashes = _hash_files(outputs)
         writer.record(name, params_hash, input_hashes, hashes, duration, False, counts)
         return hashes
 
@@ -269,7 +276,12 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False) -> PipelineResult:
 
     # sample
     def do_sample():
-        run_sampling(load_csr(pruned_file), cfg.sampler, records_dir)
+        stats = run_sampling(load_csr(pruned_file), cfg.sampler, records_dir)
+        return {
+            "total_walks": stats.total_walks,
+            "num_records": stats.num_records,
+            "dead_end_terminations": stats.dead_end_terminations,
+        }
 
     sample_outputs = {"records/manifest.json": records_dir / "manifest.json"}
     for s in range(cfg.sampler.num_shards):

@@ -6,11 +6,14 @@ neighbor per walk, and records a (seed, endpoint, distance) visit. After the
 final round, visits are grouped by (seed, endpoint) and combined into
 per-distance count histograms. A record's source is the seed node of its
 walks, so its shard, a hash of the source, is fixed before any walk starts:
-sampling runs one shard at a time and writes each shard once.
+each shard is sampled on its own, one range of seed ids at a time, and each
+range's records are appended to the shard's file as they are combined, so
+no shard is ever held whole. Shards are split between the calling thread
+and, where the process may use more than one CPU, one helper thread.
 
 Each walk draws from its own counter-based stream keyed by
 (seed, seed_node, replica, round), so output is bitwise-identical for any
-partitioning.
+partitioning and either thread count.
 """
 
 from __future__ import annotations
@@ -21,10 +24,12 @@ from pathlib import Path
 
 import numpy as np
 
+from . import cores
 from .errors import EmptyGraphError, ValidationError
 from .graph import Graph
 from .rng import HashStream, splitmix64
-from .shards import RecordBatch, shard_path, write_manifest, write_shard
+from .shards import RecordBatch, append_records, shard_path, write_manifest
+from .shards import write_shard  # noqa: F401  perfbench's tests look this name up here
 
 FORMAT_VERSION = 1
 
@@ -122,23 +127,23 @@ def _combine_visits(
 
     Records come out sorted by (source, dest). Keys are packed relative to
     the smallest seed, so a key spans seed_range * num_nodes * walk_length
-    rather than num_nodes**2 * walk_length.
+    rather than num_nodes**2 * walk_length. One sort of the keys and a
+    run-length pass over it give both the (pair, distance) counts and the
+    records.
     """
     seeds, dests, dists = (np.asarray(a, dtype=np.int64) for a in (seeds, dests, dists))
     base = seeds.min()
-    pair = (seeds - base) * np.int64(num_nodes) + dests
-    key = pair * np.int64(walk_length) + (dists - 1)
-    uniq, counts = np.unique(key, return_counts=True)
-    pair_keys = uniq // walk_length
-    slots = uniq % walk_length
-    rec_keys, rec_index = np.unique(pair_keys, return_inverse=True)
+    key = ((seeds - base) * np.int64(num_nodes) + dests) * np.int64(walk_length) + (dists - 1)
+    key.sort()
+    starts = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+    counts = np.diff(starts, append=len(key))
+    pair_keys, slots = np.divmod(key[starts], walk_length)
+    new_pair = np.concatenate([[True], pair_keys[1:] != pair_keys[:-1]])
+    rec_keys = pair_keys[new_pair]
     co = np.zeros((len(rec_keys), walk_length), dtype=np.int64)
-    co[rec_index, slots] = counts
-    return RecordBatch(
-        source=rec_keys // num_nodes + base,
-        dest=rec_keys % num_nodes,
-        co_counts=co,
-    )
+    co[np.cumsum(new_pair) - 1, slots] = counts
+    source, dest = np.divmod(rec_keys, num_nodes)
+    return RecordBatch(source=source + base, dest=dest, co_counts=co)
 
 
 def _sample_partition(
@@ -160,6 +165,28 @@ def _sample_partition(
     return _combine_visits(*map(np.concatenate, zip(*visits)), g.num_nodes, cfg.walk_length), dead
 
 
+def _sample_shard(
+    g: Graph, cfg: SamplerConfig, stream: HashStream, path: Path, shard: int, partition_nodes: int
+) -> tuple[int, int, int]:
+    """Walk the seeds of one shard and append their records to a new file at
+    `path`, one id range of partition_nodes at a time, in ascending order,
+    which leaves the shard in (source, dest) order. Returns (records, dead
+    ends, co-count total)."""
+    records = dead_ends = co_total = 0
+    with path.open("wb") as fh:
+        for lo in range(0, g.num_nodes, partition_nodes):
+            ids = np.arange(lo, min(lo + partition_nodes, g.num_nodes), dtype=np.uint64)
+            ids = ids[splitmix64(ids) % np.uint64(cfg.num_shards) == shard]
+            if not len(ids):
+                continue
+            rec, dead = _sample_partition(g, cfg, stream, ids)
+            append_records(fh, rec)
+            records += len(rec)
+            dead_ends += dead
+            co_total += int(rec.co_counts.sum())
+    return records, dead_ends, co_total
+
+
 def run_sampling(
     g: Graph,
     cfg: SamplerConfig,
@@ -169,11 +196,16 @@ def run_sampling(
     """Full pipeline: seed, walk, group, combine, shard to disk.
 
     A record's shard is splitmix64(source) % num_shards, and its source is
-    the seed of its walks, so each shard is sampled on its own: its seeds
-    are walked one contiguous range of partition_nodes ids at a time, in
-    ascending order, which leaves the shard in (source, dest) order, and the
-    shard is written whole. Memory holds one shard's records plus one
-    partition's visits. Shard files plus manifest.json land in out_dir.
+    the seed of its walks, so each shard is sampled on its own and written
+    as it is sampled, one id range's records appended at a time (see
+    _sample_shard). Where the process may use more than one CPU and there is
+    more than one shard, the calling thread and one helper thread each take
+    the next shard not yet taken, and each walks id ranges of
+    ceil(min(partition_nodes, num_nodes) / 2): the two together hold no more
+    visits than one range of partition_nodes. Shards are byte-identical
+    either way. An existing manifest.json is removed before the first shard
+    is written and the new one is written last, so a run that fails leaves
+    no manifest. Shard files plus manifest.json land in out_dir.
     """
     if partition_nodes < 1:
         raise ValidationError(f"partition_nodes must be >= 1, got {partition_nodes}")
@@ -182,29 +214,24 @@ def run_sampling(
     t0 = time.monotonic()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "manifest.json").unlink(missing_ok=True)
     stream = HashStream(cfg.seed)
-    dead_ends = co_total = 0
-    shard_files, shard_counts = [], []
-    for s in range(cfg.num_shards):
-        parts = []
-        for lo in range(0, g.num_nodes, partition_nodes):
-            ids = np.arange(lo, min(lo + partition_nodes, g.num_nodes), dtype=np.uint64)
-            rec, dead = _sample_partition(g, cfg, stream, ids[splitmix64(ids) % np.uint64(cfg.num_shards) == s])
-            parts.append(rec)
-            dead_ends += dead
-        batch = RecordBatch(*(np.concatenate([getattr(p, f) for p in parts]) for f in ("source", "dest", "co_counts")))
-        del parts  # free the partitions' records before write_shard builds the file image
-        path = shard_path(out_dir, s, cfg.num_shards)
-        write_shard(path, batch)
-        shard_files.append(path.name)
-        shard_counts.append(len(batch))
-        co_total += int(batch.co_counts.sum())
+    paths = [shard_path(out_dir, s, cfg.num_shards) for s in range(cfg.num_shards)]
+    with cores.helper_pool() as pool:
+        if pool is not None and cfg.num_shards > 1:
+            partition_nodes = -(-min(partition_nodes, g.num_nodes) // 2)
+        per_shard = cores.share(
+            pool,
+            lambda s: _sample_shard(g, cfg, stream, paths[s], s, partition_nodes),
+            range(cfg.num_shards),
+        )
+    shard_counts = [records for records, _, _ in per_shard]
 
     stats = SamplingStats(
         total_walks=g.num_nodes * cfg.walks_per_node,
-        dead_end_terminations=dead_ends,
+        dead_end_terminations=sum(dead for _, dead, _ in per_shard),
         num_records=sum(shard_counts),
-        co_count_total=co_total,
+        co_count_total=sum(co for _, _, co in per_shard),
         elapsed_s=time.monotonic() - t0,
         shard_record_counts=shard_counts,
     )
@@ -215,7 +242,7 @@ def run_sampling(
             "config": cfg.to_dict(),
             "graph_hash": g.content_hash(),
             "num_nodes": g.num_nodes,
-            "shard_files": shard_files,
+            "shard_files": [p.name for p in paths],
             "record_counts": shard_counts,
             "stats": {
                 "total_walks": stats.total_walks,

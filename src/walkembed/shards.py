@@ -4,6 +4,8 @@ Record wire format (little-endian, packed): u64 source_id | u64
 destination_id | u32 walk_length | u64 co_counts[walk_length]. The u32 is
 the length prefix for the trailing histogram, so files are self-describing.
 A run writes a fixed walk_length throughout; readers reject mixed lengths.
+A shard is written whole (write_shard) or in pieces, each appended to the
+open file (append_records, as the sampler does); the bytes are the same.
 
 Readers go one shard at a time: read_shard maps a shard's columns as int64
 views of the one array it reads (every id and count is non-negative, so the
@@ -18,6 +20,7 @@ import json
 from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -56,14 +59,23 @@ def shard_path(out_dir: str | Path, shard: int, num_shards: int) -> Path:
     return Path(out_dir) / f"records-{shard:05d}-of-{num_shards:05d}.bin"
 
 
-def write_shard(path: str | Path, batch: RecordBatch) -> None:
-    dt = _record_dtype(batch.walk_length)
-    arr = np.zeros(len(batch), dtype=dt)
+def _wire_image(batch: RecordBatch) -> np.ndarray:
+    arr = np.zeros(len(batch), dtype=_record_dtype(batch.walk_length))
     arr["source"] = batch.source
     arr["dest"] = batch.dest
     arr["length"] = batch.walk_length
     arr["counts"] = batch.co_counts
-    arr.tofile(str(path))
+    return arr
+
+
+def write_shard(path: str | Path, batch: RecordBatch) -> None:
+    _wire_image(batch).tofile(str(path))
+
+
+def append_records(fh: BinaryIO, batch: RecordBatch) -> None:
+    """Write the batch's records at the end of an open shard file; a shard
+    written in pieces reads the same as one written whole."""
+    fh.write(_wire_image(batch).data)
 
 
 def read_shard(path: str | Path, walk_length: int) -> RecordBatch:

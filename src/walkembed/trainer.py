@@ -3,6 +3,9 @@
 Both modes run one training loop, the lane: each step builds R micro-batches
 from the lane's record stream and applies one mean-reduced gradient over
 their concatenation, which equals the mean of the R micro-batch gradients.
+The stream holds each positive's ids as int32 where the table has at most
+2**31 rows (12 bytes per positive with its float32 weight, not 20); each
+micro-batch widens its ids to int64.
 
 Sync mode mirrors replicated data-parallel training: one lane with R =
 num_replicas, bitwise deterministic for a fixed seed. Where the process may
@@ -17,10 +20,8 @@ only the W=1 case is deterministic.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
-import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -29,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import cores
 from .errors import ValidationError, check_keys
 from .model import EmbeddingTable, FixedSgd, WarmupDecaySchedule, init_table, loss_and_grad
 from .rng import derive_seed
@@ -149,14 +151,14 @@ def _weighting(cfg: TrainConfig, walk_length: int) -> np.ndarray:
 def prepare_positives(
     records: RecordBatch, cfg: TrainConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Collapse histograms to per-pair weights; drop self-pairs and zero weights."""
+    """Collapse histograms to per-pair weights; drop self-pairs and zero
+    weights. The ids come out int32 when all of them lie in [0, 2**31)."""
     weight = records.co_counts @ _weighting(cfg, records.walk_length)
     keep = (weight > 0) & (records.source != records.dest)
-    return (
-        records.source[keep],
-        records.dest[keep],
-        weight[keep].astype(np.float32),
-    )
+    source, dest = records.source[keep], records.dest[keep]
+    narrow = all(len(a) == 0 or (a.min() >= 0 and a.max() < 2**31) for a in (source, dest))
+    ids = np.int32 if narrow else np.int64
+    return source.astype(ids, copy=False), dest.astype(ids, copy=False), weight[keep].astype(np.float32)
 
 
 def _check_node_ids(records: RecordBatch, num_nodes: int, where: str | Path) -> None:
@@ -172,11 +174,13 @@ def _load_positives(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """prepare_positives over one shard at a time, each shard's kept rows
     written in place into columns sized by the manifest's record total.
-    Each shard's ids are checked against the table's num_nodes rows."""
+    Each shard's ids are checked against the table's num_nodes rows. The id
+    columns are int32 when num_nodes <= 2**31."""
     manifest = read_manifest(records_dir)
     _weighting(cfg, manifest["config"]["walk_length"])  # a length mismatch raises before any read
     total = sum(manifest["record_counts"])
-    columns = (np.empty(total, dtype=np.int64), np.empty(total, dtype=np.int64), np.empty(total, dtype=np.float32))
+    ids = np.int32 if num_nodes <= 2**31 else np.int64
+    columns = (np.empty(total, dtype=ids), np.empty(total, dtype=ids), np.empty(total, dtype=np.float32))
     kept = 0
     for f, shard in zip(manifest["shard_files"], iter_shards(records_dir, manifest)):
         _check_node_ids(shard, num_nodes, Path(records_dir) / f)
@@ -252,7 +256,9 @@ def build_batch(
     """
     idx = stream.take(cfg.per_replica_batch_size)
     negs = rng.integers(0, num_nodes, size=(len(idx), cfg.negatives_per_positive), dtype=np.int64)
-    return ExampleBatch(stream.src[idx], np.column_stack([stream.dst[idx], negs]), stream.weight[idx])
+    # the stream's ids may be int32; the batch's are int64, as the negatives are
+    src = stream.src[idx].astype(np.int64)
+    return ExampleBatch(src, np.column_stack([stream.dst[idx], negs]), stream.weight[idx])
 
 
 @dataclass
@@ -400,17 +406,9 @@ def train_sync(
     stream = RecordStream(src, dst, w, derive_seed(cfg.seed, "stream"))
     neg_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xB0)))
     progress = _Progress(log, cfg, log_every)
-    # on one CPU a helper thread only adds hand-offs
-    with ThreadPoolExecutor(max_workers=1) if _usable_cpus() > 1 else contextlib.nullcontext() as pool:
+    with cores.helper_pool() as pool:
         counts = _lane(table, stream, neg_rng, cfg, cfg.steps, cfg.num_replicas, 0, threading.Event(), progress, pool)
     return _result(table, cfg, [counts], progress, log_path)
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def train_async(

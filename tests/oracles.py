@@ -231,6 +231,18 @@ def prune_reference(g: Graph, min_degree: int) -> Graph:
     return from_edges_reference(edges, int(keep.sum()), ext)
 
 
+def combine_visits_reference(seeds, dests, dists, num_nodes: int, walk_length: int) -> RecordBatch:
+    """Records by two np.unique passes: one counts each (seed, dest,
+    distance), the other groups those counts by (seed, dest)."""
+    seeds, dests, dists = (np.asarray(a, dtype=np.int64) for a in (seeds, dests, dists))
+    key = (seeds * num_nodes + dests) * walk_length + (dists - 1)
+    uniq, counts = np.unique(key, return_counts=True)
+    rec_keys, rec_index = np.unique(uniq // walk_length, return_inverse=True)
+    co = np.zeros((len(rec_keys), walk_length), dtype=np.int64)
+    co[rec_index, uniq % walk_length] = counts
+    return RecordBatch(source=rec_keys // num_nodes, dest=rec_keys % num_nodes, co_counts=co)
+
+
 def run_sampling_reference(g, cfg, out_dir, partition_nodes: int = 1 << 14) -> None:
     """Shards and manifest.json by whole-set sharding: every partition of
     partition_nodes seeds is walked and combined, all partitions' records are

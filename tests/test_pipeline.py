@@ -1,10 +1,12 @@
 import hashlib
 import json
 import re
+import threading
 
 import numpy as np
 import pytest
 
+from walkembed import cores
 from walkembed.errors import StageError, ValidationError
 from walkembed.model import FixedSgd, load_checkpoint
 from walkembed.pipeline import (
@@ -186,6 +188,32 @@ class TestRunPipeline:
         second = run_pipeline(cfg)
         assert second.skipped == ["prune", "sample", "train", "eval"]
         assert {s["name"]: s for s in second.manifest["stages"]}["train"]["counts"] == want
+
+    def test_sample_stage_records_counts(self, tmp_path):
+        cfg = config_from_dict(tiny_config_dict(tmp_path / "run"))
+        first = run_pipeline(cfg)
+        sample = {s["name"]: s for s in first.manifest["stages"]}["sample"]
+        stats = json.loads((tmp_path / "run" / "records" / "manifest.json").read_text())["stats"]
+        want = {k: stats[k] for k in ("total_walks", "num_records", "dead_end_terminations")}
+        assert want["num_records"] > 0
+        assert sample["counts"] == want
+        second = run_pipeline(cfg)
+        assert second.skipped == ["prune", "sample", "train", "eval"]
+        assert {s["name"]: s for s in second.manifest["stages"]}["sample"]["counts"] == want
+
+    def test_output_hashes_equal_on_two_threads_and_one(self, tmp_path, monkeypatch):
+        cfg = config_from_dict(tiny_config_dict(tmp_path / "run"))
+        before = threading.active_count()
+        hashes = []
+        for cpus in (2, 1):
+            monkeypatch.setattr(cores, "usable_cpus", lambda: cpus)
+            result = run_pipeline(cfg, force=True)
+            hashes.append([s["output_hashes"] for s in result.manifest["stages"]])
+            assert threading.active_count() == before
+        assert hashes[0] == hashes[1]
+        assert len(hashes[0][1]) == 1 + cfg.sampler.num_shards
+        monkeypatch.setattr(cores, "usable_cpus", lambda: 2)
+        assert run_pipeline(cfg).skipped == ["prune", "sample", "train", "eval"]
 
     def test_checkpoint_digest_is_trainer_config_hash(self, tmp_path):
         cfg = config_from_dict(tiny_config_dict(tmp_path / "run"))

@@ -1,4 +1,5 @@
 import json
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import build_graph
+from walkembed import cores, sampler
 from walkembed.errors import EmptyGraphError, ValidationError
 from walkembed.graph import from_edges
 from walkembed.rng import HashStream
@@ -194,12 +196,16 @@ class TestRunSampling:
         assert stats.total_walks == 15
 
 
+def ring_with_isolated_nodes():
+    # 12 nodes: walks from the isolated nodes 5 and 11 end at once, and at
+    # 20 shards some shards hold no record
+    return build_graph([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (4, 6), (6, 7), (7, 8), (8, 9), (9, 10), (10, 4)], 12)
+
+
 @pytest.mark.parametrize("partition_nodes", [1, 2, None])
 @pytest.mark.parametrize("num_shards", [1, 3, 8, 20])
 def test_shards_match_whole_set_reference(tmp_path, num_shards, partition_nodes):
-    # 12 nodes: walks from the isolated nodes 5 and 11 end at once, and at
-    # 20 shards some shards hold no record
-    g = build_graph([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (4, 6), (6, 7), (7, 8), (8, 9), (9, 10), (10, 4)], 12)
+    g = ring_with_isolated_nodes()
     cfg = SamplerConfig(walks_per_node=6, walk_length=3, seed=13, num_shards=num_shards)
     kw = {} if partition_nodes is None else {"partition_nodes": partition_nodes}
     run_sampling(g, cfg, tmp_path / "got", **kw)
@@ -227,6 +233,39 @@ def test_run_sampling_memory_bounded_by_shard(tmp_path):
         tracemalloc.stop()
     written = sum(p.stat().st_size for p in tmp_path.glob("records-*.bin"))
     assert peak < written
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_run_sampling_memory_below_one_shard(tmp_path, monkeypatch, cpus):
+    # Holding each shard whole until its one write peaked at about 0.35x
+    # all shards' bytes, near 3x the smallest shard's. Appending each id
+    # range's records as they are sampled bounds the peak by the range, here
+    # a sixteenth of a shard's seeds: 0.44x the smallest shard on one thread
+    # and 0.41x split over two. (The manifest's graph hash no longer copies
+    # the adjacency, which alone took 0.96x.)
+    monkeypatch.setattr(cores, "usable_cpus", lambda: cpus)
+    g = generate_sbm(SbmConfig(n=4000, k=4, p_in=0.02, p_out=0.002, seed=1))
+    cfg = SamplerConfig(walks_per_node=16, walk_length=3, num_shards=8)
+    tracemalloc.start()
+    try:
+        run_sampling(g, cfg, tmp_path, partition_nodes=250)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < min(p.stat().st_size for p in tmp_path.glob("records-*.bin"))
+
+
+def test_combine_visits_matches_unique_reference():
+    rng = np.random.default_rng(5)
+    for n, visits, walk_length in [(1, 1, 1), (7, 50, 3), (40, 5000, 3), (300, 20_000, 5)]:
+        seeds = rng.integers(n // 2, n, visits)
+        dests = rng.integers(0, n, visits)
+        dists = rng.integers(1, walk_length + 1, visits)
+        got = _combine_visits(seeds, dests, dists, n, walk_length)
+        want = oracles.combine_visits_reference(seeds, dests, dists, n, walk_length)
+        for f in ("source", "dest", "co_counts"):
+            assert getattr(got, f).dtype == getattr(want, f).dtype == np.int64
+            assert getattr(got, f).tobytes() == getattr(want, f).tobytes(), (n, f)
 
 
 def test_combine_visits_does_not_wrap_large_ids():
@@ -297,3 +336,78 @@ def test_shard_round_trip(tmp_path):
     assert np.array_equal(back.co_counts, batch.co_counts)
     # wire layout: 8 + 8 + 4 + 8*3 bytes per record
     assert path.stat().st_size == 2 * (20 + 24)
+
+
+class TestTwoThreads:
+    """Shards split between the caller and a helper thread, or sampled on one."""
+
+    @pytest.mark.parametrize("partition_nodes", [1, 7, None])
+    @pytest.mark.parametrize("num_shards", [1, 3, 8, 20])
+    def test_bytes_equal_with_helper_and_on_one_cpu(self, tmp_path, monkeypatch, num_shards, partition_nodes):
+        g = ring_with_isolated_nodes()
+        cfg = SamplerConfig(walks_per_node=6, walk_length=3, seed=13, num_shards=num_shards)
+        kw = {} if partition_nodes is None else {"partition_nodes": partition_nodes}
+        for cpus, name in ((2, "two"), (1, "one")):
+            monkeypatch.setattr(cores, "usable_cpus", lambda: cpus)
+            run_sampling(g, cfg, tmp_path / name, **kw)
+        names = sorted(p.name for p in (tmp_path / "one").iterdir())
+        assert "manifest.json" in names and len(names) == num_shards + 1
+        assert sorted(p.name for p in (tmp_path / "two").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("cpus, width", [(1, 60), (2, 30)])
+    def test_helper_halves_the_id_ranges(self, tmp_path, monkeypatch, cpus, width):
+        # with the helper, each thread walks ranges of ceil(60 / 2) ids, so
+        # the two together hold no more visits than one range of 60
+        g = generate_sbm(SbmConfig(n=300, k=2, p_in=0.05, p_out=0.01, seed=2))
+        real = sampler._sample_partition
+        ranges = []
+
+        def spy(g, cfg, stream, nodes):
+            ranges.append((int(nodes.min()), int(nodes.max())))
+            return real(g, cfg, stream, nodes)
+
+        monkeypatch.setattr(sampler, "_sample_partition", spy)
+        monkeypatch.setattr(cores, "usable_cpus", lambda: cpus)
+        run_sampling(g, SamplerConfig(walks_per_node=2, num_shards=4), tmp_path, partition_nodes=60)
+        assert ranges and all(lo // width == hi // width for lo, hi in ranges)
+        # on one thread some range spans both halves of its 60 ids
+        assert (cpus == 1) == any(lo // 30 != hi // 30 for lo, hi in ranges)
+
+    def test_joins_its_helper(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cores, "usable_cpus", lambda: 2)
+        before = threading.active_count()
+        run_sampling(ring_with_isolated_nodes(), SamplerConfig(walks_per_node=4, num_shards=5), tmp_path)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("where", ["helper", "caller"])
+    def test_failure_leaves_no_manifest_and_no_thread(self, tmp_path, monkeypatch, where):
+        g = ring_with_isolated_nodes()
+        cfg = SamplerConfig(walks_per_node=4, walk_length=3, seed=1, num_shards=6)
+        run_sampling(g, cfg, tmp_path)
+        assert (tmp_path / "manifest.json").exists()
+        monkeypatch.setattr(cores, "usable_cpus", lambda: 2)
+        real = sampler._sample_partition
+        helper_started = threading.Event()
+        main = threading.main_thread()
+
+        def spy(*args):
+            if threading.current_thread() is main:
+                # hold the caller's first shard until the helper has one
+                helper_started.wait(timeout=30)
+                if where == "caller":
+                    raise RuntimeError("injected fault")
+            else:
+                helper_started.set()
+                if where == "helper":
+                    raise RuntimeError("injected fault")
+            return real(*args)
+
+        monkeypatch.setattr(sampler, "_sample_partition", spy)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="injected fault"):
+            run_sampling(g, cfg, tmp_path)
+        assert helper_started.is_set()
+        assert not (tmp_path / "manifest.json").exists()
+        assert threading.active_count() == before

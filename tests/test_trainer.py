@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import build_graph
-from walkembed import model, trainer
+from walkembed import cores, model, trainer
 from walkembed.errors import NumericError, ValidationError
 from walkembed.model import (
     EmbeddingTable,
@@ -612,7 +612,7 @@ class TestTwoHalfStep:
             finished.set()
 
         with pytest.raises(RuntimeError, match="caller's half"):
-            model._halves(pool, work, 10)
+            cores.halves(pool, work, 10)
         assert finished.is_set()
 
     def test_helper_failure_raises(self, pool):
@@ -622,8 +622,8 @@ class TestTwoHalfStep:
             return hi
 
         with pytest.raises(RuntimeError, match="helper's half"):
-            model._halves(pool, work, 10)
-        assert model._halves(None, work, 10) == [10]
+            cores.halves(pool, work, 10)
+        assert cores.halves(None, work, 10) == [10]
 
     def test_train_sync_bitwise_equal_on_one_cpu(self, monkeypatch):
         cfg = TestTrainSync().cfg(steps=20)
@@ -633,7 +633,7 @@ class TestTwoHalfStep:
             two = train_sync(training_records(), cfg, num_nodes=30)
         finally:
             sys.setswitchinterval(interval)
-        monkeypatch.setattr(trainer, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(cores, "usable_cpus", lambda: 1)
         one = train_sync(training_records(), cfg, num_nodes=30)
         assert one.table.values.tobytes() == two.table.values.tobytes()
 
@@ -650,7 +650,7 @@ class TestTwoHalfStep:
             return out
 
         monkeypatch.setattr(trainer, "loss_and_grad", spy)
-        helpers = 1 if trainer._usable_cpus() > 1 else 0
+        helpers = 1 if cores.usable_cpus() > 1 else 0
         cfg = TestTrainSync().cfg(steps=5)
         for fail in (False, True):
             during.clear()
@@ -663,12 +663,15 @@ class TestTwoHalfStep:
             assert threading.active_count() == before
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs a CPU affinity mask")
-    def test_one_cpu_starts_no_thread(self):
+    def test_one_cpu_starts_no_thread(self, tmp_path):
+        # train_sync, run_sampling and run_pipeline (whose stages sample,
+        # train and hash their outputs) each run on the calling thread alone
         script = """
-import os, threading
+import os, sys, threading
 import numpy as np
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-from walkembed import trainer
+from walkembed import pipeline, sampler, trainer
+from walkembed.graph import from_edges
 from walkembed.model import FixedSgd
 from walkembed.shards import RecordBatch
 seen = []
@@ -681,13 +684,34 @@ records = RecordBatch(np.arange(20), (np.arange(20) + 1) % 20, np.ones((20, 2), 
 cfg = trainer.TrainConfig(dim=4, per_replica_batch_size=4, num_replicas=2, steps=3, optimizer=FixedSgd(0.1))
 trainer.train_sync(records, cfg, num_nodes=20)
 print(seen)
+threads = set()
+for module, name in ((sampler, "_sample_partition"), (pipeline, "_hash_file")):
+    def counted(*args, real=getattr(module, name)):
+        threads.add(threading.active_count())
+        return real(*args)
+    setattr(module, name, counted)
+g = from_edges(np.array([(i, (i + 1) % 30) for i in range(30)]), 30)
+sampler.run_sampling(g, sampler.SamplerConfig(walks_per_node=4, num_shards=4), sys.argv[1] + "/records")
+print(sorted(threads), threading.active_count())
+seen.clear()
+threads.clear()
+pipeline.run_pipeline(pipeline.config_from_dict({
+    "seed": 1,
+    "run_dir": sys.argv[1] + "/run",
+    "graph": {"kind": "sbm", "nodes": 60, "classes": 2, "p_in": 0.3, "p_out": 0.05},
+    "sampler": {"walks_per_node": 4, "walk_length": 2, "num_shards": 3},
+    "trainer": {"dim": 4, "per_replica_batch_size": 8, "negatives_per_positive": 1, "steps": 3},
+    "eval": {"non_edge_samples": 50, "recall_nodes": 5},
+}))
+print(sorted(threads), sorted(set(seen)), threading.active_count())
 """
         src = str(Path(trainer.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         out = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True, timeout=300
+            [sys.executable, "-c", script, str(tmp_path)],
+            env=env, capture_output=True, text=True, check=True, timeout=300,
         )
-        assert out.stdout.strip() == repr([(1, (None,))] * 3)
+        assert out.stdout.splitlines() == [repr([(1, (None,))] * 3), "[1] 1", f"[1] {[(1, (None,))]} 1"]
 
 
 class TestTrainAsync:
@@ -952,6 +976,35 @@ class TestPositivesFromShards:
         for g, w in zip(got, want):
             assert g.dtype == w.dtype
             assert g.tobytes() == w.tobytes()
+
+    def test_ids_int32_below_2_31_nodes(self, tmp_path):
+        sample_shards(tmp_path, 3)
+        cfg = TrainConfig(dim=4, steps=1)
+        src, dst, w = trainer._load_positives(tmp_path, cfg, 12)
+        assert (src.dtype, dst.dtype, w.dtype) == (np.int32, np.int32, np.float32)
+        wide = trainer._load_positives(tmp_path, cfg, 2**31 + 1)
+        assert (wide[0].dtype, wide[1].dtype) == (np.int64, np.int64)
+        assert all(a.tolist() == b.tolist() for a, b in zip((src, dst), wide))
+        huge = make_records([(2**31, 1, [1, 0, 0]), (0, 1, [1, 0, 0])])
+        assert prepare_positives(huge, cfg)[0].tolist() == [2**31, 0]
+
+    def test_sync_training_on_int32_ids_equal_to_int64(self, tmp_path, monkeypatch):
+        sample_shards(tmp_path, 3)
+        cfg = TrainConfig(dim=4, per_replica_batch_size=16, negatives_per_positive=2, num_replicas=2, steps=12,
+                          optimizer=FixedSgd(0.5), seed=4)
+        narrow = train_sync(tmp_path, cfg, num_nodes=12)
+        real = trainer._load_positives
+        dtypes = []
+
+        def widened(*args):
+            src, dst, w = real(*args)
+            dtypes.append((src.dtype, dst.dtype))
+            return src.astype(np.int64), dst.astype(np.int64), w
+
+        monkeypatch.setattr(trainer, "_load_positives", widened)
+        wide = train_sync(tmp_path, cfg, num_nodes=12)
+        assert dtypes == [(np.int32, np.int32)]
+        assert narrow.table.values.tobytes() == wide.table.values.tobytes()
 
     def test_sync_training_equal_to_whole_set(self, tmp_path):
         sample_shards(tmp_path, 3)
