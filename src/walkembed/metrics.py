@@ -5,6 +5,13 @@ All metrics operate on L2-normalized rows, so Euclidean distances live in
 distance; distributions are summarized as nearest-rank percentiles P0..P100;
 recall@k uses k = degree(u) with an exact neighbor search: a blocked matrix
 product shortlists candidates and an exact re-rank orders them.
+
+Row normalization and pair distances run in fixed blocks of rows or pairs,
+each written to its own slice of one preallocated output. Where the process
+may use more than one CPU, the calling thread and one helper thread each
+take the next block not yet taken (see cores.share); each row's arithmetic
+is the same on either thread, so the report is bitwise the same as on one
+thread. The recall search stays on the calling thread.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import cores
 from .errors import MetricError, ValidationError
 from .graph import Graph
 from .model import EmbeddingTable
@@ -25,7 +33,11 @@ logger = logging.getLogger(__name__)
 
 SNR_CAP = 1.0e12  # reported when mean edge distance is below 1e-12
 
-_PAIR_BLOCK = 16_384  # pairs per block in pair_distances
+# Pairs per block in pair_distances and rows per block in l2_normalize. At
+# D = 128 in float32 a pair block gathers two 2 MB arrays of rows, about one
+# core's L2 cache; blocks of 16 384 pairs ran slower on one thread.
+_PAIR_BLOCK = 4_096
+_ROW_BLOCK = 4_096
 # Table rows per block and sampled nodes per query group in edge_recall; its
 # approximate-distance buffer holds at most their product.
 _RECALL_ROW_BLOCK = 8_192
@@ -55,29 +67,71 @@ class MetricsReport:
         return cls(**json.loads(text))
 
 
+def _normalize_rows(values: np.ndarray, out: np.ndarray, lo: int, hi: int) -> int:
+    """out[lo:hi] = values[lo:hi] over their row norms, zero rows unchanged;
+    returns the number of zero rows."""
+    rows = values[lo:hi]
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    zero = norms == 0.0
+    np.divide(rows, np.where(zero, 1.0, norms), out=out[lo:hi])
+    return int(np.count_nonzero(zero))
+
+
 def l2_normalize(table: EmbeddingTable) -> EmbeddingTable:
-    """Unit-normalize every nonzero row; zero rows pass through unchanged."""
-    norms = np.linalg.norm(table.values, axis=1, keepdims=True)
-    zeros = int(np.sum(norms == 0.0))
+    """Unit-normalize every nonzero row; zero rows pass through unchanged.
+
+    Rows are taken _ROW_BLOCK at a time into one preallocated output, shared
+    between this thread and, where the process may use two CPUs, one helper
+    thread. Each row's norm and quotient are computed on their own, so the
+    result equals the unblocked values / norm(values, axis=1) bit for bit.
+    One warning carries the zero rows of all blocks."""
+    values = table.values
+    out = np.empty(values.shape, dtype=np.result_type(values.dtype, 1.0))
+    with cores.helper_pool() as pool:
+        zeros = sum(
+            cores.share(
+                pool,
+                lambda lo: _normalize_rows(values, out, lo, lo + _ROW_BLOCK),
+                range(0, len(values), _ROW_BLOCK),
+            )
+        )
     if zeros:
         logger.warning("l2_normalize: %d zero rows left unnormalized", zeros)
-    safe = np.where(norms == 0.0, 1.0, norms)
-    return EmbeddingTable(table.values / safe)
+    return EmbeddingTable(out)
+
+
+def _pair_block(values: np.ndarray, u: np.ndarray, v: np.ndarray, out: np.ndarray, lo: int, hi: int) -> None:
+    """out[lo:hi] = norm(values[u] - values[v], axis=1) over the block, by
+    the norm's own operations (square, row sum, square root) done in place
+    in the gathered rows."""
+    diff = values[u[lo:hi]]
+    diff -= values[v[lo:hi]]
+    diff *= diff
+    np.sqrt(np.add.reduce(diff, axis=1), out=out[lo:hi])
 
 
 def pair_distances(table: EmbeddingTable, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Euclidean distance of every pair (u[i], v[i]).
+    """Euclidean distance of every pair (u[i], v[i]); u and v must have the
+    same length.
 
-    Pairs are taken _PAIR_BLOCK at a time into one preallocated output, so the
-    memory beyond the output is bounded by the block size. Each row's norm is
-    computed on its own, so the result equals the unblocked
-    norm(values[u] - values[v], axis=1) bit for bit.
+    Pairs are taken _PAIR_BLOCK at a time into one preallocated output,
+    shared between this thread and, where the process may use two CPUs, one
+    helper thread, so the memory beyond the output is bounded by two blocks.
+    Each row's norm is computed on its own, so the result equals the
+    unblocked norm(values[u] - values[v], axis=1) bit for bit. An id at or
+    past the table's last row raises IndexError once both threads have
+    finished their blocks.
     """
+    if len(u) != len(v):
+        raise ValidationError(f"pair_distances: {len(u)} u ids but {len(v)} v ids")
     values = table.values
     out = np.empty(len(u), dtype=values.dtype)
-    for lo in range(0, len(u), _PAIR_BLOCK):
-        hi = lo + _PAIR_BLOCK
-        out[lo:hi] = np.linalg.norm(values[u[lo:hi]] - values[v[lo:hi]], axis=1)
+    with cores.helper_pool() as pool:
+        cores.share(
+            pool,
+            lambda lo: _pair_block(values, u, v, out, lo, lo + _PAIR_BLOCK),
+            range(0, len(u), _PAIR_BLOCK),
+        )
     return out
 
 

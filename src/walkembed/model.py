@@ -251,4 +251,4 @@ def load_checkpoint(path: str | Path) -> tuple[EmbeddingTable, int, bytes]:
         check_file_size(path, fh, len(CKPT_MAGIC) + 24 + 32 + 4 * n * d)
         digest = fh.read(32)
         values = np.fromfile(fh, dtype="<f4", count=n * d)
-    return EmbeddingTable(values.reshape(n, d).astype(np.float32)), step, digest
+    return EmbeddingTable(values.reshape(n, d).astype(np.float32, copy=False)), step, digest

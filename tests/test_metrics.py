@@ -1,4 +1,7 @@
+import logging
 import math
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import build_graph
-from walkembed import metrics
+from walkembed import cores, metrics
 from walkembed.errors import MetricError, ValidationError
 from walkembed.graph import from_edges
 from walkembed.metrics import (
@@ -271,24 +274,133 @@ class TestRecallExactness:
         self.assert_matches_scan(graph, values)
 
 
-def test_pair_distances_blocked_equals_unblocked_bitwise():
+def test_pair_distances_blocked_equals_unblocked_bitwise(monkeypatch):
     rng = np.random.default_rng(0)
-    values = rng.standard_normal((300, 8)).astype(np.float32)
     block = metrics._PAIR_BLOCK
-    for m in (0, 1, block - 1, block, block + 1):
-        u = rng.integers(0, 300, size=m)
-        v = rng.integers(0, 300, size=m)
-        got = pair_distances(EmbeddingTable(values), u, v)
-        want = np.linalg.norm(values[u] - values[v], axis=1)
+    before = threading.active_count()
+    for cpus in (1, 2):
+        monkeypatch.setattr(cores, "usable_cpus", lambda: cpus)
+        for dtype in (np.float32, np.float64):
+            values = rng.standard_normal((300, 128)).astype(dtype)
+            for m in (0, 1, block - 1, block, block + 1, 2 * block + 1):
+                u = rng.integers(0, 300, size=m)
+                v = rng.integers(0, 300, size=m)
+                got = pair_distances(EmbeddingTable(values), u, v)
+                want = np.linalg.norm(values[u] - values[v], axis=1)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+                assert threading.active_count() == before
+
+
+class TestBlocksOnTwoThreads:
+    """l2_normalize gives the unblocked result bit for bit, and compute_report
+    the same bytes, on one thread and on two; a failure leaves no thread."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_l2_normalize_equal_unblocked_with_exact_zero_count(self, cpus, dtype, monkeypatch, caplog):
+        monkeypatch.setattr(cores, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(metrics, "_ROW_BLOCK", 16)
+        rng = np.random.default_rng(1)
+        values = (rng.standard_normal((200, 8)) * 10.0 ** rng.uniform(-3, 3, size=(200, 1))).astype(dtype)
+        values[::9] = 0.0  # zero rows in every block
+        zero_by_thread = {}
+        both_hold_a_block = threading.Barrier(cpus, timeout=30)
+        real = metrics._normalize_rows
+
+        def spy(*args):
+            ident = threading.get_ident()
+            if ident not in zero_by_thread:
+                zero_by_thread[ident] = 0
+                both_hold_a_block.wait()
+            zeros = real(*args)
+            zero_by_thread[ident] += zeros
+            return zeros
+
+        monkeypatch.setattr(metrics, "_normalize_rows", spy)
+        with caplog.at_level(logging.WARNING):
+            got = l2_normalize(EmbeddingTable(values)).values
+        norms = np.linalg.norm(values, axis=1, keepdims=True)
+        want = values / np.where(norms == 0.0, 1.0, norms)
         assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+        assert len(zero_by_thread) == cpus and all(zero_by_thread.values())
+        assert sum(zero_by_thread.values()) == oracles.count_zero_rows(EmbeddingTable(values)) == 23
+        warnings = [r.getMessage() for r in caplog.records if "zero rows" in r.getMessage()]
+        assert warnings == ["l2_normalize: 23 zero rows left unnormalized"]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("blocks", ["default", "small"])
+    def test_report_bytes_equal_on_one_and_two_cpus(self, dtype, blocks, monkeypatch):
+        if blocks == "small":
+            monkeypatch.setattr(metrics, "_PAIR_BLOCK", 64)
+            monkeypatch.setattr(metrics, "_ROW_BLOCK", 32)
+        g = generate_sbm(SbmConfig(n=1000, k=4, p_in=0.08, p_out=0.004, seed=7))
+        assert g.num_edges > 2 * metrics._PAIR_BLOCK
+        t = EmbeddingTable(np.random.default_rng(8).standard_normal((1000, 16)).astype(dtype))
+        before = threading.active_count()
+        texts = []
+        for n in (1, 2):
+            monkeypatch.setattr(cores, "usable_cpus", lambda: n)
+            texts.append(compute_report(g, t, non_edge_samples=3000, recall_nodes=20, seed=4).to_json())
+            assert threading.active_count() == before
+        assert texts[0] == texts[1]
+
+    def test_bad_id_in_helper_block_raises_after_both_threads(self, monkeypatch):
+        monkeypatch.setattr(cores, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(metrics, "_PAIR_BLOCK", 4)
+        caller = threading.current_thread()
+        caller_started, helper_started = threading.Event(), threading.Event()
+        caller_done = []
+        real = metrics._pair_block
+
+        def spy(values, u, v, out, lo, hi):
+            if threading.current_thread() is caller:
+                caller_started.set()
+                assert helper_started.wait(timeout=30)
+                time.sleep(0.05)  # still running when the helper raises
+                real(values, u, v, out, lo, hi)
+                caller_done.append(lo)
+            else:
+                helper_started.set()
+                assert caller_started.wait(timeout=30)  # each thread holds a block
+                bad = u.copy()
+                bad[lo] = len(values)
+                real(values, bad, v, out, lo, hi)
+
+        monkeypatch.setattr(metrics, "_pair_block", spy)
+        ids = np.arange(40) % 10
+        before = threading.active_count()
+        with pytest.raises(IndexError):
+            pair_distances(random_unit_table(10, 4), ids, ids[::-1].copy())
+        assert len(caller_done) == 1  # its block finished, and it took no other
+        assert threading.active_count() == before
+
+
+class TestPairLengths:
+    def test_longer_v_rejected(self):
+        t = random_unit_table(10, 4)
+        with pytest.raises(ValidationError, match="3 u ids but 4 v ids"):
+            pair_distances(t, np.arange(3), np.arange(4))
+
+    def test_one_element_v_not_broadcast(self):
+        t = random_unit_table(10, 4)
+        with pytest.raises(ValidationError):
+            pair_distances(t, np.arange(5), np.array([7]))
+
+    def test_distance_percentiles_unaffected(self):
+        t = random_unit_table(50, 4)
+        pairs = np.random.default_rng(3).integers(0, 50, size=(777, 2))
+        want = np.linalg.norm(t.values[pairs[:, 0]] - t.values[pairs[:, 1]], axis=1)
+        assert np.array_equal(distance_percentiles(pairs, t), nearest_rank_percentiles(want))
 
 
 def test_compute_report_memory_bounded_by_blocks():
     # 20k nodes, ~200k edges, D = 64, float32. Under tracemalloc the blocked
-    # pair distances and recall search peaked at 16.8 MiB; gathering both
-    # endpoint arrays for every edge and one full difference array per
-    # recall node peaked at 107 MiB.
+    # normalization, pair distances and recall search peaked at 14.8 MiB, on
+    # one thread and on two (16.8 MiB with 16 384-pair blocks on one
+    # thread); gathering both endpoint arrays for every edge and one full
+    # difference array per recall node peaked at 107 MiB.
     rng = np.random.default_rng(0)
     g = from_edges(rng.integers(0, 20_000, size=(200_000, 2)), 20_000)
     t = EmbeddingTable(rng.standard_normal((20_000, 64)).astype(np.float32))

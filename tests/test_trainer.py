@@ -665,12 +665,13 @@ class TestTwoHalfStep:
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs a CPU affinity mask")
     def test_one_cpu_starts_no_thread(self, tmp_path):
         # train_sync, run_sampling and run_pipeline (whose stages sample,
-        # train and hash their outputs) each run on the calling thread alone
+        # train, evaluate in blocks of 4 rows or pairs and hash their
+        # outputs) each run on the calling thread alone
         script = """
 import os, sys, threading
 import numpy as np
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-from walkembed import pipeline, sampler, trainer
+from walkembed import metrics, pipeline, sampler, trainer
 from walkembed.graph import from_edges
 from walkembed.model import FixedSgd
 from walkembed.shards import RecordBatch
@@ -690,6 +691,14 @@ for module, name in ((sampler, "_sample_partition"), (pipeline, "_hash_file")):
         threads.add(threading.active_count())
         return real(*args)
     setattr(module, name, counted)
+blocks = set()
+metrics._PAIR_BLOCK = metrics._ROW_BLOCK = 4
+for name in ("_normalize_rows", "_pair_block"):
+    def block(*args, real=getattr(metrics, name), name=name):
+        threads.add(threading.active_count())
+        blocks.add((name, args[-2]))
+        return real(*args)
+    setattr(metrics, name, block)
 g = from_edges(np.array([(i, (i + 1) % 30) for i in range(30)]), 30)
 sampler.run_sampling(g, sampler.SamplerConfig(walks_per_node=4, num_shards=4), sys.argv[1] + "/records")
 print(sorted(threads), threading.active_count())
@@ -704,6 +713,7 @@ pipeline.run_pipeline(pipeline.config_from_dict({
     "eval": {"non_edge_samples": 50, "recall_nodes": 5},
 }))
 print(sorted(threads), sorted(set(seen)), threading.active_count())
+print(sorted({name for name, _ in blocks}), len(blocks) > 20)
 """
         src = str(Path(trainer.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -711,7 +721,12 @@ print(sorted(threads), sorted(set(seen)), threading.active_count())
             [sys.executable, "-c", script, str(tmp_path)],
             env=env, capture_output=True, text=True, check=True, timeout=300,
         )
-        assert out.stdout.splitlines() == [repr([(1, (None,))] * 3), "[1] 1", f"[1] {[(1, (None,))]} 1"]
+        assert out.stdout.splitlines() == [
+            repr([(1, (None,))] * 3),
+            "[1] 1",
+            f"[1] {[(1, (None,))]} 1",
+            "['_normalize_rows', '_pair_block'] True",
+        ]
 
 
 class TestTrainAsync:
@@ -892,6 +907,14 @@ class TestCheckpoint:
         assert step == 42
         assert len(digest) == 32
         assert np.array_equal(back.values, table.values)
+
+    def test_loads_back_bitwise_as_float32_without_a_copy(self, tmp_path):
+        values = np.array([[0.1, -0.0, np.inf], [np.nan, 1e-45, -3.4e38]], dtype=np.float32)
+        save_checkpoint(tmp_path / "c.bin", EmbeddingTable(values), 0)
+        back, _, _ = load_checkpoint(tmp_path / "c.bin")
+        assert back.values.dtype == np.dtype(np.float32)
+        assert np.array_equal(back.values.view(np.uint32), values.view(np.uint32))
+        assert back.values.base is not None  # a view of the buffer read, not a second table
 
     def test_float64_table_saved_as_float32(self, tmp_path):
         table = EmbeddingTable(np.full((2, 2), 1 / 3, dtype=np.float64))
