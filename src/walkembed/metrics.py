@@ -27,7 +27,7 @@ import numpy as np
 from . import cores
 from .errors import MetricError, ValidationError
 from .graph import Graph
-from .model import EmbeddingTable
+from .model import EmbeddingTable, _check_ids
 
 logger = logging.getLogger(__name__)
 
@@ -118,13 +118,14 @@ def pair_distances(table: EmbeddingTable, u: np.ndarray, v: np.ndarray) -> np.nd
     shared between this thread and, where the process may use two CPUs, one
     helper thread, so the memory beyond the output is bounded by two blocks.
     Each row's norm is computed on its own, so the result equals the
-    unblocked norm(values[u] - values[v], axis=1) bit for bit. An id at or
-    past the table's last row raises IndexError once both threads have
-    finished their blocks.
+    unblocked norm(values[u] - values[v], axis=1) bit for bit. An id outside
+    [0, rows) raises IndexError before any block is handed out.
     """
     if len(u) != len(v):
         raise ValidationError(f"pair_distances: {len(u)} u ids but {len(v)} v ids")
     values = table.values
+    _check_ids(u, len(values))
+    _check_ids(v, len(values))
     out = np.empty(len(u), dtype=values.dtype)
     with cores.helper_pool() as pool:
         cores.share(

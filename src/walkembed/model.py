@@ -130,12 +130,6 @@ class SparseGrad:
         halves(pool, write, len(ids))
 
 
-@dataclass
-class LossGrads:
-    loss: float
-    main: SparseGrad
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.exp(-np.logaddexp(0.0, -x))
 
@@ -146,8 +140,8 @@ def _check_ids(ids: np.ndarray, num_nodes: int) -> None:
         raise IndexError(f"node id {bad} out of range [0, {num_nodes})")
 
 
-def loss_and_grad(table: EmbeddingTable, batch, pool: futures.Executor | None = None) -> LossGrads:
-    """Weighted logistic loss and sparse gradients for one grouped batch.
+def loss_and_grad(table: EmbeddingTable, batch, pool: futures.Executor | None = None) -> tuple[float, SparseGrad]:
+    """Weighted logistic loss and sparse gradient for one grouped batch.
 
     batch provides src (P,), dst (P, 1+k) and weight (P,) as laid out by
     trainer.ExampleBatch. The returned gradient touches only the batch's
@@ -189,7 +183,7 @@ def loss_and_grad(table: EmbeddingTable, batch, pool: futures.Executor | None = 
         bad = src[~np.all(np.isfinite(per_example), axis=1)]
         raise NumericError(f"non-finite loss; first offending source row {bad[0] if len(bad) else -1}")
     uids, acc = _sum_rows_by_id(np.concatenate([src, dst.ravel()]), contrib, table.num_nodes, pool)
-    return LossGrads(loss, SparseGrad(uids, acc))
+    return loss, SparseGrad(uids, acc)
 
 
 def _sum_rows_by_id(
@@ -230,13 +224,12 @@ def _sum_rows_by_id(
 
 
 def save_checkpoint(path: str | Path, table: EmbeddingTable, step: int, config_hash: bytes = b"") -> None:
-    """Header (magic, u64 num_nodes, u64 dim, u64 step, 32-byte config hash)
-    followed by row-major float32 values, little-endian."""
-    digest = hashlib.sha256(config_hash).digest() if len(config_hash) != 32 else config_hash
+    """Header (magic, u64 num_nodes, u64 dim, u64 step, SHA-256 of
+    config_hash) followed by row-major float32 values, little-endian."""
     with Path(path).open("wb") as fh:
         fh.write(CKPT_MAGIC)
         np.array([table.num_nodes, table.dim, step], dtype="<u8").tofile(fh)
-        fh.write(digest)
+        fh.write(hashlib.sha256(config_hash).digest())
         np.ascontiguousarray(table.values, dtype="<f4").tofile(fh)
 
 

@@ -1,11 +1,12 @@
 """Skip-gram training over co-occurrence records, sync or async.
 
-Both modes run one training loop, the lane: each step builds R micro-batches
-from the lane's record stream and applies one mean-reduced gradient over
-their concatenation, which equals the mean of the R micro-batch gradients.
-The stream holds each positive's ids as int32 where the table has at most
-2**31 rows (12 bytes per positive with its float32 weight, not 20); each
-micro-batch widens its ids to int64.
+Training reads its records from a records directory, one shard at a time.
+Both modes run one training loop, the lane: each step builds one batch of
+R * B positives from the lane's record stream, with their negatives, and
+applies one mean-reduced gradient over it, which equals the mean of the
+gradients of its R micro-batches of B. The stream holds each positive's ids
+as int32 where the table has at most 2**31 rows (12 bytes per positive with
+its float32 weight, not 20); each batch widens its ids to int64.
 
 Sync mode mirrors replicated data-parallel training: one lane with R =
 num_replicas, bitwise deterministic for a fixed seed. Where the process may
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import cores
 from .errors import ValidationError, check_keys
-from .model import EmbeddingTable, FixedSgd, WarmupDecaySchedule, init_table, loss_and_grad
+from .model import EmbeddingTable, FixedSgd, WarmupDecaySchedule, _check_ids, init_table, loss_and_grad
 from .rng import derive_seed
 from .shards import RecordBatch, iter_shards, read_manifest
 
@@ -102,9 +103,13 @@ class TrainConfig:
         return self.per_replica_batch_size * (1 + self.negatives_per_positive)
 
     @property
+    def step_positives(self) -> int:
+        """Positives per step: R * B in sync mode, B in async mode."""
+        return self.per_replica_batch_size * (self.num_replicas if self.mode == "sync" else 1)
+
+    @property
     def global_batch_examples(self) -> int:
-        replicas = self.num_replicas if self.mode == "sync" else 1
-        return self.micro_batch_examples * replicas
+        return self.step_positives * (1 + self.negatives_per_positive)
 
 
 def _optimizer_to_dict(opt: WarmupDecaySchedule | FixedSgd) -> dict:
@@ -152,21 +157,10 @@ def prepare_positives(
     records: RecordBatch, cfg: TrainConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Collapse histograms to per-pair weights; drop self-pairs and zero
-    weights. The ids come out int32 when all of them lie in [0, 2**31)."""
+    weights. The ids come out as read."""
     weight = records.co_counts @ _weighting(cfg, records.walk_length)
     keep = (weight > 0) & (records.source != records.dest)
-    source, dest = records.source[keep], records.dest[keep]
-    narrow = all(len(a) == 0 or (a.min() >= 0 and a.max() < 2**31) for a in (source, dest))
-    ids = np.int32 if narrow else np.int64
-    return source.astype(ids, copy=False), dest.astype(ids, copy=False), weight[keep].astype(np.float32)
-
-
-def _check_node_ids(records: RecordBatch, num_nodes: int, where: str | Path) -> None:
-    """Raise, naming `where`, unless every source and dest is a row of the table."""
-    for ids in (records.source, records.dest):
-        if len(ids) and (ids.min() < 0 or ids.max() >= num_nodes):
-            bad = ids[(ids < 0) | (ids >= num_nodes)][0]
-            raise ValidationError(f"{where}: node id {bad} out of range [0, {num_nodes}) of the table")
+    return records.source[keep], records.dest[keep], weight[keep].astype(np.float32)
 
 
 def _load_positives(
@@ -183,7 +177,11 @@ def _load_positives(
     columns = (np.empty(total, dtype=ids), np.empty(total, dtype=ids), np.empty(total, dtype=np.float32))
     kept = 0
     for f, shard in zip(manifest["shard_files"], iter_shards(records_dir, manifest)):
-        _check_node_ids(shard, num_nodes, Path(records_dir) / f)
+        try:
+            _check_ids(shard.source, num_nodes)
+            _check_ids(shard.dest, num_nodes)
+        except IndexError as e:
+            raise ValidationError(f"{Path(records_dir) / f}: {e} of the table") from None
         part = prepare_positives(shard, cfg)
         for column, values in zip(columns, part):
             column[kept : kept + len(values)] = values
@@ -249,12 +247,16 @@ class RecordStream:
 def build_batch(
     stream: RecordStream, cfg: TrainConfig, rng: np.random.Generator, num_nodes: int
 ) -> ExampleBatch:
-    """One micro-batch: B positives, each grouped with its uniform negatives.
+    """One step's batch: cfg.step_positives positives in one take, each
+    grouped with its uniform negatives from one draw.
 
-    Negative destinations are drawn uniformly from the whole vocabulary with
-    no rejection, so a negative may coincide with a true edge.
+    The R micro-batches of a sync step are its consecutive slices of B
+    positives: the stream is sequential, and one draw of (R * B, k)
+    negatives equals R draws of (B, k) in turn. Negative destinations are
+    drawn uniformly from the whole vocabulary with no rejection, so a
+    negative may coincide with a true edge.
     """
-    idx = stream.take(cfg.per_replica_batch_size)
+    idx = stream.take(cfg.step_positives)
     negs = rng.integers(0, num_nodes, size=(len(idx), cfg.negatives_per_positive), dtype=np.int64)
     # the stream's ids may be int32; the batch's are int64, as the negatives are
     src = stream.src[idx].astype(np.int64)
@@ -298,25 +300,22 @@ class _Progress:
 
 
 def _setup(
-    mode: str, records: RecordBatch | str | Path, cfg: TrainConfig, table: EmbeddingTable | None,
+    mode: str, records_dir: str | Path, cfg: TrainConfig, table: EmbeddingTable | None,
     num_nodes: int | None, log_every: int,
 ) -> tuple[EmbeddingTable, tuple[np.ndarray, np.ndarray, np.ndarray], list[dict]]:
     """Set-up shared by both modes: the table (seeded float32 init of
-    num_nodes rows when none is given), the filtered positives (from a
-    records directory, read one shard at a time; every record id checked
-    against the table's rows), and a log opened by the config event."""
+    num_nodes rows when none is given), the filtered positives (read one
+    shard at a time; every record id checked against the table's rows), and
+    a log opened by the config event."""
     if cfg.mode != mode:
         raise ValidationError(f"train_{mode} requires cfg.mode == {mode!r}")
     if log_every < 1:
         raise ValidationError(f"log_every must be >= 1, got {log_every}")
     if table is None and num_nodes is None:
         raise ValidationError(f"train_{mode} needs a table or num_nodes")
-    rows = table.num_nodes if table is not None else num_nodes
-    if isinstance(records, RecordBatch):
-        _check_node_ids(records, rows, "records")
-        positives = prepare_positives(records, cfg)
-    else:
-        positives = _load_positives(records, cfg, rows)
+    if table is not None and num_nodes is not None and num_nodes != table.num_nodes:
+        raise ValidationError(f"train_{mode} got num_nodes {num_nodes} and a table of {table.num_nodes} rows")
+    positives = _load_positives(records_dir, cfg, num_nodes if table is None else table.num_nodes)
     if table is None:
         table = init_table(num_nodes, cfg.dim, derive_seed(cfg.seed, "init"))
     parallel = "num_replicas" if mode == "sync" else "num_workers"
@@ -333,29 +332,24 @@ def _setup(
 
 def _lane(
     table: EmbeddingTable, stream: RecordStream, neg_rng: np.random.Generator, cfg: TrainConfig,
-    steps: int, replicas: int, max_failures: int, stop: threading.Event, progress: _Progress,
+    steps: int, max_failures: int, stop: threading.Event, progress: _Progress,
     pool: ThreadPoolExecutor | None,
 ) -> tuple[int, int]:
-    """Apply `steps` steps of `replicas` micro-batches; returns (steps applied, failures).
+    """Apply `steps` steps of one batch each; returns (steps applied, failures).
 
-    Each step takes one mean-reduced gradient over its micro-batches,
-    concatenated in replica order; given a pool, its thread computes and
-    applies half of each step. A failed step is dropped and the lane goes on
-    from the stream's next records; once more than `max_failures` steps
-    failed, the lane sets `stop`, which ends the other lanes early, and
-    raises the failure.
+    Each step takes one mean-reduced gradient over its batch; given a pool,
+    its thread computes and applies half of each step. A failed step is
+    dropped and the lane goes on from the stream's next records; once more
+    than `max_failures` steps failed, the lane sets `stop`, which ends the
+    other lanes early, and raises the failure.
     """
     failures = done = 0
     while done < steps and not stop.is_set():
         lr = cfg.optimizer.lr_at(done)
         try:
-            parts = [build_batch(stream, cfg, neg_rng, table.num_nodes) for _ in range(replicas)]
-            batch = ExampleBatch(
-                *(np.concatenate([getattr(b, f) for b in parts]) for f in ("src", "dst", "weight"))
-            )
-            out = loss_and_grad(table, batch, pool)
+            loss, grad = loss_and_grad(table, build_batch(stream, cfg, neg_rng, table.num_nodes), pool)
             # lanes share the table with no lock: a read-modify-write may race (by contract)
-            out.main.apply(table, lr, pool)
+            grad.apply(table, lr, pool)
         except Exception:
             failures += 1
             if failures > max_failures:
@@ -363,7 +357,7 @@ def _lane(
                 raise
             continue
         done += 1
-        progress.step_done(lr, out.loss)
+        progress.step_done(lr, loss)
     return done, failures
 
 
@@ -386,7 +380,7 @@ def _result(
 
 
 def train_sync(
-    records: RecordBatch | str | Path,
+    records_dir: str | Path,
     cfg: TrainConfig,
     table: EmbeddingTable | None = None,
     num_nodes: int | None = None,
@@ -395,24 +389,25 @@ def train_sync(
 ) -> TrainResult:
     """Replicated synchronous training, bitwise deterministic for a seed.
 
-    One lane: each step builds the R micro-batches in replica order and
-    takes one mean-reduced gradient over their concatenation, which equals
-    the mean of the R per-replica gradients. The calling thread runs the
-    lane; when the process may use more than one CPU, one helper thread
-    computes and applies half of each step, bitwise the same as one thread.
-    Any failure is raised at once, after the helper has finished its half.
+    One lane: each step builds one batch of R * B positives, the R replica
+    micro-batches in replica order, and takes one mean-reduced gradient over
+    it, which equals the mean of the R per-replica gradients. The calling
+    thread runs the lane; when the process may use more than one CPU, one
+    helper thread computes and applies half of each step, bitwise the same
+    as one thread. Any failure is raised at once, after the helper has
+    finished its half.
     """
-    table, (src, dst, w), log = _setup("sync", records, cfg, table, num_nodes, log_every)
+    table, (src, dst, w), log = _setup("sync", records_dir, cfg, table, num_nodes, log_every)
     stream = RecordStream(src, dst, w, derive_seed(cfg.seed, "stream"))
     neg_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xB0)))
     progress = _Progress(log, cfg, log_every)
     with cores.helper_pool() as pool:
-        counts = _lane(table, stream, neg_rng, cfg, cfg.steps, cfg.num_replicas, 0, threading.Event(), progress, pool)
+        counts = _lane(table, stream, neg_rng, cfg, cfg.steps, 0, threading.Event(), progress, pool)
     return _result(table, cfg, [counts], progress, log_path)
 
 
 def train_async(
-    records: RecordBatch | str | Path,
+    records_dir: str | Path,
     cfg: TrainConfig,
     table: EmbeddingTable | None = None,
     num_nodes: int | None = None,
@@ -429,7 +424,7 @@ def train_async(
     worker stops and the failure is raised here, so a run that returns has
     applied its whole budget.
     """
-    table, (src, dst, w), log = _setup("async", records, cfg, table, num_nodes, log_every)
+    table, (src, dst, w), log = _setup("async", records_dir, cfg, table, num_nodes, log_every)
     workers = cfg.num_workers
     # stripe records across workers; each worker shuffles its own stripe
     streams = [
@@ -442,7 +437,7 @@ def train_async(
     progress = _Progress(log, cfg, log_every)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [
-            pool.submit(_lane, table, streams[wk], neg_rngs[wk], cfg, quota[wk], 1, max_failures, stop, progress, None)
+            pool.submit(_lane, table, streams[wk], neg_rngs[wk], cfg, quota[wk], max_failures, stop, progress, None)
             for wk in range(workers)
         ]
     # result() re-raises a lane's exception; the counts are exact because

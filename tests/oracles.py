@@ -305,3 +305,16 @@ def count_zero_rows(table) -> int:
 def class_of(cfg, i: int) -> int:
     """The planted class of node i: classes are contiguous id blocks."""
     return i * cfg.k // cfg.n
+
+
+def write_records_dir(out_dir, records: RecordBatch) -> Path:
+    """records as a records directory of one shard, with the manifest keys
+    that training reads."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = shard_path(out_dir, 0, 1)
+    write_shard(path, records)
+    manifest = {"config": {"walk_length": records.walk_length}, "graph_hash": "", "shard_files": [path.name],
+                "record_counts": [len(records)]}
+    write_manifest(out_dir, manifest)
+    return out_dir

@@ -167,11 +167,11 @@ def test_criterion_3_gradient_correctness():
             rng.uniform(0.5, 4.0, p).astype(np.float32),
         )
         values = rng.normal(0.0, 0.4, (n, d))
-        out = loss_and_grad(EmbeddingTable(values.copy()), batch)
+        _, grad = loss_and_grad(EmbeddingTable(values.copy()), batch)
         dense = np.zeros_like(values)
-        dense[out.main.ids] = out.main.values
+        dense[grad.ids] = grad.values
         fd = oracles.finite_difference_grad(
-            lambda v: loss_and_grad(EmbeddingTable(v), batch).loss, values.copy()
+            lambda v: loss_and_grad(EmbeddingTable(v), batch)[0], values.copy()
         )
         rel = np.linalg.norm(dense - fd) / max(np.linalg.norm(fd), 1e-12)
         worst = max(worst, rel)
@@ -232,7 +232,6 @@ def test_criterion_6_end_to_end_quality(sync_trained, baseline10k):
 def parity_runs(graph10k, records10k, baseline10k):
     """Fixed-lr sync, async W=8, and async W=1 runs at equal example budgets."""
     records_dir, _, _ = records10k
-    records, _ = load_all_records(records_dir)
     common = dict(
         dim=128,
         per_replica_batch_size=SYNC_BATCH,
@@ -253,9 +252,9 @@ def parity_runs(graph10k, records10k, baseline10k):
         mode="async", num_workers=1, steps=SYNC_STEPS * SYNC_REPLICAS, optimizer=FixedSgd(PARITY_LR), **common
     )
     t0 = time.monotonic()
-    sync_res = train_sync(records, sync_cfg, num_nodes=graph10k.num_nodes)
-    async_res = train_async(records, async_cfg, num_nodes=graph10k.num_nodes)
-    serial_res = train_async(records, serial_cfg, num_nodes=graph10k.num_nodes)
+    sync_res = train_sync(records_dir, sync_cfg, num_nodes=graph10k.num_nodes)
+    async_res = train_async(records_dir, async_cfg, num_nodes=graph10k.num_nodes)
+    serial_res = train_async(records_dir, serial_cfg, num_nodes=graph10k.num_nodes)
     elapsed = time.monotonic() - t0
     assert sync_cfg.steps * sync_cfg.num_replicas * sync_cfg.micro_batch_examples == (
         async_cfg.steps * async_cfg.micro_batch_examples
@@ -298,7 +297,6 @@ def test_async_worker_count_quality_parity(parity_runs):
 def test_criterion_8_budget_sweep_monotone(graph10k, records10k):
     """Async SNR is non-decreasing (within 5%) across 1x/4x/12x budgets."""
     records_dir, _, _ = records10k
-    records, _ = load_all_records(records_dir)
     t0 = time.monotonic()
     snrs = []
     for mult in (1, 4, 12):
@@ -312,7 +310,7 @@ def test_criterion_8_budget_sweep_monotone(graph10k, records10k):
             optimizer=FixedSgd(PARITY_LR),
             seed=ACC_SEED + mult,
         )
-        res = train_async(records, cfg, num_nodes=graph10k.num_nodes)
+        res = train_async(records_dir, cfg, num_nodes=graph10k.num_nodes)
         table = l2_normalize(res.table)
         snrs.append(
             edge_snr(graph10k, table, non_edge_samples=10_000, rng=np.random.default_rng(ACC_SEED))

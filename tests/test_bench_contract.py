@@ -4,16 +4,19 @@ perfbench wraps module attributes at call time (tracing.ENTRY_POINTS) and
 swaps three of walkembed.pipeline's globals to time stage boundaries
 (workloads.StageClock). Removing or rebinding one of those names breaks the
 benchmark without failing any other test. perfbench also parses its
-workloads' trainer dicts itself, and reads train_sync's self time as its
-sync overhead.
+workloads' trainer dicts itself, reads train_sync's self time as its
+sync overhead, and calls both trainers as train(records_dir, cfg, table).
 """
 
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+import oracles
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -22,6 +25,7 @@ import workloads  # noqa: E402
 from walkembed import pipeline, trainer  # noqa: E402
 from walkembed.model import FixedSgd  # noqa: E402
 from walkembed.pipeline import config_from_dict  # noqa: E402
+from walkembed.sbm import SbmConfig, generate_sbm  # noqa: E402
 from walkembed.shards import RecordBatch  # noqa: E402
 from walkembed.trainer import TrainConfig  # noqa: E402
 
@@ -77,7 +81,13 @@ def test_workload_trainer_dicts_parse_like_train_config(name):
         assert workloads.train_config(w, seed) == want
 
 
-def test_train_sync_steps_on_the_calling_thread(monkeypatch):
+def cycle_records(out_dir):
+    return oracles.write_records_dir(
+        out_dir, RecordBatch(np.arange(20), (np.arange(20) + 1) % 20, np.ones((20, 2), dtype=np.int64))
+    )
+
+
+def test_train_sync_steps_on_the_calling_thread(monkeypatch, tmp_path):
     # the tracer's trainer.sync_reduce_s is train_sync's self time, which
     # excludes only the child spans on train_sync's own thread
     threads = set()
@@ -88,13 +98,13 @@ def test_train_sync_steps_on_the_calling_thread(monkeypatch):
         return real(table, batch, *args)
 
     monkeypatch.setattr(trainer, "loss_and_grad", spy)
-    records = RecordBatch(np.arange(20), (np.arange(20) + 1) % 20, np.ones((20, 2), dtype=np.int64))
+    records = cycle_records(tmp_path)
     cfg = TrainConfig(dim=4, per_replica_batch_size=4, num_replicas=2, steps=3, optimizer=FixedSgd(0.1))
     trainer.train_sync(records, cfg, num_nodes=20)
     assert threads == {threading.get_ident()}
 
 
-def test_train_sync_passes_the_global_example_count(monkeypatch):
+def test_train_sync_passes_the_global_example_count(monkeypatch, tmp_path):
     # the tracer's model.loss_and_grad_examples_per_s counts len(batch), the
     # second argument of each loss_and_grad call
     sizes = []
@@ -105,8 +115,35 @@ def test_train_sync_passes_the_global_example_count(monkeypatch):
         return real(table, batch, *args)
 
     monkeypatch.setattr(trainer, "loss_and_grad", spy)
-    records = RecordBatch(np.arange(20), (np.arange(20) + 1) % 20, np.ones((20, 2), dtype=np.int64))
+    records = cycle_records(tmp_path)
     cfg = TrainConfig(dim=4, per_replica_batch_size=4, negatives_per_positive=3, num_replicas=2, steps=3,
                       optimizer=FixedSgd(0.1))
     trainer.train_sync(records, cfg, num_nodes=20)
     assert sizes == [(cfg.global_batch_examples,) * 2] * 3
+
+
+@pytest.mark.parametrize("mode", ["sync", "async"])
+def test_round_10k_passes_records_dir_cfg_and_table_positionally(monkeypatch, tmp_path, mode):
+    # workloads.round_10k calls train(records_dir, tcfg, table) with its own
+    # table; a trainer signature that moves `table` breaks the benchmark
+    name = {"sync": "sync-sbm10k", "async": "async-sbm10k"}[mode]
+    trainer_dict = dict(workloads.WORKLOADS[name].trainer, dim=4, per_replica_batch_size=8, steps=3)
+    w = replace(
+        workloads.WORKLOADS[name], sampler={"walks_per_node": 2, "walk_length": 3, "num_shards": 2},
+        trainer=trainer_dict, eval={"non_edge_samples": 50, "recall_nodes": 5},
+    )
+    calls = []
+    real = getattr(trainer, f"train_{mode}")
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, f"train_{mode}", spy)
+    g = generate_sbm(SbmConfig(n=200, k=2, p_in=0.1, p_out=0.01, seed=3))
+    r = workloads.round_10k(w, 0, g, tmp_path, 1)
+    ((args, kwargs),) = calls
+    assert len(args) == 3 and not kwargs
+    assert args[0] == r.records_dir and isinstance(args[1], TrainConfig)
+    assert r.result.table is args[2] and args[2].num_nodes == g.num_nodes
+    assert r.result.examples_processed == 3 * args[1].global_batch_examples

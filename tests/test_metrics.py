@@ -395,6 +395,27 @@ class TestPairLengths:
         assert np.array_equal(distance_percentiles(pairs, t), nearest_rank_percentiles(want))
 
 
+class TestPairIds:
+    @pytest.mark.parametrize("bad", [-1, 3])
+    @pytest.mark.parametrize("side", ["u", "v"])
+    def test_id_outside_the_table_rejected_before_any_block(self, monkeypatch, side, bad):
+        # -1 once wrapped to the last row: distance_percentiles([[0, -1]])
+        # on np.eye(3) gave sqrt(2), row 0 against row 2
+        blocks = []
+        real = metrics._pair_block
+        monkeypatch.setattr(metrics, "_pair_block", lambda *args: blocks.append(args[-2]) or real(*args))
+        t = EmbeddingTable(np.eye(3))
+        good, wrong = np.array([0, 1]), np.array([1, bad])
+        u, v = (wrong, good) if side == "u" else (good, wrong)
+        with pytest.raises(IndexError, match=f"node id {bad} out of range \\[0, 3\\)"):
+            pair_distances(t, u, v)
+        pairs = np.column_stack([u, v])
+        with pytest.raises(IndexError, match=f"node id {bad} out of range \\[0, 3\\)"):
+            distance_percentiles(pairs, t)
+        assert blocks == []
+        assert pair_distances(t, good, good[::-1].copy()).tolist() == [math.sqrt(2)] * 2
+
+
 def test_compute_report_memory_bounded_by_blocks():
     # 20k nodes, ~200k edges, D = 64, float32. Under tracemalloc the blocked
     # normalization, pair distances and recall search peaked at 14.8 MiB, on

@@ -6,6 +6,7 @@ import threading
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from walkembed.model import (
     lr_at,
     save_checkpoint,
 )
+from walkembed.rng import derive_seed
 from walkembed.sampler import SamplerConfig, run_sampling
 from walkembed.sbm import SbmConfig, generate_sbm
 from walkembed.shards import RecordBatch, load_all_records
@@ -219,24 +221,24 @@ def flat_reference(values, batch):
     )
 
 
-def dense_grad(out, values):
+def dense_grad(grad, values):
     dense = np.zeros_like(values)
-    dense[out.main.ids] = out.main.values
+    dense[grad.ids] = grad.values
     return dense
 
 
 class TestLossAndGrad:
     def test_zero_embedding_identity(self):
-        out = loss_and_grad(zero_table(2, 4), batch_of([0], [1], [1.0]))
-        assert out.loss == pytest.approx(np.log(2.0), rel=1e-12)
+        loss, _ = loss_and_grad(zero_table(2, 4), batch_of([0], [1], [1.0]))
+        assert loss == pytest.approx(np.log(2.0), rel=1e-12)
 
     def test_pos_plus_neg_mean_reduction(self):
-        out = loss_and_grad(zero_table(2, 4), batch_of([0], [[1, 1]], [1.0]))
-        assert out.loss == pytest.approx(np.log(2.0), rel=1e-12)
+        loss, _ = loss_and_grad(zero_table(2, 4), batch_of([0], [[1, 1]], [1.0]))
+        assert loss == pytest.approx(np.log(2.0), rel=1e-12)
 
     def test_weighted_positive_scales_loss(self):
-        out = loss_and_grad(zero_table(2, 4), batch_of([0], [1], [3.0]))
-        assert out.loss == pytest.approx(3 * np.log(2.0), rel=1e-12)
+        loss, _ = loss_and_grad(zero_table(2, 4), batch_of([0], [1], [3.0]))
+        assert loss == pytest.approx(3 * np.log(2.0), rel=1e-12)
 
     def test_len_counts_examples(self):
         assert len(batch_of([0, 1, 2], np.zeros((3, 5)), np.ones(3))) == 15
@@ -247,11 +249,11 @@ class TestLossAndGrad:
             n, d = int(rng.integers(3, 20)), int(rng.integers(2, 16))
             batch = random_batch(rng, n, max_p=5, max_k=3)
             values = rng.normal(0, 0.3, (n, d))
-            out = loss_and_grad(EmbeddingTable(values.copy()), batch)
+            _, grad = loss_and_grad(EmbeddingTable(values.copy()), batch)
             fd = oracles.finite_difference_grad(
-                lambda v: loss_and_grad(EmbeddingTable(v), batch).loss, values.copy()
+                lambda v: loss_and_grad(EmbeddingTable(v), batch)[0], values.copy()
             )
-            rel = np.linalg.norm(dense_grad(out, values) - fd) / max(np.linalg.norm(fd), 1e-12)
+            rel = np.linalg.norm(dense_grad(grad, values) - fd) / max(np.linalg.norm(fd), 1e-12)
             assert rel < 1e-4
 
     @pytest.mark.parametrize("k", [0, 1, 3, 7])
@@ -267,14 +269,14 @@ class TestLossAndGrad:
             ]
             batch = concat(parts)
             values = rng.normal(0, 0.5, (n, d))
-            out = loss_and_grad(EmbeddingTable(values), batch)
+            got_loss, got = loss_and_grad(EmbeddingTable(values), batch)
             loss, grad = flat_reference(values, batch)
-            assert out.loss == pytest.approx(loss, rel=1e-12)
+            assert got_loss == pytest.approx(loss, rel=1e-12)
             # rtol 1e-12 of each entry, with the summation-order floor of
             # entries that cancel set at 1e-12 of the largest entry
-            np.testing.assert_allclose(dense_grad(out, values), grad, rtol=1e-12, atol=1e-12 * np.abs(grad).max())
+            np.testing.assert_allclose(dense_grad(got, values), grad, rtol=1e-12, atol=1e-12 * np.abs(grad).max())
             touched = np.unique(np.concatenate([batch.src, batch.dst.ravel()]))
-            assert np.array_equal(out.main.ids, touched)
+            assert np.array_equal(got.ids, touched)
 
     def test_scatter_bitwise_equals_2d_add_at(self):
         # 1000 sources with 1+3 destinations over 12 ids: every row receives
@@ -283,7 +285,7 @@ class TestLossAndGrad:
         n, d, p, width = 12, 16, 1000, 4
         batch = batch_of(rng.integers(0, n, p), rng.integers(0, n, (p, width)), rng.uniform(0.5, 2, p))
         main = rng.normal(0, 0.5, (n, d)).astype(np.float32)
-        out = loss_and_grad(EmbeddingTable(main), batch)
+        _, grad = loss_and_grad(EmbeddingTable(main), batch)
 
         # the grouped contributions scattered row by row with the 2-D np.add.at
         m = p * width
@@ -298,13 +300,13 @@ class TestLossAndGrad:
         acc = np.zeros((len(uids), d), dtype=np.float32)
         np.add.at(acc, iu, np.einsum("pw,pwd->pd", coef, e_dst))
         np.add.at(acc, iv, (coef[:, :, None] * e_src[:, None, :]).reshape(m, d))
-        assert np.array_equal(out.main.values, acc)
+        assert np.array_equal(grad.values, acc)
 
     def test_grad_only_touches_batch_rows(self):
         rng = np.random.default_rng(1)
         table = EmbeddingTable(rng.normal(size=(10, 4)))
-        out = loss_and_grad(table, batch_of([2, 3], [[3, 5], [2, 3]], [1, 1]))
-        assert out.main.ids.tolist() == [2, 3, 5]
+        _, grad = loss_and_grad(table, batch_of([2, 3], [[3, 5], [2, 3]], [1, 1]))
+        assert grad.ids.tolist() == [2, 3, 5]
 
     def test_id_out_of_range(self):
         with pytest.raises(IndexError):
@@ -331,7 +333,7 @@ class TestLossAndGrad:
 
     def test_non_finite_gradient_blocked_at_apply(self):
         table = zero_table(3, 4)
-        grad = loss_and_grad(table, batch_of([0], [1], [1.0])).main
+        _, grad = loss_and_grad(table, batch_of([0], [1], [1.0]))
         grad.values[0, 0] = np.nan
         with pytest.raises(NumericError, match="row 0"):
             grad.apply(table, 0.1)
@@ -400,12 +402,22 @@ class TestSumRowsById:
             model._sum_rows_by_id(np.array([2**61, 5, 0]), contrib, 2**61 + 1)
 
 
-def training_records(n=30, seed=0):
-    """Cycle graph style records, enough to stream from."""
+def training_records(out_dir, n=30, seed=0):
+    """Cycle graph style records, enough to stream from, as a records directory."""
     rng = np.random.default_rng(seed)
     pairs = [(i, (i + 1) % n, [int(rng.integers(1, 5)), 1, 0]) for i in range(n)]
     pairs += [(i, (i + 2) % n, [0, 1, 1]) for i in range(n)]
-    return make_records(pairs)
+    return oracles.write_records_dir(out_dir, make_records(pairs))
+
+
+@pytest.fixture
+def records(tmp_path):
+    return training_records(tmp_path / "records")
+
+
+def whole_set_stream(records_dir, cfg):
+    """train_sync's record stream, built from the whole record set at once."""
+    return make_stream(load_all_records(records_dir)[0], cfg, derive_seed(cfg.seed, "stream"))
 
 
 class TestTrainSync:
@@ -423,21 +435,16 @@ class TestTrainSync:
         base.update(kw)
         return TrainConfig(**base)
 
-    def test_single_replica_equals_plain_minibatch_sgd(self):
-        records = training_records()
+    def test_single_replica_equals_plain_minibatch_sgd(self, records):
         cfg = self.cfg(num_replicas=1)
         result = train_sync(records, cfg, num_nodes=30)
         # hand-rolled reference loop with the same stream and rng construction
-        from walkembed.rng import derive_seed
-
         table = init_table(30, cfg.dim, derive_seed(cfg.seed, "init"), np.float32)
-        src, dst, w = prepare_positives(records, cfg)
-        stream = RecordStream(src, dst, w, derive_seed(cfg.seed, "stream"))
+        stream = whole_set_stream(records, cfg)
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xB0)))
         for step in range(cfg.steps):
-            batch = build_batch(stream, cfg, rng, 30)
-            out = loss_and_grad(table, batch)
-            table.values[out.main.ids] -= cfg.optimizer.lr * out.main.values
+            _, grad = loss_and_grad(table, build_batch(stream, cfg, rng, 30))
+            table.values[grad.ids] -= cfg.optimizer.lr * grad.values
         assert np.array_equal(result.table.values, table.values)
 
     def test_identical_replica_batches_match_single_big_batch(self):
@@ -446,23 +453,20 @@ class TestTrainSync:
         rng = np.random.default_rng(2)
         table = EmbeddingTable(rng.normal(size=(12, 6)))
         batch = random_batch(rng, 12, max_p=6, max_k=3)
-        single = loss_and_grad(table, batch)
-        big = loss_and_grad(table, concat([batch] * 4))
-        assert np.array_equal(single.main.ids, big.main.ids)
-        np.testing.assert_allclose(single.main.values, big.main.values, rtol=1e-12)
-        assert single.loss == pytest.approx(big.loss, rel=1e-12)
+        single_loss, single = loss_and_grad(table, batch)
+        big_loss, big = loss_and_grad(table, concat([batch] * 4))
+        assert np.array_equal(single.ids, big.ids)
+        np.testing.assert_allclose(single.values, big.values, rtol=1e-12)
+        assert single_loss == pytest.approx(big_loss, rel=1e-12)
 
-    def test_deterministic_given_seed(self):
-        records = training_records()
+    def test_deterministic_given_seed(self, records):
         a = train_sync(records, self.cfg(), num_nodes=30)
         b = train_sync(records, self.cfg(), num_nodes=30)
         assert np.array_equal(a.table.values, b.table.values)
 
-    def test_step_equals_mean_of_replica_gradients(self, monkeypatch):
+    def test_step_equals_mean_of_replica_gradients(self, monkeypatch, records):
         import walkembed.trainer as trainer_mod
-        from walkembed.rng import derive_seed
 
-        records = training_records()
         cfg = self.cfg(num_replicas=3, steps=1)
         seen = []
 
@@ -477,24 +481,24 @@ class TestTrainSync:
 
         # reference: one gradient per replica micro-batch, merged by a
         # fixed-order sum of the rows scaled by 1/R
-        src, dst, w = prepare_positives(records, cfg)
-        stream = RecordStream(src, dst, w, derive_seed(cfg.seed, "stream"))
+        stream = whole_set_stream(records, cfg)
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xB0)))
-        replicas = [loss_and_grad(table, build_batch(stream, cfg, rng, 30)) for _ in range(3)]
-        ids, inv = np.unique(np.concatenate([r.main.ids for r in replicas]), return_inverse=True)
+        micro = replace(cfg, num_replicas=1)
+        replicas = [loss_and_grad(table, build_batch(stream, micro, rng, 30)) for _ in range(3)]
+        ids, inv = np.unique(np.concatenate([g.ids for _, g in replicas]), return_inverse=True)
         merged = np.zeros((len(ids), cfg.dim))
-        np.add.at(merged, inv, np.concatenate([r.main.values for r in replicas]))
+        np.add.at(merged, inv, np.concatenate([g.values for _, g in replicas]))
         merged /= 3
 
-        (step,) = seen
-        assert np.array_equal(step.main.ids, ids)
-        np.testing.assert_allclose(step.main.values, merged, rtol=1e-12, atol=0)
-        assert step.loss == pytest.approx(np.mean([r.loss for r in replicas]), rel=1e-12)
+        ((loss, step),) = seen
+        assert np.array_equal(step.ids, ids)
+        np.testing.assert_allclose(step.values, merged, rtol=1e-12, atol=0)
+        assert loss == pytest.approx(np.mean([r_loss for r_loss, _ in replicas]), rel=1e-12)
         table.values[ids] -= cfg.optimizer.lr * merged
         np.testing.assert_allclose(result.table.values, table.values, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("replicas", [1, 2, 5])
-    def test_one_gradient_call_per_step(self, monkeypatch, replicas):
+    def test_one_gradient_call_per_step(self, monkeypatch, replicas, records):
         import walkembed.trainer as trainer_mod
 
         sizes = []
@@ -505,12 +509,47 @@ class TestTrainSync:
 
         monkeypatch.setattr(trainer_mod, "loss_and_grad", counting)
         cfg = self.cfg(num_replicas=replicas, steps=7)
-        train_sync(training_records(), cfg, num_nodes=30)
+        train_sync(records, cfg, num_nodes=30)
         assert sizes == [cfg.global_batch_examples] * 7
 
-    def test_untouched_rows_bitwise_stable(self):
+    def test_one_batch_of_all_replicas_per_step(self, monkeypatch, records):
+        real = trainer.build_batch
+        positives = []
+
+        def spy(stream, cfg, rng, num_nodes):
+            batch = real(stream, cfg, rng, num_nodes)
+            positives.append(len(batch.src))
+            return batch
+
+        monkeypatch.setattr(trainer, "build_batch", spy)
+        cfg = self.cfg(num_replicas=3, steps=7)
+        train_sync(records, cfg, num_nodes=30)
+        assert positives == [3 * cfg.per_replica_batch_size] * 7
+
+    def test_bitwise_equal_to_concatenated_replica_batches(self, records):
+        # the loop before one batch per step: R micro-batches of B positives,
+        # each taken and given its negatives in turn, then concatenated; odd
+        # B and k, and 40 steps over 60 records cross many epochs
+        cfg = self.cfg(num_replicas=3, per_replica_batch_size=7, negatives_per_positive=3, steps=40)
+        result = train_sync(records, cfg, num_nodes=30)
+
+        def micro_batch(stream, rng):
+            idx = stream.take(cfg.per_replica_batch_size)
+            negs = rng.integers(0, 30, size=(len(idx), cfg.negatives_per_positive), dtype=np.int64)
+            return ExampleBatch(stream.src[idx].astype(np.int64), np.column_stack([stream.dst[idx], negs]),
+                                stream.weight[idx])
+
+        table = init_table(30, cfg.dim, derive_seed(cfg.seed, "init"))
+        stream = RecordStream(*trainer._load_positives(records, cfg, 30), derive_seed(cfg.seed, "stream"))
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xB0)))
+        for step in range(cfg.steps):
+            _, grad = loss_and_grad(table, concat([micro_batch(stream, rng) for _ in range(cfg.num_replicas)]))
+            grad.apply(table, cfg.optimizer.lr_at(step))
+        assert result.table.values.tobytes() == table.values.tobytes()
+
+    def test_untouched_rows_bitwise_stable(self, tmp_path):
         # no negatives, records confined to ids {0, 1}
-        records = make_records([(0, 1, [2, 0, 0])])
+        records = oracles.write_records_dir(tmp_path, make_records([(0, 1, [2, 0, 0])]))
         cfg = self.cfg(per_replica_batch_size=4, negatives_per_positive=0, steps=3)
         table = init_table(10, cfg.dim, 5, np.float32)
         before = table.values.copy()
@@ -518,19 +557,17 @@ class TestTrainSync:
         assert not np.array_equal(before[:2], table.values[:2])
         assert np.array_equal(before[2:], table.values[2:])
 
-    def test_loss_trends_down(self):
-        records = training_records()
+    def test_loss_trends_down(self, records):
         result = train_sync(records, self.cfg(steps=300, optimizer=FixedSgd(8.0)), num_nodes=30, log_every=10)
         losses = [e["loss"] for e in result.log if "loss" in e]
         k = max(1, len(losses) // 10)
         assert np.mean(losses[-k:]) < np.mean(losses[:k])
 
-    def test_mode_mismatch_rejected(self):
+    def test_mode_mismatch_rejected(self, records):
         with pytest.raises(ValidationError):
-            train_sync(training_records(), self.cfg(mode="async", optimizer=FixedSgd(0.1)))
+            train_sync(records, self.cfg(mode="async", optimizer=FixedSgd(0.1)))
 
-    def test_progress_log_written(self, tmp_path):
-        records = training_records()
+    def test_progress_log_written(self, tmp_path, records):
         log_path = tmp_path / "progress.jsonl"
         train_sync(records, self.cfg(), num_nodes=30, log_path=log_path, log_every=5)
         entries = [json.loads(line) for line in log_path.read_text().splitlines()]
@@ -540,15 +577,15 @@ class TestTrainSync:
         assert {"step", "lr", "loss", "examples_per_sec"} <= set(steps[0])
 
     @pytest.mark.parametrize("log_every", [0, -5])
-    def test_log_every_below_one_rejected_before_any_step(self, log_every):
+    def test_log_every_below_one_rejected_before_any_step(self, log_every, records):
         table = init_table(30, 8, seed=1)
         before = table.values.copy()
         with pytest.raises(ValidationError, match="log_every"):
-            train_sync(training_records(), self.cfg(), table=table, log_every=log_every)
+            train_sync(records, self.cfg(), table=table, log_every=log_every)
         assert np.array_equal(table.values, before)
 
-    def test_progress_at_first_every_and_last_step(self):
-        result = train_sync(training_records(), self.cfg(steps=12), num_nodes=30, log_every=5)
+    def test_progress_at_first_every_and_last_step(self, records):
+        result = train_sync(records, self.cfg(steps=12), num_nodes=30, log_every=5)
         entries = [e for e in result.log if "loss" in e]
         assert [e["step"] for e in entries] == [0, 5, 10, 11]
         assert all(e["examples_per_sec"] > 0 for e in entries)
@@ -577,15 +614,15 @@ class TestTwoHalfStep:
         rng = np.random.default_rng(n + p + k)
         values = rng.normal(0, 0.3, (n, d)).astype(dtype)
         batch = batch_of(rng.integers(0, n, p), rng.integers(0, n, (p, 1 + k)), rng.uniform(0.5, 3.0, p))
-        one = loss_and_grad(EmbeddingTable(values), batch)
-        two = loss_and_grad(EmbeddingTable(values), batch, pool)
-        assert one.loss == two.loss
-        assert one.main.ids.tobytes() == two.main.ids.tobytes()
-        assert one.main.values.dtype == two.main.values.dtype == dtype
-        assert one.main.values.tobytes() == two.main.values.tobytes()
+        loss_one, one = loss_and_grad(EmbeddingTable(values), batch)
+        loss_two, two = loss_and_grad(EmbeddingTable(values), batch, pool)
+        assert loss_one == loss_two
+        assert one.ids.tobytes() == two.ids.tobytes()
+        assert one.values.dtype == two.values.dtype == dtype
+        assert one.values.tobytes() == two.values.tobytes()
         a, b = EmbeddingTable(values.copy()), EmbeddingTable(values.copy())
-        one.main.apply(a, 0.7)
-        two.main.apply(b, 0.7, pool)
+        one.apply(a, 0.7)
+        two.apply(b, 0.7, pool)
         assert a.values.tobytes() == b.values.tobytes()
 
     def test_non_finite_row_in_either_half_leaves_the_table(self, pool):
@@ -625,19 +662,19 @@ class TestTwoHalfStep:
             cores.halves(pool, work, 10)
         assert cores.halves(None, work, 10) == [10]
 
-    def test_train_sync_bitwise_equal_on_one_cpu(self, monkeypatch):
+    def test_train_sync_bitwise_equal_on_one_cpu(self, monkeypatch, records):
         cfg = TestTrainSync().cfg(steps=20)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # the two threads switch as often as they can
         try:
-            two = train_sync(training_records(), cfg, num_nodes=30)
+            two = train_sync(records, cfg, num_nodes=30)
         finally:
             sys.setswitchinterval(interval)
         monkeypatch.setattr(cores, "usable_cpus", lambda: 1)
-        one = train_sync(training_records(), cfg, num_nodes=30)
+        one = train_sync(records, cfg, num_nodes=30)
         assert one.table.values.tobytes() == two.table.values.tobytes()
 
-    def test_train_sync_joins_its_helper(self, monkeypatch):
+    def test_train_sync_joins_its_helper(self, monkeypatch, records):
         real = trainer.loss_and_grad
         before = threading.active_count()
         during = []
@@ -656,9 +693,9 @@ class TestTwoHalfStep:
             during.clear()
             if fail:
                 with pytest.raises(RuntimeError, match="injected fault"):
-                    train_sync(training_records(), cfg, num_nodes=30)
+                    train_sync(records, cfg, num_nodes=30)
             else:
-                train_sync(training_records(), cfg, num_nodes=30)
+                train_sync(records, cfg, num_nodes=30)
             assert during == [before + helpers] * len(during)
             assert threading.active_count() == before
 
@@ -675,6 +712,7 @@ from walkembed import metrics, pipeline, sampler, trainer
 from walkembed.graph import from_edges
 from walkembed.model import FixedSgd
 from walkembed.shards import RecordBatch
+import oracles
 seen = []
 real = trainer.loss_and_grad
 def spy(table, batch, *args):
@@ -683,7 +721,7 @@ def spy(table, batch, *args):
 trainer.loss_and_grad = spy
 records = RecordBatch(np.arange(20), (np.arange(20) + 1) % 20, np.ones((20, 2), dtype=np.int64))
 cfg = trainer.TrainConfig(dim=4, per_replica_batch_size=4, num_replicas=2, steps=3, optimizer=FixedSgd(0.1))
-trainer.train_sync(records, cfg, num_nodes=20)
+trainer.train_sync(oracles.write_records_dir(sys.argv[1] + "/cycle", records), cfg, num_nodes=20)
 print(seen)
 threads = set()
 for module, name in ((sampler, "_sample_partition"), (pipeline, "_hash_file")):
@@ -716,7 +754,8 @@ print(sorted(threads), sorted(set(seen)), threading.active_count())
 print(sorted({name for name, _ in blocks}), len(blocks) > 20)
 """
         src = str(Path(trainer.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        tests = str(Path(__file__).resolve().parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests, os.environ.get("PYTHONPATH", "")]))
         out = subprocess.run(
             [sys.executable, "-c", script, str(tmp_path)],
             env=env, capture_output=True, text=True, check=True, timeout=300,
@@ -744,14 +783,12 @@ class TestTrainAsync:
         base.update(kw)
         return TrainConfig(**base)
 
-    def test_single_worker_deterministic(self):
-        records = training_records()
+    def test_single_worker_deterministic(self, records):
         a = train_async(records, self.cfg(), num_nodes=30)
         b = train_async(records, self.cfg(), num_nodes=30)
         assert np.array_equal(a.table.values, b.table.values)
 
-    def test_multi_worker_completes_budget(self):
-        records = training_records()
+    def test_multi_worker_completes_budget(self, records):
         cfg = self.cfg(num_workers=4, steps=50)
         result = train_async(records, cfg, num_nodes=30)
         assert result.examples_processed == 50 * cfg.micro_batch_examples
@@ -760,8 +797,7 @@ class TestTrainAsync:
         with pytest.raises(ValidationError):
             self.cfg(optimizer=WarmupDecaySchedule(1, 0.1, 10, 0.01))
 
-    def test_loss_trends_down(self):
-        records = training_records()
+    def test_loss_trends_down(self, records):
         result = train_async(
             records, self.cfg(steps=600, optimizer=FixedSgd(2.0)), num_nodes=30, log_every=20
         )
@@ -770,10 +806,10 @@ class TestTrainAsync:
         assert np.mean(losses[-k:]) < np.mean(losses[:k])
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_progress_at_first_and_last_step(self, workers, tmp_path):
+    def test_progress_at_first_and_last_step(self, workers, tmp_path, records):
         # 24 micro-batches under the default log_every of 50: step 0 and the last step
         log_path = tmp_path / "progress.jsonl"
-        result = train_async(training_records(), self.cfg(num_workers=workers), num_nodes=30, log_path=log_path)
+        result = train_async(records, self.cfg(num_workers=workers), num_nodes=30, log_path=log_path)
         entries = [json.loads(line) for line in log_path.read_text().splitlines()]
         assert entries == result.log
         steps = [e for e in entries if "loss" in e]
@@ -781,14 +817,14 @@ class TestTrainAsync:
         assert all(e["lr"] == 0.5 and e["examples_per_sec"] > 0 for e in steps)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_log_every_below_one_rejected_before_any_step(self, workers):
+    def test_log_every_below_one_rejected_before_any_step(self, workers, records):
         table = init_table(30, 8, seed=1)
         before = table.values.copy()
         with pytest.raises(ValidationError, match="log_every"):
-            train_async(training_records(), self.cfg(num_workers=workers), table=table, log_every=0)
+            train_async(records, self.cfg(num_workers=workers), table=table, log_every=0)
         assert np.array_equal(table.values, before)
 
-    def test_progress_steps_exact_under_thread_switches(self):
+    def test_progress_steps_exact_under_thread_switches(self, records):
         # more workers than cores and frequent switches: a lost update of the
         # shared step counter would repeat or skip a step number
         import sys
@@ -796,12 +832,12 @@ class TestTrainAsync:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            result = train_async(training_records(), self.cfg(num_workers=6, steps=300), num_nodes=30, log_every=1)
+            result = train_async(records, self.cfg(num_workers=6, steps=300), num_nodes=30, log_every=1)
         finally:
             sys.setswitchinterval(interval)
         assert [e["step"] for e in result.log if "loss" in e] == list(range(300))
 
-    def test_two_workers_exact_on_a_shared_table_under_thread_switches(self):
+    def test_two_workers_exact_on_a_shared_table_under_thread_switches(self, records):
         # the step's scatter releases the GIL, so two workers overlap on one
         # table; every micro-batch must still be counted and none may fail
         import sys
@@ -812,7 +848,7 @@ class TestTrainAsync:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            result = train_async(training_records(), cfg, table=table)
+            result = train_async(records, cfg, table=table)
         finally:
             sys.setswitchinterval(interval)
         assert result.table is table
@@ -820,10 +856,9 @@ class TestTrainAsync:
         assert result.worker_failures == 0
         assert np.isfinite(table.values).all() and not np.array_equal(table.values, before)
 
-    def test_worker_failure_restarts_from_stream(self, monkeypatch):
+    def test_worker_failure_restarts_from_stream(self, monkeypatch, records):
         import walkembed.trainer as trainer_mod
 
-        records = training_records()
         real = trainer_mod.loss_and_grad
         calls = {"n": 0}
 
@@ -838,7 +873,7 @@ class TestTrainAsync:
         assert result.worker_failures == 1
         assert result.examples_processed == 10 * self.cfg().micro_batch_examples
 
-    def test_too_many_failures_raise(self, monkeypatch):
+    def test_too_many_failures_raise(self, monkeypatch, records):
         import walkembed.trainer as trainer_mod
 
         def always_fail(table, batch, *args):
@@ -848,10 +883,10 @@ class TestTrainAsync:
         for num_workers in (1, 2):
             with pytest.raises(RuntimeError):
                 train_async(
-                    training_records(), self.cfg(steps=10, num_workers=num_workers), num_nodes=30, max_failures=2
+                    records, self.cfg(steps=10, num_workers=num_workers), num_nodes=30, max_failures=2
                 )
 
-    def test_failed_worker_stops_the_others(self, monkeypatch):
+    def test_failed_worker_stops_the_others(self, monkeypatch, records):
         import threading
 
         import walkembed.trainer as trainer_mod
@@ -870,11 +905,11 @@ class TestTrainAsync:
 
         monkeypatch.setattr(trainer_mod, "loss_and_grad", first_call_fails)
         with pytest.raises(RuntimeError, match="broken worker"):
-            train_async(training_records(), self.cfg(steps=20_000, num_workers=2), num_nodes=30, max_failures=0)
+            train_async(records, self.cfg(steps=20_000, num_workers=2), num_nodes=30, max_failures=0)
         # the healthy worker's quota is 10_000 batches; it must not run them all
         assert calls["n"] < 10_000
 
-    def test_multi_worker_failures_counted_exactly(self, monkeypatch):
+    def test_multi_worker_failures_counted_exactly(self, monkeypatch, records):
         import threading
 
         import walkembed.trainer as trainer_mod
@@ -893,7 +928,7 @@ class TestTrainAsync:
 
         monkeypatch.setattr(trainer_mod, "loss_and_grad", flaky)
         cfg = self.cfg(num_workers=4, steps=40)
-        result = train_async(training_records(), cfg, num_nodes=30, max_failures=40)
+        result = train_async(records, cfg, num_nodes=30, max_failures=40)
         assert result.worker_failures == calls["n"] - 40
         assert result.examples_processed == 40 * cfg.micro_batch_examples
 
@@ -963,11 +998,23 @@ def test_bad_optimizer_section_named(optimizer, message):
 
 
 @pytest.mark.parametrize("mode", ["sync", "async"])
-def test_table_or_num_nodes_required(mode):
+def test_table_or_num_nodes_required(mode, records):
     cfg = TrainConfig(dim=4, mode=mode, steps=1, optimizer=FixedSgd(0.1))
     train = train_sync if mode == "sync" else train_async
     with pytest.raises(ValidationError, match=f"train_{mode} needs a table or num_nodes"):
-        train(training_records(), cfg)
+        train(records, cfg)
+
+
+@pytest.mark.parametrize("mode", ["sync", "async"])
+def test_num_nodes_must_match_the_table(mode, records):
+    cfg = TrainConfig(dim=4, mode=mode, steps=1, optimizer=FixedSgd(0.1))
+    train = train_sync if mode == "sync" else train_async
+    table = init_table(30, 4, seed=0)
+    before = table.values.copy()
+    with pytest.raises(ValidationError, match=f"train_{mode} got num_nodes 5000 and a table of 30 rows"):
+        train(records, cfg, table=table, num_nodes=5000)
+    assert np.array_equal(table.values, before)
+    assert train(records, cfg, table=table, num_nodes=30).table is table
 
 
 @pytest.mark.parametrize(
@@ -996,9 +1043,9 @@ class TestPositivesFromShards:
         cfg = TrainConfig(dim=4, steps=1, distance_weighting=weighting)
         got = trainer._load_positives(tmp_path, cfg, 12)
         want = prepare_positives(load_all_records(tmp_path)[0], cfg)
+        assert [g.dtype for g in got] == [np.int32, np.int32, np.float32]
         for g, w in zip(got, want):
-            assert g.dtype == w.dtype
-            assert g.tobytes() == w.tobytes()
+            assert g.tobytes() == w.astype(g.dtype).tobytes()
 
     def test_ids_int32_below_2_31_nodes(self, tmp_path):
         sample_shards(tmp_path, 3)
@@ -1034,7 +1081,8 @@ class TestPositivesFromShards:
         cfg = TrainConfig(dim=4, per_replica_batch_size=16, negatives_per_positive=2, num_replicas=2, steps=12,
                           optimizer=FixedSgd(0.5), seed=4)
         got = train_sync(tmp_path, cfg, num_nodes=12)
-        want = train_sync(load_all_records(tmp_path)[0], cfg, num_nodes=12)
+        whole = oracles.write_records_dir(tmp_path / "whole", load_all_records(tmp_path)[0])
+        want = train_sync(whole, cfg, num_nodes=12)
         assert got.table.values.tobytes() == want.table.values.tobytes()
 
     def test_bad_shards_raise_through_train_sync(self, tmp_path):
@@ -1078,13 +1126,11 @@ class TestPositivesFromShards:
         with pytest.raises(ValidationError, match=f"{shard}: node id 5000 out of range \\[0, 12\\)"):
             train(tmp_path, cfg, table=table)
         assert np.array_equal(table.values, before)
-        # a RecordBatch argument is checked the same way, against num_nodes
-        records = load_all_records(tmp_path)[0]
-        with pytest.raises(ValidationError, match="records: node id 5000 out of range"):
-            train(records, cfg, num_nodes=12)
-        records.dest[records.dest == 5000] = -3
-        with pytest.raises(ValidationError, match="records: node id -3 out of range"):
-            train(records, cfg, num_nodes=12)
+        data[44 + 8 : 44 + 16] = (2**64 - 3).to_bytes(8, "little")  # a u64 that reads as -3
+        shard.write_bytes(bytes(data))
+        with pytest.raises(ValidationError, match=f"{shard}: node id -3 out of range \\[0, 12\\)"):
+            train(tmp_path, cfg, table=table)
+        assert np.array_equal(table.values, before)
 
     def test_weighting_length_checked_before_any_shard_is_read(self, tmp_path):
         manifest = sample_shards(tmp_path, 2)
