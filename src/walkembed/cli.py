@@ -11,19 +11,19 @@ import sys
 
 from .errors import StageError, ValidationError, WalkembedError, check_object
 from .graph import load_graph, prune_low_degree, save_csr, save_edge_list
-from .metrics import compute_report, write_report
-from .model import load_checkpoint, save_checkpoint
 from .pipeline import (
+    EvalParams,
     compare_runs,
+    evaluate_checkpoint,
     format_comparison,
-    hash_json,
     load_pipeline_config,
     run_pipeline,
+    train_checkpoint,
 )
 from .sampler import SamplerConfig, run_sampling
 from .shards import read_manifest
 from .sbm import SbmConfig, generate_sbm, preset_config
-from .trainer import TrainConfig, train_async, train_sync
+from .trainer import TrainConfig
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -145,9 +145,7 @@ def _cmd_train(args) -> int:
     g = load_graph(args.graph)
     if read_manifest(args.records)["graph_hash"] != g.content_hash():
         raise ValidationError(f"records in {args.records} were not sampled from {args.graph}")
-    train = train_sync if cfg.mode == "sync" else train_async
-    result = train(args.records, cfg, num_nodes=g.num_nodes, log_path=args.log)
-    save_checkpoint(args.out, result.table, cfg.steps, hash_json(cfg.to_dict()).encode())
+    result = train_checkpoint(args.records, cfg, g.num_nodes, args.out, args.log)
     last = [e for e in result.log if "loss" in e]
     loss = f"{last[-1]['loss']:.4f}" if last else "n/a"
     print(
@@ -158,16 +156,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    g = load_graph(args.graph)
-    table, _, _ = load_checkpoint(args.embedding)
-    report = compute_report(
-        g,
-        table,
-        non_edge_samples=args.non_edge_samples,
-        recall_nodes=args.recall_nodes,
-        seed=args.seed,
-    )
-    write_report(report, args.out, label=args.label)
+    params = EvalParams(non_edge_samples=args.non_edge_samples, recall_nodes=args.recall_nodes, label=args.label)
+    report = evaluate_checkpoint(load_graph(args.graph), args.embedding, args.out, params, args.seed)
     print(
         f"edge SNR {report.edge_snr:.4f}, mean recall {report.mean_recall:.4f}; "
         f"report in {args.out}"

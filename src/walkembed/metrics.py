@@ -4,7 +4,8 @@ All metrics operate on L2-normalized rows, so Euclidean distances live in
 [0, 2]. Edge signal-to-noise is mean non-edge distance over mean edge
 distance; distributions are summarized as nearest-rank percentiles P0..P100;
 recall@k uses k = degree(u) with an exact neighbor search: a blocked matrix
-product shortlists candidates and an exact re-rank orders them.
+product shortlists candidates and an exact re-rank orders them. A row
+that is not finite, or whose norm overflows, raises ValidationError.
 
 Row normalization and pair distances run in fixed blocks of rows or pairs,
 each written to its own slice of one preallocated output. Where the process
@@ -42,6 +43,14 @@ _ROW_BLOCK = 4_096
 # approximate-distance buffer holds at most their product.
 _RECALL_ROW_BLOCK = 8_192
 _RECALL_QUERY_GROUP = 128
+_BAD_ROW = "embedding row {} is not finite or its norm overflows"
+
+# MetricsReport percentile field -> the CSV write_report puts it in
+PERCENTILE_CSVS = {
+    "edge_distance_percentiles": "edge_distance.csv",
+    "non_edge_distance_percentiles": "non_edge_distance.csv",
+    "recall_percentiles": "recall.csv",
+}
 
 
 @dataclass
@@ -67,14 +76,19 @@ class MetricsReport:
         return cls(**json.loads(text))
 
 
-def _normalize_rows(values: np.ndarray, out: np.ndarray, lo: int, hi: int) -> int:
+def _normalize_rows(values: np.ndarray, out: np.ndarray, lo: int, hi: int) -> tuple[int, int | None]:
     """out[lo:hi] = values[lo:hi] over their row norms, zero rows unchanged;
-    returns the number of zero rows."""
+    returns the zero rows' count and the first row with a non-finite norm
+    (then writes nothing), or None."""
     rows = values[lo:hi]
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    with np.errstate(over="ignore"):  # an overflowing norm is reported, not warned of
+        norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    bad = np.flatnonzero(~np.isfinite(norms))
+    if len(bad):
+        return 0, lo + int(bad[0])
     zero = norms == 0.0
     np.divide(rows, np.where(zero, 1.0, norms), out=out[lo:hi])
-    return int(np.count_nonzero(zero))
+    return int(np.count_nonzero(zero)), None
 
 
 def l2_normalize(table: EmbeddingTable) -> EmbeddingTable:
@@ -84,17 +98,20 @@ def l2_normalize(table: EmbeddingTable) -> EmbeddingTable:
     between this thread and, where the process may use two CPUs, one helper
     thread. Each row's norm and quotient are computed on their own, so the
     result equals the unblocked values / norm(values, axis=1) bit for bit.
-    One warning carries the zero rows of all blocks."""
+    One warning carries the zero rows of all blocks. A row whose norm is not
+    finite raises ValidationError naming the first such row."""
     values = table.values
     out = np.empty(values.shape, dtype=np.result_type(values.dtype, 1.0))
     with cores.helper_pool() as pool:
-        zeros = sum(
-            cores.share(
-                pool,
-                lambda lo: _normalize_rows(values, out, lo, lo + _ROW_BLOCK),
-                range(0, len(values), _ROW_BLOCK),
-            )
+        blocks = cores.share(
+            pool,
+            lambda lo: _normalize_rows(values, out, lo, lo + _ROW_BLOCK),
+            range(0, len(values), _ROW_BLOCK),
         )
+    bad = [row for _, row in blocks if row is not None]
+    if bad:
+        raise ValidationError(_BAD_ROW.format(bad[0]))
+    zeros = sum(count for count, _ in blocks)
     if zeros:
         logger.warning("l2_normalize: %d zero rows left unnormalized", zeros)
     return EmbeddingTable(out)
@@ -211,14 +228,6 @@ def nearest_rank_percentiles(values: np.ndarray) -> np.ndarray:
     return s[idx]
 
 
-def distance_percentiles(pairs: np.ndarray, table: EmbeddingTable) -> np.ndarray:
-    """101-entry percentile vector of pairwise distances for an (m, 2) array."""
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    if len(pairs) == 0:
-        raise ValidationError("empty pair stream")
-    return nearest_rank_percentiles(pair_distances(table, pairs[:, 0], pairs[:, 1]))
-
-
 @dataclass
 class RecallResult:
     nodes: np.ndarray
@@ -241,8 +250,8 @@ def edge_recall(
     re-ranked by norm(values[cand] - values[u]) in (distance, id) order. The
     product runs over _RECALL_ROW_BLOCK table rows and _RECALL_QUERY_GROUP
     sampled nodes at a time, so its memory is bounded by the block sizes.
-    Tables with a non-finite row, or rows too long for the product to stay
-    finite, are searched by the exact scan alone.
+    A row that is not finite, or too long for the product to stay finite,
+    raises ValidationError naming the first such row.
     """
     if num_sampled_nodes < 1:
         raise ValidationError("recall node count must be >= 1")
@@ -260,23 +269,22 @@ def edge_recall(
     resamples = scanned - len(chosen)
     recalls = np.empty(len(chosen), dtype=np.float64)
     values = table.values
-    n, dim = values.shape
+    dim = values.shape[1]
     sq = np.einsum("ij,ij->i", values, values)
     max_sq = float(np.max(sq))
     fin = np.finfo(values.dtype)
-    mu = (dim + 4) * float(fin.eps) / 2
-    gamma = mu / (1 - mu)
     # a NaN or inf row makes max_sq non-finite, and longer rows could
     # overflow the product
-    exhaustive = not max_sq <= float(fin.max) / 16
+    limit = float(fin.max) / 16
+    if not max_sq <= limit:
+        raise ValidationError(_BAD_ROW.format(int(np.flatnonzero(~(sq <= limit))[0])))
+    mu = (dim + 4) * float(fin.eps) / 2
+    gamma = mu / (1 - mu)
     for lo in range(0, len(chosen), _RECALL_QUERY_GROUP):
         nodes = chosen[lo : lo + _RECALL_QUERY_GROUP]
-        if exhaustive:
-            pools = (np.delete(np.arange(n), u) for u in nodes)
-        else:
-            reach = (np.sqrt(sq[nodes].astype(np.float64)) + np.sqrt(max_sq)) ** 2
-            slack = 4.0 * (2.0 * gamma * reach + 3 * dim * float(fin.smallest_subnormal))
-            pools = _shortlist(values, sq, nodes, deg[nodes], slack)
+        reach = (np.sqrt(sq[nodes].astype(np.float64)) + np.sqrt(max_sq)) ** 2
+        slack = 4.0 * (2.0 * gamma * reach + 3 * dim * float(fin.smallest_subnormal))
+        pools = _shortlist(values, sq, nodes, deg[nodes], slack)
         for i, (u, cand) in enumerate(zip(nodes, pools), start=lo):
             d = np.linalg.norm(values[cand] - values[u], axis=1)
             k = int(deg[u])
@@ -375,12 +383,14 @@ def compute_report(
     )
 
 
-def _write_percentile_csv(path: Path, label: str, values: list[float]) -> None:
+def _write_percentile_csv(path: Path, labels: list[str], columns: list[list[float]]) -> None:
+    """The plotting layout: a Quantiles,<label...> header, then one row per
+    percentile q with q / 100 and each column's value at q."""
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["Quantiles", label])
-        for q, v in enumerate(values):
-            writer.writerow([f"{q / 100:.2f}", repr(float(v))])
+        writer.writerow(["Quantiles", *labels])
+        for q, row in enumerate(zip(*columns)):
+            writer.writerow([f"{q / 100:.2f}", *(repr(float(v)) for v in row)])
 
 
 def write_report(report: MetricsReport, out_dir: str | Path, label: str = "embedding") -> Path:
@@ -389,9 +399,8 @@ def write_report(report: MetricsReport, out_dir: str | Path, label: str = "embed
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "report.json"
     path.write_text(report.to_json() + "\n", encoding="utf-8")
-    _write_percentile_csv(out_dir / "edge_distance.csv", label, report.edge_distance_percentiles)
-    _write_percentile_csv(out_dir / "non_edge_distance.csv", label, report.non_edge_distance_percentiles)
-    _write_percentile_csv(out_dir / "recall.csv", label, report.recall_percentiles)
+    for attr, name in PERCENTILE_CSVS.items():
+        _write_percentile_csv(out_dir / name, [label], [getattr(report, attr)])
     return path
 
 

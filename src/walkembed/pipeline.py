@@ -25,7 +25,7 @@ from .rng import derive_seed
 from .sampler import SamplerConfig, run_sampling
 from .shards import shard_path
 from .sbm import SbmConfig, generate_sbm, preset_config
-from .trainer import TrainConfig, train_async, train_sync
+from .trainer import TrainConfig, TrainResult, train_async, train_sync
 
 ENV_SEED = "WALKEMBED_SEED"
 ENV_RUN_DIR = "WALKEMBED_RUN_DIR"
@@ -146,6 +146,29 @@ def _hash_files(paths: dict[str, Path]) -> dict[str, str]:
 
 def hash_json(obj) -> str:
     return _hash_bytes(json.dumps(obj, sort_keys=True).encode("utf-8"))
+
+
+def train_checkpoint(
+    records_dir: str | Path, cfg: TrainConfig, num_nodes: int, out: str | Path, log_path: str | Path | None = None
+) -> TrainResult:
+    """Train by cfg.mode from a records directory and save the table to
+    `out`, with the hash of cfg.to_dict() as its config hash. train_sync and
+    save_checkpoint are looked up in this module when called."""
+    train = train_sync if cfg.mode == "sync" else train_async
+    result = train(records_dir, cfg, num_nodes=num_nodes, log_path=log_path)
+    save_checkpoint(out, result.table, cfg.steps, hash_json(cfg.to_dict()).encode())
+    return result
+
+
+def evaluate_checkpoint(
+    g: Graph, checkpoint: str | Path, out_dir: str | Path, params: EvalParams, seed: int
+) -> metrics_mod.MetricsReport:
+    """compute_report on a checkpoint's table, written by write_report to
+    out_dir; a report that cannot be computed writes nothing."""
+    table, _, _ = load_checkpoint(checkpoint)
+    report = metrics_mod.compute_report(g, table, params.non_edge_samples, params.recall_nodes, seed)
+    metrics_mod.write_report(report, out_dir, label=params.label)
+    return report
 
 
 @dataclass
@@ -299,10 +322,8 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False) -> PipelineResult:
     trainer_params = cfg_dict["trainer"]
 
     def do_train():
-        tcfg = cfg.trainer
-        train = train_sync if tcfg.mode == "sync" else train_async
-        result = train(records_dir, tcfg, num_nodes=load_csr(pruned_file).num_nodes, log_path=progress_file)
-        save_checkpoint(ckpt_file, result.table, tcfg.steps, hash_json(tcfg.to_dict()).encode())
+        num_nodes = load_csr(pruned_file).num_nodes
+        result = train_checkpoint(records_dir, cfg.trainer, num_nodes, ckpt_file, progress_file)
         return {"examples_processed": result.examples_processed, "worker_failures": result.worker_failures}
 
     trained = stage(
@@ -315,16 +336,7 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False) -> PipelineResult:
 
     # eval
     def do_eval():
-        g = load_csr(pruned_file)
-        table, _, _ = load_checkpoint(ckpt_file)
-        report = metrics_mod.compute_report(
-            g,
-            table,
-            non_edge_samples=cfg.eval.non_edge_samples,
-            recall_nodes=cfg.eval.recall_nodes,
-            seed=derive_seed(cfg.seed, "eval"),
-        )
-        metrics_mod.write_report(report, eval_dir, label=cfg.eval.label)
+        evaluate_checkpoint(load_csr(pruned_file), ckpt_file, eval_dir, cfg.eval, derive_seed(cfg.seed, "eval"))
 
     stage(
         "eval",
@@ -407,16 +419,10 @@ def compare_runs(run_dirs: list[str | Path], out_csv: str | Path | None = None) 
                      r.snr_within_trend]
                 )
         # percentile columns side by side, one file per metric family
-        for attr, fname in (
-            ("edge_distance_percentiles", "compare_edge_distance.csv"),
-            ("non_edge_distance_percentiles", "compare_non_edge_distance.csv"),
-            ("recall_percentiles", "compare_recall.csv"),
-        ):
-            with (out_csv.parent / fname).open("w", encoding="utf-8", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["Quantiles"] + [r.name for r in rows])
-                for q in range(101):
-                    w.writerow([f"{q / 100:.2f}"] + [repr(getattr(rep, attr)[q]) for rep in reports])
+        for attr, name in metrics_mod.PERCENTILE_CSVS.items():
+            metrics_mod._write_percentile_csv(
+                out_csv.parent / f"compare_{name}", [r.name for r in rows], [getattr(rep, attr) for rep in reports]
+            )
     return rows
 
 

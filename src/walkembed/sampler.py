@@ -32,6 +32,7 @@ from .shards import RecordBatch, append_records, shard_path, write_manifest
 from .shards import write_shard  # noqa: F401  perfbench's tests look this name up here
 
 FORMAT_VERSION = 1
+PARTITION_NODES = 1 << 14  # seed ids walked per range of a shard
 
 
 @dataclass(frozen=True)
@@ -187,12 +188,7 @@ def _sample_shard(
     return records, dead_ends, co_total
 
 
-def run_sampling(
-    g: Graph,
-    cfg: SamplerConfig,
-    out_dir: str | Path,
-    partition_nodes: int = 1 << 14,
-) -> SamplingStats:
+def run_sampling(g: Graph, cfg: SamplerConfig, out_dir: str | Path) -> SamplingStats:
     """Full pipeline: seed, walk, group, combine, shard to disk.
 
     A record's shard is splitmix64(source) % num_shards, and its source is
@@ -201,14 +197,12 @@ def run_sampling(
     _sample_shard). Where the process may use more than one CPU and there is
     more than one shard, the calling thread and one helper thread each take
     the next shard not yet taken, and each walks id ranges of
-    ceil(min(partition_nodes, num_nodes) / 2): the two together hold no more
-    visits than one range of partition_nodes. Shards are byte-identical
+    ceil(min(PARTITION_NODES, num_nodes) / 2): the two together hold no more
+    visits than one range of PARTITION_NODES. Shards are byte-identical
     either way. An existing manifest.json is removed before the first shard
     is written and the new one is written last, so a run that fails leaves
     no manifest. Shard files plus manifest.json land in out_dir.
     """
-    if partition_nodes < 1:
-        raise ValidationError(f"partition_nodes must be >= 1, got {partition_nodes}")
     if g.num_nodes == 0:
         raise EmptyGraphError("cannot sample an empty graph")
     t0 = time.monotonic()
@@ -217,6 +211,7 @@ def run_sampling(
     (out_dir / "manifest.json").unlink(missing_ok=True)
     stream = HashStream(cfg.seed)
     paths = [shard_path(out_dir, s, cfg.num_shards) for s in range(cfg.num_shards)]
+    partition_nodes = PARTITION_NODES
     with cores.helper_pool() as pool:
         if pool is not None and cfg.num_shards > 1:
             partition_nodes = -(-min(partition_nodes, g.num_nodes) // 2)

@@ -28,6 +28,7 @@ PRESETS = {
     "sbm-100k": (100_000, 4),
     "sbm-1m": (1_000_000, 4),
 }
+MAX_EXPECTED_EDGES = 2.0e8  # generate_sbm refuses a config expected to give more
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,6 @@ class SbmConfig:
     p_in: float
     p_out: float
     seed: int = 0
-    max_expected_edges: float = 2.0e8
 
     def __post_init__(self):
         if self.n <= 0:
@@ -147,10 +147,8 @@ def generate_sbm(cfg: SbmConfig) -> Graph:
     Each block pair draws from its own seeded stream.
     """
     exp = expected_edges(cfg)
-    if exp > cfg.max_expected_edges:
-        raise CapacityError(
-            f"expected {exp:.3g} edges exceeds budget {cfg.max_expected_edges:.3g}"
-        )
+    if exp > MAX_EXPECTED_EDGES:
+        raise CapacityError(f"expected {exp:.3g} edges exceeds budget {MAX_EXPECTED_EDGES:.3g}")
     bounds = cfg.block_bounds()
     pairs = [(bi, bj) for bi in range(cfg.k) for bj in range(bi, cfg.k)]
     chunks = [_block_pair_edges(cfg, bounds, bi, bj) for bi, bj in pairs]

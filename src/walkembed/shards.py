@@ -104,6 +104,9 @@ def read_manifest(records_dir: str | Path) -> dict:
     missing = [k for k in ("config", "graph_hash", "shard_files", "record_counts") if k not in manifest]
     if missing:
         raise ValidationError(f"{p}: no {', '.join(missing)}")
+    config = manifest["config"]
+    if not isinstance(config, dict) or type(config.get("walk_length")) is not int or config["walk_length"] < 1:
+        raise ValidationError(f"{p}: config must be an object with an integer walk_length >= 1, got {config!r}")
     files, counts = manifest["shard_files"], manifest["record_counts"]
     if not isinstance(counts, list) or not all(type(c) is int and c >= 0 for c in counts):
         raise ValidationError(f"{p}: record_counts must be a list of non-negative integers, got {counts!r}")

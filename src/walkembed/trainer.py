@@ -38,6 +38,8 @@ from .rng import derive_seed
 from .shards import RecordBatch, iter_shards, read_manifest
 
 SHUFFLE_BUFFER = 1 << 16  # records per shuffle window of a RecordStream
+LOG_EVERY = 50  # steps between progress log entries
+MAX_FAILURES = 3  # failed micro-batches an async worker survives
 
 
 @dataclass(frozen=True)
@@ -276,12 +278,12 @@ class _Progress:
     """The progress log the lanes of one run share.
 
     Steps are numbered from 0 in the order they complete. An entry is written
-    at step 0, every `log_every` steps and the last step; its
+    at step 0, every LOG_EVERY steps and the last step; its
     examples_per_sec covers the window since the previous entry.
     """
 
-    def __init__(self, log: list[dict], cfg: TrainConfig, log_every: int):
-        self.log, self.cfg, self.log_every = log, cfg, log_every
+    def __init__(self, log: list[dict], cfg: TrainConfig):
+        self.log, self.cfg = log, cfg
         self.lock = threading.Lock()
         self.steps = self.steps_logged = 0
         self.t0 = self.t_logged = time.monotonic()
@@ -290,7 +292,7 @@ class _Progress:
         with self.lock:
             step = self.steps
             self.steps += 1
-            if step % self.log_every and step != self.cfg.steps - 1:
+            if step % LOG_EVERY and step != self.cfg.steps - 1:
                 return
             now = time.monotonic()
             examples = (self.steps - self.steps_logged) * self.cfg.global_batch_examples
@@ -300,8 +302,7 @@ class _Progress:
 
 
 def _setup(
-    mode: str, records_dir: str | Path, cfg: TrainConfig, table: EmbeddingTable | None,
-    num_nodes: int | None, log_every: int,
+    mode: str, records_dir: str | Path, cfg: TrainConfig, table: EmbeddingTable | None, num_nodes: int | None
 ) -> tuple[EmbeddingTable, tuple[np.ndarray, np.ndarray, np.ndarray], list[dict]]:
     """Set-up shared by both modes: the table (seeded float32 init of
     num_nodes rows when none is given), the filtered positives (read one
@@ -309,8 +310,6 @@ def _setup(
     a log opened by the config event."""
     if cfg.mode != mode:
         raise ValidationError(f"train_{mode} requires cfg.mode == {mode!r}")
-    if log_every < 1:
-        raise ValidationError(f"log_every must be >= 1, got {log_every}")
     if table is None and num_nodes is None:
         raise ValidationError(f"train_{mode} needs a table or num_nodes")
     if table is not None and num_nodes is not None and num_nodes != table.num_nodes:
@@ -385,7 +384,6 @@ def train_sync(
     table: EmbeddingTable | None = None,
     num_nodes: int | None = None,
     log_path: str | Path | None = None,
-    log_every: int = 50,
 ) -> TrainResult:
     """Replicated synchronous training, bitwise deterministic for a seed.
 
@@ -397,10 +395,10 @@ def train_sync(
     as one thread. Any failure is raised at once, after the helper has
     finished its half.
     """
-    table, (src, dst, w), log = _setup("sync", records_dir, cfg, table, num_nodes, log_every)
+    table, (src, dst, w), log = _setup("sync", records_dir, cfg, table, num_nodes)
     stream = RecordStream(src, dst, w, derive_seed(cfg.seed, "stream"))
     neg_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xB0)))
-    progress = _Progress(log, cfg, log_every)
+    progress = _Progress(log, cfg)
     with cores.helper_pool() as pool:
         counts = _lane(table, stream, neg_rng, cfg, cfg.steps, 0, threading.Event(), progress, pool)
     return _result(table, cfg, [counts], progress, log_path)
@@ -412,19 +410,17 @@ def train_async(
     table: EmbeddingTable | None = None,
     num_nodes: int | None = None,
     log_path: str | Path | None = None,
-    log_every: int = 50,
-    max_failures: int = 3,
 ) -> TrainResult:
     """Lock-free concurrent training on a shared table.
 
     One lane of one micro-batch per step on each of num_workers threads.
     cfg.steps counts micro-batches across all workers, so the example budget
     is identical for any worker count. A failed micro-batch is retried from
-    the next one; once a worker has more than `max_failures` failures, every
+    the next one; once a worker has more than MAX_FAILURES failures, every
     worker stops and the failure is raised here, so a run that returns has
     applied its whole budget.
     """
-    table, (src, dst, w), log = _setup("async", records_dir, cfg, table, num_nodes, log_every)
+    table, (src, dst, w), log = _setup("async", records_dir, cfg, table, num_nodes)
     workers = cfg.num_workers
     # stripe records across workers; each worker shuffles its own stripe
     streams = [
@@ -434,10 +430,10 @@ def train_async(
     neg_rngs = [np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xA5, wk))) for wk in range(workers)]
     quota = [cfg.steps // workers + (1 if wk < cfg.steps % workers else 0) for wk in range(workers)]
     stop = threading.Event()
-    progress = _Progress(log, cfg, log_every)
+    progress = _Progress(log, cfg)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [
-            pool.submit(_lane, table, streams[wk], neg_rngs[wk], cfg, quota[wk], max_failures, stop, progress, None)
+            pool.submit(_lane, table, streams[wk], neg_rngs[wk], cfg, quota[wk], MAX_FAILURES, stop, progress, None)
             for wk in range(workers)
         ]
     # result() re-raises a lane's exception; the counts are exact because

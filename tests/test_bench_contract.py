@@ -5,7 +5,9 @@ swaps three of walkembed.pipeline's globals to time stage boundaries
 (workloads.StageClock). Removing or rebinding one of those names breaks the
 benchmark without failing any other test. perfbench also parses its
 workloads' trainer dicts itself, reads train_sync's self time as its
-sync overhead, and calls both trainers as train(records_dir, cfg, table).
+sync overhead, and calls both trainers as train(records_dir, cfg, table),
+the sampler as run_sampling(g, cfg, out_dir) and the report as
+compute_report(g, table, non_edge_samples, recall_nodes, seed).
 """
 
 import sys
@@ -22,9 +24,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import tracing  # noqa: E402
 import workloads  # noqa: E402
-from walkembed import pipeline, trainer  # noqa: E402
+from walkembed import metrics, pipeline, sampler, trainer  # noqa: E402
 from walkembed.model import FixedSgd  # noqa: E402
 from walkembed.pipeline import config_from_dict  # noqa: E402
+from walkembed.sampler import SamplerConfig  # noqa: E402
 from walkembed.sbm import SbmConfig, generate_sbm  # noqa: E402
 from walkembed.shards import RecordBatch  # noqa: E402
 from walkembed.trainer import TrainConfig  # noqa: E402
@@ -147,3 +150,32 @@ def test_round_10k_passes_records_dir_cfg_and_table_positionally(monkeypatch, tm
     assert args[0] == r.records_dir and isinstance(args[1], TrainConfig)
     assert r.result.table is args[2] and args[2].num_nodes == g.num_nodes
     assert r.result.examples_processed == 3 * args[1].global_batch_examples
+
+
+def test_round_10k_passes_sampling_and_report_arguments_positionally(monkeypatch, tmp_path):
+    # workloads.round_10k calls run_sampling(g, cfg, out_dir) and
+    # compute_report(g, table, non_edge_samples, recall_nodes, seed); a
+    # signature that reorders them breaks the benchmark
+    w = replace(
+        workloads.WORKLOADS["sync-sbm10k"], sampler={"walks_per_node": 2, "walk_length": 3, "num_shards": 2},
+        trainer=dict(workloads.WORKLOADS["sync-sbm10k"].trainer, dim=4, per_replica_batch_size=8, steps=3),
+        eval={"non_edge_samples": 50, "recall_nodes": 5},
+    )
+    calls = {}
+    for module, name in ((sampler, "run_sampling"), (metrics, "compute_report")):
+        def spy(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls.setdefault(_name, []).append((args, kwargs))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    g = generate_sbm(SbmConfig(n=200, k=2, p_in=0.1, p_out=0.01, seed=3))
+    r = workloads.round_10k(w, 0, g, tmp_path, 1)
+    ((args, kwargs),) = calls["run_sampling"]
+    assert len(args) == 3 and not kwargs
+    assert args[0] is g and isinstance(args[1], SamplerConfig) and args[2] == r.records_dir
+    assert args[1].walks_per_node == 2 and args[1].num_shards == 2
+    ((args, kwargs),) = calls["compute_report"]
+    assert len(args) == 5 and not kwargs
+    assert args[0] is g and args[1] is r.result.table
+    assert args[2:] == (50, 5, workloads.seeds(0)["eval"])
+    assert (r.report.num_non_edge_samples, r.report.seed) == (50, workloads.seeds(0)["eval"])

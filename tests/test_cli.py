@@ -4,9 +4,10 @@ import json
 import numpy as np
 import pytest
 
+from walkembed import pipeline
 from walkembed.cli import main
 from walkembed.graph import load_csr, load_edge_list
-from walkembed.model import init_table, load_checkpoint, save_checkpoint
+from walkembed.model import EmbeddingTable, init_table, load_checkpoint, save_checkpoint
 from walkembed.metrics import read_report
 
 
@@ -101,6 +102,36 @@ class TestPruneSampleTrainEval:
                    "--out", tmp_path / "eval") == 1
         assert f"{rows} rows" in capsys.readouterr().err
         assert not (tmp_path / "eval" / "report.json").exists()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 3e38])
+    def test_eval_bad_row_exit_1(self, tmp_path, small_graph_file, capsys, bad):
+        table = init_table(150, 8, seed=0)
+        table.values[[90, 5]] = bad
+        ckpt = tmp_path / "emb.bin"
+        save_checkpoint(ckpt, table, 0)
+        capsys.readouterr()
+        assert run("eval", "--graph", small_graph_file, "--embedding", ckpt,
+                   "--out", tmp_path / "eval") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: embedding row 5 is not finite or its norm overflows"
+        ]
+        assert not (tmp_path / "eval" / "report.json").exists()
+
+    @pytest.mark.parametrize("config", [{}, [], {"walk_length": 0}, {"walk_length": "3"}, {"walk_length": True}])
+    def test_train_manifest_config_without_walk_length_exit_1(self, tmp_path, small_graph_file, capsys, config):
+        records = tmp_path / "records"
+        assert run("sample", "--graph", small_graph_file, "--out", records,
+                   "--walks-per-node", 4, "--seed", 3) == 0
+        manifest = records / "manifest.json"
+        manifest.write_text(json.dumps(dict(json.loads(manifest.read_text()), config=config)))
+        ckpt = tmp_path / "emb.bin"
+        capsys.readouterr()
+        assert run("train", "--records", records, "--graph", small_graph_file, "--dim", 8,
+                   "--steps", 2, "--out", ckpt) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {manifest}: config must be an object with an integer walk_length >= 1, got {config!r}"
+        ]
+        assert not ckpt.exists()
 
     def test_train_records_from_another_graph_exit_1(self, tmp_path, small_graph_file, capsys):
         records = tmp_path / "records"
@@ -220,6 +251,23 @@ class TestPipelineCommand:
         assert run("compare", tmp_path / "run", tmp_path / "run2",
                    "--out", tmp_path / "cmp.csv") == 0
         assert (tmp_path / "cmp.csv").exists()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 3e38])
+    def test_bad_checkpoint_row_fails_eval_exit_1(self, tmp_path, capsys, monkeypatch, bad):
+        real = pipeline.save_checkpoint
+
+        def save_with_bad_rows(path, table, *args):
+            values = table.values.copy()
+            values[[60, 5]] = bad
+            real(path, EmbeddingTable(values), *args)
+
+        monkeypatch.setattr(pipeline, "save_checkpoint", save_with_bad_rows)
+        assert run("pipeline", "--config", self.config(tmp_path)) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: stage 'eval' failed: embedding row 5 is not finite or its norm overflows"
+        ]
+        assert (tmp_path / "run" / "checkpoint.bin").exists()
+        assert not (tmp_path / "run" / "eval" / "report.json").exists()
 
     def test_invalid_config_exit_1(self, tmp_path):
         path = self.config(tmp_path)

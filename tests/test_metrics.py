@@ -18,7 +18,6 @@ from walkembed.metrics import (
     MetricsReport,
     SNR_CAP,
     compute_report,
-    distance_percentiles,
     edge_recall,
     edge_snr,
     l2_normalize,
@@ -114,12 +113,12 @@ class TestEdgeSnr:
 class TestPercentiles:
     def test_identical_embeddings_all_zero(self):
         t = table([[0.5, 0.5]] * 4)
-        pairs = np.array([[0, 1], [1, 2], [2, 3]])
-        assert distance_percentiles(pairs, t).tolist() == [0.0] * 101
+        d = pair_distances(t, np.array([0, 1, 2]), np.array([1, 2, 3]))
+        assert nearest_rank_percentiles(d).tolist() == [0.0] * 101
 
     def test_antipodal_single_pair(self):
         t = table([[1.0, 0.0], [-1.0, 0.0]])
-        out = distance_percentiles(np.array([[0, 1]]), t)
+        out = nearest_rank_percentiles(pair_distances(t, np.array([0]), np.array([1])))
         assert out.tolist() == [2.0] * 101
 
     def test_random_unit_median_near_sqrt2(self):
@@ -127,12 +126,13 @@ class TestPercentiles:
         rng = np.random.default_rng(1)
         pairs = rng.integers(0, 2000, size=(20_000, 2))
         pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-        out = distance_percentiles(pairs, t)
+        out = nearest_rank_percentiles(pair_distances(t, pairs[:, 0], pairs[:, 1]))
         assert abs(out[50] - math.sqrt(2)) < 0.05
 
     def test_empty_stream_rejected(self):
-        with pytest.raises(ValidationError):
-            distance_percentiles(np.empty((0, 2)), random_unit_table(3, 4))
+        empty = np.empty(0, dtype=np.int64)
+        with pytest.raises(ValidationError, match="empty sample"):
+            nearest_rank_percentiles(pair_distances(random_unit_table(3, 4), empty, empty))
 
     def test_has_101_entries_and_endpoints(self):
         vals = np.arange(1, 1001, dtype=np.float64)
@@ -270,7 +270,20 @@ class TestRecallExactness:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_row(self, graph, dtype, bad):
         values = random_unit_table(self.N, 8, seed=6).values.astype(dtype)
-        values[int(graph.edge_array()[0, 0])] = bad
+        values[[150, 40]] = bad
+        with pytest.raises(ValidationError, match="^embedding row 40 is not finite"):
+            edge_recall(graph, EmbeddingTable(values), self.N, np.random.default_rng(5))
+
+    def test_rows_too_long_for_the_product(self, graph, dtype):
+        # finite rows whose squared norm overflows the dtype are named; rows
+        # whose squared norm stays within max / 16 are searched exactly
+        fin = np.finfo(dtype)
+        values = random_unit_table(self.N, 8, seed=6).values.astype(dtype)
+        values[[150, 40]] = np.sqrt(fin.max)
+        with pytest.raises(ValidationError, match="^embedding row 40 is not finite or its norm overflows"):
+            edge_recall(graph, EmbeddingTable(values), self.N, np.random.default_rng(5))
+        values[[150, 40]] = np.sqrt(fin.max / 16 / 8) * np.array([[1], [0.5]], dtype=dtype)
+        assert np.max(np.einsum("ij,ij->i", values, values)) <= fin.max / 16
         self.assert_matches_scan(graph, values)
 
 
@@ -313,9 +326,9 @@ class TestBlocksOnTwoThreads:
             if ident not in zero_by_thread:
                 zero_by_thread[ident] = 0
                 both_hold_a_block.wait()
-            zeros = real(*args)
+            zeros, bad = real(*args)
             zero_by_thread[ident] += zeros
-            return zeros
+            return zeros, bad
 
         monkeypatch.setattr(metrics, "_normalize_rows", spy)
         with caplog.at_level(logging.WARNING):
@@ -392,15 +405,16 @@ class TestPairLengths:
         t = random_unit_table(50, 4)
         pairs = np.random.default_rng(3).integers(0, 50, size=(777, 2))
         want = np.linalg.norm(t.values[pairs[:, 0]] - t.values[pairs[:, 1]], axis=1)
-        assert np.array_equal(distance_percentiles(pairs, t), nearest_rank_percentiles(want))
+        got = nearest_rank_percentiles(pair_distances(t, pairs[:, 0], pairs[:, 1]))
+        assert np.array_equal(got, nearest_rank_percentiles(want))
 
 
 class TestPairIds:
     @pytest.mark.parametrize("bad", [-1, 3])
     @pytest.mark.parametrize("side", ["u", "v"])
     def test_id_outside_the_table_rejected_before_any_block(self, monkeypatch, side, bad):
-        # -1 once wrapped to the last row: distance_percentiles([[0, -1]])
-        # on np.eye(3) gave sqrt(2), row 0 against row 2
+        # -1 once wrapped to the last row: the pair (0, -1) on np.eye(3)
+        # gave sqrt(2), row 0 against row 2
         blocks = []
         real = metrics._pair_block
         monkeypatch.setattr(metrics, "_pair_block", lambda *args: blocks.append(args[-2]) or real(*args))
@@ -409,11 +423,31 @@ class TestPairIds:
         u, v = (wrong, good) if side == "u" else (good, wrong)
         with pytest.raises(IndexError, match=f"node id {bad} out of range \\[0, 3\\)"):
             pair_distances(t, u, v)
-        pairs = np.column_stack([u, v])
-        with pytest.raises(IndexError, match=f"node id {bad} out of range \\[0, 3\\)"):
-            distance_percentiles(pairs, t)
         assert blocks == []
         assert pair_distances(t, good, good[::-1].copy()).tolist() == [math.sqrt(2)] * 2
+
+
+class TestBadRows:
+    """A row that is not finite, or whose norm overflows, is named before any
+    distance is taken, so no report holds a NaN."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 3e38])
+    def test_compute_report_names_the_first_bad_row(self, bad):
+        g = generate_sbm(SbmConfig(n=120, k=3, p_in=0.3, p_out=0.05, seed=1))
+        values = np.random.default_rng(2).standard_normal((120, 16)).astype(np.float32)
+        values[[90, 7]] = bad
+        with pytest.raises(ValidationError, match="^embedding row 7 is not finite or its norm overflows$"):
+            compute_report(g, EmbeddingTable(values), non_edge_samples=100, recall_nodes=10, seed=3)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_l2_normalize_names_the_first_bad_row_of_any_block(self, monkeypatch, cpus):
+        monkeypatch.setattr(cores, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(metrics, "_ROW_BLOCK", 4)
+        values = np.ones((40, 3))
+        values[[38, 33, 9]] = [np.inf, np.nan, 1e200]  # 1e200 squared overflows float64
+        for _ in range(20):
+            with pytest.raises(ValidationError, match="^embedding row 9 is not finite"):
+                l2_normalize(EmbeddingTable(values))
 
 
 def test_compute_report_memory_bounded_by_blocks():

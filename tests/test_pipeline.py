@@ -6,9 +6,9 @@ import threading
 import numpy as np
 import pytest
 
-from walkembed import cores
+from walkembed import cores, pipeline
 from walkembed.errors import StageError, ValidationError
-from walkembed.model import FixedSgd, load_checkpoint
+from walkembed.model import EmbeddingTable, FixedSgd, load_checkpoint
 from walkembed.pipeline import (
     EvalParams,
     PipelineConfig,
@@ -276,6 +276,26 @@ class TestRunPipeline:
         with pytest.raises(StageError) as exc:
             run_pipeline(config_from_dict(d))
         assert exc.value.stage == "prune"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 3e38])
+    def test_bad_checkpoint_row_fails_the_eval_stage(self, tmp_path, monkeypatch, bad):
+        real = pipeline.save_checkpoint
+
+        def save_with_bad_rows(path, table, *args):
+            values = table.values.copy()
+            values[[80, 11]] = bad
+            real(path, EmbeddingTable(values), *args)
+
+        monkeypatch.setattr(pipeline, "save_checkpoint", save_with_bad_rows)
+        run_dir = tmp_path / "run"
+        with pytest.raises(StageError) as exc:
+            run_pipeline(config_from_dict(tiny_config_dict(run_dir)))
+        assert exc.value.stage == "eval"
+        assert isinstance(exc.value.__cause__, ValidationError)
+        assert str(exc.value.__cause__) == "embedding row 11 is not finite or its norm overflows"
+        assert not (run_dir / "eval" / "report.json").exists()
+        stages = json.loads((run_dir / "manifest.json").read_text())["stages"]
+        assert [s["name"] for s in stages] == ["prune", "sample", "train"]
 
     def test_edge_list_ingestion(self, tmp_path):
         edges = tmp_path / "g.tsv"

@@ -25,9 +25,9 @@ def records_by_pair(rec):
     }
 
 
-def sample_to_dict(g, cfg, tmp_path, name="rec", **kw):
+def sample_to_dict(g, cfg, tmp_path, name="rec"):
     out = tmp_path / name
-    stats = run_sampling(g, cfg, out, **kw)
+    stats = run_sampling(g, cfg, out)
     rec, manifest = load_all_records(out)
     return records_by_pair(rec), stats, manifest
 
@@ -138,28 +138,24 @@ class TestRunSampling:
                         d,
                     )
 
-    def test_deterministic_across_partitions_and_bytes(self, tmp_path):
+    def test_deterministic_across_partitions_and_bytes(self, tmp_path, monkeypatch):
         g = build_graph([(i, (i + 1) % 20) for i in range(20)] + [(0, 10)], 20)
         cfg = SamplerConfig(walks_per_node=8, walk_length=3, seed=21, num_shards=3)
-        run_sampling(g, cfg, tmp_path / "a", partition_nodes=7)
-        run_sampling(g, cfg, tmp_path / "b", partition_nodes=3)
+        monkeypatch.setattr(sampler, "PARTITION_NODES", 7)
+        run_sampling(g, cfg, tmp_path / "a")
+        monkeypatch.setattr(sampler, "PARTITION_NODES", 3)
+        run_sampling(g, cfg, tmp_path / "b")
         for s in range(3):
             fa = tmp_path / "a" / f"records-{s:05d}-of-00003.bin"
             fb = tmp_path / "b" / f"records-{s:05d}-of-00003.bin"
             assert fa.read_bytes() == fb.read_bytes()
 
-    @pytest.mark.parametrize("partition_nodes", [0, -5])
-    def test_partition_nodes_below_one_rejected_before_writing(self, tmp_path, triangle, partition_nodes):
-        out = tmp_path / "rec"
-        with pytest.raises(ValidationError, match=f"partition_nodes must be >= 1, got {partition_nodes}"):
-            run_sampling(triangle, SamplerConfig(walks_per_node=2), out, partition_nodes=partition_nodes)
-        assert not out.exists()
-
-    def test_shards_sorted_by_source_then_dest(self, tmp_path):
+    def test_shards_sorted_by_source_then_dest(self, tmp_path, monkeypatch):
         n = 40
         g = build_graph([(i, (i + 1) % n) for i in range(n)] + [(i, (i + 7) % n) for i in range(0, n, 3)], n)
         cfg = SamplerConfig(walks_per_node=8, walk_length=3, seed=5, num_shards=3)
-        run_sampling(g, cfg, tmp_path, partition_nodes=6)
+        monkeypatch.setattr(sampler, "PARTITION_NODES", 6)
+        run_sampling(g, cfg, tmp_path)
         for s in range(3):
             rec = read_shard(tmp_path / f"records-{s:05d}-of-00003.bin", 3)
             assert len(rec) > 0
@@ -204,12 +200,13 @@ def ring_with_isolated_nodes():
 
 @pytest.mark.parametrize("partition_nodes", [1, 2, None])
 @pytest.mark.parametrize("num_shards", [1, 3, 8, 20])
-def test_shards_match_whole_set_reference(tmp_path, num_shards, partition_nodes):
+def test_shards_match_whole_set_reference(tmp_path, monkeypatch, num_shards, partition_nodes):
     g = ring_with_isolated_nodes()
     cfg = SamplerConfig(walks_per_node=6, walk_length=3, seed=13, num_shards=num_shards)
-    kw = {} if partition_nodes is None else {"partition_nodes": partition_nodes}
-    run_sampling(g, cfg, tmp_path / "got", **kw)
-    oracles.run_sampling_reference(g, cfg, tmp_path / "want", **kw)
+    if partition_nodes is not None:
+        monkeypatch.setattr(sampler, "PARTITION_NODES", partition_nodes)
+    run_sampling(g, cfg, tmp_path / "got")
+    oracles.run_sampling_reference(g, cfg, tmp_path / "want", sampler.PARTITION_NODES)
     names = sorted(p.name for p in (tmp_path / "want").iterdir())
     assert sorted(p.name for p in (tmp_path / "got").iterdir()) == names
     for name in names:
@@ -219,15 +216,16 @@ def test_shards_match_whole_set_reference(tmp_path, num_shards, partition_nodes)
     assert num_shards < 20 or 0 in manifest["record_counts"]
 
 
-def test_run_sampling_memory_bounded_by_shard(tmp_path):
+def test_run_sampling_memory_bounded_by_shard(tmp_path, monkeypatch):
     # Under tracemalloc, concatenating every partition's records and masking
     # the whole set once per shard peaked at 2.36x the shard bytes written;
     # sampling one shard at a time peaks at 0.35x.
     g = generate_sbm(SbmConfig(n=4000, k=4, p_in=0.02, p_out=0.002, seed=1))
     cfg = SamplerConfig(walks_per_node=16, walk_length=3, num_shards=8)
+    monkeypatch.setattr(sampler, "PARTITION_NODES", 1000)
     tracemalloc.start()
     try:
-        run_sampling(g, cfg, tmp_path, partition_nodes=1000)
+        run_sampling(g, cfg, tmp_path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -246,9 +244,10 @@ def test_run_sampling_memory_below_one_shard(tmp_path, monkeypatch, cpus):
     monkeypatch.setattr(cores, "usable_cpus", lambda: cpus)
     g = generate_sbm(SbmConfig(n=4000, k=4, p_in=0.02, p_out=0.002, seed=1))
     cfg = SamplerConfig(walks_per_node=16, walk_length=3, num_shards=8)
+    monkeypatch.setattr(sampler, "PARTITION_NODES", 250)
     tracemalloc.start()
     try:
-        run_sampling(g, cfg, tmp_path, partition_nodes=250)
+        run_sampling(g, cfg, tmp_path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -346,10 +345,11 @@ class TestTwoThreads:
     def test_bytes_equal_with_helper_and_on_one_cpu(self, tmp_path, monkeypatch, num_shards, partition_nodes):
         g = ring_with_isolated_nodes()
         cfg = SamplerConfig(walks_per_node=6, walk_length=3, seed=13, num_shards=num_shards)
-        kw = {} if partition_nodes is None else {"partition_nodes": partition_nodes}
+        if partition_nodes is not None:
+            monkeypatch.setattr(sampler, "PARTITION_NODES", partition_nodes)
         for cpus, name in ((2, "two"), (1, "one")):
             monkeypatch.setattr(cores, "usable_cpus", lambda: cpus)
-            run_sampling(g, cfg, tmp_path / name, **kw)
+            run_sampling(g, cfg, tmp_path / name)
         names = sorted(p.name for p in (tmp_path / "one").iterdir())
         assert "manifest.json" in names and len(names) == num_shards + 1
         assert sorted(p.name for p in (tmp_path / "two").iterdir()) == names
@@ -370,7 +370,8 @@ class TestTwoThreads:
 
         monkeypatch.setattr(sampler, "_sample_partition", spy)
         monkeypatch.setattr(cores, "usable_cpus", lambda: cpus)
-        run_sampling(g, SamplerConfig(walks_per_node=2, num_shards=4), tmp_path, partition_nodes=60)
+        monkeypatch.setattr(sampler, "PARTITION_NODES", 60)
+        run_sampling(g, SamplerConfig(walks_per_node=2, num_shards=4), tmp_path)
         assert ranges and all(lo // width == hi // width for lo, hi in ranges)
         # on one thread some range spans both halves of its 60 ids
         assert (cpus == 1) == any(lo // 30 != hi // 30 for lo, hi in ranges)

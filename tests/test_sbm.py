@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from walkembed import sbm
 from walkembed.errors import CapacityError, ValidationError
 from walkembed.sbm import (
     SbmConfig,
@@ -108,8 +109,10 @@ def test_invalid_configs():
         SbmConfig(n=5, k=2, p_in=1.5, p_out=0.1)
 
 
-def test_capacity_error_before_generation():
-    cfg = SbmConfig(n=100_000, k=1, p_in=0.9, p_out=0.9, seed=0, max_expected_edges=1e6)
+def test_capacity_error_before_generation(monkeypatch):
+    # about 1.8e6 expected edges: over the patched budget, under the default
+    monkeypatch.setattr(sbm, "MAX_EXPECTED_EDGES", 1e6)
+    cfg = SbmConfig(n=2_000, k=1, p_in=0.9, p_out=0.9, seed=0)
     with pytest.raises(CapacityError):
         generate_sbm(cfg)
 

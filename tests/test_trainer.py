@@ -557,8 +557,9 @@ class TestTrainSync:
         assert not np.array_equal(before[:2], table.values[:2])
         assert np.array_equal(before[2:], table.values[2:])
 
-    def test_loss_trends_down(self, records):
-        result = train_sync(records, self.cfg(steps=300, optimizer=FixedSgd(8.0)), num_nodes=30, log_every=10)
+    def test_loss_trends_down(self, records, monkeypatch):
+        monkeypatch.setattr(trainer, "LOG_EVERY", 10)
+        result = train_sync(records, self.cfg(steps=300, optimizer=FixedSgd(8.0)), num_nodes=30)
         losses = [e["loss"] for e in result.log if "loss" in e]
         k = max(1, len(losses) // 10)
         assert np.mean(losses[-k:]) < np.mean(losses[:k])
@@ -567,25 +568,19 @@ class TestTrainSync:
         with pytest.raises(ValidationError):
             train_sync(records, self.cfg(mode="async", optimizer=FixedSgd(0.1)))
 
-    def test_progress_log_written(self, tmp_path, records):
+    def test_progress_log_written(self, tmp_path, records, monkeypatch):
         log_path = tmp_path / "progress.jsonl"
-        train_sync(records, self.cfg(), num_nodes=30, log_path=log_path, log_every=5)
+        monkeypatch.setattr(trainer, "LOG_EVERY", 5)
+        train_sync(records, self.cfg(), num_nodes=30, log_path=log_path)
         entries = [json.loads(line) for line in log_path.read_text().splitlines()]
         assert entries[0]["event"] == "config"
         assert entries[0]["global_batch_examples"] == 8 * 3 * 2
         steps = [e for e in entries if "loss" in e]
         assert {"step", "lr", "loss", "examples_per_sec"} <= set(steps[0])
 
-    @pytest.mark.parametrize("log_every", [0, -5])
-    def test_log_every_below_one_rejected_before_any_step(self, log_every, records):
-        table = init_table(30, 8, seed=1)
-        before = table.values.copy()
-        with pytest.raises(ValidationError, match="log_every"):
-            train_sync(records, self.cfg(), table=table, log_every=log_every)
-        assert np.array_equal(table.values, before)
-
-    def test_progress_at_first_every_and_last_step(self, records):
-        result = train_sync(records, self.cfg(steps=12), num_nodes=30, log_every=5)
+    def test_progress_at_first_every_and_last_step(self, records, monkeypatch):
+        monkeypatch.setattr(trainer, "LOG_EVERY", 5)
+        result = train_sync(records, self.cfg(steps=12), num_nodes=30)
         entries = [e for e in result.log if "loss" in e]
         assert [e["step"] for e in entries] == [0, 5, 10, 11]
         assert all(e["examples_per_sec"] > 0 for e in entries)
@@ -797,17 +792,16 @@ class TestTrainAsync:
         with pytest.raises(ValidationError):
             self.cfg(optimizer=WarmupDecaySchedule(1, 0.1, 10, 0.01))
 
-    def test_loss_trends_down(self, records):
-        result = train_async(
-            records, self.cfg(steps=600, optimizer=FixedSgd(2.0)), num_nodes=30, log_every=20
-        )
+    def test_loss_trends_down(self, records, monkeypatch):
+        monkeypatch.setattr(trainer, "LOG_EVERY", 20)
+        result = train_async(records, self.cfg(steps=600, optimizer=FixedSgd(2.0)), num_nodes=30)
         losses = [e["loss"] for e in result.log if "loss" in e]
         k = max(1, len(losses) // 10)
         assert np.mean(losses[-k:]) < np.mean(losses[:k])
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_progress_at_first_and_last_step(self, workers, tmp_path, records):
-        # 24 micro-batches under the default log_every of 50: step 0 and the last step
+        # 24 micro-batches under the default LOG_EVERY of 50: step 0 and the last step
         log_path = tmp_path / "progress.jsonl"
         result = train_async(records, self.cfg(num_workers=workers), num_nodes=30, log_path=log_path)
         entries = [json.loads(line) for line in log_path.read_text().splitlines()]
@@ -816,23 +810,16 @@ class TestTrainAsync:
         assert [e["step"] for e in steps] == [0, 23]
         assert all(e["lr"] == 0.5 and e["examples_per_sec"] > 0 for e in steps)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_log_every_below_one_rejected_before_any_step(self, workers, records):
-        table = init_table(30, 8, seed=1)
-        before = table.values.copy()
-        with pytest.raises(ValidationError, match="log_every"):
-            train_async(records, self.cfg(num_workers=workers), table=table, log_every=0)
-        assert np.array_equal(table.values, before)
-
-    def test_progress_steps_exact_under_thread_switches(self, records):
+    def test_progress_steps_exact_under_thread_switches(self, records, monkeypatch):
         # more workers than cores and frequent switches: a lost update of the
         # shared step counter would repeat or skip a step number
         import sys
 
+        monkeypatch.setattr(trainer, "LOG_EVERY", 1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            result = train_async(records, self.cfg(num_workers=6, steps=300), num_nodes=30, log_every=1)
+            result = train_async(records, self.cfg(num_workers=6, steps=300), num_nodes=30)
         finally:
             sys.setswitchinterval(interval)
         assert [e["step"] for e in result.log if "loss" in e] == list(range(300))
@@ -880,11 +867,10 @@ class TestTrainAsync:
             raise RuntimeError("broken")
 
         monkeypatch.setattr(trainer_mod, "loss_and_grad", always_fail)
+        monkeypatch.setattr(trainer_mod, "MAX_FAILURES", 2)
         for num_workers in (1, 2):
             with pytest.raises(RuntimeError):
-                train_async(
-                    records, self.cfg(steps=10, num_workers=num_workers), num_nodes=30, max_failures=2
-                )
+                train_async(records, self.cfg(steps=10, num_workers=num_workers), num_nodes=30)
 
     def test_failed_worker_stops_the_others(self, monkeypatch, records):
         import threading
@@ -904,8 +890,9 @@ class TestTrainAsync:
             return real(table, batch, *args)
 
         monkeypatch.setattr(trainer_mod, "loss_and_grad", first_call_fails)
+        monkeypatch.setattr(trainer_mod, "MAX_FAILURES", 0)
         with pytest.raises(RuntimeError, match="broken worker"):
-            train_async(records, self.cfg(steps=20_000, num_workers=2), num_nodes=30, max_failures=0)
+            train_async(records, self.cfg(steps=20_000, num_workers=2), num_nodes=30)
         # the healthy worker's quota is 10_000 batches; it must not run them all
         assert calls["n"] < 10_000
 
@@ -927,8 +914,9 @@ class TestTrainAsync:
             return real(table, batch, *args)
 
         monkeypatch.setattr(trainer_mod, "loss_and_grad", flaky)
+        monkeypatch.setattr(trainer_mod, "MAX_FAILURES", 40)
         cfg = self.cfg(num_workers=4, steps=40)
-        result = train_async(records, cfg, num_nodes=30, max_failures=40)
+        result = train_async(records, cfg, num_nodes=30)
         assert result.worker_failures == calls["n"] - 40
         assert result.examples_processed == 40 * cfg.micro_batch_examples
 
