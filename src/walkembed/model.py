@@ -1,5 +1,8 @@
 """Embedding table, learning-rate schedule, and the skip-gram loss.
 
+The seeded table is drawn in row blocks, on two threads where two CPUs may
+be used; it is bitwise one draw of the whole table.
+
 One table serves both endpoint roles, as in HUGE. Loss is the standard
 logistic contrastive objective: positives maximize sigma(e_u . e_v) with a
 per-pair weight, uniform negatives minimize it, mean-reduced over all
@@ -29,10 +32,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .cores import halves
+from .cores import halves, helper_pool, share
 from .errors import NumericError, ValidationError, check_file_size
 
 CKPT_MAGIC = b"WEEMB01\n"
+INIT_BLOCK_ROWS = 4096  # rows per block of init_table's draw
 
 
 @dataclass
@@ -49,12 +53,21 @@ class EmbeddingTable:
 
 
 def init_table(num_nodes: int, dim: int, seed: int, dtype=np.float32) -> EmbeddingTable:
-    """Seeded uniform init in [-1/(2*dim), +1/(2*dim)] per entry."""
+    """Seeded uniform init in [-1/(2*dim), +1/(2*dim)] per entry, in blocks of
+    INIT_BLOCK_ROWS rows. A double takes one 64-bit PCG64 draw, so a block's
+    generator skips the lo * dim draws of the rows before it."""
     if num_nodes < 1 or dim < 1:
         raise ValidationError("num_nodes and dim must be >= 1")
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), num_nodes, dim)))
+    seq = np.random.SeedSequence((int(seed), num_nodes, dim))
     half = 1.0 / (2.0 * dim)
-    values = rng.uniform(-half, half, size=(num_nodes, dim)).astype(dtype)
+    values = np.empty((num_nodes, dim), dtype=dtype)
+
+    def fill(lo):
+        rows = values[lo : lo + INIT_BLOCK_ROWS]
+        rows[:] = np.random.Generator(np.random.PCG64(seq).advance(lo * dim)).uniform(-half, half, size=rows.shape)
+
+    with helper_pool() as pool:
+        share(pool, fill, range(0, num_nodes, INIT_BLOCK_ROWS))
     return EmbeddingTable(values)
 
 

@@ -12,6 +12,7 @@ import csv
 import hashlib
 import json
 import os
+import resource
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -220,7 +221,7 @@ class _ManifestWriter:
         hashes = _hash_files(outputs)
         return hashes if all(prev["output_hashes"].get(k) == h for k, h in hashes.items()) else None
 
-    def record(self, name, params_hash, input_hashes, output_hashes: dict[str, str], duration_s, skipped, counts):
+    def record(self, name, params_hash, input_hashes, output_hashes: dict[str, str], duration_s, skipped, figures):
         entry = {
             "name": name,
             "params_hash": params_hash,
@@ -229,8 +230,7 @@ class _ManifestWriter:
             "duration_s": round(duration_s, 6),
             "skipped": skipped,
         }
-        if counts is not None:
-            entry["counts"] = counts
+        entry.update((k, v) for k, v in figures.items() if v is not None)
         self.manifest["stages"].append(entry)
         with self.path.open("w", encoding="utf-8") as fh:
             json.dump(self.manifest, fh, indent=2, sort_keys=True)
@@ -244,9 +244,12 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False) -> PipelineResult:
     Any failure raises StageError naming the stage. Each artifact is hashed
     once per run; a stage's output hashes are the input hashes of later stages.
     A stage's outputs are hashed on two threads where the process may use
-    two CPUs. A stage's work counts (the sample stage's walks, records and
-    dead ends, the train stage's examples and worker failures) go into its
-    manifest entry; a skipped stage keeps the previous run's.
+    two CPUs. A stage that runs first removes its outputs and the run's eval
+    report, so a failed rerun leaves neither from the previous run. A
+    stage's work counts (nodes and edges before and after the prune, the
+    sampler's walks, records and dead ends, training's examples and worker
+    failures) and the process's peak RSS at its end go into its manifest
+    entry; a skipped stage keeps the previous run's.
     """
     run_dir = Path(cfg.run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -268,16 +271,20 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False) -> PipelineResult:
         hashes = None if force else writer.can_skip(name, params_hash, input_hashes, outputs)
         if hashes is not None:
             skipped.append(name)
-            counts = writer.previous[name].get("counts")
-            writer.record(name, params_hash, input_hashes, hashes, 0.0, True, counts)
+            figures = {k: writer.previous[name].get(k) for k in ("counts", "rss_high_water_mb")}
+            writer.record(name, params_hash, input_hashes, hashes, 0.0, True, figures)
             return hashes
+        for path in (*outputs.values(), eval_dir / "report.json"):
+            path.unlink(missing_ok=True)
         try:
             counts = fn()
         except Exception as exc:
             raise StageError(name, exc) from exc
         duration = time.monotonic() - t0
         hashes = _hash_files(outputs)
-        writer.record(name, params_hash, input_hashes, hashes, duration, False, counts)
+        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        writer.record(name, params_hash, input_hashes, hashes, duration, False,
+                      {"counts": counts, "rss_high_water_mb": rss})
         return hashes
 
     # prune: acquire the input graph and apply the one-shot degree filter
@@ -294,6 +301,8 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False) -> PipelineResult:
         save_csr(g, graph_file)
         pruned = prune_low_degree(g, cfg.min_degree)
         save_csr(pruned, pruned_file)
+        return {"nodes": g.num_nodes, "edges": g.num_edges, "nodes_kept": pruned.num_nodes,
+                "edges_kept": pruned.num_edges}
 
     pruned = stage("prune", graph_params, ext_hash, {"graph.csr": graph_file, "pruned.csr": pruned_file}, do_prune)
 

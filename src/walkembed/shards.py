@@ -7,24 +7,28 @@ A run writes a fixed walk_length throughout; readers reject mixed lengths.
 A shard is written whole (write_shard) or in pieces, each appended to the
 open file (append_records, as the sampler does); the bytes are the same.
 
-Readers go one shard at a time: read_shard maps a shard's columns as int64
-views of the one array it reads (every id and count is non-negative, so the
-bytes read the same as u64), and iter_shards checks each shard against the
-manifest's record count. Training filters each shard as it is read;
-load_all_records concatenates them all for callers that want one batch.
+Readers go one shard at a time: iter_shards reads each shard into one reused
+buffer, its size checked against the manifest's count, as a structured array
+whose columns read as int64 (ids and counts are non-negative, so the bytes
+read the same as u64); check_records checks its records. Training filters
+it in blocks; load_all_records copies every shard into one batch.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from collections.abc import Iterator
+from concurrent import futures
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO
 
 import numpy as np
 
+from .cores import halves
 from .errors import ValidationError
+from .model import _check_ids
 
 
 @dataclass
@@ -78,15 +82,16 @@ def append_records(fh: BinaryIO, batch: RecordBatch) -> None:
     fh.write(_wire_image(batch).data)
 
 
-def read_shard(path: str | Path, walk_length: int) -> RecordBatch:
-    """One shard, its columns int64 views of a single read."""
-    dt = _record_dtype(walk_length)
-    if Path(path).stat().st_size % dt.itemsize:
-        raise ValidationError(f"{path}: size not a multiple of record size")
-    arr = np.fromfile(path, dtype=dt)
-    if len(arr) and not np.all(arr["length"] == walk_length):
+def check_records(path: Path, records: np.ndarray, walk_length: int, num_nodes: int | None = None) -> None:
+    """Raise on a mixed walk length, else (given num_nodes) on the first
+    source id, then the first dest id, out of a table's range."""
+    if not np.all(records["length"] == walk_length):
         raise ValidationError(f"{path}: mixed walk lengths in shard")
-    return RecordBatch(source=arr["source"], dest=arr["dest"], co_counts=arr["counts"])
+    try:
+        for column in ("source", "dest") if num_nodes is not None else ():
+            _check_ids(records[column], num_nodes)
+    except IndexError as e:
+        raise ValidationError(f"{path}: {e} of the table") from None
 
 
 def write_manifest(out_dir: str | Path, manifest: dict) -> None:
@@ -115,28 +120,39 @@ def read_manifest(records_dir: str | Path) -> dict:
     return manifest
 
 
-def iter_shards(records_dir: str | Path, manifest: dict) -> Iterator[RecordBatch]:
-    """Each shard the manifest lists, in order, read when reached and checked
-    against the manifest's record count."""
-    files = manifest["shard_files"]
+def iter_shards(
+    records_dir: str | Path, manifest: dict, pool: futures.Executor | None = None
+) -> Iterator[tuple[Path, np.ndarray]]:
+    """(path, records) of each shard the manifest lists, in order, read into
+    one buffer that the next shard overwrites, after a size check against
+    the manifest's count; given a pool, its thread reads the second half."""
+    files, counts = manifest["shard_files"], manifest["record_counts"]
     if not files:
         raise ValidationError(f"{records_dir}: manifest lists no shards")
-    for f, count in zip(files, manifest["record_counts"]):
-        part = read_shard(Path(records_dir) / f, manifest["config"]["walk_length"])
-        if len(part) != count:
-            raise ValidationError(f"{Path(records_dir) / f}: {len(part)} records, but the manifest lists {count}")
-        yield part
+    dt = _record_dtype(manifest["config"]["walk_length"])
+    buffer = np.empty(max(counts), dtype=dt)
+    for f, count in zip(files, counts):
+        path = Path(records_dir) / f
+        n, rest = divmod(path.stat().st_size, dt.itemsize)
+        if rest:
+            raise ValidationError(f"{path}: size not a multiple of record size")
+        if n != count:
+            raise ValidationError(f"{path}: {n} records, but the manifest lists {count}")
+        raw = buffer[:n].view(np.uint8)
+        with path.open("rb", buffering=0) as fh:
+            got = halves(pool, lambda lo, hi: os.preadv(fh.fileno(), [raw[lo:hi]], lo), len(raw))
+        if sum(got) != len(raw):
+            raise ValidationError(f"{path}: {sum(got)} bytes read of {len(raw)}")
+        yield path, buffer[:n]
 
 
 def load_all_records(records_dir: str | Path) -> tuple[RecordBatch, dict]:
-    """Every shard listed in the manifest, concatenated into one RecordBatch."""
+    """Every shard listed in the manifest, copied into one RecordBatch."""
     manifest = read_manifest(records_dir)
-    parts = list(iter_shards(records_dir, manifest))
-    return (
-        RecordBatch(
-            source=np.concatenate([p.source for p in parts]),
-            dest=np.concatenate([p.dest for p in parts]),
-            co_counts=np.concatenate([p.co_counts for p in parts]),
-        ),
-        manifest,
-    )
+    arr = np.empty(sum(manifest["record_counts"]), dtype=_record_dtype(manifest["config"]["walk_length"]))
+    at = 0
+    for path, records in iter_shards(records_dir, manifest):
+        check_records(path, records, manifest["config"]["walk_length"])
+        arr[at : at + len(records)] = records
+        at += len(records)
+    return RecordBatch(source=arr["source"], dest=arr["dest"], co_counts=arr["counts"]), manifest

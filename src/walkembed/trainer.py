@@ -1,6 +1,7 @@
 """Skip-gram training over co-occurrence records, sync or async.
 
-Training reads its records from a records directory, one shard at a time.
+Training reads its records from a records directory, one shard at a time,
+each filtered in blocks on two threads where the process may use two CPUs.
 Both modes run one training loop, the lane: each step builds one batch of
 R * B positives from the lane's record stream, with their negatives, and
 applies one mean-reduced gradient over it, which equals the mean of the
@@ -33,11 +34,12 @@ import numpy as np
 
 from . import cores
 from .errors import ValidationError, check_keys
-from .model import EmbeddingTable, FixedSgd, WarmupDecaySchedule, _check_ids, init_table, loss_and_grad
+from .model import EmbeddingTable, FixedSgd, WarmupDecaySchedule, init_table, loss_and_grad
 from .rng import derive_seed
-from .shards import RecordBatch, iter_shards, read_manifest
+from .shards import check_records, iter_shards, read_manifest
 
 SHUFFLE_BUFFER = 1 << 16  # records per shuffle window of a RecordStream
+LOAD_BLOCK = 1 << 16  # records per block of the record load's filter
 LOG_EVERY = 50  # steps between progress log entries
 MAX_FAILURES = 3  # failed micro-batches an async worker survives
 
@@ -144,50 +146,50 @@ class ExampleBatch:
         return self.dst.size
 
 
-def _weighting(cfg: TrainConfig, walk_length: int) -> np.ndarray:
-    """The per-distance weights, one for each of the records' walk_length steps."""
-    if cfg.distance_weighting is None:
-        return np.ones(walk_length)
-    if len(cfg.distance_weighting) != walk_length:
-        raise ValidationError(
-            f"distance_weighting has {len(cfg.distance_weighting)} entries, records have walk_length {walk_length}"
-        )
-    return np.asarray(cfg.distance_weighting, dtype=np.float64)
-
-
-def prepare_positives(
-    records: RecordBatch, cfg: TrainConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Collapse histograms to per-pair weights; drop self-pairs and zero
-    weights. The ids come out as read."""
-    weight = records.co_counts @ _weighting(cfg, records.walk_length)
-    keep = (weight > 0) & (records.source != records.dest)
-    return records.source[keep], records.dest[keep], weight[keep].astype(np.float32)
-
-
 def _load_positives(
     records_dir: str | Path, cfg: TrainConfig, num_nodes: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """prepare_positives over one shard at a time, each shard's kept rows
-    written in place into columns sized by the manifest's record total.
-    Each shard's ids are checked against the table's num_nodes rows. The id
-    columns are int32 when num_nodes <= 2**31."""
+    """Every shard's records weighted by co_counts @ the distance weighting,
+    less self-pairs and zero weights, in columns sized by the manifest's
+    record total (int32 ids when num_nodes <= 2**31). Two threads, where two
+    CPUs may be used, read each shard and share its LOAD_BLOCK-record blocks
+    twice: for the checks, weights and keep mask, then for the kept rows. A
+    fault is raised after both are done, as one thread reading in order finds it."""
     manifest = read_manifest(records_dir)
-    _weighting(cfg, manifest["config"]["walk_length"])  # a length mismatch raises before any read
-    total = sum(manifest["record_counts"])
+    walk_length = manifest["config"]["walk_length"]
+    weighting = np.asarray(np.ones(walk_length) if cfg.distance_weighting is None else cfg.distance_weighting, float)
+    if len(weighting) != walk_length:  # raised before any shard is read
+        n = len(weighting)
+        raise ValidationError(f"distance_weighting has {n} entries, records have walk_length {walk_length}")
+    counts = manifest["record_counts"]
+    keep, weight = (np.empty(max(counts, default=0), dtype=d) for d in (bool, np.float32))
     ids = np.int32 if num_nodes <= 2**31 else np.int64
-    columns = (np.empty(total, dtype=ids), np.empty(total, dtype=ids), np.empty(total, dtype=np.float32))
+    columns = tuple(np.empty(sum(counts), dtype=d) for d in (ids, ids, np.float32))
     kept = 0
-    for f, shard in zip(manifest["shard_files"], iter_shards(records_dir, manifest)):
-        try:
-            _check_ids(shard.source, num_nodes)
-            _check_ids(shard.dest, num_nodes)
-        except IndexError as e:
-            raise ValidationError(f"{Path(records_dir) / f}: {e} of the table") from None
-        part = prepare_positives(shard, cfg)
-        for column, values in zip(columns, part):
-            column[kept : kept + len(values)] = values
-        kept += len(part[0])
+    with cores.helper_pool() as pool:
+        for path, records in iter_shards(records_dir, manifest, pool):
+            blocks = [slice(lo, min(lo + LOAD_BLOCK, len(records))) for lo in range(0, len(records), LOAD_BLOCK)]
+
+            def weigh(rows):
+                part = records[rows]
+                check_records(path, part, walk_length, num_nodes)
+                w = part["counts"] @ weighting
+                np.logical_and(w > 0, part["source"] != part["dest"], out=keep[rows])
+                weight[rows] = w
+                return np.count_nonzero(keep[rows])
+
+            try:
+                starts = np.cumsum([kept, *cores.share(pool, weigh, blocks)])
+            except ValidationError:  # a block's fault may not be the shard's first
+                check_records(path, records, walk_length, num_nodes)
+                raise
+
+            def gather(b):
+                for column, values in zip(columns, (records["source"], records["dest"], weight)):
+                    np.compress(keep[blocks[b]], values[blocks[b]], out=column[starts[b] : starts[b + 1]])
+
+            cores.share(pool, gather, range(len(blocks)))
+            kept = starts[-1]
     return tuple(column[:kept] for column in columns)
 
 

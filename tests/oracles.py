@@ -3,10 +3,11 @@
 Everything here is deliberately naive: explicit trajectory enumeration,
 quadratic nearest-neighbor search, exhaustive pair scans, central finite
 differences, a per-example skip-gram loss, a per-line edge-list parser
-with sort-based graph building, and a whole-epoch record order. None of it
-shares code with the implementations under test, except the whole-set shard
-reference, which reuses the sampler's walks and checks only how records
-reach their shards. The small helpers at the end serve tests only.
+with sort-based graph building, a whole-epoch record order, a shard parser,
+whole-set positives and a one-draw initial table. None of it shares code
+with the implementations under test, except the whole-set shard reference,
+which reuses the sampler's walks and checks only how records reach their
+shards. The small helpers at the end serve tests only.
 """
 
 import math
@@ -283,6 +284,36 @@ def run_sampling_reference(g, cfg, out_dir, partition_nodes: int = 1 << 14) -> N
     )
 
 
+def read_shard(path, walk_length: int) -> RecordBatch:
+    """A shard file parsed by the wire format alone: packed little-endian
+    u64 source, u64 dest, u32 length and u64 counts[walk_length]."""
+    dt = np.dtype({"names": ["source", "dest", "length", "counts"],
+                   "formats": ["<u8", "<u8", "<u4", ("<u8", (walk_length,))],
+                   "offsets": [0, 8, 16, 20], "itemsize": 20 + 8 * walk_length})
+    data = Path(path).read_bytes()
+    assert len(data) % dt.itemsize == 0, "partial record"
+    arr = np.frombuffer(data, dtype=dt)
+    assert np.all(arr["length"] == walk_length), "mixed walk lengths"
+    return RecordBatch(*(arr[k].astype(np.int64) for k in ("source", "dest", "counts")))
+
+
+def prepare_positives(records: RecordBatch, cfg) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Whole-set positives as training defines them: each record weighs
+    co_counts @ cfg.distance_weighting (all ones when None), and self-pairs
+    and zero weights are dropped; ids as read, weights as float32."""
+    w = np.ones(records.walk_length) if cfg.distance_weighting is None else np.asarray(cfg.distance_weighting, float)
+    weight = records.co_counts @ w
+    keep = (weight > 0) & (records.source != records.dest)
+    return records.source[keep], records.dest[keep], weight[keep].astype(np.float32)
+
+
+def init_table_reference(num_nodes: int, dim: int, seed: int, dtype=np.float32) -> np.ndarray:
+    """The initial table as one draw of all its entries."""
+    rng = np.random.default_rng(np.random.SeedSequence((int(seed), num_nodes, dim)))
+    half = 1.0 / (2.0 * dim)
+    return rng.uniform(-half, half, size=(num_nodes, dim)).astype(dtype)
+
+
 def epoch_order_reference(seed: int, n: int, epoch: int, window: int) -> np.ndarray:
     """An epoch's whole order of n record positions: arange(n) shuffled one
     window of `window` positions at a time by the epoch's one generator,
@@ -307,14 +338,15 @@ def class_of(cfg, i: int) -> int:
     return i * cfg.k // cfg.n
 
 
-def write_records_dir(out_dir, records: RecordBatch) -> Path:
-    """records as a records directory of one shard, with the manifest keys
-    that training reads."""
+def write_records_dir(out_dir, *shards: RecordBatch) -> Path:
+    """A records directory of one shard per RecordBatch given, with the
+    manifest keys that training reads."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = shard_path(out_dir, 0, 1)
-    write_shard(path, records)
-    manifest = {"config": {"walk_length": records.walk_length}, "graph_hash": "", "shard_files": [path.name],
-                "record_counts": [len(records)]}
+    paths = [shard_path(out_dir, i, len(shards)) for i in range(len(shards))]
+    for path, records in zip(paths, shards):
+        write_shard(path, records)
+    manifest = {"config": {"walk_length": shards[0].walk_length}, "graph_hash": "",
+                "shard_files": [p.name for p in paths], "record_counts": [len(r) for r in shards]}
     write_manifest(out_dir, manifest)
     return out_dir

@@ -107,6 +107,45 @@ def test_train_sync_steps_on_the_calling_thread(monkeypatch, tmp_path):
     assert threads == {threading.get_ident()}
 
 
+def traced_train_sync(monkeypatch, tmp_path):
+    """The spans of one traced train_sync(num_nodes=...) call, and the
+    thread and enclosing span of each _load_positives call in it."""
+    calls = []
+    tracer = tracing.Tracer()
+    real = trainer._load_positives
+
+    def spy(*args):
+        calls.append((threading.get_ident(), tracer._stack()[-1]))
+        return real(*args)
+
+    monkeypatch.setattr(trainer, "_load_positives", spy)
+    cfg = TrainConfig(dim=4, per_replica_batch_size=4, num_replicas=2, steps=3, optimizer=FixedSgd(0.1))
+    records = cycle_records(tmp_path)
+    tracer.install()
+    try:
+        trainer.train_sync(records, cfg, num_nodes=20)
+    finally:
+        tracer.uninstall()
+    (train,) = [s for s in tracer.spans if s.name == "trainer.train_sync"]
+    return train, tracer.spans, calls
+
+
+def test_train_sync_inits_its_table_through_the_module_name(monkeypatch, tmp_path):
+    # the tracer wraps trainer.init_table, the name train_sync calls, so its
+    # model.init_table span covers the init only while train_sync calls it
+    # through that name, once, on its own thread
+    train, spans, _ = traced_train_sync(monkeypatch, tmp_path)
+    (init,) = [s for s in spans if s.name == "model.init_table"]
+    assert (init.parent, init.thread) == (train.id, train.thread) == (train.id, threading.get_ident())
+
+
+def test_record_load_runs_in_train_syncs_own_span(monkeypatch, tmp_path):
+    # trainer.sync_reduce_s, train_sync's self time, holds the record load
+    # only while _load_positives runs on train_sync's thread, in no child span
+    train, _, calls = traced_train_sync(monkeypatch, tmp_path)
+    assert calls == [(threading.get_ident(), train.id)]
+
+
 def test_train_sync_passes_the_global_example_count(monkeypatch, tmp_path):
     # the tracer's model.loss_and_grad_examples_per_s counts len(batch), the
     # second argument of each loss_and_grad call

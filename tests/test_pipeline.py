@@ -297,6 +297,45 @@ class TestRunPipeline:
         stages = json.loads((run_dir / "manifest.json").read_text())["stages"]
         assert [s["name"] for s in stages] == ["prune", "sample", "train"]
 
+    @pytest.mark.parametrize("stage, patched", [("train", "train_sync"), ("eval", "evaluate_checkpoint")])
+    def test_failed_rerun_leaves_no_stale_output(self, tmp_path, monkeypatch, stage, patched):
+        run_dir = tmp_path / "run"
+        d = tiny_config_dict(run_dir)
+        run_pipeline(config_from_dict(d))
+        assert (run_dir / "checkpoint.bin").exists() and (run_dir / "eval" / "report.json").exists()
+        d["trainer" if stage == "train" else "eval"]["steps" if stage == "train" else "recall_nodes"] = 41
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setattr(pipeline, patched, fail)
+        with pytest.raises(StageError) as exc:
+            run_pipeline(config_from_dict(d))
+        assert exc.value.stage == stage
+        assert not (run_dir / "eval" / "report.json").exists()
+        assert (run_dir / "checkpoint.bin").exists() == (stage == "eval")
+        with pytest.raises(ValidationError, match="missing eval report"):
+            compare_runs([run_dir, run_dir])
+        monkeypatch.undo()
+        rerun = run_pipeline(config_from_dict(d))
+        assert rerun.skipped == ["prune", "sample"] + (["train"] if stage == "eval" else [])
+        assert run_pipeline(config_from_dict(d)).skipped == ["prune", "sample", "train", "eval"]
+
+    def test_stages_record_peak_rss_and_prune_counts(self, tmp_path):
+        cfg = config_from_dict(dict(tiny_config_dict(tmp_path / "run"), min_degree=10))
+        first = {s["name"]: s for s in run_pipeline(cfg).manifest["stages"]}
+        peaks = [first[name]["rss_high_water_mb"] for name in ("prune", "sample", "train", "eval")]
+        assert peaks == sorted(peaks) and peaks[0] > 0
+        g = pipeline.load_csr(tmp_path / "run" / "graph.csr")
+        pruned = pipeline.load_csr(tmp_path / "run" / "pruned.csr")
+        assert first["prune"]["counts"] == {
+            "nodes": g.num_nodes, "edges": g.num_edges, "nodes_kept": pruned.num_nodes, "edges_kept": pruned.num_edges
+        }
+        assert pruned.num_nodes < g.num_nodes
+        second = run_pipeline(cfg)
+        assert second.skipped == ["prune", "sample", "train", "eval"]
+        assert second.manifest["stages"] == [dict(s, skipped=True, duration_s=0.0) for s in first.values()]
+
     def test_edge_list_ingestion(self, tmp_path):
         edges = tmp_path / "g.tsv"
         lines = [f"{i} {(i + 1) % 40}" for i in range(40)]

@@ -15,7 +15,7 @@ from walkembed.graph import from_edges
 from walkembed.rng import HashStream
 from walkembed.sampler import SamplerConfig, _combine_visits, init_walks, run_sampling, step_walks
 from walkembed.sbm import SbmConfig, generate_sbm
-from walkembed.shards import load_all_records, read_shard, write_shard, RecordBatch
+from walkembed.shards import load_all_records, write_shard, RecordBatch
 
 
 def records_by_pair(rec):
@@ -157,7 +157,7 @@ class TestRunSampling:
         monkeypatch.setattr(sampler, "PARTITION_NODES", 6)
         run_sampling(g, cfg, tmp_path)
         for s in range(3):
-            rec = read_shard(tmp_path / f"records-{s:05d}-of-00003.bin", 3)
+            rec = oracles.read_shard(tmp_path / f"records-{s:05d}-of-00003.bin", 3)
             assert len(rec) > 0
             key = rec.source * n + rec.dest
             assert np.all(np.diff(key) > 0)
@@ -168,7 +168,7 @@ class TestRunSampling:
         run_sampling(triangle, cfg, out)
         seen_sources = {}
         for s in range(4):
-            rec = read_shard(out / f"records-{s:05d}-of-00004.bin", 2)
+            rec = oracles.read_shard(out / f"records-{s:05d}-of-00004.bin", 2)
             for u in set(rec.source.tolist()):
                 assert seen_sources.setdefault(u, s) == s
 
@@ -329,7 +329,7 @@ def test_shard_round_trip(tmp_path):
     )
     path = tmp_path / "x.bin"
     write_shard(path, batch)
-    back = read_shard(path, 3)
+    back = oracles.read_shard(path, 3)
     assert np.array_equal(back.source, batch.source)
     assert np.array_equal(back.dest, batch.dest)
     assert np.array_equal(back.co_counts, batch.co_counts)

@@ -38,7 +38,6 @@ from walkembed.trainer import (
     RecordStream,
     TrainConfig,
     build_batch,
-    prepare_positives,
     train_async,
     train_sync,
 )
@@ -56,8 +55,12 @@ def make_records(pairs_with_counts, walk_length=3):
 
 
 def make_stream(records, cfg, seed=0):
-    src, dst, w = prepare_positives(records, cfg)
+    src, dst, w = oracles.prepare_positives(records, cfg)
     return RecordStream(src, dst, w, seed)
+
+
+def load_positives(out_dir, records, cfg, num_nodes=10):
+    return trainer._load_positives(oracles.write_records_dir(out_dir, records), cfg, num_nodes)
 
 
 class TestSchedule:
@@ -154,23 +157,23 @@ class TestBuildBatch:
         for c in counts:
             assert oracles.within_binomial(int(c), total, 1 / 100)
 
-    def test_self_pairs_filtered_by_default(self):
+    def test_self_pairs_filtered_by_default(self, tmp_path):
         cfg = TrainConfig(dim=4, per_replica_batch_size=2, negatives_per_positive=0, steps=1)
         records = make_records([(0, 0, [5, 0, 0]), (0, 1, [1, 0, 0])])
-        src, dst, _ = prepare_positives(records, cfg)
+        src, dst, _ = load_positives(tmp_path, records, cfg)
         assert (src.tolist(), dst.tolist()) == ([0], [1])
 
-    def test_zero_weight_records_dropped(self):
+    def test_zero_weight_records_dropped(self, tmp_path):
         cfg = TrainConfig(dim=4, steps=1, distance_weighting=(0.0, 1.0, 1.0))
         records = make_records([(0, 1, [3, 0, 0]), (1, 2, [0, 1, 0])])
-        src, _, w = prepare_positives(records, cfg)
+        src, _, w = load_positives(tmp_path, records, cfg)
         assert src.tolist() == [1]
         assert np.all(w > 0)
 
-    def test_weighting_length_must_match(self):
+    def test_weighting_length_must_match(self, tmp_path):
         cfg = TrainConfig(dim=4, steps=1, distance_weighting=(1.0, 1.0))
         with pytest.raises(ValidationError):
-            prepare_positives(make_records([(0, 1, [1, 0, 0])]), cfg)
+            load_positives(tmp_path, make_records([(0, 1, [1, 0, 0])]), cfg)
 
     def test_stream_epoch_covers_every_record_once(self):
         cfg = TrainConfig(dim=4, per_replica_batch_size=5, negatives_per_positive=0, steps=1)
@@ -972,6 +975,30 @@ def test_init_table_range_and_seed():
     assert not np.array_equal(t.values, init_table(100, 16, seed=4).values)
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows", [1, model.INIT_BLOCK_ROWS - 1, model.INIT_BLOCK_ROWS + 1, 100_000])
+def test_init_table_bitwise_one_draw(monkeypatch, cpus, dtype, rows):
+    monkeypatch.setattr(cores, "usable_cpus", lambda: cpus)
+    got = init_table(rows, 13, seed=11, dtype=dtype).values
+    assert got.dtype == dtype
+    assert got.tobytes() == oracles.init_table_reference(rows, 13, 11, dtype).tobytes()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_init_table_memory_near_the_table(monkeypatch, cpus):
+    # one float64 draw of the whole table peaked at 3.0x its float32 bytes;
+    # two threads drawing blocks of INIT_BLOCK_ROWS rows peak near 1.16x
+    monkeypatch.setattr(cores, "usable_cpus", lambda: cpus)
+    tracemalloc.start()
+    try:
+        table = init_table(100_000, 32, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * table.values.nbytes
+
+
 @pytest.mark.parametrize(
     "optimizer, message",
     [
@@ -1014,6 +1041,13 @@ def test_distance_weighting_checked(weighting):
         TrainConfig.from_dict({"distance_weighting": weighting})
 
 
+def random_records(rng, n, num_nodes, walk_length=3):
+    """n records with ids below num_nodes, some of them self-pairs, and
+    counts that are all zero in some records."""
+    counts = rng.integers(0, 3, size=(n, walk_length)) * (rng.random((n, 1)) < 0.8)
+    return RecordBatch(rng.integers(0, num_nodes, n), rng.integers(0, num_nodes, n), counts.astype(np.int64))
+
+
 def sample_shards(out, num_shards, walks_per_node=40):
     # 12 nodes: walks from the isolated nodes 5 and 11 end at once, and at
     # 20 shards some shards hold no record
@@ -1030,7 +1064,7 @@ class TestPositivesFromShards:
         assert num_shards < 20 or 0 in manifest["record_counts"]
         cfg = TrainConfig(dim=4, steps=1, distance_weighting=weighting)
         got = trainer._load_positives(tmp_path, cfg, 12)
-        want = prepare_positives(load_all_records(tmp_path)[0], cfg)
+        want = oracles.prepare_positives(load_all_records(tmp_path)[0], cfg)
         assert [g.dtype for g in got] == [np.int32, np.int32, np.float32]
         for g, w in zip(got, want):
             assert g.tobytes() == w.astype(g.dtype).tobytes()
@@ -1044,7 +1078,7 @@ class TestPositivesFromShards:
         assert (wide[0].dtype, wide[1].dtype) == (np.int64, np.int64)
         assert all(a.tolist() == b.tolist() for a, b in zip((src, dst), wide))
         huge = make_records([(2**31, 1, [1, 0, 0]), (0, 1, [1, 0, 0])])
-        assert prepare_positives(huge, cfg)[0].tolist() == [2**31, 0]
+        assert load_positives(tmp_path / "huge", huge, cfg, 2**31 + 1)[0].tolist() == [2**31, 0]
 
     def test_sync_training_on_int32_ids_equal_to_int64(self, tmp_path, monkeypatch):
         sample_shards(tmp_path, 3)
@@ -1128,10 +1162,90 @@ class TestPositivesFromShards:
         with pytest.raises(ValidationError, match="distance_weighting has 2 entries, records have walk_length 3"):
             train_sync(tmp_path, cfg, num_nodes=12)
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("block", [7, trainer.LOAD_BLOCK])
+    @pytest.mark.parametrize("weighting", [None, (0.7, 0.3, 0.1)])
+    def test_blocks_bitwise_equal_to_whole_set(self, tmp_path, monkeypatch, cpus, block, weighting):
+        # shards of 0, 1, block - 1, block and block + 1 records, each with
+        # self-pairs and zero weights to drop; the oracle filters them whole
+        rng = np.random.default_rng(block)
+        shards = [random_records(rng, size, 40) for size in (0, 1, block - 1, block, block + 1)]
+        records = oracles.write_records_dir(tmp_path, *shards)
+        monkeypatch.setattr(trainer, "LOAD_BLOCK", block)
+        monkeypatch.setattr(cores, "usable_cpus", lambda: cpus)
+        cfg = TrainConfig(dim=4, steps=1, distance_weighting=weighting)
+        want = oracles.prepare_positives(load_all_records(records)[0], cfg)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the two threads switch as often as they can
+        try:
+            narrow = trainer._load_positives(records, cfg, 40)
+            wide = trainer._load_positives(records, cfg, 2**31 + 1)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [c.dtype for c in narrow + wide] == [np.int32, np.int32, np.float32, np.int64, np.int64, np.float32]
+        for got in (narrow, wide):
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.astype(g.dtype).tobytes()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_int64_ids_loaded_as_read(self, tmp_path, monkeypatch, cpus):
+        monkeypatch.setattr(trainer, "LOAD_BLOCK", 7)
+        monkeypatch.setattr(cores, "usable_cpus", lambda: cpus)
+        rng = np.random.default_rng(5)
+        shard = random_records(rng, 30, 40)
+        shard.source[[3, 20]] = 2**31
+        shard.dest[11] = 2**32 + 5
+        records = oracles.write_records_dir(tmp_path, shard)
+        cfg = TrainConfig(dim=4, steps=1)
+        got = trainer._load_positives(records, cfg, 2**33)
+        for g, w in zip(got, oracles.prepare_positives(shard, cfg)):
+            assert g.tobytes() == w.tobytes()
+        with pytest.raises(ValidationError, match=r"node id 2147483648 out of range \[0, 2147483648\)"):
+            trainer._load_positives(records, cfg, 2**31)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_errors_as_one_thread_finds_them(self, tmp_path, monkeypatch, cpus):
+        # 50 records in blocks of 7: whichever thread meets a fault first,
+        # the error names the one a single thread reading in order names
+        monkeypatch.setattr(trainer, "LOAD_BLOCK", 7)
+        monkeypatch.setattr(cores, "usable_cpus", lambda: cpus)
+        shard = random_records(np.random.default_rng(8), 50, 12)
+        records = oracles.write_records_dir(tmp_path, shard)
+        path = records / json.loads((records / "manifest.json").read_text())["shard_files"][0]
+        data, size = path.read_bytes(), 20 + 8 * 3
+
+        def with_field(raw, record, offset, value, width=8):
+            at = record * size + offset
+            return raw[:at] + value.to_bytes(width, "little") + raw[at + width :]
+
+        bad_ids = with_field(with_field(data, 9, 8, 5000), 45, 0, 6000)  # a dest in block 1, a source in block 6
+        cases = [
+            (bad_ids, 50, f"{path}: node id 6000 out of range [0, 12) of the table"),
+            (with_field(data, 9, 8, 2**64 - 3), 50, f"{path}: node id -3 out of range [0, 12) of the table"),
+            (with_field(with_field(bad_ids, 49, 16, 4, 4), 2, 0, 7000), 50, f"{path}: mixed walk lengths in shard"),
+            (data[: 20 * size + 5], 50, f"{path}: size not a multiple of record size"),
+            (data[: 20 * size], 50, f"{path}: 20 records, but the manifest lists 50"),
+            (data, 51, f"{path}: 50 records, but the manifest lists 51"),
+        ]
+        cfg = TrainConfig(dim=4, steps=1)
+        table = init_table(12, 4, seed=0)
+        before = table.values.copy()
+        manifest = json.loads((records / "manifest.json").read_text())
+        for raw, count, message in cases:
+            path.write_bytes(raw)
+            (records / "manifest.json").write_text(json.dumps(dict(manifest, record_counts=[count])))
+            with pytest.raises(ValidationError) as exc:
+                train_sync(records, cfg, table=table)
+            assert str(exc.value) == message
+            assert table.values.tobytes() == before.tobytes()
+
     def test_memory_below_shard_bytes(self, tmp_path):
         # Under tracemalloc, loading every shard, concatenating them and then
         # filtering the whole set peaked at 1.8x the shard bytes; filtering
-        # one shard at a time into preallocated columns peaks at 0.77x.
+        # one shard at a time into preallocated columns peaked at 0.59x, and
+        # reading every shard into one buffer and filtering it in blocks
+        # peaks at 0.51x: the columns (12 of every 44 bytes), the largest
+        # shard and block-sized temporaries.
         g = generate_sbm(SbmConfig(n=4000, k=4, p_in=0.02, p_out=0.002, seed=1))
         run_sampling(g, SamplerConfig(walks_per_node=16, walk_length=3, num_shards=8), tmp_path)
         table = init_table(g.num_nodes, 4, seed=0)
@@ -1143,7 +1257,7 @@ class TestPositivesFromShards:
         finally:
             tracemalloc.stop()
         written = sum(p.stat().st_size for p in tmp_path.glob("records-*.bin"))
-        assert peak < written
+        assert peak < 0.55 * written
 
 
 def position_stream(n, seed=9):
