@@ -1,10 +1,10 @@
 """The second core: one helper thread, started only where it can run.
 
-Each stage that splits its work (a sync training step, the sampler's shards,
-a pipeline stage's output hashes, the eval's row normalization and pair
-distances, block by block) opens `helper_pool()`, which holds one
-worker thread when the process may use more than one CPU and none
-otherwise, and hands its work to `halves` (two index ranges) or `share`
+Each stage that splits its work (the record load, the table init, a sync
+training step, the sampler's shards, a pipeline stage's output hashes, the
+eval's row normalization and pair distances, block by block) opens
+`helper_pool()`, which holds one worker thread when the process may use
+more than one CPU and none otherwise, and hands its work to `halves` (two index ranges) or `share`
 (items taken in turn). Both return only after both threads have finished,
 also when one of them raised, so nothing still runs or writes after a
 failure and the helper is joined when the pool's `with` block ends.

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the config and file checks."""
+"""Exception types shared across the package, and the config, file and id checks."""
 
 import os
 from dataclasses import MISSING, fields, is_dataclass
@@ -50,6 +50,13 @@ def check_file_size(path, fh, expected: int) -> None:
     size = os.fstat(fh.fileno()).st_size
     if size != expected:
         raise ValidationError(f"{path}: {size} bytes, but its header implies {expected}")
+
+
+def check_ids(ids, num_nodes: int) -> None:
+    """Raise IndexError naming the first of the ids that is not a row of a num_nodes-row table."""
+    if len(ids) and (ids.min() < 0 or ids.max() >= num_nodes):
+        bad = ids[(ids < 0) | (ids >= num_nodes)][0]
+        raise IndexError(f"node id {bad} out of range [0, {num_nodes})")
 
 
 class ParseError(ValidationError):

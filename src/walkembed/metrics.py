@@ -26,9 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from . import cores
-from .errors import MetricError, ValidationError
+from .errors import MetricError, ValidationError, check_ids
 from .graph import Graph
-from .model import EmbeddingTable, _check_ids
+from .model import EmbeddingTable
 
 logger = logging.getLogger(__name__)
 
@@ -141,8 +141,8 @@ def pair_distances(table: EmbeddingTable, u: np.ndarray, v: np.ndarray) -> np.nd
     if len(u) != len(v):
         raise ValidationError(f"pair_distances: {len(u)} u ids but {len(v)} v ids")
     values = table.values
-    _check_ids(u, len(values))
-    _check_ids(v, len(values))
+    check_ids(u, len(values))
+    check_ids(v, len(values))
     out = np.empty(len(u), dtype=values.dtype)
     with cores.helper_pool() as pool:
         cores.share(

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .cores import halves, helper_pool, share
-from .errors import NumericError, ValidationError, check_file_size
+from .errors import NumericError, ValidationError, check_file_size, check_ids
 
 CKPT_MAGIC = b"WEEMB01\n"
 INIT_BLOCK_ROWS = 4096  # rows per block of init_table's draw
@@ -147,12 +147,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.exp(-np.logaddexp(0.0, -x))
 
 
-def _check_ids(ids: np.ndarray, num_nodes: int) -> None:
-    if len(ids) and (ids.min() < 0 or ids.max() >= num_nodes):
-        bad = ids[(ids < 0) | (ids >= num_nodes)][0]
-        raise IndexError(f"node id {bad} out of range [0, {num_nodes})")
-
-
 def loss_and_grad(table: EmbeddingTable, batch, pool: futures.Executor | None = None) -> tuple[float, SparseGrad]:
     """Weighted logistic loss and sparse gradient for one grouped batch.
 
@@ -163,8 +157,8 @@ def loss_and_grad(table: EmbeddingTable, batch, pool: futures.Executor | None = 
     the sums; the result is bitwise the same.
     """
     src, dst = batch.src, batch.dst
-    _check_ids(src, table.num_nodes)
-    _check_ids(dst, table.num_nodes)
+    check_ids(src, table.num_nodes)
+    check_ids(dst, table.num_nodes)
     p, width = dst.shape
     n = p * width
     if n == 0:

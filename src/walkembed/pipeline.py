@@ -199,14 +199,17 @@ def _build_graph(cfg: PipelineConfig) -> Graph:
     return load_edge_list(src["path"], format=src.get("format", "tsv"))
 
 
+def _recorded_stages(run_dir: Path) -> dict[str, dict]:
+    """The stage entries of the run's manifest, by name; none without one."""
+    path = run_dir / "manifest.json"
+    stages = json.loads(path.read_text(encoding="utf-8")).get("stages", []) if path.exists() else []
+    return {s["name"]: s for s in stages}
+
+
 class _ManifestWriter:
     def __init__(self, run_dir: Path, config_hash: str):
         self.path = run_dir / "manifest.json"
-        self.previous = {}
-        if self.path.exists():
-            with self.path.open("r", encoding="utf-8") as fh:
-                old = json.load(fh)
-            self.previous = {s["name"]: s for s in old.get("stages", [])}
+        self.previous = _recorded_stages(run_dir)
         self.manifest = {"config_hash": config_hash, "stages": []}
 
     def can_skip(
@@ -384,8 +387,8 @@ def _final_loss(run_dir: Path) -> float | None:
 
 
 def compare_runs(run_dirs: list[str | Path], out_csv: str | Path | None = None) -> list[RunSummary]:
-    """Aligned metric table across runs, in argument order.
-
+    """Aligned metric table across runs, in argument order, each run's report
+    read only if its SHA-256 is the one the run's manifest records for it.
     snr_within_trend flags whether each run's SNR is at least 95% of the
     previous run's, for budget-sweep monotonicity checks.
     """
@@ -398,6 +401,9 @@ def compare_runs(run_dirs: list[str | Path], out_csv: str | Path | None = None) 
         report_path = d / "eval" / "report.json"
         if not report_path.exists():
             raise ValidationError(f"{d}: missing eval report at {report_path}")
+        recorded = _recorded_stages(d).get("eval", {}).get("output_hashes", {}).get("eval/report.json")
+        if _hash_file(report_path) != recorded:
+            raise ValidationError(f"{d}: {report_path} is not the report its manifest.json records")
         rep = metrics_mod.read_report(report_path)
         reports.append(rep)
         rows.append(

@@ -7,28 +7,24 @@ A run writes a fixed walk_length throughout; readers reject mixed lengths.
 A shard is written whole (write_shard) or in pieces, each appended to the
 open file (append_records, as the sampler does); the bytes are the same.
 
-Readers go one shard at a time: iter_shards reads each shard into one reused
-buffer, its size checked against the manifest's count, as a structured array
-whose columns read as int64 (ids and counts are non-negative, so the bytes
-read the same as u64); check_records checks its records. Training filters
-it in blocks; load_all_records copies every shard into one batch.
+Readers go one shard at a time: iter_shards maps each shard read-only, its
+size checked against the manifest's count, as a structured array whose
+columns read as int64 (ids and counts are non-negative, so the bytes read
+the same as u64); check_records checks its records. Training filters the
+map in blocks; load_all_records copies every shard into one batch.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from collections.abc import Iterator
-from concurrent import futures
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO
 
 import numpy as np
 
-from .cores import halves
-from .errors import ValidationError
-from .model import _check_ids
+from .errors import ValidationError, check_ids
 
 
 @dataclass
@@ -89,7 +85,7 @@ def check_records(path: Path, records: np.ndarray, walk_length: int, num_nodes: 
         raise ValidationError(f"{path}: mixed walk lengths in shard")
     try:
         for column in ("source", "dest") if num_nodes is not None else ():
-            _check_ids(records[column], num_nodes)
+            check_ids(records[column], num_nodes)
     except IndexError as e:
         raise ValidationError(f"{path}: {e} of the table") from None
 
@@ -113,6 +109,10 @@ def read_manifest(records_dir: str | Path) -> dict:
     if not isinstance(config, dict) or type(config.get("walk_length")) is not int or config["walk_length"] < 1:
         raise ValidationError(f"{p}: config must be an object with an integer walk_length >= 1, got {config!r}")
     files, counts = manifest["shard_files"], manifest["record_counts"]
+    if not isinstance(files, list) or not all(
+        isinstance(f, str) and f not in ("", ".", "..") and Path(f).name == f for f in files
+    ):
+        raise ValidationError(f"{p}: shard_files must be a list of plain file names, got {files!r}")
     if not isinstance(counts, list) or not all(type(c) is int and c >= 0 for c in counts):
         raise ValidationError(f"{p}: record_counts must be a list of non-negative integers, got {counts!r}")
     if len(counts) != len(files):
@@ -120,17 +120,14 @@ def read_manifest(records_dir: str | Path) -> dict:
     return manifest
 
 
-def iter_shards(
-    records_dir: str | Path, manifest: dict, pool: futures.Executor | None = None
-) -> Iterator[tuple[Path, np.ndarray]]:
-    """(path, records) of each shard the manifest lists, in order, read into
-    one buffer that the next shard overwrites, after a size check against
-    the manifest's count; given a pool, its thread reads the second half."""
+def iter_shards(records_dir: str | Path, manifest: dict) -> Iterator[tuple[Path, np.ndarray]]:
+    """(path, records) of each shard the manifest lists, in order, after a size
+    check against the manifest's count: a read-only map, unmapped once nothing
+    refers to it, or an empty array for an empty shard (mmap rejects those)."""
     files, counts = manifest["shard_files"], manifest["record_counts"]
     if not files:
         raise ValidationError(f"{records_dir}: manifest lists no shards")
     dt = _record_dtype(manifest["config"]["walk_length"])
-    buffer = np.empty(max(counts), dtype=dt)
     for f, count in zip(files, counts):
         path = Path(records_dir) / f
         n, rest = divmod(path.stat().st_size, dt.itemsize)
@@ -138,12 +135,7 @@ def iter_shards(
             raise ValidationError(f"{path}: size not a multiple of record size")
         if n != count:
             raise ValidationError(f"{path}: {n} records, but the manifest lists {count}")
-        raw = buffer[:n].view(np.uint8)
-        with path.open("rb", buffering=0) as fh:
-            got = halves(pool, lambda lo, hi: os.preadv(fh.fileno(), [raw[lo:hi]], lo), len(raw))
-        if sum(got) != len(raw):
-            raise ValidationError(f"{path}: {sum(got)} bytes read of {len(raw)}")
-        yield path, buffer[:n]
+        yield path, np.memmap(path, dtype=dt, mode="r", shape=(n,)) if n else np.empty(0, dtype=dt)
 
 
 def load_all_records(records_dir: str | Path) -> tuple[RecordBatch, dict]:

@@ -1,7 +1,7 @@
 """Skip-gram training over co-occurrence records, sync or async.
 
-Training reads its records from a records directory, one shard at a time,
-each filtered in blocks on two threads where the process may use two CPUs.
+Training reads its records from a records directory, one read-only shard
+map at a time, filtered in one pass on two threads where two CPUs may be used.
 Both modes run one training loop, the lane: each step builds one batch of
 R * B positives from the lane's record stream, with their negatives, and
 applies one mean-reduced gradient over it, which equals the mean of the
@@ -152,44 +152,43 @@ def _load_positives(
     """Every shard's records weighted by co_counts @ the distance weighting,
     less self-pairs and zero weights, in columns sized by the manifest's
     record total (int32 ids when num_nodes <= 2**31). Two threads, where two
-    CPUs may be used, read each shard and share its LOAD_BLOCK-record blocks
-    twice: for the checks, weights and keep mask, then for the kept rows. A
-    fault is raised after both are done, as one thread reading in order finds it."""
+    CPUs may be used, share each mapped shard's LOAD_BLOCK-record blocks in
+    one pass; each block copies its kept rows, at most its own, into the
+    columns from its own first record on; they then move down to the kept count.
+    A fault is raised after both are done, as one thread reading in order finds it."""
     manifest = read_manifest(records_dir)
     walk_length = manifest["config"]["walk_length"]
     weighting = np.asarray(np.ones(walk_length) if cfg.distance_weighting is None else cfg.distance_weighting, float)
     if len(weighting) != walk_length:  # raised before any shard is read
         n = len(weighting)
         raise ValidationError(f"distance_weighting has {n} entries, records have walk_length {walk_length}")
-    counts = manifest["record_counts"]
-    keep, weight = (np.empty(max(counts, default=0), dtype=d) for d in (bool, np.float32))
     ids = np.int32 if num_nodes <= 2**31 else np.int64
-    columns = tuple(np.empty(sum(counts), dtype=d) for d in (ids, ids, np.float32))
+    columns = tuple(np.empty(sum(manifest["record_counts"]), dtype=d) for d in (ids, ids, np.float32))
     kept = 0
     with cores.helper_pool() as pool:
-        for path, records in iter_shards(records_dir, manifest, pool):
-            blocks = [slice(lo, min(lo + LOAD_BLOCK, len(records))) for lo in range(0, len(records), LOAD_BLOCK)]
+        for path, records in iter_shards(records_dir, manifest):
+            starts, base = range(0, len(records), LOAD_BLOCK), kept
 
-            def weigh(rows):
-                part = records[rows]
+            def filter_block(lo):
+                part = records[lo : lo + LOAD_BLOCK]
                 check_records(path, part, walk_length, num_nodes)
                 w = part["counts"] @ weighting
-                np.logical_and(w > 0, part["source"] != part["dest"], out=keep[rows])
-                weight[rows] = w
-                return np.count_nonzero(keep[rows])
+                keep = (w > 0) & (part["source"] != part["dest"])
+                n = np.count_nonzero(keep)
+                for column, values in zip(columns, (part["source"], part["dest"], w)):
+                    column[base + lo : base + lo + n] = values[keep]
+                return n
 
             try:
-                starts = np.cumsum([kept, *cores.share(pool, weigh, blocks)])
+                block_kept = cores.share(pool, filter_block, starts)
             except ValidationError:  # a block's fault may not be the shard's first
                 check_records(path, records, walk_length, num_nodes)
                 raise
-
-            def gather(b):
-                for column, values in zip(columns, (records["source"], records["dest"], weight)):
-                    np.compress(keep[blocks[b]], values[blocks[b]], out=column[starts[b] : starts[b + 1]])
-
-            cores.share(pool, gather, range(len(blocks)))
-            kept = starts[-1]
+            del records  # unmapped before the next shard is mapped
+            for lo, n in zip(starts, block_kept):
+                for column in columns:
+                    column[kept : kept + n] = column[base + lo : base + lo + n]
+                kept += n
     return tuple(column[:kept] for column in columns)
 
 
@@ -307,7 +306,7 @@ def _setup(
     mode: str, records_dir: str | Path, cfg: TrainConfig, table: EmbeddingTable | None, num_nodes: int | None
 ) -> tuple[EmbeddingTable, tuple[np.ndarray, np.ndarray, np.ndarray], list[dict]]:
     """Set-up shared by both modes: the table (seeded float32 init of
-    num_nodes rows when none is given), the filtered positives (read one
+    num_nodes rows when none is given), the filtered positives (mapped one
     shard at a time; every record id checked against the table's rows), and
     a log opened by the config event."""
     if cfg.mode != mode:

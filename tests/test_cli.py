@@ -133,6 +133,26 @@ class TestPruneSampleTrainEval:
         ]
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("files", [
+        [0, 1], "ab", ["../rec/records-00000-of-00002.bin", "records-00001-of-00002.bin"],
+        ["", "."], ["records-00000-of-00002.bin", ".."],
+    ])
+    def test_train_shard_files_not_plain_names_exit_1(self, tmp_path, small_graph_file, capsys, files):
+        # "../rec/..." names a shard of another records directory that exists
+        for out in ("records", "rec"):
+            assert run("sample", "--graph", small_graph_file, "--out", tmp_path / out,
+                       "--walks-per-node", 4, "--num-shards", 2, "--seed", 3) == 0
+        manifest = tmp_path / "records" / "manifest.json"
+        manifest.write_text(json.dumps(dict(json.loads(manifest.read_text()), shard_files=files)))
+        ckpt = tmp_path / "emb.bin"
+        capsys.readouterr()
+        assert run("train", "--records", tmp_path / "records", "--graph", small_graph_file, "--dim", 8,
+                   "--steps", 2, "--out", ckpt) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {manifest}: shard_files must be a list of plain file names, got {files!r}"
+        ]
+        assert not ckpt.exists()
+
     def test_train_records_from_another_graph_exit_1(self, tmp_path, small_graph_file, capsys):
         records = tmp_path / "records"
         assert run("sample", "--graph", small_graph_file, "--out", records,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from walkembed import cores, pipeline
+from walkembed.cli import main
 from walkembed.errors import StageError, ValidationError
 from walkembed.model import EmbeddingTable, FixedSgd, load_checkpoint
 from walkembed.pipeline import (
@@ -403,6 +404,19 @@ class TestCompareRuns:
         (tmp_path / "b").mkdir()
         with pytest.raises(ValidationError, match="missing eval report"):
             compare_runs([tmp_path / "a", tmp_path / "b"])
+
+    def test_report_edited_after_the_run_rejected(self, tmp_path, capsys):
+        dirs = self.make_runs(tmp_path)
+        report = dirs[1] / "eval" / "report.json"
+        report.write_text(json.dumps(dict(json.loads(report.read_text()), edge_snr=99.0)))
+        with pytest.raises(ValidationError) as exc:
+            compare_runs(dirs)
+        assert str(exc.value) == f"{dirs[1]}: {report} is not the report its manifest.json records"
+        assert main(["compare", str(dirs[0]), str(dirs[1])]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {exc.value}"]
+        (dirs[0] / "manifest.json").unlink()  # a report with no recorded hash
+        with pytest.raises(ValidationError, match=f"{dirs[0]}: .* is not the report its manifest.json records"):
+            compare_runs(dirs)
 
 
 def test_eval_params_validation():
