@@ -2,12 +2,13 @@
 
 Each stage that splits its work (the record load, the table init, a sync
 training step, the sampler's shards, a pipeline stage's output hashes, the
-eval's row normalization and pair distances, block by block) opens
-`helper_pool()`, which holds one worker thread when the process may use
-more than one CPU and none otherwise, and hands its work to `halves` (two index ranges) or `share`
-(items taken in turn). Both return only after both threads have finished,
-also when one of them raised, so nothing still runs or writes after a
-failure and the helper is joined when the pool's `with` block ends.
+eval's row normalization and pair distances) opens `helper_pool()`, which
+holds one worker thread when the process may use more than one CPU and none
+otherwise, and hands its items (blocks, shards, files, or a step's two
+halves) to `share`, where the calling thread and the helper each take the
+next item nobody has taken. It returns only after both threads have
+finished, also when one of them raised, so nothing still runs or writes
+after a failure and the helper is joined when the pool's `with` block ends.
 """
 
 from __future__ import annotations
@@ -36,23 +37,6 @@ def helper_pool() -> Iterator[futures.ThreadPoolExecutor | None]:
         return
     with futures.ThreadPoolExecutor(max_workers=1) as pool:
         yield pool
-
-
-def halves(pool: futures.Executor | None, work: Callable[[int, int], object], n: int) -> list:
-    """work(lo, hi) over [0, n): on this thread alone without a pool; with
-    one, [0, n // 2) here while the pool's thread runs [n // 2, n). Returns
-    the results in range order. Both halves have finished when this returns
-    or raises, so nothing still writes after a failure."""
-    if pool is None:
-        return [work(0, n)]
-    mid = n // 2
-    helper = pool.submit(work, mid, n)
-    try:
-        first = work(0, mid)
-    except BaseException:
-        futures.wait([helper])
-        raise
-    return [first, helper.result()]
 
 
 def share(pool: futures.Executor | None, fn: Callable, items: Iterable) -> list:

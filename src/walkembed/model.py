@@ -15,12 +15,13 @@ np.add.at into zeros would, but without it: one sort of (id, position) keys
 groups the rows, and the sums are taken rank by rank with plain fancy-index
 adds, which release the GIL so concurrent async workers overlap.
 
-Given a thread pool, a step runs on two threads: the caller takes the first
-half and the pool's thread the second, first of the batch's rows (gathers,
-scores, loss terms, contributions), then of the unique ids (the sums, then
-the update). Each value is computed by the same operations on either
-thread, and only the loss is summed over the whole batch, after both halves,
-so the loss, gradient and table are bitwise the same as on one thread.
+Given a thread pool, a step hands work to the pool's thread three times:
+the two threads share the two halves of the batch's rows (gathers, scores,
+loss terms, contributions), then of the unique ids (the sums, each half
+checking its sums are finite), then of the update. Each value is computed
+by the same operations on either thread, and only the loss is summed over
+the whole batch, after both halves, so the loss, gradient and table are
+bitwise the same as on one thread, where each phase runs whole.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cores import halves, helper_pool, share
+from .cores import helper_pool, share
 from .errors import NumericError, ValidationError, check_file_size, check_ids
 
 CKPT_MAGIC = b"WEEMB01\n"
@@ -115,32 +116,28 @@ def lr_at(schedule: WarmupDecaySchedule, step: int) -> float:
     return schedule.final_lr
 
 
+def _halves(pool: futures.Executor | None, n: int) -> list[slice]:
+    """[0, n) as two halves to share with a pool's thread, or whole without one."""
+    return [slice(0, n)] if pool is None else [slice(0, n // 2), slice(n // 2, n)]
+
+
 @dataclass
 class SparseGrad:
-    """Gradient restricted to the rows touched by a batch."""
+    """Gradient restricted to the rows touched by a batch; loss_and_grad,
+    which makes it, returns only finite values."""
 
     ids: np.ndarray  # unique node ids, ascending
     values: np.ndarray  # (len(ids), dim)
 
     def apply(self, table: EmbeddingTable, lr: float, pool: futures.Executor | None = None) -> None:
-        """table.values[ids] -= lr * values; given a pool, its thread takes the
-        second half of the ids. Both halves check their rows before either
-        writes, so a non-finite row (the smallest such id is named) leaves the
-        table as it was."""
+        """table.values[ids] -= lr * values, in one pass; given a pool, the
+        two threads share the two halves of the ids."""
         ids, values = self.ids, self.values
 
-        def first_bad(lo, hi):
-            part = values[lo:hi]
-            return None if np.isfinite(part).all() else ids[lo:hi][~np.isfinite(part).all(axis=1)][0]
+        def write(s):
+            table.values[ids[s]] -= lr * values[s]
 
-        bad = [b for b in halves(pool, first_bad, len(ids)) if b is not None]
-        if bad:
-            raise NumericError(f"non-finite gradient for row {bad[0]}")
-
-        def write(lo, hi):
-            table.values[ids[lo:hi]] -= lr * values[lo:hi]
-
-        halves(pool, write, len(ids))
+        share(pool, write, _halves(pool, len(ids)))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -152,9 +149,11 @@ def loss_and_grad(table: EmbeddingTable, batch, pool: futures.Executor | None = 
 
     batch provides src (P,), dst (P, 1+k) and weight (P,) as laid out by
     trainer.ExampleBatch. The returned gradient touches only the batch's
-    unique ids. Loss is the mean over all P * (1+k) examples, accumulated in
-    float64. Given a pool, its thread computes half of the rows and half of
-    the sums; the result is bitwise the same.
+    unique ids and is finite: a non-finite loss or summed row raises
+    NumericError before anything is written. Loss is the mean over all
+    P * (1+k) examples, accumulated in float64. Given a pool, the two
+    threads share the two halves of the rows and of the sums; the result is
+    bitwise the same.
     """
     src, dst = batch.src, batch.dst
     check_ids(src, table.num_nodes)
@@ -170,21 +169,21 @@ def loss_and_grad(table: EmbeddingTable, batch, pool: futures.Executor | None = 
     contrib = np.empty((p + n, table.dim), dtype=dtype)
     dst_contrib = contrib[p:].reshape(p, width, -1)
 
-    def forward(lo, hi):
-        # every value of rows [lo, hi) depends on those rows alone
-        w = np.ones((hi - lo, width), dtype=dtype)
-        w[:, 0] = batch.weight[lo:hi]
-        e_src, e_dst = values[src[lo:hi]], values[dst[lo:hi]]
+    def forward(s):
+        # every value of rows s depends on those rows alone
+        w = np.ones((len(src[s]), width), dtype=dtype)
+        w[:, 0] = batch.weight[s]
+        e_src, e_dst = values[src[s]], values[dst[s]]
         signed = sign * np.einsum("pd,pwd->pw", e_src, e_dst)
-        np.multiply(w, np.logaddexp(0.0, -signed), out=per_example[lo:hi])
-        if not np.isfinite(per_example[lo:hi]).all():
+        np.multiply(w, np.logaddexp(0.0, -signed), out=per_example[s])
+        if not np.isfinite(per_example[s]).all():
             return  # the loss is not finite either, and the step raises below
         # d(loss)/d(score): positives w*(sigma-1)/n, negatives sigma/n
         coef = (w * sign * (_sigmoid(signed) - 1.0) / n).astype(dtype)
-        np.einsum("pw,pwd->pd", coef, e_dst, out=contrib[lo:hi])
-        np.multiply(coef[:, :, None], e_src[:, None, :], out=dst_contrib[lo:hi])
+        np.einsum("pw,pwd->pd", coef, e_dst, out=contrib[s])
+        np.multiply(coef[:, :, None], e_src[:, None, :], out=dst_contrib[s])
 
-    halves(pool, forward, p)
+    share(pool, forward, _halves(pool, p))
     loss = float(np.sum(per_example, dtype=np.float64) / n)
     if not np.isfinite(loss):
         bad = src[~np.all(np.isfinite(per_example), axis=1)]
@@ -196,15 +195,17 @@ def loss_and_grad(table: EmbeddingTable, batch, pool: futures.Executor | None = 
 def _sum_rows_by_id(
     ids: np.ndarray, contrib: np.ndarray, num_nodes: int, pool: futures.Executor | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The ascending unique ids and, for each, the sum of its contrib rows.
+    """The ascending unique ids and, for each, the sum of its contrib rows;
+    a sum that is not finite raises NumericError naming the smallest such id.
 
     Bitwise equal to np.add.at(zeros, inverse, contrib), which adds each id's
     rows in position order. One sort of the unique keys (id << shift) |
     position groups the rows by id in position order. The first row of each
     id starts its sum; the r-th rows of all ids with more than r are then
     added in one pass per rank r, whose indices are unique, so each pass is
-    a plain fancy-index add. Given a pool, the two halves of the unique ids
-    are summed on two threads."""
+    a plain fancy-index add. Each half of the unique ids (shared by two
+    threads, given a pool) then checks its sums and returns its first
+    non-finite id."""
     m = len(ids)
     shift = (m - 1).bit_length()
     if (num_nodes - 1).bit_length() + shift > 63:
@@ -214,10 +215,11 @@ def _sum_rows_by_id(
     keys >>= shift
     starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
     sizes = np.diff(starts, append=m)
+    uids = keys[starts]
     acc = np.empty((len(starts), contrib.shape[1]), dtype=contrib.dtype)
 
-    def add_rows(lo, hi):
-        part, first, size = acc[lo:hi], starts[lo:hi], sizes[lo:hi]
+    def add_rows(s):
+        part, first, size = acc[s], starts[s], sizes[s]
         np.take(contrib, order[first], axis=0, out=part, mode="clip")  # in range; "clip" skips a buffer
         part += 0  # 0 + x, as the sum into zeros starts: -0.0 becomes +0.0
         by_size = np.argsort(-size)  # the ids with more than r rows lead, for every r
@@ -225,9 +227,13 @@ def _sum_rows_by_id(
         for r, count in enumerate(more_than, start=1):
             g = by_size[:count]
             part[g] += contrib[order[first[g] + r]]
+        if not np.isfinite(part).all():
+            return uids[s][~np.isfinite(part).all(axis=1)][0]
 
-    halves(pool, add_rows, len(starts))
-    return keys[starts], acc
+    bad = [b for b in share(pool, add_rows, _halves(pool, len(starts))) if b is not None]
+    if bad:  # the halves are in id order
+        raise NumericError(f"non-finite gradient for row {bad[0]}")
+    return uids, acc
 
 
 def save_checkpoint(path: str | Path, table: EmbeddingTable, step: int, config_hash: bytes = b"") -> None:

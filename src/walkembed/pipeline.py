@@ -24,7 +24,7 @@ from .graph import Graph, load_csr, load_edge_list, prune_low_degree, save_csr
 from .model import load_checkpoint, save_checkpoint
 from .rng import derive_seed
 from .sampler import SamplerConfig, run_sampling
-from .shards import shard_path
+from .shards import read_manifest, shard_path
 from .sbm import SbmConfig, generate_sbm, preset_config
 from .trainer import TrainConfig, TrainResult, train_async, train_sync
 
@@ -334,7 +334,7 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False) -> PipelineResult:
     trainer_params = cfg_dict["trainer"]
 
     def do_train():
-        num_nodes = load_csr(pruned_file).num_nodes
+        num_nodes = read_manifest(records_dir)["num_nodes"]
         result = train_checkpoint(records_dir, cfg.trainer, num_nodes, ckpt_file, progress_file)
         return {"examples_processed": result.examples_processed, "worker_failures": result.worker_failures}
 

@@ -19,7 +19,7 @@ partitioning and either thread count.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -51,12 +51,7 @@ class SamplerConfig:
             raise ValidationError("num_shards must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "walks_per_node": self.walks_per_node,
-            "walk_length": self.walk_length,
-            "seed": self.seed,
-            "num_shards": self.num_shards,
-        }
+        return asdict(self)
 
 
 @dataclass

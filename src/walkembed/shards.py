@@ -102,9 +102,11 @@ def read_manifest(records_dir: str | Path) -> dict:
     if not p.exists():
         raise ValidationError(f"no manifest.json in {records_dir}")
     manifest = json.loads(p.read_text(encoding="utf-8"))
-    missing = [k for k in ("config", "graph_hash", "shard_files", "record_counts") if k not in manifest]
+    missing = [k for k in ("config", "graph_hash", "num_nodes", "shard_files", "record_counts") if k not in manifest]
     if missing:
         raise ValidationError(f"{p}: no {', '.join(missing)}")
+    if type(manifest["num_nodes"]) is not int or manifest["num_nodes"] < 1:
+        raise ValidationError(f"{p}: num_nodes must be an integer >= 1, got {manifest['num_nodes']!r}")
     config = manifest["config"]
     if not isinstance(config, dict) or type(config.get("walk_length")) is not int or config["walk_length"] < 1:
         raise ValidationError(f"{p}: config must be an object with an integer walk_length >= 1, got {config!r}")

@@ -11,8 +11,9 @@ its float32 weight, not 20); each batch widens its ids to int64.
 
 Sync mode mirrors replicated data-parallel training: one lane with R =
 num_replicas, bitwise deterministic for a fixed seed. Where the process may
-use more than one CPU, the calling thread and one helper thread each compute
-half of every step (see model.loss_and_grad); the output is bitwise the same.
+use more than one CPU, the calling thread and one helper thread share the
+halves of every step, in three hand-offs (see model); the output is bitwise
+the same.
 
 Async mode mirrors a parameter-server deployment: num_workers threads each
 run a lane with R = 1 over a disjoint record stripe and update the shared
@@ -157,6 +158,9 @@ def _load_positives(
     columns from its own first record on; they then move down to the kept count.
     A fault is raised after both are done, as one thread reading in order finds it."""
     manifest = read_manifest(records_dir)
+    if manifest["num_nodes"] != num_nodes:  # raised before any shard is mapped
+        n = manifest["num_nodes"]
+        raise ValidationError(f"{records_dir}: records of a graph of {n} nodes, but the table has {num_nodes} rows")
     walk_length = manifest["config"]["walk_length"]
     weighting = np.asarray(np.ones(walk_length) if cfg.distance_weighting is None else cfg.distance_weighting, float)
     if len(weighting) != walk_length:  # raised before any shard is read
@@ -338,7 +342,8 @@ def _lane(
     """Apply `steps` steps of one batch each; returns (steps applied, failures).
 
     Each step takes one mean-reduced gradient over its batch; given a pool,
-    its thread computes and applies half of each step. A failed step is
+    its thread shares the halves of each step. A non-finite loss or gradient
+    raises in loss_and_grad, before the table is written. A failed step is
     dropped and the lane goes on from the stream's next records; once more
     than `max_failures` steps failed, the lane sets `stop`, which ends the
     other lanes early, and raises the failure.
@@ -392,8 +397,8 @@ def train_sync(
     micro-batches in replica order, and takes one mean-reduced gradient over
     it, which equals the mean of the R per-replica gradients. The calling
     thread runs the lane; when the process may use more than one CPU, one
-    helper thread computes and applies half of each step, bitwise the same
-    as one thread. Any failure is raised at once, after the helper has
+    helper thread shares the halves of each step, bitwise the same as one
+    thread. Any failure is raised at once, after the helper has
     finished its half.
     """
     table, (src, dst, w), log = _setup("sync", records_dir, cfg, table, num_nodes)
@@ -423,6 +428,8 @@ def train_async(
     """
     table, (src, dst, w), log = _setup("async", records_dir, cfg, table, num_nodes)
     workers = cfg.num_workers
+    if len(src) < workers:  # a worker would stream an empty stripe
+        raise ValidationError(f"train_async has {len(src)} positives for {workers} workers")
     # stripe records across workers; each worker shuffles its own stripe
     streams = [
         RecordStream(src[wk::workers], dst[wk::workers], w[wk::workers], derive_seed(cfg.seed, f"stream-{wk}"))

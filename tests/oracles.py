@@ -338,15 +338,18 @@ def class_of(cfg, i: int) -> int:
     return i * cfg.k // cfg.n
 
 
-def write_records_dir(out_dir, *shards: RecordBatch) -> Path:
+def write_records_dir(out_dir, *shards: RecordBatch, num_nodes: int | None = None) -> Path:
     """A records directory of one shard per RecordBatch given, with the
-    manifest keys that training reads."""
+    manifest keys that training reads. num_nodes, the size of the graph the
+    records came from, is by default one more than the largest id."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = [shard_path(out_dir, i, len(shards)) for i in range(len(shards))]
     for path, records in zip(paths, shards):
         write_shard(path, records)
-    manifest = {"config": {"walk_length": shards[0].walk_length}, "graph_hash": "",
+    if num_nodes is None:
+        num_nodes = 1 + max(int(max(r.source.max(initial=0), r.dest.max(initial=0))) for r in shards)
+    manifest = {"config": {"walk_length": shards[0].walk_length}, "graph_hash": "", "num_nodes": num_nodes,
                 "shard_files": [p.name for p in paths], "record_counts": [len(r) for r in shards]}
     write_manifest(out_dir, manifest)
     return out_dir

@@ -133,6 +133,30 @@ class TestPruneSampleTrainEval:
         ]
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("num_nodes, message", [
+        (None, "{manifest}: no num_nodes"),
+        (0, "{manifest}: num_nodes must be an integer >= 1, got 0"),
+        ("150", "{manifest}: num_nodes must be an integer >= 1, got '150'"),
+        (True, "{manifest}: num_nodes must be an integer >= 1, got True"),
+        (150.0, "{manifest}: num_nodes must be an integer >= 1, got 150.0"),
+        (151, "{records}: records of a graph of 151 nodes, but the table has 150 rows"),
+    ], ids=["missing", "zero", "string", "bool", "float", "another-size"])
+    def test_train_manifest_num_nodes_checked_exit_1(self, tmp_path, small_graph_file, capsys, num_nodes, message):
+        records = tmp_path / "records"
+        assert run("sample", "--graph", small_graph_file, "--out", records,
+                   "--walks-per-node", 4, "--seed", 3) == 0
+        manifest = records / "manifest.json"
+        fields = dict(json.loads(manifest.read_text()), num_nodes=num_nodes)
+        if num_nodes is None:
+            del fields["num_nodes"]
+        manifest.write_text(json.dumps(fields))
+        ckpt = tmp_path / "emb.bin"
+        capsys.readouterr()
+        assert run("train", "--records", records, "--graph", small_graph_file, "--dim", 8,
+                   "--steps", 2, "--out", ckpt) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: " + message.format(manifest=manifest, records=records)]
+        assert not ckpt.exists()
+
     @pytest.mark.parametrize("files", [
         [0, 1], "ab", ["../rec/records-00000-of-00002.bin", "records-00001-of-00002.bin"],
         ["", "."], ["records-00000-of-00002.bin", ".."],

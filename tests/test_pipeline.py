@@ -235,6 +235,19 @@ class TestRunPipeline:
         result = run_pipeline(config_from_dict(d))
         assert result.skipped == ["prune", "sample"]
 
+    def test_train_stage_sized_by_its_records_manifest(self, tmp_path, monkeypatch):
+        # the train stage's one declared input is the records manifest
+        d = tiny_config_dict(tmp_path / "run")
+        run_pipeline(config_from_dict(d))
+        d["trainer"]["steps"] = 50
+        loaded, sizes = [], []
+        real_load, real_train = pipeline.load_csr, pipeline.train_checkpoint
+        monkeypatch.setattr(pipeline, "load_csr", lambda path: loaded.append(path.name) or real_load(path))
+        monkeypatch.setattr(pipeline, "train_checkpoint", lambda *a: sizes.append(a[2]) or real_train(*a))
+        assert run_pipeline(config_from_dict(d)).skipped == ["prune", "sample"]
+        assert loaded == ["pruned.csr"]  # the eval stage's
+        assert sizes == [json.loads((tmp_path / "run" / "records" / "manifest.json").read_text())["num_nodes"]]
+
     def test_each_artifact_hashed_once_per_run(self, tmp_path, monkeypatch):
         import walkembed.pipeline as pipeline_mod
 

@@ -1,9 +1,10 @@
+import contextlib
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
-import time
 import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -61,7 +62,15 @@ def make_stream(records, cfg, seed=0):
 
 
 def load_positives(out_dir, records, cfg, num_nodes=10):
-    return trainer._load_positives(oracles.write_records_dir(out_dir, records), cfg, num_nodes)
+    return trainer._load_positives(oracles.write_records_dir(out_dir, records, num_nodes=num_nodes), cfg, num_nodes)
+
+
+def set_num_nodes(records_dir, num_nodes):
+    """The records directory, its manifest now naming a graph of num_nodes
+    nodes, so that its shards load into a table of that many rows."""
+    manifest = Path(records_dir) / "manifest.json"
+    manifest.write_text(json.dumps(dict(json.loads(manifest.read_text()), num_nodes=num_nodes)))
+    return records_dir
 
 
 class TestSchedule:
@@ -335,13 +344,6 @@ class TestLossAndGrad:
         with pytest.raises(NumericError, match="source row 1"):
             loss_and_grad(table, batch_of([2, 1], [[2, 2], [1, 1]], [1.0, 1.0]))
 
-    def test_non_finite_gradient_blocked_at_apply(self):
-        table = zero_table(3, 4)
-        _, grad = loss_and_grad(table, batch_of([0], [1], [1.0]))
-        grad.values[0, 0] = np.nan
-        with pytest.raises(NumericError, match="row 0"):
-            grad.apply(table, 0.1)
-
 
 def add_at_reference(ids, contrib):
     """The ascending unique ids and their rows summed by the 2-D np.add.at into zeros."""
@@ -386,13 +388,27 @@ class TestSumRowsById:
         assert not np.signbit(acc).any()
 
     def test_nan_and_inf_rows(self, dtype):
-        rng = np.random.default_rng(4)
-        contrib = rng.normal(size=(9, 3)).astype(dtype)
-        contrib[2] = np.nan
-        contrib[4] = np.inf
-        contrib[7, 0] = -np.inf  # inf + -inf in row 1's sum
-        with np.errstate(invalid="ignore"):
-            self.check([0, 1, 0, 2, 1, 2, 0, 1, 3], contrib, 4)
+        # ids 0 and 1 are the first half of the unique ids, 2 and 3 the second
+        ids = np.array([0, 1, 0, 2, 1, 2, 0, 1, 3])
+        finite = np.random.default_rng(4).normal(size=(9, 3)).astype(dtype)
+        big = np.finfo(dtype).max
+        cases = [
+            ({2: np.nan}, 0),  # first half only
+            ({8: np.nan}, 3),  # second half only
+            ({3: np.inf}, 2),
+            ({4: np.inf, 7: -np.inf}, 1),  # inf + -inf in id 1's sum
+            ({1: big, 4: big}, 1),  # finite rows whose sum overflows
+            ({8: -np.inf, 5: np.nan, 2: np.inf}, 0),  # both halves: the smallest id is named
+        ]
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            for bad, named in cases:
+                contrib = finite.copy()
+                for row, x in bad.items():
+                    contrib[row, 1] = x
+                for two_halves in (None, pool):
+                    with np.errstate(invalid="ignore", over="ignore"):
+                        with pytest.raises(NumericError, match=f"non-finite gradient for row {named}$"):
+                            model._sum_rows_by_id(ids, contrib, 4, two_halves)
 
     def test_keys_near_two_to_the_62(self, dtype):
         big = 2**62
@@ -411,7 +427,7 @@ def training_records(out_dir, n=30, seed=0):
     rng = np.random.default_rng(seed)
     pairs = [(i, (i + 1) % n, [int(rng.integers(1, 5)), 1, 0]) for i in range(n)]
     pairs += [(i, (i + 2) % n, [0, 1, 1]) for i in range(n)]
-    return oracles.write_records_dir(out_dir, make_records(pairs))
+    return oracles.write_records_dir(out_dir, make_records(pairs), num_nodes=n)
 
 
 @pytest.fixture
@@ -553,7 +569,7 @@ class TestTrainSync:
 
     def test_untouched_rows_bitwise_stable(self, tmp_path):
         # no negatives, records confined to ids {0, 1}
-        records = oracles.write_records_dir(tmp_path, make_records([(0, 1, [2, 0, 0])]))
+        records = oracles.write_records_dir(tmp_path, make_records([(0, 1, [2, 0, 0])]), num_nodes=10)
         cfg = self.cfg(per_replica_batch_size=4, negatives_per_positive=0, steps=3)
         table = init_table(10, cfg.dim, 5, np.float32)
         before = table.values.copy()
@@ -624,42 +640,40 @@ class TestTwoHalfStep:
         two.apply(b, 0.7, pool)
         assert a.values.tobytes() == b.values.tobytes()
 
-    def test_non_finite_row_in_either_half_leaves_the_table(self, pool):
-        rng = np.random.default_rng(3)
-        table = EmbeddingTable(rng.normal(size=(20, 4)))
-        before = table.values.copy()
-        grad = model.SparseGrad(np.arange(0, 20, 2), rng.normal(size=(10, 4)))
-        grad.values[7, 1] = np.nan  # the pool thread's half holds rows [5, 10)
-        with pytest.raises(NumericError, match="row 14"):
-            grad.apply(table, 0.1, pool)
-        assert table.values.tobytes() == before.tobytes()
-        grad.values[2, 0] = np.inf  # both halves: the smallest id is named
-        with pytest.raises(NumericError, match="row 4"):
-            grad.apply(table, 0.1, pool)
-        assert table.values.tobytes() == before.tobytes()
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("bad, named", [([2], 2), ([7], 7), ([7, 2], 2)])
+    def test_non_finite_sum_in_either_half_leaves_the_table(self, monkeypatch, records, dtype, cpus, bad, named):
+        # the step's unique ids are the sources 0-9 and the destination 29:
+        # the halves are 0-4 and 5-9 with 29
+        values = np.zeros((30, 4), dtype=dtype)
+        values[29, 3] = np.finfo(dtype).max / 2  # every score stays 0
+        weight = np.ones(10)
+        weight[bad] = 1e4  # a source's gradient is -weight / 20 times row 29: these overflow, their losses do not
+        monkeypatch.setattr(trainer, "build_batch", lambda *args: batch_of(np.arange(10), np.full(10, 29), weight))
+        monkeypatch.setattr(cores, "usable_cpus", lambda: cpus)
+        table = EmbeddingTable(values.copy())
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match=f"non-finite gradient for row {named}$"):
+            train_sync(records, TestTrainSync().cfg(steps=1), table)
+        assert table.values.tobytes() == values.tobytes()
 
-    def test_caller_failure_raises_after_the_helper_finishes(self, pool):
-        finished = threading.Event()
+    def test_step_hands_off_three_times(self, monkeypatch, records):
+        submitted = []
+        real_pool = cores.helper_pool
 
-        def work(lo, hi):
-            if lo == 0:
-                raise RuntimeError("caller's half")
-            time.sleep(0.2)
-            finished.set()
+        @contextlib.contextmanager
+        def spied_pool():
+            with real_pool() as pool:
+                real_submit = pool.submit
+                monkeypatch.setattr(pool, "submit", lambda fn, *a: submitted.append(fn) or real_submit(fn, *a))
+                yield pool
 
-        with pytest.raises(RuntimeError, match="caller's half"):
-            cores.halves(pool, work, 10)
-        assert finished.is_set()
-
-    def test_helper_failure_raises(self, pool):
-        def work(lo, hi):
-            if lo:
-                raise RuntimeError("helper's half")
-            return hi
-
-        with pytest.raises(RuntimeError, match="helper's half"):
-            cores.halves(pool, work, 10)
-        assert cores.halves(None, work, 10) == [10]
+        monkeypatch.setattr(cores, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(cores, "helper_pool", spied_pool)
+        # the records load one block and the table is given: only the steps hand off
+        table = init_table(30, 8, seed=1)
+        train_sync(records, TestTrainSync().cfg(steps=5), table)
+        assert len(submitted) == 3 * 5
 
     def test_train_sync_bitwise_equal_on_one_cpu(self, monkeypatch, records):
         cfg = TestTrainSync().cfg(steps=20)
@@ -720,7 +734,7 @@ def spy(table, batch, *args):
 trainer.loss_and_grad = spy
 records = RecordBatch(np.arange(20), (np.arange(20) + 1) % 20, np.ones((20, 2), dtype=np.int64))
 cfg = trainer.TrainConfig(dim=4, per_replica_batch_size=4, num_replicas=2, steps=3, optimizer=FixedSgd(0.1))
-trainer.train_sync(oracles.write_records_dir(sys.argv[1] + "/cycle", records), cfg, num_nodes=20)
+trainer.train_sync(oracles.write_records_dir(sys.argv[1] + "/cycle", records, num_nodes=20), cfg, num_nodes=20)
 print(seen)
 threads = set()
 for module, name in ((sampler, "_sample_partition"), (pipeline, "_hash_file")):
@@ -795,6 +809,16 @@ class TestTrainAsync:
     def test_requires_fixed_lr(self):
         with pytest.raises(ValidationError):
             self.cfg(optimizer=WarmupDecaySchedule(1, 0.1, 10, 0.01))
+
+    def test_more_workers_than_positives_rejected_before_any_worker_starts(self, tmp_path, monkeypatch):
+        pairs = [(0, 1, [1, 0, 0]), (1, 2, [1, 0, 0]), (2, 0, [0, 1, 0]), (1, 1, [1, 0, 0])]  # the self-pair is dropped
+        records = oracles.write_records_dir(tmp_path, make_records(pairs), num_nodes=3)
+        pools, real = [], trainer.ThreadPoolExecutor
+        monkeypatch.setattr(trainer, "ThreadPoolExecutor", lambda **kw: pools.append(kw) or real(**kw))
+        with pytest.raises(ValidationError, match="^train_async has 3 positives for 4 workers$"):
+            train_async(records, self.cfg(num_workers=4), num_nodes=3)
+        assert pools == []
+        assert train_async(records, self.cfg(num_workers=3), num_nodes=3).examples_processed == 24 * 8 * 3
 
     def test_loss_trends_down(self, records, monkeypatch):
         monkeypatch.setattr(trainer, "LOG_EVERY", 20)
@@ -1033,6 +1057,25 @@ def test_num_nodes_must_match_the_table(mode, records):
     assert train(records, cfg, table=table, num_nodes=30).table is table
 
 
+@pytest.mark.parametrize("mode", ["sync", "async"])
+@pytest.mark.parametrize("rows", [29, 31, 1000])
+def test_records_of_another_graph_size_rejected_before_any_shard_is_mapped(mode, rows, records, monkeypatch):
+    # the records hold ids 0-29 of a 30-node graph: 31 and 1000 rows trained silently
+    maps, real = [], np.memmap
+    monkeypatch.setattr(np, "memmap", lambda *a, **kw: maps.append(a) or real(*a, **kw))
+    cfg = TrainConfig(dim=4, mode=mode, steps=1, optimizer=FixedSgd(0.1))
+    train = train_sync if mode == "sync" else train_async
+    table = init_table(rows, 4, seed=0)
+    before = table.values.copy()
+    message = f"^{re.escape(str(records))}: records of a graph of 30 nodes, but the table has {rows} rows$"
+    with pytest.raises(ValidationError, match=message):
+        train(records, cfg, table=table)
+    with pytest.raises(ValidationError, match=message):
+        train(records, cfg, num_nodes=rows)
+    assert maps == []
+    assert table.values.tobytes() == before.tobytes()
+
+
 @pytest.mark.parametrize(
     "weighting", [[1, "a", 2], 5, [True, 1, 1], [float("nan"), 1, 1], [1, float("inf"), 1], [1, -1, 0], [0, 0, 0], []]
 )
@@ -1075,7 +1118,7 @@ class TestPositivesFromShards:
         cfg = TrainConfig(dim=4, steps=1)
         src, dst, w = trainer._load_positives(tmp_path, cfg, 12)
         assert (src.dtype, dst.dtype, w.dtype) == (np.int32, np.int32, np.float32)
-        wide = trainer._load_positives(tmp_path, cfg, 2**31 + 1)
+        wide = trainer._load_positives(set_num_nodes(tmp_path, 2**31 + 1), cfg, 2**31 + 1)
         assert (wide[0].dtype, wide[1].dtype) == (np.int64, np.int64)
         assert all(a.tolist() == b.tolist() for a, b in zip((src, dst), wide))
         huge = make_records([(2**31, 1, [1, 0, 0]), (0, 1, [1, 0, 0])])
@@ -1104,7 +1147,7 @@ class TestPositivesFromShards:
         cfg = TrainConfig(dim=4, per_replica_batch_size=16, negatives_per_positive=2, num_replicas=2, steps=12,
                           optimizer=FixedSgd(0.5), seed=4)
         got = train_sync(tmp_path, cfg, num_nodes=12)
-        whole = oracles.write_records_dir(tmp_path / "whole", load_all_records(tmp_path)[0])
+        whole = oracles.write_records_dir(tmp_path / "whole", load_all_records(tmp_path)[0], num_nodes=12)
         want = train_sync(whole, cfg, num_nodes=12)
         assert got.table.values.tobytes() == want.table.values.tobytes()
 
@@ -1178,7 +1221,7 @@ class TestPositivesFromShards:
         keep_all.dest[:] = (keep_all.source + 1) % 40
         keep_all.co_counts[:, 0] = 1
         shards.append(keep_all)
-        records = oracles.write_records_dir(tmp_path, *shards)
+        records = oracles.write_records_dir(tmp_path, *shards, num_nodes=40)
         monkeypatch.setattr(trainer, "LOAD_BLOCK", block)
         monkeypatch.setattr(cores, "usable_cpus", lambda: cpus)
         cfg = TrainConfig(dim=4, steps=1, distance_weighting=weighting)
@@ -1187,7 +1230,7 @@ class TestPositivesFromShards:
         sys.setswitchinterval(1e-6)  # the two threads switch as often as they can
         try:
             narrow = trainer._load_positives(records, cfg, 40)
-            wide = trainer._load_positives(records, cfg, 2**31 + 1)
+            wide = trainer._load_positives(set_num_nodes(records, 2**31 + 1), cfg, 2**31 + 1)
         finally:
             sys.setswitchinterval(interval)
         assert [c.dtype for c in narrow + wide] == [np.int32, np.int32, np.float32, np.int64, np.int64, np.float32]
@@ -1203,13 +1246,13 @@ class TestPositivesFromShards:
         shard = random_records(rng, 30, 40)
         shard.source[[3, 20]] = 2**31
         shard.dest[11] = 2**32 + 5
-        records = oracles.write_records_dir(tmp_path, shard)
+        records = oracles.write_records_dir(tmp_path, shard, num_nodes=2**33)
         cfg = TrainConfig(dim=4, steps=1)
         got = trainer._load_positives(records, cfg, 2**33)
         for g, w in zip(got, oracles.prepare_positives(shard, cfg)):
             assert g.tobytes() == w.tobytes()
         with pytest.raises(ValidationError, match=r"node id 2147483648 out of range \[0, 2147483648\)"):
-            trainer._load_positives(records, cfg, 2**31)
+            trainer._load_positives(set_num_nodes(records, 2**31), cfg, 2**31)
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_errors_as_one_thread_finds_them(self, tmp_path, monkeypatch, cpus):
@@ -1218,7 +1261,7 @@ class TestPositivesFromShards:
         monkeypatch.setattr(trainer, "LOAD_BLOCK", 7)
         monkeypatch.setattr(cores, "usable_cpus", lambda: cpus)
         shard = random_records(np.random.default_rng(8), 50, 12)
-        records = oracles.write_records_dir(tmp_path, shard)
+        records = oracles.write_records_dir(tmp_path, shard, num_nodes=12)
         path = records / json.loads((records / "manifest.json").read_text())["shard_files"][0]
         data, size = path.read_bytes(), 20 + 8 * 3
 
