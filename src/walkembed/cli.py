@@ -6,10 +6,9 @@ Exit codes: 0 success, 1 validation error, 2 runtime error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from .errors import StageError, ValidationError, WalkembedError, check_object
+from .errors import StageError, ValidationError, WalkembedError, check_object, read_json
 from .graph import load_graph, prune_low_degree, save_csr, save_edge_list
 from .pipeline import (
     EvalParams,
@@ -126,11 +125,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    raw = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        check_object("trainer", raw)  # before a flag writes into it
+    raw = read_json(args.config) if args.config else {}
+    check_object("trainer", raw)  # before a flag writes into it
     for flag, key in (
         ("mode", "mode"),
         ("dim", "dim"),

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the config, file and id checks."""
+"""Exception types shared across the package, the JSON file reader, and the config, file and id checks."""
 
+import json
 import os
 from dataclasses import MISSING, fields, is_dataclass
 
@@ -10,6 +11,17 @@ class WalkembedError(Exception):
 
 class ValidationError(WalkembedError):
     """Bad configuration or precondition violation; maps to CLI exit code 1."""
+
+
+def read_json(path):
+    """The JSON value in the UTF-8 file at path; ValidationError naming the
+    path if it does not decode or parse. A missing file raises OSError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return json.loads(data.decode("utf-8"))
+    except ValueError as e:
+        raise ValidationError(f"{path}: not JSON: {e}") from None
 
 
 def check_object(section: str, d) -> None:

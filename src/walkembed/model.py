@@ -53,15 +53,16 @@ class EmbeddingTable:
         return self.values.shape[1]
 
 
-def init_table(num_nodes: int, dim: int, seed: int, dtype=np.float32) -> EmbeddingTable:
-    """Seeded uniform init in [-1/(2*dim), +1/(2*dim)] per entry, in blocks of
-    INIT_BLOCK_ROWS rows. A double takes one 64-bit PCG64 draw, so a block's
-    generator skips the lo * dim draws of the rows before it."""
+def init_table(num_nodes: int, dim: int, seed: int) -> EmbeddingTable:
+    """Seeded float32 uniform init in [-1/(2*dim), +1/(2*dim)] per entry, in
+    blocks of INIT_BLOCK_ROWS rows. Each entry is drawn as a double, one
+    64-bit PCG64 draw, so a block's generator skips the lo * dim draws of the
+    rows before it."""
     if num_nodes < 1 or dim < 1:
         raise ValidationError("num_nodes and dim must be >= 1")
     seq = np.random.SeedSequence((int(seed), num_nodes, dim))
     half = 1.0 / (2.0 * dim)
-    values = np.empty((num_nodes, dim), dtype=dtype)
+    values = np.empty((num_nodes, dim), dtype=np.float32)
 
     def fill(lo):
         rows = values[lo : lo + INIT_BLOCK_ROWS]

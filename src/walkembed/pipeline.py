@@ -1,9 +1,11 @@
 """End-to-end runs: prepare graph, sample, train, evaluate, compare.
 
-A run directory holds every stage artifact plus a manifest recording input
-and output content hashes. Stages whose parameters, inputs, and outputs all
-hash-match a previous run are skipped, making reruns idempotent. Per-stage
-seeds are derived from the single global seed, never set directly.
+A run directory holds every stage artifact plus manifest.json, one entry per
+stage with its parameters' hash and its inputs' and outputs' SHA-256. A stage
+whose recorded parameters and inputs match and whose recorded outputs still
+hold (_outputs_hold) is skipped, making reruns idempotent; `compare_runs`
+reads a report only if it holds the same way. Per-stage seeds are derived
+from the single global seed, never set directly.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from pathlib import Path
 
 from . import cores
 from . import metrics as metrics_mod
-from .errors import StageError, ValidationError, check_keys, check_object
+from .errors import ParseError, StageError, ValidationError, check_keys, check_object, read_json
 from .graph import Graph, load_csr, load_edge_list, prune_low_degree, save_csr
 from .model import load_checkpoint, save_checkpoint
 from .rng import derive_seed
@@ -115,18 +117,13 @@ def config_from_dict(d: dict) -> PipelineConfig:
 def load_pipeline_config(path: str | Path, env: dict | None = None) -> PipelineConfig:
     """Read a JSON config; WALKEMBED_SEED / WALKEMBED_RUN_DIR override it."""
     env = os.environ if env is None else env
-    with Path(path).open("r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = read_json(path)
     check_object("pipeline", raw)  # before an override writes into it
     if ENV_SEED in env:
         raw["seed"] = int(env[ENV_SEED])
     if ENV_RUN_DIR in env:
         raw["run_dir"] = env[ENV_RUN_DIR]
     return config_from_dict(raw)
-
-
-def _hash_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
 
 
 def _hash_file(path: Path) -> str:
@@ -146,7 +143,7 @@ def _hash_files(paths: dict[str, Path]) -> dict[str, str]:
 
 
 def hash_json(obj) -> str:
-    return _hash_bytes(json.dumps(obj, sort_keys=True).encode("utf-8"))
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode("utf-8")).hexdigest()
 
 
 def train_checkpoint(
@@ -200,66 +197,51 @@ def _build_graph(cfg: PipelineConfig) -> Graph:
 
 
 def _recorded_stages(run_dir: Path) -> dict[str, dict]:
-    """The stage entries of the run's manifest, by name; none without one."""
+    """The stage entries of the run's manifest, by name; none without one.
+    A manifest that is not an object whose stages are objects with a string
+    name raises ValidationError naming it."""
     path = run_dir / "manifest.json"
-    stages = json.loads(path.read_text(encoding="utf-8")).get("stages", []) if path.exists() else []
+    if not path.exists():
+        return {}
+    manifest = read_json(path)
+    stages = manifest.get("stages") if isinstance(manifest, dict) else None
+    if not isinstance(stages, list) or not all(isinstance(s, dict) and isinstance(s.get("name"), str) for s in stages):
+        raise ValidationError(f"{path}: not a run manifest: stages must be a list of objects with a string name")
     return {s["name"]: s for s in stages}
 
 
-class _ManifestWriter:
-    def __init__(self, run_dir: Path, config_hash: str):
-        self.path = run_dir / "manifest.json"
-        self.previous = _recorded_stages(run_dir)
-        self.manifest = {"config_hash": config_hash, "stages": []}
-
-    def can_skip(
-        self, name: str, params_hash: str, input_hashes: dict, outputs: dict[str, Path]
-    ) -> dict[str, str] | None:
-        """The outputs' hashes if the previous run's record of this stage still holds."""
-        prev = self.previous.get(name)
-        if prev is None or prev["params_hash"] != params_hash or prev["input_hashes"] != input_hashes:
-            return None
-        if not all(path.exists() for path in outputs.values()):
-            return None
-        hashes = _hash_files(outputs)
-        return hashes if all(prev["output_hashes"].get(k) == h for k, h in hashes.items()) else None
-
-    def record(self, name, params_hash, input_hashes, output_hashes: dict[str, str], duration_s, skipped, figures):
-        entry = {
-            "name": name,
-            "params_hash": params_hash,
-            "input_hashes": input_hashes,
-            "output_hashes": output_hashes,
-            "duration_s": round(duration_s, 6),
-            "skipped": skipped,
-        }
-        entry.update((k, v) for k, v in figures.items() if v is not None)
-        self.manifest["stages"].append(entry)
-        with self.path.open("w", encoding="utf-8") as fh:
-            json.dump(self.manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+def _outputs_hold(entry: dict, outputs: dict[str, Path]) -> dict[str, str] | None:
+    """The outputs' hashes, by key, if each output exists and hashes to what
+    the recorded stage entry holds for it; else None."""
+    recorded = entry.get("output_hashes")
+    if not isinstance(recorded, dict) or not all(path.exists() for path in outputs.values()):
+        return None
+    hashes = _hash_files(outputs)
+    return hashes if all(recorded.get(k) == h for k, h in hashes.items()) else None
 
 
 def run_pipeline(cfg: PipelineConfig, force: bool = False) -> PipelineResult:
     """Execute prune -> sample -> train -> eval inside cfg.run_dir.
 
-    Already-satisfied stages (matching hashes) are skipped unless force.
-    Any failure raises StageError naming the stage. Each artifact is hashed
-    once per run; a stage's output hashes are the input hashes of later stages.
-    A stage's outputs are hashed on two threads where the process may use
-    two CPUs. A stage that runs first removes its outputs and the run's eval
-    report, so a failed rerun leaves neither from the previous run. A
-    stage's work counts (nodes and edges before and after the prune, the
-    sampler's walks, records and dead ends, training's examples and worker
-    failures) and the process's peak RSS at its end go into its manifest
-    entry; a skipped stage keeps the previous run's.
+    A stage is skipped where the run's manifest records the same parameters
+    and input hashes for it and its recorded outputs still hold; under force
+    no old manifest is read and every stage runs. Any failure raises
+    StageError naming the stage. Each artifact is hashed once per run, on two
+    threads where the process may use two CPUs; a stage's output hashes are
+    the input hashes of later stages. A stage that runs first removes its
+    outputs and the run's eval report, so a failed rerun leaves neither from
+    the previous run. Each stage's entry is appended to the manifest, which
+    is written after every stage. It holds the stage's work counts (nodes
+    and edges before and after the prune, the sampler's walks, records and
+    dead ends, training's examples and worker failures) and the process's
+    peak RSS at its end; a skipped stage keeps the previous run's.
     """
     run_dir = Path(cfg.run_dir)
+    previous = {} if force else _recorded_stages(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     cfg_dict = config_to_dict(cfg)
     (run_dir / "config.json").write_text(json.dumps(cfg_dict, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    writer = _ManifestWriter(run_dir, hash_json(cfg_dict))
-    skipped: list[str] = []
+    manifest = {"config_hash": hash_json(cfg_dict), "stages": []}
 
     graph_file = run_dir / "graph.csr"
     pruned_file = run_dir / "pruned.csr"
@@ -269,26 +251,28 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False) -> PipelineResult:
     eval_dir = run_dir / "eval"
 
     def stage(name, params, input_hashes, outputs, fn) -> dict[str, str]:
-        params_hash = hash_json(params)
+        entry = {"name": name, "params_hash": hash_json(params), "input_hashes": input_hashes}
+        prev = previous.get(name, {})
         t0 = time.monotonic()
-        hashes = None if force else writer.can_skip(name, params_hash, input_hashes, outputs)
+        same_inputs = all(prev.get(k) == entry[k] for k in ("params_hash", "input_hashes"))
+        hashes = _outputs_hold(prev, outputs) if same_inputs else None
         if hashes is not None:
-            skipped.append(name)
-            figures = {k: writer.previous[name].get(k) for k in ("counts", "rss_high_water_mb")}
-            writer.record(name, params_hash, input_hashes, hashes, 0.0, True, figures)
-            return hashes
-        for path in (*outputs.values(), eval_dir / "report.json"):
-            path.unlink(missing_ok=True)
-        try:
-            counts = fn()
-        except Exception as exc:
-            raise StageError(name, exc) from exc
-        duration = time.monotonic() - t0
-        hashes = _hash_files(outputs)
-        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-        writer.record(name, params_hash, input_hashes, hashes, duration, False,
-                      {"counts": counts, "rss_high_water_mb": rss})
-        return hashes
+            entry.update(output_hashes=hashes, duration_s=0.0, skipped=True)
+            figures = {k: prev.get(k) for k in ("counts", "rss_high_water_mb")}
+        else:
+            for path in (*outputs.values(), eval_dir / "report.json"):
+                path.unlink(missing_ok=True)
+            try:
+                counts = fn()
+            except Exception as exc:
+                raise StageError(name, exc) from exc
+            entry.update(duration_s=round(time.monotonic() - t0, 6), skipped=False, output_hashes=_hash_files(outputs))
+            rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+            figures = {"counts": counts, "rss_high_water_mb": rss}
+        entry.update((k, v) for k, v in figures.items() if v is not None)
+        manifest["stages"].append(entry)
+        (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        return entry["output_hashes"]
 
     # prune: acquire the input graph and apply the one-shot degree filter
     graph_params = {"graph": cfg.graph, "min_degree": cfg.min_degree, "seed": cfg.seed}
@@ -322,44 +306,27 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False) -> PipelineResult:
     for s in range(cfg.sampler.num_shards):
         p = shard_path(records_dir, s, cfg.sampler.num_shards)
         sample_outputs[f"records/{p.name}"] = p
-    sampled = stage(
-        "sample",
-        cfg.sampler.to_dict(),
-        {"pruned.csr": pruned["pruned.csr"]},
-        sample_outputs,
-        do_sample,
-    )
+    sampled = stage("sample", cfg.sampler.to_dict(), {"pruned.csr": pruned["pruned.csr"]}, sample_outputs, do_sample)
 
     # train
-    trainer_params = cfg_dict["trainer"]
-
     def do_train():
         num_nodes = read_manifest(records_dir)["num_nodes"]
         result = train_checkpoint(records_dir, cfg.trainer, num_nodes, ckpt_file, progress_file)
         return {"examples_processed": result.examples_processed, "worker_failures": result.worker_failures}
 
-    trained = stage(
-        "train",
-        trainer_params,
-        {"records/manifest.json": sampled["records/manifest.json"]},
-        {"checkpoint.bin": ckpt_file},
-        do_train,
-    )
+    trained = stage("train", cfg_dict["trainer"], {"records/manifest.json": sampled["records/manifest.json"]},
+                    {"checkpoint.bin": ckpt_file}, do_train)
 
     # eval
     def do_eval():
         evaluate_checkpoint(load_csr(pruned_file), ckpt_file, eval_dir, cfg.eval, derive_seed(cfg.seed, "eval"))
 
-    stage(
-        "eval",
-        asdict(cfg.eval),
-        {"checkpoint.bin": trained["checkpoint.bin"], "pruned.csr": pruned["pruned.csr"]},
-        {"eval/report.json": eval_dir / "report.json"},
-        do_eval,
-    )
+    stage("eval", asdict(cfg.eval), {"checkpoint.bin": trained["checkpoint.bin"], "pruned.csr": pruned["pruned.csr"]},
+          {"eval/report.json": eval_dir / "report.json"}, do_eval)
 
     report = metrics_mod.read_report(eval_dir / "report.json")
-    return PipelineResult(run_dir=run_dir, manifest=writer.manifest, skipped=skipped, report=report)
+    skipped = [s["name"] for s in manifest["stages"] if s["skipped"]]
+    return PipelineResult(run_dir=run_dir, manifest=manifest, skipped=skipped, report=report)
 
 
 @dataclass
@@ -378,11 +345,15 @@ def _final_loss(run_dir: Path) -> float | None:
     if not path.exists():
         return None
     loss = None
-    with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            entry = json.loads(line)
-            if "loss" in entry:
-                loss = entry["loss"]
+    with path.open("rb") as fh:
+        for line_no, line in enumerate(fh, 1):
+            try:
+                entry = json.loads(line)
+            except ValueError as e:
+                raise ParseError(path, line_no, f"not JSON: {e}") from None
+            if not isinstance(entry, dict):
+                raise ParseError(path, line_no, f"not a JSON object: {entry!r}")
+            loss = entry.get("loss", loss)
     return loss
 
 
@@ -401,8 +372,7 @@ def compare_runs(run_dirs: list[str | Path], out_csv: str | Path | None = None) 
         report_path = d / "eval" / "report.json"
         if not report_path.exists():
             raise ValidationError(f"{d}: missing eval report at {report_path}")
-        recorded = _recorded_stages(d).get("eval", {}).get("output_hashes", {}).get("eval/report.json")
-        if _hash_file(report_path) != recorded:
+        if _outputs_hold(_recorded_stages(d).get("eval", {}), {"eval/report.json": report_path}) is None:
             raise ValidationError(f"{d}: {report_path} is not the report its manifest.json records")
         rep = metrics_mod.read_report(report_path)
         reports.append(rep)

@@ -24,7 +24,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .errors import ValidationError, check_ids
+from .errors import ValidationError, check_ids, read_json
 
 
 @dataclass
@@ -78,13 +78,13 @@ def append_records(fh: BinaryIO, batch: RecordBatch) -> None:
     fh.write(_wire_image(batch).data)
 
 
-def check_records(path: Path, records: np.ndarray, walk_length: int, num_nodes: int | None = None) -> None:
-    """Raise on a mixed walk length, else (given num_nodes) on the first
-    source id, then the first dest id, out of a table's range."""
+def check_records(path: Path, records: np.ndarray, walk_length: int, num_nodes: int) -> None:
+    """Raise on a mixed walk length, else on the first source id, then the
+    first dest id, out of the range of a num_nodes-row table."""
     if not np.all(records["length"] == walk_length):
         raise ValidationError(f"{path}: mixed walk lengths in shard")
     try:
-        for column in ("source", "dest") if num_nodes is not None else ():
+        for column in ("source", "dest"):
             check_ids(records[column], num_nodes)
     except IndexError as e:
         raise ValidationError(f"{path}: {e} of the table") from None
@@ -101,7 +101,9 @@ def read_manifest(records_dir: str | Path) -> dict:
     p = Path(records_dir) / "manifest.json"
     if not p.exists():
         raise ValidationError(f"no manifest.json in {records_dir}")
-    manifest = json.loads(p.read_text(encoding="utf-8"))
+    manifest = read_json(p)
+    if not isinstance(manifest, dict):
+        raise ValidationError(f"{p}: not a JSON object, got {manifest!r}")
     missing = [k for k in ("config", "graph_hash", "num_nodes", "shard_files", "record_counts") if k not in manifest]
     if missing:
         raise ValidationError(f"{p}: no {', '.join(missing)}")
@@ -146,7 +148,7 @@ def load_all_records(records_dir: str | Path) -> tuple[RecordBatch, dict]:
     arr = np.empty(sum(manifest["record_counts"]), dtype=_record_dtype(manifest["config"]["walk_length"]))
     at = 0
     for path, records in iter_shards(records_dir, manifest):
-        check_records(path, records, manifest["config"]["walk_length"])
+        check_records(path, records, manifest["config"]["walk_length"], manifest["num_nodes"])
         arr[at : at + len(records)] = records
         at += len(records)
     return RecordBatch(source=arr["source"], dest=arr["dest"], co_counts=arr["counts"]), manifest

@@ -307,11 +307,11 @@ def prepare_positives(records: RecordBatch, cfg) -> tuple[np.ndarray, np.ndarray
     return records.source[keep], records.dest[keep], weight[keep].astype(np.float32)
 
 
-def init_table_reference(num_nodes: int, dim: int, seed: int, dtype=np.float32) -> np.ndarray:
-    """The initial table as one draw of all its entries."""
+def init_table_reference(num_nodes: int, dim: int, seed: int) -> np.ndarray:
+    """The initial float32 table as one draw of all its entries."""
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), num_nodes, dim)))
     half = 1.0 / (2.0 * dim)
-    return rng.uniform(-half, half, size=(num_nodes, dim)).astype(dtype)
+    return rng.uniform(-half, half, size=(num_nodes, dim)).astype(np.float32)
 
 
 def epoch_order_reference(seed: int, n: int, epoch: int, window: int) -> np.ndarray:

@@ -177,6 +177,37 @@ class TestPruneSampleTrainEval:
         ]
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("content, message", [
+        (b"", "not JSON: Expecting value: line 1 column 1 (char 0)"),
+        (b"\xff", "not JSON: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (b"5", "not a JSON object, got 5"),
+        (b"null", "not a JSON object, got None"),
+        (b'"config"', "not a JSON object, got 'config'"),
+    ], ids=["empty", "not-utf8", "number", "null", "string"])
+    def test_train_records_manifest_not_a_json_object_exit_1(self, tmp_path, small_graph_file, capsys, content,
+                                                              message):
+        records = tmp_path / "records"
+        assert run("sample", "--graph", small_graph_file, "--out", records, "--walks-per-node", 4, "--seed", 3) == 0
+        manifest = records / "manifest.json"
+        manifest.write_bytes(content)
+        ckpt = tmp_path / "emb.bin"
+        capsys.readouterr()
+        assert run("train", "--records", records, "--graph", small_graph_file, "--dim", 8,
+                   "--steps", 2, "--out", ckpt) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {manifest}: {message}"]
+        assert not ckpt.exists()
+
+    def test_train_config_not_json_names_it_exit_1(self, tmp_path, small_graph_file, capsys):
+        tcfg = tmp_path / "train.json"
+        tcfg.write_text("{steps: 5}")
+        ckpt = tmp_path / "emb.bin"
+        assert run("train", "--records", tmp_path / "records", "--graph", small_graph_file,
+                   "--config", tcfg, "--out", ckpt) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {tcfg}: not JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+        ]
+        assert not ckpt.exists()
+
     def test_train_records_from_another_graph_exit_1(self, tmp_path, small_graph_file, capsys):
         records = tmp_path / "records"
         assert run("sample", "--graph", small_graph_file, "--out", records,
@@ -349,6 +380,62 @@ class TestPipelineCommand:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert run("pipeline", "--config", path) == 1
+
+    def test_config_not_json_names_it_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text("")
+        assert run("pipeline", "--config", path) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}: not JSON: Expecting value: line 1 column 1 (char 0)"
+        ]
+
+    @pytest.mark.parametrize("content", [
+        b"[]", b"{}", b'{"stages": 5}', b'{"stages": [{}]}', b'{"stages": [{"name": 5}]}',
+        b'{"stages": [{"name": "prune"}, 5]}', b"", b"\xff",
+    ])
+    def test_malformed_run_manifest_named_exit_1(self, tmp_path, capsys, content):
+        path = self.config(tmp_path)
+        assert run("pipeline", "--config", path) == 0
+        manifest = tmp_path / "run" / "manifest.json"
+        manifest.write_bytes(content)
+        capsys.readouterr()
+        for argv in (["pipeline", "--config", path], ["compare", tmp_path / "run", tmp_path / "run"]):
+            assert run(*argv) == 1
+            (line,) = capsys.readouterr().err.splitlines()
+            assert line.startswith(f"error: {manifest}: ")
+        assert manifest.read_bytes() == content
+
+    def test_force_over_malformed_run_manifest_runs_every_stage(self, tmp_path, capsys):
+        path = self.config(tmp_path)
+        assert run("pipeline", "--config", path) == 0
+        manifest = tmp_path / "run" / "manifest.json"
+        manifest.write_text("[]")
+        capsys.readouterr()
+        assert run("pipeline", "--config", path, "--force") == 0
+        assert "ran ['prune', 'sample', 'train', 'eval'], skipped nothing" in capsys.readouterr().out
+        assert [s["name"] for s in json.loads(manifest.read_text())["stages"]] == ["prune", "sample", "train", "eval"]
+
+    def test_run_manifest_entry_with_only_a_name_reruns(self, tmp_path, capsys):
+        path = self.config(tmp_path)
+        assert run("pipeline", "--config", path) == 0
+        (tmp_path / "run" / "manifest.json").write_text('{"stages": [{"name": "prune"}]}')
+        capsys.readouterr()
+        assert run("pipeline", "--config", path) == 0
+        assert "ran ['prune', 'sample', 'train', 'eval'], skipped nothing" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("line, message", [
+        ("{loss: 1}", "not JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        ("5", "not a JSON object: 5"),
+    ])
+    def test_compare_bad_progress_line_named_exit_1(self, tmp_path, capsys, line, message):
+        path = self.config(tmp_path)
+        assert run("pipeline", "--config", path) == 0
+        progress = tmp_path / "run" / "progress.jsonl"
+        lines = progress.read_text().splitlines()
+        progress.write_text("\n".join([lines[0], line, *lines[1:]]) + "\n")
+        capsys.readouterr()
+        assert run("compare", tmp_path / "run", tmp_path / "run") == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {progress}:2: {message}"]
 
     def test_missing_config_exit_3(self, tmp_path):
         assert run("pipeline", "--config", tmp_path / "none.json") == 3

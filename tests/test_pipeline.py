@@ -1,7 +1,9 @@
+import dataclasses
 import hashlib
 import json
 import re
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -448,3 +450,104 @@ def test_pipeline_config_direct_construction():
     assert cfg.eval.recall_nodes == 100
     with pytest.raises(ValidationError):
         PipelineConfig(seed=1, run_dir="x", graph={"kind": "sbm"})
+
+
+def sha256_json(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+def sha256_file(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def expected_manifest(cfg, skipped):
+    """The run manifest as the stages define it, rebuilt from the run
+    directory's files: each entry's parameter hash, input and output SHA-256
+    and counts, without duration_s and rss_high_water_mb."""
+    run_dir = Path(cfg.run_dir)
+    g, pruned = pipeline.load_csr(run_dir / "graph.csr"), pipeline.load_csr(run_dir / "pruned.csr")
+    records = json.loads((run_dir / "records" / "manifest.json").read_text())
+    out = {k: sha256_file(run_dir / k) for k in ("graph.csr", "pruned.csr", "checkpoint.bin", "eval/report.json")}
+    out["records/manifest.json"] = sha256_file(run_dir / "records" / "manifest.json")
+    shards = {f"records/{f}": sha256_file(run_dir / "records" / f) for f in records["shard_files"]}
+    stages = [
+        ("prune", {"graph": cfg.graph, "min_degree": cfg.min_degree, "seed": cfg.seed}, {},
+         {k: out[k] for k in ("graph.csr", "pruned.csr")},
+         {"nodes": g.num_nodes, "edges": g.num_edges, "nodes_kept": pruned.num_nodes, "edges_kept": pruned.num_edges}),
+        ("sample", cfg.sampler.to_dict(), {"pruned.csr": out["pruned.csr"]},
+         {"records/manifest.json": out["records/manifest.json"], **shards},
+         {k: records["stats"][k] for k in ("total_walks", "num_records", "dead_end_terminations")}),
+        ("train", config_to_dict(cfg)["trainer"], {"records/manifest.json": out["records/manifest.json"]},
+         {"checkpoint.bin": out["checkpoint.bin"]},
+         {"examples_processed": cfg.trainer.steps * cfg.trainer.global_batch_examples, "worker_failures": 0}),
+        ("eval", dataclasses.asdict(cfg.eval), {k: out[k] for k in ("checkpoint.bin", "pruned.csr")},
+         {"eval/report.json": out["eval/report.json"]}, None),
+    ]
+    entries = []
+    for name, params, inputs, outputs, counts in stages:
+        entry = {"name": name, "params_hash": sha256_json(params), "input_hashes": inputs,
+                 "output_hashes": outputs, "skipped": name in skipped}
+        entries.append(entry if counts is None else dict(entry, counts=counts))
+    return {"config_hash": sha256_json(config_to_dict(cfg)), "stages": entries}
+
+
+class TestRunManifest:
+    def check(self, cfg, result, skipped):
+        """The returned and written manifests are the same, and are the one
+        the stages define, with a duration for each stage that ran and 0.0
+        for each skipped one, and each stage's peak RSS."""
+        on_disk = json.loads((Path(cfg.run_dir) / "manifest.json").read_text())
+        assert on_disk == result.manifest
+        assert result.skipped == skipped
+        figures = [(s.pop("duration_s"), s.pop("rss_high_water_mb")) for s in on_disk["stages"]]
+        assert on_disk == expected_manifest(cfg, skipped)
+        for s, (duration, rss) in zip(on_disk["stages"], figures):
+            assert (duration == 0.0) == s["skipped"] and duration >= 0.0 and rss > 0
+
+    def test_fresh_skipped_forced_and_changed_runs(self, tmp_path):
+        d = tiny_config_dict(tmp_path / "run")
+        cfg = config_from_dict(d)
+        self.check(cfg, run_pipeline(cfg), [])
+        first = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        self.check(cfg, run_pipeline(cfg), ["prune", "sample", "train", "eval"])
+        # a skipped stage keeps the previous run's peak RSS
+        second = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert [s["rss_high_water_mb"] for s in second["stages"]] == [s["rss_high_water_mb"] for s in first["stages"]]
+        self.check(cfg, run_pipeline(cfg, force=True), [])
+        d["trainer"]["steps"] = 50
+        changed = config_from_dict(d)
+        self.check(changed, run_pipeline(changed), ["prune", "sample"])
+
+    def test_force_reads_no_old_manifest(self, tmp_path, monkeypatch):
+        cfg = config_from_dict(tiny_config_dict(tmp_path / "run"))
+        run_pipeline(cfg)
+        reads = []
+        real = pipeline._recorded_stages
+        monkeypatch.setattr(pipeline, "_recorded_stages", lambda run_dir: reads.append(run_dir) or real(run_dir))
+        self.check(cfg, run_pipeline(cfg, force=True), [])
+        assert reads == []
+        assert run_pipeline(cfg).skipped == ["prune", "sample", "train", "eval"]
+        assert reads == [tmp_path / "run"]
+
+    @pytest.mark.parametrize("field", ["params_hash", "input_hashes", "output_hashes"])
+    def test_entry_lacking_a_field_reruns_its_stage(self, tmp_path, field):
+        cfg = config_from_dict(tiny_config_dict(tmp_path / "run"))
+        run_pipeline(cfg)
+        path = tmp_path / "run" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        del manifest["stages"][2][field]  # the train stage's
+        path.write_text(json.dumps(manifest))
+        # the rerun train stage removes the report, so eval runs again too
+        self.check(cfg, run_pipeline(cfg), ["prune", "sample"])
+
+    def test_report_edited_after_the_run_refused_then_rebuilt(self, tmp_path):
+        cfg = config_from_dict(tiny_config_dict(tmp_path / "run"))
+        run_pipeline(cfg)
+        report = tmp_path / "run" / "eval" / "report.json"
+        original = report.read_bytes()
+        report.write_text(json.dumps(dict(json.loads(original), edge_snr=99.0)))
+        with pytest.raises(ValidationError, match="is not the report its manifest.json records"):
+            compare_runs([cfg.run_dir, cfg.run_dir])
+        self.check(cfg, run_pipeline(cfg), ["prune", "sample", "train"])
+        assert report.read_bytes() == original
+        assert len(compare_runs([cfg.run_dir, cfg.run_dir])) == 2

@@ -1,4 +1,5 @@
 import json
+import re
 import threading
 import tracemalloc
 
@@ -319,6 +320,16 @@ def test_truncated_shard_rejected(tmp_path, triangle):
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ValidationError, match=f"manifest.json: {msg}"):
             load_all_records(tmp_path)
+
+
+def test_load_all_records_checks_ids_against_the_manifest(tmp_path):
+    batch = RecordBatch(source=np.array([0, 4]), dest=np.array([3, 1]), co_counts=np.array([[1, 0], [2, 1]]))
+    oracles.write_records_dir(tmp_path, batch, num_nodes=5)
+    assert len(load_all_records(tmp_path)[0]) == 2
+    oracles.write_records_dir(tmp_path, batch, num_nodes=4)
+    shard = tmp_path / "records-00000-of-00001.bin"
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(shard))}: node id 4 out of range \\[0, 4\\)"):
+        load_all_records(tmp_path)
 
 
 def test_shard_round_trip(tmp_path):

@@ -459,7 +459,7 @@ class TestTrainSync:
         cfg = self.cfg(num_replicas=1)
         result = train_sync(records, cfg, num_nodes=30)
         # hand-rolled reference loop with the same stream and rng construction
-        table = init_table(30, cfg.dim, derive_seed(cfg.seed, "init"), np.float32)
+        table = init_table(30, cfg.dim, derive_seed(cfg.seed, "init"))
         stream = whole_set_stream(records, cfg)
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xB0)))
         for step in range(cfg.steps):
@@ -496,7 +496,7 @@ class TestTrainSync:
             return out
 
         monkeypatch.setattr(trainer_mod, "loss_and_grad", spy)
-        table = init_table(30, cfg.dim, derive_seed(cfg.seed, "init"), np.float64)
+        table = EmbeddingTable(init_table(30, cfg.dim, derive_seed(cfg.seed, "init")).values.astype(np.float64))
         result = train_sync(records, cfg, table=EmbeddingTable(table.values.copy()))
 
         # reference: one gradient per replica micro-batch, merged by a
@@ -571,7 +571,7 @@ class TestTrainSync:
         # no negatives, records confined to ids {0, 1}
         records = oracles.write_records_dir(tmp_path, make_records([(0, 1, [2, 0, 0])]), num_nodes=10)
         cfg = self.cfg(per_replica_batch_size=4, negatives_per_positive=0, steps=3)
-        table = init_table(10, cfg.dim, 5, np.float32)
+        table = init_table(10, cfg.dim, 5)
         before = table.values.copy()
         train_sync(records, cfg, table)
         assert not np.array_equal(before[:2], table.values[:2])
@@ -1001,13 +1001,12 @@ def test_init_table_range_and_seed():
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("rows", [1, model.INIT_BLOCK_ROWS - 1, model.INIT_BLOCK_ROWS + 1, 100_000])
-def test_init_table_bitwise_one_draw(monkeypatch, cpus, dtype, rows):
+def test_init_table_bitwise_one_draw(monkeypatch, cpus, rows):
     monkeypatch.setattr(cores, "usable_cpus", lambda: cpus)
-    got = init_table(rows, 13, seed=11, dtype=dtype).values
-    assert got.dtype == dtype
-    assert got.tobytes() == oracles.init_table_reference(rows, 13, 11, dtype).tobytes()
+    got = init_table(rows, 13, seed=11).values
+    assert got.dtype == np.float32
+    assert got.tobytes() == oracles.init_table_reference(rows, 13, 11).tobytes()
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
