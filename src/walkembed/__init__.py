@@ -18,7 +18,6 @@ from .model import (
     WarmupDecaySchedule,
     init_table,
     loss_and_grad,
-    lr_at,
 )
 from .pipeline import PipelineConfig, compare_runs, run_pipeline
 from .sampler import SamplerConfig, init_walks, run_sampling, step_walks
@@ -55,7 +54,6 @@ __all__ = [
     "load_edge_list",
     "load_graph",
     "loss_and_grad",
-    "lr_at",
     "preset_config",
     "prune_low_degree",
     "run_pipeline",

@@ -89,7 +89,16 @@ class WarmupDecaySchedule:
             raise ValidationError("schedule requires peak_lr > final_lr > 0")
 
     def lr_at(self, step: int) -> float:
-        return lr_at(self, step)
+        """Piecewise-linear rate; continuous at both phase boundaries."""
+        if step < 0:
+            raise ValidationError("step must be >= 0")
+        if step < self.warmup_steps:
+            return self.peak_lr * step / self.warmup_steps
+        t = step - self.warmup_steps
+        if t < self.decay_steps:
+            frac = t / self.decay_steps
+            return self.peak_lr + (self.final_lr - self.peak_lr) * frac
+        return self.final_lr
 
 
 @dataclass(frozen=True)
@@ -102,19 +111,6 @@ class FixedSgd:
 
     def lr_at(self, step: int) -> float:
         return self.lr
-
-
-def lr_at(schedule: WarmupDecaySchedule, step: int) -> float:
-    """Piecewise-linear rate; continuous at both phase boundaries."""
-    if step < 0:
-        raise ValidationError("step must be >= 0")
-    if step < schedule.warmup_steps:
-        return schedule.peak_lr * step / schedule.warmup_steps
-    t = step - schedule.warmup_steps
-    if t < schedule.decay_steps:
-        frac = t / schedule.decay_steps
-        return schedule.peak_lr + (schedule.final_lr - schedule.peak_lr) * frac
-    return schedule.final_lr
 
 
 def _halves(pool: futures.Executor | None, n: int) -> list[slice]:

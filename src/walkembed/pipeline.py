@@ -120,7 +120,10 @@ def load_pipeline_config(path: str | Path, env: dict | None = None) -> PipelineC
     raw = read_json(path)
     check_object("pipeline", raw)  # before an override writes into it
     if ENV_SEED in env:
-        raw["seed"] = int(env[ENV_SEED])
+        try:
+            raw["seed"] = int(env[ENV_SEED])
+        except ValueError:
+            raise ValidationError(f"{ENV_SEED} must be an integer, got {env[ENV_SEED]!r}") from None
     if ENV_RUN_DIR in env:
         raw["run_dir"] = env[ENV_RUN_DIR]
     return config_from_dict(raw)
@@ -233,8 +236,8 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False) -> PipelineResult:
     the previous run. Each stage's entry is appended to the manifest, which
     is written after every stage. It holds the stage's work counts (nodes
     and edges before and after the prune, the sampler's walks, records and
-    dead ends, training's examples and worker failures) and the process's
-    peak RSS at its end; a skipped stage keeps the previous run's.
+    dead ends, training's examples processed) and the process's peak RSS at
+    its end; a skipped stage keeps the previous run's.
     """
     run_dir = Path(cfg.run_dir)
     previous = {} if force else _recorded_stages(run_dir)
@@ -312,7 +315,7 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False) -> PipelineResult:
     def do_train():
         num_nodes = read_manifest(records_dir)["num_nodes"]
         result = train_checkpoint(records_dir, cfg.trainer, num_nodes, ckpt_file, progress_file)
-        return {"examples_processed": result.examples_processed, "worker_failures": result.worker_failures}
+        return {"examples_processed": result.examples_processed}
 
     trained = stage("train", cfg_dict["trainer"], {"records/manifest.json": sampled["records/manifest.json"]},
                     {"checkpoint.bin": ckpt_file}, do_train)

@@ -112,19 +112,10 @@ def _bernoulli_positions(rng: np.random.Generator, num_slots: int, p: float) -> 
 
 def _decode_triangle(t: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
     """Map linear indices over {(r, c): r < c < s} (row-major) to (r, c)."""
-    tf = t.astype(np.float64)
-    a = 2 * s - 1
-    r = np.floor((a - np.sqrt(a * a - 8.0 * tf)) / 2.0).astype(np.int64)
-    # float sqrt can land one row off near boundaries; nudge into place
-    for _ in range(2):
-        cum = r * (2 * s - r - 1) // 2
-        r = np.where(cum > t, r - 1, r)
-        cum = r * (2 * s - r - 1) // 2
-        nxt = (r + 1) * (2 * s - r - 2) // 2
-        r = np.where(t >= nxt, r + 1, r)
-    cum = r * (2 * s - r - 1) // 2
-    c = r + 1 + (t - cum)
-    return r, c
+    rows = np.arange(s, dtype=np.int64)
+    starts = rows * (2 * s - rows - 1) // 2  # linear index of each row's first pair
+    r = np.searchsorted(starts, t, "right") - 1
+    return r, r + 1 + t - starts[r]
 
 
 def _block_pair_edges(cfg: SbmConfig, bounds: np.ndarray, bi: int, bj: int) -> np.ndarray:

@@ -19,6 +19,9 @@ Async mode mirrors a parameter-server deployment: num_workers threads each
 run a lane with R = 1 over a disjoint record stripe and update the shared
 table with no locking or ordering. Lost or torn updates are within contract;
 only the W=1 case is deterministic.
+
+In both modes the first failed step raises once every lane has stopped, so a
+run that returns has applied its whole budget.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from .shards import check_records, iter_shards, read_manifest
 SHUFFLE_BUFFER = 1 << 16  # records per shuffle window of a RecordStream
 LOAD_BLOCK = 1 << 16  # records per block of the record load's filter
 LOG_EVERY = 50  # steps between progress log entries
-MAX_FAILURES = 3  # failed micro-batches an async worker survives
 
 
 @dataclass(frozen=True)
@@ -276,7 +278,7 @@ class TrainResult:
     log: list[dict] = field(default_factory=list)
     examples_processed: int = 0
     elapsed_s: float = 0.0
-    worker_failures: int = 0
+    worker_failures: int = 0  # always 0 (a failed step raises); kept while perfbench's check_round reads it
 
 
 class _Progress:
@@ -336,41 +338,31 @@ def _setup(
 
 def _lane(
     table: EmbeddingTable, stream: RecordStream, neg_rng: np.random.Generator, cfg: TrainConfig,
-    steps: int, max_failures: int, stop: threading.Event, progress: _Progress,
-    pool: ThreadPoolExecutor | None,
-) -> tuple[int, int]:
-    """Apply `steps` steps of one batch each; returns (steps applied, failures).
+    steps: int, stop: threading.Event, progress: _Progress, pool: ThreadPoolExecutor | None,
+) -> None:
+    """Apply `steps` steps of one batch each, or fewer once `stop` is set.
 
     Each step takes one mean-reduced gradient over its batch; given a pool,
     its thread shares the halves of each step. A non-finite loss or gradient
-    raises in loss_and_grad, before the table is written. A failed step is
-    dropped and the lane goes on from the stream's next records; once more
-    than `max_failures` steps failed, the lane sets `stop`, which ends the
-    other lanes early, and raises the failure.
+    raises in loss_and_grad, before the table is written. A failed step sets
+    `stop`, so that the other lanes start no further step, and raises.
     """
-    failures = done = 0
-    while done < steps and not stop.is_set():
+    for done in range(steps):
+        if stop.is_set():
+            return
         lr = cfg.optimizer.lr_at(done)
         try:
             loss, grad = loss_and_grad(table, build_batch(stream, cfg, neg_rng, table.num_nodes), pool)
             # lanes share the table with no lock: a read-modify-write may race (by contract)
             grad.apply(table, lr, pool)
         except Exception:
-            failures += 1
-            if failures > max_failures:
-                stop.set()
-                raise
-            continue
-        done += 1
+            stop.set()
+            raise
         progress.step_done(lr, loss)
-    return done, failures
 
 
-def _result(
-    table: EmbeddingTable, cfg: TrainConfig, counts: list[tuple[int, int]], progress: _Progress,
-    log_path: str | Path | None,
-) -> TrainResult:
-    """Write the log and total the lanes' exact (steps applied, failures) counts."""
+def _result(table: EmbeddingTable, cfg: TrainConfig, progress: _Progress, log_path: str | Path | None) -> TrainResult:
+    """Write the log and count the examples of the steps the lanes applied."""
     if log_path is not None:
         with Path(log_path).open("w", encoding="utf-8") as fh:
             for e in progress.log:
@@ -378,9 +370,8 @@ def _result(
     return TrainResult(
         table=table,
         log=progress.log,
-        examples_processed=sum(done for done, _ in counts) * cfg.global_batch_examples,
+        examples_processed=progress.steps * cfg.global_batch_examples,
         elapsed_s=time.monotonic() - progress.t0,
-        worker_failures=sum(failures for _, failures in counts),
     )
 
 
@@ -406,8 +397,8 @@ def train_sync(
     neg_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xB0)))
     progress = _Progress(log, cfg)
     with cores.helper_pool() as pool:
-        counts = _lane(table, stream, neg_rng, cfg, cfg.steps, 0, threading.Event(), progress, pool)
-    return _result(table, cfg, [counts], progress, log_path)
+        _lane(table, stream, neg_rng, cfg, cfg.steps, threading.Event(), progress, pool)
+    return _result(table, cfg, progress, log_path)
 
 
 def train_async(
@@ -421,10 +412,9 @@ def train_async(
 
     One lane of one micro-batch per step on each of num_workers threads.
     cfg.steps counts micro-batches across all workers, so the example budget
-    is identical for any worker count. A failed micro-batch is retried from
-    the next one; once a worker has more than MAX_FAILURES failures, every
-    worker stops and the failure is raised here, so a run that returns has
-    applied its whole budget.
+    is identical for any worker count. The first failed micro-batch stops
+    every worker before its next one and is raised here, as in sync mode, so
+    a run that returns has applied its whole budget.
     """
     table, (src, dst, w), log = _setup("async", records_dir, cfg, table, num_nodes)
     workers = cfg.num_workers
@@ -441,9 +431,9 @@ def train_async(
     progress = _Progress(log, cfg)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [
-            pool.submit(_lane, table, streams[wk], neg_rngs[wk], cfg, quota[wk], MAX_FAILURES, stop, progress, None)
+            pool.submit(_lane, table, streams[wk], neg_rngs[wk], cfg, quota[wk], stop, progress, None)
             for wk in range(workers)
         ]
-    # result() re-raises a lane's exception; the counts are exact because
-    # each lane counts only its own steps
-    return _result(table, cfg, [f.result() for f in futures], progress, log_path)
+    for f in futures:
+        f.result()  # re-raises a lane's failure
+    return _result(table, cfg, progress, log_path)

@@ -20,7 +20,6 @@ from walkembed.model import (
     WarmupDecaySchedule,
     init_table,
     loss_and_grad,
-    lr_at,
 )
 from walkembed.pipeline import config_from_dict, run_pipeline
 from walkembed.sampler import SamplerConfig, run_sampling
@@ -183,11 +182,11 @@ def test_criterion_4_schedule_exactness():
     """Warmup/decay schedule reproduces the anchor values exactly."""
     sched = WarmupDecaySchedule(5000, 0.01, 100_000, 0.001)
     ok = (
-        lr_at(sched, 0) == 0.0
-        and lr_at(sched, 5000) == 0.01
-        and lr_at(sched, 105_000) == 0.001
-        and lr_at(sched, 105_001) == 0.001
-        and lr_at(sched, 2_000_000) == 0.001
+        sched.lr_at(0) == 0.0
+        and sched.lr_at(5000) == 0.01
+        and sched.lr_at(105_000) == 0.001
+        and sched.lr_at(105_001) == 0.001
+        and sched.lr_at(2_000_000) == 0.001
     )
     report(4, "schedule anchors (0 @ 0, peak @ warmup, final at/after warmup+decay)", ok)
 

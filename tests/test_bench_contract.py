@@ -218,3 +218,17 @@ def test_round_10k_passes_sampling_and_report_arguments_positionally(monkeypatch
     assert args[0] is g and args[1] is r.result.table
     assert args[2:] == (50, 5, workloads.seeds(0)["eval"])
     assert (r.report.num_non_edge_samples, r.report.seed) == (50, workloads.seeds(0)["eval"])
+
+
+@pytest.mark.parametrize("name", ["sync-sbm10k", "async-sbm10k"])
+def test_check_round_passes_a_tiny_round(tmp_path, name):
+    # workloads.check_round reads TrainResult fields and the round's outputs;
+    # a trainer that drops or renames one fails every benchmark run
+    w = replace(
+        workloads.WORKLOADS[name], sampler={"walks_per_node": 2, "walk_length": 3, "num_shards": 2},
+        trainer=dict(workloads.WORKLOADS[name].trainer, dim=4, per_replica_batch_size=8, steps=3),
+        eval={"non_edge_samples": 50, "recall_nodes": 5}, min_acc_gain=0,
+    )
+    g = generate_sbm(SbmConfig(n=200, k=2, p_in=0.1, p_out=0.01, seed=3))
+    r = workloads.round_10k(w, 0, g, tmp_path, 1)
+    assert workloads.check_round(w, 0, r, tmp_path) == []

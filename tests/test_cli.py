@@ -367,6 +367,13 @@ class TestPipelineCommand:
         assert run("pipeline", "--config", path) == 1
         assert capsys.readouterr().err.splitlines() == ["error: pipeline config must be an object, got [1]"]
 
+    @pytest.mark.parametrize("seed", ["abc", "1.5"])
+    def test_bad_env_seed_named_exit_1(self, tmp_path, capsys, monkeypatch, seed):
+        monkeypatch.setenv("WALKEMBED_SEED", seed)
+        assert run("pipeline", "--config", self.config(tmp_path)) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: WALKEMBED_SEED must be an integer, got {seed!r}"]
+        assert not (tmp_path / "run").exists()
+
     def test_unknown_config_key_exit_1(self, tmp_path, capsys):
         path = self.config(tmp_path)
         cfg = json.loads(path.read_text())

@@ -184,7 +184,7 @@ class TestRunPipeline:
         cfg = config_from_dict(tiny_config_dict(tmp_path / "run"))
         first = run_pipeline(cfg)
         train = {s["name"]: s for s in first.manifest["stages"]}["train"]
-        want = {"examples_processed": cfg.trainer.steps * cfg.trainer.global_batch_examples, "worker_failures": 0}
+        want = {"examples_processed": cfg.trainer.steps * cfg.trainer.global_batch_examples}
         assert train["counts"] == want
         on_disk = json.loads((tmp_path / "run" / "manifest.json").read_text())
         assert {s["name"]: s for s in on_disk["stages"]}["train"]["counts"] == want
@@ -479,7 +479,7 @@ def expected_manifest(cfg, skipped):
          {k: records["stats"][k] for k in ("total_walks", "num_records", "dead_end_terminations")}),
         ("train", config_to_dict(cfg)["trainer"], {"records/manifest.json": out["records/manifest.json"]},
          {"checkpoint.bin": out["checkpoint.bin"]},
-         {"examples_processed": cfg.trainer.steps * cfg.trainer.global_batch_examples, "worker_failures": 0}),
+         {"examples_processed": cfg.trainer.steps * cfg.trainer.global_batch_examples}),
         ("eval", dataclasses.asdict(cfg.eval), {k: out[k] for k in ("checkpoint.bin", "pruned.csr")},
          {"eval/report.json": out["eval/report.json"]}, None),
     ]

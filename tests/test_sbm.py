@@ -19,6 +19,13 @@ def binomial_sigma(pairs_and_probs):
     return math.sqrt(sum(m * p * (1 - p) for m, p in pairs_and_probs))
 
 
+@pytest.mark.parametrize("s", range(1, 65))
+def test_decode_triangle_matches_row_major_pairs(s):
+    pairs = [(r, c) for r in range(s) for c in range(r + 1, s)]
+    r, c = sbm._decode_triangle(np.arange(len(pairs), dtype=np.int64), s)
+    assert list(zip(r.tolist(), c.tolist())) == pairs
+
+
 def test_two_complete_blocks():
     g = generate_sbm(SbmConfig(n=4, k=2, p_in=1.0, p_out=0.0, seed=1))
     assert g.num_edges == 2
