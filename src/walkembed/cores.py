@@ -5,10 +5,10 @@ training step, the sampler's shards, a pipeline stage's output hashes, the
 eval's row normalization and pair distances) opens `helper_pool()`, which
 holds one worker thread when the process may use more than one CPU and none
 otherwise, and hands its items (blocks, shards, files, or a step's two
-halves) to `share`, where the calling thread and the helper each take the
-next item nobody has taken. It returns only after both threads have
-finished, also when one of them raised, so nothing still runs or writes
-after a failure and the helper is joined when the pool's `with` block ends.
+halves) to `share`. It returns or raises what the one-thread loop over the
+items would, and only after both threads have finished, so nothing still
+runs or writes after a failure; the helper is joined when the pool's `with`
+block ends.
 """
 
 from __future__ import annotations
@@ -40,36 +40,33 @@ def helper_pool() -> Iterator[futures.ThreadPoolExecutor | None]:
 
 
 def share(pool: futures.Executor | None, fn: Callable, items: Iterable) -> list:
-    """[fn(x) for x in items], in item order. Without a pool, on this thread
-    alone; with one, this thread and the pool's thread each take the next
-    item nobody has taken, so unequal items even out. Once a call raises, no
-    further item is taken; the failure is raised after both threads have
-    finished their current item (this thread's own failure first)."""
+    """[fn(x) for x in items], raising what that loop raises. This thread and,
+    given a pool and two items or more, the pool's thread each take the next
+    item in order, so unequal items even out. A failure is stored under its
+    item and no further item is taken; once both threads are done, the lowest
+    item's failure is raised. Items after it may have run, and all before it
+    have finished, so it is the loop's failure."""
     items = list(items)
-    if pool is None or len(items) < 2:
-        return [fn(x) for x in items]
-    results = [None] * len(items)
+    results, failures = [None] * len(items), {}
     order = iter(range(len(items)))
     lock = threading.Lock()
-    failed = threading.Event()
 
     def drain():
-        while not failed.is_set():
+        while True:
             with lock:
-                i = next(order, None)
+                i = None if failures else next(order, None)
             if i is None:
                 return
             try:
                 results[i] = fn(items[i])
-            except BaseException:
-                failed.set()
-                raise
+            except BaseException as exc:
+                with lock:
+                    failures[i] = exc
 
-    helper = pool.submit(drain)
-    try:
-        drain()
-    except BaseException:
-        futures.wait([helper])
-        raise
-    helper.result()
+    helper = pool.submit(drain) if pool is not None and len(items) > 1 else None
+    drain()
+    if helper is not None:
+        helper.result()
+    if failures:
+        raise failures[min(failures)]
     return results

@@ -12,7 +12,8 @@ each written to its own slice of one preallocated output. Where the process
 may use more than one CPU, the calling thread and one helper thread each
 take the next block not yet taken (see cores.share); each row's arithmetic
 is the same on either thread, so the report is bitwise the same as on one
-thread. The recall search stays on the calling thread.
+thread, and the bad row named is the first, as on one thread. The recall
+search stays on the calling thread.
 """
 
 from __future__ import annotations
@@ -76,19 +77,19 @@ class MetricsReport:
         return cls(**json.loads(text))
 
 
-def _normalize_rows(values: np.ndarray, out: np.ndarray, lo: int, hi: int) -> tuple[int, int | None]:
+def _normalize_rows(values: np.ndarray, out: np.ndarray, lo: int, hi: int) -> int:
     """out[lo:hi] = values[lo:hi] over their row norms, zero rows unchanged;
-    returns the zero rows' count and the first row with a non-finite norm
-    (then writes nothing), or None."""
+    returns the zero rows' count. A row with a non-finite norm raises
+    ValidationError naming the first one, and nothing is written."""
     rows = values[lo:hi]
     with np.errstate(over="ignore"):  # an overflowing norm is reported, not warned of
         norms = np.linalg.norm(rows, axis=1, keepdims=True)
     bad = np.flatnonzero(~np.isfinite(norms))
     if len(bad):
-        return 0, lo + int(bad[0])
+        raise ValidationError(_BAD_ROW.format(lo + int(bad[0])))
     zero = norms == 0.0
     np.divide(rows, np.where(zero, 1.0, norms), out=out[lo:hi])
-    return int(np.count_nonzero(zero)), None
+    return int(np.count_nonzero(zero))
 
 
 def l2_normalize(table: EmbeddingTable) -> EmbeddingTable:
@@ -103,15 +104,13 @@ def l2_normalize(table: EmbeddingTable) -> EmbeddingTable:
     values = table.values
     out = np.empty(values.shape, dtype=np.result_type(values.dtype, 1.0))
     with cores.helper_pool() as pool:
-        blocks = cores.share(
-            pool,
-            lambda lo: _normalize_rows(values, out, lo, lo + _ROW_BLOCK),
-            range(0, len(values), _ROW_BLOCK),
+        zeros = sum(
+            cores.share(
+                pool,
+                lambda lo: _normalize_rows(values, out, lo, lo + _ROW_BLOCK),
+                range(0, len(values), _ROW_BLOCK),
+            )
         )
-    bad = [row for _, row in blocks if row is not None]
-    if bad:
-        raise ValidationError(_BAD_ROW.format(bad[0]))
-    zeros = sum(count for count, _ in blocks)
     if zeros:
         logger.warning("l2_normalize: %d zero rows left unnormalized", zeros)
     return EmbeddingTable(out)
@@ -360,7 +359,9 @@ def compute_report(
 ) -> MetricsReport:
     """Normalize, then compute SNR, both distance distributions, and recall.
 
-    The table must hold one row per graph node."""
+    The table must hold one row per graph node, and the seed be >= 0."""
+    if seed < 0:
+        raise ValidationError(f"eval seed must be >= 0, got {seed}")
     if table.num_nodes != g.num_nodes:
         raise ValidationError(f"embedding has {table.num_nodes} rows, graph has {g.num_nodes} nodes")
     normalized = l2_normalize(table)

@@ -21,7 +21,9 @@ loss terms, contributions), then of the unique ids (the sums, each half
 checking its sums are finite), then of the update. Each value is computed
 by the same operations on either thread, and only the loss is summed over
 the whole batch, after both halves, so the loss, gradient and table are
-bitwise the same as on one thread, where each phase runs whole.
+bitwise the same as on one thread, where each phase runs whole. A half with
+a non-finite loss term or sum raises NumericError for its first source row or
+id, and cores.share raises the earlier half's, as one thread would.
 """
 
 from __future__ import annotations
@@ -174,7 +176,8 @@ def loss_and_grad(table: EmbeddingTable, batch, pool: futures.Executor | None = 
         signed = sign * np.einsum("pd,pwd->pw", e_src, e_dst)
         np.multiply(w, np.logaddexp(0.0, -signed), out=per_example[s])
         if not np.isfinite(per_example[s]).all():
-            return  # the loss is not finite either, and the step raises below
+            bad = src[s][~np.isfinite(per_example[s]).all(axis=1)][0]
+            raise NumericError(f"non-finite loss; first offending source row {bad}")
         # d(loss)/d(score): positives w*(sigma-1)/n, negatives sigma/n
         coef = (w * sign * (_sigmoid(signed) - 1.0) / n).astype(dtype)
         np.einsum("pw,pwd->pd", coef, e_dst, out=contrib[s])
@@ -182,9 +185,8 @@ def loss_and_grad(table: EmbeddingTable, batch, pool: futures.Executor | None = 
 
     share(pool, forward, _halves(pool, p))
     loss = float(np.sum(per_example, dtype=np.float64) / n)
-    if not np.isfinite(loss):
-        bad = src[~np.all(np.isfinite(per_example), axis=1)]
-        raise NumericError(f"non-finite loss; first offending source row {bad[0] if len(bad) else -1}")
+    if not np.isfinite(loss):  # finite float64 terms may still sum to inf
+        raise NumericError("non-finite loss: the sum of its finite terms overflows")
     uids, acc = _sum_rows_by_id(np.concatenate([src, dst.ravel()]), contrib, table.num_nodes, pool)
     return loss, SparseGrad(uids, acc)
 
@@ -201,8 +203,8 @@ def _sum_rows_by_id(
     id starts its sum; the r-th rows of all ids with more than r are then
     added in one pass per rank r, whose indices are unique, so each pass is
     a plain fancy-index add. Each half of the unique ids (shared by two
-    threads, given a pool) then checks its sums and returns its first
-    non-finite id."""
+    threads, given a pool) then checks its sums and raises for its first
+    non-finite id; cores.share raises the earlier half's failure."""
     m = len(ids)
     shift = (m - 1).bit_length()
     if (num_nodes - 1).bit_length() + shift > 63:
@@ -225,11 +227,9 @@ def _sum_rows_by_id(
             g = by_size[:count]
             part[g] += contrib[order[first[g] + r]]
         if not np.isfinite(part).all():
-            return uids[s][~np.isfinite(part).all(axis=1)][0]
+            raise NumericError(f"non-finite gradient for row {uids[s][~np.isfinite(part).all(axis=1)][0]}")
 
-    bad = [b for b in share(pool, add_rows, _halves(pool, len(starts))) if b is not None]
-    if bad:  # the halves are in id order
-        raise NumericError(f"non-finite gradient for row {bad[0]}")
+    share(pool, add_rows, _halves(pool, len(starts)))
     return uids, acc
 
 

@@ -16,7 +16,7 @@ import json
 import os
 import resource
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, make_dataclass, replace
 from pathlib import Path
 
 from . import cores
@@ -33,11 +33,11 @@ from .trainer import TrainConfig, TrainResult, train_async, train_sync
 ENV_SEED = "WALKEMBED_SEED"
 ENV_RUN_DIR = "WALKEMBED_RUN_DIR"
 
-# graph kind -> (required keys, optional keys), besides "kind"
+# graph kind -> its keys and their types, as check_keys reads them; only "format" may be left out
 GRAPH_KEYS = {
-    "sbm": (("nodes", "classes", "p_in", "p_out"), ()),
-    "preset": (("name",), ()),
-    "edge_list": (("path",), ("format",)),
+    "sbm": make_dataclass("sbm", [("kind", str), ("nodes", int), ("classes", int), ("p_in", float), ("p_out", float)]),
+    "preset": make_dataclass("preset", [("kind", str), ("name", str)]),
+    "edge_list": make_dataclass("edge_list", [("kind", str), ("path", str), ("format", str, field(default="tsv"))]),
 }
 
 
@@ -65,16 +65,13 @@ class PipelineConfig:
     def __post_init__(self):
         if self.min_degree < 0:
             raise ValidationError("min_degree must be >= 0")
-        if not isinstance(self.graph, dict):
-            raise ValidationError(f"graph config must be an object, got {self.graph!r}")
+        check_object("graph", self.graph)
         kind = self.graph.get("kind")
         if kind not in GRAPH_KEYS:
             raise ValidationError(f"unknown graph kind {kind!r}")
-        required, optional = GRAPH_KEYS[kind]
-        for key in required:
-            if key not in self.graph:
-                raise ValidationError(f"{kind} graph config missing {key!r}")
-        check_keys("graph", self.graph, ("kind", *required, *optional))
+        check_keys("graph", self.graph, GRAPH_KEYS[kind])
+        if self.graph.get("format", "tsv") not in ("tsv", "csv"):
+            raise ValidationError(f"graph config key 'format' must be tsv or csv, got {self.graph['format']!r}")
 
 
 def config_to_dict(cfg: PipelineConfig) -> dict:
@@ -189,10 +186,10 @@ def _build_graph(cfg: PipelineConfig) -> Graph:
     if kind == "sbm":
         return generate_sbm(
             SbmConfig(
-                n=int(src["nodes"]),
-                k=int(src["classes"]),
-                p_in=float(src["p_in"]),
-                p_out=float(src["p_out"]),
+                n=src["nodes"],
+                k=src["classes"],
+                p_in=src["p_in"],
+                p_out=src["p_out"],
                 seed=gseed,
             )
         )

@@ -43,12 +43,11 @@ class SamplerConfig:
     num_shards: int = 1
 
     def __post_init__(self):
-        if self.walks_per_node < 1:
-            raise ValidationError("walks_per_node must be >= 1")
-        if self.walk_length < 1:
-            raise ValidationError("walk_length must be >= 1")
-        if self.num_shards < 1:
-            raise ValidationError("num_shards must be >= 1")
+        for name in ("walks_per_node", "walk_length", "num_shards"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
         return asdict(self)

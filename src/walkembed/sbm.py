@@ -44,6 +44,8 @@ class SbmConfig:
             raise ValidationError("n must be positive")
         if not 1 <= self.k <= self.n:
             raise ValidationError("k must satisfy 1 <= k <= n")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         for name, p in (("p_in", self.p_in), ("p_out", self.p_out)):
             if not 0.0 <= p <= 1.0:
                 raise ValidationError(f"{name} must be a probability, got {p}")

@@ -73,6 +73,8 @@ class TrainConfig:
             raise ValidationError("steps must be >= 1")
         if self.dim < 1:
             raise ValidationError("dim must be >= 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.mode == "async" and not isinstance(self.optimizer, FixedSgd):
             raise ValidationError("async mode requires a fixed learning rate")
         w = self.distance_weighting
@@ -187,7 +189,7 @@ def _load_positives(
 
             try:
                 block_kept = cores.share(pool, filter_block, starts)
-            except ValidationError:  # a block's fault may not be the shard's first
+            except ValidationError:  # the shard's check orders its faults by kind, not by block
                 check_records(path, records, walk_length, num_nodes)
                 raise
             del records  # unmapped before the next shard is mapped

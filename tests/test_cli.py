@@ -117,6 +117,24 @@ class TestPruneSampleTrainEval:
         ]
         assert not (tmp_path / "eval" / "report.json").exists()
 
+    @pytest.mark.parametrize("command", ["sbm", "sample", "train", "eval"])
+    def test_negative_seed_named_exit_1(self, tmp_path, small_graph_file, capsys, command):
+        records, ckpt = tmp_path / "records", tmp_path / "emb.bin"
+        assert run("sample", "--graph", small_graph_file, "--out", records, "--walks-per-node", 2) == 0
+        save_checkpoint(ckpt, init_table(150, 8, seed=0), 0)
+        argv = {
+            "sbm": ["--nodes", 40, "--classes", 2, "--p-in", 0.5, "--p-out", 0.1, "--out", tmp_path / "s.csr"],
+            "sample": ["--graph", small_graph_file, "--out", tmp_path / "r"],
+            "train": ["--records", records, "--graph", small_graph_file, "--dim", 8, "--steps", 2,
+                      "--out", tmp_path / "t.bin"],
+            "eval": ["--graph", small_graph_file, "--embedding", ckpt, "--out", tmp_path / "eval"],
+        }[command]
+        capsys.readouterr()
+        assert run(command, *argv, "--seed", -1) == 1
+        named = "eval seed" if command == "eval" else "seed"
+        assert capsys.readouterr().err.splitlines() == [f"error: {named} must be >= 0, got -1"]
+        assert not any((tmp_path / name).exists() for name in ("s.csr", "r", "t.bin", "eval"))
+
     @pytest.mark.parametrize("config", [{}, [], {"walk_length": 0}, {"walk_length": "3"}, {"walk_length": True}])
     def test_train_manifest_config_without_walk_length_exit_1(self, tmp_path, small_graph_file, capsys, config):
         records = tmp_path / "records"
@@ -381,6 +399,15 @@ class TestPipelineCommand:
         path.write_text(json.dumps(cfg))
         assert run("pipeline", "--config", path) == 1
         assert "unknown trainer config key(s): 'stepz'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_graph_value_of_the_wrong_type_named_exit_1(self, tmp_path, capsys):
+        path = self.config(tmp_path)
+        cfg = json.loads(path.read_text())
+        cfg["graph"]["nodes"] = 60.9
+        path.write_text(json.dumps(cfg))
+        assert run("pipeline", "--config", path) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: graph config key 'nodes' must be int, got 60.9"]
         assert not (tmp_path / "run").exists()
 
     def test_malformed_json_exit_1(self, tmp_path):

@@ -3,8 +3,14 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walkembed import cores
+
+
+class Fails(Exception):
+    pass
 
 
 @pytest.fixture
@@ -49,6 +55,46 @@ class TestShare:
             cores.share(pool, fn, range(20))
         assert len(taken) <= 3
         assert where == "helper" or finished.is_set()
+
+    def test_the_lowest_failure_is_raised_though_a_later_one_came_first(self, pool):
+        one_failed = threading.Event()
+
+        def fn(x):
+            if x == 0:  # the two threads hold items 0 and 1 at once
+                assert one_failed.wait(timeout=30)
+            else:
+                one_failed.set()
+            raise Fails(x)
+
+        for _ in range(20):
+            one_failed.clear()
+            with pytest.raises(Fails) as exc:
+                cores.share(pool, fn, range(2))
+            assert exc.value.args == (0,)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(0, 12),
+        failing=st.sets(st.integers(0, 11)),
+        sleeps=st.lists(st.sampled_from([0.0, 0.0005, 0.002]), min_size=12, max_size=12),
+    )
+    def test_returns_or_raises_what_the_loop_does(self, n, failing, sleeps):
+        def fn(x):
+            time.sleep(sleeps[x])
+            if x in failing:
+                raise Fails(x)
+            return x * x
+
+        def outcome(run):
+            try:
+                return run()
+            except Fails as e:
+                return "raised", e.args
+
+        want = outcome(lambda: [fn(x) for x in range(n)])
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            for two_threads in (None, pool):
+                assert outcome(lambda: cores.share(two_threads, fn, range(n))) == want
 
 
 class TestHelperPool:

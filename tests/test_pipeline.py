@@ -27,11 +27,14 @@ from walkembed.sampler import SamplerConfig
 from walkembed.trainer import TrainConfig
 
 
+SBM = {"kind": "sbm", "nodes": 120, "classes": 3, "p_in": 0.25, "p_out": 0.03}
+
+
 def tiny_config_dict(run_dir, seed=5):
     return {
         "seed": seed,
         "run_dir": str(run_dir),
-        "graph": {"kind": "sbm", "nodes": 120, "classes": 3, "p_in": 0.25, "p_out": 0.03},
+        "graph": dict(SBM),
         "min_degree": 2,
         "sampler": {"walks_per_node": 16, "walk_length": 3, "num_shards": 2},
         "trainer": {
@@ -79,6 +82,8 @@ class TestConfig:
             config_from_dict({"seed": 1, "run_dir": "x"})
         with pytest.raises(ValidationError):
             config_from_dict({"seed": 1, "run_dir": "x", "graph": {"kind": "nope"}})
+        with pytest.raises(ValidationError, match="^graph config missing 'classes'$"):
+            config_from_dict({"seed": 1, "run_dir": "x", "graph": {"kind": "sbm", "nodes": 6, "p_in": 1, "p_out": 0}})
 
     @pytest.mark.parametrize("section, key", [("trainer", "stepz"), ("sampler", "walks"), ("eval", "recal_nodes")])
     def test_unknown_key_names_section_and_key(self, tmp_path, section, key):
@@ -137,6 +142,41 @@ class TestConfig:
         d["graph"] = {"kind": "preset", "name": "sbm-1k", "nodes": 10}
         with pytest.raises(ValidationError, match="unknown graph config key\\(s\\): 'nodes'"):
             config_from_dict(d)
+
+    @pytest.mark.parametrize(
+        "graph, message",
+        [
+            ({**SBM, "nodes": 60.9}, "'nodes' must be int, got 60.9"),
+            ({**SBM, "classes": True}, "'classes' must be int, got True"),
+            ({**SBM, "p_in": "0.3"}, "'p_in' must be float, got '0.3'"),
+            ({**SBM, "p_out": None}, "'p_out' must be float, got None"),
+            ({"kind": "preset", "name": 5}, "'name' must be str, got 5"),
+            ({"kind": "edge_list", "path": 5}, "'path' must be str, got 5"),
+            ({"kind": "edge_list", "path": "e.tsv", "format": 1}, "'format' must be str, got 1"),
+            ({"kind": "edge_list", "path": "e.tsv", "format": "json"}, "'format' must be tsv or csv, got 'json'"),
+        ],
+    )
+    def test_graph_value_types_named(self, tmp_path, graph, message):
+        d = tiny_config_dict(tmp_path / "r")
+        d["graph"] = graph
+        with pytest.raises(ValidationError, match=re.escape(f"graph config key {message}")):
+            config_from_dict(d)
+        assert not (tmp_path / "r").exists()
+
+    def test_graph_values_of_their_types_pass(self, tmp_path):
+        d = tiny_config_dict(tmp_path / "r")
+        for graph in (
+            {**SBM, "p_in": 1, "p_out": 0},  # an int passes for a float
+            {"kind": "preset", "name": "sbm-1k"},
+            {"kind": "edge_list", "path": "e.csv", "format": "csv"},
+            {"kind": "edge_list", "path": "e.tsv"},
+        ):
+            assert config_from_dict({**d, "graph": graph}).graph == graph
+
+    def test_negative_global_seed_accepted(self, tmp_path):
+        # the global seed only feeds derive_seed; every stage seed it gives is >= 0
+        cfg = config_from_dict(tiny_config_dict(tmp_path / "r", seed=-1))
+        assert cfg.seed == -1 and cfg.sampler.seed >= 0 and cfg.trainer.seed >= 0
 
     @pytest.mark.parametrize("key", ["dual_table", "table_dtype", "shuffle_buffer", "self_pair_filter"])
     def test_removed_trainer_keys_are_unknown(self, tmp_path, key):

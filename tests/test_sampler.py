@@ -423,3 +423,24 @@ class TestTwoThreads:
         assert helper_started.is_set()
         assert not (tmp_path / "manifest.json").exists()
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_the_first_failed_shard_is_raised(self, tmp_path, monkeypatch, cpus):
+        # on two threads shard 1 fails only after shard 3 has: shard 1's
+        # failure is raised, as on one thread
+        real = sampler._sample_shard
+        three_failed = threading.Event()
+
+        def spy(g, cfg, stream, path, shard, partition_nodes):
+            if shard == 1 and cpus == 2:
+                assert three_failed.wait(timeout=30)
+            if shard == 3:
+                three_failed.set()
+            if shard in (1, 3):
+                raise RuntimeError(f"shard {shard} failed")
+            return real(g, cfg, stream, path, shard, partition_nodes)
+
+        monkeypatch.setattr(sampler, "_sample_shard", spy)
+        monkeypatch.setattr(cores, "usable_cpus", lambda: cpus)
+        with pytest.raises(RuntimeError, match="^shard 1 failed$"):
+            run_sampling(ring_with_isolated_nodes(), SamplerConfig(walks_per_node=4, num_shards=5), tmp_path)

@@ -343,6 +343,23 @@ class TestLossAndGrad:
         with pytest.raises(NumericError, match="source row 1"):
             loss_and_grad(table, batch_of([2, 1], [[2, 2], [1, 1]], [1.0, 1.0]))
 
+    def test_non_finite_loss_in_both_halves_names_the_first_source_row(self):
+        # halves [5, 7] and [3, 6]: both hold an infinite source row, and the
+        # first in batch order is named, as on one thread, though 3 < 7
+        table = zero_table(10, 4)
+        table.values[[3, 7]] = np.inf
+        table.values[9] = -1.0  # the score of an infinite source is -inf, its loss +inf
+        batch = batch_of([5, 7, 3, 6], np.full(4, 9), np.ones(4))
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            for two_halves in (None, pool):
+                with pytest.raises(NumericError, match="source row 7$"):
+                    loss_and_grad(table, batch, two_halves)
+
+    def test_finite_terms_whose_sum_overflows_raise(self):
+        table = EmbeddingTable(np.array([[1e154], [-1e154]]))  # each score -1e308, each loss term 1e308
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="sum of its finite terms overflows"):
+            loss_and_grad(table, batch_of([0, 0], [1, 1], [1.0, 1.0]))
+
 
 def add_at_reference(ids, contrib):
     """The ascending unique ids and their rows summed by the 2-D np.add.at into zeros."""
