@@ -20,6 +20,7 @@ import numpy as np
 from .errors import EmptyGraphError, ParseError, ValidationError, check_file_size
 
 _CSR_MAGIC = b"WECSR01\n"
+_WRITE_BLOCK = 1 << 16  # target positions per block of save_edge_list
 
 
 @dataclass(frozen=True)
@@ -51,10 +52,23 @@ class Graph:
 
     def edge_array(self) -> np.ndarray:
         """(num_edges, 2) array of edges with u < v."""
-        u = np.repeat(np.arange(self.num_nodes, dtype=np.int64), self.degrees)
-        v = self.targets
+        return np.column_stack(self.edges_at(0, len(self.targets)))
+
+    def edges_at(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """u and v of the edges u < v stored at target positions [start, stop),
+        in CSR order; blocks that tile the targets give edge_array's order.
+        A block may cut a row, so its memory is bounded by its width."""
+        stop = min(stop, len(self.targets))
+        if start >= stop:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        # rows [lo, hi) hold positions [start, stop): lo the last row starting at or before start
+        lo = int(np.searchsorted(self.offsets, start, side="right")) - 1
+        hi = int(np.searchsorted(self.offsets, stop, side="left"))
+        widths = np.diff(np.clip(self.offsets[lo : hi + 1], start, stop))
+        u = np.repeat(np.arange(lo, hi, dtype=np.int64), widths)
+        v = self.targets[start:stop]
         keep = u < v
-        return np.column_stack([u[keep], v[keep]])
+        return u[keep], v[keep]
 
     def content_hash(self) -> str:
         h = hashlib.sha256()
@@ -145,12 +159,16 @@ def load_edge_list(path: str | Path, format: str = "tsv") -> Graph:
 
 
 def save_edge_list(g: Graph, path: str | Path, format: str = "tsv") -> None:
-    """Write one `u v` line per edge (u < v), in the dense id space."""
+    """Write one `u v` line per edge (u < v), in the dense id space, in
+    edge_array order; the lines are built _WRITE_BLOCK target positions at a
+    time."""
     _check_format(format)
     sep = "," if format == "csv" else "\t"
-    edges = g.edge_array()
-    lines = map(f"{{}}{sep}{{}}\n".format, edges[:, 0].tolist(), edges[:, 1].tolist())
-    Path(path).write_text("".join(lines), encoding="utf-8")
+    line = f"{{}}{sep}{{}}\n".format
+    with Path(path).open("w", encoding="utf-8") as fh:
+        for start in range(0, len(g.targets), _WRITE_BLOCK):
+            u, v = g.edges_at(start, start + _WRITE_BLOCK)
+            fh.write("".join(map(line, u.tolist(), v.tolist())))
 
 
 def prune_low_degree(g: Graph, min_degree: int = 2) -> Graph:
@@ -195,7 +213,33 @@ def save_csr(g: Graph, path: str | Path) -> None:
             g.external_ids.astype("<u8").tofile(fh)
 
 
+def _check_csr(path, n: int, offsets: np.ndarray, targets: np.ndarray) -> None:
+    """Raise ValidationError naming path, and the first bad row where there is
+    one, unless offsets run from 0 to len(targets) without decreasing and
+    every row holds strictly ascending targets in [0, n)."""
+    if offsets[0] != 0 or offsets[-1] != len(targets):
+        raise ValidationError(f"{path}: offsets run from {offsets[0]} to {offsets[-1]}, not from 0 to {len(targets)}")
+    falls = np.flatnonzero(offsets[1:] < offsets[:-1])
+    if len(falls):
+        raise ValidationError(f"{path}: row {falls[0]} ends before it starts")
+
+    def row_of(pos):
+        return int(np.searchsorted(offsets, pos, side="right")) - 1
+
+    if len(targets) and (targets.min() < 0 or targets.max() >= n):
+        pos = np.flatnonzero((targets < 0) | (targets >= n))[0]
+        raise ValidationError(f"{path}: row {row_of(pos)} holds target {targets[pos]}, outside [0, {n})")
+    # a position not above the one before it, unless it starts a row
+    unsorted = np.zeros(len(targets), dtype=bool)
+    np.less_equal(targets[1:], targets[:-1], out=unsorted[1:])
+    unsorted[offsets[:-1][offsets[:-1] < len(targets)]] = False
+    if unsorted.any():
+        raise ValidationError(f"{path}: row {row_of(np.argmax(unsorted))} is not strictly ascending")
+
+
 def load_csr(path: str | Path) -> Graph:
+    """A graph written by save_csr. ValidationError names the file if it is
+    not one, is truncated, or holds a malformed CSR (see _check_csr)."""
     with Path(path).open("rb") as fh:
         if fh.read(len(_CSR_MAGIC)) != _CSR_MAGIC:
             raise ValidationError(f"{path} is not a CSR cache file")
@@ -204,9 +248,11 @@ def load_csr(path: str | Path) -> Graph:
             raise ValidationError(f"{path}: truncated header")
         n, m, flags = (int(x) for x in head)
         check_file_size(path, fh, len(_CSR_MAGIC) + 8 * (3 + n + 1 + 2 * m + (n if flags & 1 else 0)))
-        offsets = np.fromfile(fh, dtype="<u8", count=n + 1).astype(np.int64)
-        targets = np.fromfile(fh, dtype="<u8", count=2 * m).astype(np.int64)
-        ext = np.fromfile(fh, dtype="<u8", count=n).astype(np.int64) if flags & 1 else None
+        # read as signed: a u64 value above the int64 range fails the checks below
+        offsets = np.fromfile(fh, dtype="<i8", count=n + 1).astype(np.int64, copy=False)
+        targets = np.fromfile(fh, dtype="<i8", count=2 * m).astype(np.int64, copy=False)
+        ext = np.fromfile(fh, dtype="<i8", count=n).astype(np.int64, copy=False) if flags & 1 else None
+    _check_csr(path, n, offsets, targets)
     return Graph(n, m, offsets, targets, ext)
 
 

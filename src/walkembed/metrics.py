@@ -7,13 +7,21 @@ recall@k uses k = degree(u) with an exact neighbor search: a blocked matrix
 product shortlists candidates and an exact re-rank orders them. A row
 that is not finite, or whose norm overflows, raises ValidationError.
 
-Row normalization and pair distances run in fixed blocks of rows or pairs,
-each written to its own slice of one preallocated output. Where the process
-may use more than one CPU, the calling thread and one helper thread each
-take the next block not yet taken (see cores.share); each row's arithmetic
-is the same on either thread, so the report is bitwise the same as on one
-thread, and the bad row named is the first, as on one thread. The recall
-search stays on the calling thread.
+Eval holds one table-sized array beside the graph: load_unit_table
+normalizes each block of a checkpoint's rows where it reads it, and
+compute_report takes such a UnitTable as it is. The edges come from blocks
+of CSR target positions, and a sampled pair is tested for an edge by a
+binary search in its CSR row, so the rest is block-sized, plus the
+distances of every edge and of the sampled non-edges.
+
+Row normalization and pair distances run in fixed blocks of rows, target
+positions or pairs, each written to its own slice of one preallocated
+output or returned whole. Where the process may use more than one CPU, the
+calling thread and one helper thread each take the next block not yet
+taken (see cores.share); each row's arithmetic is the same on either
+thread, so the report is bitwise the same as on one thread, and the bad row
+named is the first, as on one thread. The recall search stays on the
+calling thread.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -29,7 +38,7 @@ import numpy as np
 from . import cores
 from .errors import MetricError, ValidationError, check_ids
 from .graph import Graph
-from .model import EmbeddingTable
+from .model import EmbeddingTable, read_checkpoint_header
 
 logger = logging.getLogger(__name__)
 
@@ -92,28 +101,57 @@ def _normalize_rows(values: np.ndarray, out: np.ndarray, lo: int, hi: int) -> in
     return int(np.count_nonzero(zero))
 
 
-def l2_normalize(table: EmbeddingTable) -> EmbeddingTable:
-    """Unit-normalize every nonzero row; zero rows pass through unchanged.
+class UnitTable(EmbeddingTable):
+    """A table whose nonzero rows l2_normalize has unit-normalized; its values
+    are read-only, so it stays normalized and compute_report takes it as is."""
 
-    Rows are taken _ROW_BLOCK at a time into one preallocated output, shared
-    between this thread and, where the process may use two CPUs, one helper
-    thread. Each row's norm and quotient are computed on their own, so the
-    result equals the unblocked values / norm(values, axis=1) bit for bit.
-    One warning carries the zero rows of all blocks. A row whose norm is not
-    finite raises ValidationError naming the first such row."""
-    values = table.values
-    out = np.empty(values.shape, dtype=np.result_type(values.dtype, 1.0))
+
+def _unit_table(out: np.ndarray, normalize_block) -> UnitTable:
+    """out as a UnitTable once normalize_block(lo) has normalized its rows
+    [lo, lo + _ROW_BLOCK) into it for every block, on this thread and, where
+    the process may use two CPUs, one helper thread; one warning carries the
+    zero rows that the blocks return."""
     with cores.helper_pool() as pool:
-        zeros = sum(
-            cores.share(
-                pool,
-                lambda lo: _normalize_rows(values, out, lo, lo + _ROW_BLOCK),
-                range(0, len(values), _ROW_BLOCK),
-            )
-        )
+        zeros = sum(cores.share(pool, normalize_block, range(0, len(out), _ROW_BLOCK)))
     if zeros:
         logger.warning("l2_normalize: %d zero rows left unnormalized", zeros)
-    return EmbeddingTable(out)
+    out.flags.writeable = False
+    return UnitTable(out)
+
+
+def l2_normalize(table: EmbeddingTable) -> UnitTable:
+    """Unit-normalize every nonzero row; zero rows pass through unchanged.
+
+    Rows are taken _ROW_BLOCK at a time into one preallocated output. Each
+    row's norm and quotient are computed on their own, so the result equals
+    the unblocked values / norm(values, axis=1) bit for bit. A row whose norm
+    is not finite raises ValidationError naming the first such row."""
+    values = table.values
+    out = np.empty(values.shape, dtype=np.result_type(values.dtype, 1.0))
+    return _unit_table(out, lambda lo: _normalize_rows(values, out, lo, lo + _ROW_BLOCK))
+
+
+def load_unit_table(path: str | Path) -> UnitTable:
+    """l2_normalize(load_checkpoint(path)[0]), bit for bit, without the raw
+    table: each block of rows is read into its slice of the output and
+    normalized there, so the memory is one table. A file that is not a whole
+    checkpoint raises load_checkpoint's ValidationError."""
+    with Path(path).open("rb") as fh:
+        n, d, _, _ = read_checkpoint_header(path, fh)
+        out = np.empty((n, d), dtype="<f4")
+        start, fd = fh.tell(), fh.fileno()
+
+        def read_block(lo):
+            view = memoryview(out[lo : lo + _ROW_BLOCK].reshape(-1).view(np.uint8))
+            at = start + lo * 4 * d
+            while len(view):  # preadv releases the GIL, and a read may come back short
+                got = os.preadv(fd, [view], at)
+                if not got:
+                    raise ValidationError(f"{path}: truncated while reading embedding rows from {lo}")
+                view, at = view[got:], at + got
+            return _normalize_rows(out, out, lo, lo + _ROW_BLOCK)
+
+        return _unit_table(out, read_block)
 
 
 def _pair_block(values: np.ndarray, u: np.ndarray, v: np.ndarray, out: np.ndarray, lo: int, hi: int) -> None:
@@ -152,10 +190,43 @@ def pair_distances(table: EmbeddingTable, u: np.ndarray, v: np.ndarray) -> np.nd
     return out
 
 
-def _edge_keys(g: Graph) -> np.ndarray:
-    """Sorted u*n+v keys for all directed edges; for membership queries."""
-    u = np.repeat(np.arange(g.num_nodes, dtype=np.int64), g.degrees)
-    return u * np.int64(g.num_nodes) + g.targets
+def edge_distances(g: Graph, table: EmbeddingTable) -> np.ndarray:
+    """pair_distances over g.edge_array(), bit for bit, without an array of
+    every edge: blocks of 2 * _PAIR_BLOCK target positions (Graph.edges_at)
+    are shared as pair_distances shares its blocks, each takes its pairs
+    _PAIR_BLOCK at a time, and their distances are joined in block order."""
+    values = table.values
+    if len(values) < g.num_nodes:
+        raise ValidationError(f"embedding has {len(values)} rows, graph has {g.num_nodes} nodes")
+    width = 2 * _PAIR_BLOCK
+
+    def block(start):
+        u, v = g.edges_at(start, start + width)
+        out = np.empty(len(u), dtype=values.dtype)
+        for lo in range(0, len(u), _PAIR_BLOCK):  # early rows keep nearly every position
+            _pair_block(values, u, v, out, lo, lo + _PAIR_BLOCK)
+        return out
+
+    with cores.helper_pool() as pool:
+        parts = cores.share(pool, block, range(0, len(g.targets), width))
+    return np.concatenate(parts) if parts else np.empty(0, dtype=values.dtype)
+
+
+def _is_edge(g: Graph, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Whether each v[i] is a neighbor of u[i]: a binary search for v in the
+    sorted row of u, all pairs at once, one pass per bit of the top degree."""
+    lo, end = g.offsets[u], g.offsets[u + 1]
+    hi = end
+    for _ in range(int(g.degrees.max(initial=0)).bit_length()):
+        # the first position of u's row holding a target >= v lies in [lo, hi]
+        active = lo < hi
+        mid = (lo + hi) >> 1
+        below = active & (np.take(g.targets, mid, mode="clip") < v)
+        lo = np.where(below, mid + 1, lo)
+        hi = np.where(active & ~below, mid, hi)
+    found = lo < end
+    found[found] = g.targets[lo[found]] == v[found]
+    return found
 
 
 def sample_non_edges(g: Graph, count: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -164,7 +235,6 @@ def sample_non_edges(g: Graph, count: int, rng: np.random.Generator) -> tuple[np
         raise ValidationError("non-edge sample count must be >= 1")
     if g.num_nodes * (g.num_nodes - 1) // 2 <= g.num_edges:
         raise MetricError("graph has no non-edges to sample")
-    keys = _edge_keys(g)
     n = g.num_nodes
     out_u, out_v = [], []
     got = 0
@@ -172,11 +242,7 @@ def sample_non_edges(g: Graph, count: int, rng: np.random.Generator) -> tuple[np
         m = max(1024, int((count - got) * 1.2))
         u = rng.integers(0, n, size=m, dtype=np.int64)
         v = rng.integers(0, n, size=m, dtype=np.int64)
-        q = u * np.int64(n) + v
-        pos = np.searchsorted(keys, q)
-        pos = np.minimum(pos, len(keys) - 1) if len(keys) else pos
-        is_edge = keys[pos] == q if len(keys) else np.zeros(m, dtype=bool)
-        ok = (u != v) & ~is_edge
+        ok = (u != v) & ~_is_edge(g, u, v)
         out_u.append(u[ok])
         out_v.append(v[ok])
         got += int(ok.sum())
@@ -192,8 +258,7 @@ def _distance_split(
     the SNR (capped at SNR_CAP when the edge mean is below 1e-12)."""
     if g.num_edges == 0:
         raise MetricError("metrics undefined on a graph with no edges")
-    edges = g.edge_array()
-    edge_d = pair_distances(table, edges[:, 0], edges[:, 1])
+    edge_d = edge_distances(g, table)
     u, v = sample_non_edges(g, non_edge_samples, rng)
     non_d = pair_distances(table, u, v)
     mean_edge = float(np.mean(edge_d, dtype=np.float64))
@@ -359,12 +424,15 @@ def compute_report(
 ) -> MetricsReport:
     """Normalize, then compute SNR, both distance distributions, and recall.
 
-    The table must hold one row per graph node, and the seed be >= 0."""
+    A UnitTable (l2_normalize's or load_unit_table's) is already normalized
+    and taken as it is, so passing l2_normalize(table) gives the same report
+    as passing table. The table must hold one row per graph node, and the
+    seed be >= 0."""
     if seed < 0:
         raise ValidationError(f"eval seed must be >= 0, got {seed}")
     if table.num_nodes != g.num_nodes:
         raise ValidationError(f"embedding has {table.num_nodes} rows, graph has {g.num_nodes} nodes")
-    normalized = l2_normalize(table)
+    normalized = table if isinstance(table, UnitTable) else l2_normalize(table)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xE7)))
     edge_d, non_d, mean_edge, mean_non, snr = _distance_split(g, normalized, non_edge_samples, rng)
     rec = edge_recall(g, normalized, recall_nodes, rng)

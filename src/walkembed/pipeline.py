@@ -23,7 +23,7 @@ from . import cores
 from . import metrics as metrics_mod
 from .errors import ParseError, StageError, ValidationError, check_keys, check_object, read_json
 from .graph import Graph, load_csr, load_edge_list, prune_low_degree, save_csr
-from .model import load_checkpoint, save_checkpoint
+from .model import save_checkpoint
 from .rng import derive_seed
 from .sampler import SamplerConfig, run_sampling
 from .shards import read_manifest, shard_path
@@ -162,8 +162,10 @@ def evaluate_checkpoint(
     g: Graph, checkpoint: str | Path, out_dir: str | Path, params: EvalParams, seed: int
 ) -> metrics_mod.MetricsReport:
     """compute_report on a checkpoint's table, written by write_report to
-    out_dir; a report that cannot be computed writes nothing."""
-    table, _, _ = load_checkpoint(checkpoint)
+    out_dir; a report that cannot be computed writes nothing. The table is
+    normalized as it is read (metrics.load_unit_table), so eval holds one
+    table, never the raw one beside it."""
+    table = metrics_mod.load_unit_table(checkpoint)
     report = metrics_mod.compute_report(g, table, params.non_edge_samples, params.recall_nodes, seed)
     metrics_mod.write_report(report, out_dir, label=params.label)
     return report

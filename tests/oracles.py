@@ -4,10 +4,12 @@ Everything here is deliberately naive: explicit trajectory enumeration,
 quadratic nearest-neighbor search, exhaustive pair scans, central finite
 differences, a per-example skip-gram loss, a per-line edge-list parser
 with sort-based graph building, a whole-epoch record order, a shard parser,
-whole-set positives and a one-draw initial table. None of it shares code
-with the implementations under test, except the whole-set shard reference,
-which reuses the sampler's walks and checks only how records reach their
-shards. The small helpers at the end serve tests only.
+whole-set positives, a one-draw initial table, and whole-graph edge arrays
+for the edge distances, the edge-list writer and the non-edge membership
+test. None of it shares code with the implementations under test, except
+the whole-set shard reference, which reuses the sampler's walks and checks
+only how records reach their shards. The small helpers at the end serve
+tests only.
 """
 
 import math
@@ -131,6 +133,47 @@ def loss_and_grad_reference(values: np.ndarray, src, dst, weight, positive) -> t
         grad[u] += coef * ev
         grad[v] += coef * eu
     return loss / n, grad
+
+
+def upper_edges(g) -> tuple[np.ndarray, np.ndarray]:
+    """u and v of every edge u < v in CSR order, from one whole-graph repeat."""
+    u = np.repeat(np.arange(g.num_nodes, dtype=np.int64), np.diff(g.offsets))
+    keep = u < g.targets
+    return u[keep], g.targets[keep]
+
+
+def edge_distances_reference(g, values: np.ndarray) -> np.ndarray:
+    """norm(values[u] - values[v], axis=1) over every edge u < v at once."""
+    u, v = upper_edges(g)
+    return np.linalg.norm(values[u] - values[v], axis=1)
+
+
+def save_edge_list_reference(g, path, format: str = "tsv") -> None:
+    """Every `u v` line (u < v) joined in memory and written in one call."""
+    sep = "," if format == "csv" else "\t"
+    u, v = upper_edges(g)
+    Path(path).write_text("".join(f"{a}{sep}{b}\n" for a, b in zip(u.tolist(), v.tolist())), encoding="utf-8")
+
+
+def sample_non_edges_reference(g, count: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """metrics.sample_non_edges' draws, with membership by searchsorted over
+    the sorted u * n + v keys of every directed edge."""
+    n = g.num_nodes
+    keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.offsets)) * np.int64(n) + g.targets
+    out_u, out_v = [], []
+    got = 0
+    while got < count:
+        m = max(1024, int((count - got) * 1.2))
+        u = rng.integers(0, n, size=m, dtype=np.int64)
+        v = rng.integers(0, n, size=m, dtype=np.int64)
+        q = u * np.int64(n) + v
+        pos = np.minimum(np.searchsorted(keys, q), max(len(keys) - 1, 0))
+        is_edge = keys[pos] == q if len(keys) else np.zeros(m, dtype=bool)
+        ok = (u != v) & ~is_edge
+        out_u.append(u[ok])
+        out_v.append(v[ok])
+        got += int(ok.sum())
+    return np.concatenate(out_u)[:count], np.concatenate(out_v)[:count]
 
 
 def validate_graph(g) -> None:

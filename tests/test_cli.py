@@ -6,7 +6,7 @@ import pytest
 
 from walkembed import pipeline
 from walkembed.cli import main
-from walkembed.graph import load_csr, load_edge_list
+from walkembed.graph import Graph, load_csr, load_edge_list, save_csr
 from walkembed.model import EmbeddingTable, init_table, load_checkpoint, save_checkpoint
 from walkembed.metrics import read_report
 
@@ -287,6 +287,25 @@ class TestPruneSampleTrainEval:
                    "--config", tcfg, "--steps", 5, "--out", ckpt) == 1
         assert capsys.readouterr().err.splitlines() == ["error: trainer config must be an object, got [1]"]
         assert not ckpt.exists()
+
+    # on the path 0-1-2-3: a target equal to num_nodes, and offsets[1] above offsets[2]
+    @pytest.mark.parametrize("offsets, targets, message", [
+        ([0, 1, 3, 5, 6], [1, 0, 2, 1, 4, 2], "row 2 holds target 4, outside [0, 4)"),
+        ([0, 4, 3, 5, 6], [1, 0, 2, 1, 3, 2], "row 1 ends before it starts"),
+    ])
+    @pytest.mark.parametrize("command", ["sample", "eval"])
+    def test_corrupt_csr_named_exit_1(self, tmp_path, capsys, command, offsets, targets, message):
+        bad, ckpt = tmp_path / "bad.csr", tmp_path / "emb.bin"
+        save_csr(Graph(4, 3, np.array(offsets), np.array(targets)), bad)
+        save_checkpoint(ckpt, init_table(4, 8, seed=0), 0)
+        argv = {
+            "sample": ["--out", tmp_path / "records"],
+            "eval": ["--embedding", ckpt, "--out", tmp_path / "eval"],
+        }[command]
+        capsys.readouterr()
+        assert run(command, "--graph", bad, *argv) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {bad}: {message}"]
+        assert not (tmp_path / "records").exists() and not (tmp_path / "eval").exists()
 
     def test_sample_walk_length_zero_exit_1(self, tmp_path, small_graph_file):
         assert run("sample", "--graph", small_graph_file, "--out", tmp_path / "r",

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from walkembed.errors import EmptyGraphError, ParseError, ValidationError
 from walkembed.graph import (
+    Graph,
     from_edges,
     load_csr,
     load_edge_list,
@@ -246,6 +247,28 @@ class TestInvariants:
         p.write_bytes(data)
         with pytest.raises(ValidationError, match=str(p)):
             load_csr(p)
+
+    # the path 0-1-2-3 is offsets [0, 1, 3, 5, 6], targets [1, 0, 2, 1, 3, 2]
+    @pytest.mark.parametrize("offsets, targets, message", [
+        ([1, 1, 3, 5, 6], [1, 0, 2, 1, 3, 2], "offsets run from 1 to 6, not from 0 to 6"),
+        ([0, 1, 3, 5, 5], [1, 0, 2, 1, 3, 2], "offsets run from 0 to 5, not from 0 to 6"),
+        ([0, 4, 3, 5, 6], [1, 0, 2, 1, 3, 2], "row 1 ends before it starts"),
+        ([0, 1, 3, 5, 6], [1, 0, 2, 1, 4, 2], "row 2 holds target 4, outside \\[0, 4\\)"),
+        ([0, 1, 3, 5, 6], [1, 0, 2, 1, 3, -1], "row 3 holds target -1, outside \\[0, 4\\)"),
+        ([0, 1, 3, 5, 6], [1, 2, 0, 1, 3, 2], "row 1 is not strictly ascending"),
+        ([0, 1, 3, 5, 6], [1, 0, 2, 3, 3, 2], "row 2 is not strictly ascending"),
+    ])
+    def test_csr_structure_checked(self, tmp_path, offsets, targets, message):
+        p = tmp_path / "bad.csr"
+        save_csr(Graph(4, 3, np.array(offsets), np.array(targets)), p)
+        with pytest.raises(ValidationError, match=f"^{p}: {message}$"):
+            load_csr(p)
+
+    def test_csr_with_empty_first_and_last_rows_loads(self, tmp_path):
+        g = from_edges(np.array([[1, 3], [2, 3], [1, 2]]), 5)
+        assert g.degrees.tolist() == [0, 2, 2, 2, 0]
+        save_csr(g, tmp_path / "g.csr")
+        assert load_csr(tmp_path / "g.csr").content_hash() == g.content_hash()
 
     def test_save_edge_list_unknown_format(self, tmp_path, triangle):
         with pytest.raises(ValidationError, match="parquet"):

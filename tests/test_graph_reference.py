@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from walkembed import graph as graph_mod
 from walkembed.errors import EmptyGraphError, ParseError
 from walkembed.graph import (
     from_edges,
@@ -274,12 +275,16 @@ def test_prune_matches_reference(case, min_degree, with_ids):
         oracles.validate_graph(got)
 
 
-@pytest.mark.parametrize("fmt, sep", [("tsv", "\t"), ("csv", ",")])
-def test_save_edge_list_bytes_match_per_line_writes(tmp_path, fmt, sep):
+@pytest.mark.parametrize("block", [None, 5])
+@pytest.mark.parametrize("fmt", ["tsv", "csv"])
+def test_save_edge_list_bytes_match_one_write(tmp_path, monkeypatch, fmt, block):
+    # a 5-position block cuts rows, and nodes 0-9 and 200 are isolated
+    if block:
+        monkeypatch.setattr(graph_mod, "_WRITE_BLOCK", block)
     rng = np.random.default_rng(9)
-    g = from_edges(rng.integers(0, 200, size=(1_000, 2)), 200)
-    save_edge_list(g, tmp_path / "g.txt", format=fmt)
-    want = "".join(f"{u}{sep}{v}\n" for u, v in g.edge_array())
-    assert (tmp_path / "g.txt").read_bytes() == want.encode("utf-8")
-    save_edge_list(from_edges(np.empty((0, 2)), 3), tmp_path / "empty.txt", format=fmt)
+    g = from_edges(rng.integers(10, 200, size=(1_000, 2)), 201)
+    for name, g in (("g.txt", g), ("empty.txt", from_edges(np.empty((0, 2)), 3))):
+        save_edge_list(g, tmp_path / name, format=fmt)
+        oracles.save_edge_list_reference(g, tmp_path / f"ref-{name}", format=fmt)
+        assert (tmp_path / name).read_bytes() == (tmp_path / f"ref-{name}").read_bytes()
     assert (tmp_path / "empty.txt").read_bytes() == b""

@@ -20,14 +20,17 @@ from walkembed.metrics import (
     compute_report,
     edge_recall,
     edge_snr,
+    UnitTable,
     l2_normalize,
+    load_unit_table,
     nearest_rank_percentiles,
     pair_distances,
     read_report,
     sample_non_edges,
     write_report,
 )
-from walkembed.model import EmbeddingTable
+from walkembed.model import EmbeddingTable, load_checkpoint, save_checkpoint
+from walkembed.pipeline import EvalParams, evaluate_checkpoint
 from walkembed.sbm import SbmConfig, generate_sbm
 
 
@@ -507,3 +510,134 @@ class TestReport:
 
     def test_deterministic_given_seed(self):
         assert self.make_report() == self.make_report()
+
+
+def hub_graph():
+    """60 nodes: 0-5 and 56-58 isolated, hub 7 joined to 10-55, 300 random
+    edges among 10-55, and the largest id, 59, joined to 8, 20 and 33."""
+    edges = [(7, v) for v in range(10, 56)] + [(59, 8), (59, 20), (59, 33)]
+    return from_edges(np.concatenate([edges, np.random.default_rng(11).integers(10, 56, size=(300, 2))]), 60)
+
+
+class TestEdgePassAndNonEdges:
+    """The edge distances and the non-edge samples equal the whole-graph
+    oracles bit for bit, with blocks that cut rows and a hub row wider than
+    a block, on one thread and on two."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("pair_block", [3, None])
+    def test_equal_to_oracles(self, monkeypatch, pair_block, cpus, dtype):
+        monkeypatch.setattr(cores, "usable_cpus", lambda: cpus)
+        if pair_block:
+            monkeypatch.setattr(metrics, "_PAIR_BLOCK", pair_block)
+        g = hub_graph()
+        width = 2 * metrics._PAIR_BLOCK
+        if pair_block:
+            cuts = np.arange(width, len(g.targets), width)
+            assert np.any((g.offsets[:-1, None] < cuts) & (cuts < g.offsets[1:, None]))  # a block cuts a row
+            assert g.degree(7) > width
+        assert g.degrees[[0, 5, 56, 58]].tolist() == [0] * 4 and g.degree(59) == 3
+        values = np.random.default_rng(12).standard_normal((60, 16)).astype(dtype)
+        got = metrics.edge_distances(g, EmbeddingTable(values))
+        want = oracles.edge_distances_reference(g, values)
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+        got = sample_non_edges(g, 5000, np.random.default_rng(13))
+        want = oracles.sample_non_edges_reference(g, 5000, np.random.default_rng(13))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_is_edge_on_every_pair(self):
+        for g in (hub_graph(), build_graph([(0, 1)], 3), from_edges(np.empty((0, 2)), 4)):
+            u, v = (a.ravel() for a in np.indices((g.num_nodes, g.num_nodes)))
+            want = [oracles.has_edge(g, a, b) for a, b in zip(u, v)]
+            assert metrics._is_edge(g, u, v).tolist() == want
+
+    def test_edge_distances_need_a_row_per_node(self):
+        with pytest.raises(ValidationError, match="^embedding has 59 rows, graph has 60 nodes$"):
+            metrics.edge_distances(hub_graph(), random_unit_table(59, 4))
+
+
+class TestUnitTables:
+    """A checkpoint normalized as it is read equals l2_normalize of the loaded
+    table, and compute_report normalizes a table once."""
+
+    def write_checkpoint(self, path, values):
+        save_checkpoint(path, EmbeddingTable(values), 3)
+        return path
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_load_unit_table_equals_l2_normalize_of_load(self, tmp_path, monkeypatch, caplog, cpus):
+        monkeypatch.setattr(cores, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(metrics, "_ROW_BLOCK", 16)
+        rng = np.random.default_rng(1)
+        values = (rng.standard_normal((200, 8)) * 10.0 ** rng.uniform(-3, 3, size=(200, 1))).astype(np.float32)
+        values[::9] = 0.0
+        p = self.write_checkpoint(tmp_path / "c.bin", values)
+        with caplog.at_level(logging.WARNING):
+            want = l2_normalize(load_checkpoint(p)[0])
+            got = load_unit_table(p)
+        assert type(got) is type(want) is UnitTable
+        assert got.values.dtype == want.values.dtype == np.float32
+        assert np.array_equal(got.values.view(np.uint8), want.values.view(np.uint8))
+        assert not got.values.flags.writeable
+        assert [r.getMessage() for r in caplog.records] == ["l2_normalize: 23 zero rows left unnormalized"] * 2
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_bad_files_keep_their_messages(self, tmp_path, monkeypatch, cpus):
+        monkeypatch.setattr(cores, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(metrics, "_ROW_BLOCK", 4)
+        values = np.ones((40, 3), dtype=np.float32)
+        values[[38, 33, 9]] = [np.inf, np.nan, 3e38]
+        p = self.write_checkpoint(tmp_path / "c.bin", values)
+        cases = [(p, "embedding row 9 is not finite or its norm overflows")]
+        data = p.read_bytes()
+        for name, cut, message in [
+            ("magic.bin", b"WEEMB02\n" + data[8:], "{} is not an embedding checkpoint"),
+            ("head.bin", data[:20], "{}: truncated header"),
+            ("short.bin", data[:-4], "{}: %d bytes, but its header implies %d" % (len(data) - 4, len(data))),
+        ]:
+            (tmp_path / name).write_bytes(cut)
+            cases.append((tmp_path / name, message.format(tmp_path / name)))
+        for path, message in cases:
+            for load in (load_unit_table, lambda path: l2_normalize(load_checkpoint(path)[0])):
+                with pytest.raises(ValidationError) as info:
+                    load(path)
+                assert str(info.value) == message
+
+    def test_evaluate_checkpoint_writes_the_report_of_the_loaded_table(self, tmp_path):
+        g = generate_sbm(SbmConfig(n=300, k=3, p_in=0.1, p_out=0.01, seed=2))
+        values = np.random.default_rng(3).standard_normal((300, 16)).astype(np.float32)
+        p = self.write_checkpoint(tmp_path / "c.bin", values)
+        params = EvalParams(non_edge_samples=2000, recall_nodes=30)
+        evaluate_checkpoint(g, p, tmp_path / "got", params, seed=5)
+        write_report(compute_report(g, load_checkpoint(p)[0], 2000, 30, 5), tmp_path / "want")
+        for name in ("report.json", *metrics.PERCENTILE_CSVS.values()):
+            assert (tmp_path / "got" / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_report_of_a_normalized_table_is_the_report_of_the_table(self, dtype):
+        g = generate_sbm(SbmConfig(n=300, k=3, p_in=0.1, p_out=0.01, seed=2))
+        t = EmbeddingTable(np.random.default_rng(4).standard_normal((300, 16)).astype(dtype))
+        want = compute_report(g, t, 2000, 30, 6).to_json()
+        assert compute_report(g, l2_normalize(t), 2000, 30, 6).to_json() == want
+
+    def test_evaluate_checkpoint_memory_is_one_table_and_blocks(self, tmp_path):
+        # 20k nodes, ~200k edges, D = 128, float32: a 9.8 MiB table. Under
+        # tracemalloc, eval beyond the graph peaked at 18.5 MiB on two
+        # threads (the table, two threads' pair blocks of 4 MiB and the
+        # edge distances) and 17.4 MiB on one (the recall search's 4 MiB
+        # product); holding the raw table, its normalized copy, the edge
+        # array and the edge keys peaked at 31.4 MiB.
+        rng = np.random.default_rng(0)
+        g = from_edges(rng.integers(0, 20_000, size=(200_000, 2)), 20_000)
+        values = rng.standard_normal((20_000, 128)).astype(np.float32)
+        p = self.write_checkpoint(tmp_path / "c.bin", values)
+        del values
+        tracemalloc.start()
+        try:
+            evaluate_checkpoint(g, p, tmp_path / "eval", EvalParams(), seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20_000 * 128 * 4 + 12 * 2**20
