@@ -3,14 +3,16 @@
 Node ids are dense 0-based ints. Ingested external ids are remapped in
 ascending order and the mapping kept so results can be reported in the
 caller's id space. An edge list is parsed by one np.loadtxt call over the
-whole file; only a file that call rejects is parsed line by line, to name
-its first bad line.
+whole file, from its path for tsv; only a file that call rejects is parsed
+line by line, to name its first bad line. The ids are remapped by one sort
+of packed (id, position) keys.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,6 +23,8 @@ from .errors import EmptyGraphError, ParseError, ValidationError, check_file_siz
 
 _CSR_MAGIC = b"WECSR01\n"
 _WRITE_BLOCK = 1 << 16  # target positions per block of save_edge_list
+_MAX_NODES = math.isqrt(1 << 63)  # the most nodes whose largest from_edges key, n*n - 1, fits int64
+_DECOMPRESSED = (".gz", ".bz2", ".xz", ".lzma")  # suffixes np.loadtxt decompresses when given a path
 
 
 @dataclass(frozen=True)
@@ -87,6 +91,8 @@ def from_edges(edges: np.ndarray, num_nodes: int, external_ids: np.ndarray | Non
     """
     if num_nodes <= 0:
         raise EmptyGraphError("graph has no nodes")
+    if num_nodes > _MAX_NODES:
+        raise ValidationError(f"num_nodes {num_nodes} is above {_MAX_NODES}, the most whose u*n+v keys fit int64")
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if len(edges) and (edges.min() < 0 or edges.max() >= num_nodes):
         raise ValidationError("edge endpoint out of range")
@@ -107,29 +113,38 @@ def _check_format(format: str) -> None:
         raise ValidationError(f"unknown edge-list format {format!r}")
 
 
-def _read_ids(text: str, format: str) -> np.ndarray:
-    """The first two ids of every data line of text as an (m, 2) int64 array."""
-    if format == "csv":
-        text = text.replace(",", " ")
-    with warnings.catch_warnings():  # a text without data lines yields an empty array
+def _loadtxt(source) -> np.ndarray:
+    """The first two ids of every data line of source, a path or a text
+    stream with its line ends translated, as an (m, 2) int64 array."""
+    with warnings.catch_warnings():  # a source without data lines yields an empty array
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         # numpy 1.23-1.26 only warn on, and truncate, an int that parses as a float (1.5, 1e3, 2**63)
         warnings.filterwarnings("error", category=DeprecationWarning)
-        # newline=None also ends a line at a lone CR, as bytes.splitlines does below
-        return np.loadtxt(io.StringIO(text, newline=None), dtype=np.int64, comments="#", usecols=(0, 1), ndmin=2)
+        return np.loadtxt(source, dtype=np.int64, comments="#", usecols=(0, 1), ndmin=2, encoding="utf-8")
+
+
+def _read_ids(text: str, format: str) -> np.ndarray:
+    """_loadtxt of a text; in csv a comma counts as a blank."""
+    if format == "csv":
+        text = text.replace(",", " ")
+    # newline=None also ends a line at a lone CR, as bytes.splitlines does below
+    return _loadtxt(io.StringIO(text, newline=None))
 
 
 def _read_edge_list(path: Path, format: str) -> np.ndarray:
     """The ids of every data line of the file, or ParseError at the first bad line.
 
-    The whole file is parsed in one call; only when that fails is each line
-    parsed on its own to find the first bad one.
+    The whole file is parsed in one call, a tsv file from its path (numpy
+    reads it in blocks), a csv file as text. Only when that fails is each
+    line parsed on its own to find the first bad one.
     """
-    data = path.read_bytes()
     try:
-        return _read_ids(data.decode("utf-8"), format)
+        # given a path, numpy decompresses x.gz, and opens x.gz when x is missing
+        if format == "tsv" and path.suffix not in _DECOMPRESSED and path.is_file():
+            return _loadtxt(str(path))
+        return _read_ids(path.read_bytes().decode("utf-8"), format)
     except (ValueError, DeprecationWarning):  # UnicodeDecodeError included
-        for line_no, line in enumerate(data.splitlines(), start=1):
+        for line_no, line in enumerate(path.read_bytes().splitlines(), start=1):
             try:
                 _read_ids(line.decode("utf-8"), format)
             except UnicodeDecodeError:
@@ -139,22 +154,50 @@ def _read_edge_list(path: Path, format: str) -> np.ndarray:
         raise
 
 
+def _remap(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(ids, return_inverse=True) of a non-empty 1-D int64 array:
+    the ascending unique ids and each position's index among them.
+
+    One sort of the keys (id - min) << shift | position groups equal ids in
+    position order; each run's rank is then scattered to its positions.
+    Ids whose span and positions do not fit int64 keys take np.unique.
+    """
+    m = len(ids)
+    lo = int(ids.min())
+    shift = (m - 1).bit_length()
+    if (int(ids.max()) - lo).bit_length() + shift > 63:
+        return np.unique(ids, return_inverse=True)
+    keys = ids - lo  # exact: the span fits
+    keys <<= shift
+    keys |= np.arange(m)
+    keys.sort()
+    order = keys & ((1 << shift) - 1)
+    keys >>= shift
+    fresh = np.concatenate([[True], keys[1:] != keys[:-1]])
+    dense = np.empty_like(order)
+    dense[order] = np.cumsum(fresh) - 1
+    return keys[fresh] + lo, dense
+
+
 def load_edge_list(path: str | Path, format: str = "tsv") -> Graph:
     """Load an undirected graph from a text edge list.
 
     One edge per line: two ASCII decimal ids that fit int64, optionally
     signed, separated by blanks (tsv) or by commas and blanks (csv); further
     columns (a weight, say) are ignored, and '#' starts a comment that runs
-    to the line end. Invalid input raises ParseError naming the first bad
-    line. External ids are remapped to dense 0-based indices in ascending
-    order.
+    to the line end. Lines end at LF, CRLF or a lone CR. Invalid input
+    raises ParseError naming the first bad line. External ids are remapped
+    to dense 0-based indices in ascending order by one packed-key sort
+    (_remap).
     """
     _check_format(format)
     path = Path(path)
-    # ascending ids -> deterministic remap; the file's bytes, text and ids are freed before from_edges
-    ext, dense = np.unique(_read_edge_list(path, format), return_inverse=True)
-    if not len(ext):
+    ids = _read_edge_list(path, format).ravel()
+    if not len(ids):
         raise EmptyGraphError(f"{path} contains no edges")
+    # ascending ids -> deterministic remap; the parsed ids are freed before from_edges
+    ext, dense = _remap(ids)
+    del ids
     return from_edges(dense.reshape(-1, 2), num_nodes=len(ext), external_ids=ext)
 
 
@@ -257,11 +300,12 @@ def load_csr(path: str | Path) -> Graph:
 
 
 def load_graph(path: str | Path) -> Graph:
-    """Load either a CSR cache or a text edge list, sniffing the magic bytes."""
+    """Load a CSR cache, known by its magic bytes, or else a text edge list:
+    csv if the suffix is .csv in any case, else tsv."""
     path = Path(path)
     with path.open("rb") as fh:
         head = fh.read(len(_CSR_MAGIC))
     if head == _CSR_MAGIC:
         return load_csr(path)
-    fmt = "csv" if path.suffix == ".csv" else "tsv"
+    fmt = "csv" if path.suffix.lower() == ".csv" else "tsv"
     return load_edge_list(path, format=fmt)

@@ -81,13 +81,14 @@ class TestLoadEdgeList:
     def test_int_parsed_via_float_warning_is_a_parse_error(self, tmp_path, monkeypatch):
         real = np.loadtxt
 
-        def loadtxt(fh, dtype, **kw):  # numpy 1.23-1.26: warn, then truncate the float
+        def loadtxt(source, dtype, **kw):  # numpy 1.23-1.26: warn, then truncate the float
             try:
-                return real(fh, dtype=dtype, **kw)
+                return real(source, dtype=dtype, **kw)
             except ValueError:
-                fh.seek(0)
+                if hasattr(source, "seek"):  # a text stream; a path is opened again
+                    source.seek(0)
                 warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
-                return real(fh, dtype=np.float64, **kw).astype(dtype)
+                return real(source, dtype=np.float64, **kw).astype(dtype)
 
         monkeypatch.setattr(np, "loadtxt", loadtxt)
         with pytest.raises(ParseError) as exc:
@@ -280,3 +281,20 @@ class TestInvariants:
         assert load_graph(tmp_path / "a").num_edges == 3
         (tmp_path / "b.tsv").write_text("0 1\n")
         assert load_graph(tmp_path / "b.tsv").num_edges == 1
+
+    @pytest.mark.parametrize("name", ["edges.csv", "edges.CSV", "edges.Csv"])
+    def test_load_graph_csv_suffix_in_any_case(self, tmp_path, name):
+        (tmp_path / name).write_text("0,1\n1,2\n")
+        g = load_graph(tmp_path / name)
+        assert g.num_edges == 2 and g.external_ids.tolist() == [0, 1, 2]
+
+
+class TestFromEdges:
+    def test_keys_that_overflow_int64_rejected_before_allocating(self):
+        with pytest.raises(ValidationError, match="num_nodes 4294967296"):
+            from_edges(np.array([[0, 1]]), num_nodes=2**32)
+
+    def test_one_node_above_the_limit_rejected(self):
+        # 3037000499**2 - 1 < 2**63 <= 3037000500**2 - 1
+        with pytest.raises(ValidationError, match="num_nodes 3037000500"):
+            from_edges(np.array([[0, 1]]), num_nodes=3_037_000_500)

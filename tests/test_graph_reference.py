@@ -2,6 +2,7 @@
 references in oracles.py: same graphs, same CSR bytes, or the same error at the
 same line."""
 
+import gzip
 import tracemalloc
 import warnings
 
@@ -199,6 +200,103 @@ class TestGrammar:
         assert caught == []
 
 
+class TestPathRoute:
+    """A tsv file is parsed by np.loadtxt from its path; these texts parse as
+    they did when the whole file was decoded into a text stream first."""
+
+    TRIANGLE = [[0, 1], [0, 2], [1, 2]]
+
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"])
+    def test_line_ends(self, tmp_path, end):
+        path = tmp_path / "g.tsv"
+        path.write_bytes(end.join([b"0 1", b"1 2", b"2 0"]) + end)
+        g = load_edge_list(path)
+        assert g.external_ids.tolist() == [0, 1, 2] and g.edge_array().tolist() == self.TRIANGLE
+        assert_same_load(path, "tsv")
+
+    @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u00a0"])
+    def test_unicode_blanks_separate_fields_not_lines(self, tmp_path, sep):
+        # "0 1<sep>1 2" is one line of four fields, so its edge is 0-1
+        path = tmp_path / "g.tsv"
+        path.write_text(f"0 1{sep}1 2\n2{sep}3\n", encoding="utf-8")
+        g = load_edge_list(path)
+        assert g.external_ids.tolist() == [0, 1, 2, 3] and g.edge_array().tolist() == [[0, 1], [2, 3]]
+        assert_same_load(path, "tsv")
+
+    def test_comment_right_after_an_id(self, tmp_path):
+        path = tmp_path / "g.tsv"
+        path.write_bytes(b"0 1#x\n")
+        assert load_edge_list(path).edge_array().tolist() == [[0, 1]]
+
+    def test_bom_is_a_bad_first_line(self, tmp_path):
+        path = tmp_path / "g.tsv"
+        path.write_bytes(b"\xef\xbb\xbf0 1\n1 2\n")
+        with pytest.raises(ParseError) as exc:
+            load_edge_list(path)
+        assert exc.value.line_no == 1
+        assert_same_load(path, "tsv")
+
+    def test_compression_suffix_is_read_as_text(self, tmp_path):
+        # np.loadtxt would decompress a path ending in .gz; the text route does not
+        path = tmp_path / "edges.tsv.gz"
+        path.write_bytes(b"0 1\n1 2\n2 0\n")
+        assert load_edge_list(path).edge_array().tolist() == self.TRIANGLE
+
+    def test_missing_file_is_not_found_beside_its_compressed_name(self, tmp_path):
+        # np.loadtxt, given the missing g.tsv, would open g.tsv.gz
+        (tmp_path / "g.tsv.gz").write_bytes(gzip.compress(b"0 1\n"))
+        with pytest.raises(FileNotFoundError):
+            load_edge_list(tmp_path / "g.tsv")
+
+
+# ---------------------------------------------------------------- id remap
+
+
+def assert_remap_is_unique(ids, packed: bool, monkeypatch):
+    ids = np.asarray(ids, dtype=np.int64)
+    want_ext, want_inv = np.unique(ids, return_inverse=True)
+    calls = []
+    real = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    ext, inv = graph_mod._remap(ids)
+    monkeypatch.undo()
+    assert (ext.dtype, inv.dtype, inv.shape) == (want_ext.dtype, want_inv.dtype, want_inv.shape)
+    assert np.array_equal(ext, want_ext) and np.array_equal(inv, want_inv)
+    assert calls == ([] if packed else [1])
+
+
+class TestRemap:
+    @given(st.lists(st.one_of(st.integers(-50, 50), st.integers(-(2**40), 2**40)), min_size=1, max_size=300))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_unique(self, ids):
+        with pytest.MonkeyPatch.context() as mp:
+            assert_remap_is_unique(ids, packed=True, monkeypatch=mp)
+
+    @given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=50))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_unique_over_int64(self, ids):
+        m = len(ids)
+        packed = (max(ids) - min(ids)).bit_length() + (m - 1).bit_length() <= 63
+        with pytest.MonkeyPatch.context() as mp:
+            assert_remap_is_unique(ids, packed, mp)
+
+    def test_one_id_repeated(self, monkeypatch):
+        assert_remap_is_unique([-7] * 9, packed=True, monkeypatch=monkeypatch)
+
+    def test_int64_extremes(self, monkeypatch):
+        ids = [2**63 - 1, -(2**63), 0, 2**63 - 1, -(2**63)]
+        assert_remap_is_unique(ids, packed=False, monkeypatch=monkeypatch)
+
+    # 6 positions take shift 3 bits, so a span of 60 bits is the widest that packs
+    @pytest.mark.parametrize(
+        "span, packed", [(2**59 - 1, True), (2**60 - 1, True), (2**60, False), (2**61 - 1, False)]
+    )
+    def test_span_at_the_packed_limit(self, monkeypatch, span, packed):
+        lo = -(2**58) - 3
+        ids = [lo + span, lo, lo + 5, lo + span, lo, lo + span // 2]
+        assert_remap_is_unique(ids, packed, monkeypatch)
+
+
 def benchmark_shaped_text(seed: int, nodes: int = 3_000, edges: int = 30_000) -> str:
     """A header comment, then odd external ids in planted classes, self-loops,
     repeated and reversed edges, and degree-1 pendants, shuffled."""
@@ -228,8 +326,9 @@ def test_benchmark_shaped_csr_bytes_identical(tmp_path, seed):
 
 def test_load_memory_bounded_by_file_size(tmp_path):
     # 150k benchmark-shaped lines (1.7 MB). Under tracemalloc the np.loadtxt
-    # parse, the np.unique remap and from_edges peak at 8.8x the file size;
-    # the per-line reference, with its list of int tuples, peaked at 23.3x.
+    # parse, the packed-key remap and from_edges peak at 8.7x the file size
+    # (8.8x with the np.unique remap); the per-line reference, with its list
+    # of int tuples, peaked at 23.3x.
     path = tmp_path / "edges.tsv"
     path.write_text(benchmark_shaped_text(3, nodes=15_000, edges=150_000))
     size = path.stat().st_size
