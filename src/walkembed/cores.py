@@ -2,7 +2,7 @@
 
 Each stage that splits its work (the record load, the table init, a sync
 training step, the sampler's shards, a pipeline stage's output hashes, the
-eval's checkpoint read, row normalization and pair distances) opens
+eval's row normalization and its distances) opens
 `helper_pool()`, which holds one worker thread when the process may use
 more than one CPU and none otherwise, and hands its items (blocks, shards,
 files, or a step's two halves) to `share`. It returns or raises what the one-thread loop over the

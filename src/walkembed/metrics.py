@@ -7,21 +7,21 @@ recall@k uses k = degree(u) with an exact neighbor search: a blocked matrix
 product shortlists candidates and an exact re-rank orders them. A row
 that is not finite, or whose norm overflows, raises ValidationError.
 
-Eval holds one table-sized array beside the graph: load_unit_table
-normalizes each block of a checkpoint's rows where it reads it, and
-compute_report takes such a UnitTable as it is. The edges come from blocks
-of CSR target positions, and a sampled pair is tested for an edge by a
-binary search in its CSR row, so the rest is block-sized, plus the
+Eval holds one table-sized array beside the graph: load_unit_table reads
+a checkpoint with model.load_checkpoint and normalizes the rows in place,
+and compute_report takes such a UnitTable as it is. The edges come from
+blocks of CSR target positions, and a sampled pair is tested for an edge by
+a binary search in its CSR row, so the rest is block-sized, plus the
 distances of every edge and of the sampled non-edges.
 
-Row normalization and pair distances run in fixed blocks of rows, target
-positions or pairs, each written to its own slice of one preallocated
-output or returned whole. Where the process may use more than one CPU, the
-calling thread and one helper thread each take the next block not yet
-taken (see cores.share); each row's arithmetic is the same on either
-thread, so the report is bitwise the same as on one thread, and the bad row
-named is the first, as on one thread. The recall search stays on the
-calling thread.
+Row normalization runs in fixed blocks of rows, each written to its own
+slice of the output; every distance comes from one kernel, _distances, over
+blocks of target positions or pairs. Where the process may use more than
+one CPU, the calling thread and one helper thread each take the next block
+not yet taken (see cores.share); each row's arithmetic is the same on
+either thread, so the report is bitwise the same as on one thread, and the
+bad row named is the first, as on one thread. The recall search stays on
+the calling thread.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from __future__ import annotations
 import csv
 import json
 import logging
-import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -38,13 +37,13 @@ import numpy as np
 from . import cores
 from .errors import MetricError, ValidationError, check_ids
 from .graph import Graph
-from .model import EmbeddingTable, read_checkpoint_header
+from .model import EmbeddingTable, load_checkpoint
 
 logger = logging.getLogger(__name__)
 
 SNR_CAP = 1.0e12  # reported when mean edge distance is below 1e-12
 
-# Pairs per block in pair_distances and rows per block in l2_normalize. At
+# Pairs per block in _distances and rows per block in _unit_table. At
 # D = 128 in float32 a pair block gathers two 2 MB arrays of rows, about one
 # core's L2 cache; blocks of 16 384 pairs ran slower on one thread.
 _PAIR_BLOCK = 4_096
@@ -106,13 +105,14 @@ class UnitTable(EmbeddingTable):
     are read-only, so it stays normalized and compute_report takes it as is."""
 
 
-def _unit_table(out: np.ndarray, normalize_block) -> UnitTable:
-    """out as a UnitTable once normalize_block(lo) has normalized its rows
-    [lo, lo + _ROW_BLOCK) into it for every block, on this thread and, where
-    the process may use two CPUs, one helper thread; one warning carries the
-    zero rows that the blocks return."""
+def _unit_table(values: np.ndarray, out: np.ndarray) -> UnitTable:
+    """out as a UnitTable once _normalize_rows has written values' rows to it
+    _ROW_BLOCK at a time, on this thread and, where the process may use two
+    CPUs, one helper thread; out may be values itself. One warning carries
+    the zero rows that the blocks return."""
     with cores.helper_pool() as pool:
-        zeros = sum(cores.share(pool, normalize_block, range(0, len(out), _ROW_BLOCK)))
+        blocks = range(0, len(out), _ROW_BLOCK)
+        zeros = sum(cores.share(pool, lambda lo: _normalize_rows(values, out, lo, lo + _ROW_BLOCK), blocks))
     if zeros:
         logger.warning("l2_normalize: %d zero rows left unnormalized", zeros)
     out.flags.writeable = False
@@ -127,89 +127,63 @@ def l2_normalize(table: EmbeddingTable) -> UnitTable:
     the unblocked values / norm(values, axis=1) bit for bit. A row whose norm
     is not finite raises ValidationError naming the first such row."""
     values = table.values
-    out = np.empty(values.shape, dtype=np.result_type(values.dtype, 1.0))
-    return _unit_table(out, lambda lo: _normalize_rows(values, out, lo, lo + _ROW_BLOCK))
+    return _unit_table(values, np.empty(values.shape, dtype=np.result_type(values.dtype, 1.0)))
 
 
 def load_unit_table(path: str | Path) -> UnitTable:
-    """l2_normalize(load_checkpoint(path)[0]), bit for bit, without the raw
-    table: each block of rows is read into its slice of the output and
-    normalized there, so the memory is one table. A file that is not a whole
-    checkpoint raises load_checkpoint's ValidationError."""
-    with Path(path).open("rb") as fh:
-        n, d, _, _ = read_checkpoint_header(path, fh)
-        out = np.empty((n, d), dtype="<f4")
-        start, fd = fh.tell(), fh.fileno()
-
-        def read_block(lo):
-            view = memoryview(out[lo : lo + _ROW_BLOCK].reshape(-1).view(np.uint8))
-            at = start + lo * 4 * d
-            while len(view):  # preadv releases the GIL, and a read may come back short
-                got = os.preadv(fd, [view], at)
-                if not got:
-                    raise ValidationError(f"{path}: truncated while reading embedding rows from {lo}")
-                view, at = view[got:], at + got
-            return _normalize_rows(out, out, lo, lo + _ROW_BLOCK)
-
-        return _unit_table(out, read_block)
+    """l2_normalize(load_checkpoint(path)[0]), bit for bit, normalized in
+    place in the array read, so the memory is one table. A file that is not
+    a whole checkpoint raises load_checkpoint's ValidationError."""
+    values = load_checkpoint(path)[0].values
+    return _unit_table(values, values)
 
 
-def _pair_block(values: np.ndarray, u: np.ndarray, v: np.ndarray, out: np.ndarray, lo: int, hi: int) -> None:
-    """out[lo:hi] = norm(values[u] - values[v], axis=1) over the block, by
-    the norm's own operations (square, row sum, square root) done in place
-    in the gathered rows."""
-    diff = values[u[lo:hi]]
-    diff -= values[v[lo:hi]]
-    diff *= diff
-    np.sqrt(np.add.reduce(diff, axis=1), out=out[lo:hi])
+def _distances(values: np.ndarray, pairs, starts) -> np.ndarray:
+    """norm(values[u] - values[v], axis=1) over (u, v) = pairs(start) for each
+    start, joined in order, bit for bit. The blocks are shared between this
+    thread and, where the process may use two CPUs, one helper thread; each
+    takes its pairs _PAIR_BLOCK at a time, by the norm's own operations
+    (square, row sum, square root) in place in the gathered rows."""
+
+    def block(start):
+        u, v = pairs(start)
+        out = []
+        for lo in range(0, len(u), _PAIR_BLOCK):  # an early edge block keeps nearly every position
+            diff = values[u[lo : lo + _PAIR_BLOCK]]
+            diff -= values[v[lo : lo + _PAIR_BLOCK]]
+            diff *= diff
+            out.append(np.sqrt(np.add.reduce(diff, axis=1)))
+        return out
+
+    with cores.helper_pool() as pool:
+        parts = [d for ds in cores.share(pool, block, starts) for d in ds]
+    return np.concatenate(parts) if parts else np.empty(0, dtype=values.dtype)
 
 
 def pair_distances(table: EmbeddingTable, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Euclidean distance of every pair (u[i], v[i]); u and v must have the
-    same length.
-
-    Pairs are taken _PAIR_BLOCK at a time into one preallocated output,
-    shared between this thread and, where the process may use two CPUs, one
-    helper thread, so the memory beyond the output is bounded by two blocks.
-    Each row's norm is computed on its own, so the result equals the
-    unblocked norm(values[u] - values[v], axis=1) bit for bit. An id outside
-    [0, rows) raises IndexError before any block is handed out.
-    """
+    same length. Blocks of _PAIR_BLOCK pairs go to _distances, so the result
+    equals the unblocked norm(values[u] - values[v], axis=1) bit for bit. An
+    id outside [0, rows) raises IndexError before any block is handed out."""
     if len(u) != len(v):
         raise ValidationError(f"pair_distances: {len(u)} u ids but {len(v)} v ids")
     values = table.values
     check_ids(u, len(values))
     check_ids(v, len(values))
-    out = np.empty(len(u), dtype=values.dtype)
-    with cores.helper_pool() as pool:
-        cores.share(
-            pool,
-            lambda lo: _pair_block(values, u, v, out, lo, lo + _PAIR_BLOCK),
-            range(0, len(u), _PAIR_BLOCK),
-        )
-    return out
+    return _distances(
+        values, lambda lo: (u[lo : lo + _PAIR_BLOCK], v[lo : lo + _PAIR_BLOCK]), range(0, len(u), _PAIR_BLOCK)
+    )
 
 
 def edge_distances(g: Graph, table: EmbeddingTable) -> np.ndarray:
     """pair_distances over g.edge_array(), bit for bit, without an array of
-    every edge: blocks of 2 * _PAIR_BLOCK target positions (Graph.edges_at)
-    are shared as pair_distances shares its blocks, each takes its pairs
-    _PAIR_BLOCK at a time, and their distances are joined in block order."""
+    every edge: _distances takes blocks of 2 * _PAIR_BLOCK target positions
+    (Graph.edges_at)."""
     values = table.values
     if len(values) < g.num_nodes:
         raise ValidationError(f"embedding has {len(values)} rows, graph has {g.num_nodes} nodes")
     width = 2 * _PAIR_BLOCK
-
-    def block(start):
-        u, v = g.edges_at(start, start + width)
-        out = np.empty(len(u), dtype=values.dtype)
-        for lo in range(0, len(u), _PAIR_BLOCK):  # early rows keep nearly every position
-            _pair_block(values, u, v, out, lo, lo + _PAIR_BLOCK)
-        return out
-
-    with cores.helper_pool() as pool:
-        parts = cores.share(pool, block, range(0, len(g.targets), width))
-    return np.concatenate(parts) if parts else np.empty(0, dtype=values.dtype)
+    return _distances(values, lambda start: g.edges_at(start, start + width), range(0, len(g.targets), width))
 
 
 def _is_edge(g: Graph, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -274,22 +248,22 @@ def edge_snr(
     rng: np.random.Generator | None = None,
 ) -> float:
     """Mean sampled non-edge distance over mean edge distance, over every
-    edge. Expects a normalized table."""
+    edge, on the table normalized as compute_report normalizes it."""
     rng = rng if rng is not None else np.random.default_rng(0)
-    *_, snr = _distance_split(g, table, non_edge_samples, rng)
+    normalized = table if isinstance(table, UnitTable) else l2_normalize(table)
+    *_, snr = _distance_split(g, normalized, non_edge_samples, rng)
     return snr
 
 
 def nearest_rank_percentiles(values: np.ndarray) -> np.ndarray:
-    """P0..P100 by the nearest-rank rule; P0 is the minimum."""
+    """P0..P100 by the nearest-rank rule, the ceil(q * n / 100)-th smallest
+    in exact integer arithmetic; P0 is the minimum."""
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise ValidationError("cannot take percentiles of an empty sample")
     s = np.sort(values)
-    q = np.arange(101, dtype=np.float64)
-    idx = np.ceil(q / 100.0 * len(s)).astype(np.int64) - 1
-    idx = np.clip(idx, 0, len(s) - 1)
-    return s[idx]
+    rank = (np.arange(101, dtype=np.int64) * len(s) + 99) // 100
+    return s[np.clip(rank - 1, 0, len(s) - 1)]
 
 
 @dataclass

@@ -243,22 +243,17 @@ def save_checkpoint(path: str | Path, table: EmbeddingTable, step: int, config_h
         np.ascontiguousarray(table.values, dtype="<f4").tofile(fh)
 
 
-def read_checkpoint_header(path: str | Path, fh) -> tuple[int, int, int, bytes]:
-    """num_nodes, dim, step and config digest from the open checkpoint fh,
-    left at the first row; ValidationError naming path for a wrong magic, a
-    short header, or a size the header does not imply."""
-    if fh.read(len(CKPT_MAGIC)) != CKPT_MAGIC:
-        raise ValidationError(f"{path} is not an embedding checkpoint")
-    head = np.fromfile(fh, dtype="<u8", count=3)
-    if len(head) < 3:
-        raise ValidationError(f"{path}: truncated header")
-    n, d, step = (int(x) for x in head)
-    check_file_size(path, fh, len(CKPT_MAGIC) + 24 + 32 + 4 * n * d)
-    return n, d, step, fh.read(32)
-
-
 def load_checkpoint(path: str | Path) -> tuple[EmbeddingTable, int, bytes]:
+    """The table (one writable float32 array), step and config digest; ValidationError
+    naming path for a wrong magic, a short header, or a size the header does not imply."""
     with Path(path).open("rb") as fh:
-        n, d, step, digest = read_checkpoint_header(path, fh)
+        if fh.read(len(CKPT_MAGIC)) != CKPT_MAGIC:
+            raise ValidationError(f"{path} is not an embedding checkpoint")
+        head = np.fromfile(fh, dtype="<u8", count=3)
+        if len(head) < 3:
+            raise ValidationError(f"{path}: truncated header")
+        n, d, step = (int(x) for x in head)
+        check_file_size(path, fh, len(CKPT_MAGIC) + 24 + 32 + 4 * n * d)
+        digest = fh.read(32)
         values = np.fromfile(fh, dtype="<f4", count=n * d)
     return EmbeddingTable(values.reshape(n, d).astype(np.float32, copy=False)), step, digest

@@ -163,8 +163,8 @@ def evaluate_checkpoint(
 ) -> metrics_mod.MetricsReport:
     """compute_report on a checkpoint's table, written by write_report to
     out_dir; a report that cannot be computed writes nothing. The table is
-    normalized as it is read (metrics.load_unit_table), so eval holds one
-    table, never the raw one beside it."""
+    read by model.load_checkpoint and normalized in place in the array read
+    (metrics.load_unit_table), so eval holds one table, never two."""
     table = metrics_mod.load_unit_table(checkpoint)
     report = metrics_mod.compute_report(g, table, params.non_edge_samples, params.recall_nodes, seed)
     metrics_mod.write_report(report, out_dir, label=params.label)

@@ -25,15 +25,15 @@ RECORDS = {
 TRAINED = {
     ("async", 1): {
         "checkpoint.bin": "ae0df7f4b708ad76b75816425506abf09ceafada7ab16d5922627c70a5bc1f26",
-        "eval/report.json": "a2041cb034299ca9baf6ce109fdc187e8ae1a537526e31547778d75c5f0df37d",
+        "eval/report.json": "6e16067d5e01880fe1981dd22f76059362ee0af83529a2f9a80b569c58d13e63",
     },
     ("sync", 1): {
         "checkpoint.bin": "ddf7d116783d80890d4b2303e6134e4bf7aeb48dc62dfbc1b280ada6c27498c8",
-        "eval/report.json": "5d3645aed3696b3b0e5b8db2fa969ac98646e241fbf003890beb4356b9245355",
+        "eval/report.json": "18badd503b555220225dec2f4e405fade404e2e0ff002bb997a86e3f2bd7653b",
     },
     ("sync", 2): {
         "checkpoint.bin": "02f4ba3fd66eca88420fd0741458c9764d0fff0c8b6f04b62a9ce78922aa56a1",
-        "eval/report.json": "2d10b536671e85a078a74cfdbdf0a7ea0154bc9d0d8314c25ff143bed2694601",
+        "eval/report.json": "a9229f76392a329334780865b3dc92a4d99415d83a274630e693ac791a861da6",
     },
 }
 

@@ -104,6 +104,15 @@ class TestEdgeSnr:
         sigma = exact_non.std() / math.sqrt(samples) / mean_edge
         assert abs(snr - exact_non.mean() / mean_edge) <= 3 * sigma
 
+    def test_raw_table_scored_as_compute_report_scores_it(self):
+        # rows of mixed norms give a different SNR scored as they are
+        g = generate_sbm(SbmConfig(n=500, k=4, p_in=0.05, p_out=0.005, seed=1))
+        rng = np.random.default_rng(2)
+        t = EmbeddingTable(rng.standard_normal((500, 16)) * 10.0 ** rng.uniform(-2, 2, size=(500, 1)))
+        seed, samples = 3, 2000
+        got = edge_snr(g, t, samples, rng=np.random.default_rng(np.random.SeedSequence((seed, 0xE7))))
+        assert got == compute_report(g, t, samples, 20, seed).edge_snr
+
     def test_non_edge_sampler_rejects_edges_and_self_pairs(self, triangle):
         g = build_graph([(0, 1), (1, 2)], 4)
         u, v = sample_non_edges(g, 500, np.random.default_rng(0))
@@ -143,6 +152,12 @@ class TestPercentiles:
         assert len(out) == 101
         assert out[0] == 1.0 and out[100] == 1000.0
         assert out[50] == 500.0  # nearest-rank: ceil(0.5*1000) = 500th value
+
+    @pytest.mark.parametrize("n", [20, 100, 1_000, 10_000])
+    def test_rank_is_the_exact_integer_ceiling(self, n):
+        # a float ceil(q / 100.0 * n) read 0.07 * 100 as 7.000000000000001 and took rank 8
+        out = nearest_rank_percentiles(np.arange(1, n + 1, dtype=np.float64))
+        assert out.tolist() == [max(1, -(-q * n // 100)) for q in range(101)]
 
     @given(st.lists(st.floats(0, 2), min_size=1, max_size=300))
     @settings(max_examples=60, deadline=None)
@@ -368,27 +383,40 @@ class TestBlocksOnTwoThreads:
         caller = threading.current_thread()
         caller_started, helper_started = threading.Event(), threading.Event()
         caller_done = []
-        real = metrics._pair_block
+        real_distances, real_share = metrics._distances, cores.share
 
-        def spy(values, u, v, out, lo, hi):
-            if threading.current_thread() is caller:
-                caller_started.set()
-                assert helper_started.wait(timeout=30)
-                time.sleep(0.05)  # still running when the helper raises
-                real(values, u, v, out, lo, hi)
-                caller_done.append(lo)
-            else:
+        def spy(values, pairs, starts):
+            def block_pairs(start):
+                u, v = pairs(start)
+                if threading.current_thread() is caller:
+                    caller_started.set()
+                    assert helper_started.wait(timeout=30)
+                    time.sleep(0.05)  # still running when the helper raises
+                    return u, v
                 helper_started.set()
                 assert caller_started.wait(timeout=30)  # each thread holds a block
                 bad = u.copy()
-                bad[lo] = len(values)
-                real(values, bad, v, out, lo, hi)
+                bad[0] = len(values)
+                return bad, v
 
-        monkeypatch.setattr(metrics, "_pair_block", spy)
+            return real_distances(values, block_pairs, starts)
+
+        def share(pool, fn, items):
+            def block(start):
+                out = fn(start)
+                if threading.current_thread() is caller:
+                    caller_done.append(start)
+                return out
+
+            return real_share(pool, block, items)
+
+        t = random_unit_table(10, 4)
+        monkeypatch.setattr(metrics, "_distances", spy)
+        monkeypatch.setattr(cores, "share", share)
         ids = np.arange(40) % 10
         before = threading.active_count()
         with pytest.raises(IndexError):
-            pair_distances(random_unit_table(10, 4), ids, ids[::-1].copy())
+            pair_distances(t, ids, ids[::-1].copy())
         assert len(caller_done) == 1  # its block finished, and it took no other
         assert threading.active_count() == before
 
@@ -419,8 +447,8 @@ class TestPairIds:
         # -1 once wrapped to the last row: the pair (0, -1) on np.eye(3)
         # gave sqrt(2), row 0 against row 2
         blocks = []
-        real = metrics._pair_block
-        monkeypatch.setattr(metrics, "_pair_block", lambda *args: blocks.append(args[-2]) or real(*args))
+        real = metrics._distances
+        monkeypatch.setattr(metrics, "_distances", lambda *args: blocks.append(args[-1]) or real(*args))
         t = EmbeddingTable(np.eye(3))
         good, wrong = np.array([0, 1]), np.array([1, bad])
         u, v = (wrong, good) if side == "u" else (good, wrong)
@@ -559,8 +587,8 @@ class TestEdgePassAndNonEdges:
 
 
 class TestUnitTables:
-    """A checkpoint normalized as it is read equals l2_normalize of the loaded
-    table, and compute_report normalizes a table once."""
+    """A checkpoint normalized in place after its read equals l2_normalize of
+    the loaded table, and compute_report normalizes a table once."""
 
     def write_checkpoint(self, path, values):
         save_checkpoint(path, EmbeddingTable(values), 3)
@@ -614,6 +642,15 @@ class TestUnitTables:
         write_report(compute_report(g, load_checkpoint(p)[0], 2000, 30, 5), tmp_path / "want")
         for name in ("report.json", *metrics.PERCENTILE_CSVS.values()):
             assert (tmp_path / "got" / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
+
+    def test_evaluate_checkpoint_reads_through_load_checkpoint(self, tmp_path, monkeypatch):
+        # eval has one checkpoint reader, looked up when called, so a tracer wrapping it sees the read
+        g = generate_sbm(SbmConfig(n=300, k=3, p_in=0.1, p_out=0.01, seed=2))
+        p = self.write_checkpoint(tmp_path / "c.bin", np.random.default_rng(3).standard_normal((300, 16)))
+        calls = []
+        monkeypatch.setattr(metrics, "load_checkpoint", lambda path: calls.append(path) or load_checkpoint(path))
+        evaluate_checkpoint(g, p, tmp_path / "eval", EvalParams(non_edge_samples=500, recall_nodes=10), seed=5)
+        assert calls == [p]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_report_of_a_normalized_table_is_the_report_of_the_table(self, dtype):

@@ -760,12 +760,17 @@ for module, name in ((sampler, "_sample_partition"), (pipeline, "_hash_file")):
     setattr(module, name, counted)
 blocks = set()
 metrics._PAIR_BLOCK = metrics._ROW_BLOCK = 4
-for name in ("_normalize_rows", "_pair_block"):
-    def block(*args, real=getattr(metrics, name), name=name):
+def normalize(*args, real=metrics._normalize_rows):
+    threads.add(threading.active_count())
+    blocks.add(("_normalize_rows", args[-2]))
+    return real(*args)
+def distances(values, pairs, starts, real=metrics._distances):
+    def block(start):
         threads.add(threading.active_count())
-        blocks.add((name, args[-2]))
-        return real(*args)
-    setattr(metrics, name, block)
+        blocks.add(("_distances", start))
+        return pairs(start)
+    return real(values, block, starts)
+metrics._normalize_rows, metrics._distances = normalize, distances
 g = from_edges(np.array([(i, (i + 1) % 30) for i in range(30)]), 30)
 sampler.run_sampling(g, sampler.SamplerConfig(walks_per_node=4, num_shards=4), sys.argv[1] + "/records")
 print(sorted(threads), threading.active_count())
@@ -793,7 +798,7 @@ print(sorted({name for name, _ in blocks}), len(blocks) > 20)
             repr([(1, (None,))] * 3),
             "[1] 1",
             f"[1] {[(1, (None,))]} 1",
-            "['_normalize_rows', '_pair_block'] True",
+            "['_distances', '_normalize_rows'] True",
         ]
 
 
