@@ -2,9 +2,10 @@
 
 Every node seeds a fixed number of walks. Walks advance in lockstep rounds:
 each round joins walk endpoints against the adjacency, samples one uniform
-neighbor per walk, and records a (seed, endpoint, distance) visit. After the
-final round, visits are grouped by (seed, endpoint) and combined into
-per-distance count histograms. A record's source is the seed node of its
+neighbor per walk, and records its (seed, endpoint, distance) visit as one
+packed int64 key. After the final round, one sort of the keys groups the
+visits by (seed, endpoint) and combines them into per-distance count
+histograms. A record's source is the seed node of its
 walks, so its shard, a hash of the source, is fixed before any walk starts:
 each shard is sampled on its own, one range of seed ids at a time, and each
 range's records are appended to the shard's file as they are combined, so
@@ -98,7 +99,8 @@ def step_walks(g: Graph, walks: WalkBatch, cfg: SamplerConfig, stream: HashStrea
     """
     if walks.step >= cfg.walk_length:
         raise ValidationError("walks already at full length")
-    deg = g.degrees[walks.current_node]
+    row = g.offsets[walks.current_node]  # each walk's CSR row, gathered once
+    deg = g.offsets[walks.current_node + 1] - row
     alive = deg > 0
     if not alive.all():
         walks = WalkBatch(
@@ -107,57 +109,68 @@ def step_walks(g: Graph, walks: WalkBatch, cfg: SamplerConfig, stream: HashStrea
             current_node=walks.current_node[alive],
             step=walks.step,
         )
-        deg = deg[alive]
+        row, deg = row[alive], deg[alive]
     if len(walks) == 0:
         return WalkBatch(walks.seed_node, walks.replica, walks.current_node, walks.step + 1)
     pick = stream.bounded(_walk_uid(walks, cfg), counter=walks.step + 1, bounds=deg)
-    nxt = g.targets[g.offsets[walks.current_node] + pick]
+    nxt = g.targets[row + pick]
     return WalkBatch(walks.seed_node, walks.replica, nxt, walks.step + 1)
 
 
-def _combine_visits(
-    seeds: np.ndarray, dests: np.ndarray, dists: np.ndarray, num_nodes: int, walk_length: int
-) -> RecordBatch:
+def _combine_visits(key: np.ndarray, base: int, num_nodes: int, walk_length: int) -> RecordBatch:
     """Group visits by (seed, dest) and histogram them by distance.
 
-    Records come out sorted by (source, dest). Keys are packed relative to
-    the smallest seed, so a key spans seed_range * num_nodes * walk_length
-    rather than num_nodes**2 * walk_length. One sort of the keys and a
+    Each visit is one int64 key, ((seed - base) * num_nodes + dest) *
+    walk_length + (distance - 1), packed relative to the range's smallest
+    seed `base`, so a key spans seed_range * num_nodes * walk_length rather
+    than num_nodes**2 * walk_length. One in-place sort of the keys and a
     run-length pass over it give both the (pair, distance) counts and the
-    records.
+    records, which come out sorted by (source, dest).
     """
-    seeds, dests, dists = (np.asarray(a, dtype=np.int64) for a in (seeds, dests, dists))
-    base = seeds.min()
-    key = ((seeds - base) * np.int64(num_nodes) + dests) * np.int64(walk_length) + (dists - 1)
     key.sort()
     starts = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
     counts = np.diff(starts, append=len(key))
     pair_keys, slots = np.divmod(key[starts], walk_length)
+    del starts  # each temporary is freed once used: this pass sets the sampler's peak
     new_pair = np.concatenate([[True], pair_keys[1:] != pair_keys[:-1]])
     rec_keys = pair_keys[new_pair]
+    del pair_keys
+    row = np.cumsum(new_pair)
+    row -= 1
     co = np.zeros((len(rec_keys), walk_length), dtype=np.int64)
-    co[np.cumsum(new_pair) - 1, slots] = counts
+    co[row, slots] = counts
+    del row, slots, counts
     source, dest = np.divmod(rec_keys, num_nodes)
-    return RecordBatch(source=source + base, dest=dest, co_counts=co)
+    source += base
+    return RecordBatch(source=source, dest=dest, co_counts=co)
 
 
 def _sample_partition(
     g: Graph, cfg: SamplerConfig, stream: HashStream, nodes: np.ndarray
 ) -> tuple[RecordBatch, int]:
-    """Walk the given seed nodes to completion; returns records + dead ends."""
+    """Walk the given seed nodes to completion; returns records + dead ends.
+
+    Each round packs every surviving walk's visit into one key (see
+    _combine_visits), written into a buffer sized for every walk's every
+    round, so no visit is held as columns or copied by a concatenation."""
     walks = init_walks(g, cfg, nodes)
-    started = len(walks)
-    visits = []
-    for _ in range(cfg.walk_length):
+    started, length = len(walks), cfg.walk_length
+    base = int(walks.seed_node.min())
+    keys = np.empty(started * length, dtype=np.int64)
+    filled = 0
+    for _ in range(length):
         walks = step_walks(g, walks, cfg, stream)
         if len(walks) == 0:
             break
-        visits.append((walks.seed_node, walks.current_node, np.full(len(walks), walks.step, dtype=np.int64)))
+        end = filled + len(walks)
+        keys[filled:end] = ((walks.seed_node - base) * g.num_nodes + walks.current_node) * length + walks.step - 1
+        filled = end
     dead = started - len(walks)
-    if not visits:
+    del walks  # the last round's columns, freed before the combine
+    if not filled:
         empty = np.empty(0, dtype=np.int64)
-        return RecordBatch(empty, empty, empty.reshape(0, cfg.walk_length)), dead
-    return _combine_visits(*map(np.concatenate, zip(*visits)), g.num_nodes, cfg.walk_length), dead
+        return RecordBatch(empty, empty, empty.reshape(0, length)), dead
+    return _combine_visits(keys[:filled], base, g.num_nodes, length), dead
 
 
 def _sample_shard(

@@ -5,9 +5,11 @@ map at a time, filtered in one pass on two threads where two CPUs may be used.
 Both modes run one training loop, the lane: each step builds one batch of
 R * B positives from the lane's record stream, with their negatives, and
 applies one mean-reduced gradient over it, which equals the mean of the
-gradients of its R micro-batches of B. The stream holds each positive's ids
-as int32 where the table has at most 2**31 rows (12 bytes per positive with
-its float32 weight, not 20); each batch widens its ids to int64.
+gradients of its R micro-batches of B. Each positive keeps its destination,
+int32 where the table has at most 2**31 rows, and its float32 weight: 8
+bytes. Sources are kept as runs of equal sources, which the shards' order
+makes long, and a stream expands the runs of each shuffle window once, when
+it draws the window; each batch widens its ids to int64.
 
 Sync mode mirrors replicated data-parallel training: one lane with R =
 num_replicas, bitwise deterministic for a fixed seed. Where the process may
@@ -44,6 +46,7 @@ from .shards import check_records, iter_shards, read_manifest
 
 SHUFFLE_BUFFER = 1 << 16  # records per shuffle window of a RecordStream
 LOAD_BLOCK = 1 << 16  # records per block of the record load's filter
+EXPAND_BLOCK = 1 << 11  # runs a window's sources expand in one repeat, else positions per repeat
 LOG_EVERY = 50  # steps between progress log entries
 
 
@@ -151,16 +154,69 @@ class ExampleBatch:
         return self.dst.size
 
 
-def _load_positives(
-    records_dir: str | Path, cfg: TrainConfig, num_nodes: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+@dataclass
+class Positives:
+    """Kept positives in record order: a destination and a weight each, and
+    the sources as runs. Records are sorted by (source, dest) within a shard,
+    so equal sources sit together: positions run_start[r] up to the next
+    run's start have source run_src[r]. A run cut at a load block's or a
+    shard's edge may repeat its source."""
+
+    dst: np.ndarray  # int32 where the table has at most 2**31 rows, else int64
+    weight: np.ndarray  # float32
+    run_start: np.ndarray  # int64, ascending from 0
+    run_src: np.ndarray  # the ids' dtype
+
+    def __len__(self) -> int:
+        return len(self.dst)
+
+    def sources(self, lo: int, hi: int, lane: int = 0, lanes: int = 1) -> np.ndarray:
+        """The sources of positions lane + lanes * i for i in [lo, hi), where
+        lo < hi, in order: one search for each end, then a repeat of the
+        runs between. Where more than EXPAND_BLOCK runs lie between, the
+        repeat goes EXPAND_BLOCK positions at a time, so that its temporaries
+        stay bounded however short the runs."""
+        runs = self._runs(lo, hi, lane, lanes)
+        if runs.stop - runs.start <= EXPAND_BLOCK:
+            return self._repeat(lo, hi, lane, lanes, runs)
+        out = np.empty(hi - lo, dtype=self.run_src.dtype)
+        for a in range(lo, hi, EXPAND_BLOCK):
+            b = min(a + EXPAND_BLOCK, hi)
+            out[a - lo : b - lo] = self._repeat(a, b, lane, lanes, self._runs(a, b, lane, lanes))
+        return out
+
+    def _runs(self, lo: int, hi: int, lane: int, lanes: int) -> slice:
+        """The runs from the one holding the first of the positions to the
+        one holding the last."""
+        first = int(np.searchsorted(self.run_start, lane + lanes * lo, "right")) - 1
+        return slice(first, int(np.searchsorted(self.run_start, lane + lanes * (hi - 1), "right")))
+
+    def _repeat(self, lo: int, hi: int, lane: int, lanes: int, runs: slice) -> np.ndarray:
+        cuts = np.empty(runs.stop - runs.start + 1, dtype=np.int64)
+        cuts[0], cuts[-1], inner = lo, hi, cuts[1:-1]
+        # run r starts at the first i with lane + lanes * i >= run_start[r]
+        np.subtract(lane, self.run_start[runs.start + 1 : runs.stop], out=inner)
+        np.floor_divide(inner, lanes, out=inner)
+        np.negative(inner, out=inner)
+        return np.repeat(self.run_src[runs], np.diff(cuts))
+
+
+def run_starts(values: np.ndarray) -> np.ndarray:
+    """The index of the first element of each run of equal values (int64)."""
+    if not len(values):
+        return np.empty(0, dtype=np.int64)
+    return np.flatnonzero(np.concatenate([[True], values[1:] != values[:-1]]))
+
+
+def _load_positives(records_dir: str | Path, cfg: TrainConfig, num_nodes: int) -> Positives:
     """Every shard's records weighted by co_counts @ the distance weighting,
-    less self-pairs and zero weights, in columns sized by the manifest's
-    record total (int32 ids when num_nodes <= 2**31). Two threads, where two
-    CPUs may be used, share each mapped shard's LOAD_BLOCK-record blocks in
-    one pass; each block copies its kept rows, at most its own, into the
-    columns from its own first record on; they then move down to the kept count.
-    A fault is raised after both are done, as one thread reading in order finds it."""
+    less self-pairs and zero weights: dst and weight in columns sized by the
+    manifest's record total (int32 ids when num_nodes <= 2**31), sources as
+    runs. Two threads, where two CPUs may be used, share each mapped shard's
+    LOAD_BLOCK-record blocks in one pass; each block copies its kept rows, at
+    most its own, into the columns from its own first record on, and returns
+    its runs; they then move down to the kept count. A fault is raised after
+    both are done, as one thread reading in order finds it."""
     manifest = read_manifest(records_dir)
     if manifest["num_nodes"] != num_nodes:  # raised before any shard is mapped
         n = manifest["num_nodes"]
@@ -171,7 +227,9 @@ def _load_positives(
         n = len(weighting)
         raise ValidationError(f"distance_weighting has {n} entries, records have walk_length {walk_length}")
     ids = np.int32 if num_nodes <= 2**31 else np.int64
-    columns = tuple(np.empty(sum(manifest["record_counts"]), dtype=d) for d in (ids, ids, np.float32))
+    total = sum(manifest["record_counts"])
+    columns = np.empty(total, dtype=ids), np.empty(total, dtype=np.float32)
+    run_start, run_src = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=ids)]
     kept = 0
     with cores.helper_pool() as pool:
         for path, records in iter_shards(records_dir, manifest):
@@ -183,76 +241,89 @@ def _load_positives(
                 w = part["counts"] @ weighting
                 keep = (w > 0) & (part["source"] != part["dest"])
                 n = np.count_nonzero(keep)
-                for column, values in zip(columns, (part["source"], part["dest"], w)):
+                for column, values in zip(columns, (part["dest"], w)):
                     column[base + lo : base + lo + n] = values[keep]
-                return n
+                src = part["source"][keep]
+                firsts = run_starts(src)
+                return n, firsts, src[firsts].astype(ids)
 
             try:
-                block_kept = cores.share(pool, filter_block, starts)
+                blocks = cores.share(pool, filter_block, starts)
             except ValidationError:  # the shard's check orders its faults by kind, not by block
                 check_records(path, records, walk_length, num_nodes)
                 raise
             del records  # unmapped before the next shard is mapped
-            for lo, n in zip(starts, block_kept):
+            for lo, (n, firsts, srcs) in zip(starts, blocks):
                 for column in columns:
                     column[kept : kept + n] = column[base + lo : base + lo + n]
+                run_start.append(firsts + kept)
+                run_src.append(srcs)
                 kept += n
-    return tuple(column[:kept] for column in columns)
+    dst, weight = (column[:kept] for column in columns)
+    return Positives(dst, weight, np.concatenate(run_start), np.concatenate(run_src))
 
 
 class RecordStream:
-    """Endless shuffled stream of positive examples.
+    """Endless shuffled stream of positive examples: stripe `lane` of
+    `lanes`, the positions lane, lane + lanes, ... of the positives.
 
     Each epoch visits every position once, through windows of SHUFFLE_BUFFER
     positions. Epoch e cuts its windows on a grid that starts at
     (e * SHUFFLE_BUFFER // 2) % SHUFFLE_BUFFER, so records share windows
     with different neighbours in alternate epochs. Each window is shuffled
-    by the epoch's seeded generator when the stream reaches it: the stream
-    holds one window of indices, never an epoch's order.
+    by the epoch's seeded generator when the stream reaches it, and its
+    sources are expanded from the runs then: the stream holds one window of
+    offsets and sources, never an epoch's order.
     """
 
-    def __init__(self, src, dst, weight, seed: int):
-        if len(src) == 0:
+    def __init__(self, positives: Positives, seed: int, lane: int = 0, lanes: int = 1):
+        if len(positives) <= lane:
             raise ValidationError("record stream is empty after filtering")
-        self.src, self.dst, self.weight = src, dst, weight
+        self.positives, self.lane, self.lanes = positives, lane, lanes
+        self.dst, self.weight = positives.dst[lane::lanes], positives.weight[lane::lanes]
         self.seed = seed
         self.epochs_completed = 0
-        self._window = np.empty(0, dtype=np.int64)  # the current window's positions, shuffled
-        self._used = 0  # how many of them have been taken
-        self._end = len(src)  # epoch position where the window ends; the epoch's end starts the next
+        self._order = np.empty(0, dtype=np.int32)  # the current window's offsets from _lo, shuffled
+        self._sources = None  # the sources of the window's positions, unshuffled
+        self._lo = 0
+        self._used = 0  # how many offsets have been taken
+        self._end = len(self.dst)  # epoch position where the window ends; the epoch's end starts the next
 
     def __len__(self) -> int:
-        return len(self.src)
+        return len(self.dst)
 
     def _next_window(self) -> None:
         """Shuffle the next window: [0, grid) first, then one SHUFFLE_BUFFER
         from each grid line, the last cut at the epoch's end."""
-        n = len(self.src)
+        n = len(self.dst)
         if self._end == n:
             self._rng = np.random.default_rng(np.random.SeedSequence((self.seed, self.epochs_completed)))
             self._end = 0
         grid = (self.epochs_completed * SHUFFLE_BUFFER // 2) % SHUFFLE_BUFFER
         lo = self._end
         hi = min(grid if lo < grid else lo + SHUFFLE_BUFFER, n)
-        self._window = None  # free the old window before drawing the next
-        self._window = self._rng.permutation(hi - lo)
-        self._window += lo
-        self._used, self._end = 0, hi
+        self._order = self._sources = None  # free the old window before drawing the next
+        self._order = self._rng.permutation(hi - lo).astype(np.int32)  # int64 while drawn
+        self._sources = self.positives.sources(lo, hi, self.lane, self.lanes)
+        self._lo, self._used, self._end = lo, 0, hi
 
-    def take(self, count: int) -> np.ndarray:
-        """Next `count` record indices, wrapping into the next epoch."""
-        out = np.empty(count, dtype=np.int64)
+    def take(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """Next `count` positions and their sources (int64), wrapping into the next epoch."""
+        out, src = np.empty(count, dtype=np.int64), np.empty(count, dtype=np.int64)
         filled = 0
         while filled < count:
-            if self._used == len(self._window):
+            if self._used == len(self._order):
                 self._next_window()
-            got = min(count - filled, len(self._window) - self._used)
-            out[filled : filled + got] = self._window[self._used : self._used + got]
+            got = min(count - filled, len(self._order) - self._used)
+            offsets = self._order[self._used : self._used + got].astype(np.intp)  # widened once for both uses
+            np.add(offsets, self._lo, out=out[filled : filled + got])
+            src[filled : filled + got] = self._sources[offsets]
+            del offsets  # freed before the next window is drawn
             self._used += got
             filled += got
-            if self._used == len(self._window) and self._end == len(self.src):
+            if self._used == len(self._order) and self._end == len(self.dst):
                 self.epochs_completed += 1
-        return out
+        return out, src
 
 
 def build_batch(
@@ -267,10 +338,8 @@ def build_batch(
     drawn uniformly from the whole vocabulary with no rejection, so a
     negative may coincide with a true edge.
     """
-    idx = stream.take(cfg.step_positives)
+    idx, src = stream.take(cfg.step_positives)
     negs = rng.integers(0, num_nodes, size=(len(idx), cfg.negatives_per_positive), dtype=np.int64)
-    # the stream's ids may be int32; the batch's are int64, as the negatives are
-    src = stream.src[idx].astype(np.int64)
     return ExampleBatch(src, np.column_stack([stream.dst[idx], negs]), stream.weight[idx])
 
 
@@ -312,7 +381,7 @@ class _Progress:
 
 def _setup(
     mode: str, records_dir: str | Path, cfg: TrainConfig, table: EmbeddingTable | None, num_nodes: int | None
-) -> tuple[EmbeddingTable, tuple[np.ndarray, np.ndarray, np.ndarray], list[dict]]:
+) -> tuple[EmbeddingTable, Positives, list[dict]]:
     """Set-up shared by both modes: the table (seeded float32 init of
     num_nodes rows when none is given), the filtered positives (mapped one
     shard at a time; every record id checked against the table's rows), and
@@ -394,8 +463,8 @@ def train_sync(
     thread. Any failure is raised at once, after the helper has
     finished its half.
     """
-    table, (src, dst, w), log = _setup("sync", records_dir, cfg, table, num_nodes)
-    stream = RecordStream(src, dst, w, derive_seed(cfg.seed, "stream"))
+    table, positives, log = _setup("sync", records_dir, cfg, table, num_nodes)
+    stream = RecordStream(positives, derive_seed(cfg.seed, "stream"))
     neg_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xB0)))
     progress = _Progress(log, cfg)
     with cores.helper_pool() as pool:
@@ -418,15 +487,12 @@ def train_async(
     every worker before its next one and is raised here, as in sync mode, so
     a run that returns has applied its whole budget.
     """
-    table, (src, dst, w), log = _setup("async", records_dir, cfg, table, num_nodes)
+    table, positives, log = _setup("async", records_dir, cfg, table, num_nodes)
     workers = cfg.num_workers
-    if len(src) < workers:  # a worker would stream an empty stripe
-        raise ValidationError(f"train_async has {len(src)} positives for {workers} workers")
+    if len(positives) < workers:  # a worker would stream an empty stripe
+        raise ValidationError(f"train_async has {len(positives)} positives for {workers} workers")
     # stripe records across workers; each worker shuffles its own stripe
-    streams = [
-        RecordStream(src[wk::workers], dst[wk::workers], w[wk::workers], derive_seed(cfg.seed, f"stream-{wk}"))
-        for wk in range(workers)
-    ]
+    streams = [RecordStream(positives, derive_seed(cfg.seed, f"stream-{wk}"), wk, workers) for wk in range(workers)]
     neg_rngs = [np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xA5, wk))) for wk in range(workers)]
     quota = [cfg.steps // workers + (1 if wk < cfg.steps % workers else 0) for wk in range(workers)]
     stop = threading.Event()

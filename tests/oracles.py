@@ -23,6 +23,7 @@ from walkembed.errors import EmptyGraphError, ParseError
 from walkembed.graph import Graph
 from walkembed.rng import HashStream, splitmix64
 from walkembed.shards import RecordBatch, shard_path, write_manifest, write_shard
+from walkembed.trainer import Positives, run_starts
 
 
 def visit_probabilities(g, walk_length: int) -> np.ndarray:
@@ -350,6 +351,20 @@ def prepare_positives(records: RecordBatch, cfg) -> tuple[np.ndarray, np.ndarray
     return records.source[keep], records.dest[keep], weight[keep].astype(np.float32)
 
 
+def positives_from_columns(src, dst, weight) -> Positives:
+    """Positives holding the given columns, the sources cut into runs
+    wherever the source changes, as a stream takes them."""
+    src = np.asarray(src)
+    firsts = run_starts(src)
+    return Positives(np.asarray(dst), np.asarray(weight), firsts, src[firsts])
+
+
+def positive_columns(positives: Positives) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(src, dst, weight) of every position, the sources expanded from their runs."""
+    src = positives.sources(0, len(positives)) if len(positives) else positives.run_src[:0]
+    return src, positives.dst, positives.weight
+
+
 def init_table_reference(num_nodes: int, dim: int, seed: int) -> np.ndarray:
     """The initial float32 table as one draw of all its entries."""
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), num_nodes, dim)))
@@ -358,14 +373,15 @@ def init_table_reference(num_nodes: int, dim: int, seed: int) -> np.ndarray:
 
 
 def epoch_order_reference(seed: int, n: int, epoch: int, window: int) -> np.ndarray:
-    """An epoch's whole order of n record positions: arange(n) shuffled one
-    window of `window` positions at a time by the epoch's one generator,
-    then rotated by epoch * window // 2."""
+    """An epoch's whole order of n record positions: arange(n) cut at
+    (epoch * window // 2) % window and every `window` positions after it,
+    each piece shuffled in turn by the epoch's one generator."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, epoch)))
     order = np.arange(n, dtype=np.int64)
-    for lo in range(0, n, window):
-        rng.shuffle(order[lo : lo + window])
-    return np.roll(order, (epoch * window) // 2)
+    edges = sorted({0, *range((epoch * window // 2) % window, n, window), n})
+    for lo, hi in zip(edges, edges[1:]):
+        rng.shuffle(order[lo:hi])
+    return order
 
 
 def has_edge(g, u: int, v: int) -> bool:

@@ -1,5 +1,6 @@
 import json
 import re
+import tempfile
 import threading
 import tracemalloc
 
@@ -255,13 +256,39 @@ def test_run_sampling_memory_below_one_shard(tmp_path, monkeypatch, cpus):
     assert peak < min(p.stat().st_size for p in tmp_path.glob("records-*.bin"))
 
 
+def test_run_sampling_bytes_per_visit(monkeypatch):
+    # One range of 1 500 seeds, 576k visits: columns of (seed, dest,
+    # distance) per visit and their concatenated copies peaked at 103 bytes
+    # per visit here; one packed key per visit, combined with each
+    # temporary freed once used, peaks at 45.
+    monkeypatch.setattr(cores, "usable_cpus", lambda: 1)
+    g = generate_sbm(SbmConfig(n=1500, k=3, p_in=0.03, p_out=0.003, seed=4))
+    cfg = SamplerConfig(walks_per_node=128, walk_length=3, num_shards=1)
+    with tempfile.TemporaryDirectory() as out:
+        tracemalloc.start()
+        try:
+            stats = run_sampling(g, cfg, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert stats.dead_end_terminations == 0 and stats.co_count_total == g.num_nodes * 128 * 3
+    assert peak < 75 * stats.co_count_total
+
+
+def packed(seeds, dests, dists, num_nodes, walk_length):
+    """Visits as _combine_visits takes them: keys relative to the smallest seed, and that seed."""
+    seeds, dests, dists = (np.asarray(a, dtype=np.int64) for a in (seeds, dests, dists))
+    base = int(seeds.min())
+    return ((seeds - base) * num_nodes + dests) * walk_length + (dists - 1), base
+
+
 def test_combine_visits_matches_unique_reference():
     rng = np.random.default_rng(5)
     for n, visits, walk_length in [(1, 1, 1), (7, 50, 3), (40, 5000, 3), (300, 20_000, 5)]:
         seeds = rng.integers(n // 2, n, visits)
         dests = rng.integers(0, n, visits)
         dists = rng.integers(1, walk_length + 1, visits)
-        got = _combine_visits(seeds, dests, dists, n, walk_length)
+        got = _combine_visits(*packed(seeds, dests, dists, n, walk_length), n, walk_length)
         want = oracles.combine_visits_reference(seeds, dests, dists, n, walk_length)
         for f in ("source", "dest", "co_counts"):
             assert getattr(got, f).dtype == getattr(want, f).dtype == np.int64
@@ -269,7 +296,7 @@ def test_combine_visits_matches_unique_reference():
 
 
 def test_combine_visits_does_not_wrap_large_ids():
-    rec = _combine_visits([2**31 - 1], [2**31 - 2], [1], 2**31, 3)
+    rec = _combine_visits(*packed([2**31 - 1], [2**31 - 2], [1], 2**31, 3), 2**31, 3)
     assert rec.source.tolist() == [2**31 - 1]
     assert rec.dest.tolist() == [2**31 - 2]
     assert rec.co_counts.tolist() == [[1, 0, 0]]

@@ -56,12 +56,13 @@ def make_records(pairs_with_counts, walk_length=3):
 
 
 def make_stream(records, cfg, seed=0):
-    src, dst, w = oracles.prepare_positives(records, cfg)
-    return RecordStream(src, dst, w, seed)
+    return RecordStream(oracles.positives_from_columns(*oracles.prepare_positives(records, cfg)), seed)
 
 
 def load_positives(out_dir, records, cfg, num_nodes=10):
-    return trainer._load_positives(oracles.write_records_dir(out_dir, records, num_nodes=num_nodes), cfg, num_nodes)
+    """The (src, dst, weight) columns that training loads from the records."""
+    records_dir = oracles.write_records_dir(out_dir, records, num_nodes=num_nodes)
+    return oracles.positive_columns(trainer._load_positives(records_dir, cfg, num_nodes))
 
 
 def set_num_nodes(records_dir, num_nodes):
@@ -143,12 +144,13 @@ class TestBuildBatch:
         cfg = TrainConfig(dim=4, per_replica_batch_size=b, negatives_per_positive=k, steps=1)
         records = make_records([(i, (i + 1) % n, [1 + i % 3, 0, 0]) for i in range(n)])
         stream, twin = make_stream(records, cfg, seed), make_stream(records, cfg, seed)
+        src, dst, w = oracles.prepare_positives(records, cfg)
         for _ in range(3):  # across epoch boundaries for the smaller streams
             batch = build_batch(stream, cfg, np.random.default_rng(seed), num_nodes=n)
-            idx = twin.take(b)
-            assert np.array_equal(batch.src, twin.src[idx])
-            assert np.array_equal(batch.dst[:, 0], twin.dst[idx])
-            assert np.array_equal(batch.weight, twin.weight[idx])
+            idx, _ = twin.take(b)
+            assert np.array_equal(batch.src, src[idx])
+            assert np.array_equal(batch.dst[:, 0], dst[idx])
+            assert np.array_equal(batch.weight, w[idx])
             want = np.random.default_rng(seed).integers(0, n, size=b * k, dtype=np.int64)
             assert np.array_equal(batch.dst[:, 1:].ravel(), want)
 
@@ -188,7 +190,7 @@ class TestBuildBatch:
         cfg = TrainConfig(dim=4, per_replica_batch_size=5, negatives_per_positive=0, steps=1)
         records = make_records([(i, i + 1, [1, 0, 0]) for i in range(20)])
         stream = make_stream(records, cfg, seed=3)
-        seen = [stream.take(5) for _ in range(4)]
+        seen = [stream.take(5)[0] for _ in range(4)]
         assert sorted(np.concatenate(seen).tolist()) == list(range(20))
         assert stream.epochs_completed == 1
 
@@ -570,13 +572,12 @@ class TestTrainSync:
         result = train_sync(records, cfg, num_nodes=30)
 
         def micro_batch(stream, rng):
-            idx = stream.take(cfg.per_replica_batch_size)
+            idx, src = stream.take(cfg.per_replica_batch_size)
             negs = rng.integers(0, 30, size=(len(idx), cfg.negatives_per_positive), dtype=np.int64)
-            return ExampleBatch(stream.src[idx].astype(np.int64), np.column_stack([stream.dst[idx], negs]),
-                                stream.weight[idx])
+            return ExampleBatch(src, np.column_stack([stream.dst[idx], negs]), stream.weight[idx])
 
         table = init_table(30, cfg.dim, derive_seed(cfg.seed, "init"))
-        stream = RecordStream(*trainer._load_positives(records, cfg, 30), derive_seed(cfg.seed, "stream"))
+        stream = RecordStream(trainer._load_positives(records, cfg, 30), derive_seed(cfg.seed, "stream"))
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xB0)))
         for step in range(cfg.steps):
             _, grad = loss_and_grad(table, concat([micro_batch(stream, rng) for _ in range(cfg.num_replicas)]))
@@ -1101,6 +1102,14 @@ def sample_shards(out, num_shards, walks_per_node=40):
     return json.loads((out / "manifest.json").read_text())
 
 
+def dense_shards(out, num_shards=3):
+    """Records of a 40-node graph in which each source reaches most nodes
+    within three hops, so that its run outlasts a block of 7 records."""
+    g = generate_sbm(SbmConfig(n=40, k=2, p_in=0.3, p_out=0.05, seed=2))
+    run_sampling(g, SamplerConfig(walks_per_node=40, walk_length=3, seed=13, num_shards=num_shards), out)
+    return json.loads((out / "manifest.json").read_text())
+
+
 class TestPositivesFromShards:
     @pytest.mark.parametrize("weighting", [None, (1.0, 0.5, 0.25), (0.7, 0.3, 0.1)])
     @pytest.mark.parametrize("num_shards", [1, 3, 8, 20])
@@ -1108,7 +1117,7 @@ class TestPositivesFromShards:
         manifest = sample_shards(tmp_path, num_shards)
         assert num_shards < 20 or 0 in manifest["record_counts"]
         cfg = TrainConfig(dim=4, steps=1, distance_weighting=weighting)
-        got = trainer._load_positives(tmp_path, cfg, 12)
+        got = oracles.positive_columns(trainer._load_positives(tmp_path, cfg, 12))
         want = oracles.prepare_positives(load_all_records(tmp_path)[0], cfg)
         assert [g.dtype for g in got] == [np.int32, np.int32, np.float32]
         for g, w in zip(got, want):
@@ -1117,9 +1126,9 @@ class TestPositivesFromShards:
     def test_ids_int32_below_2_31_nodes(self, tmp_path):
         sample_shards(tmp_path, 3)
         cfg = TrainConfig(dim=4, steps=1)
-        src, dst, w = trainer._load_positives(tmp_path, cfg, 12)
+        src, dst, w = oracles.positive_columns(trainer._load_positives(tmp_path, cfg, 12))
         assert (src.dtype, dst.dtype, w.dtype) == (np.int32, np.int32, np.float32)
-        wide = trainer._load_positives(set_num_nodes(tmp_path, 2**31 + 1), cfg, 2**31 + 1)
+        wide = oracles.positive_columns(trainer._load_positives(set_num_nodes(tmp_path, 2**31 + 1), cfg, 2**31 + 1))
         assert (wide[0].dtype, wide[1].dtype) == (np.int64, np.int64)
         assert all(a.tolist() == b.tolist() for a, b in zip((src, dst), wide))
         huge = make_records([(2**31, 1, [1, 0, 0]), (0, 1, [1, 0, 0])])
@@ -1134,9 +1143,9 @@ class TestPositivesFromShards:
         dtypes = []
 
         def widened(*args):
-            src, dst, w = real(*args)
-            dtypes.append((src.dtype, dst.dtype))
-            return src.astype(np.int64), dst.astype(np.int64), w
+            p = real(*args)
+            dtypes.append((p.run_src.dtype, p.dst.dtype))
+            return replace(p, dst=p.dst.astype(np.int64), run_src=p.run_src.astype(np.int64))
 
         monkeypatch.setattr(trainer, "_load_positives", widened)
         wide = train_sync(tmp_path, cfg, num_nodes=12)
@@ -1230,8 +1239,8 @@ class TestPositivesFromShards:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # the two threads switch as often as they can
         try:
-            narrow = trainer._load_positives(records, cfg, 40)
-            wide = trainer._load_positives(set_num_nodes(records, 2**31 + 1), cfg, 2**31 + 1)
+            narrow = oracles.positive_columns(trainer._load_positives(records, cfg, 40))
+            wide = oracles.positive_columns(trainer._load_positives(set_num_nodes(records, 2**31 + 1), cfg, 2**31 + 1))
         finally:
             sys.setswitchinterval(interval)
         assert [c.dtype for c in narrow + wide] == [np.int32, np.int32, np.float32, np.int64, np.int64, np.float32]
@@ -1249,7 +1258,7 @@ class TestPositivesFromShards:
         shard.dest[11] = 2**32 + 5
         records = oracles.write_records_dir(tmp_path, shard, num_nodes=2**33)
         cfg = TrainConfig(dim=4, steps=1)
-        got = trainer._load_positives(records, cfg, 2**33)
+        got = oracles.positive_columns(trainer._load_positives(records, cfg, 2**33))
         for g, w in zip(got, oracles.prepare_positives(shard, cfg)):
             assert g.tobytes() == w.tobytes()
         with pytest.raises(ValidationError, match=r"node id 2147483648 out of range \[0, 2147483648\)"):
@@ -1311,7 +1320,7 @@ class TestPositivesFromShards:
             return m
 
         monkeypatch.setattr(np, "memmap", counted_map)
-        got = trainer._load_positives(tmp_path, TrainConfig(dim=4, steps=1), 12)
+        got = oracles.positive_columns(trainer._load_positives(tmp_path, TrainConfig(dim=4, steps=1), 12))
         assert seen == [1, 1, 1, 1] and live == [0]
         want = oracles.prepare_positives(load_all_records(tmp_path)[0], TrainConfig(dim=4, steps=1))
         assert all(g.tobytes() == w.astype(g.dtype).tobytes() for g, w in zip(got, want))
@@ -1331,18 +1340,35 @@ class TestPositivesFromShards:
 
         monkeypatch.setattr(np, "empty", snan_empty)
         with np.errstate(invalid="raise"):
-            got = trainer._load_positives(tmp_path, TrainConfig(dim=4, steps=1), 12)
+            got = oracles.positive_columns(trainer._load_positives(tmp_path, TrainConfig(dim=4, steps=1), 12))
         want = oracles.prepare_positives(load_all_records(tmp_path)[0], TrainConfig(dim=4, steps=1))
         assert all(g.tobytes() == w.astype(g.dtype).tobytes() for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("block", [7, trainer.LOAD_BLOCK])
+    def test_8_bytes_per_positive_and_16_per_run(self, tmp_path, monkeypatch, block):
+        # a source and a destination of int32 and a float32 weight per
+        # positive held 12 bytes each; the sources now go as runs, one per
+        # source of each shard and at most one more at each block's edge
+        manifest = dense_shards(tmp_path)
+        monkeypatch.setattr(trainer, "LOAD_BLOCK", block)
+        cfg = TrainConfig(dim=4, steps=1)
+        got = trainer._load_positives(tmp_path, cfg, 40)
+        runs = len(got.run_start)
+        assert sum(a.nbytes for a in (got.dst, got.weight, got.run_start, got.run_src)) <= 8 * len(got) + 16 * runs
+        shards = [oracles.read_shard(tmp_path / f, 3) for f in manifest["shard_files"]]
+        sources = sum(len(np.unique(oracles.prepare_positives(r, cfg)[0])) for r in shards)
+        blocks = sum(-(-len(r) // block) for r in shards)
+        assert sources <= runs <= sources + blocks and 5 * runs < len(got)
 
     def test_memory_below_shard_bytes(self, tmp_path):
         # Under tracemalloc, loading every shard, concatenating them and then
         # filtering the whole set peaked at 1.8x the shard bytes; filtering
         # one shard at a time into preallocated columns peaked at 0.59x;
         # reading every shard into one buffer and filtering it in blocks
-        # peaked at 0.51x. Filtering each mapped shard in one pass peaks at
+        # peaked at 0.51x. Filtering each mapped shard in one pass peaked at
         # 0.37x: the columns (12 of every 44 bytes) and block-sized
-        # temporaries. The bound leaves 0.05x (370 KB) of margin.
+        # temporaries; with the sources kept as runs (8 of every 44 bytes
+        # plus the runs) it peaks at 0.30x. The bound is unchanged.
         g = generate_sbm(SbmConfig(n=4000, k=4, p_in=0.02, p_out=0.002, seed=1))
         run_sampling(g, SamplerConfig(walks_per_node=16, walk_length=3, num_shards=8), tmp_path)
         table = init_table(g.num_nodes, 4, seed=0)
@@ -1358,7 +1384,15 @@ class TestPositivesFromShards:
 
 
 def position_stream(n, seed=9):
-    return RecordStream(np.arange(n), np.arange(n), np.ones(n, dtype=np.float32), seed)
+    """A stream whose positions are their own sources and destinations."""
+    return RecordStream(oracles.positives_from_columns(np.arange(n), np.arange(n), np.ones(n, np.float32)), seed)
+
+
+def take_positions(stream, count):
+    """`count` positions of the stream, checked against their sources."""
+    idx, src = stream.take(count)
+    assert np.array_equal(src, idx)
+    return idx
 
 
 class TestRecordStreamWindows:
@@ -1367,7 +1401,7 @@ class TestRecordStreamWindows:
         stream = position_stream(n)
         parts, taken = [], 0
         while taken < n:  # odd-sized takes that cross window edges
-            parts.append(stream.take(min(4099, n - taken)))
+            parts.append(take_positions(stream, min(4099, n - taken)))
             taken += len(parts[-1])
             assert stream.epochs_completed == (taken == n)
         assert np.array_equal(np.concatenate(parts), oracles.epoch_order_reference(9, n, 0, SHUFFLE_BUFFER))
@@ -1376,7 +1410,7 @@ class TestRecordStreamWindows:
         n, half = 2 * SHUFFLE_BUFFER + 123, SHUFFLE_BUFFER // 2
         stream = position_stream(n)
         for epoch in range(4):
-            order = stream.take(n)
+            order = take_positions(stream, n)
             assert stream.epochs_completed == epoch + 1
             assert np.array_equal(np.sort(order), np.arange(n))
             # windows sit on 0, B, 2B in even epochs and on 0, B/2, 3B/2 in odd ones
@@ -1385,13 +1419,20 @@ class TestRecordStreamWindows:
             for a, b in zip(edges, edges[1:]):
                 assert np.array_equal(np.sort(order[a:b]), np.arange(a, b))
 
-    def test_memory_bounded_by_one_window(self):
+    @pytest.mark.parametrize("ids, run", [(np.int64, 1), (np.int32, 100)])
+    def test_memory_bounded_by_one_window(self, ids, run):
         # Whole-epoch orders and their np.roll copies peaked at 24 MB here.
+        # int64 sources one position per run are the widest window; int32
+        # sources in runs of 100 positions are as the record load gives them
+        # (about 230 positions per run at 10k nodes).
         n = 10**6
-        src, dst, w = np.arange(n), np.arange(n), np.ones(n, dtype=np.float32)
+        positives = oracles.positives_from_columns(
+            np.arange(n, dtype=ids) // run, np.arange(n), np.ones(n, dtype=np.float32)
+        )
+        np.random.default_rng(0)  # numpy.random is imported on first use: not the stream's
         tracemalloc.start()
         try:
-            stream = RecordStream(src, dst, w, seed=1)
+            stream = RecordStream(positives, seed=1)
             for _ in range(n // 4096 + 40):  # across the epoch's end
                 stream.take(4096)
             peak = tracemalloc.get_traced_memory()[1]
@@ -1399,3 +1440,39 @@ class TestRecordStreamWindows:
             tracemalloc.stop()
         assert stream.epochs_completed == 1
         assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("expand", [1, trainer.EXPAND_BLOCK])
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("mode, lanes", [("sync", 1), ("async", 1), ("async", 2), ("async", 3)])
+def test_batches_equal_to_whole_columns(tmp_path, monkeypatch, cpus, mode, lanes, expand):
+    # Blocks of 7 records and windows of 16 positions cut the sources' runs.
+    # Each lane's batches over two epochs hold the whole columns' records at
+    # the positions of its stripe, in the order of its epochs. EXPAND_BLOCK 1
+    # expands every window of two runs or more one position at a time.
+    dense_shards(tmp_path)
+    monkeypatch.setattr(trainer, "LOAD_BLOCK", 7)
+    monkeypatch.setattr(trainer, "SHUFFLE_BUFFER", 16)
+    monkeypatch.setattr(trainer, "EXPAND_BLOCK", expand)
+    monkeypatch.setattr(cores, "usable_cpus", lambda: cpus)
+    cfg = TrainConfig(dim=4, mode=mode, per_replica_batch_size=5, negatives_per_positive=1, num_workers=lanes,
+                      num_replicas=2 if mode == "sync" else 1, optimizer=FixedSgd(0.01), seed=3)
+    columns = oracles.prepare_positives(load_all_records(tmp_path)[0], cfg)
+    stripes = [len(columns[0][lane::lanes]) for lane in range(lanes)]
+    assert min(stripes) > 2 * 16
+    cfg = replace(cfg, steps=lanes * -(-2 * max(stripes) // cfg.step_positives))
+    batches, real = {}, trainer.build_batch
+
+    def spy(stream, *args):
+        batch = real(stream, *args)
+        batches.setdefault(stream.seed, []).append(batch)
+        return batch
+
+    monkeypatch.setattr(trainer, "build_batch", spy)
+    (train_sync if mode == "sync" else train_async)(tmp_path, cfg, num_nodes=40)
+    for lane, m in enumerate(stripes):
+        seed = derive_seed(cfg.seed, "stream" if mode == "sync" else f"stream-{lane}")
+        order = np.concatenate([oracles.epoch_order_reference(seed, m, epoch, 16) for epoch in range(2)])
+        got = [np.concatenate(c)[: 2 * m] for c in zip(*((b.src, b.dst[:, 0], b.weight) for b in batches[seed]))]
+        for g, column in zip(got, columns):
+            assert np.array_equal(g, column[lane::lanes][order])
