@@ -43,11 +43,11 @@ logger = logging.getLogger(__name__)
 
 SNR_CAP = 1.0e12  # reported when mean edge distance is below 1e-12
 
-# Pairs per block in _distances and rows per block in _unit_table. At
-# D = 128 in float32 a pair block gathers two 2 MB arrays of rows, about one
-# core's L2 cache; blocks of 16 384 pairs ran slower on one thread.
+# Pairs (or CSR target positions) per block of _distances, and rows per
+# block of _unit_table. At D = 128 in float32 a pair block gathers two 2 MB
+# arrays of rows, about one core's L2 cache; blocks of 16 384 pairs ran
+# slower on one thread. Blocks of any size give the same bits.
 _PAIR_BLOCK = 4_096
-_ROW_BLOCK = 4_096
 # Table rows per block and sampled nodes per query group in edge_recall; its
 # approximate-distance buffer holds at most their product.
 _RECALL_ROW_BLOCK = 8_192
@@ -107,12 +107,12 @@ class UnitTable(EmbeddingTable):
 
 def _unit_table(values: np.ndarray, out: np.ndarray) -> UnitTable:
     """out as a UnitTable once _normalize_rows has written values' rows to it
-    _ROW_BLOCK at a time, on this thread and, where the process may use two
+    _PAIR_BLOCK at a time, on this thread and, where the process may use two
     CPUs, one helper thread; out may be values itself. One warning carries
     the zero rows that the blocks return."""
     with cores.helper_pool() as pool:
-        blocks = range(0, len(out), _ROW_BLOCK)
-        zeros = sum(cores.share(pool, lambda lo: _normalize_rows(values, out, lo, lo + _ROW_BLOCK), blocks))
+        blocks = range(0, len(out), _PAIR_BLOCK)
+        zeros = sum(cores.share(pool, lambda lo: _normalize_rows(values, out, lo, lo + _PAIR_BLOCK), blocks))
     if zeros:
         logger.warning("l2_normalize: %d zero rows left unnormalized", zeros)
     out.flags.writeable = False
@@ -122,7 +122,7 @@ def _unit_table(values: np.ndarray, out: np.ndarray) -> UnitTable:
 def l2_normalize(table: EmbeddingTable) -> UnitTable:
     """Unit-normalize every nonzero row; zero rows pass through unchanged.
 
-    Rows are taken _ROW_BLOCK at a time into one preallocated output. Each
+    Rows are taken _PAIR_BLOCK at a time into one preallocated output. Each
     row's norm and quotient are computed on their own, so the result equals
     the unblocked values / norm(values, axis=1) bit for bit. A row whose norm
     is not finite raises ValidationError naming the first such row."""
@@ -140,23 +140,21 @@ def load_unit_table(path: str | Path) -> UnitTable:
 
 def _distances(values: np.ndarray, pairs, starts) -> np.ndarray:
     """norm(values[u] - values[v], axis=1) over (u, v) = pairs(start) for each
-    start, joined in order, bit for bit. The blocks are shared between this
-    thread and, where the process may use two CPUs, one helper thread; each
-    takes its pairs _PAIR_BLOCK at a time, by the norm's own operations
-    (square, row sum, square root) in place in the gathered rows."""
+    start, joined in order, bit for bit, where pairs gives at most _PAIR_BLOCK
+    pairs. The blocks are shared between this thread and, where the process
+    may use two CPUs, one helper thread; each block is one gather of both
+    ends, then the norm's own operations (square, row sum, square root) in
+    place in the gathered rows."""
 
     def block(start):
         u, v = pairs(start)
-        out = []
-        for lo in range(0, len(u), _PAIR_BLOCK):  # an early edge block keeps nearly every position
-            diff = values[u[lo : lo + _PAIR_BLOCK]]
-            diff -= values[v[lo : lo + _PAIR_BLOCK]]
-            diff *= diff
-            out.append(np.sqrt(np.add.reduce(diff, axis=1)))
-        return out
+        diff = values[u]
+        diff -= values[v]
+        diff *= diff
+        return np.sqrt(np.add.reduce(diff, axis=1))
 
     with cores.helper_pool() as pool:
-        parts = [d for ds in cores.share(pool, block, starts) for d in ds]
+        parts = cores.share(pool, block, starts)
     return np.concatenate(parts) if parts else np.empty(0, dtype=values.dtype)
 
 
@@ -177,13 +175,13 @@ def pair_distances(table: EmbeddingTable, u: np.ndarray, v: np.ndarray) -> np.nd
 
 def edge_distances(g: Graph, table: EmbeddingTable) -> np.ndarray:
     """pair_distances over g.edge_array(), bit for bit, without an array of
-    every edge: _distances takes blocks of 2 * _PAIR_BLOCK target positions
-    (Graph.edges_at)."""
+    every edge: _distances takes the edges of _PAIR_BLOCK CSR target
+    positions at a time (Graph.edges_at), at most _PAIR_BLOCK pairs."""
     values = table.values
     if len(values) < g.num_nodes:
         raise ValidationError(f"embedding has {len(values)} rows, graph has {g.num_nodes} nodes")
-    width = 2 * _PAIR_BLOCK
-    return _distances(values, lambda start: g.edges_at(start, start + width), range(0, len(g.targets), width))
+    starts = range(0, len(g.targets), _PAIR_BLOCK)
+    return _distances(values, lambda start: g.edges_at(start, start + _PAIR_BLOCK), starts)
 
 
 def _is_edge(g: Graph, u: np.ndarray, v: np.ndarray) -> np.ndarray:

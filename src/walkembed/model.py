@@ -29,6 +29,7 @@ id, and cores.share raises the earlier half's, as one thread would.
 from __future__ import annotations
 
 import hashlib
+import math
 from concurrent import futures
 from dataclasses import dataclass
 from pathlib import Path
@@ -87,8 +88,9 @@ class WarmupDecaySchedule:
     def __post_init__(self):
         if self.warmup_steps < 0 or self.decay_steps < 0:
             raise ValidationError("schedule step counts must be >= 0")
-        if not self.peak_lr > self.final_lr > 0:
-            raise ValidationError("schedule requires peak_lr > final_lr > 0")
+        if not (math.isfinite(self.peak_lr) and self.peak_lr > self.final_lr > 0):
+            got = f"{self.peak_lr!r} and {self.final_lr!r}"
+            raise ValidationError(f"schedule requires finite peak_lr > final_lr > 0, got {got}")
 
     def lr_at(self, step: int) -> float:
         """Piecewise-linear rate; continuous at both phase boundaries."""
@@ -108,8 +110,8 @@ class FixedSgd:
     lr: float
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValidationError("learning rate must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValidationError(f"learning rate must be finite and positive, got {self.lr!r}")
 
     def lr_at(self, step: int) -> float:
         return self.lr

@@ -33,7 +33,7 @@ from .shards import RecordBatch, append_records, shard_path, write_manifest
 from .shards import write_shard  # noqa: F401  perfbench's tests look this name up here
 
 FORMAT_VERSION = 1
-PARTITION_NODES = 1 << 14  # seed ids walked per range of a shard
+PARTITION_NODES = 1 << 14  # seed ids of two ranges: a shard walks ranges of half as many
 
 
 @dataclass(frozen=True)
@@ -173,17 +173,18 @@ def _sample_partition(
     return _combine_visits(keys[:filled], base, g.num_nodes, length), dead
 
 
-def _sample_shard(
-    g: Graph, cfg: SamplerConfig, stream: HashStream, path: Path, shard: int, partition_nodes: int
-) -> tuple[int, int, int]:
+def _sample_shard(g: Graph, cfg: SamplerConfig, stream: HashStream, path: Path, shard: int) -> tuple[int, int, int]:
     """Walk the seeds of one shard and append their records to a new file at
-    `path`, one id range of partition_nodes at a time, in ascending order,
-    which leaves the shard in (source, dest) order. Returns (records, dead
-    ends, co-count total)."""
+    `path`, one id range at a time, in ascending order, which leaves the
+    shard in (source, dest) order. A range is ceil(min(PARTITION_NODES,
+    num_nodes) / 2) ids wide, whatever the CPU and shard counts, so two
+    threads together hold no more visits than one range of PARTITION_NODES.
+    Returns (records, dead ends, co-count total)."""
+    width = -(-min(PARTITION_NODES, g.num_nodes) // 2)
     records = dead_ends = co_total = 0
     with path.open("wb") as fh:
-        for lo in range(0, g.num_nodes, partition_nodes):
-            ids = np.arange(lo, min(lo + partition_nodes, g.num_nodes), dtype=np.uint64)
+        for lo in range(0, g.num_nodes, width):
+            ids = np.arange(lo, min(lo + width, g.num_nodes), dtype=np.uint64)
             ids = ids[splitmix64(ids) % np.uint64(cfg.num_shards) == shard]
             if not len(ids):
                 continue
@@ -201,14 +202,12 @@ def run_sampling(g: Graph, cfg: SamplerConfig, out_dir: str | Path) -> SamplingS
     A record's shard is splitmix64(source) % num_shards, and its source is
     the seed of its walks, so each shard is sampled on its own and written
     as it is sampled, one id range's records appended at a time (see
-    _sample_shard). Where the process may use more than one CPU and there is
-    more than one shard, the calling thread and one helper thread each take
-    the next shard not yet taken, and each walks id ranges of
-    ceil(min(PARTITION_NODES, num_nodes) / 2): the two together hold no more
-    visits than one range of PARTITION_NODES. Shards are byte-identical
-    either way. An existing manifest.json is removed before the first shard
-    is written and the new one is written last, so a run that fails leaves
-    no manifest. Shard files plus manifest.json land in out_dir.
+    _sample_shard). Where the process may use more than one CPU, the calling
+    thread and one helper thread each take the next shard not yet taken.
+    Shards are byte-identical either way. An existing manifest.json is
+    removed before the first shard is written and the new one is written
+    last, so a run that fails leaves no manifest. Shard files plus
+    manifest.json land in out_dir.
     """
     if g.num_nodes == 0:
         raise EmptyGraphError("cannot sample an empty graph")
@@ -218,15 +217,8 @@ def run_sampling(g: Graph, cfg: SamplerConfig, out_dir: str | Path) -> SamplingS
     (out_dir / "manifest.json").unlink(missing_ok=True)
     stream = HashStream(cfg.seed)
     paths = [shard_path(out_dir, s, cfg.num_shards) for s in range(cfg.num_shards)]
-    partition_nodes = PARTITION_NODES
     with cores.helper_pool() as pool:
-        if pool is not None and cfg.num_shards > 1:
-            partition_nodes = -(-min(partition_nodes, g.num_nodes) // 2)
-        per_shard = cores.share(
-            pool,
-            lambda s: _sample_shard(g, cfg, stream, paths[s], s, partition_nodes),
-            range(cfg.num_shards),
-        )
+        per_shard = cores.share(pool, lambda s: _sample_shard(g, cfg, stream, paths[s], s), range(cfg.num_shards))
     shard_counts = [records for records, _, _ in per_shard]
 
     stats = SamplingStats(

@@ -46,7 +46,7 @@ from .shards import check_records, iter_shards, read_manifest
 
 SHUFFLE_BUFFER = 1 << 16  # records per shuffle window of a RecordStream
 LOAD_BLOCK = 1 << 16  # records per block of the record load's filter
-EXPAND_BLOCK = 1 << 11  # runs a window's sources expand in one repeat, else positions per repeat
+EXPAND_BLOCK = 1 << 11  # positions of a window whose sources one repeat expands
 LOG_EVERY = 50  # steps between progress log entries
 
 
@@ -171,34 +171,22 @@ class Positives:
         return len(self.dst)
 
     def sources(self, lo: int, hi: int, lane: int = 0, lanes: int = 1) -> np.ndarray:
-        """The sources of positions lane + lanes * i for i in [lo, hi), where
-        lo < hi, in order: one search for each end, then a repeat of the
-        runs between. Where more than EXPAND_BLOCK runs lie between, the
-        repeat goes EXPAND_BLOCK positions at a time, so that its temporaries
-        stay bounded however short the runs."""
-        runs = self._runs(lo, hi, lane, lanes)
-        if runs.stop - runs.start <= EXPAND_BLOCK:
-            return self._repeat(lo, hi, lane, lanes, runs)
+        """The sources of positions lane + lanes * i for i in [lo, hi), in
+        order, EXPAND_BLOCK positions at a time: one search for each end of
+        a block, then a repeat of the runs between, so that the temporaries
+        stay block-sized however short the runs."""
         out = np.empty(hi - lo, dtype=self.run_src.dtype)
         for a in range(lo, hi, EXPAND_BLOCK):
             b = min(a + EXPAND_BLOCK, hi)
-            out[a - lo : b - lo] = self._repeat(a, b, lane, lanes, self._runs(a, b, lane, lanes))
+            first, stop = np.searchsorted(self.run_start, [lane + lanes * a, lane + lanes * (b - 1)], "right")
+            cuts = np.empty(stop - first + 2, dtype=np.int64)
+            cuts[0], cuts[-1], inner = a, b, cuts[1:-1]
+            # run r starts at the first i with lane + lanes * i >= run_start[r]
+            np.subtract(lane, self.run_start[first:stop], out=inner)
+            np.floor_divide(inner, lanes, out=inner)
+            np.negative(inner, out=inner)
+            out[a - lo : b - lo] = np.repeat(self.run_src[first - 1 : stop], np.diff(cuts))
         return out
-
-    def _runs(self, lo: int, hi: int, lane: int, lanes: int) -> slice:
-        """The runs from the one holding the first of the positions to the
-        one holding the last."""
-        first = int(np.searchsorted(self.run_start, lane + lanes * lo, "right")) - 1
-        return slice(first, int(np.searchsorted(self.run_start, lane + lanes * (hi - 1), "right")))
-
-    def _repeat(self, lo: int, hi: int, lane: int, lanes: int, runs: slice) -> np.ndarray:
-        cuts = np.empty(runs.stop - runs.start + 1, dtype=np.int64)
-        cuts[0], cuts[-1], inner = lo, hi, cuts[1:-1]
-        # run r starts at the first i with lane + lanes * i >= run_start[r]
-        np.subtract(lane, self.run_start[runs.start + 1 : runs.stop], out=inner)
-        np.floor_divide(inner, lanes, out=inner)
-        np.negative(inner, out=inner)
-        return np.repeat(self.run_src[runs], np.diff(cuts))
 
 
 def run_starts(values: np.ndarray) -> np.ndarray:

@@ -279,6 +279,30 @@ class TestPruneSampleTrainEval:
         assert capsys.readouterr().err.splitlines() == ["error: optimizer config missing 'lr'"]
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize(
+        "optimizer, message",
+        [
+            ({"kind": "fixed_sgd", "lr": float("nan")}, "learning rate must be finite and positive, got nan"),
+            ({"kind": "fixed_sgd", "lr": float("inf")}, "learning rate must be finite and positive, got inf"),
+            (
+                {"kind": "warmup_decay_sgd", "warmup_steps": 1, "peak_lr": float("inf"), "decay_steps": 1,
+                 "final_lr": 0.1},
+                "schedule requires finite peak_lr > final_lr > 0, got inf and 0.1",
+            ),
+        ],
+    )
+    def test_train_non_finite_rate_exit_1(self, tmp_path, small_graph_file, capsys, optimizer, message):
+        # JSON reads NaN and Infinity; such a rate once trained to a table of non-finite rows
+        records = tmp_path / "records"
+        assert run("sample", "--graph", small_graph_file, "--out", records, "--walks-per-node", 4) == 0
+        tcfg = tmp_path / "train.json"
+        tcfg.write_text(json.dumps({"optimizer": optimizer, "dim": 8, "steps": 1}))
+        ckpt = tmp_path / "emb.bin"
+        capsys.readouterr()
+        assert run("train", "--records", records, "--graph", small_graph_file, "--config", tcfg, "--out", ckpt) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not ckpt.exists()
+
     def test_train_config_not_an_object_with_a_flag_exit_1(self, tmp_path, small_graph_file, capsys):
         tcfg = tmp_path / "train.json"
         tcfg.write_text("[1]")

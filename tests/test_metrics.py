@@ -331,7 +331,7 @@ class TestBlocksOnTwoThreads:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_l2_normalize_equal_unblocked_with_exact_zero_count(self, cpus, dtype, monkeypatch, caplog):
         monkeypatch.setattr(cores, "usable_cpus", lambda: cpus)
-        monkeypatch.setattr(metrics, "_ROW_BLOCK", 16)
+        monkeypatch.setattr(metrics, "_PAIR_BLOCK", 16)
         rng = np.random.default_rng(1)
         values = (rng.standard_normal((200, 8)) * 10.0 ** rng.uniform(-3, 3, size=(200, 1))).astype(dtype)
         values[::9] = 0.0  # zero rows in every block
@@ -364,8 +364,7 @@ class TestBlocksOnTwoThreads:
     @pytest.mark.parametrize("blocks", ["default", "small"])
     def test_report_bytes_equal_on_one_and_two_cpus(self, dtype, blocks, monkeypatch):
         if blocks == "small":
-            monkeypatch.setattr(metrics, "_PAIR_BLOCK", 64)
-            monkeypatch.setattr(metrics, "_ROW_BLOCK", 32)
+            monkeypatch.setattr(metrics, "_PAIR_BLOCK", 32)
         g = generate_sbm(SbmConfig(n=1000, k=4, p_in=0.08, p_out=0.004, seed=7))
         assert g.num_edges > 2 * metrics._PAIR_BLOCK
         t = EmbeddingTable(np.random.default_rng(8).standard_normal((1000, 16)).astype(dtype))
@@ -473,7 +472,7 @@ class TestBadRows:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_l2_normalize_names_the_first_bad_row_of_any_block(self, monkeypatch, cpus):
         monkeypatch.setattr(cores, "usable_cpus", lambda: cpus)
-        monkeypatch.setattr(metrics, "_ROW_BLOCK", 4)
+        monkeypatch.setattr(metrics, "_PAIR_BLOCK", 4)
         values = np.ones((40, 3))
         values[[38, 33, 9]] = [np.inf, np.nan, 1e200]  # 1e200 squared overflows float64
         for _ in range(20):
@@ -560,7 +559,7 @@ class TestEdgePassAndNonEdges:
         if pair_block:
             monkeypatch.setattr(metrics, "_PAIR_BLOCK", pair_block)
         g = hub_graph()
-        width = 2 * metrics._PAIR_BLOCK
+        width = metrics._PAIR_BLOCK
         if pair_block:
             cuts = np.arange(width, len(g.targets), width)
             assert np.any((g.offsets[:-1, None] < cuts) & (cuts < g.offsets[1:, None]))  # a block cuts a row
@@ -574,6 +573,25 @@ class TestEdgePassAndNonEdges:
         got = sample_non_edges(g, 5000, np.random.default_rng(13))
         want = oracles.sample_non_edges_reference(g, 5000, np.random.default_rng(13))
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("pair_block", [3, 64])
+    def test_no_block_gathers_more_than_pair_block(self, monkeypatch, pair_block):
+        # edge blocks of _PAIR_BLOCK target positions keep at most as many
+        # pairs; the sampled non-edges fill whole blocks
+        monkeypatch.setattr(metrics, "_PAIR_BLOCK", pair_block)
+        sizes, real = [], metrics._distances
+
+        def spy(values, pairs, starts):
+            def counted(start):
+                u, v = pairs(start)
+                sizes.append(len(u))
+                return u, v
+
+            return real(values, counted, starts)
+
+        monkeypatch.setattr(metrics, "_distances", spy)
+        compute_report(hub_graph(), random_unit_table(60, 8), non_edge_samples=500, recall_nodes=5, seed=1)
+        assert max(sizes) == pair_block
 
     def test_is_edge_on_every_pair(self):
         for g in (hub_graph(), build_graph([(0, 1)], 3), from_edges(np.empty((0, 2)), 4)):
@@ -597,7 +615,7 @@ class TestUnitTables:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_load_unit_table_equals_l2_normalize_of_load(self, tmp_path, monkeypatch, caplog, cpus):
         monkeypatch.setattr(cores, "usable_cpus", lambda: cpus)
-        monkeypatch.setattr(metrics, "_ROW_BLOCK", 16)
+        monkeypatch.setattr(metrics, "_PAIR_BLOCK", 16)
         rng = np.random.default_rng(1)
         values = (rng.standard_normal((200, 8)) * 10.0 ** rng.uniform(-3, 3, size=(200, 1))).astype(np.float32)
         values[::9] = 0.0
@@ -614,7 +632,7 @@ class TestUnitTables:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_bad_files_keep_their_messages(self, tmp_path, monkeypatch, cpus):
         monkeypatch.setattr(cores, "usable_cpus", lambda: cpus)
-        monkeypatch.setattr(metrics, "_ROW_BLOCK", 4)
+        monkeypatch.setattr(metrics, "_PAIR_BLOCK", 4)
         values = np.ones((40, 3), dtype=np.float32)
         values[[38, 33, 9]] = [np.inf, np.nan, 3e38]
         p = self.write_checkpoint(tmp_path / "c.bin", values)

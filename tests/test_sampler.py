@@ -14,7 +14,7 @@ from conftest import build_graph
 from walkembed import cores, sampler
 from walkembed.errors import EmptyGraphError, ValidationError
 from walkembed.graph import from_edges
-from walkembed.rng import HashStream
+from walkembed.rng import HashStream, splitmix64
 from walkembed.sampler import SamplerConfig, _combine_visits, init_walks, run_sampling, step_walks
 from walkembed.sbm import SbmConfig, generate_sbm
 from walkembed.shards import load_all_records, write_shard, RecordBatch
@@ -240,9 +240,9 @@ def test_run_sampling_memory_below_one_shard(tmp_path, monkeypatch, cpus):
     # Holding each shard whole until its one write peaked at about 0.35x
     # all shards' bytes, near 3x the smallest shard's. Appending each id
     # range's records as they are sampled bounds the peak by the range, here
-    # a sixteenth of a shard's seeds: 0.44x the smallest shard on one thread
-    # and 0.41x split over two. (The manifest's graph hash no longer copies
-    # the adjacency, which alone took 0.96x.)
+    # 125 ids, half of PARTITION_NODES: 0.16x the smallest shard on one
+    # thread and 0.27x split over two. (The manifest's graph hash no longer
+    # copies the adjacency, which alone took 0.96x.)
     monkeypatch.setattr(cores, "usable_cpus", lambda: cpus)
     g = generate_sbm(SbmConfig(n=4000, k=4, p_in=0.02, p_out=0.002, seed=1))
     cfg = SamplerConfig(walks_per_node=16, walk_length=3, num_shards=8)
@@ -257,10 +257,11 @@ def test_run_sampling_memory_below_one_shard(tmp_path, monkeypatch, cpus):
 
 
 def test_run_sampling_bytes_per_visit(monkeypatch):
-    # One range of 1 500 seeds, 576k visits: columns of (seed, dest,
-    # distance) per visit and their concatenated copies peaked at 103 bytes
-    # per visit here; one packed key per visit, combined with each
-    # temporary freed once used, peaks at 45.
+    # 576k visits: columns of (seed, dest, distance) per visit and their
+    # concatenated copies peaked at 103 bytes per visit here, in one range
+    # of 1 500 seeds; one packed key per visit, combined with each temporary
+    # freed once used, peaked at 45. Ranges are now half of min(1 500,
+    # PARTITION_NODES) wide, and two of 750 seeds peak at 31.
     monkeypatch.setattr(cores, "usable_cpus", lambda: 1)
     g = generate_sbm(SbmConfig(n=1500, k=3, p_in=0.03, p_out=0.003, seed=4))
     cfg = SamplerConfig(walks_per_node=128, walk_length=3, num_shards=1)
@@ -272,7 +273,7 @@ def test_run_sampling_bytes_per_visit(monkeypatch):
         finally:
             tracemalloc.stop()
     assert stats.dead_end_terminations == 0 and stats.co_count_total == g.num_nodes * 128 * 3
-    assert peak < 75 * stats.co_count_total
+    assert peak < 50 * stats.co_count_total
 
 
 def packed(seeds, dests, dists, num_nodes, walk_length):
@@ -394,25 +395,33 @@ class TestTwoThreads:
         for name in names:
             assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes(), name
 
-    @pytest.mark.parametrize("cpus, width", [(1, 60), (2, 30)])
-    def test_helper_halves_the_id_ranges(self, tmp_path, monkeypatch, cpus, width):
-        # with the helper, each thread walks ranges of ceil(60 / 2) ids, so
-        # the two together hold no more visits than one range of 60
+    @pytest.mark.parametrize("partition_nodes, width", [(60, 30), (None, 150)])
+    @pytest.mark.parametrize("num_shards", [1, 4])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_id_ranges_set_by_the_graph_alone(self, tmp_path, monkeypatch, cpus, num_shards, partition_nodes, width):
+        # each shard walks its seeds in ranges of ceil(min(PARTITION_NODES,
+        # 300) / 2) ids, on one CPU or two and at any shard count
         g = generate_sbm(SbmConfig(n=300, k=2, p_in=0.05, p_out=0.01, seed=2))
         real = sampler._sample_partition
-        ranges = []
+        walked = []
 
         def spy(g, cfg, stream, nodes):
-            ranges.append((int(nodes.min()), int(nodes.max())))
+            walked.append(nodes.tolist())
             return real(g, cfg, stream, nodes)
 
         monkeypatch.setattr(sampler, "_sample_partition", spy)
         monkeypatch.setattr(cores, "usable_cpus", lambda: cpus)
-        monkeypatch.setattr(sampler, "PARTITION_NODES", 60)
-        run_sampling(g, SamplerConfig(walks_per_node=2, num_shards=4), tmp_path)
-        assert ranges and all(lo // width == hi // width for lo, hi in ranges)
-        # on one thread some range spans both halves of its 60 ids
-        assert (cpus == 1) == any(lo // 30 != hi // 30 for lo, hi in ranges)
+        if partition_nodes is not None:
+            monkeypatch.setattr(sampler, "PARTITION_NODES", partition_nodes)
+        run_sampling(g, SamplerConfig(walks_per_node=2, num_shards=num_shards), tmp_path)
+        shard_of = splitmix64(np.arange(300, dtype=np.uint64)) % np.uint64(num_shards)
+        want = [
+            ids
+            for s in range(num_shards)
+            for lo in range(0, 300, width)
+            if (ids := [i for i in range(lo, lo + width) if shard_of[i] == s])
+        ]
+        assert sorted(walked) == sorted(want)
 
     def test_joins_its_helper(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cores, "usable_cpus", lambda: 2)
@@ -458,14 +467,14 @@ class TestTwoThreads:
         real = sampler._sample_shard
         three_failed = threading.Event()
 
-        def spy(g, cfg, stream, path, shard, partition_nodes):
+        def spy(g, cfg, stream, path, shard):
             if shard == 1 and cpus == 2:
                 assert three_failed.wait(timeout=30)
             if shard == 3:
                 three_failed.set()
             if shard in (1, 3):
                 raise RuntimeError(f"shard {shard} failed")
-            return real(g, cfg, stream, path, shard, partition_nodes)
+            return real(g, cfg, stream, path, shard)
 
         monkeypatch.setattr(sampler, "_sample_shard", spy)
         monkeypatch.setattr(cores, "usable_cpus", lambda: cpus)

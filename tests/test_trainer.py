@@ -101,6 +101,18 @@ class TestSchedule:
         with pytest.raises(ValidationError):
             FixedSgd(0.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rates_rejected(self, bad):
+        # `lr <= 0` is false for NaN and inf, and `peak_lr > final_lr > 0`
+        # holds for an infinite peak
+        with pytest.raises(ValidationError, match="^learning rate must be finite and positive, got"):
+            FixedSgd(bad)
+        for peak, final in ((bad, 0.001), (0.01, bad), (bad, bad)):
+            with pytest.raises(ValidationError, match="^schedule requires finite peak_lr > final_lr > 0, got"):
+                WarmupDecaySchedule(5, peak, 10, final)
+        with pytest.raises(ValidationError, match="finite and positive"):
+            TrainConfig.from_dict({"optimizer": {"kind": "fixed_sgd", "lr": bad}})
+
 
 class TestBuildBatch:
     def test_smallest_batch_layout(self):
@@ -760,7 +772,7 @@ for module, name in ((sampler, "_sample_partition"), (pipeline, "_hash_file")):
         return real(*args)
     setattr(module, name, counted)
 blocks = set()
-metrics._PAIR_BLOCK = metrics._ROW_BLOCK = 4
+metrics._PAIR_BLOCK = 4
 def normalize(*args, real=metrics._normalize_rows):
     threads.add(threading.active_count())
     blocks.add(("_normalize_rows", args[-2]))
@@ -1442,14 +1454,15 @@ class TestRecordStreamWindows:
         assert peak < 1_000_000
 
 
-@pytest.mark.parametrize("expand", [1, trainer.EXPAND_BLOCK])
+@pytest.mark.parametrize("expand", [1, 5, trainer.EXPAND_BLOCK])
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("mode, lanes", [("sync", 1), ("async", 1), ("async", 2), ("async", 3)])
 def test_batches_equal_to_whole_columns(tmp_path, monkeypatch, cpus, mode, lanes, expand):
     # Blocks of 7 records and windows of 16 positions cut the sources' runs.
     # Each lane's batches over two epochs hold the whole columns' records at
     # the positions of its stripe, in the order of its epochs. EXPAND_BLOCK 1
-    # expands every window of two runs or more one position at a time.
+    # expands every window one position at a time, 5 cuts each window's 16
+    # positions unevenly, and the default takes each window in one block.
     dense_shards(tmp_path)
     monkeypatch.setattr(trainer, "LOAD_BLOCK", 7)
     monkeypatch.setattr(trainer, "SHUFFLE_BUFFER", 16)
