@@ -3,7 +3,7 @@
 Randomness that must be invariant under sharding and worker count is drawn
 from a stateless 64-bit mix of (seed, stream id, counter) rather than from a
 sequential generator, so the value consumed by one walk never depends on how
-many other walks ran before it.
+many other walks ran before it. The sampler's stream id is its walk id.
 """
 
 from __future__ import annotations
@@ -17,12 +17,14 @@ _MIX2 = _U64(0x94D049BB133111EB)
 
 
 def splitmix64(x: np.ndarray | int) -> np.ndarray | np.uint64:
-    """Vectorized SplitMix64 finalizer; uint64 in, uint64 out."""
+    """Vectorized SplitMix64 finalizer; uint64 in, uint64 out, mixed in place in one new array."""
     with np.errstate(over="ignore"):  # wrapping multiply is the algorithm
         z = np.asarray(x, dtype=np.uint64) + _GOLDEN
-        z = (z ^ (z >> _U64(30))) * _MIX1
-        z = (z ^ (z >> _U64(27))) * _MIX2
-        z = z ^ (z >> _U64(31))
+        z ^= z >> _U64(30)
+        z *= _MIX1
+        z ^= z >> _U64(27)
+        z *= _MIX2
+        z ^= z >> _U64(31)
     return z if z.ndim else _U64(z)
 
 
@@ -34,19 +36,20 @@ class HashStream:
         self._base = splitmix64(np.uint64(self.seed & 0xFFFFFFFFFFFFFFFF))
 
     def raw(self, stream_ids: np.ndarray, counter: int) -> np.ndarray:
-        """uint64 values, one per stream id, at the given counter position."""
-        ids = np.asarray(stream_ids, dtype=np.uint64)
-        h = splitmix64(self._base ^ ids)
-        return splitmix64(h ^ np.uint64(counter))
+        """uint64 values, one per stream id, at the given counter; int64 ids are viewed, not copied."""
+        h = splitmix64(self._base ^ np.asarray(stream_ids, dtype=np.int64).view(np.uint64))
+        h ^= np.uint64(counter)
+        return splitmix64(h)
 
     def bounded(self, stream_ids: np.ndarray, counter: int, bounds: np.ndarray) -> np.ndarray:
         """Integers in [0, bounds) per stream; bounds must be >= 1.
 
         Uses modulo reduction; bias is bounds/2**64, negligible for node
-        degrees.
+        degrees. The draws are reduced in place and returned as an int64 view.
         """
         h = self.raw(stream_ids, counter)
-        return (h % np.asarray(bounds, dtype=np.uint64)).astype(np.int64)
+        h %= np.asarray(bounds, dtype=np.int64).view(np.uint64)
+        return h.view(np.int64)
 
 
 def derive_seed(seed: int, label: str) -> int:

@@ -12,9 +12,9 @@ range's records are appended to the shard's file as they are combined, so
 no shard is ever held whole. Shards are split between the calling thread
 and, where the process may use more than one CPU, one helper thread.
 
-Each walk draws from its own counter-based stream keyed by
-(seed, seed_node, replica, round), so output is bitwise-identical for any
-partitioning and either thread count.
+Each walk draws from its own counter-based stream keyed by (seed, walk
+id, round), where a walk's id is seed_node * walks_per_node + replica, so
+output is bitwise-identical for any partitioning and either thread count.
 """
 
 from __future__ import annotations
@@ -56,15 +56,15 @@ class SamplerConfig:
 
 @dataclass
 class WalkBatch:
-    """Walks in flight, column-oriented; all entries share the same step."""
+    """Walks in flight, column-oriented; all entries share the same step. A
+    walk's id, seed_node * walks_per_node + replica, keys its stream."""
 
-    seed_node: np.ndarray
-    replica: np.ndarray
+    walk_id: np.ndarray
     current_node: np.ndarray
     step: int = 0
 
     def __len__(self) -> int:
-        return len(self.seed_node)
+        return len(self.walk_id)
 
 
 @dataclass
@@ -82,39 +82,25 @@ def init_walks(g: Graph, cfg: SamplerConfig, nodes: np.ndarray | None = None) ->
     if g.num_nodes == 0:
         raise EmptyGraphError("cannot sample an empty graph")
     nodes = np.arange(g.num_nodes, dtype=np.int64) if nodes is None else np.asarray(nodes, dtype=np.int64)
-    seeds = np.repeat(nodes, cfg.walks_per_node)
-    replicas = np.tile(np.arange(cfg.walks_per_node, dtype=np.int64), len(nodes))
-    return WalkBatch(seed_node=seeds, replica=replicas, current_node=seeds.copy(), step=0)
-
-
-def _walk_uid(walks: WalkBatch, cfg: SamplerConfig) -> np.ndarray:
-    return walks.seed_node * np.int64(cfg.walks_per_node) + walks.replica
+    walk_id = (nodes[:, None] * cfg.walks_per_node + np.arange(cfg.walks_per_node, dtype=np.int64)).ravel()
+    return WalkBatch(walk_id=walk_id, current_node=np.repeat(nodes, cfg.walks_per_node), step=0)
 
 
 def step_walks(g: Graph, walks: WalkBatch, cfg: SamplerConfig, stream: HashStream) -> WalkBatch:
     """Advance every walk one hop; walks at a neighborless node terminate.
 
     The endpoint join gathers each walk's CSR row, then one neighbor index is
-    drawn per walk from its private stream at counter position step+1.
+    drawn per walk from its walk id's stream at counter position step+1.
     """
     if walks.step >= cfg.walk_length:
         raise ValidationError("walks already at full length")
     row = g.offsets[walks.current_node]  # each walk's CSR row, gathered once
     deg = g.offsets[walks.current_node + 1] - row
-    alive = deg > 0
+    walk_id, alive = walks.walk_id, deg > 0
     if not alive.all():
-        walks = WalkBatch(
-            seed_node=walks.seed_node[alive],
-            replica=walks.replica[alive],
-            current_node=walks.current_node[alive],
-            step=walks.step,
-        )
-        row, deg = row[alive], deg[alive]
-    if len(walks) == 0:
-        return WalkBatch(walks.seed_node, walks.replica, walks.current_node, walks.step + 1)
-    pick = stream.bounded(_walk_uid(walks, cfg), counter=walks.step + 1, bounds=deg)
-    nxt = g.targets[row + pick]
-    return WalkBatch(walks.seed_node, walks.replica, nxt, walks.step + 1)
+        walk_id, row, deg = walk_id[alive], row[alive], deg[alive]
+    row += stream.bounded(walk_id, counter=walks.step + 1, bounds=deg)
+    return WalkBatch(walk_id, g.targets[row], walks.step + 1)
 
 
 def _combine_visits(key: np.ndarray, base: int, num_nodes: int, walk_length: int) -> RecordBatch:
@@ -145,9 +131,7 @@ def _combine_visits(key: np.ndarray, base: int, num_nodes: int, walk_length: int
     return RecordBatch(source=source, dest=dest, co_counts=co)
 
 
-def _sample_partition(
-    g: Graph, cfg: SamplerConfig, stream: HashStream, nodes: np.ndarray
-) -> tuple[RecordBatch, int]:
+def _sample_partition(g: Graph, cfg: SamplerConfig, stream: HashStream, nodes: np.ndarray) -> tuple[RecordBatch, int]:
     """Walk the given seed nodes to completion; returns records + dead ends.
 
     Each round packs every surviving walk's visit into one key (see
@@ -155,16 +139,17 @@ def _sample_partition(
     round, so no visit is held as columns or copied by a concatenation."""
     walks = init_walks(g, cfg, nodes)
     started, length = len(walks), cfg.walk_length
-    base = int(walks.seed_node.min())
+    base = int(nodes.min())
     keys = np.empty(started * length, dtype=np.int64)
     filled = 0
     for _ in range(length):
         walks = step_walks(g, walks, cfg, stream)
         if len(walks) == 0:
             break
-        end = filled + len(walks)
-        keys[filled:end] = ((walks.seed_node - base) * g.num_nodes + walks.current_node) * length + walks.step - 1
-        filled = end
+        keys[filled : filled + len(walks)] = (
+            (walks.walk_id // cfg.walks_per_node - base) * g.num_nodes + walks.current_node
+        ) * length + walks.step - 1
+        filled += len(walks)
     dead = started - len(walks)
     del walks  # the last round's columns, freed before the combine
     if not filled:

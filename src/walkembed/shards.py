@@ -117,6 +117,9 @@ def read_manifest(records_dir: str | Path) -> dict:
         isinstance(f, str) and f not in ("", ".", "..") and Path(f).name == f for f in files
     ):
         raise ValidationError(f"{p}: shard_files must be a list of plain file names, got {files!r}")
+    if len(set(files)) < len(files):
+        twice = next(f for i, f in enumerate(files) if f in files[:i])
+        raise ValidationError(f"{p}: shard_files lists {twice!r} more than once")
     if not isinstance(counts, list) or not all(type(c) is int and c >= 0 for c in counts):
         raise ValidationError(f"{p}: record_counts must be a list of non-negative integers, got {counts!r}")
     if len(counts) != len(files):

@@ -72,6 +72,9 @@ class TrainConfig:
             raise ValidationError("negatives_per_positive must be >= 0")
         if self.num_replicas < 1 or self.num_workers < 1:
             raise ValidationError("replica and worker counts must be >= 1")
+        unread = "num_workers" if self.mode == "sync" else "num_replicas"
+        if getattr(self, unread) != 1:
+            raise ValidationError(f"trainer config key {unread!r} is not read in {self.mode} mode and must be 1")
         if self.steps < 1:
             raise ValidationError("steps must be >= 1")
         if self.dim < 1:

@@ -195,6 +195,24 @@ class TestPruneSampleTrainEval:
         ]
         assert not ckpt.exists()
 
+    def test_train_shard_listed_twice_exit_1(self, tmp_path, small_graph_file, capsys):
+        # naming shard 0 twice once trained on shard 0's records twice and never read shard 1
+        records = tmp_path / "records"
+        assert run("sample", "--graph", small_graph_file, "--out", records, "--walks-per-node", 4,
+                   "--num-shards", 2, "--seed", 3) == 0
+        manifest = records / "manifest.json"
+        fields = json.loads(manifest.read_text())
+        fields["shard_files"] = [fields["shard_files"][0]] * 2
+        manifest.write_text(json.dumps(fields))
+        ckpt = tmp_path / "emb.bin"
+        capsys.readouterr()
+        assert run("train", "--records", records, "--graph", small_graph_file, "--dim", 8,
+                   "--steps", 2, "--out", ckpt) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {manifest}: shard_files lists 'records-00000-of-00002.bin' more than once"
+        ]
+        assert not ckpt.exists()
+
     @pytest.mark.parametrize("content, message", [
         (b"", "not JSON: Expecting value: line 1 column 1 (char 0)"),
         (b"\xff", "not JSON: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
@@ -301,6 +319,25 @@ class TestPruneSampleTrainEval:
         capsys.readouterr()
         assert run("train", "--records", records, "--graph", small_graph_file, "--config", tcfg, "--out", ckpt) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("flags, config, key, mode", [
+        (["--mode", "async", "--replicas", 2], {}, "num_replicas", "async"),
+        ([], {"mode": "sync", "num_workers": 4}, "num_workers", "sync"),
+    ], ids=["async-replicas", "sync-workers"])
+    def test_train_other_modes_count_exit_1(self, tmp_path, small_graph_file, capsys, flags, config, key, mode):
+        # the mode does not read this count: it once trained one lane and exited 0
+        records = tmp_path / "records"
+        assert run("sample", "--graph", small_graph_file, "--out", records, "--walks-per-node", 4) == 0
+        tcfg = tmp_path / "train.json"
+        tcfg.write_text(json.dumps({**config, "dim": 8, "steps": 2, "optimizer": {"kind": "fixed_sgd", "lr": 0.1}}))
+        ckpt = tmp_path / "emb.bin"
+        capsys.readouterr()
+        assert run("train", "--records", records, "--graph", small_graph_file, "--config", tcfg, *flags,
+                   "--out", ckpt) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: trainer config key {key!r} is not read in {mode} mode and must be 1"
+        ]
         assert not ckpt.exists()
 
     def test_train_config_not_an_object_with_a_flag_exit_1(self, tmp_path, small_graph_file, capsys):

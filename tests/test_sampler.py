@@ -38,9 +38,17 @@ class TestInitWalks:
     def test_triangle_two_each(self, triangle):
         walks = init_walks(triangle, SamplerConfig(walks_per_node=2))
         assert len(walks) == 6
-        assert np.bincount(walks.seed_node).tolist() == [2, 2, 2]
-        assert np.array_equal(walks.seed_node, walks.current_node)
+        assert np.bincount(walks.walk_id // 2).tolist() == [2, 2, 2]
+        assert np.array_equal(walks.walk_id // 2, walks.current_node)
         assert walks.step == 0
+
+    def test_ids_are_seed_major(self):
+        g = build_graph([(i, (i + 1) % 9) for i in range(9)], 9)
+        seeds, w = np.array([7, 2, 5]), 4
+        walks = init_walks(g, SamplerConfig(walks_per_node=w), seeds)
+        want = [seed * w + replica for seed in seeds for replica in range(w)]
+        assert walks.walk_id.dtype == np.int64 and walks.walk_id.tolist() == want
+        assert walks.current_node.tolist() == np.repeat(seeds, w).tolist()
 
     def test_isolated_node_still_seeded(self):
         g = from_edges(np.empty((0, 2), dtype=np.int64), 1)
@@ -63,7 +71,7 @@ class TestStepWalks:
         walks = init_walks(two_node, cfg)
         walks = step_walks(two_node, walks, cfg, HashStream(cfg.seed))
         assert walks.step == 1
-        assert np.array_equal(walks.current_node, 1 - walks.seed_node)
+        assert np.array_equal(walks.current_node, 1 - walks.walk_id // cfg.walks_per_node)
 
     def test_uniform_branch_split(self, triangle):
         # 100k walks from node 0, one step: moves to 1 or 2 with p=1/2
@@ -81,7 +89,34 @@ class TestStepWalks:
         walks = init_walks(g, cfg)
         walks = step_walks(g, walks, cfg, HashStream(0))
         assert len(walks) == 8  # the 4 walks at node 2 are gone
-        assert not np.any(walks.seed_node == 2)
+        assert not np.any(walks.walk_id // cfg.walks_per_node == 2)
+
+    def test_all_walks_die_then_stay_empty(self):
+        g = build_graph([(0, 1)], 3)  # node 2 isolated
+        cfg = SamplerConfig(walks_per_node=4, walk_length=3, seed=0)
+        walks = init_walks(g, cfg, np.array([2]))
+        for step in (1, 2):
+            walks = step_walks(g, walks, cfg, HashStream(0))
+            assert len(walks) == 0 and len(walks.current_node) == 0
+            assert walks.step == step
+
+    def test_step_bytes_per_walk(self):
+        # One step over 750 seeds x 128 walks of this graph, under
+        # tracemalloc: (seed, replica) columns rebuilt into a stream id each
+        # round, and a draw that copied its array at every mixing stage,
+        # peaked at 65 bytes per walk. The walk id as the one id column, with
+        # the draw mixed and reduced in place, peaks at 41.
+        g = generate_sbm(SbmConfig(n=1500, k=3, p_in=0.03, p_out=0.003, seed=4))
+        cfg = SamplerConfig(walks_per_node=128, walk_length=3)
+        walks = init_walks(g, cfg, np.arange(750))
+        tracemalloc.start()
+        try:
+            walks = step_walks(g, walks, cfg, HashStream(cfg.seed))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(walks) == 750 * 128
+        assert peak < 56 * len(walks)
 
 
 class TestRunSampling:
@@ -348,6 +383,17 @@ def test_truncated_shard_rejected(tmp_path, triangle):
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ValidationError, match=f"manifest.json: {msg}"):
             load_all_records(tmp_path)
+
+
+def test_shard_listed_twice_rejected(tmp_path, triangle):
+    # a manifest naming shard 0 twice once loaded shard 0's records twice and dropped shard 1's
+    run_sampling(triangle, SamplerConfig(walks_per_node=8, walk_length=2, seed=1, num_shards=2), tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["shard_files"] = [manifest["shard_files"][0]] * 2
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    message = "manifest.json: shard_files lists 'records-00000-of-00002.bin' more than once"
+    with pytest.raises(ValidationError, match=message):
+        load_all_records(tmp_path)
 
 
 def test_load_all_records_checks_ids_against_the_manifest(tmp_path):

@@ -614,8 +614,8 @@ class TestTrainSync:
         assert np.mean(losses[-k:]) < np.mean(losses[:k])
 
     def test_mode_mismatch_rejected(self, records):
-        with pytest.raises(ValidationError):
-            train_sync(records, self.cfg(mode="async", optimizer=FixedSgd(0.1)))
+        with pytest.raises(ValidationError, match="^train_sync requires cfg.mode == 'sync'$"):
+            train_sync(records, self.cfg(mode="async", num_replicas=1, optimizer=FixedSgd(0.1)))
 
     def test_progress_log_written(self, tmp_path, records, monkeypatch):
         log_path = tmp_path / "progress.jsonl"
@@ -1088,6 +1088,18 @@ def test_records_of_another_graph_size_rejected_before_any_shard_is_mapped(mode,
         train(records, cfg, num_nodes=rows)
     assert maps == []
     assert table.values.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("mode, key", [("sync", "num_workers"), ("async", "num_replicas")])
+def test_the_count_a_mode_does_not_read_must_be_1(mode, key):
+    # async with num_replicas 4, or sync with num_workers 4, once trained as if the count were 1
+    assert TrainConfig(mode=mode, optimizer=FixedSgd(0.1), **{key: 1}).to_dict()[key] == 1
+    message = f"^trainer config key '{key}' is not read in {mode} mode and must be 1$"
+    for count in (2, 4):
+        with pytest.raises(ValidationError, match=message):
+            TrainConfig(mode=mode, optimizer=FixedSgd(0.1), **{key: count})
+        with pytest.raises(ValidationError, match=message):
+            TrainConfig.from_dict({"mode": mode, key: count, "optimizer": {"kind": "fixed_sgd", "lr": 0.1}})
 
 
 @pytest.mark.parametrize(
