@@ -139,9 +139,10 @@ def _cmd_train(args) -> int:
             raw[key] = val
     cfg = TrainConfig.from_dict(raw)
     g = load_graph(args.graph)
-    if read_manifest(args.records)["graph_hash"] != g.content_hash():
+    manifest = read_manifest(args.records)
+    if (manifest["num_nodes"], manifest["graph_hash"]) != (g.num_nodes, g.content_hash()):
         raise ValidationError(f"records in {args.records} were not sampled from {args.graph}")
-    result = train_checkpoint(args.records, cfg, g.num_nodes, args.out, args.log)
+    result = train_checkpoint(args.records, cfg, args.out, log_path=args.log)
     last = [e for e in result.log if "loss" in e]
     loss = f"{last[-1]['loss']:.4f}" if last else "n/a"
     print(

@@ -3,8 +3,8 @@
 Node ids are dense 0-based ints. Ingested external ids are remapped in
 ascending order and the mapping kept so results can be reported in the
 caller's id space. An edge list is parsed by one np.loadtxt call over the
-whole file, from its path for tsv; only a file that call rejects is parsed
-line by line, to name its first bad line. The ids are remapped by one sort
+whole file, from its path for tsv; only a file that call rejects has its
+lines halved, to name its first bad line. The ids are remapped by one sort
 of packed (id, position) keys.
 """
 
@@ -135,8 +135,8 @@ def _read_edge_list(path: Path, format: str) -> np.ndarray:
     """The ids of every data line of the file, or ParseError at the first bad line.
 
     The whole file is parsed in one call, a tsv file from its path (numpy
-    reads it in blocks), a csv file as text. Only when that fails is each
-    line parsed on its own to find the first bad one.
+    reads it in blocks), a csv file as text. Only when that fails are its
+    lines halved, first half first, down to the first bad one.
     """
     try:
         # given a path, numpy decompresses x.gz, and opens x.gz when x is missing
@@ -144,13 +144,20 @@ def _read_edge_list(path: Path, format: str) -> np.ndarray:
             return _loadtxt(str(path))
         return _read_ids(path.read_bytes().decode("utf-8"), format)
     except (ValueError, DeprecationWarning):  # UnicodeDecodeError included
-        for line_no, line in enumerate(path.read_bytes().splitlines(), start=1):
+        lines = path.read_bytes().splitlines()
+        lo, hi = 0, len(lines)
+        while lo < hi:  # the first line that fails alone, if one does, is in [lo, hi)
+            mid = (lo + hi + 1) // 2
             try:
-                _read_ids(line.decode("utf-8"), format)
-            except UnicodeDecodeError:
-                raise ParseError(path, line_no, "not UTF-8") from None
+                _read_ids(b"\n".join(lines[lo:mid]).decode("utf-8"), format)
+                lo = mid
             except (ValueError, DeprecationWarning) as exc:
-                raise ParseError(path, line_no, "expected two decimal node ids in the int64 range") from exc
+                if mid - lo > 1:
+                    hi = mid
+                elif isinstance(exc, UnicodeDecodeError):  # line mid fails alone
+                    raise ParseError(path, mid, "not UTF-8") from None
+                else:
+                    raise ParseError(path, mid, "expected two decimal node ids in the int64 range") from exc
         raise
 
 
@@ -290,6 +297,8 @@ def load_csr(path: str | Path) -> Graph:
         if len(head) < 3:
             raise ValidationError(f"{path}: truncated header")
         n, m, flags = (int(x) for x in head)
+        if flags not in (0, 1):
+            raise ValidationError(f"{path}: flags {flags}, but only 0 and 1 (external ids) are defined")
         check_file_size(path, fh, len(_CSR_MAGIC) + 8 * (3 + n + 1 + 2 * m + (n if flags & 1 else 0)))
         # read as signed: a u64 value above the int64 range fails the checks below
         offsets = np.fromfile(fh, dtype="<i8", count=n + 1).astype(np.int64, copy=False)

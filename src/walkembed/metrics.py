@@ -1,11 +1,12 @@
 """Label-free embedding quality metrics and their report artifacts.
 
-All metrics operate on L2-normalized rows, so Euclidean distances live in
-[0, 2]. Edge signal-to-noise is mean non-edge distance over mean edge
-distance; distributions are summarized as nearest-rank percentiles P0..P100;
-recall@k uses k = degree(u) with an exact neighbor search: a blocked matrix
-product shortlists candidates and an exact re-rank orders them. A row
-that is not finite, or whose norm overflows, raises ValidationError.
+Every metric takes its table through one gate: one row per graph node,
+L2-normalized, so Euclidean distances live in [0, 2]; a row that is not
+finite, or whose norm overflows, raises ValidationError. Edge
+signal-to-noise is mean non-edge distance over mean edge distance;
+distributions are summarized as nearest-rank percentiles P0..P100; recall@k
+uses k = degree(u) with an exact neighbor search: a blocked matrix product
+shortlists candidates and an exact re-rank orders them.
 
 Eval holds one table-sized array beside the graph: load_unit_table reads
 a checkpoint with model.load_checkpoint and normalizes the rows in place,
@@ -130,6 +131,13 @@ def l2_normalize(table: EmbeddingTable) -> UnitTable:
     return _unit_table(values, np.empty(values.shape, dtype=np.result_type(values.dtype, 1.0)))
 
 
+def _unit(g: Graph, table: EmbeddingTable) -> UnitTable:
+    """The table every metric reads: a UnitTable as it is, else l2_normalize(table); one row per node."""
+    if table.num_nodes != g.num_nodes:
+        raise ValidationError(f"embedding has {table.num_nodes} rows, graph has {g.num_nodes} nodes")
+    return table if isinstance(table, UnitTable) else l2_normalize(table)
+
+
 def load_unit_table(path: str | Path) -> UnitTable:
     """l2_normalize(load_checkpoint(path)[0]), bit for bit, normalized in
     place in the array read, so the memory is one table. A file that is not
@@ -248,9 +256,7 @@ def edge_snr(
     """Mean sampled non-edge distance over mean edge distance, over every
     edge, on the table normalized as compute_report normalizes it."""
     rng = rng if rng is not None else np.random.default_rng(0)
-    normalized = table if isinstance(table, UnitTable) else l2_normalize(table)
-    *_, snr = _distance_split(g, normalized, non_edge_samples, rng)
-    return snr
+    return _distance_split(g, _unit(g, table), non_edge_samples, rng)[-1]
 
 
 def nearest_rank_percentiles(values: np.ndarray) -> np.ndarray:
@@ -279,18 +285,18 @@ def edge_recall(
 ) -> RecallResult:
     """Per-node recall@deg(u) over a uniform node sample.
 
-    For each sampled u the deg(u) nearest rows (excluding u, ties broken by
-    node id) are compared against the true neighbor set. The search is exact:
-    a blocked matrix product of approximate squared distances shortlists
-    every row that can be among the deg(u) nearest, and the shortlist is
-    re-ranked by norm(values[cand] - values[u]) in (distance, id) order. The
-    product runs over _RECALL_ROW_BLOCK table rows and _RECALL_QUERY_GROUP
-    sampled nodes at a time, so its memory is bounded by the block sizes.
-    A row that is not finite, or too long for the product to stay finite,
-    raises ValidationError naming the first such row.
+    For each sampled u the deg(u) nearest rows of the normalized table
+    (excluding u, ties broken by node id) are compared against the true
+    neighbor set. The search is exact: a blocked matrix product of
+    approximate squared distances shortlists every row that can be among the
+    deg(u) nearest, and the shortlist is re-ranked by norm(values[cand] -
+    values[u]) in (distance, id) order. The product runs over
+    _RECALL_ROW_BLOCK table rows and _RECALL_QUERY_GROUP sampled nodes at a
+    time, so its memory is bounded by the block sizes.
     """
     if num_sampled_nodes < 1:
         raise ValidationError("recall node count must be >= 1")
+    values = _unit(g, table).values
     rng = rng if rng is not None else np.random.default_rng(0)
     deg = g.degrees
     if not np.any(deg > 0):
@@ -304,16 +310,10 @@ def edge_recall(
     chosen = perm[:scanned][ok[:scanned]]
     resamples = scanned - len(chosen)
     recalls = np.empty(len(chosen), dtype=np.float64)
-    values = table.values
     dim = values.shape[1]
     sq = np.einsum("ij,ij->i", values, values)
     max_sq = float(np.max(sq))
     fin = np.finfo(values.dtype)
-    # a NaN or inf row makes max_sq non-finite, and longer rows could
-    # overflow the product
-    limit = float(fin.max) / 16
-    if not max_sq <= limit:
-        raise ValidationError(_BAD_ROW.format(int(np.flatnonzero(~(sq <= limit))[0])))
     mu = (dim + 4) * float(fin.eps) / 2
     gamma = mu / (1 - mu)
     for lo in range(0, len(chosen), _RECALL_QUERY_GROUP):
@@ -354,8 +354,8 @@ def edge_recall(
 # those rows has a <= d^2 + E <= tau + 2E: keeping every row with
 # a <= tau + slack for any slack >= 2E keeps the exact top k, ties included.
 # The slack used is 4E; the extra factor 2 covers the rounding of |q|, R and
-# the bound itself, each relatively far below gamma(D + 4). R^2 <= max/16 in
-# the dtype keeps every intermediate of a(x) finite.
+# the bound itself, each relatively far below gamma(D + 4). Unit rows, R^2
+# about 1, keep every intermediate of a(x) finite.
 def _shortlist(
     values: np.ndarray, sq: np.ndarray, nodes: np.ndarray, ks: np.ndarray, slack: np.ndarray
 ) -> list[np.ndarray]:
@@ -402,9 +402,7 @@ def compute_report(
     seed be >= 0."""
     if seed < 0:
         raise ValidationError(f"eval seed must be >= 0, got {seed}")
-    if table.num_nodes != g.num_nodes:
-        raise ValidationError(f"embedding has {table.num_nodes} rows, graph has {g.num_nodes} nodes")
-    normalized = table if isinstance(table, UnitTable) else l2_normalize(table)
+    normalized = _unit(g, table)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xE7)))
     edge_d, non_d, mean_edge, mean_non, snr = _distance_split(g, normalized, non_edge_samples, rng)
     rec = edge_recall(g, normalized, recall_nodes, rng)

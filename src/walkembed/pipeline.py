@@ -14,6 +14,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import resource
 import time
 from dataclasses import asdict, dataclass, field, make_dataclass, replace
@@ -26,7 +27,7 @@ from .graph import Graph, load_csr, load_edge_list, prune_low_degree, save_csr
 from .model import save_checkpoint
 from .rng import derive_seed
 from .sampler import SamplerConfig, run_sampling
-from .shards import read_manifest, shard_path
+from .shards import shard_path
 from .sbm import SbmConfig, generate_sbm, preset_config
 from .trainer import TrainConfig, TrainResult, train_async, train_sync
 
@@ -117,10 +118,10 @@ def load_pipeline_config(path: str | Path, env: dict | None = None) -> PipelineC
     raw = read_json(path)
     check_object("pipeline", raw)  # before an override writes into it
     if ENV_SEED in env:
-        try:
-            raw["seed"] = int(env[ENV_SEED])
-        except ValueError:
-            raise ValidationError(f"{ENV_SEED} must be an integer, got {env[ENV_SEED]!r}") from None
+        seed = env[ENV_SEED].strip()
+        if not re.fullmatch("[+-]?[0-9]+", seed):  # int() also takes 1_000 and non-ASCII digits
+            raise ValidationError(f"{ENV_SEED} must be an integer, got {env[ENV_SEED]!r}")
+        raw["seed"] = int(seed)
     if ENV_RUN_DIR in env:
         raw["run_dir"] = env[ENV_RUN_DIR]
     return config_from_dict(raw)
@@ -147,13 +148,13 @@ def hash_json(obj) -> str:
 
 
 def train_checkpoint(
-    records_dir: str | Path, cfg: TrainConfig, num_nodes: int, out: str | Path, log_path: str | Path | None = None
+    records_dir: str | Path, cfg: TrainConfig, out: str | Path, *, log_path: str | Path | None = None
 ) -> TrainResult:
     """Train by cfg.mode from a records directory and save the table to
     `out`, with the hash of cfg.to_dict() as its config hash. train_sync and
     save_checkpoint are looked up in this module when called."""
     train = train_sync if cfg.mode == "sync" else train_async
-    result = train(records_dir, cfg, num_nodes=num_nodes, log_path=log_path)
+    result = train(records_dir, cfg, log_path=log_path)
     save_checkpoint(out, result.table, cfg.steps, hash_json(cfg.to_dict()).encode())
     return result
 
@@ -312,8 +313,7 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False) -> PipelineResult:
 
     # train
     def do_train():
-        num_nodes = read_manifest(records_dir)["num_nodes"]
-        result = train_checkpoint(records_dir, cfg.trainer, num_nodes, ckpt_file, progress_file)
+        result = train_checkpoint(records_dir, cfg.trainer, ckpt_file, log_path=progress_file)
         return {"examples_processed": result.examples_processed}
 
     trained = stage("train", cfg_dict["trainer"], {"records/manifest.json": sampled["records/manifest.json"]},

@@ -2,6 +2,7 @@
 
 Training reads its records from a records directory, one read-only shard
 map at a time, filtered in one pass on two threads where two CPUs may be used.
+The directory's manifest gives the table's row count: its num_nodes.
 Both modes run one training loop, the lane: each step builds one batch of
 R * B positives from the lane's record stream, with their negatives, and
 applies one mean-reduced gradient over it, which equals the mean of the
@@ -199,19 +200,16 @@ def run_starts(values: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.concatenate([[True], values[1:] != values[:-1]]))
 
 
-def _load_positives(records_dir: str | Path, cfg: TrainConfig, num_nodes: int) -> Positives:
+def _load_positives(records_dir: str | Path, cfg: TrainConfig, manifest: dict) -> Positives:
     """Every shard's records weighted by co_counts @ the distance weighting,
     less self-pairs and zero weights: dst and weight in columns sized by the
-    manifest's record total (int32 ids when num_nodes <= 2**31), sources as
-    runs. Two threads, where two CPUs may be used, share each mapped shard's
-    LOAD_BLOCK-record blocks in one pass; each block copies its kept rows, at
-    most its own, into the columns from its own first record on, and returns
-    its runs; they then move down to the kept count. A fault is raised after
-    both are done, as one thread reading in order finds it."""
-    manifest = read_manifest(records_dir)
-    if manifest["num_nodes"] != num_nodes:  # raised before any shard is mapped
-        n = manifest["num_nodes"]
-        raise ValidationError(f"{records_dir}: records of a graph of {n} nodes, but the table has {num_nodes} rows")
+    manifest's record total (int32 ids when its num_nodes <= 2**31), sources
+    as runs. Two threads, where two CPUs may be used, share each mapped
+    shard's LOAD_BLOCK-record blocks in one pass; each block copies its kept
+    rows, at most its own, into the columns from its own first record on, and
+    returns its runs; they then move down to the kept count. A fault is
+    raised after both are done, as one thread reading in order finds it."""
+    num_nodes = manifest["num_nodes"]
     walk_length = manifest["config"]["walk_length"]
     weighting = np.asarray(np.ones(walk_length) if cfg.distance_weighting is None else cfg.distance_weighting, float)
     if len(weighting) != walk_length:  # raised before any shard is read
@@ -371,21 +369,20 @@ class _Progress:
 
 
 def _setup(
-    mode: str, records_dir: str | Path, cfg: TrainConfig, table: EmbeddingTable | None, num_nodes: int | None
+    mode: str, records_dir: str | Path, cfg: TrainConfig, table: EmbeddingTable | None
 ) -> tuple[EmbeddingTable, Positives, list[dict]]:
-    """Set-up shared by both modes: the table (seeded float32 init of
-    num_nodes rows when none is given), the filtered positives (mapped one
-    shard at a time; every record id checked against the table's rows), and
-    a log opened by the config event."""
+    """Set-up shared by both modes: the filtered positives, mapped one shard
+    at a time, a table of the manifest's num_nodes rows (the one given, else
+    a seeded float32 init) and a log opened by the config event."""
     if cfg.mode != mode:
         raise ValidationError(f"train_{mode} requires cfg.mode == {mode!r}")
-    if table is None and num_nodes is None:
-        raise ValidationError(f"train_{mode} needs a table or num_nodes")
-    if table is not None and num_nodes is not None and num_nodes != table.num_nodes:
-        raise ValidationError(f"train_{mode} got num_nodes {num_nodes} and a table of {table.num_nodes} rows")
-    positives = _load_positives(records_dir, cfg, num_nodes if table is None else table.num_nodes)
-    if table is None:
-        table = init_table(num_nodes, cfg.dim, derive_seed(cfg.seed, "init"))
+    manifest = read_manifest(records_dir)
+    n = manifest["num_nodes"]
+    if table is not None and table.num_nodes != n:  # raised before any shard is mapped
+        rows = table.num_nodes
+        raise ValidationError(f"{records_dir}: records of a graph of {n} nodes, but the table has {rows} rows")
+    positives = _load_positives(records_dir, cfg, manifest)
+    table = table if table is not None else init_table(n, cfg.dim, derive_seed(cfg.seed, "init"))
     parallel = "num_replicas" if mode == "sync" else "num_workers"
     config_event = {
         "event": "config",
@@ -438,23 +435,20 @@ def _result(table: EmbeddingTable, cfg: TrainConfig, progress: _Progress, log_pa
 
 
 def train_sync(
-    records_dir: str | Path,
-    cfg: TrainConfig,
-    table: EmbeddingTable | None = None,
-    num_nodes: int | None = None,
+    records_dir: str | Path, cfg: TrainConfig, table: EmbeddingTable | None = None, *,
     log_path: str | Path | None = None,
 ) -> TrainResult:
-    """Replicated synchronous training, bitwise deterministic for a seed.
+    """Replicated synchronous training, bitwise deterministic for a seed, of
+    `table`, else a seeded one, with a row per node of the records manifest.
 
     One lane: each step builds one batch of R * B positives, the R replica
     micro-batches in replica order, and takes one mean-reduced gradient over
     it, which equals the mean of the R per-replica gradients. The calling
     thread runs the lane; when the process may use more than one CPU, one
     helper thread shares the halves of each step, bitwise the same as one
-    thread. Any failure is raised at once, after the helper has
-    finished its half.
+    thread. A failure is raised at once, after the helper finishes its half.
     """
-    table, positives, log = _setup("sync", records_dir, cfg, table, num_nodes)
+    table, positives, log = _setup("sync", records_dir, cfg, table)
     stream = RecordStream(positives, derive_seed(cfg.seed, "stream"))
     neg_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xB0)))
     progress = _Progress(log, cfg)
@@ -464,13 +458,10 @@ def train_sync(
 
 
 def train_async(
-    records_dir: str | Path,
-    cfg: TrainConfig,
-    table: EmbeddingTable | None = None,
-    num_nodes: int | None = None,
+    records_dir: str | Path, cfg: TrainConfig, table: EmbeddingTable | None = None, *,
     log_path: str | Path | None = None,
 ) -> TrainResult:
-    """Lock-free concurrent training on a shared table.
+    """Lock-free concurrent training on a shared table, sized as train_sync's.
 
     One lane of one micro-batch per step on each of num_workers threads.
     cfg.steps counts micro-batches across all workers, so the example budget
@@ -478,7 +469,7 @@ def train_async(
     every worker before its next one and is raised here, as in sync mode, so
     a run that returns has applied its whole budget.
     """
-    table, positives, log = _setup("async", records_dir, cfg, table, num_nodes)
+    table, positives, log = _setup("async", records_dir, cfg, table)
     workers = cfg.num_workers
     if len(positives) < workers:  # a worker would stream an empty stripe
         raise ValidationError(f"train_async has {len(positives)} positives for {workers} workers")

@@ -91,7 +91,7 @@ def sync_trained(graph10k, records10k):
         seed=ACC_SEED,
     )
     t0 = time.monotonic()
-    result = train_sync(records_dir, cfg, num_nodes=graph10k.num_nodes)
+    result = train_sync(records_dir, cfg)
     elapsed = time.monotonic() - t0
     rep = compute_report(graph10k, result.table, non_edge_samples=10_000, recall_nodes=100, seed=ACC_SEED)
     return cfg, result, rep, elapsed
@@ -251,9 +251,9 @@ def parity_runs(graph10k, records10k, baseline10k):
         mode="async", num_workers=1, steps=SYNC_STEPS * SYNC_REPLICAS, optimizer=FixedSgd(PARITY_LR), **common
     )
     t0 = time.monotonic()
-    sync_res = train_sync(records_dir, sync_cfg, num_nodes=graph10k.num_nodes)
-    async_res = train_async(records_dir, async_cfg, num_nodes=graph10k.num_nodes)
-    serial_res = train_async(records_dir, serial_cfg, num_nodes=graph10k.num_nodes)
+    sync_res = train_sync(records_dir, sync_cfg)
+    async_res = train_async(records_dir, async_cfg)
+    serial_res = train_async(records_dir, serial_cfg)
     elapsed = time.monotonic() - t0
     assert sync_cfg.steps * sync_cfg.num_replicas * sync_cfg.micro_batch_examples == (
         async_cfg.steps * async_cfg.micro_batch_examples
@@ -309,7 +309,7 @@ def test_criterion_8_budget_sweep_monotone(graph10k, records10k):
             optimizer=FixedSgd(PARITY_LR),
             seed=ACC_SEED + mult,
         )
-        res = train_async(records_dir, cfg, num_nodes=graph10k.num_nodes)
+        res = train_async(records_dir, cfg)
         table = l2_normalize(res.table)
         snrs.append(
             edge_snr(graph10k, table, non_edge_samples=10_000, rng=np.random.default_rng(ACC_SEED))

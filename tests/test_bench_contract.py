@@ -103,12 +103,12 @@ def test_train_sync_steps_on_the_calling_thread(monkeypatch, tmp_path):
     monkeypatch.setattr(trainer, "loss_and_grad", spy)
     records = cycle_records(tmp_path)
     cfg = TrainConfig(dim=4, per_replica_batch_size=4, num_replicas=2, steps=3, optimizer=FixedSgd(0.1))
-    trainer.train_sync(records, cfg, num_nodes=20)
+    trainer.train_sync(records, cfg)
     assert threads == {threading.get_ident()}
 
 
 def traced_train_sync(monkeypatch, tmp_path):
-    """The spans of one traced train_sync(num_nodes=...) call, and the
+    """The spans of one traced train_sync(records, cfg) call, and the
     thread and enclosing span of each _load_positives call in it."""
     calls = []
     tracer = tracing.Tracer()
@@ -123,7 +123,7 @@ def traced_train_sync(monkeypatch, tmp_path):
     records = cycle_records(tmp_path)
     tracer.install()
     try:
-        trainer.train_sync(records, cfg, num_nodes=20)
+        trainer.train_sync(records, cfg)
     finally:
         tracer.uninstall()
     (train,) = [s for s in tracer.spans if s.name == "trainer.train_sync"]
@@ -160,7 +160,7 @@ def test_train_sync_passes_the_global_example_count(monkeypatch, tmp_path):
     records = cycle_records(tmp_path)
     cfg = TrainConfig(dim=4, per_replica_batch_size=4, negatives_per_positive=3, num_replicas=2, steps=3,
                       optimizer=FixedSgd(0.1))
-    trainer.train_sync(records, cfg, num_nodes=20)
+    trainer.train_sync(records, cfg)
     assert sizes == [(cfg.global_batch_examples,) * 2] * 3
 
 

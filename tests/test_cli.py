@@ -157,7 +157,7 @@ class TestPruneSampleTrainEval:
         ("150", "{manifest}: num_nodes must be an integer >= 1, got '150'"),
         (True, "{manifest}: num_nodes must be an integer >= 1, got True"),
         (150.0, "{manifest}: num_nodes must be an integer >= 1, got 150.0"),
-        (151, "{records}: records of a graph of 151 nodes, but the table has 150 rows"),
+        (151, "records in {records} were not sampled from {graph}"),
     ], ids=["missing", "zero", "string", "bool", "float", "another-size"])
     def test_train_manifest_num_nodes_checked_exit_1(self, tmp_path, small_graph_file, capsys, num_nodes, message):
         records = tmp_path / "records"
@@ -172,7 +172,8 @@ class TestPruneSampleTrainEval:
         capsys.readouterr()
         assert run("train", "--records", records, "--graph", small_graph_file, "--dim", 8,
                    "--steps", 2, "--out", ckpt) == 1
-        assert capsys.readouterr().err.splitlines() == ["error: " + message.format(manifest=manifest, records=records)]
+        want = message.format(manifest=manifest, records=records, graph=small_graph_file)
+        assert capsys.readouterr().err.splitlines() == ["error: " + want]
         assert not ckpt.exists()
 
     @pytest.mark.parametrize("files", [
@@ -465,7 +466,7 @@ class TestPipelineCommand:
         assert run("pipeline", "--config", path) == 1
         assert capsys.readouterr().err.splitlines() == ["error: pipeline config must be an object, got [1]"]
 
-    @pytest.mark.parametrize("seed", ["abc", "1.5"])
+    @pytest.mark.parametrize("seed", ["abc", "1.5", "1_000", "\u0663"])
     def test_bad_env_seed_named_exit_1(self, tmp_path, capsys, monkeypatch, seed):
         monkeypatch.setenv("WALKEMBED_SEED", seed)
         assert run("pipeline", "--config", self.config(tmp_path)) == 1

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from walkembed import graph
 from walkembed.errors import EmptyGraphError, ParseError, ValidationError
 from walkembed.graph import (
     Graph,
@@ -106,6 +107,30 @@ class TestLoadEdgeList:
         with pytest.raises(ParseError, match="not UTF-8") as exc:
             load_edge_list(path)
         assert exc.value.line_no == line_no
+
+    @pytest.mark.parametrize("fmt, sep", [("tsv", "\t"), ("csv", ",")])
+    def test_last_bad_line_of_many_found_by_halving(self, tmp_path, monkeypatch, fmt, sep):
+        # each line was once parsed alone up to the bad one: 4 096 calls here
+        calls, real = [], graph._read_ids
+        monkeypatch.setattr(graph, "_read_ids", lambda text, format: calls.append(text) or real(text, format))
+        path = tmp_path / f"g.{fmt}"
+        path.write_text("".join(f"{i}{sep}{i + 1}\n" for i in range(4095)) + f"12{sep}x\n")
+        with pytest.raises(ParseError, match="expected two decimal node ids") as exc:
+            load_edge_list(path, format=fmt)
+        assert exc.value.line_no == 4096
+        assert len(calls) <= 2 * 12 + 2
+
+    @pytest.mark.parametrize("first, second", [(0, 4095), (5, 3000), (2047, 2048), (4094, 4095)])
+    @pytest.mark.parametrize("utf8_first", [True, False])
+    def test_first_of_two_bad_lines_named(self, tmp_path, first, second, utf8_first):
+        lines = [f"{i}\t{i + 1}".encode() for i in range(4096)]
+        bad_ids, not_utf8 = b"12\tx", b"\xff\t2"
+        lines[first], lines[second] = (not_utf8, bad_ids) if utf8_first else (bad_ids, not_utf8)
+        path = tmp_path / "g.tsv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(ParseError, match="not UTF-8" if utf8_first else "expected two decimal") as exc:
+            load_edge_list(path)
+        assert exc.value.line_no == first + 1
 
     def test_int64_extremes_accepted(self, tmp_path):
         g = load_edge_list(write(tmp_path, "-9223372036854775808 9223372036854775807\n"))
@@ -231,6 +256,20 @@ class TestInvariants:
         g = from_edges(np.array([[0, 1]]), 2, external_ids=np.array([7, 9]))
         save_csr(g, tmp_path / "g.csr")
         assert load_csr(tmp_path / "g.csr").external_ids.tolist() == [7, 9]
+
+    @pytest.mark.parametrize("flags", [0b10, 0b11, 0b110, 2**63])
+    def test_csr_flags_other_than_0_and_1_rejected_before_any_array_is_read(self, tmp_path, monkeypatch, flags):
+        # flags 0b110 once loaded as a 3-node graph with no external ids
+        p = tmp_path / "g.csr"
+        save_csr(from_edges(np.array([[0, 1], [1, 2]]), 3), p)
+        data = bytearray(p.read_bytes())
+        data[24:32] = flags.to_bytes(8, "little")
+        p.write_bytes(bytes(data))
+        counts, real = [], np.fromfile
+        monkeypatch.setattr(np, "fromfile", lambda *a, count, **kw: counts.append(count) or real(*a, count=count, **kw))
+        with pytest.raises(ValidationError, match=f"^{p}: flags {flags}, but only 0 and 1 \\(external ids\\) are defined$"):
+            load_csr(p)
+        assert counts == [3]  # the header's
 
     def test_csr_magic_check(self, tmp_path):
         p = tmp_path / "bad.csr"

@@ -224,6 +224,16 @@ class TestRecall:
         with pytest.raises(ValidationError):
             edge_recall(g, random_unit_table(40, 4), count)
 
+    def test_raw_table_searched_as_its_normalized_rows(self):
+        # a mixed-norm table's raw rows once gave another recall
+        g = generate_sbm(SbmConfig(n=500, k=4, p_in=0.05, p_out=0.005, seed=1))
+        rng = np.random.default_rng(2)
+        t = EmbeddingTable(rng.standard_normal((500, 16)) * 10.0 ** rng.uniform(-2, 2, size=(500, 1)))
+        raw = edge_recall(g, t, 200, np.random.default_rng(3))
+        unit = edge_recall(g, l2_normalize(t), 200, np.random.default_rng(3))
+        assert np.array_equal(raw.nodes, unit.nodes)
+        assert raw.recalls.tobytes() == unit.recalls.tobytes()
+
     def test_deterministic_given_seed(self):
         g = generate_sbm(SbmConfig(n=100, k=2, p_in=0.2, p_out=0.05, seed=1))
         t = random_unit_table(100, 8, seed=2)
@@ -256,7 +266,7 @@ class TestRecallExactness:
     def assert_matches_scan(self, g, values):
         t = EmbeddingTable(values)
         got = edge_recall(g, t, self.N, np.random.default_rng(5))
-        nodes, recalls = oracles.recall_scan(g, values, self.N, np.random.default_rng(5))
+        nodes, recalls = oracles.recall_scan(g, l2_normalize(t).values, self.N, np.random.default_rng(5))
         assert np.array_equal(got.nodes, nodes)
         assert np.array_equal(got.recalls, recalls)
 
@@ -293,15 +303,16 @@ class TestRecallExactness:
             edge_recall(graph, EmbeddingTable(values), self.N, np.random.default_rng(5))
 
     def test_rows_too_long_for_the_product(self, graph, dtype):
-        # finite rows whose squared norm overflows the dtype are named; rows
-        # whose squared norm stays within max / 16 are searched exactly
+        # finite rows whose norm overflows the dtype are named; rows whose
+        # squared norm is above max / 16, once named too, are normalized
+        # before the product and searched exactly
         fin = np.finfo(dtype)
         values = random_unit_table(self.N, 8, seed=6).values.astype(dtype)
         values[[150, 40]] = np.sqrt(fin.max)
         with pytest.raises(ValidationError, match="^embedding row 40 is not finite or its norm overflows"):
             edge_recall(graph, EmbeddingTable(values), self.N, np.random.default_rng(5))
-        values[[150, 40]] = np.sqrt(fin.max / 16 / 8) * np.array([[1], [0.5]], dtype=dtype)
-        assert np.max(np.einsum("ij,ij->i", values, values)) <= fin.max / 16
+        values[[150, 40]] = np.sqrt(fin.max) / 4 * np.array([[1], [0.5]], dtype=dtype)
+        assert np.max(np.einsum("ij,ij->i", values, values)) > fin.max / 16
         self.assert_matches_scan(graph, values)
 
 
@@ -602,6 +613,16 @@ class TestEdgePassAndNonEdges:
     def test_edge_distances_need_a_row_per_node(self):
         with pytest.raises(ValidationError, match="^embedding has 59 rows, graph has 60 nodes$"):
             metrics.edge_distances(hub_graph(), random_unit_table(59, 4))
+
+    @pytest.mark.parametrize("rows", [50, 560])
+    @pytest.mark.parametrize("unit", [True, False])
+    @pytest.mark.parametrize("metric", [edge_recall, edge_snr, compute_report])
+    def test_every_metric_needs_a_row_per_node(self, metric, unit, rows):
+        # 560 rows once gave a recall and an SNR for a 60-node graph, 50 rows
+        # a recall or an IndexError
+        t = random_unit_table(rows, 4)
+        with pytest.raises(ValidationError, match=f"^embedding has {rows} rows, graph has 60 nodes$"):
+            metric(hub_graph(), t if unit else EmbeddingTable(t.values))
 
 
 class TestUnitTables:

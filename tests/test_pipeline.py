@@ -202,6 +202,20 @@ class TestConfig:
         assert cfg.seed == 99
         assert cfg.run_dir == str(tmp_path / "other")
 
+    @pytest.mark.parametrize("seed, want", [(" 7\n", 7), ("+7", 7), ("0042", 42)])
+    def test_env_seed_of_ascii_digits(self, tmp_path, seed, want):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(tiny_config_dict(tmp_path / "r")))
+        assert load_pipeline_config(path, env={"WALKEMBED_SEED": seed}).seed == want
+
+    @pytest.mark.parametrize("seed", ["1_000", "\u0663", "\uff17", "+-7", "7 7", ""])
+    def test_env_seed_of_other_forms_rejected(self, tmp_path, seed):
+        # int() once read 1_000 as seed 1000 and an Arabic-Indic 3 as seed 3
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(tiny_config_dict(tmp_path / "r")))
+        with pytest.raises(ValidationError, match=f"^WALKEMBED_SEED must be an integer, got {re.escape(repr(seed))}$"):
+            load_pipeline_config(path, env={"WALKEMBED_SEED": seed})
+
 
 class TestRunPipeline:
     def test_end_to_end_four_stages(self, tmp_path):
@@ -282,13 +296,13 @@ class TestRunPipeline:
         d = tiny_config_dict(tmp_path / "run")
         run_pipeline(config_from_dict(d))
         d["trainer"]["steps"] = 50
-        loaded, sizes = [], []
-        real_load, real_train = pipeline.load_csr, pipeline.train_checkpoint
+        loaded, real_load = [], pipeline.load_csr
         monkeypatch.setattr(pipeline, "load_csr", lambda path: loaded.append(path.name) or real_load(path))
-        monkeypatch.setattr(pipeline, "train_checkpoint", lambda *a: sizes.append(a[2]) or real_train(*a))
         assert run_pipeline(config_from_dict(d)).skipped == ["prune", "sample"]
         assert loaded == ["pruned.csr"]  # the eval stage's
-        assert sizes == [json.loads((tmp_path / "run" / "records" / "manifest.json").read_text())["num_nodes"]]
+        table, steps, _ = load_checkpoint(tmp_path / "run" / "checkpoint.bin")
+        assert steps == 50
+        assert table.num_nodes == json.loads((tmp_path / "run" / "records" / "manifest.json").read_text())["num_nodes"]
 
     def test_each_artifact_hashed_once_per_run(self, tmp_path, monkeypatch):
         import walkembed.pipeline as pipeline_mod

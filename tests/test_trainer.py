@@ -32,7 +32,7 @@ from walkembed.model import (
 from walkembed.rng import derive_seed
 from walkembed.sampler import SamplerConfig, run_sampling
 from walkembed.sbm import SbmConfig, generate_sbm
-from walkembed.shards import RecordBatch, load_all_records
+from walkembed.shards import RecordBatch, load_all_records, read_manifest
 from walkembed.trainer import (
     SHUFFLE_BUFFER,
     ExampleBatch,
@@ -59,10 +59,15 @@ def make_stream(records, cfg, seed=0):
     return RecordStream(oracles.positives_from_columns(*oracles.prepare_positives(records, cfg)), seed)
 
 
+def positives_of(records_dir, cfg):
+    """The positives that training loads from a records directory."""
+    return trainer._load_positives(records_dir, cfg, read_manifest(records_dir))
+
+
 def load_positives(out_dir, records, cfg, num_nodes=10):
     """The (src, dst, weight) columns that training loads from the records."""
     records_dir = oracles.write_records_dir(out_dir, records, num_nodes=num_nodes)
-    return oracles.positive_columns(trainer._load_positives(records_dir, cfg, num_nodes))
+    return oracles.positive_columns(positives_of(records_dir, cfg))
 
 
 def set_num_nodes(records_dir, num_nodes):
@@ -487,7 +492,7 @@ class TestTrainSync:
 
     def test_single_replica_equals_plain_minibatch_sgd(self, records):
         cfg = self.cfg(num_replicas=1)
-        result = train_sync(records, cfg, num_nodes=30)
+        result = train_sync(records, cfg)
         # hand-rolled reference loop with the same stream and rng construction
         table = init_table(30, cfg.dim, derive_seed(cfg.seed, "init"))
         stream = whole_set_stream(records, cfg)
@@ -510,8 +515,8 @@ class TestTrainSync:
         assert single_loss == pytest.approx(big_loss, rel=1e-12)
 
     def test_deterministic_given_seed(self, records):
-        a = train_sync(records, self.cfg(), num_nodes=30)
-        b = train_sync(records, self.cfg(), num_nodes=30)
+        a = train_sync(records, self.cfg())
+        b = train_sync(records, self.cfg())
         assert np.array_equal(a.table.values, b.table.values)
 
     def test_step_equals_mean_of_replica_gradients(self, monkeypatch, records):
@@ -559,7 +564,7 @@ class TestTrainSync:
 
         monkeypatch.setattr(trainer_mod, "loss_and_grad", counting)
         cfg = self.cfg(num_replicas=replicas, steps=7)
-        train_sync(records, cfg, num_nodes=30)
+        train_sync(records, cfg)
         assert sizes == [cfg.global_batch_examples] * 7
 
     def test_one_batch_of_all_replicas_per_step(self, monkeypatch, records):
@@ -573,7 +578,7 @@ class TestTrainSync:
 
         monkeypatch.setattr(trainer, "build_batch", spy)
         cfg = self.cfg(num_replicas=3, steps=7)
-        train_sync(records, cfg, num_nodes=30)
+        train_sync(records, cfg)
         assert positives == [3 * cfg.per_replica_batch_size] * 7
 
     def test_bitwise_equal_to_concatenated_replica_batches(self, records):
@@ -581,7 +586,7 @@ class TestTrainSync:
         # each taken and given its negatives in turn, then concatenated; odd
         # B and k, and 40 steps over 60 records cross many epochs
         cfg = self.cfg(num_replicas=3, per_replica_batch_size=7, negatives_per_positive=3, steps=40)
-        result = train_sync(records, cfg, num_nodes=30)
+        result = train_sync(records, cfg)
 
         def micro_batch(stream, rng):
             idx, src = stream.take(cfg.per_replica_batch_size)
@@ -589,7 +594,7 @@ class TestTrainSync:
             return ExampleBatch(src, np.column_stack([stream.dst[idx], negs]), stream.weight[idx])
 
         table = init_table(30, cfg.dim, derive_seed(cfg.seed, "init"))
-        stream = RecordStream(trainer._load_positives(records, cfg, 30), derive_seed(cfg.seed, "stream"))
+        stream = RecordStream(positives_of(records, cfg), derive_seed(cfg.seed, "stream"))
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xB0)))
         for step in range(cfg.steps):
             _, grad = loss_and_grad(table, concat([micro_batch(stream, rng) for _ in range(cfg.num_replicas)]))
@@ -608,7 +613,7 @@ class TestTrainSync:
 
     def test_loss_trends_down(self, records, monkeypatch):
         monkeypatch.setattr(trainer, "LOG_EVERY", 10)
-        result = train_sync(records, self.cfg(steps=300, optimizer=FixedSgd(8.0)), num_nodes=30)
+        result = train_sync(records, self.cfg(steps=300, optimizer=FixedSgd(8.0)))
         losses = [e["loss"] for e in result.log if "loss" in e]
         k = max(1, len(losses) // 10)
         assert np.mean(losses[-k:]) < np.mean(losses[:k])
@@ -620,7 +625,7 @@ class TestTrainSync:
     def test_progress_log_written(self, tmp_path, records, monkeypatch):
         log_path = tmp_path / "progress.jsonl"
         monkeypatch.setattr(trainer, "LOG_EVERY", 5)
-        train_sync(records, self.cfg(), num_nodes=30, log_path=log_path)
+        train_sync(records, self.cfg(), log_path=log_path)
         entries = [json.loads(line) for line in log_path.read_text().splitlines()]
         assert entries[0]["event"] == "config"
         assert entries[0]["global_batch_examples"] == 8 * 3 * 2
@@ -629,7 +634,7 @@ class TestTrainSync:
 
     def test_progress_at_first_every_and_last_step(self, records, monkeypatch):
         monkeypatch.setattr(trainer, "LOG_EVERY", 5)
-        result = train_sync(records, self.cfg(steps=12), num_nodes=30)
+        result = train_sync(records, self.cfg(steps=12))
         entries = [e for e in result.log if "loss" in e]
         assert [e["step"] for e in entries] == [0, 5, 10, 11]
         assert all(e["examples_per_sec"] > 0 for e in entries)
@@ -709,11 +714,11 @@ class TestTwoHalfStep:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # the two threads switch as often as they can
         try:
-            two = train_sync(records, cfg, num_nodes=30)
+            two = train_sync(records, cfg)
         finally:
             sys.setswitchinterval(interval)
         monkeypatch.setattr(cores, "usable_cpus", lambda: 1)
-        one = train_sync(records, cfg, num_nodes=30)
+        one = train_sync(records, cfg)
         assert one.table.values.tobytes() == two.table.values.tobytes()
 
     def test_train_sync_joins_its_helper(self, monkeypatch, records):
@@ -735,9 +740,9 @@ class TestTwoHalfStep:
             during.clear()
             if fail:
                 with pytest.raises(RuntimeError, match="injected fault"):
-                    train_sync(records, cfg, num_nodes=30)
+                    train_sync(records, cfg)
             else:
-                train_sync(records, cfg, num_nodes=30)
+                train_sync(records, cfg)
             assert during == [before + helpers] * len(during)
             assert threading.active_count() == before
 
@@ -763,7 +768,7 @@ def spy(table, batch, *args):
 trainer.loss_and_grad = spy
 records = RecordBatch(np.arange(20), (np.arange(20) + 1) % 20, np.ones((20, 2), dtype=np.int64))
 cfg = trainer.TrainConfig(dim=4, per_replica_batch_size=4, num_replicas=2, steps=3, optimizer=FixedSgd(0.1))
-trainer.train_sync(oracles.write_records_dir(sys.argv[1] + "/cycle", records, num_nodes=20), cfg, num_nodes=20)
+trainer.train_sync(oracles.write_records_dir(sys.argv[1] + "/cycle", records, num_nodes=20), cfg)
 print(seen)
 threads = set()
 for module, name in ((sampler, "_sample_partition"), (pipeline, "_hash_file")):
@@ -831,13 +836,13 @@ class TestTrainAsync:
         return TrainConfig(**base)
 
     def test_single_worker_deterministic(self, records):
-        a = train_async(records, self.cfg(), num_nodes=30)
-        b = train_async(records, self.cfg(), num_nodes=30)
+        a = train_async(records, self.cfg())
+        b = train_async(records, self.cfg())
         assert np.array_equal(a.table.values, b.table.values)
 
     def test_multi_worker_completes_budget(self, records):
         cfg = self.cfg(num_workers=4, steps=50)
-        result = train_async(records, cfg, num_nodes=30)
+        result = train_async(records, cfg)
         assert result.examples_processed == 50 * cfg.micro_batch_examples
 
     def test_requires_fixed_lr(self):
@@ -850,13 +855,13 @@ class TestTrainAsync:
         pools, real = [], trainer.ThreadPoolExecutor
         monkeypatch.setattr(trainer, "ThreadPoolExecutor", lambda **kw: pools.append(kw) or real(**kw))
         with pytest.raises(ValidationError, match="^train_async has 3 positives for 4 workers$"):
-            train_async(records, self.cfg(num_workers=4), num_nodes=3)
+            train_async(records, self.cfg(num_workers=4))
         assert pools == []
-        assert train_async(records, self.cfg(num_workers=3), num_nodes=3).examples_processed == 24 * 8 * 3
+        assert train_async(records, self.cfg(num_workers=3)).examples_processed == 24 * 8 * 3
 
     def test_loss_trends_down(self, records, monkeypatch):
         monkeypatch.setattr(trainer, "LOG_EVERY", 20)
-        result = train_async(records, self.cfg(steps=600, optimizer=FixedSgd(2.0)), num_nodes=30)
+        result = train_async(records, self.cfg(steps=600, optimizer=FixedSgd(2.0)))
         losses = [e["loss"] for e in result.log if "loss" in e]
         k = max(1, len(losses) // 10)
         assert np.mean(losses[-k:]) < np.mean(losses[:k])
@@ -865,7 +870,7 @@ class TestTrainAsync:
     def test_progress_at_first_and_last_step(self, workers, tmp_path, records):
         # 24 micro-batches under the default LOG_EVERY of 50: step 0 and the last step
         log_path = tmp_path / "progress.jsonl"
-        result = train_async(records, self.cfg(num_workers=workers), num_nodes=30, log_path=log_path)
+        result = train_async(records, self.cfg(num_workers=workers), log_path=log_path)
         entries = [json.loads(line) for line in log_path.read_text().splitlines()]
         assert entries == result.log
         steps = [e for e in entries if "loss" in e]
@@ -881,7 +886,7 @@ class TestTrainAsync:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            result = train_async(records, self.cfg(num_workers=6, steps=300), num_nodes=30)
+            result = train_async(records, self.cfg(num_workers=6, steps=300))
         finally:
             sys.setswitchinterval(interval)
         assert [e["step"] for e in result.log if "loss" in e] == list(range(300))
@@ -924,7 +929,7 @@ class TestTrainAsync:
 
         monkeypatch.setattr(trainer_mod, "loss_and_grad", first_call_fails)
         with pytest.raises(RuntimeError, match="broken worker"):
-            train_async(records, self.cfg(steps=20_000, num_workers=2), num_nodes=30)
+            train_async(records, self.cfg(steps=20_000, num_workers=2))
         # the healthy worker's quota is 10_000 batches; it must not run them all
         assert calls["n"] < 10_000
 
@@ -1052,23 +1057,24 @@ def test_bad_optimizer_section_named(optimizer, message):
 
 
 @pytest.mark.parametrize("mode", ["sync", "async"])
-def test_table_or_num_nodes_required(mode, records):
-    cfg = TrainConfig(dim=4, mode=mode, steps=1, optimizer=FixedSgd(0.1))
+def test_fresh_table_sized_by_the_records_manifest(mode, records):
+    cfg = TrainConfig(dim=4, mode=mode, steps=5, optimizer=FixedSgd(0.1), seed=3)
     train = train_sync if mode == "sync" else train_async
-    with pytest.raises(ValidationError, match=f"train_{mode} needs a table or num_nodes"):
-        train(records, cfg)
+    num_nodes = read_manifest(records)["num_nodes"]
+    table = init_table(num_nodes, cfg.dim, derive_seed(cfg.seed, "init"))
+    assert train(records, cfg, table).table is table
+    fresh = train(records, cfg).table
+    assert fresh.num_nodes == num_nodes == 30
+    assert fresh.values.tobytes() == table.values.tobytes()
 
 
 @pytest.mark.parametrize("mode", ["sync", "async"])
-def test_num_nodes_must_match_the_table(mode, records):
+def test_log_path_is_keyword_only(mode, records):
+    # a stale call that passes a node count fourth must fail, not name a log file after it
     cfg = TrainConfig(dim=4, mode=mode, steps=1, optimizer=FixedSgd(0.1))
     train = train_sync if mode == "sync" else train_async
-    table = init_table(30, 4, seed=0)
-    before = table.values.copy()
-    with pytest.raises(ValidationError, match=f"train_{mode} got num_nodes 5000 and a table of 30 rows"):
-        train(records, cfg, table=table, num_nodes=5000)
-    assert np.array_equal(table.values, before)
-    assert train(records, cfg, table=table, num_nodes=30).table is table
+    with pytest.raises(TypeError):
+        train(records, cfg, None, 30)
 
 
 @pytest.mark.parametrize("mode", ["sync", "async"])
@@ -1084,8 +1090,6 @@ def test_records_of_another_graph_size_rejected_before_any_shard_is_mapped(mode,
     message = f"^{re.escape(str(records))}: records of a graph of 30 nodes, but the table has {rows} rows$"
     with pytest.raises(ValidationError, match=message):
         train(records, cfg, table=table)
-    with pytest.raises(ValidationError, match=message):
-        train(records, cfg, num_nodes=rows)
     assert maps == []
     assert table.values.tobytes() == before.tobytes()
 
@@ -1141,7 +1145,7 @@ class TestPositivesFromShards:
         manifest = sample_shards(tmp_path, num_shards)
         assert num_shards < 20 or 0 in manifest["record_counts"]
         cfg = TrainConfig(dim=4, steps=1, distance_weighting=weighting)
-        got = oracles.positive_columns(trainer._load_positives(tmp_path, cfg, 12))
+        got = oracles.positive_columns(positives_of(tmp_path, cfg))
         want = oracles.prepare_positives(load_all_records(tmp_path)[0], cfg)
         assert [g.dtype for g in got] == [np.int32, np.int32, np.float32]
         for g, w in zip(got, want):
@@ -1150,9 +1154,9 @@ class TestPositivesFromShards:
     def test_ids_int32_below_2_31_nodes(self, tmp_path):
         sample_shards(tmp_path, 3)
         cfg = TrainConfig(dim=4, steps=1)
-        src, dst, w = oracles.positive_columns(trainer._load_positives(tmp_path, cfg, 12))
+        src, dst, w = oracles.positive_columns(positives_of(tmp_path, cfg))
         assert (src.dtype, dst.dtype, w.dtype) == (np.int32, np.int32, np.float32)
-        wide = oracles.positive_columns(trainer._load_positives(set_num_nodes(tmp_path, 2**31 + 1), cfg, 2**31 + 1))
+        wide = oracles.positive_columns(positives_of(set_num_nodes(tmp_path, 2**31 + 1), cfg))
         assert (wide[0].dtype, wide[1].dtype) == (np.int64, np.int64)
         assert all(a.tolist() == b.tolist() for a, b in zip((src, dst), wide))
         huge = make_records([(2**31, 1, [1, 0, 0]), (0, 1, [1, 0, 0])])
@@ -1162,7 +1166,7 @@ class TestPositivesFromShards:
         sample_shards(tmp_path, 3)
         cfg = TrainConfig(dim=4, per_replica_batch_size=16, negatives_per_positive=2, num_replicas=2, steps=12,
                           optimizer=FixedSgd(0.5), seed=4)
-        narrow = train_sync(tmp_path, cfg, num_nodes=12)
+        narrow = train_sync(tmp_path, cfg)
         real = trainer._load_positives
         dtypes = []
 
@@ -1172,7 +1176,7 @@ class TestPositivesFromShards:
             return replace(p, dst=p.dst.astype(np.int64), run_src=p.run_src.astype(np.int64))
 
         monkeypatch.setattr(trainer, "_load_positives", widened)
-        wide = train_sync(tmp_path, cfg, num_nodes=12)
+        wide = train_sync(tmp_path, cfg)
         assert dtypes == [(np.int32, np.int32)]
         assert narrow.table.values.tobytes() == wide.table.values.tobytes()
 
@@ -1180,9 +1184,9 @@ class TestPositivesFromShards:
         sample_shards(tmp_path, 3)
         cfg = TrainConfig(dim=4, per_replica_batch_size=16, negatives_per_positive=2, num_replicas=2, steps=12,
                           optimizer=FixedSgd(0.5), seed=4)
-        got = train_sync(tmp_path, cfg, num_nodes=12)
+        got = train_sync(tmp_path, cfg)
         whole = oracles.write_records_dir(tmp_path / "whole", load_all_records(tmp_path)[0], num_nodes=12)
-        want = train_sync(whole, cfg, num_nodes=12)
+        want = train_sync(whole, cfg)
         assert got.table.values.tobytes() == want.table.values.tobytes()
 
     def test_bad_shards_raise_through_train_sync(self, tmp_path):
@@ -1194,23 +1198,23 @@ class TestPositivesFromShards:
 
         shard.write_bytes(data[: 2 * size])  # cut at a record boundary
         with pytest.raises(ValidationError, match=f"{shard}: 2 records, but the manifest lists"):
-            train_sync(tmp_path, cfg, num_nodes=12)
+            train_sync(tmp_path, cfg)
         shard.write_bytes(data[: 2 * size + 5])
         with pytest.raises(ValidationError, match=f"{shard}: size not a multiple of record size"):
-            train_sync(tmp_path, cfg, num_nodes=12)
+            train_sync(tmp_path, cfg)
         shard.write_bytes(data[:size + 16] + (4).to_bytes(4, "little") + data[size + 20 :])
         with pytest.raises(ValidationError, match=f"{shard}: mixed walk lengths in shard"):
-            train_sync(tmp_path, cfg, num_nodes=12)
+            train_sync(tmp_path, cfg)
 
         shard.write_bytes(data)
         manifest["record_counts"][1] += 1
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ValidationError, match="records, but the manifest lists"):
-            train_sync(tmp_path, cfg, num_nodes=12)
+            train_sync(tmp_path, cfg)
         manifest["record_counts"][1] = -1
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ValidationError, match="record_counts must be a list of non-negative integers"):
-            train_sync(tmp_path, cfg, num_nodes=12)
+            train_sync(tmp_path, cfg)
 
     @pytest.mark.parametrize("mode, workers", [("sync", 1), ("async", 2)])
     def test_record_id_out_of_range_raises_before_any_step(self, tmp_path, mode, workers):
@@ -1238,7 +1242,7 @@ class TestPositivesFromShards:
             (tmp_path / f).unlink()
         cfg = TrainConfig(dim=4, steps=1, distance_weighting=(1.0, 0.5))
         with pytest.raises(ValidationError, match="distance_weighting has 2 entries, records have walk_length 3"):
-            train_sync(tmp_path, cfg, num_nodes=12)
+            train_sync(tmp_path, cfg)
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("block", [7, trainer.LOAD_BLOCK])
@@ -1263,8 +1267,8 @@ class TestPositivesFromShards:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # the two threads switch as often as they can
         try:
-            narrow = oracles.positive_columns(trainer._load_positives(records, cfg, 40))
-            wide = oracles.positive_columns(trainer._load_positives(set_num_nodes(records, 2**31 + 1), cfg, 2**31 + 1))
+            narrow = oracles.positive_columns(positives_of(records, cfg))
+            wide = oracles.positive_columns(positives_of(set_num_nodes(records, 2**31 + 1), cfg))
         finally:
             sys.setswitchinterval(interval)
         assert [c.dtype for c in narrow + wide] == [np.int32, np.int32, np.float32, np.int64, np.int64, np.float32]
@@ -1282,11 +1286,11 @@ class TestPositivesFromShards:
         shard.dest[11] = 2**32 + 5
         records = oracles.write_records_dir(tmp_path, shard, num_nodes=2**33)
         cfg = TrainConfig(dim=4, steps=1)
-        got = oracles.positive_columns(trainer._load_positives(records, cfg, 2**33))
+        got = oracles.positive_columns(positives_of(records, cfg))
         for g, w in zip(got, oracles.prepare_positives(shard, cfg)):
             assert g.tobytes() == w.tobytes()
         with pytest.raises(ValidationError, match=r"node id 2147483648 out of range \[0, 2147483648\)"):
-            trainer._load_positives(set_num_nodes(records, 2**31), cfg, 2**31)
+            positives_of(set_num_nodes(records, 2**31), cfg)
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_errors_as_one_thread_finds_them(self, tmp_path, monkeypatch, cpus):
@@ -1344,7 +1348,7 @@ class TestPositivesFromShards:
             return m
 
         monkeypatch.setattr(np, "memmap", counted_map)
-        got = oracles.positive_columns(trainer._load_positives(tmp_path, TrainConfig(dim=4, steps=1), 12))
+        got = oracles.positive_columns(positives_of(tmp_path, TrainConfig(dim=4, steps=1)))
         assert seen == [1, 1, 1, 1] and live == [0]
         want = oracles.prepare_positives(load_all_records(tmp_path)[0], TrainConfig(dim=4, steps=1))
         assert all(g.tobytes() == w.astype(g.dtype).tobytes() for g, w in zip(got, want))
@@ -1364,7 +1368,7 @@ class TestPositivesFromShards:
 
         monkeypatch.setattr(np, "empty", snan_empty)
         with np.errstate(invalid="raise"):
-            got = oracles.positive_columns(trainer._load_positives(tmp_path, TrainConfig(dim=4, steps=1), 12))
+            got = oracles.positive_columns(positives_of(tmp_path, TrainConfig(dim=4, steps=1)))
         want = oracles.prepare_positives(load_all_records(tmp_path)[0], TrainConfig(dim=4, steps=1))
         assert all(g.tobytes() == w.astype(g.dtype).tobytes() for g, w in zip(got, want))
 
@@ -1376,7 +1380,7 @@ class TestPositivesFromShards:
         manifest = dense_shards(tmp_path)
         monkeypatch.setattr(trainer, "LOAD_BLOCK", block)
         cfg = TrainConfig(dim=4, steps=1)
-        got = trainer._load_positives(tmp_path, cfg, 40)
+        got = positives_of(tmp_path, cfg)
         runs = len(got.run_start)
         assert sum(a.nbytes for a in (got.dst, got.weight, got.run_start, got.run_src)) <= 8 * len(got) + 16 * runs
         shards = [oracles.read_shard(tmp_path / f, 3) for f in manifest["shard_files"]]
@@ -1494,7 +1498,7 @@ def test_batches_equal_to_whole_columns(tmp_path, monkeypatch, cpus, mode, lanes
         return batch
 
     monkeypatch.setattr(trainer, "build_batch", spy)
-    (train_sync if mode == "sync" else train_async)(tmp_path, cfg, num_nodes=40)
+    (train_sync if mode == "sync" else train_async)(tmp_path, cfg)
     for lane, m in enumerate(stripes):
         seed = derive_seed(cfg.seed, "stream" if mode == "sync" else f"stream-{lane}")
         order = np.concatenate([oracles.epoch_order_reference(seed, m, epoch, 16) for epoch in range(2)])
