@@ -4,8 +4,9 @@ Node ids are dense 0-based ints. Ingested external ids are remapped in
 ascending order and the mapping kept so results can be reported in the
 caller's id space. An edge list is parsed by one np.loadtxt call over the
 whole file, from its path for tsv; only a file that call rejects has its
-lines halved, to name its first bad line. The ids are remapped by one sort
-of packed (id, position) keys.
+lines halved, to name its first bad line. The CSR's rows are runs, and the
+package's run helpers live here: run_starts, run_index and group_ids, the
+one sort of packed (id, position) keys, which also remaps the ids.
 """
 
 from __future__ import annotations
@@ -63,14 +64,7 @@ class Graph:
         in CSR order; blocks that tile the targets give edge_array's order.
         A block may cut a row, so its memory is bounded by its width."""
         stop = min(stop, len(self.targets))
-        if start >= stop:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        # rows [lo, hi) hold positions [start, stop): lo the last row starting at or before start
-        lo = int(np.searchsorted(self.offsets, start, side="right")) - 1
-        hi = int(np.searchsorted(self.offsets, stop, side="left"))
-        widths = np.diff(np.clip(self.offsets[lo : hi + 1], start, stop))
-        u = np.repeat(np.arange(lo, hi, dtype=np.int64), widths)
-        v = self.targets[start:stop]
+        u, v = run_index(self.offsets, start, stop), self.targets[start:stop]
         keep = u < v
         return u[keep], v[keep]
 
@@ -81,6 +75,50 @@ class Graph:
         h.update(np.ascontiguousarray(self.offsets, dtype=np.int64))  # hashed in place, not copied
         h.update(np.ascontiguousarray(self.targets, dtype=np.int64))
         return h.hexdigest()
+
+
+def run_starts(values: np.ndarray) -> np.ndarray:
+    """The index of the first element of each run of equal values (int64)."""
+    if not len(values):
+        return np.empty(0, dtype=np.int64)
+    return np.flatnonzero(np.concatenate([[True], values[1:] != values[:-1]]))
+
+
+def run_index(starts: np.ndarray, lo: int, hi: int, lane: int = 0, lanes: int = 1) -> np.ndarray:
+    """For each i in [lo, hi), the run holding position lane + lanes * i of
+    runs that start at the ascending starts: np.searchsorted(starts, lane +
+    lanes * i, "right") - 1, as int64, by one search for each end of the
+    window and one repeat of the runs it meets."""
+    if lo >= hi:
+        return np.empty(0, dtype=np.int64)
+    first, stop = np.searchsorted(starts, [lane + lanes * lo, lane + lanes * (hi - 1)], "right")
+    cuts = np.empty(stop - first + 2, dtype=np.int64)
+    cuts[0], cuts[-1], inner = lo, hi, cuts[1:-1]
+    # run r starts at the first i with lane + lanes * i >= starts[r]
+    np.subtract(lane, starts[first:stop], out=inner)
+    np.floor_divide(inner, lanes, out=inner)
+    np.negative(inner, out=inner)
+    return np.repeat(np.arange(first - 1, stop, dtype=np.int64), np.diff(cuts))
+
+
+def group_ids(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ascending unique ids of a non-empty 1-D int array, its positions in
+    stable order by id, and where each id's run starts in that order, by one
+    sort of the int64 keys (id - min) << shift | position. ValidationError
+    where the span and the positions do not fit those keys."""
+    m, lo = len(ids), int(ids.min())
+    span, shift = int(ids.max()) - lo, (m - 1).bit_length()
+    if span.bit_length() + shift > 63:
+        raise ValidationError(f"ids spanning {span} at {m} positions do not fit int64 sort keys")
+    keys = ids.astype(np.int64)  # widened before packing, which would wrap a narrower dtype
+    keys -= lo  # exact: the span fits
+    keys <<= shift
+    keys |= np.arange(m)
+    keys.sort()
+    order = keys & ((1 << shift) - 1)
+    keys >>= shift
+    starts = run_starts(keys)
+    return keys[starts] + lo, order, starts
 
 
 def from_edges(edges: np.ndarray, num_nodes: int, external_ids: np.ndarray | None = None) -> Graph:
@@ -163,27 +201,15 @@ def _read_edge_list(path: Path, format: str) -> np.ndarray:
 
 def _remap(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """np.unique(ids, return_inverse=True) of a non-empty 1-D int64 array:
-    the ascending unique ids and each position's index among them.
-
-    One sort of the keys (id - min) << shift | position groups equal ids in
-    position order; each run's rank is then scattered to its positions.
-    Ids whose span and positions do not fit int64 keys take np.unique.
-    """
-    m = len(ids)
-    lo = int(ids.min())
-    shift = (m - 1).bit_length()
-    if (int(ids.max()) - lo).bit_length() + shift > 63:
+    the ascending unique ids and each position's index among them, by
+    group_ids; ids too wide for its keys take np.unique."""
+    try:
+        unique, order, starts = group_ids(ids)
+    except ValidationError:
         return np.unique(ids, return_inverse=True)
-    keys = ids - lo  # exact: the span fits
-    keys <<= shift
-    keys |= np.arange(m)
-    keys.sort()
-    order = keys & ((1 << shift) - 1)
-    keys >>= shift
-    fresh = np.concatenate([[True], keys[1:] != keys[:-1]])
     dense = np.empty_like(order)
-    dense[order] = np.cumsum(fresh) - 1
-    return keys[fresh] + lo, dense
+    dense[order] = run_index(starts, 0, len(ids))
+    return unique, dense
 
 
 def load_edge_list(path: str | Path, format: str = "tsv") -> Graph:

@@ -186,7 +186,7 @@ def edge_distances(g: Graph, table: EmbeddingTable) -> np.ndarray:
     every edge: _distances takes the edges of _PAIR_BLOCK CSR target
     positions at a time (Graph.edges_at), at most _PAIR_BLOCK pairs."""
     values = table.values
-    if len(values) < g.num_nodes:
+    if len(values) != g.num_nodes:
         raise ValidationError(f"embedding has {len(values)} rows, graph has {g.num_nodes} nodes")
     starts = range(0, len(g.targets), _PAIR_BLOCK)
     return _distances(values, lambda start: g.edges_at(start, start + _PAIR_BLOCK), starts)

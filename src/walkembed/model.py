@@ -11,7 +11,7 @@ one source row, so a step gathers that row once and sums its 1+k gradient
 contributions before the scatter: B * (2+k) scattered rows, not 2B * (1+k).
 
 The scatter sums each touched row's contributions in batch order, as
-np.add.at into zeros would, but without it: one sort of (id, position) keys
+np.add.at into zeros would, but without it: one packed sort (group_ids)
 groups the rows, and the sums are taken rank by rank with plain fancy-index
 adds, which release the GIL so concurrent async workers overlap.
 
@@ -38,6 +38,7 @@ import numpy as np
 
 from .cores import helper_pool, share
 from .errors import NumericError, ValidationError, check_file_size, check_ids
+from .graph import group_ids
 
 CKPT_MAGIC = b"WEEMB01\n"
 INIT_BLOCK_ROWS = 4096  # rows per block of init_table's draw
@@ -189,34 +190,25 @@ def loss_and_grad(table: EmbeddingTable, batch, pool: futures.Executor | None = 
     loss = float(np.sum(per_example, dtype=np.float64) / n)
     if not np.isfinite(loss):  # finite float64 terms may still sum to inf
         raise NumericError("non-finite loss: the sum of its finite terms overflows")
-    uids, acc = _sum_rows_by_id(np.concatenate([src, dst.ravel()]), contrib, table.num_nodes, pool)
+    uids, acc = _sum_rows_by_id(np.concatenate([src, dst.ravel()]), contrib, pool)
     return loss, SparseGrad(uids, acc)
 
 
 def _sum_rows_by_id(
-    ids: np.ndarray, contrib: np.ndarray, num_nodes: int, pool: futures.Executor | None = None
+    ids: np.ndarray, contrib: np.ndarray, pool: futures.Executor | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """The ascending unique ids and, for each, the sum of its contrib rows;
     a sum that is not finite raises NumericError naming the smallest such id.
 
     Bitwise equal to np.add.at(zeros, inverse, contrib), which adds each id's
-    rows in position order. One sort of the unique keys (id << shift) |
-    position groups the rows by id in position order. The first row of each
-    id starts its sum; the r-th rows of all ids with more than r are then
-    added in one pass per rank r, whose indices are unique, so each pass is
-    a plain fancy-index add. Each half of the unique ids (shared by two
-    threads, given a pool) then checks its sums and raises for its first
-    non-finite id; cores.share raises the earlier half's failure."""
-    m = len(ids)
-    shift = (m - 1).bit_length()
-    if (num_nodes - 1).bit_length() + shift > 63:
-        raise ValidationError(f"ids below {num_nodes} and {m} gradient rows do not fit in int64 sort keys")
-    keys = np.sort((ids.astype(np.int64, copy=False) << shift) | np.arange(m))
-    order = keys & ((1 << shift) - 1)
-    keys >>= shift
-    starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
-    sizes = np.diff(starts, append=m)
-    uids = keys[starts]
+    rows in position order. group_ids groups the rows so (rows of a table
+    always fit its keys); each id's first row starts its sum, and the r-th
+    rows of all ids with more than r are added in one pass per rank r, whose
+    indices are unique: a plain fancy-index add. Each half of the unique ids
+    (shared by two threads, given a pool) then checks its sums and raises for
+    its first non-finite id; cores.share raises the earlier half's failure."""
+    uids, order, starts = group_ids(ids)
+    sizes = np.diff(starts, append=len(ids))
     acc = np.empty((len(starts), contrib.shape[1]), dtype=contrib.dtype)
 
     def add_rows(s):

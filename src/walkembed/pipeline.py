@@ -64,6 +64,8 @@ class PipelineConfig:
     eval: EvalParams = field(default_factory=EvalParams)
 
     def __post_init__(self):
+        if self.run_dir == "":  # Path("") is the working directory
+            raise ValidationError("pipeline config key 'run_dir' must not be empty")
         if self.min_degree < 0:
             raise ValidationError("min_degree must be >= 0")
         check_object("graph", self.graph)

@@ -27,12 +27,11 @@ import numpy as np
 
 from . import cores
 from .errors import EmptyGraphError, ValidationError
-from .graph import Graph
+from .graph import Graph, run_starts
 from .rng import HashStream, splitmix64
-from .shards import RecordBatch, append_records, shard_path, write_manifest
+from .shards import FORMAT_VERSION, RecordBatch, append_records, shard_path, write_manifest
 from .shards import write_shard  # noqa: F401  perfbench's tests look this name up here
 
-FORMAT_VERSION = 1
 PARTITION_NODES = 1 << 14  # seed ids of two ranges: a shard walks ranges of half as many
 
 
@@ -114,7 +113,7 @@ def _combine_visits(key: np.ndarray, base: int, num_nodes: int, walk_length: int
     records, which come out sorted by (source, dest).
     """
     key.sort()
-    starts = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+    starts = run_starts(key)
     counts = np.diff(starts, append=len(key))
     pair_keys, slots = np.divmod(key[starts], walk_length)
     del starts  # each temporary is freed once used: this pass sets the sampler's peak

@@ -26,6 +26,8 @@ import numpy as np
 
 from .errors import ValidationError, check_ids, read_json
 
+FORMAT_VERSION = 1  # manifest.json's format_version, naming the record wire format above
+
 
 @dataclass
 class RecordBatch:
@@ -107,6 +109,8 @@ def read_manifest(records_dir: str | Path) -> dict:
     missing = [k for k in ("config", "graph_hash", "num_nodes", "shard_files", "record_counts") if k not in manifest]
     if missing:
         raise ValidationError(f"{p}: no {', '.join(missing)}")
+    if type(version := manifest.get("format_version")) is not int or version != FORMAT_VERSION:
+        raise ValidationError(f"{p}: format_version {version!r}, but only {FORMAT_VERSION} is read")
     if type(manifest["num_nodes"]) is not int or manifest["num_nodes"] < 1:
         raise ValidationError(f"{p}: num_nodes must be an integer >= 1, got {manifest['num_nodes']!r}")
     config = manifest["config"]

@@ -41,13 +41,14 @@ import numpy as np
 
 from . import cores
 from .errors import ValidationError, check_keys
+from .graph import run_index, run_starts
 from .model import EmbeddingTable, FixedSgd, WarmupDecaySchedule, init_table, loss_and_grad
 from .rng import derive_seed
 from .shards import check_records, iter_shards, read_manifest
 
 SHUFFLE_BUFFER = 1 << 16  # records per shuffle window of a RecordStream
 LOAD_BLOCK = 1 << 16  # records per block of the record load's filter
-EXPAND_BLOCK = 1 << 11  # positions of a window whose sources one repeat expands
+EXPAND_BLOCK = 1 << 11  # positions of a window whose sources one run_index expands
 LOG_EVERY = 50  # steps between progress log entries
 
 
@@ -176,28 +177,13 @@ class Positives:
 
     def sources(self, lo: int, hi: int, lane: int = 0, lanes: int = 1) -> np.ndarray:
         """The sources of positions lane + lanes * i for i in [lo, hi), in
-        order, EXPAND_BLOCK positions at a time: one search for each end of
-        a block, then a repeat of the runs between, so that the temporaries
-        stay block-sized however short the runs."""
+        order, by graph.run_index EXPAND_BLOCK positions at a time, so that
+        the temporaries stay block-sized however short the runs."""
         out = np.empty(hi - lo, dtype=self.run_src.dtype)
         for a in range(lo, hi, EXPAND_BLOCK):
             b = min(a + EXPAND_BLOCK, hi)
-            first, stop = np.searchsorted(self.run_start, [lane + lanes * a, lane + lanes * (b - 1)], "right")
-            cuts = np.empty(stop - first + 2, dtype=np.int64)
-            cuts[0], cuts[-1], inner = a, b, cuts[1:-1]
-            # run r starts at the first i with lane + lanes * i >= run_start[r]
-            np.subtract(lane, self.run_start[first:stop], out=inner)
-            np.floor_divide(inner, lanes, out=inner)
-            np.negative(inner, out=inner)
-            out[a - lo : b - lo] = np.repeat(self.run_src[first - 1 : stop], np.diff(cuts))
+            out[a - lo : b - lo] = self.run_src[run_index(self.run_start, a, b, lane, lanes)]
         return out
-
-
-def run_starts(values: np.ndarray) -> np.ndarray:
-    """The index of the first element of each run of equal values (int64)."""
-    if not len(values):
-        return np.empty(0, dtype=np.int64)
-    return np.flatnonzero(np.concatenate([[True], values[1:] != values[:-1]]))
 
 
 def _load_positives(records_dir: str | Path, cfg: TrainConfig, manifest: dict) -> Positives:

@@ -20,10 +20,10 @@ import numpy as np
 
 from walkembed import sampler
 from walkembed.errors import EmptyGraphError, ParseError
-from walkembed.graph import Graph
+from walkembed.graph import Graph, run_starts
 from walkembed.rng import HashStream, splitmix64
-from walkembed.shards import RecordBatch, shard_path, write_manifest, write_shard
-from walkembed.trainer import Positives, run_starts
+from walkembed.shards import FORMAT_VERSION, RecordBatch, shard_path, write_manifest, write_shard
+from walkembed.trainer import Positives
 
 
 def visit_probabilities(g, walk_length: int) -> np.ndarray:
@@ -317,7 +317,7 @@ def run_sampling_reference(g, cfg, out_dir, partition_nodes: int = 1 << 14) -> N
     write_manifest(
         out_dir,
         {
-            "format_version": sampler.FORMAT_VERSION,
+            "format_version": FORMAT_VERSION,
             "config": cfg.to_dict(),
             "graph_hash": g.content_hash(),
             "num_nodes": g.num_nodes,
@@ -408,7 +408,8 @@ def write_records_dir(out_dir, *shards: RecordBatch, num_nodes: int | None = Non
         write_shard(path, records)
     if num_nodes is None:
         num_nodes = 1 + max(int(max(r.source.max(initial=0), r.dest.max(initial=0))) for r in shards)
-    manifest = {"config": {"walk_length": shards[0].walk_length}, "graph_hash": "", "num_nodes": num_nodes,
+    manifest = {"format_version": FORMAT_VERSION, "config": {"walk_length": shards[0].walk_length},
+                "graph_hash": "", "num_nodes": num_nodes,
                 "shard_files": [p.name for p in paths], "record_counts": [len(r) for r in shards]}
     write_manifest(out_dir, manifest)
     return out_dir

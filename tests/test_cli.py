@@ -176,6 +176,25 @@ class TestPruneSampleTrainEval:
         assert capsys.readouterr().err.splitlines() == ["error: " + want]
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("version", [2, None, True, "1"], ids=["2", "missing", "true", "string"])
+    def test_train_manifest_format_version_checked_exit_1(self, tmp_path, small_graph_file, capsys, version):
+        records = tmp_path / "records"
+        assert run("sample", "--graph", small_graph_file, "--out", records,
+                   "--walks-per-node", 4, "--seed", 3) == 0
+        manifest = records / "manifest.json"
+        fields = json.loads(manifest.read_text())
+        assert fields.pop("format_version") == 1
+        if version is not None:
+            fields["format_version"] = version
+        manifest.write_text(json.dumps(fields))
+        ckpt = tmp_path / "emb.bin"
+        capsys.readouterr()
+        assert run("train", "--records", records, "--graph", small_graph_file, "--dim", 8,
+                   "--steps", 2, "--out", ckpt) == 1
+        want = f"error: {manifest}: format_version {version!r}, but only 1 is read"
+        assert capsys.readouterr().err.splitlines() == [want]
+        assert not ckpt.exists()
+
     @pytest.mark.parametrize("files", [
         [0, 1], "ab", ["../rec/records-00000-of-00002.bin", "records-00001-of-00002.bin"],
         ["", "."], ["records-00000-of-00002.bin", ".."],
@@ -449,6 +468,22 @@ class TestPipelineCommand:
         cfg["sampler"]["walk_length"] = 0
         path.write_text(json.dumps(cfg))
         assert run("pipeline", "--config", path) == 1
+
+    @pytest.mark.parametrize("where", ["config", "env"])
+    def test_empty_run_dir_exit_1_and_nothing_written(self, tmp_path, capsys, monkeypatch, where):
+        # Path("") is the working directory: every stage's outputs would land there
+        path = self.config(tmp_path)
+        if where == "config":
+            path.write_text(json.dumps(dict(json.loads(path.read_text()), run_dir="")))
+        else:
+            monkeypatch.setenv("WALKEMBED_RUN_DIR", "")
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert run("pipeline", "--config", path) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: pipeline config key 'run_dir' must not be empty"]
+        assert list(cwd.iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "cwd"]
 
     def test_config_section_not_an_object_exit_1(self, tmp_path, capsys):
         path = self.config(tmp_path)

@@ -12,11 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from walkembed import graph as graph_mod
-from walkembed.errors import EmptyGraphError, ParseError
+from walkembed.errors import EmptyGraphError, ParseError, ValidationError
 from walkembed.graph import (
     from_edges,
+    group_ids,
     load_edge_list,
     prune_low_degree,
+    run_index,
+    run_starts,
     save_csr,
     save_edge_list,
 )
@@ -295,6 +298,96 @@ class TestRemap:
         lo = -(2**58) - 3
         ids = [lo + span, lo, lo + 5, lo + span, lo, lo + span // 2]
         assert_remap_is_unique(ids, packed, monkeypatch)
+
+
+# ---------------------------------------------------------------- run helpers
+
+
+class TestRunStarts:
+    @staticmethod
+    def check(values):
+        values = np.asarray(values, dtype=np.int64)
+        want = [i for i in range(len(values)) if i == 0 or values[i] != values[i - 1]]
+        got = run_starts(values)
+        assert got.dtype == np.int64 and got.tolist() == want
+
+    @given(st.lists(st.integers(-3, 3), max_size=80))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_a_loop(self, values):
+        self.check(values)
+
+    @pytest.mark.parametrize("values", [[], [7] * 9, [4], [1, 2, 3, 5], [-1, 0, -1, 0]])
+    def test_empty_all_equal_and_single_runs(self, values):
+        self.check(values)
+
+
+@st.composite
+def runs_and_window(draw):
+    """Run starts (some runs empty), a lane of 1-3 lanes, and a window [lo, hi) of its positions."""
+    sizes = draw(st.lists(st.integers(0, 5), min_size=1, max_size=30))
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.int64)
+    lanes = draw(st.integers(1, 3))
+    lane = draw(st.integers(0, lanes - 1))
+    count = max(0, -(-(sum(sizes) - lane) // lanes))  # positions lane + lanes * i below the total
+    lo = draw(st.integers(0, count))
+    return starts, lo, draw(st.integers(lo, count)), lane, lanes
+
+
+class TestRunIndex:
+    @staticmethod
+    def check(starts, lo, hi, lane, lanes):
+        want = np.searchsorted(starts, lane + lanes * np.arange(lo, hi), "right") - 1
+        got = run_index(starts, lo, hi, lane, lanes)
+        assert got.dtype == np.int64 and got.tolist() == want.tolist()
+
+    @given(runs_and_window())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_a_search_per_position(self, case):
+        self.check(*case)
+
+    @pytest.mark.parametrize("lane, lanes", [(0, 1), (0, 2), (1, 2), (0, 3), (2, 3)])
+    def test_windows_that_cut_runs(self, lane, lanes):
+        # runs of 7, 0, 0, 1, 12 and 0 positions; windows start and end inside runs
+        starts = np.array([0, 7, 7, 7, 8, 20], dtype=np.int64)
+        count = -(-(20 - lane) // lanes)
+        for lo in range(count + 1):
+            for hi in range(lo, count + 1):
+                self.check(starts, lo, hi, lane, lanes)
+
+
+def assert_groups_like_unique(ids):
+    ids = np.asarray(ids)
+    order = np.argsort(ids, kind="stable")
+    want_unique, want_starts = np.unique(ids[order], return_index=True)
+    unique, got_order, starts = group_ids(ids)
+    assert (unique.dtype, got_order.dtype, starts.dtype) == (np.int64, np.int64, np.int64)
+    assert unique.tolist() == want_unique.tolist()
+    assert got_order.tolist() == order.tolist() and starts.tolist() == want_starts.tolist()
+
+
+class TestGroupIds:
+    @given(st.lists(st.one_of(st.integers(-50, 50), st.integers(-(2**40), 2**40)), min_size=1, max_size=300))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_unique_and_a_stable_argsort(self, ids):
+        assert_groups_like_unique(np.asarray(ids, dtype=np.int64))
+
+    @given(st.lists(st.integers(-(2**31), 2**31 - 1), min_size=1, max_size=300))
+    @settings(max_examples=200, deadline=None)
+    def test_int32_ids_widened_before_packing(self, ids):
+        # a span of up to 2**32 - 1 and up to 9 shift bits wrap an int32 key
+        assert_groups_like_unique(np.asarray(ids, dtype=np.int32))
+
+    # m positions take (m - 1).bit_length() shift bits; the span may take the rest of 63
+    @pytest.mark.parametrize("m", [2, 3, 6, 300])
+    @pytest.mark.parametrize("lo", [-(2**62), 0, 2**62 + 1])
+    def test_span_at_the_packing_limit(self, m, lo):
+        span = 2 ** (63 - (m - 1).bit_length()) - 1
+        lo = min(lo, 2**63 - 2 - span)  # one past the largest id stays in int64
+        ids = np.resize(np.array([lo + span, lo, lo + span // 2], dtype=np.int64), m)
+        assert_groups_like_unique(ids)
+        ids[0] += 1  # a span one bit past the limit
+        with pytest.raises(ValidationError, match=f"^ids spanning {span + 1} at {m} positions do not fit int64"):
+            group_ids(ids)
 
 
 def benchmark_shaped_text(seed: int, nodes: int = 3_000, edges: int = 30_000) -> str:

@@ -616,10 +616,10 @@ class TestEdgePassAndNonEdges:
 
     @pytest.mark.parametrize("rows", [50, 560])
     @pytest.mark.parametrize("unit", [True, False])
-    @pytest.mark.parametrize("metric", [edge_recall, edge_snr, compute_report])
+    @pytest.mark.parametrize("metric", [edge_recall, edge_snr, compute_report, metrics.edge_distances])
     def test_every_metric_needs_a_row_per_node(self, metric, unit, rows):
-        # 560 rows once gave a recall and an SNR for a 60-node graph, 50 rows
-        # a recall or an IndexError
+        # 560 rows once gave a recall, an SNR and every edge distance for a
+        # 60-node graph, 50 rows a recall or an IndexError
         t = random_unit_table(rows, 4)
         with pytest.raises(ValidationError, match=f"^embedding has {rows} rows, graph has 60 nodes$"):
             metric(hub_graph(), t if unit else EmbeddingTable(t.values))

@@ -333,6 +333,21 @@ class TestLossAndGrad:
         np.add.at(acc, iv, (coef[:, :, None] * e_src[:, None, :]).reshape(m, d))
         assert np.array_equal(grad.values, acc)
 
+    def test_int32_ids_give_the_int64_gradient_bitwise(self):
+        # 17-bit ids and 20 480 scattered rows (15 shift bits) overflow a key packed in int32
+        rng = np.random.default_rng(9)
+        n, p, width = 70_000, 4096, 4
+        table = EmbeddingTable(rng.normal(0, 0.5, (n, 4)).astype(np.float32))
+        wide = batch_of(rng.integers(n - 2000, n, p), rng.integers(0, n, (p, width)), rng.uniform(0.5, 2, p))
+        narrow = ExampleBatch(wide.src.astype(np.int32), wide.dst.astype(np.int32), wide.weight)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            for two_halves in (None, pool):
+                want_loss, want = loss_and_grad(table, wide, two_halves)
+                loss, got = loss_and_grad(table, narrow, two_halves)
+                assert loss == want_loss
+                assert got.ids.dtype == want.ids.dtype and np.array_equal(got.ids, want.ids)
+                assert got.values.tobytes() == want.values.tobytes()
+
     def test_grad_only_touches_batch_rows(self):
         rng = np.random.default_rng(1)
         table = EmbeddingTable(rng.normal(size=(10, 4)))
@@ -390,11 +405,11 @@ def add_at_reference(ids, contrib):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 class TestSumRowsById:
-    def check(self, ids, contrib, num_nodes):
+    def check(self, ids, contrib):
         want_ids, want = add_at_reference(ids, contrib)
         with ThreadPoolExecutor(max_workers=1) as pool:
             for two_halves in (None, pool):
-                uids, acc = model._sum_rows_by_id(np.asarray(ids, dtype=np.int64), contrib, num_nodes, two_halves)
+                uids, acc = model._sum_rows_by_id(np.asarray(ids, dtype=np.int64), contrib, two_halves)
                 assert np.array_equal(uids, want_ids)
                 assert acc.dtype == contrib.dtype
                 assert acc.tobytes() == want.tobytes()
@@ -402,24 +417,24 @@ class TestSumRowsById:
     def test_one_id_in_every_entry(self, dtype):
         # m rows of one id: one rank pass per row after the first
         rng = np.random.default_rng(1)
-        self.check(np.full(300, 4), rng.normal(size=(300, 6)).astype(dtype), 5)
+        self.check(np.full(300, 4), rng.normal(size=(300, 6)).astype(dtype))
 
     def test_all_ids_distinct(self, dtype):
         rng = np.random.default_rng(2)
-        self.check(rng.permutation(1000)[:257], rng.normal(size=(257, 6)).astype(dtype), 1000)
+        self.check(rng.permutation(1000)[:257], rng.normal(size=(257, 6)).astype(dtype))
 
     @pytest.mark.parametrize("p, k", [(1, 3), (1, 0), (64, 0), (200, 7)])
     def test_batch_layouts(self, dtype, p, k):
         # ids laid out as a step's: P sources, then P rows of 1+k destinations
         rng = np.random.default_rng(3 + p + k)
         ids = np.concatenate([rng.integers(0, 20, p), rng.integers(0, 20, p * (1 + k))])
-        self.check(ids, rng.normal(size=(len(ids), 5)).astype(dtype), 20)
+        self.check(ids, rng.normal(size=(len(ids), 5)).astype(dtype))
 
     def test_signed_zeros(self, dtype):
         # a lone -0.0 becomes +0.0 (0 + -0.0), as it does in the sum into zeros
         contrib = np.array([[-0.0, 0.0], [-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0]], dtype=dtype)
-        self.check([2, 0, 2, 1], contrib, 3)
-        _, acc = model._sum_rows_by_id(np.array([2, 0, 2, 1]), contrib, 3)
+        self.check([2, 0, 2, 1], contrib)
+        _, acc = model._sum_rows_by_id(np.array([2, 0, 2, 1]), contrib)
         assert not np.signbit(acc).any()
 
     def test_nan_and_inf_rows(self, dtype):
@@ -443,18 +458,17 @@ class TestSumRowsById:
                 for two_halves in (None, pool):
                     with np.errstate(invalid="ignore", over="ignore"):
                         with pytest.raises(NumericError, match=f"non-finite gradient for row {named}$"):
-                            model._sum_rows_by_id(ids, contrib, 4, two_halves)
+                            model._sum_rows_by_id(ids, contrib, two_halves)
 
     def test_keys_near_two_to_the_62(self, dtype):
         big = 2**62
         contrib = np.arange(6, dtype=dtype).reshape(3, 2)
-        # ids below 2**61 with 3 rows (2 shift bits) fit in 63 bits
-        self.check([2**61 - 1, 5, 2**61 - 1], contrib, 2**61)
-        self.check([big], contrib[:1], big + 1)  # one row: no shift
-        with pytest.raises(ValidationError, match=f"ids below {big + 1} and 2 gradient rows"):
-            model._sum_rows_by_id(np.array([big, big - 1]), contrib[:2], big + 1)
-        with pytest.raises(ValidationError, match=f"ids below {2**61 + 1} and 3 gradient rows"):
-            model._sum_rows_by_id(np.array([2**61, 5, 0]), contrib, 2**61 + 1)
+        # a span below 2**61 with 3 rows (2 shift bits) fits in 63 bits
+        self.check([2**61 - 1, 5, 2**61 - 1], contrib)
+        self.check([big], contrib[:1])  # one row: no shift
+        self.check([big, big - 1, big], contrib)  # a span of 1: keys are relative to the smallest id
+        with pytest.raises(ValidationError, match=f"ids spanning {2**61} at 3 positions do not fit int64 sort keys"):
+            model._sum_rows_by_id(np.array([2**61, 5, 0]), contrib)
 
 
 def training_records(out_dir, n=30, seed=0):
