@@ -2,7 +2,7 @@
 
 import json
 import os
-from dataclasses import MISSING, fields, is_dataclass
+from dataclasses import MISSING, fields
 
 
 class WalkembedError(Exception):
@@ -35,17 +35,15 @@ _SCALARS = {"bool": bool, "int": int, "float": (int, float), "str": str}
 
 
 def check_keys(section: str, d: dict, allowed) -> None:
-    """Raise ValidationError naming any key of d that is not allowed: a field
-    of the dataclass `allowed`, or a member of the collection `allowed`.
-    Against a dataclass, also name a field without a default that d lacks,
-    and a value whose type is not its bool, int, float or str field's type:
-    a bool is no int, and an int passes for a float."""
+    """Raise ValidationError naming any key of d that is not a field of the
+    dataclass `allowed`, a field without a default that d lacks, and a value
+    whose type is not its bool, int, float or str field's type: a bool is no
+    int, and an int passes for a float."""
     check_object(section, d)
-    names = {f.name for f in fields(allowed)} if is_dataclass(allowed) else set(allowed)
-    unknown = sorted(set(d) - names)
+    unknown = sorted(set(d) - {f.name for f in fields(allowed)})
     if unknown:
         raise ValidationError(f"unknown {section} config key(s): {', '.join(map(repr, unknown))}")
-    for f in fields(allowed) if is_dataclass(allowed) else ():
+    for f in fields(allowed):
         if f.name not in d:
             if f.default is MISSING and f.default_factory is MISSING:
                 raise ValidationError(f"{section} config missing {f.name!r}")

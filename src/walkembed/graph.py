@@ -55,14 +55,10 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return np.diff(self.offsets)
 
-    def edge_array(self) -> np.ndarray:
-        """(num_edges, 2) array of edges with u < v."""
-        return np.column_stack(self.edges_at(0, len(self.targets)))
-
     def edges_at(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
         """u and v of the edges u < v stored at target positions [start, stop),
-        in CSR order; blocks that tile the targets give edge_array's order.
-        A block may cut a row, so its memory is bounded by its width."""
+        in CSR order; blocks that tile the targets give every edge in CSR
+        order. A block may cut a row, so its memory is bounded by its width."""
         stop = min(stop, len(self.targets))
         u, v = run_index(self.offsets, start, stop), self.targets[start:stop]
         keep = u < v
@@ -235,9 +231,8 @@ def load_edge_list(path: str | Path, format: str = "tsv") -> Graph:
 
 
 def save_edge_list(g: Graph, path: str | Path, format: str = "tsv") -> None:
-    """Write one `u v` line per edge (u < v), in the dense id space, in
-    edge_array order; the lines are built _WRITE_BLOCK target positions at a
-    time."""
+    """Write one `u v` line per edge (u < v), in the dense id space, in CSR
+    order; the lines are built _WRITE_BLOCK target positions at a time."""
     _check_format(format)
     sep = "," if format == "csv" else "\t"
     line = f"{{}}{sep}{{}}\n".format

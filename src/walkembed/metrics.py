@@ -182,9 +182,10 @@ def pair_distances(table: EmbeddingTable, u: np.ndarray, v: np.ndarray) -> np.nd
 
 
 def edge_distances(g: Graph, table: EmbeddingTable) -> np.ndarray:
-    """pair_distances over g.edge_array(), bit for bit, without an array of
-    every edge: _distances takes the edges of _PAIR_BLOCK CSR target
-    positions at a time (Graph.edges_at), at most _PAIR_BLOCK pairs."""
+    """pair_distances over every edge u < v in CSR order, bit for bit,
+    without an array of every edge: _distances takes the edges of
+    _PAIR_BLOCK CSR target positions at a time (Graph.edges_at), at most
+    _PAIR_BLOCK pairs."""
     values = table.values
     if len(values) != g.num_nodes:
         raise ValidationError(f"embedding has {len(values)} rows, graph has {g.num_nodes} nodes")

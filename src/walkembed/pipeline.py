@@ -233,13 +233,15 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False) -> PipelineResult:
     no old manifest is read and every stage runs. Any failure raises
     StageError naming the stage. Each artifact is hashed once per run, on two
     threads where the process may use two CPUs; a stage's output hashes are
-    the input hashes of later stages. A stage that runs first removes its
-    outputs and the run's eval report, so a failed rerun leaves neither from
-    the previous run. Each stage's entry is appended to the manifest, which
-    is written after every stage. It holds the stage's work counts (nodes
-    and edges before and after the prune, the sampler's walks, records and
-    dead ends, training's examples processed) and the process's peak RSS at
-    its end; a skipped stage keeps the previous run's.
+    the input hashes of later stages. Every file a stage writes is one of its
+    outputs; the train stage's progress log, whose examples_per_sec varies
+    from run to run, is not hashed, but must exist for a skip. A stage that
+    runs first removes its outputs and the eval stage's, so a failed rerun
+    leaves neither from the previous run. Each stage's entry is appended to
+    the manifest, which is written after every stage. It holds the stage's
+    work counts (nodes and edges before and after the prune, the sampler's
+    walks, records and dead ends, training's examples processed) and the
+    process's peak RSS at its end; a skipped stage keeps the previous run's.
     """
     run_dir = Path(cfg.run_dir)
     previous = {} if force else _recorded_stages(run_dir)
@@ -254,18 +256,19 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False) -> PipelineResult:
     ckpt_file = run_dir / "checkpoint.bin"
     progress_file = run_dir / "progress.jsonl"
     eval_dir = run_dir / "eval"
+    eval_outputs = {f"eval/{f}": eval_dir / f for f in ("report.json", *metrics_mod.PERCENTILE_CSVS.values())}
 
-    def stage(name, params, input_hashes, outputs, fn) -> dict[str, str]:
+    def stage(name, params, input_hashes, outputs, fn, logs=()) -> dict[str, str]:
         entry = {"name": name, "params_hash": hash_json(params), "input_hashes": input_hashes}
         prev = previous.get(name, {})
         t0 = time.monotonic()
         same_inputs = all(prev.get(k) == entry[k] for k in ("params_hash", "input_hashes"))
-        hashes = _outputs_hold(prev, outputs) if same_inputs else None
+        hashes = _outputs_hold(prev, outputs) if same_inputs and all(p.exists() for p in logs) else None
         if hashes is not None:
             entry.update(output_hashes=hashes, duration_s=0.0, skipped=True)
             figures = {k: prev.get(k) for k in ("counts", "rss_high_water_mb")}
         else:
-            for path in (*outputs.values(), eval_dir / "report.json"):
+            for path in (*outputs.values(), *logs, *eval_outputs.values()):
                 path.unlink(missing_ok=True)
             try:
                 counts = fn()
@@ -319,14 +322,14 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False) -> PipelineResult:
         return {"examples_processed": result.examples_processed}
 
     trained = stage("train", cfg_dict["trainer"], {"records/manifest.json": sampled["records/manifest.json"]},
-                    {"checkpoint.bin": ckpt_file}, do_train)
+                    {"checkpoint.bin": ckpt_file}, do_train, logs=(progress_file,))
 
     # eval
     def do_eval():
         evaluate_checkpoint(load_csr(pruned_file), ckpt_file, eval_dir, cfg.eval, derive_seed(cfg.seed, "eval"))
 
     stage("eval", asdict(cfg.eval), {"checkpoint.bin": trained["checkpoint.bin"], "pruned.csr": pruned["pruned.csr"]},
-          {"eval/report.json": eval_dir / "report.json"}, do_eval)
+          eval_outputs, do_eval)
 
     report = metrics_mod.read_report(eval_dir / "report.json")
     skipped = [s["name"] for s in manifest["stages"] if s["skipped"]]

@@ -4,13 +4,14 @@ Every node seeds a fixed number of walks. Walks advance in lockstep rounds:
 each round joins walk endpoints against the adjacency, samples one uniform
 neighbor per walk, and records its (seed, endpoint, distance) visit as one
 packed int64 key. After the final round, one sort of the keys groups the
-visits by (seed, endpoint) and combines them into per-distance count
-histograms. A record's source is the seed node of its
-walks, so its shard, a hash of the source, is fixed before any walk starts:
-each shard is sampled on its own, one range of seed ids at a time, and each
-range's records are appended to the shard's file as they are combined, so
-no shard is ever held whole. Shards are split between the calling thread
-and, where the process may use more than one CPU, one helper thread.
+visits by (seed, endpoint) and combines them straight into wire records
+(shards.record_array), each with its per-distance count histogram. A
+record's source is the seed node of its walks, so its shard, a hash of the
+source, is fixed before any walk starts: each shard is sampled on its own,
+one range of seed ids at a time, and each range's record bytes are appended
+to the shard's file as they are combined, so no shard is ever held whole.
+Shards are split between the calling thread and, where the process may use
+more than one CPU, one helper thread.
 
 Each walk draws from its own counter-based stream keyed by (seed, walk
 id, round), where a walk's id is seed_node * walks_per_node + replica, so
@@ -29,7 +30,7 @@ from . import cores
 from .errors import EmptyGraphError, ValidationError
 from .graph import Graph, run_starts
 from .rng import HashStream, splitmix64
-from .shards import FORMAT_VERSION, RecordBatch, append_records, shard_path, write_manifest
+from .shards import FORMAT_VERSION, record_array, shard_path, write_manifest
 from .shards import write_shard  # noqa: F401  perfbench's tests look this name up here
 
 PARTITION_NODES = 1 << 14  # seed ids of two ranges: a shard walks ranges of half as many
@@ -102,15 +103,16 @@ def step_walks(g: Graph, walks: WalkBatch, cfg: SamplerConfig, stream: HashStrea
     return WalkBatch(walk_id, g.targets[row], walks.step + 1)
 
 
-def _combine_visits(key: np.ndarray, base: int, num_nodes: int, walk_length: int) -> RecordBatch:
-    """Group visits by (seed, dest) and histogram them by distance.
+def _combine_visits(key: np.ndarray, base: int, num_nodes: int, walk_length: int) -> np.ndarray:
+    """Group visits by (seed, dest) into one record array, histogrammed by distance.
 
     Each visit is one int64 key, ((seed - base) * num_nodes + dest) *
     walk_length + (distance - 1), packed relative to the range's smallest
     seed `base`, so a key spans seed_range * num_nodes * walk_length rather
     than num_nodes**2 * walk_length. One in-place sort of the keys and a
     run-length pass over it give both the (pair, distance) counts and the
-    records, which come out sorted by (source, dest).
+    records, which come out sorted by (source, dest). The counts and ids go
+    straight into the records' fields, so no other copy is built.
     """
     key.sort()
     starts = run_starts(key)
@@ -122,16 +124,19 @@ def _combine_visits(key: np.ndarray, base: int, num_nodes: int, walk_length: int
     del pair_keys
     row = np.cumsum(new_pair)
     row -= 1
-    co = np.zeros((len(rec_keys), walk_length), dtype=np.int64)
-    co[row, slots] = counts
+    records = record_array(len(rec_keys), walk_length)
+    records["counts"][row, slots] = counts
     del row, slots, counts
-    source, dest = np.divmod(rec_keys, num_nodes)
-    source += base
-    return RecordBatch(source=source, dest=dest, co_counts=co)
+    np.divmod(rec_keys, num_nodes, out=(records["source"], records["dest"]))
+    records["source"] += base
+    return records
 
 
-def _sample_partition(g: Graph, cfg: SamplerConfig, stream: HashStream, nodes: np.ndarray) -> tuple[RecordBatch, int]:
-    """Walk the given seed nodes to completion; returns records + dead ends.
+def _sample_partition(
+    g: Graph, cfg: SamplerConfig, stream: HashStream, nodes: np.ndarray
+) -> tuple[np.ndarray, int, int]:
+    """Walk the given seed nodes to completion; returns records, dead ends
+    and visits, the sum of the records' counts.
 
     Each round packs every surviving walk's visit into one key (see
     _combine_visits), written into a buffer sized for every walk's every
@@ -152,9 +157,8 @@ def _sample_partition(g: Graph, cfg: SamplerConfig, stream: HashStream, nodes: n
     dead = started - len(walks)
     del walks  # the last round's columns, freed before the combine
     if not filled:
-        empty = np.empty(0, dtype=np.int64)
-        return RecordBatch(empty, empty, empty.reshape(0, length)), dead
-    return _combine_visits(keys[:filled], base, g.num_nodes, length), dead
+        return record_array(0, length), dead, 0
+    return _combine_visits(keys[:filled], base, g.num_nodes, length), dead, filled
 
 
 def _sample_shard(g: Graph, cfg: SamplerConfig, stream: HashStream, path: Path, shard: int) -> tuple[int, int, int]:
@@ -172,11 +176,12 @@ def _sample_shard(g: Graph, cfg: SamplerConfig, stream: HashStream, path: Path, 
             ids = ids[splitmix64(ids) % np.uint64(cfg.num_shards) == shard]
             if not len(ids):
                 continue
-            rec, dead = _sample_partition(g, cfg, stream, ids)
-            append_records(fh, rec)
+            rec, dead, visits = _sample_partition(g, cfg, stream, ids)
+            fh.write(rec.data)
             records += len(rec)
             dead_ends += dead
-            co_total += int(rec.co_counts.sum())
+            co_total += visits
+            del rec  # freed before the next range is walked
     return records, dead_ends, co_total
 
 

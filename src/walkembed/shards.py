@@ -4,45 +4,28 @@ Record wire format (little-endian, packed): u64 source_id | u64
 destination_id | u32 walk_length | u64 co_counts[walk_length]. The u32 is
 the length prefix for the trailing histogram, so files are self-describing.
 A run writes a fixed walk_length throughout; readers reject mixed lengths.
-A shard is written whole (write_shard) or in pieces, each appended to the
-open file (append_records, as the sampler does); the bytes are the same.
+In memory a record is the same bytes: a structured array of that layout
+(record_array), whose columns read as int64 (ids and counts are
+non-negative, so the bytes read the same as u64). The sampler combines its
+visits straight into one and writes its bytes to the shard file.
 
 Readers go one shard at a time: iter_shards maps each shard read-only, its
-size checked against the manifest's count, as a structured array whose
-columns read as int64 (ids and counts are non-negative, so the bytes read
-the same as u64); check_records checks its records. Training filters the
-map in blocks; load_all_records copies every shard into one batch.
+size checked against the manifest's count; check_records checks its
+records. Training filters the map in blocks; load_all_records copies every
+shard into one array.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Iterator
-from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO
 
 import numpy as np
 
 from .errors import ValidationError, check_ids, read_json
 
 FORMAT_VERSION = 1  # manifest.json's format_version, naming the record wire format above
-
-
-@dataclass
-class RecordBatch:
-    """Column-oriented co-occurrence records."""
-
-    source: np.ndarray  # int64 (n,)
-    dest: np.ndarray  # int64 (n,)
-    co_counts: np.ndarray  # int64 (n, walk_length)
-
-    def __len__(self) -> int:
-        return len(self.source)
-
-    @property
-    def walk_length(self) -> int:
-        return self.co_counts.shape[1]
 
 
 def _record_dtype(walk_length: int) -> np.dtype:
@@ -61,23 +44,15 @@ def shard_path(out_dir: str | Path, shard: int, num_shards: int) -> Path:
     return Path(out_dir) / f"records-{shard:05d}-of-{num_shards:05d}.bin"
 
 
-def _wire_image(batch: RecordBatch) -> np.ndarray:
-    arr = np.zeros(len(batch), dtype=_record_dtype(batch.walk_length))
-    arr["source"] = batch.source
-    arr["dest"] = batch.dest
-    arr["length"] = batch.walk_length
-    arr["counts"] = batch.co_counts
-    return arr
+def record_array(n: int, walk_length: int) -> np.ndarray:
+    """n zeroed records of the wire layout, their length prefixes filled in."""
+    records = np.zeros(n, dtype=_record_dtype(walk_length))
+    records["length"] = walk_length
+    return records
 
 
-def write_shard(path: str | Path, batch: RecordBatch) -> None:
-    _wire_image(batch).tofile(str(path))
-
-
-def append_records(fh: BinaryIO, batch: RecordBatch) -> None:
-    """Write the batch's records at the end of an open shard file; a shard
-    written in pieces reads the same as one written whole."""
-    fh.write(_wire_image(batch).data)
+def write_shard(path: str | Path, records: np.ndarray) -> None:
+    records.tofile(str(path))
 
 
 def check_records(path: Path, records: np.ndarray, walk_length: int, num_nodes: int) -> None:
@@ -149,8 +124,8 @@ def iter_shards(records_dir: str | Path, manifest: dict) -> Iterator[tuple[Path,
         yield path, np.memmap(path, dtype=dt, mode="r", shape=(n,)) if n else np.empty(0, dtype=dt)
 
 
-def load_all_records(records_dir: str | Path) -> tuple[RecordBatch, dict]:
-    """Every shard listed in the manifest, copied into one RecordBatch."""
+def load_all_records(records_dir: str | Path) -> tuple[np.ndarray, dict]:
+    """Every shard listed in the manifest, copied into one record array."""
     manifest = read_manifest(records_dir)
     arr = np.empty(sum(manifest["record_counts"]), dtype=_record_dtype(manifest["config"]["walk_length"]))
     at = 0
@@ -158,4 +133,4 @@ def load_all_records(records_dir: str | Path) -> tuple[RecordBatch, dict]:
         check_records(path, records, manifest["config"]["walk_length"], manifest["num_nodes"])
         arr[at : at + len(records)] = records
         at += len(records)
-    return RecordBatch(source=arr["source"], dest=arr["dest"], co_counts=arr["counts"]), manifest
+    return arr, manifest

@@ -22,7 +22,7 @@ from walkembed import sampler
 from walkembed.errors import EmptyGraphError, ParseError
 from walkembed.graph import Graph, run_starts
 from walkembed.rng import HashStream, splitmix64
-from walkembed.shards import FORMAT_VERSION, RecordBatch, shard_path, write_manifest, write_shard
+from walkembed.shards import FORMAT_VERSION, record_array, shard_path, write_manifest, write_shard
 from walkembed.trainer import Positives
 
 
@@ -276,7 +276,7 @@ def prune_reference(g: Graph, min_degree: int) -> Graph:
     return from_edges_reference(edges, int(keep.sum()), ext)
 
 
-def combine_visits_reference(seeds, dests, dists, num_nodes: int, walk_length: int) -> RecordBatch:
+def combine_visits_reference(seeds, dests, dists, num_nodes: int, walk_length: int) -> np.ndarray:
     """Records by two np.unique passes: one counts each (seed, dest,
     distance), the other groups those counts by (seed, dest)."""
     seeds, dests, dists = (np.asarray(a, dtype=np.int64) for a in (seeds, dests, dists))
@@ -285,7 +285,7 @@ def combine_visits_reference(seeds, dests, dists, num_nodes: int, walk_length: i
     rec_keys, rec_index = np.unique(uniq // walk_length, return_inverse=True)
     co = np.zeros((len(rec_keys), walk_length), dtype=np.int64)
     co[rec_index, uniq % walk_length] = counts
-    return RecordBatch(source=rec_keys // num_nodes, dest=rec_keys % num_nodes, co_counts=co)
+    return wire_records(rec_keys // num_nodes, rec_keys % num_nodes, co)
 
 
 def run_sampling_reference(g, cfg, out_dir, partition_nodes: int = 1 << 14) -> None:
@@ -299,20 +299,20 @@ def run_sampling_reference(g, cfg, out_dir, partition_nodes: int = 1 << 14) -> N
         sampler._sample_partition(g, cfg, stream, np.arange(lo, min(lo + partition_nodes, g.num_nodes)))
         for lo in range(0, g.num_nodes, partition_nodes)
     ]
-    source, dest, co = (np.concatenate([getattr(rec, f) for rec, _ in parts]) for f in ("source", "dest", "co_counts"))
-    shard_of = splitmix64(source.astype(np.uint64)) % np.uint64(cfg.num_shards)
+    whole = np.concatenate([rec for rec, _, _ in parts])
+    shard_of = splitmix64(whole["source"].astype(np.uint64)) % np.uint64(cfg.num_shards)
     files, counts = [], []
     for s in range(cfg.num_shards):
         mask = shard_of == s
         path = shard_path(out_dir, s, cfg.num_shards)
-        write_shard(path, RecordBatch(source[mask], dest[mask], co[mask]))
+        write_shard(path, whole[mask])
         files.append(path.name)
         counts.append(int(mask.sum()))
     stats = {
         "total_walks": g.num_nodes * cfg.walks_per_node,
-        "dead_end_terminations": sum(dead for _, dead in parts),
-        "num_records": len(source),
-        "co_count_total": int(co.sum()),
+        "dead_end_terminations": sum(dead for _, dead, _ in parts),
+        "num_records": len(whole),
+        "co_count_total": int(whole["counts"].sum()),
     }
     write_manifest(
         out_dir,
@@ -328,9 +328,10 @@ def run_sampling_reference(g, cfg, out_dir, partition_nodes: int = 1 << 14) -> N
     )
 
 
-def read_shard(path, walk_length: int) -> RecordBatch:
+def read_shard(path, walk_length: int) -> np.ndarray:
     """A shard file parsed by the wire format alone: packed little-endian
-    u64 source, u64 dest, u32 length and u64 counts[walk_length]."""
+    u64 source, u64 dest, u32 length and u64 counts[walk_length]; its
+    columns, read as int64, in a record array."""
     dt = np.dtype({"names": ["source", "dest", "length", "counts"],
                    "formats": ["<u8", "<u8", "<u4", ("<u8", (walk_length,))],
                    "offsets": [0, 8, 16, 20], "itemsize": 20 + 8 * walk_length})
@@ -338,17 +339,18 @@ def read_shard(path, walk_length: int) -> RecordBatch:
     assert len(data) % dt.itemsize == 0, "partial record"
     arr = np.frombuffer(data, dtype=dt)
     assert np.all(arr["length"] == walk_length), "mixed walk lengths"
-    return RecordBatch(*(arr[k].astype(np.int64) for k in ("source", "dest", "counts")))
+    return wire_records(*(arr[k].astype(np.int64) for k in ("source", "dest", "counts")))
 
 
-def prepare_positives(records: RecordBatch, cfg) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def prepare_positives(records: np.ndarray, cfg) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Whole-set positives as training defines them: each record weighs
-    co_counts @ cfg.distance_weighting (all ones when None), and self-pairs
+    counts @ cfg.distance_weighting (all ones when None), and self-pairs
     and zero weights are dropped; ids as read, weights as float32."""
-    w = np.ones(records.walk_length) if cfg.distance_weighting is None else np.asarray(cfg.distance_weighting, float)
-    weight = records.co_counts @ w
-    keep = (weight > 0) & (records.source != records.dest)
-    return records.source[keep], records.dest[keep], weight[keep].astype(np.float32)
+    counts, source, dest = records["counts"], records["source"], records["dest"]
+    w = np.ones(counts.shape[1]) if cfg.distance_weighting is None else np.asarray(cfg.distance_weighting, float)
+    weight = counts @ w
+    keep = (weight > 0) & (source != dest)
+    return source[keep], dest[keep], weight[keep].astype(np.float32)
 
 
 def positives_from_columns(src, dst, weight) -> Positives:
@@ -397,8 +399,16 @@ def class_of(cfg, i: int) -> int:
     return i * cfg.k // cfg.n
 
 
-def write_records_dir(out_dir, *shards: RecordBatch, num_nodes: int | None = None) -> Path:
-    """A records directory of one shard per RecordBatch given, with the
+def wire_records(source, dest, counts) -> np.ndarray:
+    """A shards.record_array holding the given columns; counts is (n, walk_length)."""
+    counts = np.asarray(counts)
+    records = record_array(*counts.shape)
+    records["source"], records["dest"], records["counts"] = source, dest, counts
+    return records
+
+
+def write_records_dir(out_dir, *shards: np.ndarray, num_nodes: int | None = None) -> Path:
+    """A records directory of one shard per record array given, with the
     manifest keys that training reads. num_nodes, the size of the graph the
     records came from, is by default one more than the largest id."""
     out_dir = Path(out_dir)
@@ -407,8 +417,8 @@ def write_records_dir(out_dir, *shards: RecordBatch, num_nodes: int | None = Non
     for path, records in zip(paths, shards):
         write_shard(path, records)
     if num_nodes is None:
-        num_nodes = 1 + max(int(max(r.source.max(initial=0), r.dest.max(initial=0))) for r in shards)
-    manifest = {"format_version": FORMAT_VERSION, "config": {"walk_length": shards[0].walk_length},
+        num_nodes = 1 + max(int(max(r["source"].max(initial=0), r["dest"].max(initial=0))) for r in shards)
+    manifest = {"format_version": FORMAT_VERSION, "config": {"walk_length": shards[0]["counts"].shape[1]},
                 "graph_hash": "", "num_nodes": num_nodes,
                 "shard_files": [p.name for p in paths], "record_counts": [len(r) for r in shards]}
     write_manifest(out_dir, manifest)

@@ -24,12 +24,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import tracing  # noqa: E402
 import workloads  # noqa: E402
-from walkembed import metrics, pipeline, sampler, trainer  # noqa: E402
+from walkembed import metrics, pipeline, sampler, shards, trainer  # noqa: E402
 from walkembed.model import FixedSgd  # noqa: E402
 from walkembed.pipeline import config_from_dict  # noqa: E402
 from walkembed.sampler import SamplerConfig  # noqa: E402
 from walkembed.sbm import SbmConfig, generate_sbm  # noqa: E402
-from walkembed.shards import RecordBatch  # noqa: E402
 from walkembed.trainer import TrainConfig  # noqa: E402
 
 
@@ -84,10 +83,18 @@ def test_workload_trainer_dicts_parse_like_train_config(name):
         assert workloads.train_config(w, seed) == want
 
 
+def test_sampler_write_shard_is_the_shard_writer():
+    # perfbench's tests look write_shard up on sampler, and its tracer wraps
+    # it on shards: both names must be the one writer
+    assert sampler.write_shard is shards.write_shard
+
+
 def cycle_records(out_dir):
-    return oracles.write_records_dir(
-        out_dir, RecordBatch(np.arange(20), (np.arange(20) + 1) % 20, np.ones((20, 2), dtype=np.int64))
-    )
+    records = shards.record_array(20, 2)
+    records["source"] = np.arange(20)
+    records["dest"] = (records["source"] + 1) % 20
+    records["counts"] = 1
+    return oracles.write_records_dir(out_dir, records)
 
 
 def test_train_sync_steps_on_the_calling_thread(monkeypatch, tmp_path):

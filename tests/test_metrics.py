@@ -95,9 +95,8 @@ class TestEdgeSnr:
         g = generate_sbm(SbmConfig(n=150, k=3, p_in=0.2, p_out=0.05, seed=3))
         t = random_unit_table(150, 16, seed=4)
         exact_non = oracles.exhaustive_non_edge_distances(g, t.values)
-        edges = g.edge_array()
         mean_edge = np.mean(
-            [math.dist(t.values[u], t.values[v]) for u, v in edges.tolist()]
+            [math.dist(t.values[u], t.values[v]) for u, v in zip(*oracles.upper_edges(g))]
         )
         samples = 4000
         snr = edge_snr(g, t, non_edge_samples=samples, rng=np.random.default_rng(9))

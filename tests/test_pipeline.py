@@ -319,7 +319,7 @@ class TestRunPipeline:
         cfg = config_from_dict(tiny_config_dict(run_dir))
         first = run_pipeline(cfg, force=True)
         artifacts = sorted(k for s in first.manifest["stages"] for k in s["output_hashes"])
-        assert len(artifacts) == 7  # graph, pruned, 2 shards, records manifest, checkpoint, report
+        assert len(artifacts) == 10  # graph, pruned, 2 shards, records manifest, checkpoint, report, 3 CSVs
         assert sorted(calls) == artifacts
         calls.clear()
         second = run_pipeline(cfg)
@@ -390,6 +390,49 @@ class TestRunPipeline:
         rerun = run_pipeline(config_from_dict(d))
         assert rerun.skipped == ["prune", "sample"] + (["train"] if stage == "eval" else [])
         assert run_pipeline(config_from_dict(d)).skipped == ["prune", "sample", "train", "eval"]
+
+    def test_edited_percentile_csv_reruns_eval(self, tmp_path):
+        cfg = config_from_dict(tiny_config_dict(tmp_path / "run"))
+        run_pipeline(cfg)
+        recall = tmp_path / "run" / "eval" / "recall.csv"
+        original = recall.read_bytes()
+        recall.write_text("Quantiles,embedding\n0.00,0.5\n")
+        assert run_pipeline(cfg).skipped == ["prune", "sample", "train"]
+        assert recall.read_bytes() == original
+
+    def test_forced_rerun_with_failed_eval_leaves_no_eval_file(self, tmp_path, monkeypatch):
+        cfg = config_from_dict(tiny_config_dict(tmp_path / "run"))
+        run_pipeline(cfg)
+        assert all((tmp_path / "run" / f).exists() for f in EVAL_FILES)
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setattr(pipeline, "evaluate_checkpoint", fail)
+        with pytest.raises(StageError) as exc:
+            run_pipeline(cfg, force=True)
+        assert exc.value.stage == "eval"
+        assert list((tmp_path / "run" / "eval").iterdir()) == []
+
+    def test_failed_train_rerun_leaves_no_progress_log(self, tmp_path, monkeypatch):
+        cfg = config_from_dict(tiny_config_dict(tmp_path / "run"))
+        run_pipeline(cfg)
+        progress = tmp_path / "run" / "progress.jsonl"
+        assert progress.exists()
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setattr(pipeline, "train_sync", fail)
+        with pytest.raises(StageError) as exc:
+            run_pipeline(cfg, force=True)
+        assert exc.value.stage == "train"
+        assert not progress.exists()
+        monkeypatch.undo()
+        assert run_pipeline(cfg).skipped == ["prune", "sample"]
+        progress.unlink()  # a missing log reruns the train stage, and so eval
+        assert run_pipeline(cfg).skipped == ["prune", "sample"]
+        assert progress.exists()
 
     def test_stages_record_peak_rss_and_prune_counts(self, tmp_path):
         cfg = config_from_dict(dict(tiny_config_dict(tmp_path / "run"), min_degree=10))
@@ -506,6 +549,9 @@ def test_pipeline_config_direct_construction():
         PipelineConfig(seed=1, run_dir="x", graph={"kind": "sbm"})
 
 
+EVAL_FILES = ("eval/report.json", "eval/edge_distance.csv", "eval/non_edge_distance.csv", "eval/recall.csv")
+
+
 def sha256_json(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode("utf-8")).hexdigest()
 
@@ -521,7 +567,7 @@ def expected_manifest(cfg, skipped):
     run_dir = Path(cfg.run_dir)
     g, pruned = pipeline.load_csr(run_dir / "graph.csr"), pipeline.load_csr(run_dir / "pruned.csr")
     records = json.loads((run_dir / "records" / "manifest.json").read_text())
-    out = {k: sha256_file(run_dir / k) for k in ("graph.csr", "pruned.csr", "checkpoint.bin", "eval/report.json")}
+    out = {k: sha256_file(run_dir / k) for k in ("graph.csr", "pruned.csr", "checkpoint.bin", *EVAL_FILES)}
     out["records/manifest.json"] = sha256_file(run_dir / "records" / "manifest.json")
     shards = {f"records/{f}": sha256_file(run_dir / "records" / f) for f in records["shard_files"]}
     stages = [
@@ -535,7 +581,7 @@ def expected_manifest(cfg, skipped):
          {"checkpoint.bin": out["checkpoint.bin"]},
          {"examples_processed": cfg.trainer.steps * cfg.trainer.global_batch_examples}),
         ("eval", dataclasses.asdict(cfg.eval), {k: out[k] for k in ("checkpoint.bin", "pruned.csr")},
-         {"eval/report.json": out["eval/report.json"]}, None),
+         {k: out[k] for k in EVAL_FILES}, None),
     ]
     entries = []
     for name, params, inputs, outputs, counts in stages:

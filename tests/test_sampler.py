@@ -14,16 +14,18 @@ from conftest import build_graph
 from walkembed import cores, sampler
 from walkembed.errors import EmptyGraphError, ValidationError
 from walkembed.graph import from_edges
+from walkembed.model import FixedSgd
 from walkembed.rng import HashStream, splitmix64
 from walkembed.sampler import SamplerConfig, _combine_visits, init_walks, run_sampling, step_walks
 from walkembed.sbm import SbmConfig, generate_sbm
-from walkembed.shards import load_all_records, write_shard, RecordBatch
+from walkembed.shards import load_all_records, record_array, write_shard
+from walkembed.trainer import TrainConfig, train_sync
 
 
 def records_by_pair(rec):
     return {
         (int(s), int(d)): c.tolist()
-        for s, d, c in zip(rec.source, rec.dest, rec.co_counts)
+        for s, d, c in zip(rec["source"], rec["dest"], rec["counts"])
     }
 
 
@@ -196,7 +198,7 @@ class TestRunSampling:
         for s in range(3):
             rec = oracles.read_shard(tmp_path / f"records-{s:05d}-of-00003.bin", 3)
             assert len(rec) > 0
-            key = rec.source * n + rec.dest
+            key = rec["source"] * n + rec["dest"]
             assert np.all(np.diff(key) > 0)
 
     def test_sharding_partitions_by_source(self, tmp_path, triangle):
@@ -206,7 +208,7 @@ class TestRunSampling:
         seen_sources = {}
         for s in range(4):
             rec = oracles.read_shard(out / f"records-{s:05d}-of-00004.bin", 2)
-            for u in set(rec.source.tolist()):
+            for u in set(rec["source"].tolist()):
                 assert seen_sources.setdefault(u, s) == s
 
     def test_manifest_contents(self, tmp_path, triangle):
@@ -326,16 +328,15 @@ def test_combine_visits_matches_unique_reference():
         dists = rng.integers(1, walk_length + 1, visits)
         got = _combine_visits(*packed(seeds, dests, dists, n, walk_length), n, walk_length)
         want = oracles.combine_visits_reference(seeds, dests, dists, n, walk_length)
-        for f in ("source", "dest", "co_counts"):
-            assert getattr(got, f).dtype == getattr(want, f).dtype == np.int64
-            assert getattr(got, f).tobytes() == getattr(want, f).tobytes(), (n, f)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), n
 
 
 def test_combine_visits_does_not_wrap_large_ids():
     rec = _combine_visits(*packed([2**31 - 1], [2**31 - 2], [1], 2**31, 3), 2**31, 3)
-    assert rec.source.tolist() == [2**31 - 1]
-    assert rec.dest.tolist() == [2**31 - 2]
-    assert rec.co_counts.tolist() == [[1, 0, 0]]
+    assert rec["source"].tolist() == [2**31 - 1]
+    assert rec["dest"].tolist() == [2**31 - 2]
+    assert rec["counts"].tolist() == [[1, 0, 0]]
 
 
 small_graphs = st.lists(
@@ -355,10 +356,10 @@ def test_property_conservation_and_neighbor_slot(tmp_path_factory, pairs, walk_l
     # conservation holds for sources whose reachable set has no dead end
     deg = g.degrees
     per_source = np.zeros(g.num_nodes, dtype=np.int64)
-    np.add.at(per_source, rec.source, rec.co_counts.sum(axis=1))
+    np.add.at(per_source, rec["source"], rec["counts"].sum(axis=1))
     if np.all(deg > 0):
         assert np.all(per_source == gamma * walk_length)
-    for s, d, c in zip(rec.source, rec.dest, rec.co_counts):
+    for s, d, c in zip(rec["source"], rec["dest"], rec["counts"]):
         assert c.sum() > 0
         if c[0] > 0:
             assert oracles.has_edge(g, int(s), int(d))
@@ -397,7 +398,7 @@ def test_shard_listed_twice_rejected(tmp_path, triangle):
 
 
 def test_load_all_records_checks_ids_against_the_manifest(tmp_path):
-    batch = RecordBatch(source=np.array([0, 4]), dest=np.array([3, 1]), co_counts=np.array([[1, 0], [2, 1]]))
+    batch = oracles.wire_records([0, 4], [3, 1], [[1, 0], [2, 1]])
     oracles.write_records_dir(tmp_path, batch, num_nodes=5)
     assert len(load_all_records(tmp_path)[0]) == 2
     oracles.write_records_dir(tmp_path, batch, num_nodes=4)
@@ -407,19 +408,48 @@ def test_load_all_records_checks_ids_against_the_manifest(tmp_path):
 
 
 def test_shard_round_trip(tmp_path):
-    batch = RecordBatch(
-        source=np.array([3, 5], dtype=np.int64),
-        dest=np.array([4, 1], dtype=np.int64),
-        co_counts=np.array([[1, 0, 2], [0, 7, 0]], dtype=np.int64),
-    )
+    batch = oracles.wire_records([3, 5], [4, 1], [[1, 0, 2], [0, 7, 0]])
     path = tmp_path / "x.bin"
     write_shard(path, batch)
     back = oracles.read_shard(path, 3)
-    assert np.array_equal(back.source, batch.source)
-    assert np.array_equal(back.dest, batch.dest)
-    assert np.array_equal(back.co_counts, batch.co_counts)
+    assert back.tobytes() == batch.tobytes()
     # wire layout: 8 + 8 + 4 + 8*3 bytes per record
     assert path.stat().st_size == 2 * (20 + 24)
+
+
+def test_write_shard_of_each_loaded_slice_reproduces_its_file(tmp_path, monkeypatch):
+    # ranges of 4 seeds, so each shard's file is appended in several pieces
+    monkeypatch.setattr(sampler, "PARTITION_NODES", 8)
+    g = generate_sbm(SbmConfig(n=60, k=2, p_in=0.2, p_out=0.05, seed=3))
+    run_sampling(g, SamplerConfig(walks_per_node=8, walk_length=3, seed=4, num_shards=3), tmp_path / "rec")
+    records, manifest = load_all_records(tmp_path / "rec")
+    assert records.dtype == record_array(0, 3).dtype and all(manifest["record_counts"])
+    at = 0
+    for f, count in zip(manifest["shard_files"], manifest["record_counts"]):
+        write_shard(tmp_path / f, records[at : at + count])
+        assert (tmp_path / f).read_bytes() == (tmp_path / "rec" / f).read_bytes()
+        at += count
+    assert at == len(records)
+
+
+def test_empty_shard_written_loaded_and_trained(tmp_path):
+    # node 3 is isolated and the only seed of shard 0 of 3: its walks all die
+    # at once, so its range combines into record_array(0, 3), an empty shard
+    g = build_graph([(0, 1), (1, 2), (2, 0)], 4)
+    cfg = SamplerConfig(walks_per_node=8, walk_length=3, seed=1, num_shards=3)
+    rec, dead, visits = sampler._sample_partition(g, cfg, HashStream(cfg.seed), np.array([3]))
+    assert rec.dtype == record_array(0, 3).dtype and len(rec) == 0 and (dead, visits) == (8, 0)
+    write_shard(tmp_path / "empty.bin", record_array(0, 3))
+    assert (tmp_path / "empty.bin").read_bytes() == b""
+    stats = run_sampling(g, cfg, tmp_path / "rec")
+    assert stats.shard_record_counts[0] == 0 and stats.num_records > 0
+    assert (tmp_path / "rec" / "records-00000-of-00003.bin").read_bytes() == b""
+    records, _ = load_all_records(tmp_path / "rec")
+    assert records.dtype == record_array(0, 3).dtype and len(records) == stats.num_records
+    tcfg = TrainConfig(dim=4, per_replica_batch_size=4, steps=3, optimizer=FixedSgd(0.1))
+    with_empty = train_sync(tmp_path / "rec", tcfg)
+    whole = train_sync(oracles.write_records_dir(tmp_path / "whole", records, num_nodes=4), tcfg)
+    assert with_empty.table.values.tobytes() == whole.table.values.tobytes()
 
 
 class TestTwoThreads:

@@ -78,14 +78,14 @@ def test_block_densities_converge(subtests=None):
     g = generate_sbm(cfg)
     bounds = cfg.block_bounds()
     classes = np.searchsorted(bounds, np.arange(cfg.n), side="right") - 1
-    edges = g.edge_array()
-    same = classes[edges[:, 0]] == classes[edges[:, 1]]
+    u, v = oracles.upper_edges(g)
+    same = classes[u] == classes[v]
     within_pairs = sum(
         int(b - a) * (int(b - a) - 1) // 2 for a, b in zip(bounds[:-1], bounds[1:])
     )
     between_pairs = cfg.n * (cfg.n - 1) // 2 - within_pairs
     n_within = int(same.sum())
-    n_between = len(edges) - n_within
+    n_between = len(u) - n_within
     assert abs(n_within - within_pairs * 0.02) <= 4 * binomial_sigma([(within_pairs, 0.02)])
     assert abs(n_between - between_pairs * 0.002) <= 4 * binomial_sigma([(between_pairs, 0.002)])
 

@@ -32,7 +32,7 @@ from walkembed.model import (
 from walkembed.rng import derive_seed
 from walkembed.sampler import SamplerConfig, run_sampling
 from walkembed.sbm import SbmConfig, generate_sbm
-from walkembed.shards import RecordBatch, load_all_records, read_manifest
+from walkembed.shards import load_all_records, read_manifest
 from walkembed.trainer import (
     SHUFFLE_BUFFER,
     ExampleBatch,
@@ -47,12 +47,9 @@ TABLE3_SCHEDULE = WarmupDecaySchedule(5000, 0.01, 100_000, 0.001)
 
 
 def make_records(pairs_with_counts, walk_length=3):
-    src = np.array([p[0] for p in pairs_with_counts], dtype=np.int64)
-    dst = np.array([p[1] for p in pairs_with_counts], dtype=np.int64)
-    cc = np.array([p[2] for p in pairs_with_counts], dtype=np.int64).reshape(
-        -1, walk_length
-    )
-    return RecordBatch(src, dst, cc)
+    src = [p[0] for p in pairs_with_counts]
+    dst = [p[1] for p in pairs_with_counts]
+    return oracles.wire_records(src, dst, np.array([p[2] for p in pairs_with_counts]).reshape(-1, walk_length))
 
 
 def make_stream(records, cfg, seed=0):
@@ -772,7 +769,6 @@ os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 from walkembed import metrics, pipeline, sampler, trainer
 from walkembed.graph import from_edges
 from walkembed.model import FixedSgd
-from walkembed.shards import RecordBatch
 import oracles
 seen = []
 real = trainer.loss_and_grad
@@ -780,7 +776,7 @@ def spy(table, batch, *args):
     seen.append((threading.active_count(), args))
     return real(table, batch, *args)
 trainer.loss_and_grad = spy
-records = RecordBatch(np.arange(20), (np.arange(20) + 1) % 20, np.ones((20, 2), dtype=np.int64))
+records = oracles.wire_records(np.arange(20), (np.arange(20) + 1) % 20, np.ones((20, 2), dtype=np.int64))
 cfg = trainer.TrainConfig(dim=4, per_replica_batch_size=4, num_replicas=2, steps=3, optimizer=FixedSgd(0.1))
 trainer.train_sync(oracles.write_records_dir(sys.argv[1] + "/cycle", records, num_nodes=20), cfg)
 print(seen)
@@ -1133,7 +1129,7 @@ def random_records(rng, n, num_nodes, walk_length=3):
     """n records with ids below num_nodes, some of them self-pairs, and
     counts that are all zero in some records."""
     counts = rng.integers(0, 3, size=(n, walk_length)) * (rng.random((n, 1)) < 0.8)
-    return RecordBatch(rng.integers(0, num_nodes, n), rng.integers(0, num_nodes, n), counts.astype(np.int64))
+    return oracles.wire_records(rng.integers(0, num_nodes, n), rng.integers(0, num_nodes, n), counts)
 
 
 def sample_shards(out, num_shards, walks_per_node=40):
@@ -1268,10 +1264,10 @@ class TestPositivesFromShards:
         # down past it, and one that drops nothing, so no block moves.
         rng = np.random.default_rng(block)
         shards = [random_records(rng, size, 40) for size in (0, 1, block - 1, block, block + 1, 3 * block)]
-        shards[-1].dest[block : 2 * block] = shards[-1].source[block : 2 * block]
+        shards[-1]["dest"][block : 2 * block] = shards[-1]["source"][block : 2 * block]
         keep_all = random_records(rng, 2 * block + 3, 40)
-        keep_all.dest[:] = (keep_all.source + 1) % 40
-        keep_all.co_counts[:, 0] = 1
+        keep_all["dest"] = (keep_all["source"] + 1) % 40
+        keep_all["counts"][:, 0] = 1
         shards.append(keep_all)
         records = oracles.write_records_dir(tmp_path, *shards, num_nodes=40)
         monkeypatch.setattr(trainer, "LOAD_BLOCK", block)
@@ -1296,8 +1292,8 @@ class TestPositivesFromShards:
         monkeypatch.setattr(cores, "usable_cpus", lambda: cpus)
         rng = np.random.default_rng(5)
         shard = random_records(rng, 30, 40)
-        shard.source[[3, 20]] = 2**31
-        shard.dest[11] = 2**32 + 5
+        shard["source"][[3, 20]] = 2**31
+        shard["dest"][11] = 2**32 + 5
         records = oracles.write_records_dir(tmp_path, shard, num_nodes=2**33)
         cfg = TrainConfig(dim=4, steps=1)
         got = oracles.positive_columns(positives_of(records, cfg))
