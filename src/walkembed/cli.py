@@ -20,7 +20,6 @@ from .pipeline import (
     train_checkpoint,
 )
 from .sampler import SamplerConfig, run_sampling
-from .shards import read_manifest
 from .sbm import SbmConfig, generate_sbm, preset_config
 from .trainer import TrainConfig
 
@@ -41,37 +40,36 @@ def _build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("prune", help="drop nodes below a degree threshold (single pass)")
     g.add_argument("--graph", required=True)
-    g.add_argument("--min-degree", type=int, default=2)
+    g.add_argument("--min-degree", type=int)
     g.add_argument("--out", required=True)
 
     g = sub.add_parser("sample", help="random-walk co-occurrence sampling to shards")
     g.add_argument("--graph", required=True)
     g.add_argument("--out", required=True)
-    g.add_argument("--walks-per-node", type=int, default=128)
-    g.add_argument("--walk-length", type=int, default=3)
-    g.add_argument("--num-shards", type=int, default=1)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--walks-per-node", type=int)
+    g.add_argument("--walk-length", type=int)
+    g.add_argument("--num-shards", type=int)
+    g.add_argument("--seed", type=int)
 
     g = sub.add_parser("train", help="train embeddings from sampled records")
     g.add_argument("--records", required=True)
     g.add_argument("--mode", choices=["sync", "async"])
     g.add_argument("--dim", type=int)
-    g.add_argument("--replicas", type=int)
+    g.add_argument("--replicas", type=int, dest="num_replicas")
     g.add_argument("--steps", type=int)
     g.add_argument("--seed", type=int)
     g.add_argument("--config", help="JSON file of TrainConfig fields; flags override it")
-    g.add_argument("--graph", required=True, help="graph the records were sampled from")
     g.add_argument("--out", required=True, help="checkpoint path")
     g.add_argument("--log", help="progress JSONL path")
 
     g = sub.add_parser("eval", help="embedding quality metrics")
     g.add_argument("--graph", required=True)
     g.add_argument("--embedding", required=True)
-    g.add_argument("--non-edge-samples", type=int, default=10_000)
-    g.add_argument("--recall-nodes", type=int, default=100)
+    g.add_argument("--non-edge-samples", type=int)
+    g.add_argument("--recall-nodes", type=int)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
-    g.add_argument("--label", default="embedding")
+    g.add_argument("--label")
 
     g = sub.add_parser("pipeline", help="run prune/sample/train/eval end to end")
     g.add_argument("--config", required=True)
@@ -81,6 +79,11 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("runs", nargs="+")
     g.add_argument("--out", help="summary CSV path")
     return p
+
+
+def _given(args, *names: str) -> dict:
+    """The flags among names that were given, by name; the library's defaults stand for the rest."""
+    return {k: getattr(args, k) for k in names if getattr(args, k) is not None}
 
 
 def _cmd_sbm(args) -> int:
@@ -102,7 +105,7 @@ def _cmd_sbm(args) -> int:
 
 def _cmd_prune(args) -> int:
     g = load_graph(args.graph)
-    pruned = prune_low_degree(g, args.min_degree)
+    pruned = prune_low_degree(g, **_given(args, "min_degree"))
     save_csr(pruned, args.out)
     print(f"pruned {g.num_nodes} -> {pruned.num_nodes} nodes, {g.num_edges} -> {pruned.num_edges} edges")
     return 0
@@ -110,12 +113,7 @@ def _cmd_prune(args) -> int:
 
 def _cmd_sample(args) -> int:
     g = load_graph(args.graph)
-    cfg = SamplerConfig(
-        walks_per_node=args.walks_per_node,
-        walk_length=args.walk_length,
-        seed=args.seed,
-        num_shards=args.num_shards,
-    )
+    cfg = SamplerConfig(**_given(args, "walks_per_node", "walk_length", "seed", "num_shards"))
     stats = run_sampling(g, cfg, args.out)
     print(
         f"sampled {stats.total_walks} walks -> {stats.num_records} records "
@@ -126,34 +124,18 @@ def _cmd_sample(args) -> int:
 
 def _cmd_train(args) -> int:
     raw = read_json(args.config) if args.config else {}
-    check_object("trainer", raw)  # before a flag writes into it
-    for flag, key in (
-        ("mode", "mode"),
-        ("dim", "dim"),
-        ("replicas", "num_replicas"),
-        ("steps", "steps"),
-        ("seed", "seed"),
-    ):
-        val = getattr(args, flag)
-        if val is not None:
-            raw[key] = val
-    cfg = TrainConfig.from_dict(raw)
-    g = load_graph(args.graph)
-    manifest = read_manifest(args.records)
-    if (manifest["num_nodes"], manifest["graph_hash"]) != (g.num_nodes, g.content_hash()):
-        raise ValidationError(f"records in {args.records} were not sampled from {args.graph}")
+    check_object("trainer", raw)  # before the flags are laid over it
+    cfg = TrainConfig.from_dict({**raw, **_given(args, "mode", "dim", "num_replicas", "steps", "seed")})
     result = train_checkpoint(args.records, cfg, args.out, log_path=args.log)
-    last = [e for e in result.log if "loss" in e]
-    loss = f"{last[-1]['loss']:.4f}" if last else "n/a"
     print(
         f"trained {cfg.steps} steps ({result.examples_processed} examples, "
-        f"{result.elapsed_s:.1f}s); final loss {loss}; wrote {args.out}"
+        f"{result.elapsed_s:.1f}s); final loss {result.log[-1]['loss']:.4f}; wrote {args.out}"
     )
     return 0
 
 
 def _cmd_eval(args) -> int:
-    params = EvalParams(non_edge_samples=args.non_edge_samples, recall_nodes=args.recall_nodes, label=args.label)
+    params = EvalParams(**_given(args, "non_edge_samples", "recall_nodes", "label"))
     report = evaluate_checkpoint(load_graph(args.graph), args.embedding, args.out, params, args.seed)
     print(
         f"edge SNR {report.edge_snr:.4f}, mean recall {report.mean_recall:.4f}; "

@@ -273,15 +273,17 @@ def save_csr(g: Graph, path: str | Path) -> None:
     Layout: magic (8 bytes) | u64 num_nodes | u64 num_edges | u64 flags
     (bit 0: external id map present) | u64 offsets[num_nodes+1] |
     u64 neighbors[2*num_edges] | u64 external_ids[num_nodes] if flagged.
+    The int64 arrays are written as they are, not copied: as <i8 they hold
+    the bytes of their <u8 casts, negative external ids included.
     """
     flags = 1 if g.external_ids is not None else 0
     with Path(path).open("wb") as fh:
         fh.write(_CSR_MAGIC)
         np.array([g.num_nodes, g.num_edges, flags], dtype="<u8").tofile(fh)
-        g.offsets.astype("<u8").tofile(fh)
-        g.targets.astype("<u8").tofile(fh)
+        g.offsets.astype("<i8", copy=False).tofile(fh)
+        g.targets.astype("<i8", copy=False).tofile(fh)
         if g.external_ids is not None:
-            g.external_ids.astype("<u8").tofile(fh)
+            g.external_ids.astype("<i8", copy=False).tofile(fh)
 
 
 def _check_csr(path, n: int, offsets: np.ndarray, targets: np.ndarray) -> None:

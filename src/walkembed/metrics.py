@@ -9,7 +9,8 @@ uses k = degree(u) with an exact neighbor search: a blocked matrix product
 shortlists candidates and an exact re-rank orders them.
 
 Eval holds one table-sized array beside the graph: load_unit_table reads
-a checkpoint with model.load_checkpoint and normalizes the rows in place,
+a checkpoint with model.load_checkpoint, checks that its header names the
+graph's content hash, and normalizes the rows in place,
 and compute_report takes such a UnitTable as it is. The edges come from
 blocks of CSR target positions, and a sampled pair is tested for an edge by
 a binary search in its CSR row, so the rest is block-sized, plus the
@@ -138,12 +139,15 @@ def _unit(g: Graph, table: EmbeddingTable) -> UnitTable:
     return table if isinstance(table, UnitTable) else l2_normalize(table)
 
 
-def load_unit_table(path: str | Path) -> UnitTable:
+def load_unit_table(path: str | Path, g: Graph) -> UnitTable:
     """l2_normalize(load_checkpoint(path)[0]), bit for bit, normalized in
     place in the array read, so the memory is one table. A file that is not
-    a whole checkpoint raises load_checkpoint's ValidationError."""
-    values = load_checkpoint(path)[0].values
-    return _unit_table(values, values)
+    a whole checkpoint raises load_checkpoint's ValidationError; so, before
+    any row is normalized, does one whose graph hash is not g's."""
+    table, _, graph_hash = load_checkpoint(path)
+    if graph_hash != g.content_hash():
+        raise ValidationError(f"{path}: checkpoint of graph {graph_hash}, but the graph given is {g.content_hash()}")
+    return _unit_table(table.values, table.values)
 
 
 def _distances(values: np.ndarray, pairs, starts) -> np.ndarray:

@@ -28,7 +28,6 @@ id, and cores.share raises the earlier half's, as one thread would.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from concurrent import futures
 from dataclasses import dataclass
@@ -227,18 +226,22 @@ def _sum_rows_by_id(
     return uids, acc
 
 
-def save_checkpoint(path: str | Path, table: EmbeddingTable, step: int, config_hash: bytes = b"") -> None:
-    """Header (magic, u64 num_nodes, u64 dim, u64 step, SHA-256 of
-    config_hash) followed by row-major float32 values, little-endian."""
+def save_checkpoint(path: str | Path, table: EmbeddingTable, step: int, graph_hash: str) -> None:
+    """Header (magic, u64 num_nodes, u64 dim, u64 step, the 32 bytes of the
+    hex SHA-256 graph_hash of the graph trained on) followed by row-major
+    float32 values, little-endian."""
+    digest = bytes.fromhex(graph_hash)
+    if len(digest) != 32:
+        raise ValidationError(f"graph_hash must be a SHA-256 in hex, got {graph_hash!r}")
     with Path(path).open("wb") as fh:
         fh.write(CKPT_MAGIC)
         np.array([table.num_nodes, table.dim, step], dtype="<u8").tofile(fh)
-        fh.write(hashlib.sha256(config_hash).digest())
+        fh.write(digest)
         np.ascontiguousarray(table.values, dtype="<f4").tofile(fh)
 
 
-def load_checkpoint(path: str | Path) -> tuple[EmbeddingTable, int, bytes]:
-    """The table (one writable float32 array), step and config digest; ValidationError
+def load_checkpoint(path: str | Path) -> tuple[EmbeddingTable, int, str]:
+    """The table (one writable float32 array), step and graph hash (hex); ValidationError
     naming path for a wrong magic, a short header, or a size the header does not imply."""
     with Path(path).open("rb") as fh:
         if fh.read(len(CKPT_MAGIC)) != CKPT_MAGIC:
@@ -248,6 +251,6 @@ def load_checkpoint(path: str | Path) -> tuple[EmbeddingTable, int, bytes]:
             raise ValidationError(f"{path}: truncated header")
         n, d, step = (int(x) for x in head)
         check_file_size(path, fh, len(CKPT_MAGIC) + 24 + 32 + 4 * n * d)
-        digest = fh.read(32)
+        graph_hash = fh.read(32).hex()
         values = np.fromfile(fh, dtype="<f4", count=n * d)
-    return EmbeddingTable(values.reshape(n, d).astype(np.float32, copy=False)), step, digest
+    return EmbeddingTable(values.reshape(n, d).astype(np.float32, copy=False)), step, graph_hash

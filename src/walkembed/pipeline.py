@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import cores
 from . import metrics as metrics_mod
-from .errors import ParseError, StageError, ValidationError, check_keys, check_object, read_json
+from .errors import StageError, ValidationError, check_keys, check_object, read_json
 from .graph import Graph, load_csr, load_edge_list, prune_low_degree, save_csr
 from .model import save_checkpoint
 from .rng import derive_seed
@@ -153,11 +153,11 @@ def train_checkpoint(
     records_dir: str | Path, cfg: TrainConfig, out: str | Path, *, log_path: str | Path | None = None
 ) -> TrainResult:
     """Train by cfg.mode from a records directory and save the table to
-    `out`, with the hash of cfg.to_dict() as its config hash. train_sync and
-    save_checkpoint are looked up in this module when called."""
+    `out`, with the records manifest's graph hash in its header. train_sync
+    and save_checkpoint are looked up in this module when called."""
     train = train_sync if cfg.mode == "sync" else train_async
     result = train(records_dir, cfg, log_path=log_path)
-    save_checkpoint(out, result.table, cfg.steps, hash_json(cfg.to_dict()).encode())
+    save_checkpoint(out, result.table, cfg.steps, result.graph_hash)
     return result
 
 
@@ -165,10 +165,11 @@ def evaluate_checkpoint(
     g: Graph, checkpoint: str | Path, out_dir: str | Path, params: EvalParams, seed: int
 ) -> metrics_mod.MetricsReport:
     """compute_report on a checkpoint's table, written by write_report to
-    out_dir; a report that cannot be computed writes nothing. The table is
-    read by model.load_checkpoint and normalized in place in the array read
-    (metrics.load_unit_table), so eval holds one table, never two."""
-    table = metrics_mod.load_unit_table(checkpoint)
+    out_dir; a report that cannot be computed, or a checkpoint of a graph
+    other than g, writes nothing. The table is read by model.load_checkpoint
+    and normalized in place in the array read (metrics.load_unit_table), so
+    eval holds one table, never two."""
+    table = metrics_mod.load_unit_table(checkpoint, g)
     report = metrics_mod.compute_report(g, table, params.non_edge_samples, params.recall_nodes, seed)
     metrics_mod.write_report(report, out_dir, label=params.label)
     return report
@@ -240,8 +241,9 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False) -> PipelineResult:
     leaves neither from the previous run. Each stage's entry is appended to
     the manifest, which is written after every stage. It holds the stage's
     work counts (nodes and edges before and after the prune, the sampler's
-    walks, records and dead ends, training's examples processed) and the
-    process's peak RSS at its end; a skipped stage keeps the previous run's.
+    walks, records and dead ends, training's examples processed and final
+    loss) and the process's peak RSS at its end; a skipped stage keeps the
+    previous run's.
     """
     run_dir = Path(cfg.run_dir)
     previous = {} if force else _recorded_stages(run_dir)
@@ -319,7 +321,7 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False) -> PipelineResult:
     # train
     def do_train():
         result = train_checkpoint(records_dir, cfg.trainer, ckpt_file, log_path=progress_file)
-        return {"examples_processed": result.examples_processed}
+        return {"examples_processed": result.examples_processed, "final_loss": result.log[-1]["loss"]}
 
     trained = stage("train", cfg_dict["trainer"], {"records/manifest.json": sampled["records/manifest.json"]},
                     {"checkpoint.bin": ckpt_file}, do_train, logs=(progress_file,))
@@ -347,26 +349,11 @@ class RunSummary:
     snr_within_trend: bool = True  # >= previous run's SNR - 5%
 
 
-def _final_loss(run_dir: Path) -> float | None:
-    path = run_dir / "progress.jsonl"
-    if not path.exists():
-        return None
-    loss = None
-    with path.open("rb") as fh:
-        for line_no, line in enumerate(fh, 1):
-            try:
-                entry = json.loads(line)
-            except ValueError as e:
-                raise ParseError(path, line_no, f"not JSON: {e}") from None
-            if not isinstance(entry, dict):
-                raise ParseError(path, line_no, f"not a JSON object: {entry!r}")
-            loss = entry.get("loss", loss)
-    return loss
-
-
 def compare_runs(run_dirs: list[str | Path], out_csv: str | Path | None = None) -> list[RunSummary]:
     """Aligned metric table across runs, in argument order, each run's report
-    read only if its SHA-256 is the one the run's manifest records for it.
+    read only if its SHA-256 is the one the run's manifest records for it,
+    and its final loss the one the manifest's train counts record (None for
+    a run whose manifest records none).
     snr_within_trend flags whether each run's SNR is at least 95% of the
     previous run's, for budget-sweep monotonicity checks.
     """
@@ -379,9 +366,14 @@ def compare_runs(run_dirs: list[str | Path], out_csv: str | Path | None = None) 
         report_path = d / "eval" / "report.json"
         if not report_path.exists():
             raise ValidationError(f"{d}: missing eval report at {report_path}")
-        if _outputs_hold(_recorded_stages(d).get("eval", {}), {"eval/report.json": report_path}) is None:
+        stages = _recorded_stages(d)
+        if _outputs_hold(stages.get("eval", {}), {"eval/report.json": report_path}) is None:
             raise ValidationError(f"{d}: {report_path} is not the report its manifest.json records")
         rep = metrics_mod.read_report(report_path)
+        counts = stages.get("train", {}).get("counts")
+        loss = counts.get("final_loss") if isinstance(counts, dict) else None
+        if loss is not None and type(loss) not in (int, float):
+            raise ValidationError(f"{d}: its manifest.json records a final_loss that is not a number: {loss!r}")
         reports.append(rep)
         rows.append(
             RunSummary(
@@ -390,7 +382,7 @@ def compare_runs(run_dirs: list[str | Path], out_csv: str | Path | None = None) 
                 mean_recall=rep.mean_recall,
                 mean_edge_distance=rep.mean_edge_distance,
                 mean_non_edge_distance=rep.mean_non_edge_distance,
-                final_loss=_final_loss(d),
+                final_loss=loss,
             )
         )
     for i in range(1, len(rows)):

@@ -18,6 +18,7 @@ shard into one array.
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Iterator
 from pathlib import Path
 
@@ -86,6 +87,8 @@ def read_manifest(records_dir: str | Path) -> dict:
         raise ValidationError(f"{p}: no {', '.join(missing)}")
     if type(version := manifest.get("format_version")) is not int or version != FORMAT_VERSION:
         raise ValidationError(f"{p}: format_version {version!r}, but only {FORMAT_VERSION} is read")
+    if not isinstance(graph_hash := manifest["graph_hash"], str) or not re.fullmatch("[0-9a-f]{64}", graph_hash):
+        raise ValidationError(f"{p}: graph_hash must be 64 lowercase hex digits, got {graph_hash!r}")
     if type(manifest["num_nodes"]) is not int or manifest["num_nodes"] < 1:
         raise ValidationError(f"{p}: num_nodes must be an integer >= 1, got {manifest['num_nodes']!r}")
     config = manifest["config"]

@@ -321,6 +321,7 @@ def build_batch(
 @dataclass
 class TrainResult:
     table: EmbeddingTable
+    graph_hash: str  # the records manifest's: the graph the records were sampled from
     log: list[dict] = field(default_factory=list)
     examples_processed: int = 0
     elapsed_s: float = 0.0
@@ -356,10 +357,11 @@ class _Progress:
 
 def _setup(
     mode: str, records_dir: str | Path, cfg: TrainConfig, table: EmbeddingTable | None
-) -> tuple[EmbeddingTable, Positives, list[dict]]:
+) -> tuple[EmbeddingTable, Positives, list[dict], str]:
     """Set-up shared by both modes: the filtered positives, mapped one shard
     at a time, a table of the manifest's num_nodes rows (the one given, else
-    a seeded float32 init) and a log opened by the config event."""
+    a seeded float32 init), a log opened by the config event and the
+    manifest's graph_hash."""
     if cfg.mode != mode:
         raise ValidationError(f"train_{mode} requires cfg.mode == {mode!r}")
     manifest = read_manifest(records_dir)
@@ -378,7 +380,7 @@ def _setup(
         "global_batch_examples": cfg.global_batch_examples,
         "steps": cfg.steps,
     }
-    return table, positives, [config_event]
+    return table, positives, [config_event], manifest["graph_hash"]
 
 
 def _lane(
@@ -406,7 +408,9 @@ def _lane(
         progress.step_done(lr, loss)
 
 
-def _result(table: EmbeddingTable, cfg: TrainConfig, progress: _Progress, log_path: str | Path | None) -> TrainResult:
+def _result(
+    table: EmbeddingTable, cfg: TrainConfig, progress: _Progress, log_path: str | Path | None, graph_hash: str
+) -> TrainResult:
     """Write the log and count the examples of the steps the lanes applied."""
     if log_path is not None:
         with Path(log_path).open("w", encoding="utf-8") as fh:
@@ -417,6 +421,7 @@ def _result(table: EmbeddingTable, cfg: TrainConfig, progress: _Progress, log_pa
         log=progress.log,
         examples_processed=progress.steps * cfg.global_batch_examples,
         elapsed_s=time.monotonic() - progress.t0,
+        graph_hash=graph_hash,
     )
 
 
@@ -434,13 +439,13 @@ def train_sync(
     helper thread shares the halves of each step, bitwise the same as one
     thread. A failure is raised at once, after the helper finishes its half.
     """
-    table, positives, log = _setup("sync", records_dir, cfg, table)
+    table, positives, log, graph_hash = _setup("sync", records_dir, cfg, table)
     stream = RecordStream(positives, derive_seed(cfg.seed, "stream"))
     neg_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xB0)))
     progress = _Progress(log, cfg)
     with cores.helper_pool() as pool:
         _lane(table, stream, neg_rng, cfg, cfg.steps, threading.Event(), progress, pool)
-    return _result(table, cfg, progress, log_path)
+    return _result(table, cfg, progress, log_path, graph_hash)
 
 
 def train_async(
@@ -455,7 +460,7 @@ def train_async(
     every worker before its next one and is raised here, as in sync mode, so
     a run that returns has applied its whole budget.
     """
-    table, positives, log = _setup("async", records_dir, cfg, table)
+    table, positives, log, graph_hash = _setup("async", records_dir, cfg, table)
     workers = cfg.num_workers
     if len(positives) < workers:  # a worker would stream an empty stripe
         raise ValidationError(f"train_async has {len(positives)} positives for {workers} workers")
@@ -472,4 +477,4 @@ def train_async(
         ]
     for f in futures:
         f.result()  # re-raises a lane's failure
-    return _result(table, cfg, progress, log_path)
+    return _result(table, cfg, progress, log_path, graph_hash)

@@ -407,10 +407,11 @@ def wire_records(source, dest, counts) -> np.ndarray:
     return records
 
 
-def write_records_dir(out_dir, *shards: np.ndarray, num_nodes: int | None = None) -> Path:
+def write_records_dir(out_dir, *shards: np.ndarray, num_nodes: int | None = None, graph_hash: str = "ab" * 32) -> Path:
     """A records directory of one shard per record array given, with the
     manifest keys that training reads. num_nodes, the size of the graph the
-    records came from, is by default one more than the largest id."""
+    records came from, is by default one more than the largest id; the
+    graph_hash stands for that graph's, which no test builds."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = [shard_path(out_dir, i, len(shards)) for i in range(len(shards))]
@@ -419,7 +420,7 @@ def write_records_dir(out_dir, *shards: np.ndarray, num_nodes: int | None = None
     if num_nodes is None:
         num_nodes = 1 + max(int(max(r["source"].max(initial=0), r["dest"].max(initial=0))) for r in shards)
     manifest = {"format_version": FORMAT_VERSION, "config": {"walk_length": shards[0]["counts"].shape[1]},
-                "graph_hash": "", "num_nodes": num_nodes,
+                "graph_hash": graph_hash, "num_nodes": num_nodes,
                 "shard_files": [p.name for p in paths], "record_counts": [len(r) for r in shards]}
     write_manifest(out_dir, manifest)
     return out_dir

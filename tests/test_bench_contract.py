@@ -22,10 +22,11 @@ import oracles
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
+import checks  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 from walkembed import metrics, pipeline, sampler, shards, trainer  # noqa: E402
-from walkembed.model import FixedSgd  # noqa: E402
+from walkembed.model import FixedSgd, load_checkpoint  # noqa: E402
 from walkembed.pipeline import config_from_dict  # noqa: E402
 from walkembed.sampler import SamplerConfig  # noqa: E402
 from walkembed.sbm import SbmConfig, generate_sbm  # noqa: E402
@@ -239,3 +240,13 @@ def test_check_round_passes_a_tiny_round(tmp_path, name):
     g = generate_sbm(SbmConfig(n=200, k=2, p_in=0.1, p_out=0.01, seed=3))
     r = workloads.round_10k(w, 0, g, tmp_path, 1)
     assert workloads.check_round(w, 0, r, tmp_path) == []
+
+
+def test_checks_read_the_checkpoint_train_checkpoint_writes(tmp_path):
+    # checks.read_checkpoint pins the magic and reads the values at offset 64,
+    # whatever the 32-byte slot before them holds
+    cfg = TrainConfig(dim=4, per_replica_batch_size=4, num_replicas=2, steps=3, optimizer=FixedSgd(0.1))
+    pipeline.train_checkpoint(cycle_records(tmp_path / "records"), cfg, tmp_path / "c.bin")
+    assert (tmp_path / "c.bin").read_bytes().startswith(checks.CKPT_MAGIC)
+    got, want = checks.read_checkpoint(tmp_path / "c.bin"), load_checkpoint(tmp_path / "c.bin")[0].values
+    assert got.dtype == want.dtype and np.array_equal(got.view(np.uint32), want.view(np.uint32))

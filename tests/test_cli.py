@@ -1,4 +1,3 @@
-import hashlib
 import json
 
 import numpy as np
@@ -13,6 +12,10 @@ from walkembed.metrics import read_report
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def graph_hash(path) -> str:
+    return load_csr(path).content_hash()
 
 
 @pytest.fixture
@@ -66,19 +69,15 @@ class TestPruneSampleTrainEval:
         }))
         ckpt = tmp_path / "emb.bin"
         log = tmp_path / "progress.jsonl"
-        assert run("train", "--records", records, "--graph", pruned,
-                   "--mode", "sync", "--dim", 8, "--replicas", 2, "--steps", 30,
+        assert run("train", "--records", records, "--mode", "sync", "--dim", 8, "--replicas", 2, "--steps", 30,
                    "--seed", 7, "--config", tcfg, "--out", ckpt, "--log", log) == 0
-        table, step, digest = load_checkpoint(ckpt)
+        table, step, graph_hash = load_checkpoint(ckpt)
         assert step == 30
         assert table.dim == 8
         assert log.exists()
-        # the header holds the hash of the config trained with
-        assert digest != hashlib.sha256(b"").digest()
-        assert run("train", "--records", records, "--graph", pruned,
-                   "--mode", "sync", "--dim", 8, "--replicas", 2, "--steps", 31,
-                   "--seed", 7, "--config", tcfg, "--out", tmp_path / "emb31.bin") == 0
-        assert load_checkpoint(tmp_path / "emb31.bin")[2] != digest
+        # the header names the graph the records were sampled from
+        assert graph_hash == json.loads((records / "manifest.json").read_text())["graph_hash"]
+        assert graph_hash == load_csr(pruned).content_hash()
 
         out = tmp_path / "eval"
         assert run("eval", "--graph", pruned, "--embedding", ckpt,
@@ -89,7 +88,7 @@ class TestPruneSampleTrainEval:
 
     def test_eval_zero_recall_nodes_exit_1(self, tmp_path, small_graph_file):
         ckpt = tmp_path / "emb.bin"
-        save_checkpoint(ckpt, init_table(150, 8, seed=0), 0)
+        save_checkpoint(ckpt, init_table(150, 8, seed=0), 0, graph_hash(small_graph_file))
         assert run("eval", "--graph", small_graph_file, "--embedding", ckpt,
                    "--recall-nodes", 0, "--out", tmp_path / "eval") == 1
         assert not (tmp_path / "eval" / "report.json").exists()
@@ -97,18 +96,34 @@ class TestPruneSampleTrainEval:
     @pytest.mark.parametrize("rows", [75, 750])
     def test_eval_row_count_mismatch_exit_1(self, tmp_path, small_graph_file, capsys, rows):
         ckpt = tmp_path / "emb.bin"
-        save_checkpoint(ckpt, init_table(rows, 8, seed=0), 0)
+        save_checkpoint(ckpt, init_table(rows, 8, seed=0), 0, graph_hash(small_graph_file))
         assert run("eval", "--graph", small_graph_file, "--embedding", ckpt,
                    "--out", tmp_path / "eval") == 1
         assert f"{rows} rows" in capsys.readouterr().err
         assert not (tmp_path / "eval" / "report.json").exists()
+
+    def test_eval_checkpoint_of_another_graph_of_the_same_size_exit_1(self, tmp_path, capsys):
+        # a checkpoint once passed the eval of any graph of its row count
+        g1, g2, records, ckpt = tmp_path / "g1.csr", tmp_path / "g2.csr", tmp_path / "records", tmp_path / "emb.bin"
+        for seed, path in ((1, g1), (2, g2)):
+            assert run("sbm", "--preset", "sbm-1k", "--seed", seed, "--out", path) == 0
+        assert run("sample", "--graph", g1, "--out", records, "--walks-per-node", 2) == 0
+        assert run("train", "--records", records, "--dim", 8, "--steps", 2, "--out", ckpt) == 0
+        capsys.readouterr()
+        assert run("eval", "--graph", g2, "--embedding", ckpt, "--out", tmp_path / "eval") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {ckpt}: checkpoint of graph {graph_hash(g1)}, but the graph given is {graph_hash(g2)}"
+        ]
+        assert not (tmp_path / "eval").exists()
+        assert run("eval", "--graph", g1, "--embedding", ckpt, "--out", tmp_path / "eval") == 0
+        assert (tmp_path / "eval" / "report.json").exists()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 3e38])
     def test_eval_bad_row_exit_1(self, tmp_path, small_graph_file, capsys, bad):
         table = init_table(150, 8, seed=0)
         table.values[[90, 5]] = bad
         ckpt = tmp_path / "emb.bin"
-        save_checkpoint(ckpt, table, 0)
+        save_checkpoint(ckpt, table, 0, graph_hash(small_graph_file))
         capsys.readouterr()
         assert run("eval", "--graph", small_graph_file, "--embedding", ckpt,
                    "--out", tmp_path / "eval") == 1
@@ -121,11 +136,11 @@ class TestPruneSampleTrainEval:
     def test_negative_seed_named_exit_1(self, tmp_path, small_graph_file, capsys, command):
         records, ckpt = tmp_path / "records", tmp_path / "emb.bin"
         assert run("sample", "--graph", small_graph_file, "--out", records, "--walks-per-node", 2) == 0
-        save_checkpoint(ckpt, init_table(150, 8, seed=0), 0)
+        save_checkpoint(ckpt, init_table(150, 8, seed=0), 0, graph_hash(small_graph_file))
         argv = {
             "sbm": ["--nodes", 40, "--classes", 2, "--p-in", 0.5, "--p-out", 0.1, "--out", tmp_path / "s.csr"],
             "sample": ["--graph", small_graph_file, "--out", tmp_path / "r"],
-            "train": ["--records", records, "--graph", small_graph_file, "--dim", 8, "--steps", 2,
+            "train": ["--records", records, "--dim", 8, "--steps", 2,
                       "--out", tmp_path / "t.bin"],
             "eval": ["--graph", small_graph_file, "--embedding", ckpt, "--out", tmp_path / "eval"],
         }[command]
@@ -144,7 +159,7 @@ class TestPruneSampleTrainEval:
         manifest.write_text(json.dumps(dict(json.loads(manifest.read_text()), config=config)))
         ckpt = tmp_path / "emb.bin"
         capsys.readouterr()
-        assert run("train", "--records", records, "--graph", small_graph_file, "--dim", 8,
+        assert run("train", "--records", records, "--dim", 8,
                    "--steps", 2, "--out", ckpt) == 1
         assert capsys.readouterr().err.splitlines() == [
             f"error: {manifest}: config must be an object with an integer walk_length >= 1, got {config!r}"
@@ -157,8 +172,7 @@ class TestPruneSampleTrainEval:
         ("150", "{manifest}: num_nodes must be an integer >= 1, got '150'"),
         (True, "{manifest}: num_nodes must be an integer >= 1, got True"),
         (150.0, "{manifest}: num_nodes must be an integer >= 1, got 150.0"),
-        (151, "records in {records} were not sampled from {graph}"),
-    ], ids=["missing", "zero", "string", "bool", "float", "another-size"])
+    ], ids=["missing", "zero", "string", "bool", "float"])
     def test_train_manifest_num_nodes_checked_exit_1(self, tmp_path, small_graph_file, capsys, num_nodes, message):
         records = tmp_path / "records"
         assert run("sample", "--graph", small_graph_file, "--out", records,
@@ -170,9 +184,9 @@ class TestPruneSampleTrainEval:
         manifest.write_text(json.dumps(fields))
         ckpt = tmp_path / "emb.bin"
         capsys.readouterr()
-        assert run("train", "--records", records, "--graph", small_graph_file, "--dim", 8,
+        assert run("train", "--records", records, "--dim", 8,
                    "--steps", 2, "--out", ckpt) == 1
-        want = message.format(manifest=manifest, records=records, graph=small_graph_file)
+        want = message.format(manifest=manifest)
         assert capsys.readouterr().err.splitlines() == ["error: " + want]
         assert not ckpt.exists()
 
@@ -189,7 +203,7 @@ class TestPruneSampleTrainEval:
         manifest.write_text(json.dumps(fields))
         ckpt = tmp_path / "emb.bin"
         capsys.readouterr()
-        assert run("train", "--records", records, "--graph", small_graph_file, "--dim", 8,
+        assert run("train", "--records", records, "--dim", 8,
                    "--steps", 2, "--out", ckpt) == 1
         want = f"error: {manifest}: format_version {version!r}, but only 1 is read"
         assert capsys.readouterr().err.splitlines() == [want]
@@ -208,7 +222,7 @@ class TestPruneSampleTrainEval:
         manifest.write_text(json.dumps(dict(json.loads(manifest.read_text()), shard_files=files)))
         ckpt = tmp_path / "emb.bin"
         capsys.readouterr()
-        assert run("train", "--records", tmp_path / "records", "--graph", small_graph_file, "--dim", 8,
+        assert run("train", "--records", tmp_path / "records", "--dim", 8,
                    "--steps", 2, "--out", ckpt) == 1
         assert capsys.readouterr().err.splitlines() == [
             f"error: {manifest}: shard_files must be a list of plain file names, got {files!r}"
@@ -226,7 +240,7 @@ class TestPruneSampleTrainEval:
         manifest.write_text(json.dumps(fields))
         ckpt = tmp_path / "emb.bin"
         capsys.readouterr()
-        assert run("train", "--records", records, "--graph", small_graph_file, "--dim", 8,
+        assert run("train", "--records", records, "--dim", 8,
                    "--steps", 2, "--out", ckpt) == 1
         assert capsys.readouterr().err.splitlines() == [
             f"error: {manifest}: shard_files lists 'records-00000-of-00002.bin' more than once"
@@ -248,7 +262,7 @@ class TestPruneSampleTrainEval:
         manifest.write_bytes(content)
         ckpt = tmp_path / "emb.bin"
         capsys.readouterr()
-        assert run("train", "--records", records, "--graph", small_graph_file, "--dim", 8,
+        assert run("train", "--records", records, "--dim", 8,
                    "--steps", 2, "--out", ckpt) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {manifest}: {message}"]
         assert not ckpt.exists()
@@ -257,24 +271,25 @@ class TestPruneSampleTrainEval:
         tcfg = tmp_path / "train.json"
         tcfg.write_text("{steps: 5}")
         ckpt = tmp_path / "emb.bin"
-        assert run("train", "--records", tmp_path / "records", "--graph", small_graph_file,
-                   "--config", tcfg, "--out", ckpt) == 1
+        assert run("train", "--records", tmp_path / "records", "--config", tcfg, "--out", ckpt) == 1
         assert capsys.readouterr().err.splitlines() == [
             f"error: {tcfg}: not JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
         ]
         assert not ckpt.exists()
 
-    def test_train_records_from_another_graph_exit_1(self, tmp_path, small_graph_file, capsys):
+    @pytest.mark.parametrize("graph_hash", ["", "AB" * 32, "a" * 63], ids=["empty", "uppercase", "63-digits"])
+    def test_train_manifest_graph_hash_checked_exit_1(self, tmp_path, small_graph_file, capsys, graph_hash):
+        # the hash goes into the checkpoint header, so a malformed one is refused before training
         records = tmp_path / "records"
-        assert run("sample", "--graph", small_graph_file, "--out", records,
-                   "--walks-per-node", 4, "--seed", 3) == 0
-        other = tmp_path / "other.csr"
-        assert run("sbm", "--nodes", 150, "--classes", 3, "--p-in", 0.2, "--p-out", 0.03,
-                   "--seed", 5, "--out", other) == 0
+        assert run("sample", "--graph", small_graph_file, "--out", records, "--walks-per-node", 4) == 0
+        manifest = records / "manifest.json"
+        manifest.write_text(json.dumps(dict(json.loads(manifest.read_text()), graph_hash=graph_hash)))
         ckpt = tmp_path / "emb.bin"
-        assert run("train", "--records", records, "--graph", other, "--dim", 8,
-                   "--steps", 2, "--out", ckpt) == 1
-        assert "not sampled from" in capsys.readouterr().err
+        capsys.readouterr()
+        assert run("train", "--records", records, "--dim", 8, "--steps", 2, "--out", ckpt) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {manifest}: graph_hash must be 64 lowercase hex digits, got {graph_hash!r}"
+        ]
         assert not ckpt.exists()
 
     def test_train_truncated_shard_exit_1(self, tmp_path, small_graph_file, capsys):
@@ -285,7 +300,7 @@ class TestPruneSampleTrainEval:
         record_size = len(shard.read_bytes()) // json.loads((records / "manifest.json").read_text())["record_counts"][0]
         shard.write_bytes(shard.read_bytes()[: 10 * record_size])
         ckpt = tmp_path / "emb.bin"
-        assert run("train", "--records", records, "--graph", small_graph_file, "--dim", 8,
+        assert run("train", "--records", records, "--dim", 8,
                    "--steps", 2, "--out", ckpt) == 1
         assert f"{shard}: 10 records" in capsys.readouterr().err
         assert not ckpt.exists()
@@ -301,7 +316,7 @@ class TestPruneSampleTrainEval:
         shard.write_bytes(bytes(data))
         ckpt = tmp_path / "emb.bin"
         capsys.readouterr()
-        assert run("train", "--records", records, "--graph", small_graph_file, "--mode", mode,
+        assert run("train", "--records", records, "--mode", mode,
                    "--dim", 8, "--steps", 2, "--out", ckpt) == 1
         assert capsys.readouterr().err.splitlines() == [
             f"error: {shard}: node id 5000 out of range [0, 150) of the table"
@@ -312,8 +327,7 @@ class TestPruneSampleTrainEval:
         tcfg = tmp_path / "train.json"
         tcfg.write_text(json.dumps({"optimizer": {"kind": "fixed_sgd"}}))
         ckpt = tmp_path / "emb.bin"
-        assert run("train", "--records", tmp_path / "records", "--graph", small_graph_file,
-                   "--config", tcfg, "--out", ckpt) == 1
+        assert run("train", "--records", tmp_path / "records", "--config", tcfg, "--out", ckpt) == 1
         assert capsys.readouterr().err.splitlines() == ["error: optimizer config missing 'lr'"]
         assert not ckpt.exists()
 
@@ -337,7 +351,7 @@ class TestPruneSampleTrainEval:
         tcfg.write_text(json.dumps({"optimizer": optimizer, "dim": 8, "steps": 1}))
         ckpt = tmp_path / "emb.bin"
         capsys.readouterr()
-        assert run("train", "--records", records, "--graph", small_graph_file, "--config", tcfg, "--out", ckpt) == 1
+        assert run("train", "--records", records, "--config", tcfg, "--out", ckpt) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not ckpt.exists()
 
@@ -353,7 +367,7 @@ class TestPruneSampleTrainEval:
         tcfg.write_text(json.dumps({**config, "dim": 8, "steps": 2, "optimizer": {"kind": "fixed_sgd", "lr": 0.1}}))
         ckpt = tmp_path / "emb.bin"
         capsys.readouterr()
-        assert run("train", "--records", records, "--graph", small_graph_file, "--config", tcfg, *flags,
+        assert run("train", "--records", records, "--config", tcfg, *flags,
                    "--out", ckpt) == 1
         assert capsys.readouterr().err.splitlines() == [
             f"error: trainer config key {key!r} is not read in {mode} mode and must be 1"
@@ -364,8 +378,7 @@ class TestPruneSampleTrainEval:
         tcfg = tmp_path / "train.json"
         tcfg.write_text("[1]")
         ckpt = tmp_path / "emb.bin"
-        assert run("train", "--records", tmp_path / "records", "--graph", small_graph_file,
-                   "--config", tcfg, "--steps", 5, "--out", ckpt) == 1
+        assert run("train", "--records", tmp_path / "records", "--config", tcfg, "--steps", 5, "--out", ckpt) == 1
         assert capsys.readouterr().err.splitlines() == ["error: trainer config must be an object, got [1]"]
         assert not ckpt.exists()
 
@@ -377,8 +390,9 @@ class TestPruneSampleTrainEval:
     @pytest.mark.parametrize("command", ["sample", "eval"])
     def test_corrupt_csr_named_exit_1(self, tmp_path, capsys, command, offsets, targets, message):
         bad, ckpt = tmp_path / "bad.csr", tmp_path / "emb.bin"
-        save_csr(Graph(4, 3, np.array(offsets), np.array(targets)), bad)
-        save_checkpoint(ckpt, init_table(4, 8, seed=0), 0)
+        g = Graph(4, 3, np.array(offsets), np.array(targets))
+        save_csr(g, bad)
+        save_checkpoint(ckpt, init_table(4, 8, seed=0), 0, g.content_hash())
         argv = {
             "sample": ["--out", tmp_path / "records"],
             "eval": ["--embedding", ckpt, "--out", tmp_path / "eval"],
@@ -573,19 +587,18 @@ class TestPipelineCommand:
         assert run("pipeline", "--config", path) == 0
         assert "ran ['prune', 'sample', 'train', 'eval'], skipped nothing" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("line, message", [
-        ("{loss: 1}", "not JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
-        ("5", "not a JSON object: 5"),
-    ])
-    def test_compare_bad_progress_line_named_exit_1(self, tmp_path, capsys, line, message):
+    def test_compare_final_loss_not_a_number_exit_1(self, tmp_path, capsys):
         path = self.config(tmp_path)
         assert run("pipeline", "--config", path) == 0
-        progress = tmp_path / "run" / "progress.jsonl"
-        lines = progress.read_text().splitlines()
-        progress.write_text("\n".join([lines[0], line, *lines[1:]]) + "\n")
+        manifest = tmp_path / "run" / "manifest.json"
+        fields = json.loads(manifest.read_text())
+        next(s for s in fields["stages"] if s["name"] == "train")["counts"]["final_loss"] = "0.5"
+        manifest.write_text(json.dumps(fields))
         capsys.readouterr()
         assert run("compare", tmp_path / "run", tmp_path / "run") == 1
-        assert capsys.readouterr().err.splitlines() == [f"error: {progress}:2: {message}"]
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {tmp_path / 'run'}: its manifest.json records a final_loss that is not a number: '0.5'"
+        ]
 
     def test_missing_config_exit_3(self, tmp_path):
         assert run("pipeline", "--config", tmp_path / "none.json") == 3

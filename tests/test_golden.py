@@ -24,15 +24,15 @@ RECORDS = {
 }
 TRAINED = {
     ("async", 1): {
-        "checkpoint.bin": "ae0df7f4b708ad76b75816425506abf09ceafada7ab16d5922627c70a5bc1f26",
+        "checkpoint.bin": "0e7c4dac14c7c287517405002ace4d44cf85d49e7f3fe21de3baa3fb4c055295",
         "eval/report.json": "6e16067d5e01880fe1981dd22f76059362ee0af83529a2f9a80b569c58d13e63",
     },
     ("sync", 1): {
-        "checkpoint.bin": "ddf7d116783d80890d4b2303e6134e4bf7aeb48dc62dfbc1b280ada6c27498c8",
+        "checkpoint.bin": "e5f7945a6c9620dd0609cc6e16dbb18fe8ed810c242bfbb31f8b5610ab5231ec",
         "eval/report.json": "18badd503b555220225dec2f4e405fade404e2e0ff002bb997a86e3f2bd7653b",
     },
     ("sync", 2): {
-        "checkpoint.bin": "02f4ba3fd66eca88420fd0741458c9764d0fff0c8b6f04b62a9ce78922aa56a1",
+        "checkpoint.bin": "845e023b676a59f07de62fb61f5ae7ddfa648774a9491bec188ce414d6d8d408",
         "eval/report.json": "a9229f76392a329334780865b3dc92a4d99415d83a274630e693ac791a861da6",
     },
 }

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -256,6 +257,29 @@ class TestInvariants:
         g = from_edges(np.array([[0, 1]]), 2, external_ids=np.array([7, 9]))
         save_csr(g, tmp_path / "g.csr")
         assert load_csr(tmp_path / "g.csr").external_ids.tolist() == [7, 9]
+
+    def test_csr_bytes_are_the_u8_layout_negative_external_ids_included(self, tmp_path):
+        ext = np.array([-(2**63), -1, 2**63 - 1])
+        g = from_edges(np.array([[0, 1], [1, 2]]), 3, external_ids=ext)
+        save_csr(g, tmp_path / "g.csr")
+        arrays = (g.offsets, g.targets, g.external_ids)
+        want = graph._CSR_MAGIC + np.array([3, 2, 1], dtype="<u8").tobytes() + b"".join(
+            a.astype("<u8").tobytes() for a in arrays
+        )
+        assert (tmp_path / "g.csr").read_bytes() == want
+        assert load_csr(tmp_path / "g.csr").external_ids.tolist() == ext.tolist()
+
+    def test_save_csr_writes_the_arrays_without_a_copy(self, tmp_path):
+        # astype("<u8") once copied each array: the peak was exactly targets.nbytes
+        g = from_edges(np.random.default_rng(0).integers(0, 50_000, size=(200_000, 2)), 50_000,
+                       external_ids=np.arange(50_000) - 25_000)
+        tracemalloc.start()
+        try:
+            save_csr(g, tmp_path / "g.csr")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < g.targets.nbytes // 20
 
     @pytest.mark.parametrize("flags", [0b10, 0b11, 0b110, 2**63])
     def test_csr_flags_other_than_0_and_1_rejected_before_any_array_is_read(self, tmp_path, monkeypatch, flags):

@@ -628,8 +628,10 @@ class TestUnitTables:
     """A checkpoint normalized in place after its read equals l2_normalize of
     the loaded table, and compute_report normalizes a table once."""
 
-    def write_checkpoint(self, path, values):
-        save_checkpoint(path, EmbeddingTable(values), 3)
+    graph = from_edges(np.array([[0, 1]]), 2)  # stands for the graph of a table no test evaluates
+
+    def write_checkpoint(self, path, values, g=graph):
+        save_checkpoint(path, EmbeddingTable(values), 3, g.content_hash())
         return path
 
     @pytest.mark.parametrize("cpus", [1, 2])
@@ -642,7 +644,7 @@ class TestUnitTables:
         p = self.write_checkpoint(tmp_path / "c.bin", values)
         with caplog.at_level(logging.WARNING):
             want = l2_normalize(load_checkpoint(p)[0])
-            got = load_unit_table(p)
+            got = load_unit_table(p, self.graph)
         assert type(got) is type(want) is UnitTable
         assert got.values.dtype == want.values.dtype == np.float32
         assert np.array_equal(got.values.view(np.uint8), want.values.view(np.uint8))
@@ -666,7 +668,8 @@ class TestUnitTables:
             (tmp_path / name).write_bytes(cut)
             cases.append((tmp_path / name, message.format(tmp_path / name)))
         for path, message in cases:
-            for load in (load_unit_table, lambda path: l2_normalize(load_checkpoint(path)[0])):
+            for load in (lambda path: load_unit_table(path, self.graph),
+                         lambda path: l2_normalize(load_checkpoint(path)[0])):
                 with pytest.raises(ValidationError) as info:
                     load(path)
                 assert str(info.value) == message
@@ -674,7 +677,7 @@ class TestUnitTables:
     def test_evaluate_checkpoint_writes_the_report_of_the_loaded_table(self, tmp_path):
         g = generate_sbm(SbmConfig(n=300, k=3, p_in=0.1, p_out=0.01, seed=2))
         values = np.random.default_rng(3).standard_normal((300, 16)).astype(np.float32)
-        p = self.write_checkpoint(tmp_path / "c.bin", values)
+        p = self.write_checkpoint(tmp_path / "c.bin", values, g)
         params = EvalParams(non_edge_samples=2000, recall_nodes=30)
         evaluate_checkpoint(g, p, tmp_path / "got", params, seed=5)
         write_report(compute_report(g, load_checkpoint(p)[0], 2000, 30, 5), tmp_path / "want")
@@ -684,11 +687,22 @@ class TestUnitTables:
     def test_evaluate_checkpoint_reads_through_load_checkpoint(self, tmp_path, monkeypatch):
         # eval has one checkpoint reader, looked up when called, so a tracer wrapping it sees the read
         g = generate_sbm(SbmConfig(n=300, k=3, p_in=0.1, p_out=0.01, seed=2))
-        p = self.write_checkpoint(tmp_path / "c.bin", np.random.default_rng(3).standard_normal((300, 16)))
+        p = self.write_checkpoint(tmp_path / "c.bin", np.random.default_rng(3).standard_normal((300, 16)), g)
         calls = []
         monkeypatch.setattr(metrics, "load_checkpoint", lambda path: calls.append(path) or load_checkpoint(path))
         evaluate_checkpoint(g, p, tmp_path / "eval", EvalParams(non_edge_samples=500, recall_nodes=10), seed=5)
         assert calls == [p]
+
+    def test_checkpoint_of_another_graph_raises_before_normalizing(self, tmp_path, monkeypatch):
+        # two graphs of one size: the row count alone once let either's table pass the other's eval
+        g1, g2 = (generate_sbm(SbmConfig(n=300, k=3, p_in=0.1, p_out=0.01, seed=s)) for s in (1, 2))
+        p = self.write_checkpoint(tmp_path / "c.bin", np.ones((300, 4), dtype=np.float32), g1)
+        monkeypatch.setattr(metrics, "_unit_table", lambda *a: pytest.fail("normalized a table of another graph"))
+        with pytest.raises(ValidationError) as info:
+            evaluate_checkpoint(g2, p, tmp_path / "eval", EvalParams(non_edge_samples=500, recall_nodes=10), seed=5)
+        want = f"{p}: checkpoint of graph {g1.content_hash()}, but the graph given is {g2.content_hash()}"
+        assert str(info.value) == want
+        assert not (tmp_path / "eval").exists()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_report_of_a_normalized_table_is_the_report_of_the_table(self, dtype):
@@ -707,7 +721,7 @@ class TestUnitTables:
         rng = np.random.default_rng(0)
         g = from_edges(rng.integers(0, 20_000, size=(200_000, 2)), 20_000)
         values = rng.standard_normal((20_000, 128)).astype(np.float32)
-        p = self.write_checkpoint(tmp_path / "c.bin", values)
+        p = self.write_checkpoint(tmp_path / "c.bin", values, g)
         del values
         tracemalloc.start()
         try:

@@ -19,7 +19,6 @@ from walkembed.pipeline import (
     config_from_dict,
     config_to_dict,
     format_comparison,
-    hash_json,
     load_pipeline_config,
     run_pipeline,
 )
@@ -238,7 +237,8 @@ class TestRunPipeline:
         cfg = config_from_dict(tiny_config_dict(tmp_path / "run"))
         first = run_pipeline(cfg)
         train = {s["name"]: s for s in first.manifest["stages"]}["train"]
-        want = {"examples_processed": cfg.trainer.steps * cfg.trainer.global_batch_examples}
+        last = json.loads((tmp_path / "run" / "progress.jsonl").read_text().splitlines()[-1])
+        want = {"examples_processed": cfg.trainer.steps * cfg.trainer.global_batch_examples, "final_loss": last["loss"]}
         assert train["counts"] == want
         on_disk = json.loads((tmp_path / "run" / "manifest.json").read_text())
         assert {s["name"]: s for s in on_disk["stages"]}["train"]["counts"] == want
@@ -272,12 +272,14 @@ class TestRunPipeline:
         monkeypatch.setattr(cores, "usable_cpus", lambda: 2)
         assert run_pipeline(cfg).skipped == ["prune", "sample", "train", "eval"]
 
-    def test_checkpoint_digest_is_trainer_config_hash(self, tmp_path):
+    def test_checkpoint_slot_is_records_graph_hash(self, tmp_path):
         cfg = config_from_dict(tiny_config_dict(tmp_path / "run"))
         run_pipeline(cfg)
-        _, _, digest = load_checkpoint(tmp_path / "run" / "checkpoint.bin")
-        # the header holds the SHA-256 of the hex hash, seed included
-        assert digest == hashlib.sha256(hash_json(cfg.trainer.to_dict()).encode()).digest()
+        records_hash = json.loads((tmp_path / "run" / "records" / "manifest.json").read_text())["graph_hash"]
+        # the 32 bytes after magic and the three u64 counts
+        assert (tmp_path / "run" / "checkpoint.bin").read_bytes()[32:64] == bytes.fromhex(records_hash)
+        assert load_checkpoint(tmp_path / "run" / "checkpoint.bin")[2] == records_hash
+        assert records_hash == pipeline.load_csr(tmp_path / "run" / "pruned.csr").content_hash()
 
     def test_force_reruns(self, tmp_path):
         cfg = config_from_dict(tiny_config_dict(tmp_path / "run"))
@@ -500,6 +502,27 @@ class TestCompareRuns:
         assert all(r.final_loss is not None for r in rows)
         assert " - " not in format_comparison(rows)
 
+    def test_final_loss_is_the_manifests_not_the_progress_logs(self, tmp_path):
+        dirs = self.make_runs(tmp_path)
+        recorded = [compare_runs(dirs)[i].final_loss for i in (0, 1)]
+        progress = dirs[0] / "progress.jsonl"
+        lines = progress.read_text().splitlines()
+        progress.write_text("\n".join([*lines[:-1], json.dumps(dict(json.loads(lines[-1]), loss=123.0))]) + "\n")
+        assert [r.final_loss for r in compare_runs(dirs)] == recorded
+        progress.unlink()
+        assert [r.final_loss for r in compare_runs(dirs)] == recorded
+
+    def test_run_without_a_recorded_final_loss_has_none(self, tmp_path):
+        # a run manifest written before the train stage counted its final loss
+        dirs = self.make_runs(tmp_path)
+        manifest = dirs[1] / "manifest.json"
+        fields = json.loads(manifest.read_text())
+        del next(s for s in fields["stages"] if s["name"] == "train")["counts"]["final_loss"]
+        manifest.write_text(json.dumps(fields))
+        rows = compare_runs(dirs)
+        assert rows[0].final_loss is not None and rows[1].final_loss is None
+        assert format_comparison(rows).splitlines()[3].split()[5] == "-"
+
     def test_trend_column(self, tmp_path):
         dirs = self.make_runs(tmp_path, 3)
         rows = compare_runs(dirs)
@@ -579,7 +602,8 @@ def expected_manifest(cfg, skipped):
          {k: records["stats"][k] for k in ("total_walks", "num_records", "dead_end_terminations")}),
         ("train", config_to_dict(cfg)["trainer"], {"records/manifest.json": out["records/manifest.json"]},
          {"checkpoint.bin": out["checkpoint.bin"]},
-         {"examples_processed": cfg.trainer.steps * cfg.trainer.global_batch_examples}),
+         {"examples_processed": cfg.trainer.steps * cfg.trainer.global_batch_examples,
+          "final_loss": json.loads((run_dir / "progress.jsonl").read_text().splitlines()[-1])["loss"]}),
         ("eval", dataclasses.asdict(cfg.eval), {k: out[k] for k in ("checkpoint.bin", "pruned.csr")},
          {k: out[k] for k in EVAL_FILES}, None),
     ]

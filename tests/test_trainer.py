@@ -979,19 +979,29 @@ class TestFirstFailedStepRaises:
         assert table.values.tobytes() == clean.values.tobytes()
 
 
+GRAPH_HASH = "0123456789abcdef" * 4  # a SHA-256 in hex, as a records manifest holds it
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         table = init_table(7, 5, seed=1)
         path = tmp_path / "ckpt.bin"
-        save_checkpoint(path, table, step=42, config_hash=b"abc")
-        back, step, digest = load_checkpoint(path)
+        save_checkpoint(path, table, step=42, graph_hash=GRAPH_HASH)
+        back, step, graph_hash = load_checkpoint(path)
         assert step == 42
-        assert len(digest) == 32
+        assert graph_hash == GRAPH_HASH
+        assert path.read_bytes()[32:64] == bytes.fromhex(GRAPH_HASH)
         assert np.array_equal(back.values, table.values)
+
+    @pytest.mark.parametrize("graph_hash", ["", GRAPH_HASH[:-2], GRAPH_HASH + "00"])
+    def test_graph_hash_not_32_bytes_writes_nothing(self, tmp_path, graph_hash):
+        with pytest.raises(ValidationError, match="graph_hash must be a SHA-256 in hex"):
+            save_checkpoint(tmp_path / "c.bin", init_table(7, 5, seed=1), 0, graph_hash)
+        assert not (tmp_path / "c.bin").exists()
 
     def test_loads_back_bitwise_as_float32_without_a_copy(self, tmp_path):
         values = np.array([[0.1, -0.0, np.inf], [np.nan, 1e-45, -3.4e38]], dtype=np.float32)
-        save_checkpoint(tmp_path / "c.bin", EmbeddingTable(values), 0)
+        save_checkpoint(tmp_path / "c.bin", EmbeddingTable(values), 0, GRAPH_HASH)
         back, _, _ = load_checkpoint(tmp_path / "c.bin")
         assert back.values.dtype == np.dtype(np.float32)
         assert np.array_equal(back.values.view(np.uint32), values.view(np.uint32))
@@ -999,7 +1009,7 @@ class TestCheckpoint:
 
     def test_float64_table_saved_as_float32(self, tmp_path):
         table = EmbeddingTable(np.full((2, 2), 1 / 3, dtype=np.float64))
-        save_checkpoint(tmp_path / "c.bin", table, 0)
+        save_checkpoint(tmp_path / "c.bin", table, 0, GRAPH_HASH)
         back, _, _ = load_checkpoint(tmp_path / "c.bin")
         assert back.values.dtype == np.float32
 
@@ -1011,7 +1021,7 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("cut", ["magic only", "short header", "short body", "trailing bytes"])
     def test_length_checked_against_header(self, tmp_path, cut):
-        save_checkpoint(tmp_path / "c.bin", init_table(7, 5, seed=1), 3)
+        save_checkpoint(tmp_path / "c.bin", init_table(7, 5, seed=1), 3, GRAPH_HASH)
         data = (tmp_path / "c.bin").read_bytes()
         data = {"magic only": data[:8], "short header": data[:40], "short body": data[:-4],
                 "trailing bytes": data + bytes(64)}[cut]
@@ -1076,6 +1086,14 @@ def test_fresh_table_sized_by_the_records_manifest(mode, records):
     fresh = train(records, cfg).table
     assert fresh.num_nodes == num_nodes == 30
     assert fresh.values.tobytes() == table.values.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["sync", "async"])
+def test_result_names_the_records_manifests_graph(mode, tmp_path):
+    records = oracles.write_records_dir(tmp_path / "records", make_records([(0, 1, [1, 0, 0])] * 4),
+                                        graph_hash=GRAPH_HASH)
+    cfg = TrainConfig(dim=4, mode=mode, steps=1, optimizer=FixedSgd(0.1), per_replica_batch_size=2)
+    assert (train_sync if mode == "sync" else train_async)(records, cfg).graph_hash == GRAPH_HASH
 
 
 @pytest.mark.parametrize("mode", ["sync", "async"])
