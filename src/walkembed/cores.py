@@ -1,6 +1,6 @@
 """The second core: one helper thread, started only where it can run.
 
-Each stage that splits its work (the record load, the table init, a sync
+Each stage that splits its work (the record index, the table init, a sync
 training step, the sampler's shards, a pipeline stage's output hashes, the
 eval's row normalization and its distances) opens
 `helper_pool()`, which holds one worker thread when the process may use

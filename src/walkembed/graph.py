@@ -4,9 +4,9 @@ Node ids are dense 0-based ints. Ingested external ids are remapped in
 ascending order and the mapping kept so results can be reported in the
 caller's id space. An edge list is parsed by one np.loadtxt call over the
 whole file, from its path for tsv; only a file that call rejects has its
-lines halved, to name its first bad line. The CSR's rows are runs, and the
-package's run helpers live here: run_starts, run_index and group_ids, the
-one sort of packed (id, position) keys, which also remaps the ids.
+lines halved, to name its first bad line. The CSR's rows are runs; the
+package's run helpers live here: run_starts (the visit combine), run_index
+(CSR blocks, the ingest remap) and group_ids (the remap, the gradient scatter).
 """
 
 from __future__ import annotations
@@ -80,20 +80,15 @@ def run_starts(values: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.concatenate([[True], values[1:] != values[:-1]]))
 
 
-def run_index(starts: np.ndarray, lo: int, hi: int, lane: int = 0, lanes: int = 1) -> np.ndarray:
-    """For each i in [lo, hi), the run holding position lane + lanes * i of
-    runs that start at the ascending starts: np.searchsorted(starts, lane +
-    lanes * i, "right") - 1, as int64, by one search for each end of the
-    window and one repeat of the runs it meets."""
+def run_index(starts: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """For each i in [lo, hi), the run holding position i of runs that start
+    at the ascending starts: np.searchsorted(starts, i, "right") - 1, as
+    int64, by one search for each end of the window and one repeat of the
+    runs it meets."""
     if lo >= hi:
         return np.empty(0, dtype=np.int64)
-    first, stop = np.searchsorted(starts, [lane + lanes * lo, lane + lanes * (hi - 1)], "right")
-    cuts = np.empty(stop - first + 2, dtype=np.int64)
-    cuts[0], cuts[-1], inner = lo, hi, cuts[1:-1]
-    # run r starts at the first i with lane + lanes * i >= starts[r]
-    np.subtract(lane, starts[first:stop], out=inner)
-    np.floor_divide(inner, lanes, out=inner)
-    np.negative(inner, out=inner)
+    first, stop = np.searchsorted(starts, [lo, hi - 1], "right")
+    cuts = np.concatenate([[lo], starts[first:stop], [hi]])
     return np.repeat(np.arange(first - 1, stop, dtype=np.int64), np.diff(cuts))
 
 

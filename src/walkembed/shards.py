@@ -11,8 +11,8 @@ visits straight into one and writes its bytes to the shard file.
 
 Readers go one shard at a time: iter_shards maps each shard read-only, its
 size checked against the manifest's count; check_records checks its
-records. Training filters the map in blocks; load_all_records copies every
-shard into one array.
+records. Training indexes the map in blocks and later reads each block it
+needs with read_records; load_all_records copies every shard into one array.
 """
 
 from __future__ import annotations
@@ -125,6 +125,15 @@ def iter_shards(records_dir: str | Path, manifest: dict) -> Iterator[tuple[Path,
         if n != count:
             raise ValidationError(f"{path}: {n} records, but the manifest lists {count}")
         yield path, np.memmap(path, dtype=dt, mode="r", shape=(n,)) if n else np.empty(0, dtype=dt)
+
+
+def read_records(path: Path, first: int, count: int, walk_length: int) -> np.ndarray:
+    """The count records of a shard from record first on; ValidationError naming it if it ends before them."""
+    dt = _record_dtype(walk_length)
+    records = np.fromfile(path, dtype=dt, count=count, offset=first * dt.itemsize)
+    if len(records) < count:
+        raise ValidationError(f"{path}: ends before record {first + count - 1}, which training indexed")
+    return records
 
 
 def load_all_records(records_dir: str | Path) -> tuple[np.ndarray, dict]:

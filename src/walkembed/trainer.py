@@ -1,16 +1,15 @@
 """Skip-gram training over co-occurrence records, sync or async.
 
-Training reads its records from a records directory, one read-only shard
-map at a time, filtered in one pass on two threads where two CPUs may be used.
-The directory's manifest gives the table's row count: its num_nodes.
+Training reads its records from a records directory, whose manifest gives
+the table's row count: its num_nodes. Set-up indexes them in one pass over
+one read-only shard map at a time, on two threads where two CPUs may be
+used, keeping only each LOAD_BLOCK-record block's place and positive count.
 Both modes run one training loop, the lane: each step builds one batch of
 R * B positives from the lane's record stream, with their negatives, and
 applies one mean-reduced gradient over it, which equals the mean of the
-gradients of its R micro-batches of B. Each positive keeps its destination,
-int32 where the table has at most 2**31 rows, and its float32 weight: 8
-bytes. Sources are kept as runs of equal sources, which the shards' order
-makes long, and a stream expands the runs of each shuffle window once, when
-it draws the window; each batch widens its ids to int64.
+gradients of its R micro-batches of B. A stream reads the blocks that hold
+its next shuffle window when it reaches the window, so training holds the
+index, one window and one block of records, never the whole set's positives.
 
 Sync mode mirrors replicated data-parallel training: one lane with R =
 num_replicas, bitwise deterministic for a fixed seed. Where the process may
@@ -41,14 +40,12 @@ import numpy as np
 
 from . import cores
 from .errors import ValidationError, check_keys
-from .graph import run_index, run_starts
 from .model import EmbeddingTable, FixedSgd, WarmupDecaySchedule, init_table, loss_and_grad
 from .rng import derive_seed
-from .shards import check_records, iter_shards, read_manifest
+from .shards import check_records, iter_shards, read_manifest, read_records
 
 SHUFFLE_BUFFER = 1 << 16  # records per shuffle window of a RecordStream
-LOAD_BLOCK = 1 << 16  # records per block of the record load's filter
-EXPAND_BLOCK = 1 << 11  # positions of a window whose sources one run_index expands
+LOAD_BLOCK = 1 << 13  # records per block of the record index and of a window's reads
 LOG_EVERY = 50  # steps between progress log entries
 
 
@@ -159,83 +156,86 @@ class ExampleBatch:
         return self.dst.size
 
 
-@dataclass
-class Positives:
-    """Kept positives in record order: a destination and a weight each, and
-    the sources as runs. Records are sorted by (source, dest) within a shard,
-    so equal sources sit together: positions run_start[r] up to the next
-    run's start have source run_src[r]. A run cut at a load block's or a
-    shard's edge may repeat its source."""
+def _kept(part: np.ndarray, weighting: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which records of a block are positives, and every record's weight,
+    counts @ weighting: a positive weighs above 0 and is no self-pair."""
+    w = part["counts"] @ weighting
+    return (w > 0) & (part["source"] != part["dest"]), w
 
-    dst: np.ndarray  # int32 where the table has at most 2**31 rows, else int64
-    weight: np.ndarray  # float32
-    run_start: np.ndarray  # int64, ascending from 0
-    run_src: np.ndarray  # the ids' dtype
+
+@dataclass(frozen=True)
+class Positives:
+    """The kept positives of a records directory, in record order, as an
+    index of the blocks that hold them: block b is the `length` records of
+    shard paths[shard] from record `first` on, (shard, first, length) =
+    blocks[b], and it keeps positions kept[b] up to kept[b + 1]."""
+
+    paths: tuple[Path, ...]
+    blocks: np.ndarray  # int64, (blocks, 3): shard, first record, length
+    kept: np.ndarray  # int64, ascending from 0, one more entry than blocks
+    weighting: np.ndarray  # float64, one per step of the walk length
+    num_nodes: int
 
     def __len__(self) -> int:
-        return len(self.dst)
+        return int(self.kept[-1])
 
-    def sources(self, lo: int, hi: int, lane: int = 0, lanes: int = 1) -> np.ndarray:
-        """The sources of positions lane + lanes * i for i in [lo, hi), in
-        order, by graph.run_index EXPAND_BLOCK positions at a time, so that
-        the temporaries stay block-sized however short the runs."""
-        out = np.empty(hi - lo, dtype=self.run_src.dtype)
-        for a in range(lo, hi, EXPAND_BLOCK):
-            b = min(a + EXPAND_BLOCK, hi)
-            out[a - lo : b - lo] = self.run_src[run_index(self.run_start, a, b, lane, lanes)]
-        return out
+    def read(self, lo: int, hi: int, lane: int = 0, lanes: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (src, dst, weight) columns, int64, int64 and float32, of
+        positions lane + lanes * i for i in [lo, hi), read one block at a
+        time. Each block is checked again (its length, check_records and its
+        kept count): a shard changed since indexed raises ValidationError."""
+        columns = np.empty(hi - lo, np.int64), np.empty(hi - lo, np.int64), np.empty(hi - lo, np.float32)
+        a, z = lane + lanes * lo, lane + lanes * (hi - 1)  # the window's first and last positions
+        b0, b1 = np.searchsorted(self.kept, [a, z], "right") - 1
+        for b in range(b0, b1 + 1):
+            start, stop = max(a, self.kept[b]), min(z + 1, self.kept[b + 1])
+            start += (a - start) % lanes  # the block's first position in the lane
+            if start >= stop:
+                continue
+            (shard, first, length), n = self.blocks[b], self.kept[b + 1] - self.kept[b]
+            path, walk_length = self.paths[shard], len(self.weighting)
+            part = read_records(path, first, length, walk_length)
+            check_records(path, part, walk_length, self.num_nodes)
+            keep, w = _kept(part, self.weighting)
+            rows = np.flatnonzero(keep)
+            if len(rows) != n:
+                raise ValidationError(f"{path}: {len(rows)} positives from record {first} on, but {n} when indexed")
+            rows, at = rows[start - self.kept[b] : stop - self.kept[b] : lanes], (start - a) // lanes
+            for column, values in zip(columns, (part["source"], part["dest"], w)):
+                column[at : at + len(rows)] = values[rows]
+        return columns
 
 
-def _load_positives(records_dir: str | Path, cfg: TrainConfig, manifest: dict) -> Positives:
-    """Every shard's records weighted by co_counts @ the distance weighting,
-    less self-pairs and zero weights: dst and weight in columns sized by the
-    manifest's record total (int32 ids when its num_nodes <= 2**31), sources
-    as runs. Two threads, where two CPUs may be used, share each mapped
-    shard's LOAD_BLOCK-record blocks in one pass; each block copies its kept
-    rows, at most its own, into the columns from its own first record on, and
-    returns its runs; they then move down to the kept count. A fault is
-    raised after both are done, as one thread reading in order finds it."""
+def _index_positives(records_dir: str | Path, cfg: TrainConfig, manifest: dict) -> Positives:
+    """The index of every shard's positives (see _kept). Two threads, where
+    two CPUs may be used, share each mapped shard's LOAD_BLOCK-record blocks,
+    checking each and counting its positives. A fault is raised after both
+    are done, as one thread reading in order finds it."""
     num_nodes = manifest["num_nodes"]
     walk_length = manifest["config"]["walk_length"]
     weighting = np.asarray(np.ones(walk_length) if cfg.distance_weighting is None else cfg.distance_weighting, float)
     if len(weighting) != walk_length:  # raised before any shard is read
         n = len(weighting)
         raise ValidationError(f"distance_weighting has {n} entries, records have walk_length {walk_length}")
-    ids = np.int32 if num_nodes <= 2**31 else np.int64
-    total = sum(manifest["record_counts"])
-    columns = np.empty(total, dtype=ids), np.empty(total, dtype=np.float32)
-    run_start, run_src = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=ids)]
-    kept = 0
+    paths, blocks = [], []  # blocks: (shard, first, length, kept count) each
     with cores.helper_pool() as pool:
         for path, records in iter_shards(records_dir, manifest):
-            starts, base = range(0, len(records), LOAD_BLOCK), kept
+            paths.append(path)
 
-            def filter_block(lo):
+            def count_block(lo):
                 part = records[lo : lo + LOAD_BLOCK]
                 check_records(path, part, walk_length, num_nodes)
-                w = part["counts"] @ weighting
-                keep = (w > 0) & (part["source"] != part["dest"])
-                n = np.count_nonzero(keep)
-                for column, values in zip(columns, (part["dest"], w)):
-                    column[base + lo : base + lo + n] = values[keep]
-                src = part["source"][keep]
-                firsts = run_starts(src)
-                return n, firsts, src[firsts].astype(ids)
+                return len(paths) - 1, lo, len(part), np.count_nonzero(_kept(part, weighting)[0])
 
             try:
-                blocks = cores.share(pool, filter_block, starts)
+                blocks += cores.share(pool, count_block, range(0, len(records), LOAD_BLOCK))
             except ValidationError:  # the shard's check orders its faults by kind, not by block
                 check_records(path, records, walk_length, num_nodes)
                 raise
             del records  # unmapped before the next shard is mapped
-            for lo, (n, firsts, srcs) in zip(starts, blocks):
-                for column in columns:
-                    column[kept : kept + n] = column[base + lo : base + lo + n]
-                run_start.append(firsts + kept)
-                run_src.append(srcs)
-                kept += n
-    dst, weight = (column[:kept] for column in columns)
-    return Positives(dst, weight, np.concatenate(run_start), np.concatenate(run_src))
+    blocks = np.array(blocks, dtype=np.int64).reshape(-1, 4)
+    kept = np.concatenate([[0], np.cumsum(blocks[:, 3])])
+    return Positives(tuple(paths), blocks[:, :3].copy(), kept, weighting, num_nodes)
 
 
 class RecordStream:
@@ -246,59 +246,55 @@ class RecordStream:
     positions. Epoch e cuts its windows on a grid that starts at
     (e * SHUFFLE_BUFFER // 2) % SHUFFLE_BUFFER, so records share windows
     with different neighbours in alternate epochs. Each window is shuffled
-    by the epoch's seeded generator when the stream reaches it, and its
-    sources are expanded from the runs then: the stream holds one window of
-    offsets and sources, never an epoch's order.
+    by the epoch's seeded generator and read (Positives.read) when the
+    stream reaches it: the stream holds one window, never an epoch's order.
     """
 
     def __init__(self, positives: Positives, seed: int, lane: int = 0, lanes: int = 1):
         if len(positives) <= lane:
             raise ValidationError("record stream is empty after filtering")
-        self.positives, self.lane, self.lanes = positives, lane, lanes
-        self.dst, self.weight = positives.dst[lane::lanes], positives.weight[lane::lanes]
-        self.seed = seed
+        self.positives, self.seed, self.lane, self.lanes = positives, seed, lane, lanes
         self.epochs_completed = 0
-        self._order = np.empty(0, dtype=np.int32)  # the current window's offsets from _lo, shuffled
-        self._sources = None  # the sources of the window's positions, unshuffled
-        self._lo = 0
+        self._order = np.empty(0, dtype=np.int32)  # the window's offsets, shuffled, into its _columns
+        self._columns = None  # the window's (src, dst, weight), unshuffled
         self._used = 0  # how many offsets have been taken
-        self._end = len(self.dst)  # epoch position where the window ends; the epoch's end starts the next
+        self._end = len(self)  # epoch position where the window ends; the epoch's end starts the next
 
     def __len__(self) -> int:
-        return len(self.dst)
+        return len(range(self.lane, len(self.positives), self.lanes))
 
     def _next_window(self) -> None:
         """Shuffle the next window: [0, grid) first, then one SHUFFLE_BUFFER
         from each grid line, the last cut at the epoch's end."""
-        n = len(self.dst)
+        n = len(self)
         if self._end == n:
             self._rng = np.random.default_rng(np.random.SeedSequence((self.seed, self.epochs_completed)))
             self._end = 0
         grid = (self.epochs_completed * SHUFFLE_BUFFER // 2) % SHUFFLE_BUFFER
         lo = self._end
         hi = min(grid if lo < grid else lo + SHUFFLE_BUFFER, n)
-        self._order = self._sources = None  # free the old window before drawing the next
+        self._order = self._columns = None  # free the old window before drawing the next
         self._order = self._rng.permutation(hi - lo).astype(np.int32)  # int64 while drawn
-        self._sources = self.positives.sources(lo, hi, self.lane, self.lanes)
-        self._lo, self._used, self._end = lo, 0, hi
+        self._columns = self.positives.read(lo, hi, self.lane, self.lanes)
+        self._used, self._end = 0, hi
 
-    def take(self, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """Next `count` positions and their sources (int64), wrapping into the next epoch."""
-        out, src = np.empty(count, dtype=np.int64), np.empty(count, dtype=np.int64)
+    def take(self, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The next `count` positives' (src, dst, weight), wrapping into the next epoch."""
+        out = np.empty(count, np.int64), np.empty(count, np.int64), np.empty(count, np.float32)
         filled = 0
         while filled < count:
             if self._used == len(self._order):
                 self._next_window()
             got = min(count - filled, len(self._order) - self._used)
-            offsets = self._order[self._used : self._used + got].astype(np.intp)  # widened once for both uses
-            np.add(offsets, self._lo, out=out[filled : filled + got])
-            src[filled : filled + got] = self._sources[offsets]
-            del offsets  # freed before the next window is drawn
+            offsets = self._order[self._used : self._used + got].astype(np.intp)  # widened once for all three
+            for o, column in zip(out, self._columns):
+                np.take(column, offsets, out=o[filled : filled + got])
+            del offsets, column  # freed before the next window is drawn
             self._used += got
             filled += got
-            if self._used == len(self._order) and self._end == len(self.dst):
+            if self._used == len(self._order) and self._end == len(self):
                 self.epochs_completed += 1
-        return out, src
+        return out
 
 
 def build_batch(
@@ -313,9 +309,9 @@ def build_batch(
     drawn uniformly from the whole vocabulary with no rejection, so a
     negative may coincide with a true edge.
     """
-    idx, src = stream.take(cfg.step_positives)
-    negs = rng.integers(0, num_nodes, size=(len(idx), cfg.negatives_per_positive), dtype=np.int64)
-    return ExampleBatch(src, np.column_stack([stream.dst[idx], negs]), stream.weight[idx])
+    src, dst, weight = stream.take(cfg.step_positives)
+    negs = rng.integers(0, num_nodes, size=(len(src), cfg.negatives_per_positive), dtype=np.int64)
+    return ExampleBatch(src, np.column_stack([dst, negs]), weight)
 
 
 @dataclass
@@ -358,10 +354,9 @@ class _Progress:
 def _setup(
     mode: str, records_dir: str | Path, cfg: TrainConfig, table: EmbeddingTable | None
 ) -> tuple[EmbeddingTable, Positives, list[dict], str]:
-    """Set-up shared by both modes: the filtered positives, mapped one shard
-    at a time, a table of the manifest's num_nodes rows (the one given, else
-    a seeded float32 init), a log opened by the config event and the
-    manifest's graph_hash."""
+    """Set-up shared by both modes: the index of the positives, a table of
+    the manifest's num_nodes rows (the one given, else a seeded float32
+    init), a log opened by the config event and the manifest's graph_hash."""
     if cfg.mode != mode:
         raise ValidationError(f"train_{mode} requires cfg.mode == {mode!r}")
     manifest = read_manifest(records_dir)
@@ -369,7 +364,7 @@ def _setup(
     if table is not None and table.num_nodes != n:  # raised before any shard is mapped
         rows = table.num_nodes
         raise ValidationError(f"{records_dir}: records of a graph of {n} nodes, but the table has {rows} rows")
-    positives = _load_positives(records_dir, cfg, manifest)
+    positives = _index_positives(records_dir, cfg, manifest)
     table = table if table is not None else init_table(n, cfg.dim, derive_seed(cfg.seed, "init"))
     parallel = "num_replicas" if mode == "sync" else "num_workers"
     config_event = {

@@ -20,10 +20,10 @@ import numpy as np
 
 from walkembed import sampler
 from walkembed.errors import EmptyGraphError, ParseError
-from walkembed.graph import Graph, run_starts
+from walkembed.graph import Graph
 from walkembed.rng import HashStream, splitmix64
-from walkembed.shards import FORMAT_VERSION, record_array, shard_path, write_manifest, write_shard
-from walkembed.trainer import Positives
+from walkembed.shards import FORMAT_VERSION, read_manifest, record_array, shard_path, write_manifest, write_shard
+from walkembed.trainer import Positives, TrainConfig, _index_positives
 
 
 def visit_probabilities(g, walk_length: int) -> np.ndarray:
@@ -353,20 +353,6 @@ def prepare_positives(records: np.ndarray, cfg) -> tuple[np.ndarray, np.ndarray,
     return source[keep], dest[keep], weight[keep].astype(np.float32)
 
 
-def positives_from_columns(src, dst, weight) -> Positives:
-    """Positives holding the given columns, the sources cut into runs
-    wherever the source changes, as a stream takes them."""
-    src = np.asarray(src)
-    firsts = run_starts(src)
-    return Positives(np.asarray(dst), np.asarray(weight), firsts, src[firsts])
-
-
-def positive_columns(positives: Positives) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(src, dst, weight) of every position, the sources expanded from their runs."""
-    src = positives.sources(0, len(positives)) if len(positives) else positives.run_src[:0]
-    return src, positives.dst, positives.weight
-
-
 def init_table_reference(num_nodes: int, dim: int, seed: int) -> np.ndarray:
     """The initial float32 table as one draw of all its entries."""
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), num_nodes, dim)))
@@ -424,3 +410,18 @@ def write_records_dir(out_dir, *shards: np.ndarray, num_nodes: int | None = None
                 "shard_files": [p.name for p in paths], "record_counts": [len(r) for r in shards]}
     write_manifest(out_dir, manifest)
     return out_dir
+
+
+def index_records(records_dir, cfg=None) -> Positives:
+    """The index training builds of a records directory, under cfg's
+    distance weighting (all ones when cfg is None)."""
+    return _index_positives(records_dir, cfg or TrainConfig(), read_manifest(records_dir))
+
+
+def index_columns(out_dir, src, dst, counts=None, cfg=None, num_nodes=None) -> Positives:
+    """index_records of a records directory of one shard holding the given
+    columns; counts is (n, walk_length), one visit at distance 1 each by
+    default. Read back in order, its positions are the records that
+    prepare_positives keeps."""
+    counts = np.ones((len(src), 1), dtype=np.int64) if counts is None else counts
+    return index_records(write_records_dir(out_dir, wire_records(src, dst, counts), num_nodes=num_nodes), cfg)

@@ -117,16 +117,16 @@ def test_train_sync_steps_on_the_calling_thread(monkeypatch, tmp_path):
 
 def traced_train_sync(monkeypatch, tmp_path):
     """The spans of one traced train_sync(records, cfg) call, and the
-    thread and enclosing span of each _load_positives call in it."""
+    thread and enclosing span of each _index_positives call in it."""
     calls = []
     tracer = tracing.Tracer()
-    real = trainer._load_positives
+    real = trainer._index_positives
 
     def spy(*args):
         calls.append((threading.get_ident(), tracer._stack()[-1]))
         return real(*args)
 
-    monkeypatch.setattr(trainer, "_load_positives", spy)
+    monkeypatch.setattr(trainer, "_index_positives", spy)
     cfg = TrainConfig(dim=4, per_replica_batch_size=4, num_replicas=2, steps=3, optimizer=FixedSgd(0.1))
     records = cycle_records(tmp_path)
     tracer.install()
@@ -148,10 +148,34 @@ def test_train_sync_inits_its_table_through_the_module_name(monkeypatch, tmp_pat
 
 
 def test_record_load_runs_in_train_syncs_own_span(monkeypatch, tmp_path):
-    # trainer.sync_reduce_s, train_sync's self time, holds the record load
-    # only while _load_positives runs on train_sync's thread, in no child span
+    # trainer.sync_reduce_s, train_sync's self time, holds the record index
+    # only while _index_positives runs on train_sync's thread, in no child span
     train, _, calls = traced_train_sync(monkeypatch, tmp_path)
     assert calls == [(threading.get_ident(), train.id)]
+
+
+def test_window_reads_run_in_build_batch_spans(monkeypatch, tmp_path):
+    # trainer.build_batch_s, not train_sync's self time, holds a stream's
+    # window reads: each runs inside a trainer.build_batch span on its thread
+    reads = []
+    real = trainer.Positives.read
+
+    def spy(self, *args):
+        reads.append((threading.get_ident(), tracer._stack()[-1]))
+        return real(self, *args)
+
+    monkeypatch.setattr(trainer.Positives, "read", spy)
+    tracer = tracing.Tracer()
+    records = cycle_records(tmp_path)
+    cfg = TrainConfig(dim=4, per_replica_batch_size=8, num_replicas=2, steps=3, optimizer=FixedSgd(0.1))
+    tracer.install()
+    try:
+        trainer.train_sync(records, cfg)
+    finally:
+        tracer.uninstall()
+    batches = {s.id for s in tracer.spans if s.name == "trainer.build_batch"}
+    assert len(reads) == 3  # each epoch of 20 positions is one window, and 3 steps of 16 reach 3 epochs
+    assert all(thread == threading.get_ident() and span in batches for thread, span in reads)
 
 
 def test_train_sync_passes_the_global_example_count(monkeypatch, tmp_path):

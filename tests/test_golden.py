@@ -2,7 +2,9 @@
 
 One small pipeline (seed 7, 32 walks per node, 4 shards, dim 32, batch 256,
 200 steps at a fixed rate of 1.0) runs under sync R = 1, sync R = 2 and
-async W = 1, on one usable CPU and on two. The SHA-256 of every file of its
+async W = 1, and under sync R = 2 with the distance weighting (1, 0, 1),
+which drops every record seen only at distance 2, on one usable CPU and on
+two. The SHA-256 of every file of its
 records directory, its checkpoint and its eval report must equal the
 constants below. The records do not depend on the trainer. A change that
 re-pins a constant says why in CHANGES.md.
@@ -36,10 +38,15 @@ TRAINED = {
         "eval/report.json": "a9229f76392a329334780865b3dc92a4d99415d83a274630e693ac791a861da6",
     },
 }
+WEIGHTED = {  # sync R = 2, distance_weighting (1, 0, 1)
+    "checkpoint.bin": "3797e15ffdd467b9119dca7b4e792bef4ad01dd23a0aeab5b905867dacbc3ce8",
+    "eval/report.json": "5ac7ff7b4a9c97f819c2d8b1c03b81166511029d3de7a74108d678689f5a7a59",
+}
 
 
-def run_sbm_1k(run_dir, mode: str, parallel: int) -> dict[str, str]:
-    """Run the pipeline; the SHA-256 of its checkpoint, eval report and each records file, by path."""
+def run_sbm_1k(run_dir, mode: str, parallel: int, **trainer) -> dict[str, str]:
+    """Run the pipeline, with any further trainer keys given; the SHA-256 of
+    its checkpoint, eval report and each records file, by path."""
     cfg = config_from_dict(
         {
             "seed": 7,
@@ -53,6 +60,7 @@ def run_sbm_1k(run_dir, mode: str, parallel: int) -> dict[str, str]:
                 "num_replicas" if mode == "sync" else "num_workers": parallel,
                 "steps": 200,
                 "optimizer": {"kind": "fixed_sgd", "lr": 1.0},
+                **trainer,
             },
         }
     )
@@ -66,3 +74,10 @@ def run_sbm_1k(run_dir, mode: str, parallel: int) -> dict[str, str]:
 def test_sbm_1k_outputs_match_pinned_hashes(tmp_path, monkeypatch, mode, parallel, cpus):
     monkeypatch.setattr(cores, "usable_cpus", lambda: cpus)
     assert run_sbm_1k(tmp_path / "run", mode, parallel) == {**RECORDS, **TRAINED[(mode, parallel)]}
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_sbm_1k_zero_weighted_distance_matches_pinned_hashes(tmp_path, monkeypatch, cpus):
+    monkeypatch.setattr(cores, "usable_cpus", lambda: cpus)
+    got = run_sbm_1k(tmp_path / "run", "sync", 2, distance_weighting=[1, 0, 1])
+    assert got == {**RECORDS, **WEIGHTED}

@@ -328,21 +328,18 @@ class TestRunStarts:
 
 @st.composite
 def runs_and_window(draw):
-    """Run starts (some runs empty), a lane of 1-3 lanes, and a window [lo, hi) of its positions."""
+    """Run starts (some runs empty) and a window [lo, hi) of their positions."""
     sizes = draw(st.lists(st.integers(0, 5), min_size=1, max_size=30))
     starts = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.int64)
-    lanes = draw(st.integers(1, 3))
-    lane = draw(st.integers(0, lanes - 1))
-    count = max(0, -(-(sum(sizes) - lane) // lanes))  # positions lane + lanes * i below the total
-    lo = draw(st.integers(0, count))
-    return starts, lo, draw(st.integers(lo, count)), lane, lanes
+    lo = draw(st.integers(0, sum(sizes)))
+    return starts, lo, draw(st.integers(lo, sum(sizes)))
 
 
 class TestRunIndex:
     @staticmethod
-    def check(starts, lo, hi, lane, lanes):
-        want = np.searchsorted(starts, lane + lanes * np.arange(lo, hi), "right") - 1
-        got = run_index(starts, lo, hi, lane, lanes)
+    def check(starts, lo, hi):
+        want = np.searchsorted(starts, np.arange(lo, hi), "right") - 1
+        got = run_index(starts, lo, hi)
         assert got.dtype == np.int64 and got.tolist() == want.tolist()
 
     @given(runs_and_window())
@@ -350,14 +347,12 @@ class TestRunIndex:
     def test_equals_a_search_per_position(self, case):
         self.check(*case)
 
-    @pytest.mark.parametrize("lane, lanes", [(0, 1), (0, 2), (1, 2), (0, 3), (2, 3)])
-    def test_windows_that_cut_runs(self, lane, lanes):
+    def test_windows_that_cut_runs(self):
         # runs of 7, 0, 0, 1, 12 and 0 positions; windows start and end inside runs
         starts = np.array([0, 7, 7, 7, 8, 20], dtype=np.int64)
-        count = -(-(20 - lane) // lanes)
-        for lo in range(count + 1):
-            for hi in range(lo, count + 1):
-                self.check(starts, lo, hi, lane, lanes)
+        for lo in range(21):
+            for hi in range(lo, 21):
+                self.check(starts, lo, hi)
 
 
 def assert_groups_like_unique(ids):

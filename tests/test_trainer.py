@@ -52,19 +52,19 @@ def make_records(pairs_with_counts, walk_length=3):
     return oracles.wire_records(src, dst, np.array([p[2] for p in pairs_with_counts]).reshape(-1, walk_length))
 
 
-def make_stream(records, cfg, seed=0):
-    return RecordStream(oracles.positives_from_columns(*oracles.prepare_positives(records, cfg)), seed)
+def make_stream(out_dir, records, cfg, seed=0):
+    """The record stream training builds of the records, written to out_dir as one shard."""
+    return RecordStream(oracles.index_records(oracles.write_records_dir(out_dir, records), cfg), seed)
 
 
-def positives_of(records_dir, cfg):
-    """The positives that training loads from a records directory."""
-    return trainer._load_positives(records_dir, cfg, read_manifest(records_dir))
+def columns_of(positives):
+    """The (src, dst, weight) columns of every position, read in order."""
+    return positives.read(0, len(positives))
 
 
 def load_positives(out_dir, records, cfg, num_nodes=10):
-    """The (src, dst, weight) columns that training loads from the records."""
-    records_dir = oracles.write_records_dir(out_dir, records, num_nodes=num_nodes)
-    return oracles.positive_columns(positives_of(records_dir, cfg))
+    """The (src, dst, weight) columns that training reads from the records."""
+    return columns_of(oracles.index_records(oracles.write_records_dir(out_dir, records, num_nodes=num_nodes), cfg))
 
 
 def set_num_nodes(records_dir, num_nodes):
@@ -117,10 +117,10 @@ class TestSchedule:
 
 
 class TestBuildBatch:
-    def test_smallest_batch_layout(self):
+    def test_smallest_batch_layout(self, tmp_path):
         cfg = TrainConfig(dim=4, per_replica_batch_size=1, negatives_per_positive=3, steps=1)
         records = make_records([(0, 1, [2, 0, 0])])
-        stream = make_stream(records, cfg)
+        stream = make_stream(tmp_path, records, cfg)
         batch = build_batch(stream, cfg, np.random.default_rng(0), num_nodes=10)
         assert len(batch) == 4
         assert batch.src.tolist() == [0]  # one source row for the positive and its negatives
@@ -128,7 +128,7 @@ class TestBuildBatch:
         assert batch.dst[0, 0] == 1
         assert batch.weight.tolist() == [pytest.approx(2.0)]  # 2 * distance_weighting[0]
 
-    def test_distance_weighting_applied(self):
+    def test_distance_weighting_applied(self, tmp_path):
         cfg = TrainConfig(
             dim=4,
             per_replica_batch_size=1,
@@ -137,41 +137,41 @@ class TestBuildBatch:
             distance_weighting=(1.0, 0.5, 0.25),
         )
         records = make_records([(0, 1, [1, 2, 4])])
-        stream = make_stream(records, cfg)
+        stream = make_stream(tmp_path, records, cfg)
         batch = build_batch(stream, cfg, np.random.default_rng(0), num_nodes=4)
         assert batch.weight[0] == pytest.approx(1 + 1 + 1)
 
-    def test_micro_batch_arithmetic_matches_formula(self):
+    def test_micro_batch_arithmetic_matches_formula(self, tmp_path):
         cfg = TrainConfig(dim=4, per_replica_batch_size=4096, negatives_per_positive=31, steps=1)
         assert cfg.micro_batch_examples == 4096 * 32 == 131_072
         records = make_records([(0, 1, [1, 0, 0]), (1, 2, [0, 2, 0])])
-        stream = make_stream(records, cfg)
+        stream = make_stream(tmp_path, records, cfg)
         batch = build_batch(stream, cfg, np.random.default_rng(1), num_nodes=3)
         assert len(batch) == 131_072
         assert batch.src.shape == batch.weight.shape == (4096,)
         assert batch.dst.shape == (4096, 32)
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_stream_records_and_negative_draw_order(self, seed):
+    def test_stream_records_and_negative_draw_order(self, tmp_path, seed):
         rng = np.random.default_rng(100 + seed)
         b, k, n = int(rng.integers(1, 40)), int(rng.integers(0, 6)), int(rng.integers(2, 50))
         cfg = TrainConfig(dim=4, per_replica_batch_size=b, negatives_per_positive=k, steps=1)
         records = make_records([(i, (i + 1) % n, [1 + i % 3, 0, 0]) for i in range(n)])
-        stream, twin = make_stream(records, cfg, seed), make_stream(records, cfg, seed)
+        stream, twin = make_stream(tmp_path / "a", records, cfg, seed), make_stream(tmp_path / "b", records, cfg, seed)
         src, dst, w = oracles.prepare_positives(records, cfg)
         for _ in range(3):  # across epoch boundaries for the smaller streams
             batch = build_batch(stream, cfg, np.random.default_rng(seed), num_nodes=n)
-            idx, _ = twin.take(b)
+            idx, _, _ = twin.take(b)  # each record's source is its position
             assert np.array_equal(batch.src, src[idx])
             assert np.array_equal(batch.dst[:, 0], dst[idx])
             assert np.array_equal(batch.weight, w[idx])
             want = np.random.default_rng(seed).integers(0, n, size=b * k, dtype=np.int64)
             assert np.array_equal(batch.dst[:, 1:].ravel(), want)
 
-    def test_negatives_uniform_over_vocabulary(self):
+    def test_negatives_uniform_over_vocabulary(self, tmp_path):
         cfg = TrainConfig(dim=4, per_replica_batch_size=1000, negatives_per_positive=10, steps=1)
         records = make_records([(0, 1, [1, 0, 0])])
-        stream = make_stream(records, cfg)
+        stream = make_stream(tmp_path, records, cfg)
         rng = np.random.default_rng(5)
         counts = np.zeros(100, dtype=np.int64)
         for _ in range(100):
@@ -200,19 +200,19 @@ class TestBuildBatch:
         with pytest.raises(ValidationError):
             load_positives(tmp_path, make_records([(0, 1, [1, 0, 0])]), cfg)
 
-    def test_stream_epoch_covers_every_record_once(self):
+    def test_stream_epoch_covers_every_record_once(self, tmp_path):
         cfg = TrainConfig(dim=4, per_replica_batch_size=5, negatives_per_positive=0, steps=1)
         records = make_records([(i, i + 1, [1, 0, 0]) for i in range(20)])
-        stream = make_stream(records, cfg, seed=3)
+        stream = make_stream(tmp_path, records, cfg, seed=3)
         seen = [stream.take(5)[0] for _ in range(4)]
         assert sorted(np.concatenate(seen).tolist()) == list(range(20))
         assert stream.epochs_completed == 1
 
-    def test_empty_stream_rejected(self):
+    def test_empty_stream_rejected(self, tmp_path):
         cfg = TrainConfig(dim=4, steps=1)
         records = make_records([(0, 0, [1, 0, 0])])  # only a self-pair
         with pytest.raises(ValidationError):
-            make_stream(records, cfg)
+            make_stream(tmp_path, records, cfg)
 
 
 def zero_table(n, d, dtype=np.float64):
@@ -482,8 +482,9 @@ def records(tmp_path):
 
 
 def whole_set_stream(records_dir, cfg):
-    """train_sync's record stream, built from the whole record set at once."""
-    return make_stream(load_all_records(records_dir)[0], cfg, derive_seed(cfg.seed, "stream"))
+    """train_sync's record stream, built from the whole record set written as one shard."""
+    whole = Path(records_dir).parent / "whole"
+    return make_stream(whole, load_all_records(records_dir)[0], cfg, derive_seed(cfg.seed, "stream"))
 
 
 class TestTrainSync:
@@ -600,12 +601,12 @@ class TestTrainSync:
         result = train_sync(records, cfg)
 
         def micro_batch(stream, rng):
-            idx, src = stream.take(cfg.per_replica_batch_size)
-            negs = rng.integers(0, 30, size=(len(idx), cfg.negatives_per_positive), dtype=np.int64)
-            return ExampleBatch(src, np.column_stack([stream.dst[idx], negs]), stream.weight[idx])
+            src, dst, weight = stream.take(cfg.per_replica_batch_size)
+            negs = rng.integers(0, 30, size=(len(src), cfg.negatives_per_positive), dtype=np.int64)
+            return ExampleBatch(src, np.column_stack([dst, negs]), weight)
 
         table = init_table(30, cfg.dim, derive_seed(cfg.seed, "init"))
-        stream = RecordStream(positives_of(records, cfg), derive_seed(cfg.seed, "stream"))
+        stream = RecordStream(oracles.index_records(records, cfg), derive_seed(cfg.seed, "stream"))
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xB0)))
         for step in range(cfg.steps):
             _, grad = loss_and_grad(table, concat([micro_batch(stream, rng) for _ in range(cfg.num_replicas)]))
@@ -1158,6 +1159,20 @@ def sample_shards(out, num_shards, walks_per_node=40):
     return json.loads((out / "manifest.json").read_text())
 
 
+def blocks_of_every_kind(out, block):
+    """A records directory of 40-node shards of 0, 1, block - 1, block,
+    block + 1 and 3 * block random records, the last with a second block of
+    self-pairs only, and one of 2 * block + 3 records that all weigh above 0."""
+    rng = np.random.default_rng(block)
+    shards = [random_records(rng, size, 40) for size in (0, 1, block - 1, block, block + 1, 3 * block)]
+    shards[-1]["dest"][block : 2 * block] = shards[-1]["source"][block : 2 * block]
+    keep_all = random_records(rng, 2 * block + 3, 40)
+    keep_all["dest"] = (keep_all["source"] + 1) % 40
+    keep_all["counts"][:, 0] = 1
+    shards.append(keep_all)
+    return oracles.write_records_dir(out, *shards, num_nodes=40)
+
+
 def dense_shards(out, num_shards=3):
     """Records of a 40-node graph in which each source reaches most nodes
     within three hops, so that its run outlasts a block of 7 records."""
@@ -1173,40 +1188,11 @@ class TestPositivesFromShards:
         manifest = sample_shards(tmp_path, num_shards)
         assert num_shards < 20 or 0 in manifest["record_counts"]
         cfg = TrainConfig(dim=4, steps=1, distance_weighting=weighting)
-        got = oracles.positive_columns(positives_of(tmp_path, cfg))
+        got = columns_of(oracles.index_records(tmp_path, cfg))
         want = oracles.prepare_positives(load_all_records(tmp_path)[0], cfg)
-        assert [g.dtype for g in got] == [np.int32, np.int32, np.float32]
+        assert [g.dtype for g in got] == [np.int64, np.int64, np.float32]
         for g, w in zip(got, want):
             assert g.tobytes() == w.astype(g.dtype).tobytes()
-
-    def test_ids_int32_below_2_31_nodes(self, tmp_path):
-        sample_shards(tmp_path, 3)
-        cfg = TrainConfig(dim=4, steps=1)
-        src, dst, w = oracles.positive_columns(positives_of(tmp_path, cfg))
-        assert (src.dtype, dst.dtype, w.dtype) == (np.int32, np.int32, np.float32)
-        wide = oracles.positive_columns(positives_of(set_num_nodes(tmp_path, 2**31 + 1), cfg))
-        assert (wide[0].dtype, wide[1].dtype) == (np.int64, np.int64)
-        assert all(a.tolist() == b.tolist() for a, b in zip((src, dst), wide))
-        huge = make_records([(2**31, 1, [1, 0, 0]), (0, 1, [1, 0, 0])])
-        assert load_positives(tmp_path / "huge", huge, cfg, 2**31 + 1)[0].tolist() == [2**31, 0]
-
-    def test_sync_training_on_int32_ids_equal_to_int64(self, tmp_path, monkeypatch):
-        sample_shards(tmp_path, 3)
-        cfg = TrainConfig(dim=4, per_replica_batch_size=16, negatives_per_positive=2, num_replicas=2, steps=12,
-                          optimizer=FixedSgd(0.5), seed=4)
-        narrow = train_sync(tmp_path, cfg)
-        real = trainer._load_positives
-        dtypes = []
-
-        def widened(*args):
-            p = real(*args)
-            dtypes.append((p.run_src.dtype, p.dst.dtype))
-            return replace(p, dst=p.dst.astype(np.int64), run_src=p.run_src.astype(np.int64))
-
-        monkeypatch.setattr(trainer, "_load_positives", widened)
-        wide = train_sync(tmp_path, cfg)
-        assert dtypes == [(np.int32, np.int32)]
-        assert narrow.table.values.tobytes() == wide.table.values.tobytes()
 
     def test_sync_training_equal_to_whole_set(self, tmp_path):
         sample_shards(tmp_path, 3)
@@ -1278,16 +1264,9 @@ class TestPositivesFromShards:
     def test_blocks_bitwise_equal_to_whole_set(self, tmp_path, monkeypatch, cpus, block, weighting):
         # shards of 0, 1, block - 1, block and block + 1 records, each with
         # self-pairs and zero weights to drop; the oracle filters them whole.
-        # Then one whose second block is all self-pairs, so the third moves
-        # down past it, and one that drops nothing, so no block moves.
-        rng = np.random.default_rng(block)
-        shards = [random_records(rng, size, 40) for size in (0, 1, block - 1, block, block + 1, 3 * block)]
-        shards[-1]["dest"][block : 2 * block] = shards[-1]["source"][block : 2 * block]
-        keep_all = random_records(rng, 2 * block + 3, 40)
-        keep_all["dest"] = (keep_all["source"] + 1) % 40
-        keep_all["counts"][:, 0] = 1
-        shards.append(keep_all)
-        records = oracles.write_records_dir(tmp_path, *shards, num_nodes=40)
+        # Then one whose second block is all self-pairs, so it keeps none,
+        # and one that drops nothing.
+        records = blocks_of_every_kind(tmp_path, block)
         monkeypatch.setattr(trainer, "LOAD_BLOCK", block)
         monkeypatch.setattr(cores, "usable_cpus", lambda: cpus)
         cfg = TrainConfig(dim=4, steps=1, distance_weighting=weighting)
@@ -1295,14 +1274,29 @@ class TestPositivesFromShards:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # the two threads switch as often as they can
         try:
-            narrow = oracles.positive_columns(positives_of(records, cfg))
-            wide = oracles.positive_columns(positives_of(set_num_nodes(records, 2**31 + 1), cfg))
+            got = columns_of(oracles.index_records(records, cfg))
         finally:
             sys.setswitchinterval(interval)
-        assert [c.dtype for c in narrow + wide] == [np.int32, np.int32, np.float32, np.int64, np.int64, np.float32]
-        for got in (narrow, wide):
-            for g, w in zip(got, want):
-                assert g.tobytes() == w.astype(g.dtype).tobytes()
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("block", [1, 7, trainer.LOAD_BLOCK])
+    def test_any_window_of_any_lane_reads_its_positions(self, tmp_path, monkeypatch, block):
+        # windows that start and end inside blocks, span blocks that keep
+        # nothing, or hold no position at all
+        records = blocks_of_every_kind(tmp_path, 7)
+        monkeypatch.setattr(trainer, "LOAD_BLOCK", block)
+        cfg = TrainConfig(dim=4, steps=1)
+        positives = oracles.index_records(records, cfg)
+        want = oracles.prepare_positives(load_all_records(records)[0], cfg)
+        rng = np.random.default_rng(block)
+        for lanes in (1, 2, 3):
+            for lane in range(lanes):
+                size = len(want[0][lane::lanes])
+                for lo, hi in [(0, size), (size, size), (0, 0), *np.sort(rng.integers(0, size + 1, (20, 2)))]:
+                    got = positives.read(lo, hi, lane, lanes)
+                    for g, w in zip(got, want):
+                        assert g.tobytes() == w[lane::lanes][lo:hi].tobytes()
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_int64_ids_loaded_as_read(self, tmp_path, monkeypatch, cpus):
@@ -1314,11 +1308,11 @@ class TestPositivesFromShards:
         shard["dest"][11] = 2**32 + 5
         records = oracles.write_records_dir(tmp_path, shard, num_nodes=2**33)
         cfg = TrainConfig(dim=4, steps=1)
-        got = oracles.positive_columns(positives_of(records, cfg))
+        got = columns_of(oracles.index_records(records, cfg))
         for g, w in zip(got, oracles.prepare_positives(shard, cfg)):
             assert g.tobytes() == w.tobytes()
         with pytest.raises(ValidationError, match=r"node id 2147483648 out of range \[0, 2147483648\)"):
-            positives_of(set_num_nodes(records, 2**31), cfg)
+            oracles.index_records(set_num_nodes(records, 2**31), cfg)
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_errors_as_one_thread_finds_them(self, tmp_path, monkeypatch, cpus):
@@ -1376,45 +1370,42 @@ class TestPositivesFromShards:
             return m
 
         monkeypatch.setattr(np, "memmap", counted_map)
-        got = oracles.positive_columns(positives_of(tmp_path, TrainConfig(dim=4, steps=1)))
+        got = columns_of(oracles.index_records(tmp_path, TrainConfig(dim=4, steps=1)))
         assert seen == [1, 1, 1, 1] and live == [0]
         want = oracles.prepare_positives(load_all_records(tmp_path)[0], TrainConfig(dim=4, steps=1))
         assert all(g.tobytes() == w.astype(g.dtype).tobytes() for g, w in zip(got, want))
 
-    def test_unset_column_bytes_never_cast(self, tmp_path, monkeypatch):
-        # the columns start as signalling-NaN bytes, which raise "invalid"
-        # if a cast ever reads them before the load writes them
-        monkeypatch.setattr(cores, "usable_cpus", lambda: 1)  # errstate is per thread
-        sample_shards(tmp_path, 3)
-        real = np.empty
-
-        def snan_empty(shape, dtype=float):
-            out = real(shape, dtype)
-            raw = out.reshape(-1).view(np.uint8)
-            raw[:] = np.resize(np.array([1, 0, 128, 127], np.uint8), len(raw))  # 0x7f800001
-            return out
-
-        monkeypatch.setattr(np, "empty", snan_empty)
-        with np.errstate(invalid="raise"):
-            got = oracles.positive_columns(positives_of(tmp_path, TrainConfig(dim=4, steps=1)))
-        want = oracles.prepare_positives(load_all_records(tmp_path)[0], TrainConfig(dim=4, steps=1))
-        assert all(g.tobytes() == w.astype(g.dtype).tobytes() for g, w in zip(got, want))
-
     @pytest.mark.parametrize("block", [7, trainer.LOAD_BLOCK])
-    def test_8_bytes_per_positive_and_16_per_run(self, tmp_path, monkeypatch, block):
-        # a source and a destination of int32 and a float32 weight per
-        # positive held 12 bytes each; the sources now go as runs, one per
-        # source of each shard and at most one more at each block's edge
+    def test_32_bytes_per_block(self, tmp_path, monkeypatch, block):
+        # the index holds each block's shard, first record, length and kept
+        # count; the kept positives themselves, 8 bytes each, are not held
         manifest = dense_shards(tmp_path)
         monkeypatch.setattr(trainer, "LOAD_BLOCK", block)
-        cfg = TrainConfig(dim=4, steps=1)
-        got = positives_of(tmp_path, cfg)
-        runs = len(got.run_start)
-        assert sum(a.nbytes for a in (got.dst, got.weight, got.run_start, got.run_src)) <= 8 * len(got) + 16 * runs
-        shards = [oracles.read_shard(tmp_path / f, 3) for f in manifest["shard_files"]]
-        sources = sum(len(np.unique(oracles.prepare_positives(r, cfg)[0])) for r in shards)
-        blocks = sum(-(-len(r) // block) for r in shards)
-        assert sources <= runs <= sources + blocks and 5 * runs < len(got)
+        got = oracles.index_records(tmp_path, TrainConfig(dim=4, steps=1))
+        blocks = sum(-(-n // block) for n in manifest["record_counts"])
+        assert len(got.blocks) == blocks and (block > 7 or 4 * blocks < len(got))
+        assert got.blocks.nbytes + got.kept.nbytes == 32 * blocks + 8
+
+    def test_index_bytes_do_not_grow_with_the_records(self, tmp_path):
+        # one graph sampled with 8 and with 32 walks per node: the second
+        # has more than twice the positives, and 8 bytes each would retain
+        # about 220 KB more; the index retains 32 bytes per block more, and
+        # at most 1 KB more of Python objects
+        g = generate_sbm(SbmConfig(n=1000, k=4, p_in=0.02, p_out=0.002, seed=1))
+        cfg, retained, index = TrainConfig(dim=4, steps=1), {}, {}
+        for walks in (8, 32):
+            run_sampling(g, SamplerConfig(walks_per_node=walks, walk_length=3, num_shards=2), tmp_path / str(walks))
+        oracles.index_records(tmp_path / "8", cfg)  # modules imported on first use: not the index's
+        for walks in (8, 32):
+            tracemalloc.start()
+            try:
+                index[walks] = oracles.index_records(tmp_path / str(walks), cfg)
+                retained[walks] = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+        assert len(index[32]) > 2 * len(index[8])
+        more_blocks = len(index[32].blocks) - len(index[8].blocks)
+        assert retained[32] <= retained[8] + 32 * more_blocks + 1024 and retained[8] < 4096
 
     def test_memory_below_shard_bytes(self, tmp_path):
         # Under tracemalloc, loading every shard, concatenating them and then
@@ -1424,7 +1415,10 @@ class TestPositivesFromShards:
         # peaked at 0.51x. Filtering each mapped shard in one pass peaked at
         # 0.37x: the columns (12 of every 44 bytes) and block-sized
         # temporaries; with the sources kept as runs (8 of every 44 bytes
-        # plus the runs) it peaks at 0.30x. The bound is unchanged.
+        # plus the runs) it peaked at 0.30x. Indexing the blocks and reading
+        # one window of 65 536 positions (1.5 MB, fixed whatever the record
+        # count) one 8 192-record block at a time peaks at 0.33x here, and
+        # its share falls as the records grow. The bound is unchanged.
         g = generate_sbm(SbmConfig(n=4000, k=4, p_in=0.02, p_out=0.002, seed=1))
         run_sampling(g, SamplerConfig(walks_per_node=16, walk_length=3, num_shards=8), tmp_path)
         table = init_table(g.num_nodes, 4, seed=0)
@@ -1439,22 +1433,59 @@ class TestPositivesFromShards:
         assert peak < 0.42 * written
 
 
-def position_stream(n, seed=9):
-    """A stream whose positions are their own sources and destinations."""
-    return RecordStream(oracles.positives_from_columns(np.arange(n), np.arange(n), np.ones(n, np.float32)), seed)
+def changed_after_indexing(monkeypatch, shard, change):
+    """Make `change(data)` the bytes of the shard once training has indexed
+    every shard: when the index pass asks for the shard after the last."""
+    real = trainer.iter_shards
+
+    def indexed_then_changed(*args):
+        yield from real(*args)
+        shard.write_bytes(change(shard.read_bytes()))
+
+    monkeypatch.setattr(trainer, "iter_shards", indexed_then_changed)
+
+
+@pytest.mark.parametrize("mode, workers", [("sync", 1), ("async", 2)])
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda data: data[: 5 * 44 + 9], "ends before record {last}, which training indexed"),
+        (lambda data: data[:52] + (5000).to_bytes(8, "little") + data[60:],  # the second record's dest
+         "node id 5000 out of range \\[0, 40\\) of the table"),
+        (lambda data: data[:52] + data[44:52] + data[60:],  # the second record made a self-pair
+         "\\d+ positives from record 0 on, but \\d+ when indexed"),
+    ],
+    ids=["shortened", "id-out-of-range", "kept-count-changed"],
+)
+def test_shard_changed_after_indexing_raises_at_the_window_read(tmp_path, monkeypatch, mode, workers, change, message):
+    # the map a shortened shard was read through killed the process (SIGBUS);
+    # a window now reads its blocks into memory and checks each again
+    manifest = dense_shards(tmp_path)
+    shard = tmp_path / manifest["shard_files"][1]
+    changed_after_indexing(monkeypatch, shard, change)
+    cfg = TrainConfig(dim=4, mode=mode, num_workers=workers, per_replica_batch_size=8, steps=2)
+    message = message.format(last=manifest["record_counts"][1] - 1)
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(shard))}: {message}"):
+        (train_sync if mode == "sync" else train_async)(tmp_path, cfg)
+
+
+def position_stream(out_dir, n, seed=9):
+    """A stream of n positions whose sources are the positions and whose
+    destinations are one more."""
+    return RecordStream(oracles.index_columns(out_dir, np.arange(n), np.arange(n) + 1), seed)
 
 
 def take_positions(stream, count):
-    """`count` positions of the stream, checked against their sources."""
-    idx, src = stream.take(count)
-    assert np.array_equal(src, idx)
-    return idx
+    """`count` positions of the stream, checked against their columns."""
+    src, dst, weight = stream.take(count)
+    assert np.array_equal(dst, src + 1) and np.all(weight == 1)
+    return src
 
 
 class TestRecordStreamWindows:
     @pytest.mark.parametrize("n", [1000, SHUFFLE_BUFFER, 2 * SHUFFLE_BUFFER + 123])
-    def test_epoch_zero_equals_whole_epoch_reference(self, n):
-        stream = position_stream(n)
+    def test_epoch_zero_equals_whole_epoch_reference(self, tmp_path, n):
+        stream = position_stream(tmp_path, n)
         parts, taken = [], 0
         while taken < n:  # odd-sized takes that cross window edges
             parts.append(take_positions(stream, min(4099, n - taken)))
@@ -1462,9 +1493,9 @@ class TestRecordStreamWindows:
             assert stream.epochs_completed == (taken == n)
         assert np.array_equal(np.concatenate(parts), oracles.epoch_order_reference(9, n, 0, SHUFFLE_BUFFER))
 
-    def test_epochs_cover_every_position_once_on_a_moving_grid(self):
+    def test_epochs_cover_every_position_once_on_a_moving_grid(self, tmp_path):
         n, half = 2 * SHUFFLE_BUFFER + 123, SHUFFLE_BUFFER // 2
-        stream = position_stream(n)
+        stream = position_stream(tmp_path, n)
         for epoch in range(4):
             order = take_positions(stream, n)
             assert stream.epochs_completed == epoch + 1
@@ -1475,16 +1506,18 @@ class TestRecordStreamWindows:
             for a, b in zip(edges, edges[1:]):
                 assert np.array_equal(np.sort(order[a:b]), np.arange(a, b))
 
-    @pytest.mark.parametrize("ids, run", [(np.int64, 1), (np.int32, 100)])
-    def test_memory_bounded_by_one_window(self, ids, run):
-        # Whole-epoch orders and their np.roll copies peaked at 24 MB here.
-        # int64 sources one position per run are the widest window; int32
-        # sources in runs of 100 positions are as the record load gives them
-        # (about 230 positions per run at 10k nodes).
+    def test_memory_bounded_by_one_block_and_one_window(self, tmp_path):
+        # Whole-epoch orders and their np.roll copies peaked at 24 MB here,
+        # and resident positives held 8 MB. A stream holds one window: its
+        # offsets and columns, 24 bytes a position. Reading it holds one
+        # block at a time: its records, 28 bytes each at walk length 1, and
+        # at most 64 bytes of temporaries per record. A take holds its
+        # columns and offsets, 28 bytes a position.
         n = 10**6
-        positives = oracles.positives_from_columns(
-            np.arange(n, dtype=ids) // run, np.arange(n), np.ones(n, dtype=np.float32)
-        )
+        positives = oracles.index_columns(tmp_path, np.arange(n), np.arange(n) + 1)
+        window = SHUFFLE_BUFFER * (4 + 8 + 8 + 4)
+        block = trainer.LOAD_BLOCK * (28 + 64)
+        take = 4096 * (8 + 8 + 4 + 8)
         np.random.default_rng(0)  # numpy.random is imported on first use: not the stream's
         tracemalloc.start()
         try:
@@ -1495,22 +1528,20 @@ class TestRecordStreamWindows:
         finally:
             tracemalloc.stop()
         assert stream.epochs_completed == 1
-        assert peak < 1_000_000
+        assert peak < window + block + take
 
 
-@pytest.mark.parametrize("expand", [1, 5, trainer.EXPAND_BLOCK])
+@pytest.mark.parametrize("block", [1, 7, trainer.LOAD_BLOCK])
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("mode, lanes", [("sync", 1), ("async", 1), ("async", 2), ("async", 3)])
-def test_batches_equal_to_whole_columns(tmp_path, monkeypatch, cpus, mode, lanes, expand):
-    # Blocks of 7 records and windows of 16 positions cut the sources' runs.
-    # Each lane's batches over two epochs hold the whole columns' records at
-    # the positions of its stripe, in the order of its epochs. EXPAND_BLOCK 1
-    # expands every window one position at a time, 5 cuts each window's 16
-    # positions unevenly, and the default takes each window in one block.
+def test_batches_equal_to_whole_columns(tmp_path, monkeypatch, cpus, mode, lanes, block):
+    # Windows of 16 positions read blocks of 1 record, of 7 or of each
+    # whole shard. Each lane's batches over two epochs hold the whole
+    # columns' records at the positions of its stripe, in the order of its
+    # epochs.
     dense_shards(tmp_path)
-    monkeypatch.setattr(trainer, "LOAD_BLOCK", 7)
+    monkeypatch.setattr(trainer, "LOAD_BLOCK", block)
     monkeypatch.setattr(trainer, "SHUFFLE_BUFFER", 16)
-    monkeypatch.setattr(trainer, "EXPAND_BLOCK", expand)
     monkeypatch.setattr(cores, "usable_cpus", lambda: cpus)
     cfg = TrainConfig(dim=4, mode=mode, per_replica_batch_size=5, negatives_per_positive=1, num_workers=lanes,
                       num_replicas=2 if mode == "sync" else 1, optimizer=FixedSgd(0.01), seed=3)
