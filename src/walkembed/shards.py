@@ -9,10 +9,12 @@ In memory a record is the same bytes: a structured array of that layout
 non-negative, so the bytes read the same as u64). The sampler combines its
 visits straight into one and writes its bytes to the shard file.
 
-Readers go one shard at a time: iter_shards maps each shard read-only, its
-size checked against the manifest's count; check_records checks its
-records. Training indexes the map in blocks and later reads each block it
-needs with read_records; load_all_records copies every shard into one array.
+Every record leaves a shard through read_records, which reads a range of
+it into memory and checks it: its length, one walk length, and every id a
+row of the table. iter_shards checks each shard's size against the
+manifest's count first. Training reads each shard in blocks, to index them
+and later to read the blocks it needs; load_all_records reads every shard
+into one array.
 """
 
 from __future__ import annotations
@@ -56,18 +58,6 @@ def write_shard(path: str | Path, records: np.ndarray) -> None:
     records.tofile(str(path))
 
 
-def check_records(path: Path, records: np.ndarray, walk_length: int, num_nodes: int) -> None:
-    """Raise on a mixed walk length, else on the first source id, then the
-    first dest id, out of the range of a num_nodes-row table."""
-    if not np.all(records["length"] == walk_length):
-        raise ValidationError(f"{path}: mixed walk lengths in shard")
-    try:
-        for column in ("source", "dest"):
-            check_ids(records[column], num_nodes)
-    except IndexError as e:
-        raise ValidationError(f"{path}: {e} of the table") from None
-
-
 def write_manifest(out_dir: str | Path, manifest: dict) -> None:
     with (Path(out_dir) / "manifest.json").open("w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -109,40 +99,49 @@ def read_manifest(records_dir: str | Path) -> dict:
     return manifest
 
 
-def iter_shards(records_dir: str | Path, manifest: dict) -> Iterator[tuple[Path, np.ndarray]]:
-    """(path, records) of each shard the manifest lists, in order, after a size
-    check against the manifest's count: a read-only map, unmapped once nothing
-    refers to it, or an empty array for an empty shard (mmap rejects those)."""
+def iter_shards(records_dir: str | Path, manifest: dict) -> Iterator[tuple[Path, int]]:
+    """(path, record count) of each shard the manifest lists, in order, after
+    a size check against the manifest's count."""
     files, counts = manifest["shard_files"], manifest["record_counts"]
     if not files:
         raise ValidationError(f"{records_dir}: manifest lists no shards")
-    dt = _record_dtype(manifest["config"]["walk_length"])
+    itemsize = _record_dtype(manifest["config"]["walk_length"]).itemsize
     for f, count in zip(files, counts):
         path = Path(records_dir) / f
-        n, rest = divmod(path.stat().st_size, dt.itemsize)
+        n, rest = divmod(path.stat().st_size, itemsize)
         if rest:
             raise ValidationError(f"{path}: size not a multiple of record size")
         if n != count:
             raise ValidationError(f"{path}: {n} records, but the manifest lists {count}")
-        yield path, np.memmap(path, dtype=dt, mode="r", shape=(n,)) if n else np.empty(0, dtype=dt)
+        yield path, n
 
 
-def read_records(path: Path, first: int, count: int, walk_length: int) -> np.ndarray:
-    """The count records of a shard from record first on; ValidationError naming it if it ends before them."""
+def read_records(path: Path, first: int, count: int, walk_length: int, num_nodes: int) -> np.ndarray:
+    """The count records of a shard from record first on, checked. Raise
+    ValidationError naming the shard if it ends before them, else on a mixed
+    walk length, else on the first source id, then the first dest id, out of
+    the range of a num_nodes-row table."""
     dt = _record_dtype(walk_length)
     records = np.fromfile(path, dtype=dt, count=count, offset=first * dt.itemsize)
     if len(records) < count:
-        raise ValidationError(f"{path}: ends before record {first + count - 1}, which training indexed")
+        raise ValidationError(f"{path}: ends before record {first + count - 1}")
+    if not np.all(records["length"] == walk_length):
+        raise ValidationError(f"{path}: mixed walk lengths in shard")
+    try:
+        for column in ("source", "dest"):
+            check_ids(records[column], num_nodes)
+    except IndexError as e:
+        raise ValidationError(f"{path}: {e} of the table") from None
     return records
 
 
 def load_all_records(records_dir: str | Path) -> tuple[np.ndarray, dict]:
-    """Every shard listed in the manifest, copied into one record array."""
+    """Every shard listed in the manifest, read into one record array."""
     manifest = read_manifest(records_dir)
-    arr = np.empty(sum(manifest["record_counts"]), dtype=_record_dtype(manifest["config"]["walk_length"]))
+    walk_length, num_nodes = manifest["config"]["walk_length"], manifest["num_nodes"]
+    arr = np.empty(sum(manifest["record_counts"]), dtype=_record_dtype(walk_length))
     at = 0
-    for path, records in iter_shards(records_dir, manifest):
-        check_records(path, records, manifest["config"]["walk_length"], manifest["num_nodes"])
-        arr[at : at + len(records)] = records
-        at += len(records)
+    for path, n in iter_shards(records_dir, manifest):
+        arr[at : at + n] = read_records(path, 0, n, walk_length, num_nodes)
+        at += n
     return arr, manifest

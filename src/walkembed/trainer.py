@@ -1,9 +1,9 @@
 """Skip-gram training over co-occurrence records, sync or async.
 
 Training reads its records from a records directory, whose manifest gives
-the table's row count: its num_nodes. Set-up indexes them in one pass over
-one read-only shard map at a time, on two threads where two CPUs may be
-used, keeping only each LOAD_BLOCK-record block's place and positive count.
+the table's row count: its num_nodes. Set-up indexes them in one pass that
+reads and checks one LOAD_BLOCK-record block at a time, on two threads where
+two CPUs may be used, keeping only each block's place and positive count.
 Both modes run one training loop, the lane: each step builds one batch of
 R * B positives from the lane's record stream, with their negatives, and
 applies one mean-reduced gradient over it, which equals the mean of the
@@ -42,7 +42,7 @@ from . import cores
 from .errors import ValidationError, check_keys
 from .model import EmbeddingTable, FixedSgd, WarmupDecaySchedule, init_table, loss_and_grad
 from .rng import derive_seed
-from .shards import check_records, iter_shards, read_manifest, read_records
+from .shards import iter_shards, read_manifest, read_records
 
 SHUFFLE_BUFFER = 1 << 16  # records per shuffle window of a RecordStream
 LOAD_BLOCK = 1 << 13  # records per block of the record index and of a window's reads
@@ -182,8 +182,8 @@ class Positives:
     def read(self, lo: int, hi: int, lane: int = 0, lanes: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The (src, dst, weight) columns, int64, int64 and float32, of
         positions lane + lanes * i for i in [lo, hi), read one block at a
-        time. Each block is checked again (its length, check_records and its
-        kept count): a shard changed since indexed raises ValidationError."""
+        time. Each block is checked again (read_records' checks and its kept
+        count): a shard changed since indexed raises ValidationError."""
         columns = np.empty(hi - lo, np.int64), np.empty(hi - lo, np.int64), np.empty(hi - lo, np.float32)
         a, z = lane + lanes * lo, lane + lanes * (hi - 1)  # the window's first and last positions
         b0, b1 = np.searchsorted(self.kept, [a, z], "right") - 1
@@ -194,8 +194,7 @@ class Positives:
                 continue
             (shard, first, length), n = self.blocks[b], self.kept[b + 1] - self.kept[b]
             path, walk_length = self.paths[shard], len(self.weighting)
-            part = read_records(path, first, length, walk_length)
-            check_records(path, part, walk_length, self.num_nodes)
+            part = read_records(path, first, length, walk_length, self.num_nodes)
             keep, w = _kept(part, self.weighting)
             rows = np.flatnonzero(keep)
             if len(rows) != n:
@@ -208,9 +207,9 @@ class Positives:
 
 def _index_positives(records_dir: str | Path, cfg: TrainConfig, manifest: dict) -> Positives:
     """The index of every shard's positives (see _kept). Two threads, where
-    two CPUs may be used, share each mapped shard's LOAD_BLOCK-record blocks,
-    checking each and counting its positives. A fault is raised after both
-    are done, as one thread reading in order finds it."""
+    two CPUs may be used, share each shard's LOAD_BLOCK-record blocks, each
+    reading and checking its own and counting its positives. A fault is
+    raised after both are done, as one thread reading in order finds it."""
     num_nodes = manifest["num_nodes"]
     walk_length = manifest["config"]["walk_length"]
     weighting = np.asarray(np.ones(walk_length) if cfg.distance_weighting is None else cfg.distance_weighting, float)
@@ -219,20 +218,18 @@ def _index_positives(records_dir: str | Path, cfg: TrainConfig, manifest: dict) 
         raise ValidationError(f"distance_weighting has {n} entries, records have walk_length {walk_length}")
     paths, blocks = [], []  # blocks: (shard, first, length, kept count) each
     with cores.helper_pool() as pool:
-        for path, records in iter_shards(records_dir, manifest):
+        for path, n in iter_shards(records_dir, manifest):
             paths.append(path)
 
             def count_block(lo):
-                part = records[lo : lo + LOAD_BLOCK]
-                check_records(path, part, walk_length, num_nodes)
+                part = read_records(path, lo, min(LOAD_BLOCK, n - lo), walk_length, num_nodes)
                 return len(paths) - 1, lo, len(part), np.count_nonzero(_kept(part, weighting)[0])
 
             try:
-                blocks += cores.share(pool, count_block, range(0, len(records), LOAD_BLOCK))
-            except ValidationError:  # the shard's check orders its faults by kind, not by block
-                check_records(path, records, walk_length, num_nodes)
+                blocks += cores.share(pool, count_block, range(0, n, LOAD_BLOCK))
+            except ValidationError:  # the whole shard's check orders its faults by kind, not by block
+                read_records(path, 0, n, walk_length, num_nodes)
                 raise
-            del records  # unmapped before the next shard is mapped
     blocks = np.array(blocks, dtype=np.int64).reshape(-1, 4)
     kept = np.concatenate([[0], np.cumsum(blocks[:, 3])])
     return Positives(tuple(paths), blocks[:, :3].copy(), kept, weighting, num_nodes)
@@ -361,7 +358,7 @@ def _setup(
         raise ValidationError(f"train_{mode} requires cfg.mode == {mode!r}")
     manifest = read_manifest(records_dir)
     n = manifest["num_nodes"]
-    if table is not None and table.num_nodes != n:  # raised before any shard is mapped
+    if table is not None and table.num_nodes != n:  # raised before any shard is read
         rows = table.num_nodes
         raise ValidationError(f"{records_dir}: records of a graph of {n} nodes, but the table has {rows} rows")
     positives = _index_positives(records_dir, cfg, manifest)

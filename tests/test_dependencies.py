@@ -1,5 +1,7 @@
 """numpy stays the only runtime dependency: every module of the package
-imports only the standard library, numpy and the package itself."""
+imports only the standard library, numpy and the package itself. And
+records leave a shard one way, read into memory by shards.read_records:
+no module maps a file with memmap."""
 
 import ast
 import sys
@@ -24,6 +26,17 @@ def imported_roots(tree: ast.Module) -> list[tuple[int, str]]:
     return found
 
 
+def memmap_lines(tree: ast.Module) -> list[int]:
+    """Lines of the tree that name memmap: an attribute, a name or an import."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "memmap"
+        or isinstance(node, ast.Name) and node.id == "memmap"
+        or isinstance(node, (ast.Import, ast.ImportFrom)) and any("memmap" in a.name.split(".") for a in node.names)
+    )
+
+
 def test_package_modules_found():
     assert {"graph.py", "model.py", "trainer.py"} <= {p.name for p in MODULES}
 
@@ -38,3 +51,17 @@ def test_imports_only_stdlib_numpy_and_walkembed(path):
 def test_a_third_party_import_is_caught():
     tree = ast.parse("import os\nimport scipy.sparse\nfrom numpy import linalg\nfrom .graph import Graph\nfrom torch import nn\n")
     assert [root for _, root in imported_roots(tree) if root not in ALLOWED] == ["scipy", "torch"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_module_maps_a_shard(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert [f"{path.name}:{line} uses memmap" for line in memmap_lines(tree)] == []
+
+
+def test_a_memmap_use_is_caught():
+    tree = ast.parse(
+        "import numpy as np\nfrom numpy import memmap\nm = np.memmap('f')\nn = memmap('f')\n"
+        "np.fromfile('f')  # not a memmap\n"
+    )
+    assert memmap_lines(tree) == [2, 3, 4]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import build_graph
-from walkembed import cores, sampler
+from walkembed import cores, sampler, shards
 from walkembed.errors import EmptyGraphError, ValidationError
 from walkembed.graph import from_edges
 from walkembed.model import FixedSgd
@@ -384,6 +384,26 @@ def test_truncated_shard_rejected(tmp_path, triangle):
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ValidationError, match=f"manifest.json: {msg}"):
             load_all_records(tmp_path)
+
+
+def test_shard_shortened_while_loaded_raises(tmp_path, monkeypatch):
+    # cut to 4 096 bytes after its size check: a read-only map of the shard
+    # ended the process with SIGBUS when its records were copied
+    rng = np.random.default_rng(3)
+    batches = [oracles.wire_records(rng.integers(0, 9, n), rng.integers(0, 9, n), np.ones((n, 3), np.int64))
+               for n in (200, 300)]
+    oracles.write_records_dir(tmp_path, *batches, num_nodes=9)
+    shard, real = tmp_path / "records-00001-of-00002.bin", shards.iter_shards
+
+    def cut_once_checked(*args):
+        for path, n in real(*args):
+            if path == shard:
+                shard.write_bytes(shard.read_bytes()[:4096])
+            yield path, n
+
+    monkeypatch.setattr(shards, "iter_shards", cut_once_checked)
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(shard))}: ends before record 299$"):
+        load_all_records(tmp_path)
 
 
 def test_shard_listed_twice_rejected(tmp_path, triangle):

@@ -6,7 +6,6 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -19,7 +18,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import build_graph
 from walkembed import cores, model, trainer
-from walkembed.errors import NumericError, ValidationError
+from walkembed.errors import NumericError, ValidationError, check_ids
 from walkembed.model import (
     EmbeddingTable,
     FixedSgd,
@@ -1108,10 +1107,10 @@ def test_log_path_is_keyword_only(mode, records):
 
 @pytest.mark.parametrize("mode", ["sync", "async"])
 @pytest.mark.parametrize("rows", [29, 31, 1000])
-def test_records_of_another_graph_size_rejected_before_any_shard_is_mapped(mode, rows, records, monkeypatch):
+def test_records_of_another_graph_size_rejected_before_any_shard_is_read(mode, rows, records, monkeypatch):
     # the records hold ids 0-29 of a 30-node graph: 31 and 1000 rows trained silently
-    maps, real = [], np.memmap
-    monkeypatch.setattr(np, "memmap", lambda *a, **kw: maps.append(a) or real(*a, **kw))
+    reads, real = [], np.fromfile
+    monkeypatch.setattr(np, "fromfile", lambda *a, **kw: reads.append(a) or real(*a, **kw))
     cfg = TrainConfig(dim=4, mode=mode, steps=1, optimizer=FixedSgd(0.1))
     train = train_sync if mode == "sync" else train_async
     table = init_table(rows, 4, seed=0)
@@ -1119,7 +1118,7 @@ def test_records_of_another_graph_size_rejected_before_any_shard_is_mapped(mode,
     message = f"^{re.escape(str(records))}: records of a graph of 30 nodes, but the table has {rows} rows$"
     with pytest.raises(ValidationError, match=message):
         train(records, cfg, table=table)
-    assert maps == []
+    assert reads == []
     assert table.values.tobytes() == before.tobytes()
 
 
@@ -1351,29 +1350,29 @@ class TestPositivesFromShards:
             assert table.values.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("cpus", [1, 2])
-    def test_one_shard_mapped_at_a_time(self, tmp_path, monkeypatch, cpus):
-        # tracemalloc does not see a map, so the maps made are counted while
-        # they live: each is made when no other lives, and all are gone at the end
-        sample_shards(tmp_path, 4)
-        monkeypatch.setattr(trainer, "LOAD_BLOCK", 7)
+    def test_index_pass_holds_a_few_blocks(self, tmp_path, monkeypatch, cpus):
+        # four shards of 8 192 and of 16 384 records in blocks of 1 024 (a
+        # shard is 8 or 16 blocks): each thread holds one block and its
+        # temporaries, under two blocks' bytes, and the peak grows only with
+        # the index. Two threads' blocks overlap as they happen to be
+        # scheduled, so with two the peaks are bounded, not compared.
+        monkeypatch.setattr(trainer, "LOAD_BLOCK", 1024)
         monkeypatch.setattr(cores, "usable_cpus", lambda: cpus)
-        real, live, seen = np.memmap, [0], []
-
-        def unmapped():
-            live[0] -= 1
-
-        def counted_map(*args, **kwargs):
-            m = real(*args, **kwargs)
-            live[0] += 1
-            seen.append(live[0])
-            weakref.finalize(m, unmapped)
-            return m
-
-        monkeypatch.setattr(np, "memmap", counted_map)
-        got = columns_of(oracles.index_records(tmp_path, TrainConfig(dim=4, steps=1)))
-        assert seen == [1, 1, 1, 1] and live == [0]
-        want = oracles.prepare_positives(load_all_records(tmp_path)[0], TrainConfig(dim=4, steps=1))
-        assert all(g.tobytes() == w.astype(g.dtype).tobytes() for g, w in zip(got, want))
+        rng, cfg, peak, index = np.random.default_rng(6), TrainConfig(dim=4, steps=1), {}, {}
+        for n in (8192, 16384):
+            oracles.write_records_dir(tmp_path / str(n), *[random_records(rng, n, 40) for _ in range(4)])
+        oracles.index_records(tmp_path / "8192", cfg)  # modules imported on first use: not the pass's
+        for n in (8192, 16384):
+            tracemalloc.start()
+            try:
+                index[n] = oracles.index_records(tmp_path / str(n), cfg)
+                peak[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        block_bytes = 1024 * (20 + 8 * 3)
+        more_blocks = len(index[16384].blocks) - len(index[8192].blocks)
+        assert more_blocks == 32 and max(peak.values()) < (2 * cpus + 1) * block_bytes
+        assert cpus == 2 or peak[16384] <= peak[8192] + 512 * more_blocks
 
     @pytest.mark.parametrize("block", [7, trainer.LOAD_BLOCK])
     def test_32_bytes_per_block(self, tmp_path, monkeypatch, block):
@@ -1449,7 +1448,7 @@ def changed_after_indexing(monkeypatch, shard, change):
 @pytest.mark.parametrize(
     "change, message",
     [
-        (lambda data: data[: 5 * 44 + 9], "ends before record {last}, which training indexed"),
+        (lambda data: data[: 5 * 44 + 9], "ends before record {last}$"),
         (lambda data: data[:52] + (5000).to_bytes(8, "little") + data[60:],  # the second record's dest
          "node id 5000 out of range \\[0, 40\\) of the table"),
         (lambda data: data[:52] + data[44:52] + data[60:],  # the second record made a self-pair
@@ -1458,14 +1457,33 @@ def changed_after_indexing(monkeypatch, shard, change):
     ids=["shortened", "id-out-of-range", "kept-count-changed"],
 )
 def test_shard_changed_after_indexing_raises_at_the_window_read(tmp_path, monkeypatch, mode, workers, change, message):
-    # the map a shortened shard was read through killed the process (SIGBUS);
-    # a window now reads its blocks into memory and checks each again
+    # a window reads its blocks into memory and checks each again
     manifest = dense_shards(tmp_path)
     shard = tmp_path / manifest["shard_files"][1]
     changed_after_indexing(monkeypatch, shard, change)
     cfg = TrainConfig(dim=4, mode=mode, num_workers=workers, per_replica_batch_size=8, steps=2)
     message = message.format(last=manifest["record_counts"][1] - 1)
     with pytest.raises(ValidationError, match=f"^{re.escape(str(shard))}: {message}"):
+        (train_sync if mode == "sync" else train_async)(tmp_path, cfg)
+
+
+@pytest.mark.parametrize("mode, workers", [("sync", 1), ("async", 2)])
+def test_shard_shortened_during_the_index_pass_raises(tmp_path, monkeypatch, mode, workers):
+    # cut to 4 096 bytes once the first block's ids are checked: a read-only
+    # map of the shard ended the process with SIGBUS at its next block
+    monkeypatch.setattr(trainer, "LOAD_BLOCK", 7)
+    manifest = dense_shards(tmp_path)
+    shard, n = tmp_path / manifest["shard_files"][0], manifest["record_counts"][0]
+    assert n * 44 > 4096 + 2 * 7 * 44
+
+    def cut_then_check(ids, num_nodes):
+        if shard.stat().st_size > 4096:
+            shard.write_bytes(shard.read_bytes()[:4096])
+        check_ids(ids, num_nodes)
+
+    monkeypatch.setattr("walkembed.shards.check_ids", cut_then_check)
+    cfg = TrainConfig(dim=4, mode=mode, num_workers=workers, per_replica_batch_size=8, steps=2)
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(shard))}: ends before record {n - 1}$"):
         (train_sync if mode == "sync" else train_async)(tmp_path, cfg)
 
 
